@@ -1,13 +1,62 @@
-//! Functional (value) semantics of the ISA, evaluated per lane.
+//! Functional (value) semantics of the ISA, evaluated per lane or per
+//! warp-wide row.
 //!
 //! The timing simulator in `caba-sim` decides *when* an instruction executes;
 //! the functions here decide *what* it computes. Keeping the two separate
 //! lets the compression subroutines be unit-tested functionally without a
 //! pipeline model.
+//!
+//! The `*_row` forms apply one operation to all [`WARP_SIZE`] lanes. They
+//! match on the opcode once and run a straight lane loop per arm, each arm
+//! calling the per-lane function with a constant opcode, so the per-lane
+//! functions stay the single definition of the semantics.
 
-use crate::{AluOp, CmpOp, FAluOp, SfuOp};
+use crate::{AluOp, CmpOp, FAluOp, SfuOp, WARP_SIZE};
+
+/// One 64-bit value per lane of a warp.
+pub type Row = [u64; WARP_SIZE];
+
+/// Expands to `match $op { E::V => <$body with OP = E::V constant>, ... }`.
+macro_rules! per_variant {
+    ($op:expr, $e:ident, [$($v:ident),*], |$c:ident| $body:expr) => {
+        match $op { $($e::$v => { const $c: $e = $e::$v; $body })* }
+    };
+}
+
+/// [`eval_alu`] over a whole warp.
+pub fn alu_row(op: AluOp, a: &Row, b: &Row) -> Row {
+    per_variant!(
+        op,
+        AluOp,
+        [Add, Sub, Mul, Min, Max, And, Or, Xor, Shl, Shr, Sar, Mov, Rem, Div],
+        |OP| std::array::from_fn(|l| eval_alu(OP, a[l], b[l]))
+    )
+}
+
+/// [`eval_falu`] over a whole warp.
+pub fn falu_row(op: FAluOp, a: &Row, b: &Row) -> Row {
+    per_variant!(op, FAluOp, [FAdd, FSub, FMul, F2I, I2F], |OP| {
+        std::array::from_fn(|l| eval_falu(OP, a[l], b[l]))
+    })
+}
+
+/// [`eval_sfu`] over a whole warp.
+pub fn sfu_row(op: SfuOp, a: &Row) -> Row {
+    per_variant!(op, SfuOp, [Rcp, Rsqrt, Sin, Ex2, Lg2], |OP| {
+        std::array::from_fn(|l| eval_sfu(OP, a[l]))
+    })
+}
+
+/// [`eval_cmp`] over a whole warp; bit `l` of the result is lane `l`'s
+/// predicate.
+pub fn cmp_mask(op: CmpOp, a: &Row, b: &Row) -> u32 {
+    per_variant!(op, CmpOp, [Eq, Ne, LtS, LeS, GtS, GeS, LtU, GeU], |OP| {
+        (0..WARP_SIZE).fold(0, |m, l| m | (eval_cmp(OP, a[l], b[l]) as u32) << l)
+    })
+}
 
 /// Evaluates an integer ALU operation on 64-bit values.
+#[inline]
 pub fn eval_alu(op: AluOp, a: u64, b: u64) -> u64 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -28,6 +77,7 @@ pub fn eval_alu(op: AluOp, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluates a comparison, returning the predicate value.
+#[inline]
 pub fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
     match op {
         CmpOp::Eq => a == b,
@@ -43,6 +93,7 @@ pub fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
 
 /// Evaluates a float operation. Operands are the low 32 bits of the
 /// registers, interpreted as `f32`; the result is zero-extended bits.
+#[inline]
 pub fn eval_falu(op: FAluOp, a: u64, b: u64) -> u64 {
     let fa = f32::from_bits(a as u32);
     let fb = f32::from_bits(b as u32);
@@ -64,6 +115,7 @@ pub fn eval_falu(op: FAluOp, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluates an SFU operation on the low 32 bits as `f32`.
+#[inline]
 pub fn eval_sfu(op: SfuOp, a: u64) -> u64 {
     let fa = f32::from_bits(a as u32);
     let r = match op {
@@ -77,6 +129,7 @@ pub fn eval_sfu(op: SfuOp, a: u64) -> u64 {
 }
 
 /// Zero-extends the low `width` bytes of `v` (identity for width 8).
+#[inline]
 pub fn truncate(v: u64, width_bytes: u64) -> u64 {
     debug_assert!(matches!(width_bytes, 1 | 2 | 4 | 8));
     if width_bytes >= 8 {
@@ -158,6 +211,33 @@ mod tests {
         assert_eq!(f32::from_bits(eval_sfu(SfuOp::Lg2, four) as u32), 2.0);
         let s = f32::from_bits(eval_sfu(SfuOp::Sin, 0) as u32);
         assert_eq!(s, 0.0);
+    }
+
+    #[test]
+    fn rows_agree_with_the_per_lane_functions() {
+        let a: Row =
+            std::array::from_fn(|l| (l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (l % 7));
+        let b: Row = std::array::from_fn(|l| if l % 5 == 0 { 0 } else { 100 - 3 * l as u64 });
+        for op in [AluOp::Add, AluOp::Min, AluOp::Sar, AluOp::Rem, AluOp::Div] {
+            assert_eq!(
+                alu_row(op, &a, &b),
+                std::array::from_fn(|l| eval_alu(op, a[l], b[l]))
+            );
+        }
+        for op in [FAluOp::FMul, FAluOp::F2I, FAluOp::I2F] {
+            assert_eq!(
+                falu_row(op, &a, &b),
+                std::array::from_fn(|l| eval_falu(op, a[l], b[l]))
+            );
+        }
+        for op in [SfuOp::Rcp, SfuOp::Lg2] {
+            assert_eq!(sfu_row(op, &b), std::array::from_fn(|l| eval_sfu(op, b[l])));
+        }
+        for op in [CmpOp::Eq, CmpOp::LtS, CmpOp::GeU] {
+            for l in 0..WARP_SIZE {
+                assert_eq!(cmp_mask(op, &a, &b) >> l & 1 == 1, eval_cmp(op, a[l], b[l]));
+            }
+        }
     }
 
     #[test]

@@ -508,9 +508,8 @@ impl Instr {
     }
 
     /// Source registers read by this instruction, as a fixed-size array
-    /// (`None` in unused positions). This is the allocation-free form used
-    /// by the per-cycle scoreboard hazard check; [`Instr::src_regs`] is the
-    /// collecting convenience wrapper.
+    /// (`None` in unused positions), so the per-cycle scoreboard hazard check
+    /// does not allocate.
     pub fn src_regs_fixed(&self) -> [Option<Reg>; 3] {
         fn reg(s: Src) -> Option<Reg> {
             match s {
@@ -540,11 +539,6 @@ impl Instr {
         }
     }
 
-    /// Source registers read by this instruction (up to 3).
-    pub fn src_regs(&self) -> Vec<Reg> {
-        self.src_regs_fixed().into_iter().flatten().collect()
-    }
-
     /// True for loads (global or shared, plain or packed).
     pub fn is_load(&self) -> bool {
         matches!(self.op, Op::Ld { .. } | Op::LdPacked { .. })
@@ -570,6 +564,9 @@ impl Instr {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
+    // Derived from `instrs` at construction: assist deployment reads it for
+    // every launch.
+    max_reg: u16,
 }
 
 impl Program {
@@ -587,7 +584,14 @@ impl Program {
                 );
             }
         }
-        Program { instrs }
+        let regs = instrs.iter().flat_map(|i| {
+            i.src_regs_fixed()
+                .into_iter()
+                .chain([i.dst_reg()])
+                .flatten()
+        });
+        let max_reg = regs.map(|Reg(r)| r + 1).max().unwrap_or(0);
+        Program { instrs, max_reg }
     }
 
     /// Number of instructions.
@@ -613,16 +617,7 @@ impl Program {
     /// Highest register index used, plus one (a lower bound on the register
     /// footprint a compiler would allocate).
     pub fn max_reg(&self) -> u16 {
-        let mut m = 0u16;
-        for i in &self.instrs {
-            if let Some(Reg(d)) = i.dst_reg() {
-                m = m.max(d + 1);
-            }
-            for Reg(s) in i.src_regs() {
-                m = m.max(s + 1);
-            }
-        }
-        m
+        self.max_reg
     }
 
     /// Deterministic content hash over the instruction sequence.
@@ -698,7 +693,7 @@ mod tests {
             offset: 8,
         });
         assert_eq!(i.dst_reg(), None);
-        assert_eq!(i.src_regs(), vec![Reg(3), Reg(4)]);
+        assert_eq!(i.src_regs_fixed(), [Some(Reg(3)), Some(Reg(4)), None]);
         assert!(i.is_store());
     }
 

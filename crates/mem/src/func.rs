@@ -6,6 +6,63 @@ use caba_stats::FxHashMap;
 
 const PAGE_SIZE: usize = 4096;
 
+/// Lanes set in `mask`, ascending.
+pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..32).filter(move |l| mask >> l & 1 == 1)
+}
+
+/// Splits `[addr, addr + len)` at multiples of `granule` (a page or a line: a
+/// power of two), yielding each piece's address, its offset into the range
+/// and its length.
+pub(crate) fn pieces(
+    addr: u64,
+    len: usize,
+    granule: usize,
+) -> impl Iterator<Item = (u64, usize, usize)> {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let a = addr + i as u64;
+        let run = (granule - (a as usize & (granule - 1))).min(len - i);
+        i += run;
+        (run != 0).then_some((a, i - run, run))
+    })
+}
+
+fn low_bytes(n: usize) -> u64 {
+    if n >= 8 {
+        u64::MAX
+    } else {
+        (1 << (8 * n)) - 1
+    }
+}
+
+/// Little-endian value of `buf[off..off + n]` (`n` ≤ 8), zero-extended.
+#[inline]
+pub(crate) fn le_get(buf: &[u8], off: usize, n: usize) -> u64 {
+    match buf.get(off..off + 8) {
+        // One 8-byte load masked to `n` bytes; only the tail of the buffer
+        // takes the byte loop.
+        Some(w) => u64::from_le_bytes(w.try_into().expect("8 bytes")) & low_bytes(n),
+        None => buf[off..off + n]
+            .iter()
+            .rev()
+            .fold(0, |v, &b| v << 8 | b as u64),
+    }
+}
+
+/// Stores the low `n` (≤ 8) bytes of `v` little-endian at `buf[off..]`.
+#[inline]
+pub(crate) fn le_put(buf: &mut [u8], off: usize, n: usize, v: u64) {
+    match buf.get_mut(off..off + 8) {
+        Some(w) => {
+            let keep = !low_bytes(n);
+            let old = u64::from_le_bytes((&*w).try_into().expect("8 bytes"));
+            w.copy_from_slice(&(old & keep | v & !keep).to_le_bytes());
+        }
+        None => buf[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]),
+    }
+}
+
 /// Sparse byte-addressable memory holding the functional contents of global
 /// memory. Unwritten bytes read as zero.
 ///
@@ -35,6 +92,12 @@ impl FuncMem {
         (addr / PAGE_SIZE as u64, (addr % PAGE_SIZE as u64) as usize)
     }
 
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages
+            .entry(page)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
         let (page, off) = Self::page_of(addr);
@@ -44,34 +107,63 @@ impl FuncMem {
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
         let (page, off) = Self::page_of(addr);
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))[off] = v;
+        self.page_mut(page)[off] = v;
     }
 
-    /// Reads `n` (≤ 8) bytes little-endian, zero-extended.
+    /// Reads `n` (≤ 8) bytes little-endian, zero-extended: one page lookup
+    /// unless the access straddles a page.
     ///
     /// # Panics
     ///
     /// Panics if `n > 8`.
+    #[inline]
     pub fn read_le(&self, addr: u64, n: usize) -> u64 {
         assert!(n <= 8, "read width {n} exceeds 8 bytes");
-        let mut v = 0u64;
-        for i in 0..n {
-            v |= (self.read_u8(addr + i as u64) as u64) << (8 * i);
+        let (page, off) = Self::page_of(addr);
+        if off + n <= PAGE_SIZE {
+            return self.pages.get(&page).map_or(0, |p| le_get(&p[..], off, n));
         }
-        v
+        (0..n).fold(0, |v, i| {
+            v | (self.read_u8(addr + i as u64) as u64) << (8 * i)
+        })
     }
 
-    /// Writes the low `n` (≤ 8) bytes of `v` little-endian.
+    /// Writes the low `n` (≤ 8) bytes of `v` little-endian: one page lookup
+    /// unless the access straddles a page.
     ///
     /// # Panics
     ///
     /// Panics if `n > 8`.
+    #[inline]
     pub fn write_le(&mut self, addr: u64, n: usize, v: u64) {
         assert!(n <= 8, "write width {n} exceeds 8 bytes");
-        for i in 0..n {
-            self.write_u8(addr + i as u64, (v >> (8 * i)) as u8);
+        let (page, off) = Self::page_of(addr);
+        if off + n > PAGE_SIZE {
+            for i in 0..n {
+                self.write_u8(addr + i as u64, (v >> (8 * i)) as u8);
+            }
+        } else if n != 0 {
+            // (A zero-length write touches no byte, so materialises no page.)
+            le_put(&mut self.page_mut(page)[..], off, n, v);
+        }
+    }
+
+    /// `out[l] = read_le(addrs[l], n)` for each lane `l` set in `mask`,
+    /// reusing the page across consecutive lanes that stay on it. Panics as
+    /// [`FuncMem::read_le`] does.
+    pub fn read_lanes(&self, n: usize, mask: u32, addrs: &[u64], out: &mut [u64]) {
+        assert!(n <= 8, "read width {n} exceeds 8 bytes");
+        let (mut cur_no, mut cur) = (u64::MAX, None);
+        for l in lanes(mask) {
+            let (page, off) = Self::page_of(addrs[l]);
+            if off + n > PAGE_SIZE {
+                out[l] = self.read_le(addrs[l], n);
+                continue;
+            }
+            if page != cur_no {
+                (cur_no, cur) = (page, self.pages.get(&page));
+            }
+            out[l] = cur.map_or(0, |p| le_get(&p[..], off, n));
         }
     }
 
@@ -95,16 +187,25 @@ impl FuncMem {
         self.write_le(addr, 4, v as u64)
     }
 
-    /// Copies a byte slice into memory ("cudaMemcpy host→device").
+    /// Copies a byte slice into memory ("cudaMemcpy host→device"), one page
+    /// lookup per page touched.
     pub fn load_image(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+        for (a, i, run) in pieces(addr, bytes.len(), PAGE_SIZE) {
+            let (page, off) = Self::page_of(a);
+            self.page_mut(page)[off..off + run].copy_from_slice(&bytes[i..i + run]);
         }
     }
 
-    /// Reads `len` bytes starting at `addr`.
+    /// Reads `len` bytes starting at `addr`, one page lookup per page touched.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        let mut out = vec![0u8; len];
+        for (a, i, run) in pieces(addr, len, PAGE_SIZE) {
+            let (page, off) = Self::page_of(a);
+            if let Some(p) = self.pages.get(&page) {
+                out[i..i + run].copy_from_slice(&p[off..off + run]);
+            }
+        }
+        out
     }
 
     /// Reads the full cache line containing `addr`.
@@ -333,6 +434,84 @@ mod tests {
         m.write_u64(addr, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn page_straddling_accesses_match_bytewise() {
+        // Every width at every offset around a page boundary, against the
+        // one-byte primitives.
+        for n in 0..=8usize {
+            for back in 0..10u64 {
+                let addr = 3 * PAGE_SIZE as u64 - back;
+                let v = 0x8877_6655_4433_2211u64;
+                let mut m = FuncMem::new();
+                m.write_le(addr, n, v);
+                let mut bytewise = FuncMem::new();
+                for i in 0..n {
+                    bytewise.write_u8(addr + i as u64, (v >> (8 * i)) as u8);
+                }
+                for a in addr - 8..addr + 16 {
+                    assert_eq!(m.read_u8(a), bytewise.read_u8(a), "n={n} back={back}");
+                }
+                assert_eq!(m.resident_pages(), bytewise.resident_pages());
+                let want = if n == 8 { v } else { v & ((1 << (8 * n)) - 1) };
+                assert_eq!(m.read_le(addr, n), want, "n={n} back={back}");
+            }
+        }
+    }
+
+    #[test]
+    fn image_spanning_pages_round_trips() {
+        let mut m = FuncMem::new();
+        let img: Vec<u8> = (0..2 * PAGE_SIZE + 77).map(|i| (i * 7 + 1) as u8).collect();
+        let addr = PAGE_SIZE as u64 - 5;
+        m.load_image(addr, &img);
+        assert_eq!(m.resident_pages(), 4);
+        assert_eq!(m.read_bytes(addr, img.len()), img);
+        for (i, &b) in img.iter().enumerate().step_by(97) {
+            assert_eq!(m.read_u8(addr + i as u64), b);
+        }
+        // Unwritten neighbours and absent pages read as zero.
+        assert_eq!(m.read_bytes(addr - 3, 3), vec![0; 3]);
+        assert_eq!(m.read_bytes(100 * PAGE_SIZE as u64 - 2, 4), vec![0; 4]);
+    }
+
+    #[test]
+    fn writing_zeros_materialises_the_page_but_zero_length_does_not() {
+        // Snapshot size follows resident pages, so both must stay as the
+        // per-byte code had them.
+        let mut m = FuncMem::new();
+        m.write_le(0x5000, 0, u64::MAX);
+        m.load_image(0x5000, &[]);
+        assert_eq!(m.resident_pages(), 0);
+        m.write_le(0x5000, 4, 0);
+        m.load_image(0x7000, &[0, 0]);
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.read_u64(0x5000), 0);
+    }
+
+    #[test]
+    fn lane_batched_reads_match_per_lane() {
+        // Unit stride, a stride that changes page every lane, a stride that
+        // straddles pages, one address for all; full, sparse and empty masks.
+        let mut m = FuncMem::new();
+        let img: Vec<u8> = (0..9 * PAGE_SIZE).map(|i| (i * 13 + 5) as u8).collect();
+        m.load_image(0x3_0000, &img);
+        for (stride, n) in [(4u64, 4usize), (4096, 8), (1023, 8), (0, 2)] {
+            for mask in [u32::MAX, 0x8421_8421, 0] {
+                let addrs: Vec<u64> = (0..32).map(|l| 0x3_0FF0 + l * stride).collect();
+                let mut got = [u64::MAX; 32];
+                m.read_lanes(n, mask, &addrs, &mut got);
+                for l in 0..32 {
+                    let want = if mask >> l & 1 == 1 {
+                        m.read_le(addrs[l], n)
+                    } else {
+                        u64::MAX
+                    };
+                    assert_eq!(got[l], want, "stride {stride} mask {mask:#x} lane {l}");
+                }
+            }
+        }
     }
 
     #[test]

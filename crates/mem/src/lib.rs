@@ -42,6 +42,7 @@ pub use overlay::{CmapDelta, MemDelta, SharedCmap, SharedMem};
 pub use caba_compress::LINE_SIZE;
 
 /// Returns the line-aligned base address containing `addr`.
+#[inline]
 pub fn line_base(addr: u64) -> u64 {
     addr & !(LINE_SIZE as u64 - 1)
 }

@@ -23,7 +23,7 @@
 //! including 1, so `RunStats` are bit-identical across worker counts by
 //! construction rather than by a racy argument.
 
-use crate::func::{CompressionMap, FuncMem, LineCompressor};
+use crate::func::{lanes, le_get, le_put, pieces, CompressionMap, FuncMem, LineCompressor};
 use crate::{line_base, LINE_SIZE};
 use caba_compress::CompressedLine;
 use caba_stats::FxHashMap;
@@ -69,14 +69,49 @@ impl MemDelta {
         })
     }
 
-    fn read_u8(&self, base: &FuncMem, addr: u64) -> u8 {
-        if self.shadow.is_empty() {
-            return base.read_u8(addr);
+    fn write_le(&mut self, base: &FuncMem, addr: u64, n: usize, v: u64) {
+        // One shadow-line lookup per touched line (a ≤8-byte write touches
+        // at most two), not one per byte.
+        for (a, i, run) in pieces(addr, n, LINE_SIZE) {
+            let line = Self::shadow_line(&mut self.shadow, base, line_base(a));
+            le_put(line, (a - line_base(a)) as usize, run, v >> (8 * i));
         }
-        match self.shadow.get(&line_base(addr)) {
-            Some(l) => l[(addr - line_base(addr)) as usize],
-            None => base.read_u8(addr),
+        let n = n as u8;
+        self.log.push(MemOp::Le { addr, n, val: v });
+    }
+
+    /// Per-lane [`MemDelta::write_le`] in lane order, with one shadow-line
+    /// lookup per run of lanes on one line. Logs one op per lane, exactly as
+    /// the per-lane form does.
+    fn write_lanes(&mut self, base: &FuncMem, n: usize, mask: u32, addrs: &[u64], vals: &[u64]) {
+        let within = |a: u64| n != 0 && (a - line_base(a)) as usize + n <= LINE_SIZE;
+        let mut rest = lanes(mask).peekable();
+        while let Some(first) = rest.next() {
+            if !within(addrs[first]) {
+                self.write_le(base, addrs[first], n, vals[first]);
+                continue;
+            }
+            let lb = line_base(addrs[first]);
+            let line = Self::shadow_line(&mut self.shadow, base, lb);
+            let mut lane = Some(first);
+            while let Some(l) = lane {
+                le_put(line, (addrs[l] - lb) as usize, n, vals[l]);
+                let (addr, n, val) = (addrs[l], n as u8, vals[l]);
+                self.log.push(MemOp::Le { addr, n, val });
+                lane = rest.next_if(|&l| within(addrs[l]) && line_base(addrs[l]) == lb);
+            }
         }
+    }
+
+    fn load_image(&mut self, base: &FuncMem, addr: u64, bytes: &[u8]) {
+        // Copy line-sized runs into the shadow, one lookup per line.
+        for (a, i, run) in pieces(addr, bytes.len(), LINE_SIZE) {
+            let off = (a - line_base(a)) as usize;
+            let line = Self::shadow_line(&mut self.shadow, base, line_base(a));
+            line[off..off + run].copy_from_slice(&bytes[i..i + run]);
+        }
+        let bytes = bytes.to_vec();
+        self.log.push(MemOp::Image { addr, bytes });
     }
 
     /// Replays the logged writes into `mem` and clears the delta. When
@@ -127,12 +162,33 @@ pub enum SharedMem<'a> {
 }
 
 impl SharedMem<'_> {
+    /// The memory every read falls through to.
+    fn base(&self) -> &FuncMem {
+        match self {
+            SharedMem::Direct(m) => m,
+            SharedMem::Frozen(m) => m,
+            SharedMem::Overlay { base, .. } => base,
+        }
+    }
+
+    /// This SM's writes of the cycle so far, if it made any.
+    fn shadow(&self) -> Option<&FxHashMap<u64, [u8; LINE_SIZE]>> {
+        match self {
+            SharedMem::Overlay { delta, .. } if !delta.shadow.is_empty() => Some(&delta.shadow),
+            _ => None,
+        }
+    }
+
+    /// The shadow copy of the line containing `addr`: one lookup.
+    fn shadowed(&self, addr: u64) -> Option<&[u8; LINE_SIZE]> {
+        self.shadow()?.get(&line_base(addr))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self {
-            SharedMem::Direct(m) => m.read_u8(addr),
-            SharedMem::Frozen(m) => m.read_u8(addr),
-            SharedMem::Overlay { base, delta } => delta.read_u8(base, addr),
+        match self.shadowed(addr) {
+            Some(l) => l[(addr - line_base(addr)) as usize],
+            None => self.base().read_u8(addr),
         }
     }
 
@@ -141,26 +197,23 @@ impl SharedMem<'_> {
         self.write_le(addr, 1, v as u64);
     }
 
-    /// Reads `n` (≤ 8) bytes little-endian, zero-extended.
+    /// Reads `n` (≤ 8) bytes little-endian, zero-extended: one shadow-line
+    /// or page lookup, unless the access straddles shadowed lines.
     ///
     /// # Panics
     ///
     /// Panics if `n > 8`.
     pub fn read_le(&self, addr: u64, n: usize) -> u64 {
-        match self {
-            SharedMem::Direct(m) => m.read_le(addr, n),
-            SharedMem::Frozen(m) => m.read_le(addr, n),
-            SharedMem::Overlay { base, delta } => {
-                assert!(n <= 8, "read width {n} exceeds 8 bytes");
-                if delta.shadow.is_empty() {
-                    return base.read_le(addr, n);
-                }
-                let mut v = 0u64;
-                for i in 0..n {
-                    v |= (delta.read_u8(base, addr + i as u64) as u64) << (8 * i);
-                }
-                v
-            }
+        assert!(n <= 8, "read width {n} exceeds 8 bytes");
+        let off = (addr - line_base(addr)) as usize;
+        if off + n > LINE_SIZE && self.shadow().is_some() {
+            return (0..n).fold(0, |v, i| {
+                v | (self.read_u8(addr + i as u64) as u64) << (8 * i)
+            });
+        }
+        match self.shadowed(addr) {
+            Some(l) => le_get(l, off, n),
+            None => self.base().read_le(addr, n),
         }
     }
 
@@ -174,27 +227,41 @@ impl SharedMem<'_> {
         match self {
             SharedMem::Direct(m) => m.write_le(addr, n, v),
             SharedMem::Frozen(_) => panic!("write through a frozen memory view"),
-            SharedMem::Overlay { base, delta } => {
-                // One shadow-line lookup per touched line (a ≤8-byte write
-                // touches at most two), not one per byte.
-                let mut i = 0;
-                while i < n {
-                    let a = addr + i as u64;
-                    let lb = line_base(a);
-                    let line = MemDelta::shadow_line(&mut delta.shadow, base, lb);
-                    let off = (a - lb) as usize;
-                    let run = (LINE_SIZE - off).min(n - i);
-                    for j in 0..run {
-                        line[off + j] = (v >> (8 * (i + j))) as u8;
-                    }
-                    i += run;
-                }
-                delta.log.push(MemOp::Le {
-                    addr,
-                    n: n as u8,
-                    val: v,
-                });
+            SharedMem::Overlay { base, delta } => delta.write_le(base, addr, n, v),
+        }
+    }
+
+    /// The warp-wide load: `out[l] = read_le(addrs[l], n)` for each lane `l`
+    /// set in `mask`, with one page (or shadow-line) lookup per run of
+    /// consecutive lanes on it. Panics as [`SharedMem::read_le`] does.
+    pub fn read_lanes(&self, n: usize, mask: u32, addrs: &[u64], out: &mut [u64]) {
+        assert!(n <= 8, "read width {n} exceeds 8 bytes");
+        if self.shadow().is_none() {
+            return self.base().read_lanes(n, mask, addrs, out);
+        }
+        let (mut cur_lb, mut cur) = (u64::MAX, None);
+        for l in lanes(mask) {
+            let lb = line_base(addrs[l]);
+            let off = (addrs[l] - lb) as usize;
+            if lb != cur_lb {
+                (cur_lb, cur) = (lb, self.shadowed(lb));
             }
+            out[l] = match cur {
+                _ if off + n > LINE_SIZE => self.read_le(addrs[l], n),
+                Some(line) => le_get(line, off, n),
+                None => self.base().read_le(addrs[l], n),
+            };
+        }
+    }
+
+    /// The warp-wide store: `write_le(addrs[l], n, vals[l])` for each lane
+    /// `l` set in `mask`, in lane order. Panics as [`SharedMem::write_le`]
+    /// does.
+    pub fn write_lanes(&mut self, n: usize, mask: u32, addrs: &[u64], vals: &[u64]) {
+        assert!(n <= 8, "write width {n} exceeds 8 bytes");
+        match self {
+            SharedMem::Overlay { base, delta } => delta.write_lanes(base, n, mask, addrs, vals),
+            _ => lanes(mask).for_each(|l| self.write_le(addrs[l], n, vals[l])),
         }
     }
 
@@ -227,73 +294,38 @@ impl SharedMem<'_> {
         match self {
             SharedMem::Direct(m) => m.load_image(addr, bytes),
             SharedMem::Frozen(_) => panic!("write through a frozen memory view"),
-            SharedMem::Overlay { base, delta } => {
-                // Copy line-sized runs into the shadow, one lookup per line.
-                let mut i = 0;
-                while i < bytes.len() {
-                    let a = addr + i as u64;
-                    let lb = line_base(a);
-                    let line = MemDelta::shadow_line(&mut delta.shadow, base, lb);
-                    let off = (a - lb) as usize;
-                    let run = (LINE_SIZE - off).min(bytes.len() - i);
-                    line[off..off + run].copy_from_slice(&bytes[i..i + run]);
-                    i += run;
-                }
-                delta.log.push(MemOp::Image {
-                    addr,
-                    bytes: bytes.to_vec(),
-                });
-            }
+            SharedMem::Overlay { base, delta } => delta.load_image(base, addr, bytes),
         }
     }
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        match self {
-            SharedMem::Direct(m) => m.read_bytes(addr, len),
-            SharedMem::Frozen(m) => m.read_bytes(addr, len),
-            SharedMem::Overlay { base, delta } => {
-                if delta.shadow.is_empty() {
-                    return base.read_bytes(addr, len);
+        let mut out = self.base().read_bytes(addr, len);
+        if let Some(shadow) = self.shadow() {
+            // Patch this SM's shadowed lines over the snapshot bytes.
+            for (a, i, run) in pieces(addr, len, LINE_SIZE) {
+                if let Some(l) = shadow.get(&line_base(a)) {
+                    let off = (a - line_base(a)) as usize;
+                    out[i..i + run].copy_from_slice(&l[off..off + run]);
                 }
-                (0..len)
-                    .map(|i| delta.read_u8(base, addr + i as u64))
-                    .collect()
             }
         }
+        out
     }
 
     /// Reads the full cache line containing `addr`.
     pub fn read_line(&self, addr: u64) -> Vec<u8> {
-        match self {
-            SharedMem::Direct(m) => m.read_line(addr),
-            SharedMem::Frozen(m) => m.read_line(addr),
-            SharedMem::Overlay { base, delta } => {
-                if delta.shadow.is_empty() {
-                    return base.read_line(addr);
-                }
-                match delta.shadow.get(&line_base(addr)) {
-                    Some(l) => l.to_vec(),
-                    None => base.read_line(addr),
-                }
-            }
+        match self.shadowed(addr) {
+            Some(l) => l.to_vec(),
+            None => self.base().read_line(addr),
         }
     }
 
     /// Reads the full cache line containing `addr` without allocating.
     pub fn read_line_into(&self, addr: u64, out: &mut [u8; LINE_SIZE]) {
-        match self {
-            SharedMem::Direct(m) => m.read_line_into(addr, out),
-            SharedMem::Frozen(m) => m.read_line_into(addr, out),
-            SharedMem::Overlay { base, delta } => {
-                if delta.shadow.is_empty() {
-                    return base.read_line_into(addr, out);
-                }
-                match delta.shadow.get(&line_base(addr)) {
-                    Some(l) => out.copy_from_slice(l),
-                    None => base.read_line_into(addr, out),
-                }
-            }
+        match self.shadowed(addr) {
+            Some(l) => out.copy_from_slice(l),
+            None => self.base().read_line_into(addr, out),
         }
     }
 }
@@ -521,6 +553,51 @@ mod tests {
         dirty.sort_unstable();
         dirty.dedup();
         assert_eq!(dirty, vec![0, 128, 256]);
+    }
+
+    #[test]
+    fn lane_batched_writes_commit_like_per_lane_writes() {
+        // Lanes that share a line, change line, and straddle a line and a
+        // page: same memory, same read-back, same dirty list in order.
+        let addrs: Vec<u64> = (0..32).map(|l| 4096 - 70 + l * 6).collect();
+        let vals: Vec<u64> = (0..32)
+            .map(|l| 0x1111_1111_1111_1111 * (l % 15 + 1))
+            .collect();
+        for mask in [u32::MAX, 0x0F0F_3355, 0] {
+            let (mut m_batched, mut m_lane) = (seeded_mem(), seeded_mem());
+            let (mut d_batched, mut d_lane) = (MemDelta::new(), MemDelta::new());
+            let mut batched = SharedMem::Overlay {
+                base: &m_batched,
+                delta: &mut d_batched,
+            };
+            let mut per_lane = SharedMem::Overlay {
+                base: &m_lane,
+                delta: &mut d_lane,
+            };
+            batched.write_lanes(8, mask, &addrs, &vals);
+            for l in lanes(mask) {
+                per_lane.write_le(addrs[l], 8, vals[l]);
+            }
+            let (mut got, mut want) = ([0; 32], [0; 32]);
+            batched.read_lanes(8, u32::MAX, &addrs, &mut got);
+            for l in 0..32 {
+                want[l] = per_lane.read_le(addrs[l], 8);
+            }
+            assert_eq!(got, want, "read-your-own-writes, mask {mask:#x}");
+            assert_eq!(
+                batched.read_bytes(4096 - 80, 300),
+                per_lane.read_bytes(4096 - 80, 300)
+            );
+            let (mut dirty_batched, mut dirty_lane) = (Vec::new(), Vec::new());
+            d_batched.commit(&mut m_batched, Some(&mut dirty_batched));
+            d_lane.commit(&mut m_lane, Some(&mut dirty_lane));
+            assert_eq!(dirty_batched, dirty_lane, "mask {mask:#x}");
+            assert_eq!(
+                m_batched.read_bytes(4096 - 80, 300),
+                m_lane.read_bytes(4096 - 80, 300)
+            );
+            assert_eq!(m_batched.resident_pages(), m_lane.resident_pages());
+        }
     }
 
     #[test]

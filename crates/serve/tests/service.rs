@@ -285,8 +285,11 @@ fn concurrent_identical_requests_coalesce_onto_one_computation() {
         let joins: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 let addr = addr.clone();
+                // A cell that simulates for tens of milliseconds: the four
+                // requests only coalesce if they overlap, so the computation
+                // must outlast the skew between the clients' connects.
                 s.spawn(move || {
-                    fetch(&addr, "GET", "/cell/CONS/Base/1?scale=0.05").expect("cell request")
+                    fetch(&addr, "GET", "/cell/CONS/Base/1?scale=0.5").expect("cell request")
                 })
             })
             .collect();

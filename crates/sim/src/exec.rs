@@ -7,7 +7,7 @@
 //! accessed, and control-flow effects.
 
 use crate::warp::Warp;
-use caba_isa::exec::{eval_alu, eval_cmp, eval_falu, eval_sfu, truncate};
+use caba_isa::exec::{alu_row, cmp_mask, falu_row, sfu_row, truncate, Row};
 use caba_isa::{Instr, Op, PBoolOp, Space, Special, Src, WARP_SIZE};
 use caba_mem::{line_base, SharedMem};
 
@@ -43,22 +43,76 @@ impl ThreadCtx<'_> {
     }
 }
 
+/// Coalesced line addresses (deduplicated, in first-touch order), stored
+/// inline: a warp instruction touches at most two lines per lane.
+#[derive(Clone, Copy)]
+pub struct LineList {
+    len: u8,
+    lines: [u64; 2 * WARP_SIZE],
+}
+
+impl Default for LineList {
+    fn default() -> Self {
+        LineList {
+            len: 0,
+            lines: [0; 2 * WARP_SIZE],
+        }
+    }
+}
+
+impl std::ops::Deref for LineList {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        &self.lines[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for LineList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl LineList {
+    /// Appends the line containing `addr` unless already listed.
+    fn push(&mut self, addr: u64) {
+        let base = line_base(addr);
+        // Coalesced accesses repeat the newest line; check it first.
+        if self.last() != Some(&base) && !self.contains(&base) {
+            self.lines[self.len as usize] = base;
+            self.len += 1;
+        }
+    }
+
+    /// Lists the lines of the `n`-byte accesses at `addrs` in lanes `mask`.
+    fn push_lanes(&mut self, mask: u32, addrs: &Row, n: u64) {
+        for l in lanes(mask) {
+            self.push(addrs[l]);
+            if n > 1 {
+                self.push(addrs[l] + n - 1);
+            }
+        }
+    }
+}
+
 /// Everything the timing model needs to know about an executed instruction.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
-    /// Coalesced global line addresses read (deduplicated, in first-touch
-    /// order) — each is one LSU line operation.
-    pub lines_read: Vec<u64>,
+    /// Coalesced global line addresses read — each is one LSU line
+    /// operation.
+    pub lines_read: LineList,
     /// Coalesced global line addresses written.
-    pub lines_written: Vec<u64>,
+    pub lines_written: LineList,
     /// True for shared-space (scratchpad) accesses.
     pub shared_access: bool,
     /// Destination register, when the instruction writes one.
     pub dst: Option<caba_isa::Reg>,
-    /// Lanes exited this cycle.
-    pub exited: bool,
     /// The warp reached a barrier.
     pub at_barrier: bool,
+}
+
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..WARP_SIZE).filter(move |&l| mask >> l & 1 == 1)
 }
 
 fn src_value(warp: &Warp, ctx: &ThreadCtx<'_>, s: Src, lane: usize) -> u64 {
@@ -69,15 +123,36 @@ fn src_value(warp: &Warp, ctx: &ThreadCtx<'_>, s: Src, lane: usize) -> u64 {
     }
 }
 
-fn push_line(lines: &mut Vec<u64>, addr: u64) {
-    let base = line_base(addr);
-    if !lines.contains(&base) {
-        lines.push(base);
+/// Resolves an operand once for the whole warp.
+fn src_row(warp: &Warp, ctx: &ThreadCtx<'_>, s: Src) -> Row {
+    match s {
+        Src::Reg(r) => *warp.reg_row(r),
+        Src::Imm(v) => [v; WARP_SIZE],
+        Src::Sp(sp) => std::array::from_fn(|l| ctx.special(sp, l)),
     }
+}
+
+/// Per-lane effective addresses of a `Ld`/`St`.
+fn effective_addrs(warp: &Warp, ctx: &ThreadCtx<'_>, space: Space, addr: Src, offset: i64) -> Row {
+    let window = match space {
+        Space::Global => 0,
+        Space::Shared => ctx.shared_base,
+    };
+    src_row(warp, ctx, addr).map(|a| window.wrapping_add(a.wrapping_add_signed(offset)))
+}
+
+/// Lane `l` of a packed access addresses `base + l·k`, with the base taken
+/// from the first executing lane (warp-uniform).
+fn packed_addrs(warp: &Warp, ctx: &ThreadCtx<'_>, base: Src, k: u8, exec: u32) -> Row {
+    let b = src_value(warp, ctx, base, exec.trailing_zeros() as usize);
+    std::array::from_fn(|l| b + l as u64 * k as u64)
 }
 
 /// Executes `instr` functionally for `warp`, updating registers, predicates,
 /// control flow, and `mem`.
+///
+/// Operands resolve into warp-wide rows and every lane is computed; only the
+/// lanes that execute (active ∧ guard) are written back.
 ///
 /// Returns the [`ExecOutcome`] the timing model consumes. The caller is
 /// responsible for charging latencies and, for global accesses, for driving
@@ -89,108 +164,80 @@ pub fn execute(
     mem: &mut SharedMem<'_>,
 ) -> ExecOutcome {
     let mut out = ExecOutcome::default();
+    execute_into(warp, instr, ctx, mem, &mut out);
+    out
+}
+
+/// [`execute`] into caller-owned storage: the issue loop keeps one
+/// [`ExecOutcome`] per SM rather than clearing and moving its two inline
+/// line lists for every instruction.
+pub fn execute_into(
+    warp: &mut Warp,
+    instr: &Instr,
+    ctx: &ThreadCtx<'_>,
+    mem: &mut SharedMem<'_>,
+    out: &mut ExecOutcome,
+) {
     let exec = warp.exec_mask(instr);
     let active = warp.active_mask();
-
-    let lanes = |mask: u32| (0..WARP_SIZE).filter(move |&l| mask >> l & 1 == 1);
+    out.lines_read.len = 0;
+    out.lines_written.len = 0;
+    out.shared_access = false;
+    out.at_barrier = false;
+    out.dst = instr.dst_reg();
 
     match instr.op {
         Op::Alu { op, dst, a, b } => {
-            for l in lanes(exec) {
-                let va = src_value(warp, ctx, a, l);
-                let vb = src_value(warp, ctx, b, l);
-                warp.set_reg(dst, l, eval_alu(op, va, vb));
-            }
-            out.dst = Some(dst);
-            warp.advance_pc();
+            let r = alu_row(op, &src_row(warp, ctx, a), &src_row(warp, ctx, b));
+            warp.write_row(dst, exec, &r);
         }
         Op::FAlu { op, dst, a, b } => {
-            for l in lanes(exec) {
-                let va = src_value(warp, ctx, a, l);
-                let vb = src_value(warp, ctx, b, l);
-                warp.set_reg(dst, l, eval_falu(op, va, vb));
-            }
-            out.dst = Some(dst);
-            warp.advance_pc();
+            let r = falu_row(op, &src_row(warp, ctx, a), &src_row(warp, ctx, b));
+            warp.write_row(dst, exec, &r);
         }
         Op::Sfu { op, dst, a } => {
-            for l in lanes(exec) {
-                let va = src_value(warp, ctx, a, l);
-                warp.set_reg(dst, l, eval_sfu(op, va));
-            }
-            out.dst = Some(dst);
-            warp.advance_pc();
+            let r = sfu_row(op, &src_row(warp, ctx, a));
+            warp.write_row(dst, exec, &r);
         }
         Op::SetP { pred, cmp, a, b } => {
-            for l in lanes(exec) {
-                let va = src_value(warp, ctx, a, l);
-                let vb = src_value(warp, ctx, b, l);
-                warp.set_pred(pred, l, eval_cmp(cmp, va, vb));
-            }
-            warp.advance_pc();
+            let bits = cmp_mask(cmp, &src_row(warp, ctx, a), &src_row(warp, ctx, b));
+            warp.write_pred(pred, exec, bits);
         }
         Op::PBool { dst, op, a, b } => {
-            for l in lanes(exec) {
-                let va = warp.pred(a, l);
-                let vb = warp.pred(b, l);
-                let r = match op {
-                    PBoolOp::And => va && vb,
-                    PBoolOp::Or => va || vb,
-                    PBoolOp::AndNot => va && !vb,
-                    PBoolOp::Not => !va,
-                    PBoolOp::Mov => va,
-                };
-                warp.set_pred(dst, l, r);
-            }
-            warp.advance_pc();
+            let va = warp.pred_mask(a, true, exec);
+            let vb = warp.pred_mask(b, true, exec);
+            let bits = match op {
+                PBoolOp::And => va & vb,
+                PBoolOp::Or => va | vb,
+                PBoolOp::AndNot => va & !vb,
+                PBoolOp::Not => !va,
+                PBoolOp::Mov => va,
+            };
+            warp.write_pred(dst, exec, bits);
         }
         Op::VoteAll { dst, src } => {
             // Warp-wide AND over executing lanes — the global predicate
             // register of §4.1.2.
-            let all = lanes(exec).all(|l| warp.pred(src, l));
-            for l in lanes(exec) {
-                warp.set_pred(dst, l, all);
-            }
-            warp.advance_pc();
+            let all = warp.pred_mask(src, true, exec) == exec;
+            warp.write_pred(dst, exec, if all { exec } else { 0 });
         }
         Op::VoteAny { dst, src } => {
-            let any = lanes(exec).any(|l| warp.pred(src, l));
-            for l in lanes(exec) {
-                warp.set_pred(dst, l, any);
-            }
-            warp.advance_pc();
+            let any = warp.pred_mask(src, true, exec) != 0;
+            warp.write_pred(dst, exec, if any { exec } else { 0 });
         }
         Op::Ballot { dst, src } => {
-            let mut mask = 0u32;
-            for l in lanes(exec) {
-                if warp.pred(src, l) {
-                    mask |= 1 << l;
-                }
-            }
-            for l in lanes(exec) {
-                warp.set_reg(dst, l, mask as u64);
-            }
-            out.dst = Some(dst);
-            warp.advance_pc();
+            let ballot = warp.pred_mask(src, true, exec) as u64;
+            warp.write_row(dst, exec, &[ballot; WARP_SIZE]);
         }
         Op::FindFirst { dst, src } => {
-            let first = lanes(exec).find(|&l| warp.pred(src, l));
-            for l in lanes(exec) {
-                warp.set_pred(dst, l, Some(l) == first);
-            }
-            warp.advance_pc();
+            let set = warp.pred_mask(src, true, exec);
+            warp.write_pred(dst, exec, set & set.wrapping_neg());
         }
         Op::Selp { dst, a, b, pred } => {
-            for l in lanes(exec) {
-                let v = if warp.pred(pred, l) {
-                    src_value(warp, ctx, a, l)
-                } else {
-                    src_value(warp, ctx, b, l)
-                };
-                warp.set_reg(dst, l, v);
-            }
-            out.dst = Some(dst);
-            warp.advance_pc();
+            let (va, vb) = (src_row(warp, ctx, a), src_row(warp, ctx, b));
+            let p = warp.pred_mask(pred, true, exec);
+            let r = std::array::from_fn(|l| if p >> l & 1 == 1 { va[l] } else { vb[l] });
+            warp.write_row(dst, exec, &r);
         }
         Op::Ld {
             space,
@@ -200,24 +247,14 @@ pub fn execute(
             offset,
         } => {
             let n = width.bytes() as usize;
-            for l in lanes(exec) {
-                let base = src_value(warp, ctx, addr, l).wrapping_add_signed(offset);
-                let ea = match space {
-                    Space::Global => base,
-                    Space::Shared => ctx.shared_base.wrapping_add(base),
-                };
-                let v = mem.read_le(ea, n);
-                warp.set_reg(dst, l, v);
-                if space == Space::Global {
-                    push_line(&mut out.lines_read, ea);
-                    if n > 1 {
-                        push_line(&mut out.lines_read, ea + n as u64 - 1);
-                    }
-                }
+            let ea = effective_addrs(warp, ctx, space, addr, offset);
+            let mut r = [0; WARP_SIZE];
+            mem.read_lanes(n, exec, &ea, &mut r);
+            warp.write_row(dst, exec, &r);
+            match space {
+                Space::Global => out.lines_read.push_lanes(exec, &ea, n as u64),
+                Space::Shared => out.shared_access = true,
             }
-            out.shared_access = space == Space::Shared;
-            out.dst = Some(dst);
-            warp.advance_pc();
         }
         Op::St {
             space,
@@ -227,81 +264,56 @@ pub fn execute(
             offset,
         } => {
             let n = width.bytes() as usize;
-            for l in lanes(exec) {
-                let base = src_value(warp, ctx, addr, l).wrapping_add_signed(offset);
-                let ea = match space {
-                    Space::Global => base,
-                    Space::Shared => ctx.shared_base.wrapping_add(base),
-                };
-                let v = truncate(src_value(warp, ctx, src, l), n as u64);
-                mem.write_le(ea, n, v);
-                if space == Space::Global {
-                    push_line(&mut out.lines_written, ea);
-                    if n > 1 {
-                        push_line(&mut out.lines_written, ea + n as u64 - 1);
-                    }
-                }
+            let ea = effective_addrs(warp, ctx, space, addr, offset);
+            let vals = src_row(warp, ctx, src).map(|v| truncate(v, n as u64));
+            mem.write_lanes(n, exec, &ea, &vals);
+            match space {
+                Space::Global => out.lines_written.push_lanes(exec, &ea, n as u64),
+                Space::Shared => out.shared_access = true,
             }
-            out.shared_access = space == Space::Shared;
-            warp.advance_pc();
         }
-        Op::LdPacked { k, dst, base } => {
-            // Base comes from the first executing lane (warp-uniform).
-            let first = lanes(exec).next();
-            if let Some(fl) = first {
-                let b = src_value(warp, ctx, base, fl);
-                for l in lanes(exec) {
-                    let ea = b + (l as u64) * k as u64;
-                    warp.set_reg(dst, l, mem.read_le(ea, k as usize));
-                }
-                push_line(&mut out.lines_read, b);
-                push_line(&mut out.lines_read, b + (WARP_SIZE as u64) * k as u64 - 1);
-            }
-            out.dst = Some(dst);
-            warp.advance_pc();
+        Op::LdPacked { k, dst, base } if exec != 0 => {
+            let ea = packed_addrs(warp, ctx, base, k, exec);
+            let mut r = [0; WARP_SIZE];
+            mem.read_lanes(k as usize, exec, &ea, &mut r);
+            warp.write_row(dst, exec, &r);
+            out.lines_read.push(ea[0]);
+            out.lines_read
+                .push(ea[0] + (WARP_SIZE as u64) * k as u64 - 1);
         }
-        Op::StPacked { k, src, base } => {
-            let first = lanes(exec).next();
-            if let Some(fl) = first {
-                let b = src_value(warp, ctx, base, fl);
-                for l in lanes(exec) {
-                    let ea = b + (l as u64) * k as u64;
-                    let v = truncate(src_value(warp, ctx, src, l), k as u64);
-                    mem.write_le(ea, k as usize, v);
-                }
-                push_line(&mut out.lines_written, b);
-                push_line(
-                    &mut out.lines_written,
-                    b + (WARP_SIZE as u64) * k as u64 - 1,
-                );
-            }
-            warp.advance_pc();
+        Op::StPacked { k, src, base } if exec != 0 => {
+            let ea = packed_addrs(warp, ctx, base, k, exec);
+            let vals = src_row(warp, ctx, src).map(|v| truncate(v, k as u64));
+            mem.write_lanes(k as usize, exec, &ea, &vals);
+            out.lines_written.push(ea[0]);
+            out.lines_written
+                .push(ea[0] + (WARP_SIZE as u64) * k as u64 - 1);
         }
         Op::Bra { target, reconv } => {
             let next = warp.pc() + 1;
             // Guard lanes take the branch; exec already folds the guard in.
             let taken = if instr.guard.is_some() { exec } else { active };
             warp.take_branch(taken, target, next, reconv);
+            return;
         }
         Op::Bar => {
             out.at_barrier = true;
             warp.at_barrier = true;
-            warp.advance_pc();
         }
         Op::Exit => {
-            out.exited = true;
             warp.exit_lanes(exec);
-            if !warp.done && exec != active {
-                // Non-exiting lanes continue past the Exit.
-                warp.advance_pc();
+            if warp.done || exec == active {
+                return;
             }
+            // Non-exiting lanes continue past the Exit.
         }
-        Op::Nop => {
-            warp.advance_pc();
-        }
+        Op::LdPacked { .. } | Op::StPacked { .. } | Op::Nop => {}
     }
-    out
+    warp.advance_pc();
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -421,7 +433,7 @@ mod tests {
             &c,
             &mut SharedMem::Direct(&mut m),
         );
-        assert_eq!(out.lines_read, vec![0x1000]);
+        assert_eq!(*out.lines_read, [0x1000]);
         assert_eq!(w.reg(Reg(1), 7), 70);
         assert_eq!(out.dst, Some(Reg(1)));
     }
@@ -511,7 +523,7 @@ mod tests {
             base: Src::Imm(0x2000),
         });
         let out = execute(&mut w, &st, &c, &mut SharedMem::Direct(&mut m));
-        assert_eq!(out.lines_written, vec![0x2000]);
+        assert_eq!(*out.lines_written, [0x2000]);
         let ld = Instr::new(Op::LdPacked {
             k: 2,
             dst: Reg(1),
@@ -596,13 +608,12 @@ mod tests {
         let mut w = Warp::new(1, FULL_MASK);
         let mut m = FuncMem::new();
         let c = ctx(&[]);
-        let out = execute(
+        execute(
             &mut w,
             &Instr::new(Op::Exit),
             &c,
             &mut SharedMem::Direct(&mut m),
         );
-        assert!(out.exited);
         assert!(w.done);
     }
 

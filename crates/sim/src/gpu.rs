@@ -987,8 +987,10 @@ impl Gpu {
     fn commit_sm_deltas(&mut self) {
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         dirty.clear();
+        // Only the compression map consumes the dirty list.
+        let track = self.cmap.is_some();
         for d in &mut self.sm_deltas {
-            d.mem.commit(&mut self.mem, Some(&mut dirty));
+            d.mem.commit(&mut self.mem, track.then_some(&mut dirty));
             d.ls.commit(&mut self.line_store);
         }
         if let Some(cmap) = self.cmap.as_mut() {

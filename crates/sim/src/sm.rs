@@ -7,13 +7,13 @@ use crate::assist::{
     StoreAction, StoreInfo,
 };
 use crate::config::{Design, GpuConfig, SchedulerPolicy};
-use crate::exec::{execute, ThreadCtx};
+use crate::exec::{execute_into, ExecOutcome, ThreadCtx};
 use crate::fault::{stream, FaultInjector, FaultMode};
 use crate::integrity::{Component, SmSnapshot, Violation, WarpSnapshot, WarpState};
 use crate::lsu::{LineOp, LineOpKind, Lsu, WarpRef};
 use crate::observe::{sim_metrics_schema, SimMetricIds};
 use crate::trace::{TraceEvent, TraceEventKind};
-use crate::warp::Warp;
+use crate::warp::{Warp, FULL_MASK};
 use caba_isa::{FuClass, Instr, Kernel, Op, Program, Reg, Space, WARP_SIZE};
 use caba_mem::{AccessOutcome, Cache, Mshr, SharedCmap, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
@@ -376,6 +376,8 @@ pub struct Sm {
     /// Reusable sort scratch for `rebuild_candidates` (age, slot) pairs —
     /// avoids a heap allocation on every residency change.
     cand_scratch: Vec<(u64, usize)>,
+    /// Reused outcome storage for `do_issue` (see [`execute_into`]).
+    exec_out: ExecOutcome,
     injector: FaultInjector,
     /// Instant-event buffer, drained by the GPU tracer in SM index order.
     /// Empty unless `events_on` (set from `TraceConfig::events`).
@@ -463,6 +465,7 @@ impl Sm {
             dorm_horizon: None,
             last_slots: vec![StallKind::Idle; cfg.schedulers_per_sm],
             cand_scratch: Vec::new(),
+            exec_out: ExecOutcome::default(),
             injector: FaultInjector::for_stream(cfg.fault, stream::SM_BASE + id as u64),
             events: Vec::new(),
             events_on: cfg.observability.trace.is_some_and(|t| t.events),
@@ -732,9 +735,7 @@ impl Sm {
         let nregs = launch.program.max_reg().max(1) as usize;
         let mut warp = Warp::new(nregs, launch.active_mask);
         for &(reg, val) in &launch.live_in {
-            for lane in 0..WARP_SIZE {
-                warp.set_reg(reg, lane, val);
-            }
+            warp.write_row(reg, FULL_MASK, &[val; WARP_SIZE]);
         }
         self.age_seq += 1;
         let high_priority = launch.priority == AssistPriority::High;
@@ -1237,28 +1238,28 @@ impl Sm {
             ),
         };
 
-        let outcome = match warp_ref {
+        match warp_ref {
             WarpRef::App(s) => {
                 let w = self.warps[s].as_mut().expect("resident");
                 w.warp.issued += 1;
                 w.warp.last_issue = now;
-                let out = execute(&mut w.warp, &instr, &ctx, &mut shared.mem);
+                let out = &mut self.exec_out;
+                execute_into(&mut w.warp, &instr, &ctx, &mut shared.mem, out);
                 // `fetch_for` never offers a done warp, so `done` here means
                 // this issue exited the last lanes.
                 if w.warp.done {
                     self.done_unreaped += 1;
                 }
-                out
             }
             WarpRef::Assist(s) => {
                 let a = self.assists[s].as_mut().expect("resident");
                 a.warp.issued += 1;
                 a.warp.last_issue = now;
-                let out = execute(&mut a.warp, &instr, &ctx, &mut shared.mem);
+                let out = &mut self.exec_out;
+                execute_into(&mut a.warp, &instr, &ctx, &mut shared.mem, out);
                 if a.warp.done {
                     self.assist_done_hint = true;
                 }
-                out
             }
         };
 
@@ -1269,35 +1270,34 @@ impl Sm {
         }
 
         // Shared-space accesses: fixed latency through the shared pipe.
-        if outcome.shared_access {
+        let dst = self.exec_out.dst;
+        if self.exec_out.shared_access {
             self.shared_accesses += 1;
             *lsu_used = true;
-            if let Some(dst) = outcome.dst {
+            if let Some(dst) = dst {
                 self.mark_pending_and_schedule(warp_ref, dst, now + self.cfg.shared_latency);
             }
             return;
         }
 
         // Global memory operations go through the LSU.
-        if !outcome.lines_read.is_empty() {
+        let lines_read = self.exec_out.lines_read.len();
+        if lines_read != 0 {
             *lsu_used = true;
-            let dst = outcome.dst;
             if let Some(d) = dst {
                 self.mark_pending(warp_ref, d);
             }
-            let n = outcome.lines_read.len() as u32;
             let ticket = self.alloc_ticket(Ticket {
                 warp: warp_ref,
                 dst,
-                remaining: n,
+                remaining: lines_read as u32,
             });
-            let _ = n;
             if let WarpRef::App(s) = warp_ref {
                 if let Some(w) = self.warps[s].as_mut() {
                     w.warp.outstanding_loads += 1;
                 }
             }
-            for addr in &outcome.lines_read {
+            for &addr in self.exec_out.lines_read.iter() {
                 let kind = if is_assist {
                     LineOpKind::AssistLocal {
                         ticket: Some(ticket),
@@ -1307,11 +1307,11 @@ impl Sm {
                 };
                 self.lsu.push(LineOp {
                     warp: warp_ref,
-                    addr: *addr,
+                    addr,
                     kind,
                 });
             }
-        } else if let Some(dst) = outcome.dst {
+        } else if let Some(dst) = dst {
             // Pure compute result.
             let lat = match instr.fu_class() {
                 FuClass::Sfu => {
@@ -1323,16 +1323,16 @@ impl Sm {
             self.mark_pending_and_schedule(warp_ref, dst, now + lat);
         }
 
-        if !outcome.lines_written.is_empty() {
+        if !self.exec_out.lines_written.is_empty() {
             *lsu_used = true;
-            for addr in &outcome.lines_written {
+            for &addr in self.exec_out.lines_written.iter() {
                 if !is_assist {
                     // Application stores change line contents: stale
                     // compressed forms must be dropped.
                     if let Some(cmap) = shared.cmap.as_mut() {
-                        cmap.invalidate(*addr);
+                        cmap.invalidate(addr);
                     }
-                    shared.line_store.clear(*addr);
+                    shared.line_store.clear(addr);
                 }
                 let kind = if is_assist {
                     LineOpKind::AssistLocal { ticket: None }
@@ -1341,22 +1341,22 @@ impl Sm {
                 };
                 self.lsu.push(LineOp {
                     warp: warp_ref,
-                    addr: *addr,
+                    addr,
                     kind,
                 });
             }
         }
 
         // Control effects.
-        if outcome.at_barrier {
+        if self.exec_out.at_barrier {
             if let WarpRef::App(s) = warp_ref {
                 let bs = self.warps[s].as_ref().expect("resident").block_slot;
                 self.barrier_arrive(bs);
             }
         }
-        // Exited warps are reaped in `reap_warps` once their in-flight
-        // loads drain, so stale writebacks can never touch a reused slot.
-        let _ = outcome.exited;
+        // Exit shows as `warp.done`; such warps are reaped in `reap_warps`
+        // once their in-flight loads drain, so stale writebacks can never
+        // touch a reused slot.
     }
 
     fn mark_pending(&mut self, warp: WarpRef, reg: Reg) {

@@ -1,6 +1,7 @@
 //! Warp contexts: registers, predicates, the SIMT reconvergence stack, and
 //! the per-warp scoreboard.
 
+use caba_isa::exec::Row;
 use caba_isa::{Instr, Pred, Reg, NUM_PREGS, WARP_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 
@@ -91,6 +92,37 @@ impl Warp {
     /// Sets `reg` in `lane`.
     pub fn set_reg(&mut self, reg: Reg, lane: usize, v: u64) {
         self.regs[reg.0 as usize][lane] = v;
+    }
+
+    /// All 32 lanes of `reg`.
+    pub fn reg_row(&self, reg: Reg) -> &Row {
+        &self.regs[reg.0 as usize]
+    }
+
+    /// Writes `row` into `reg` in the lanes of `mask`; other lanes keep
+    /// their values.
+    pub fn write_row(&mut self, reg: Reg, mask: u32, row: &Row) {
+        let dst = &mut self.regs[reg.0 as usize];
+        if mask == FULL_MASK {
+            *dst = *row;
+        } else {
+            for (l, d) in dst.iter_mut().enumerate() {
+                if mask >> l & 1 == 1 {
+                    *d = row[l];
+                }
+            }
+        }
+    }
+
+    /// Predicate `p` as a lane bitmask.
+    pub fn pred_bits(&self, p: Pred) -> u32 {
+        self.preds[p.0 as usize]
+    }
+
+    /// Writes `bits` into predicate `p` in the lanes of `mask`.
+    pub fn write_pred(&mut self, p: Pred, mask: u32, bits: u32) {
+        let d = &mut self.preds[p.0 as usize];
+        *d = *d & !mask | bits & mask;
     }
 
     /// Predicate `p` in `lane`.
