@@ -102,7 +102,10 @@ fn ablate_store_buffer() {
         row.push(ovf2.to_string());
         t.row(row);
     }
-    section("store-buffer capacity (§4.2.2: overflow releases uncompressed)", t);
+    section(
+        "store-buffer capacity (§4.2.2: overflow releases uncompressed)",
+        t,
+    );
 }
 
 fn ablate_md_cache() {
@@ -118,10 +121,7 @@ fn ablate_md_cache() {
             format!("{off} cy ({:.2}x)", on as f64 / off as f64),
         ]);
     }
-    section(
-        "metadata cache (§4.3.2: avoids doubling DRAM accesses)",
-        t,
-    );
+    section("metadata cache (§4.3.2: avoids doubling DRAM accesses)", t);
 }
 
 fn ablate_scheduler() {

@@ -37,7 +37,10 @@ fn main() {
     let mut m = RunMatrix::new();
 
     if want("fig05") {
-        section("Figure 5: BDI compression of the PVC example line", fig05_bdi_example);
+        section(
+            "Figure 5: BDI compression of the PVC example line",
+            fig05_bdi_example,
+        );
     }
     if want("fig02") {
         section(
@@ -51,9 +54,10 @@ fn main() {
         });
     }
     if want("fig01") {
-        section("Figure 1: issue-cycle breakdown at 1/2x, 1x, 2x bandwidth", || {
-            fig01_stall_breakdown(&hc)
-        });
+        section(
+            "Figure 1: issue-cycle breakdown at 1/2x, 1x, 2x bandwidth",
+            || fig01_stall_breakdown(&hc),
+        );
     }
     if want("fig07") {
         section("Figure 7: normalized performance (5 designs)", || {
@@ -66,12 +70,15 @@ fn main() {
         });
     }
     if want("fig09") {
-        section("Figure 9: normalized energy (+ §6.2 DRAM energy & power)", || {
-            fig09_energy(&hc, &mut m)
-        });
+        section(
+            "Figure 9: normalized energy (+ §6.2 DRAM energy & power)",
+            || fig09_energy(&hc, &mut m),
+        );
     }
     if want("tab_md") {
-        section("§4.3.2: metadata-cache hit rate", || tab_md_cache(&hc, &mut m));
+        section("§4.3.2: metadata-cache hit rate", || {
+            tab_md_cache(&hc, &mut m)
+        });
     }
     if want("fig10") {
         section("Figure 10: speedup with different algorithms", || {

@@ -30,8 +30,11 @@ fn main() {
         .run(&a.kernel(scale), 200_000_000)
         .expect("kernel completes");
     let trace = gpu.take_trace().expect("tracing was enabled");
-    let mut file = std::io::BufWriter::new(std::fs::File::create(&path).expect("create trace file"));
-    trace.write_chrome_json(&mut file).expect("write trace file");
+    let mut file =
+        std::io::BufWriter::new(std::fs::File::create(&path).expect("create trace file"));
+    trace
+        .write_chrome_json(&mut file)
+        .expect("write trace file");
     eprintln!(
         "{name}: {} cycles, {} samples, avg BW {:.1}% -> {path}",
         stats.cycles,

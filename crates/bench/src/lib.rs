@@ -18,7 +18,7 @@ use caba_sim::occupancy::occupancy;
 use caba_sim::{Design, GpuConfig, RunStats};
 use caba_stats::table::{pct, speedup};
 use caba_stats::{StallKind, Table};
-use caba_sweep::{run_cells, SweepCell, SweepConfig};
+use caba_sweep::{CellResult, Sweep, SweepCell, SweepConfig};
 use caba_workloads::{all_apps, eval_apps, run_app, AppClass, AppSpec};
 use std::collections::HashMap;
 
@@ -109,16 +109,29 @@ impl RunMatrix {
         if cells.is_empty() {
             return;
         }
-        eprintln!("  prefilling {} cells over {jobs} worker(s) ...", cells.len());
+        eprintln!(
+            "  prefilling {} cells over {jobs} worker(s) ...",
+            cells.len()
+        );
         let sc = SweepConfig {
             scale: hc.scale,
             cfg: hc.cfg,
         };
-        for r in run_cells(&sc, &cells, jobs) {
+        for r in sweep(&sc, cells, jobs) {
             self.results
                 .insert((r.cell.app.to_string(), r.cell.design), r.stats);
         }
     }
+}
+
+/// Runs `cells` through the sweep executor; a figure with a failed cell
+/// has no meaningful table, so failure is fatal.
+fn sweep(sc: &SweepConfig, cells: Vec<SweepCell>, jobs: usize) -> Vec<CellResult> {
+    Sweep::new(sc, cells)
+        .jobs(jobs)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .results
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -209,15 +222,23 @@ pub fn fig05_bdi_example() -> Table {
     for v in values {
         line.extend_from_slice(&v.to_le_bytes());
     }
-    let c = Bdi::new().compress(&line).expect("figure 5 line compresses");
+    let c = Bdi::new()
+        .compress(&line)
+        .expect("figure 5 line compresses");
     let mut t = Table::with_columns(&["Field", "Value"]);
     t.row(vec!["Uncompressed".into(), format!("{} bytes", line.len())]);
-    t.row(vec!["Compressed".into(), format!("{} bytes", c.size_bytes())]);
+    t.row(vec![
+        "Compressed".into(),
+        format!("{} bytes", c.size_bytes()),
+    ]);
     t.row(vec![
         "Saved".into(),
         format!("{} bytes", line.len() - c.size_bytes()),
     ]);
-    t.row(vec!["Metadata (mask)".into(), format!("{:#04x}", c.payload[0])]);
+    t.row(vec![
+        "Metadata (mask)".into(),
+        format!("{:#04x}", c.payload[0]),
+    ]);
     t.row(vec![
         "Base".into(),
         format!(
@@ -225,10 +246,7 @@ pub fn fig05_bdi_example() -> Table {
             u64::from_le_bytes(c.payload[1..9].try_into().expect("8 bytes"))
         ),
     ]);
-    t.row(vec![
-        "Deltas".into(),
-        format!("{:02x?}", &c.payload[9..]),
-    ]);
+    t.row(vec!["Deltas".into(), format!("{:02x?}", &c.payload[9..])]);
     t
 }
 
@@ -244,7 +262,12 @@ pub fn fig05_bdi_example() -> Table {
 pub fn fig07_performance(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
     m.prefill(hc, &DesignId::FIG7, sweep_jobs());
     let mut t = Table::with_columns(&[
-        "App", "Base", "HW-BDI-Mem", "HW-BDI", "CABA-BDI", "Ideal-BDI",
+        "App",
+        "Base",
+        "HW-BDI-Mem",
+        "HW-BDI",
+        "CABA-BDI",
+        "Ideal-BDI",
     ]);
     let mut avgs: HashMap<DesignId, Vec<f64>> = HashMap::new();
     for app in eval_apps() {
@@ -269,7 +292,12 @@ pub fn fig07_performance(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
 /// Regenerates Figure 8 (memory bandwidth utilization).
 pub fn fig08_bw_utilization(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
     let mut t = Table::with_columns(&[
-        "App", "Base", "HW-BDI-Mem", "HW-BDI", "CABA-BDI", "Ideal-BDI",
+        "App",
+        "Base",
+        "HW-BDI-Mem",
+        "HW-BDI",
+        "CABA-BDI",
+        "Ideal-BDI",
     ]);
     let mut avgs: HashMap<DesignId, Vec<f64>> = HashMap::new();
     for app in eval_apps() {
@@ -293,7 +321,14 @@ pub fn fig08_bw_utilization(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
 /// power observations.
 pub fn fig09_energy(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
     let mut t = Table::with_columns(&[
-        "App", "Base", "HW-BDI-Mem", "HW-BDI", "CABA-BDI", "Ideal-BDI", "CABA DRAM-E", "CABA Power",
+        "App",
+        "Base",
+        "HW-BDI-Mem",
+        "HW-BDI",
+        "CABA-BDI",
+        "Ideal-BDI",
+        "CABA DRAM-E",
+        "CABA Power",
     ]);
     let mut avgs: HashMap<DesignId, Vec<f64>> = HashMap::new();
     let mut dram_red = Vec::new();
@@ -343,11 +378,7 @@ pub fn tab_md_cache(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
         if s.md_lookups > 0 {
             rates.push(r);
         }
-        t.row(vec![
-            app.name.to_string(),
-            s.md_lookups.to_string(),
-            pct(r),
-        ]);
+        t.row(vec![app.name.to_string(), s.md_lookups.to_string(), pct(r)]);
     }
     t.row(vec!["Average".into(), String::new(), pct(mean(&rates))]);
     t
@@ -432,7 +463,13 @@ pub fn fig11_compression_ratio(hc: &HarnessConfig) -> Table {
 /// the same sweep, so the table is byte-identical to the serial path.
 pub fn fig12_bw_sensitivity(hc: &HarnessConfig) -> Table {
     let mut t = Table::with_columns(&[
-        "App", "1/2x-Base", "1/2x-CABA", "1x-Base", "1x-CABA", "2x-Base", "2x-CABA",
+        "App",
+        "1/2x-Base",
+        "1/2x-CABA",
+        "1x-Base",
+        "1x-CABA",
+        "2x-Base",
+        "2x-CABA",
     ]);
     let sc = SweepConfig {
         scale: hc.scale,
@@ -441,7 +478,7 @@ pub fn fig12_bw_sensitivity(hc: &HarnessConfig) -> Table {
     // Per app, in cell order: ½×-Base, ½×-CABA, 1×-Base, 1×-CABA,
     // 2×-Base, 2×-CABA — matching the table columns.
     let cells = caba_sweep::fig12_cells();
-    let results = run_cells(&sc, &cells, sweep_jobs());
+    let results = sweep(&sc, cells, sweep_jobs());
     let mut sums = [0.0f64; 6];
     let apps = eval_apps();
     for (app, chunk) in apps.iter().zip(results.chunks_exact(6)) {
@@ -472,28 +509,45 @@ pub fn fig12_bw_sensitivity(hc: &HarnessConfig) -> Table {
 /// normalized to CABA-BDI.
 pub fn fig13_cache_compression(hc: &HarnessConfig, m: &mut RunMatrix) -> Table {
     let mut t = Table::with_columns(&[
-        "App", "CABA-BDI", "CABA-L1-2x", "CABA-L1-4x", "CABA-L2-2x", "CABA-L2-4x",
+        "App",
+        "CABA-BDI",
+        "CABA-L1-2x",
+        "CABA-L1-4x",
+        "CABA-L2-2x",
+        "CABA-L2-4x",
     ]);
     type CfgTweak = Box<dyn Fn(GpuConfig) -> GpuConfig>;
     let variants: [(&str, CfgTweak); 4] = [
-        ("L1-2x", Box::new(|mut c: GpuConfig| {
-            c.l1 = c.l1.with_tag_factor(2);
-            c.l1_compressed = true;
-            c
-        })),
-        ("L1-4x", Box::new(|mut c: GpuConfig| {
-            c.l1 = c.l1.with_tag_factor(4);
-            c.l1_compressed = true;
-            c
-        })),
-        ("L2-2x", Box::new(|mut c: GpuConfig| {
-            c.l2 = c.l2.with_tag_factor(2);
-            c
-        })),
-        ("L2-4x", Box::new(|mut c: GpuConfig| {
-            c.l2 = c.l2.with_tag_factor(4);
-            c
-        })),
+        (
+            "L1-2x",
+            Box::new(|mut c: GpuConfig| {
+                c.l1 = c.l1.with_tag_factor(2);
+                c.l1_compressed = true;
+                c
+            }),
+        ),
+        (
+            "L1-4x",
+            Box::new(|mut c: GpuConfig| {
+                c.l1 = c.l1.with_tag_factor(4);
+                c.l1_compressed = true;
+                c
+            }),
+        ),
+        (
+            "L2-2x",
+            Box::new(|mut c: GpuConfig| {
+                c.l2 = c.l2.with_tag_factor(2);
+                c
+            }),
+        ),
+        (
+            "L2-4x",
+            Box::new(|mut c: GpuConfig| {
+                c.l2 = c.l2.with_tag_factor(4);
+                c
+            }),
+        ),
     ];
     let mut sums = [0.0f64; 4];
     let apps = eval_apps();

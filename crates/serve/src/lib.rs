@@ -1,22 +1,21 @@
 //! `caba-serve` — sweep-as-a-service: a long-running, dependency-free
-//! simulation server over the redesigned `caba-sweep` cell API.
+//! HTTP transport over the `caba-sweep` executor.
 //!
-//! The simulator is bit-deterministic for any worker count, and every
-//! cell is keyed by [`CellSpec::content_hash`] — the same content key the
-//! offline CLI's resume journal and durable store use. That makes result
-//! caching trivially correct, and this crate exploits it end to end:
+//! The server owns no simulation logic. A cell a request names goes
+//! through [`caba_sweep::run_cell_stored`] — the per-cell path `Sweep::run`
+//! uses: store probe by [`CellSpec::content_hash`], else simulate with
+//! panic isolation and one retry, then persist — and a figure's cells go
+//! through [`caba_sweep::fan_out`], the ordered fan-out `Sweep::run`
+//! collects from. The CLI and the server therefore warm-start each other
+//! and emit the same bytes by construction. What this crate adds:
 //!
-//! - every `(app, design, bw, scale, config)` cell a request names is
-//!   looked up in the attached [`Store`] first; **only cache misses
-//!   simulate**, and every fresh result is persisted for the next
-//!   process (the CLI and the server warm-start each other);
-//! - concurrent identical requests coalesce onto one in-flight
-//!   computation ([`Coalescer`]) — a thousand clients asking for Fig. 7
-//!   cost one sweep plus 999 waits;
-//! - figure tables stream per cell over chunked transfer-encoding, in
-//!   input order, as each prefix completes — and the streamed bytes are
-//!   exactly [`figure_table_line`], so the served table is byte-identical
-//!   to `caba-sweep --table`'s offline output.
+//! - HTTP ([`http`]): parsing, typed JSON errors, chunked streaming —
+//!   figure tables stream per cell, in input order, as each prefix
+//!   completes, and the streamed bytes are exactly [`figure_table_line`],
+//!   so the served table is byte-identical to `caba-sweep --table`'s;
+//! - single-flight ([`Coalescer`]) around the per-cell call — a thousand
+//!   clients asking for Fig. 7 cost one sweep plus 999 waits;
+//! - counters (`/stats`), derived from what the cell path reports.
 //!
 //! # Endpoints
 //!
@@ -38,15 +37,15 @@ pub mod http;
 use caba_stats::json::fmt_f64 as json_f64;
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
-    decode_result_payload, encode_result_payload, figure_table_line, run_cell_resilient, CellSpec,
-    DesignId, Figure, SweepCell, SweepConfig,
+    decode_result_payload, fan_out, figure_table_line, run_cell_stored, CellOutcome, CellResult,
+    CellSpec, DesignId, Figure, SweepConfig,
 };
 use http::{ChunkedWriter, Request};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -145,7 +144,7 @@ struct State {
     sc: SweepConfig,
     jobs: usize,
     store: Option<Store>,
-    flights: Coalescer<CellValue>,
+    flights: Coalescer<CellOutcome>,
     shutdown: AtomicBool,
     requests: AtomicU64,
     cells_computed: AtomicU64,
@@ -154,10 +153,6 @@ struct State {
     bench_out: Option<PathBuf>,
     bench: Mutex<Vec<BenchSample>>,
 }
-
-/// The coalesced per-cell value: the result (stats + wall seconds) or a
-/// failure message, plus whether it came out of the store.
-type CellValue = (Result<(caba_sim::RunStats, f64), String>, bool);
 
 /// A running sweep service. Dropping the handle does **not** stop the
 /// server; call [`shutdown`](Server::shutdown) (or POST `/shutdown`) and
@@ -312,68 +307,41 @@ fn stats_endpoint(state: &State, out: &mut TcpStream) -> io::Result<()> {
     http::respond(out, 200, "application/json", body.as_bytes())
 }
 
-/// Computes one cell under single-flight discipline with store
-/// memoization: store hit → no simulation; miss → simulate (with panic
-/// isolation and one retry) and persist. Returns the cell value plus
-/// whether it was served from cache (store or coalesced flight).
-fn compute_cell(state: &State, sc: &SweepConfig, cell: SweepCell) -> (CellValue, bool) {
-    let spec = CellSpec::new(sc, cell);
+/// Extra attempts after a caught panic, per served cell.
+const RETRIES: u32 = 1;
+
+/// One cell under single-flight discipline: the leader runs the sweep
+/// library's per-cell path, followers share its outcome. Returns the
+/// outcome plus whether it was served from cache (store or coalesced
+/// flight); the counters move by what the cell path reported.
+fn serve_cell(state: &State, spec: &CellSpec) -> (CellOutcome, bool) {
     let key = spec.content_hash();
-    let (value, led) = state.flights.run(key, || {
-        if let Some(store) = &state.store {
-            match store.get_result(key) {
-                Ok(Some(payload)) => {
-                    if let Some((stats, wall)) = decode_result_payload(&payload) {
-                        state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
-                        return (Ok((stats, wall)), true);
-                    }
-                }
-                Ok(None) => {}
-                // A faulted read degrades to recompute; results are never
-                // affected, only latency.
-                Err(e) => eprintln!("caba-serve: store read for {key:016x} failed ({e})"),
-            }
-        }
-        let outcome = run_cell_resilient(sc, cell, 1);
-        match outcome.result {
-            Ok((stats, wall)) => {
-                state.cells_computed.fetch_add(1, Ordering::Relaxed);
-                if let Some(store) = &state.store {
-                    if let Err(e) =
-                        store.put_result(key, &spec.label(), &encode_result_payload(&stats, wall))
-                    {
-                        eprintln!("caba-serve: store write for {key:016x} failed ({e})");
-                    }
-                }
-                (Ok((stats, wall)), false)
-            }
-            Err(failure) => (
-                Err(format!(
-                    "{}: {}",
-                    failure.class,
-                    failure.errors.last().map(String::as_str).unwrap_or("?")
-                )),
-                false,
-            ),
-        }
+    let (outcome, led) = state.flights.run(key, || {
+        run_cell_stored(spec, key, RETRIES, state.store.as_ref())
     });
     if !led {
         state.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+    } else if outcome.from_store {
+        state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
+    } else if outcome.result.is_ok() {
+        state.cells_computed.fetch_add(1, Ordering::Relaxed);
     }
-    let cached = value.1 || !led;
-    (value, cached)
+    let cached = outcome.from_store || !led;
+    (outcome, cached)
 }
 
-/// Parses the shared query options (`scale`, `apps`) into a sweep config
-/// and an app filter.
+/// A finite, strictly positive number — the only kind the machine model
+/// accepts as a workload or bandwidth scale.
+fn parse_positive(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
+}
+
+/// The sweep config for a request: the server's, with the `scale` query
+/// option applied.
 fn request_sc(state: &State, req: &Request) -> Result<SweepConfig, String> {
     let mut sc = state.sc;
     if let Some(s) = req.query("scale") {
-        sc.scale = s
-            .parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("invalid scale {s:?}"))?;
+        sc.scale = parse_positive(s).ok_or_else(|| format!("invalid scale {s:?}"))?;
     }
     Ok(sc)
 }
@@ -408,63 +376,24 @@ fn figure_endpoint(
     // observe as truncation (http::fetch turns it into an error).
     let t0 = Instant::now();
     let mut writer = ChunkedWriter::begin(out.try_clone()?, "text/tab-separated-values")?;
-    let cached_cells = AtomicUsize::new(0);
-
-    // Work-stealing fan-out (the sweep executor's discipline): workers
-    // claim cell indices, the handler streams completed slots in input
-    // order — per-cell progress without ever reordering the table.
-    let n = cells.len();
-    let slots: Mutex<Vec<Option<CellValue>>> = Mutex::new(vec![None; n]);
-    let ready = Condvar::new();
-    let next = AtomicUsize::new(0);
-    let jobs = state.jobs.clamp(1, n.max(1));
-    let stream_result: io::Result<()> = std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (value, cached) = compute_cell(state, &sc, cells[i]);
-                if cached {
-                    cached_cells.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut guard = slots.lock().expect("slots lock");
-                guard[i] = Some(value);
-                drop(guard);
-                ready.notify_all();
-            });
-        }
-        for i in 0..n {
-            let value = {
-                let mut guard = slots.lock().expect("slots lock");
-                loop {
-                    match guard[i].take() {
-                        Some(v) => break v,
-                        None => guard = ready.wait(guard).expect("slots wait"),
-                    }
-                }
-            };
-            match value.0 {
-                Ok((stats, _wall)) => {
-                    writer.chunk(figure_table_line(&cells[i], &stats).as_bytes())?;
-                }
-                Err(msg) => {
-                    eprintln!(
-                        "caba-serve: cell {}/{} failed mid-stream: {msg}",
-                        cells[i].app,
-                        cells[i].design.label()
-                    );
-                    // Abort: drop without the terminal chunk. Workers for
-                    // later cells finish (scope joins them) but nothing
-                    // more is streamed.
-                    return Err(io::Error::other(msg));
-                }
+    let specs: Vec<CellSpec> = cells.iter().map(|c| CellSpec::new(&sc, *c)).collect();
+    let mut cached_cells = 0;
+    fan_out(
+        specs.len(),
+        state.jobs,
+        |i| serve_cell(state, &specs[i]),
+        |i, (outcome, cached)| match outcome.result {
+            Ok(r) => {
+                cached_cells += cached as usize;
+                writer.chunk(figure_table_line(&r.cell, &r.stats).as_bytes())
             }
-        }
-        Ok(())
-    });
-    stream_result?;
+            Err(failure) => {
+                let msg = failure.to_string();
+                eprintln!("caba-serve: {} failed mid-stream: {msg}", specs[i].label());
+                Err(io::Error::other(msg))
+            }
+        },
+    )?;
     writer.finish()?;
 
     record_bench(
@@ -472,8 +401,8 @@ fn figure_endpoint(
         BenchSample {
             fig,
             scale: sc.scale,
-            cells: n,
-            cached_cells: cached_cells.load(Ordering::Relaxed),
+            cells: specs.len(),
+            cached_cells,
             wall_s: t0.elapsed().as_secs_f64(),
         },
     );
@@ -492,7 +421,7 @@ fn cell_endpoint(
         Ok(d) => d,
         Err(e) => return http::respond_error(out, 400, "bad_request", &e.to_string()),
     };
-    let Ok(bw_scale) = bw.parse::<f64>() else {
+    let Some(bw_scale) = parse_positive(bw) else {
         return http::respond_error(out, 400, "bad_request", &format!("invalid bw {bw:?}"));
     };
     let sc = match request_sc(state, req) {
@@ -502,9 +431,9 @@ fn cell_endpoint(
     let Some(spec) = CellSpec::resolve(app, design, bw_scale, sc.scale, sc.cfg) else {
         return http::respond_error(out, 404, "not_found", &format!("unknown app {app:?}"));
     };
-    let ((result, _), cached) = compute_cell(state, &sc, spec.cell());
-    match result {
-        Ok((stats, wall)) => {
+    let (outcome, cached) = serve_cell(state, &spec);
+    match outcome.result {
+        Ok(CellResult { stats, wall_s, .. }) => {
             let body = format!(
                 "{{\n  \"app\": \"{}\", \"design\": \"{}\", \"bw\": {}, \"scale\": {},\n  \
                  \"key\": \"{:016x}\", \"cached\": {cached}, \"wall_s\": {},\n  \
@@ -514,12 +443,12 @@ fn cell_endpoint(
                 json_f64(spec.bw_scale),
                 json_f64(spec.scale),
                 spec.content_hash(),
-                json_f64(wall),
+                json_f64(wall_s),
                 stats.summary().to_json(),
             );
             http::respond(out, 200, "application/json", body.as_bytes())
         }
-        Err(msg) => http::respond_error(out, 500, "cell_failed", &msg),
+        Err(failure) => http::respond_error(out, 500, "cell_failed", &failure.to_string()),
     }
 }
 

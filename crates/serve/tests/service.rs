@@ -8,7 +8,7 @@ use caba_serve::http::{fetch, FetchedResponse};
 use caba_serve::{ServeOptions, Server};
 use caba_sim::GpuConfig;
 use caba_store::{FaultFs, FaultRates, RealFs, Store, StoreFs};
-use caba_sweep::{dedup_cells, figure_table, run_cells, Figure, SweepCell, SweepConfig};
+use caba_sweep::{dedup_cells, Figure, Sweep, SweepCell, SweepConfig};
 use std::io;
 use std::path::Path;
 
@@ -32,7 +32,11 @@ fn cells() -> Vec<SweepCell> {
 /// The offline reference: the exact bytes `caba-sweep --table` would
 /// write for these cells.
 fn reference_table() -> String {
-    figure_table(&run_cells(&sc(), &cells(), 2))
+    Sweep::new(&sc(), cells())
+        .jobs(2)
+        .run()
+        .expect("offline sweep")
+        .table()
 }
 
 fn start(store: Option<Store>) -> Server {
@@ -127,6 +131,11 @@ fn malformed_requests_get_typed_errors_without_poisoning_the_store() {
     expect("/cell/NOPE/Base/1.0", 404, "not_found");
     expect("/cell/CONS/Bogus/1.0", 400, "bad_request");
     expect("/cell/CONS/Base/zoom", 400, "bad_request");
+    // A bandwidth scale the machine model cannot take is the client's
+    // error, not a simulation to attempt (and retry) or a key to persist.
+    for bw in ["0", "-1", "nan", "inf"] {
+        expect(&format!("/cell/CONS/Base/{bw}"), 400, "bad_request");
+    }
     expect("/result/not-hex", 400, "bad_request");
     expect("/result/0000000000000000", 404, "not_found");
     expect("/no/such/route", 404, "not_found");

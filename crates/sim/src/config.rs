@@ -203,8 +203,7 @@ impl GpuConfig {
         self
     }
 
-    /// Enables activity tracing (replaces the deprecated
-    /// `Gpu::enable_tracing`). Retrieve the recorded
+    /// Enables activity tracing. Retrieve the recorded
     /// [`crate::ActivityTrace`] with [`crate::Gpu::take_trace`] after `run`.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.observability.trace = Some(trace);

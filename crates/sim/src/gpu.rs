@@ -168,25 +168,8 @@ pub struct Gpu {
     run_start: u64,
     /// Most recent periodic machine snapshot, `(cycle, container bytes)`,
     /// taken every [`GpuConfig::checkpoint_interval`] cycles. Feeds
-    /// time-travel hang forensics and fork-from-checkpoint sweeps.
+    /// time-travel hang forensics.
     last_checkpoint: Option<(u64, Vec<u8>)>,
-    /// Optional spill target for periodic checkpoints (e.g. a durable
-    /// store). Called with `(cycle, container bytes)` right after each
-    /// snapshot is taken; record-only, so it can never perturb the run.
-    checkpoint_sink: Option<CheckpointSink>,
-}
-
-/// The callback type a [`CheckpointSink`] wraps: `(cycle, container
-/// bytes)` for each periodic checkpoint.
-pub type CheckpointSinkFn = Box<dyn FnMut(u64, &[u8]) + Send>;
-
-/// A callback receiving each periodic checkpoint as it is taken.
-pub struct CheckpointSink(CheckpointSinkFn);
-
-impl fmt::Debug for CheckpointSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("CheckpointSink(..)")
-    }
 }
 
 impl Gpu {
@@ -240,7 +223,6 @@ impl Gpu {
             next_cta: 0,
             run_start: 0,
             last_checkpoint: None,
-            checkpoint_sink: None,
         })
     }
 
@@ -254,20 +236,6 @@ impl Gpu {
                 d.algorithm().expect("compressed design has an algorithm"),
             )),
         })
-    }
-
-    /// Enables activity tracing: every `interval` cycles a [`Sample`] of
-    /// per-SM issue counts and DRAM utilization is recorded. Retrieve the
-    /// trace with [`Gpu::take_trace`] after `run`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set `GpuConfig::observability` via `GpuConfig::with_trace(TraceConfig)` instead"
-    )]
-    pub fn enable_tracing(&mut self, interval: u64) {
-        self.tracer = Some(Tracer::new(
-            TraceConfig::sampled(interval.max(1)),
-            self.cfg.num_sms,
-        ));
     }
 
     /// Takes the recorded trace, if tracing was enabled
@@ -705,11 +673,7 @@ impl Gpu {
                 && self.last_checkpoint.as_ref().is_none_or(|(c, _)| *c != now)
             {
                 self.next_cta = next_cta;
-                let bytes = self.snapshot(kernel);
-                if let Some(CheckpointSink(sink)) = self.checkpoint_sink.as_mut() {
-                    sink(now, &bytes);
-                }
-                self.last_checkpoint = Some((now, bytes));
+                self.last_checkpoint = Some((now, self.snapshot(kernel)));
             }
 
             // 1. CTA dispatch (round-robin over SMs) — serial. A launch
@@ -1209,31 +1173,6 @@ impl Gpu {
             .map(|(c, b)| (*c, b.as_slice()))
     }
 
-    /// Registers a spill target for periodic checkpoints: `sink(cycle,
-    /// container_bytes)` is called every time the run loop takes one, so
-    /// a durable store can persist checkpoints as the run progresses.
-    /// The sink is record-only and can never perturb the run.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::Zero`] when [`GpuConfig::checkpoint_interval`] is 0
-    /// — the sink would silently never fire, which is always a caller
-    /// bug, not a configuration choice.
-    pub fn set_checkpoint_sink(&mut self, sink: CheckpointSinkFn) -> Result<(), ConfigError> {
-        if self.cfg.checkpoint_interval == 0 {
-            return Err(ConfigError::Zero {
-                field: "checkpoint_interval",
-            });
-        }
-        self.checkpoint_sink = Some(CheckpointSink(sink));
-        Ok(())
-    }
-
-    /// Removes any registered checkpoint sink.
-    pub fn clear_checkpoint_sink(&mut self) {
-        self.checkpoint_sink = None;
-    }
-
     /// Serializes the complete machine state — functional memory, every SM
     /// (warps, scoreboards, L1, MSHRs, store buffer, assist runtime), every
     /// partition (L2, MSHRs, MD cache, DRAM channel and retry/delay
@@ -1272,39 +1211,6 @@ impl Gpu {
     ///
     /// Every [`RestoreError`] variant names the specific rejection.
     pub fn restore(&mut self, kernel: &Kernel, bytes: &[u8]) -> Result<(), RestoreError> {
-        self.restore_inner(kernel, bytes, false)
-    }
-
-    /// Restores a **baseline** snapshot into this GPU even when this GPU
-    /// models a different design — the fork step of a differential sweep.
-    /// The warm-up prefix runs once on [`Design::Base`]; every design under
-    /// comparison then forks from the identical machine state, so post-fork
-    /// differences are attributable to the design alone (the warm-checkpoint
-    /// methodology of sampled simulation).
-    ///
-    /// Only a `Base` snapshot is forkable across designs: the baseline
-    /// carries no compression state, so the restored machine is exactly
-    /// "this design, having made no compression decisions yet" —
-    /// compression maps, compressed-line stores, and controller slots start
-    /// empty and populate from the fork point on. Fork into a *freshly
-    /// constructed* GPU: design-specific state the snapshot does not cover
-    /// is left as built. A snapshot of this GPU's own design restores
-    /// exactly as [`Gpu::restore`] would.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::restore`], except [`RestoreError::DesignMismatch`] is only
-    /// returned for a cross-design snapshot that is not `Base`.
-    pub fn restore_fork(&mut self, kernel: &Kernel, bytes: &[u8]) -> Result<(), RestoreError> {
-        self.restore_inner(kernel, bytes, true)
-    }
-
-    fn restore_inner(
-        &mut self,
-        kernel: &Kernel,
-        bytes: &[u8],
-        fork: bool,
-    ) -> Result<(), RestoreError> {
         let body = snapshot::verify_sealed(bytes)?;
         let mut r = SnapshotReader::new(body);
         if r.raw(snapshot::MAGIC.len())? != snapshot::MAGIC {
@@ -1318,14 +1224,13 @@ impl Gpu {
             return Err(RestoreError::ConfigHashMismatch);
         }
         let label = r.string()?;
-        let forked = label != self.design.label();
-        if forked && !(fork && label == "Base") {
+        if label != self.design.label() {
             return Err(RestoreError::DesignMismatch { found: label });
         }
         if r.u64()? != kernel.program().content_hash() {
             return Err(RestoreError::KernelMismatch);
         }
-        self.payload_load(&mut r, forked)?;
+        self.payload_load(&mut r)?;
         r.finish()?;
         Ok(())
     }
@@ -1384,14 +1289,7 @@ impl Gpu {
         w.u64(self.skip_events);
     }
 
-    /// `forked_from_base` marks a cross-design fork of a `Base` snapshot:
-    /// the payload then carries no controller sections (the baseline writes
-    /// none), so this design's controllers keep their as-built state.
-    fn payload_load(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        forked_from_base: bool,
-    ) -> Result<(), SnapError> {
+    fn payload_load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapError> {
         let programs = self.program_table();
         self.now = r.u64()?;
         self.run_start = r.u64()?;
@@ -1411,11 +1309,9 @@ impl Gpu {
         for sm in &mut self.sms {
             sm.snap_load(r, &programs)?;
         }
-        if !forked_from_base {
-            for d in &mut self.sm_designs {
-                if let Design::Caba(c) = d {
-                    c.snap_load(r)?;
-                }
+        for d in &mut self.sm_designs {
+            if let Design::Caba(c) = d {
+                c.snap_load(r)?;
             }
         }
         if r.seq_len("partitions", 1)? != self.parts.len() {
@@ -1424,7 +1320,7 @@ impl Gpu {
             });
         }
         for p in &mut self.parts {
-            p.snap_load(r, forked_from_base)?;
+            p.snap_load(r)?;
         }
         self.xbar_fwd.snap_load(r)?;
         self.xbar_rsp.snap_load(r)?;

@@ -526,36 +526,22 @@ impl Partition {
     }
 
     /// Restores the partition in place from bytes written by
-    /// [`Partition::snap_save`]. `allow_missing_md` admits a snapshot
-    /// without an MD cache into a partition that has one (a cross-design
-    /// fork from the baseline) — the as-built empty MD cache is kept.
+    /// [`Partition::snap_save`].
     ///
     /// # Errors
     ///
     /// Fails on malformed bytes or when the snapshot's MD-cache presence
-    /// disagrees with this partition's configuration (subject to
-    /// `allow_missing_md`).
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        allow_missing_md: bool,
-    ) -> Result<(), SnapError> {
+    /// disagrees with this partition's configuration.
+    pub(crate) fn snap_load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapError> {
         self.l2.snap_load(r)?;
         self.mshr.snap_load(r)?;
-        let has_md = r.bool()?;
-        // A fork from a Base snapshot may restore into an MD-carrying
-        // partition (the fresh empty MD cache is kept); every other
-        // presence mismatch is a config error.
-        let forgiven = allow_missing_md && !has_md;
-        if has_md != self.md.is_some() && !forgiven {
+        if r.bool()? != self.md.is_some() {
             return Err(SnapError::Invariant {
                 what: "md-cache presence mismatch",
             });
         }
-        if has_md {
-            if let Some(md) = self.md.as_mut() {
-                md.snap_load(r)?;
-            }
+        if let Some(md) = self.md.as_mut() {
+            md.snap_load(r)?;
         }
         self.dram.snap_load(r)?;
         self.incoming = VecDeque::<PartReq>::load(r)?;

@@ -30,7 +30,7 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Periodic sampling only (the pre-redesign `enable_tracing` behavior).
+    /// Periodic sampling only, no instant events.
     pub fn sampled(interval: u64) -> Self {
         TraceConfig {
             interval,

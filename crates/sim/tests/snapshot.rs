@@ -301,48 +301,6 @@ fn header_mismatches_are_typed() {
     );
 }
 
-#[test]
-fn base_snapshot_forks_into_other_designs() {
-    let cfg = GpuConfig::small();
-    let kernel = scale_kernel(N, IN, OUT);
-    let (full, _) = unbroken(cfg, Design::Base, &kernel);
-    let mut warm = Gpu::new(cfg, Design::Base);
-    load_input(&mut warm, N, IN);
-    assert!(matches!(
-        warm.run(&kernel, full.cycles / 2),
-        Err(RunError::Timeout { .. })
-    ));
-    let bytes = warm.snapshot(&kernel);
-    for design in designs() {
-        let label = design.label();
-        let mut g = Gpu::new(cfg, design);
-        g.restore_fork(&kernel, &bytes)
-            .unwrap_or_else(|e| panic!("{label}: fork restore failed: {e}"));
-        let stats = g
-            .resume(&kernel, MAX)
-            .unwrap_or_else(|e| panic!("{label}: forked run failed: {e}"));
-        assert_eq!(stats.threads_retired, full.threads_retired, "{label}");
-        check_output(&g, N, OUT);
-    }
-    // Only Base snapshots are forkable: a compressed design's snapshot
-    // carries design state the target cannot absorb.
-    let mut hw = Gpu::new(
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-    );
-    load_input(&mut hw, N, IN);
-    assert!(matches!(hw.run(&kernel, 64), Err(RunError::Timeout { .. })));
-    let hw_bytes = hw.snapshot(&kernel);
-    let mut g = Gpu::new(cfg, Design::Base);
-    assert!(matches!(
-        g.restore_fork(&kernel, &hw_bytes),
-        Err(RestoreError::DesignMismatch { .. })
-    ));
-}
-
 /// One 64-thread block, two warps: warp 1 consumes a load before the block
 /// barrier, warp 0 goes straight to it. With every crossbar packet silently
 /// dropped, the machine wedges at the barrier.
@@ -474,63 +432,4 @@ fn run_stats_round_trip_is_byte_identical() {
         back.save(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
     });
-}
-
-#[test]
-fn checkpoint_sink_spills_every_interval_checkpoint() {
-    use std::sync::{Arc, Mutex};
-    let mut cfg = GpuConfig::small();
-    cfg.checkpoint_interval = 64;
-    let kernel = scale_kernel(N, IN, OUT);
-    let (full, _) = unbroken(cfg, Design::Base, &kernel);
-
-    type SpillBuf = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
-    let spilled: SpillBuf = Arc::new(Mutex::new(Vec::new()));
-    let mut gpu = Gpu::new(cfg, Design::Base);
-    load_input(&mut gpu, N, IN);
-    let buf = Arc::clone(&spilled);
-    gpu.set_checkpoint_sink(Box::new(move |cycle, bytes| {
-        buf.lock().unwrap().push((cycle, bytes.to_vec()));
-    }))
-    .expect("interval is nonzero");
-    let stats = gpu.run(&kernel, MAX).expect("run completes");
-    assert_eq!(stats, full, "a record-only sink cannot perturb the run");
-
-    let spilled = spilled.lock().unwrap();
-    assert!(
-        !spilled.is_empty(),
-        "interval checkpoints must reach the sink"
-    );
-    for (cycle, bytes) in spilled.iter() {
-        assert!(
-            cycle.is_multiple_of(64),
-            "sink fired off-interval at {cycle}"
-        );
-        // Every spilled container is a complete, restorable snapshot.
-        let mut g2 = Gpu::new(cfg, Design::Base);
-        g2.restore(&kernel, bytes)
-            .expect("spilled checkpoint restores");
-        assert_eq!(g2.cycle(), *cycle);
-    }
-    // The final spill matches the machine's own last_checkpoint.
-    let (at, last) = gpu.last_checkpoint().expect("checkpoints were taken");
-    let (sc, sb) = spilled.last().unwrap();
-    assert_eq!((*sc, &sb[..]), (at, last));
-}
-
-#[test]
-fn checkpoint_sink_with_zero_interval_is_a_typed_error() {
-    use caba_sim::ConfigError;
-    let cfg = GpuConfig::small(); // checkpoint_interval = 0 by default
-    assert_eq!(cfg.checkpoint_interval, 0);
-    let mut gpu = Gpu::new(cfg, Design::Base);
-    let err = gpu
-        .set_checkpoint_sink(Box::new(|_, _| {}))
-        .expect_err("a sink that can never fire is a caller bug");
-    assert_eq!(
-        err,
-        ConfigError::Zero {
-            field: "checkpoint_interval"
-        }
-    );
 }

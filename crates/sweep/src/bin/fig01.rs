@@ -19,7 +19,7 @@
 
 use caba_sim::{Gpu, GpuConfig, MetricsLevel, TraceConfig};
 use caba_stats::json;
-use caba_sweep::{fig01_cells, run_cells, SweepCell, SweepConfig};
+use caba_sweep::{fig01_cells, Sweep, SweepCell, SweepConfig};
 use caba_workloads::app;
 
 struct Args {
@@ -160,7 +160,13 @@ fn main() -> std::process::ExitCode {
         sc.scale,
         args.intra_jobs
     );
-    let results = run_cells(&sc, &cells, cjobs);
+    let results = match Sweep::new(&sc, cells.clone()).jobs(cjobs).run() {
+        Ok(run) => run.results,
+        Err(e) => {
+            eprintln!("fig01: {e}");
+            return std::process::ExitCode::FAILURE;
+        }
+    };
 
     // Taxonomy conservation: every scheduler slot of every cycle must be in
     // exactly one Fig. 1 bucket.

@@ -1,58 +1,36 @@
-//! The one way to run a sweep: a builder that composes the journaling,
-//! store-memoization, fork-from-warm-Base, and retry layers over the
-//! single [`run_cell`](crate::run_cell) kernel entry point, replacing the
-//! four parallel entry points (`run_cells`, `run_cells_journaled`,
-//! `run_cells_stored`, `run_forked_stored`) this crate accumulated.
+//! The one way to run a sweep: a builder that layers parallelism, retry, a
+//! resume journal and a durable store over the one per-cell path
+//! ([`run_cell_stored`]) and the one ordered fan-out ([`fan_out`]).
 //!
 //! ```no_run
+//! use caba_store::Store;
 //! use caba_sweep::{Figure, Sweep, SweepConfig};
 //!
 //! let sc = SweepConfig::default();
+//! let store = Store::open("/var/tmp/caba-store").expect("store");
 //! let run = Sweep::new(&sc, Figure::Fig07.cells())
 //!     .jobs(4)
-//!     .store_dir("/var/tmp/caba-store")
+//!     .store(&store)
 //!     .journal("/var/tmp/fig07.journal")
 //!     .run()
 //!     .expect("sweep");
 //! println!("{} cells, {} from the store", run.results.len(), run.store_hits);
 //! ```
 
-use crate::fork::{exec_forked, ForkedSweep};
-use crate::resilient::exec_stored;
-use crate::{CellResult, DesignId, SweepCell, SweepConfig, SweepError};
+use crate::fanout::fan_out;
+use crate::resilient::{run_cell_stored, CellOutcome, Journal};
+use crate::{CellResult, CellSpec, SweepCell, SweepConfig, SweepError};
 use caba_store::Store;
+use std::convert::Infallible;
 use std::path::PathBuf;
-
-/// Checkpoint economics of a forked sweep ([`Sweep::forked`]), mirroring
-/// [`ForkedSweep`] minus the per-cell results (those live in
-/// [`SweepRun::results`], reordered to the builder's input order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForkMeta {
-    /// Warm-up budget per application, in cycles.
-    pub warmup_cycles: u64,
-    /// Total wall seconds spent warming Base machines.
-    pub warmup_wall_s: f64,
-    /// Total bytes across all Base snapshots taken.
-    pub snapshot_bytes: usize,
-    /// Apps whose warm snapshot came out of the durable store instead of
-    /// being recomputed.
-    pub warm_hits: usize,
-    /// Cells that actually started from the warm checkpoint (the rest ran
-    /// cold because their app finished inside the warm-up budget).
-    pub forked_cells: usize,
-}
 
 /// A completed sweep.
 #[derive(Debug, Clone)]
 pub struct SweepRun {
     /// Per-cell results, in the builder's input order.
     pub results: Vec<CellResult>,
-    /// Cells restored from the durable result store instead of simulated
-    /// (always 0 in forked mode, where the store holds snapshots instead;
-    /// see [`ForkMeta::warm_hits`]).
+    /// Cells restored from the durable result store instead of simulated.
     pub store_hits: usize,
-    /// Checkpoint economics when [`Sweep::forked`] was used.
-    pub forked: Option<ForkMeta>,
 }
 
 impl SweepRun {
@@ -63,16 +41,15 @@ impl SweepRun {
     }
 }
 
-/// Builder over the resilient sweep executor. Construct with
-/// [`Sweep::new`], layer options, then [`run`](Sweep::run).
+/// Builder over the sweep executor. Construct with [`Sweep::new`], layer
+/// options, then [`run`](Sweep::run).
 ///
 /// | layer | method | effect |
 /// |---|---|---|
 /// | parallelism | [`jobs`](Sweep::jobs) | worker threads (default: host cores) |
 /// | retry | [`retries`](Sweep::retries) | extra attempts after a caught panic |
 /// | resume | [`journal`](Sweep::journal) | append-only manifest; re-runs only missing cells |
-/// | memoize | [`store`](Sweep::store) / [`store_dir`](Sweep::store_dir) | durable result store; only misses simulate |
-/// | fork | [`forked`](Sweep::forked) | shared warm-up prefix per app, forked into each design |
+/// | memoize | [`store`](Sweep::store) | durable result store; only misses simulate |
 pub struct Sweep<'a> {
     sc: SweepConfig,
     cells: Vec<SweepCell>,
@@ -80,8 +57,6 @@ pub struct Sweep<'a> {
     retries: u32,
     journal: Option<PathBuf>,
     store: Option<&'a Store>,
-    store_dir: Option<PathBuf>,
-    forked: Option<u64>,
 }
 
 impl<'a> Sweep<'a> {
@@ -95,8 +70,6 @@ impl<'a> Sweep<'a> {
             retries: 0,
             journal: None,
             store: None,
-            store_dir: None,
-            forked: None,
         }
     }
 
@@ -119,253 +92,108 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Memoize results (or, in forked mode, warm snapshots) in an
-    /// already-open durable [`Store`]. Mutually exclusive with
-    /// [`store_dir`](Sweep::store_dir).
+    /// Memoize results in an already-open durable [`Store`]: results
+    /// persisted by an *earlier process* warm-start this one
+    /// bit-identically, and every newly finished cell is persisted.
     pub fn store(mut self, store: &'a Store) -> Self {
         self.store = Some(store);
         self
     }
 
-    /// Like [`store`](Sweep::store), but opens the store at `dir` inside
-    /// [`run`](Sweep::run) (failing with [`SweepError::Store`]).
-    pub fn store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store_dir = Some(dir.into());
-        self
-    }
-
-    /// Fork-from-warm-Base mode ([`crate::fork`]): warm each app's Base
-    /// machine for `warmup` cycles once, then fork the suffix into every
-    /// design. Requires stock-bandwidth cells (`bw_scale == 1.0`) and no
-    /// journal; results stay in input order.
-    pub fn forked(mut self, warmup: u64) -> Self {
-        self.forked = Some(warmup);
-        self
-    }
-
-    /// Executes the sweep.
+    /// Executes the sweep; results return in **input order** for any
+    /// `jobs`. A cell the journal covers is restored from it; any other
+    /// goes through [`run_cell_stored`] and is journaled as it finishes —
+    /// store-restored cells included, so the journal alone is a complete
+    /// record of what is done.
     ///
     /// # Errors
     ///
-    /// [`SweepError::InvalidOptions`] for inconsistent layering (both
-    /// store forms, forked + journal, forked over scaled-bandwidth
-    /// cells); [`SweepError::Store`] if [`store_dir`](Sweep::store_dir)
-    /// fails to open; otherwise as the underlying executor
-    /// ([`SweepError::CellsFailed`], [`SweepError::ManifestMismatch`],
-    /// [`SweepError::Io`], [`SweepError::Fork`]).
+    /// [`SweepError::ManifestMismatch`] before any cell runs if the journal
+    /// belongs to a different sweep; [`SweepError::Io`] if it cannot be
+    /// opened; [`SweepError::CellsFailed`] after the sweep if any cell
+    /// failed every attempt (completed cells stay journaled and stored).
     pub fn run(self) -> Result<SweepRun, SweepError> {
-        if self.store.is_some() && self.store_dir.is_some() {
-            return Err(SweepError::InvalidOptions(
-                "pass either .store(&store) or .store_dir(dir), not both".into(),
-            ));
-        }
-        let opened = match &self.store_dir {
-            Some(dir) => Some(Store::open(dir).map_err(SweepError::Store)?),
-            None => None,
-        };
-        let store: Option<&Store> = self.store.or(opened.as_ref());
-
-        match self.forked {
-            None => {
-                let (results, store_hits) = exec_stored(
-                    &self.sc,
-                    &self.cells,
-                    self.jobs,
-                    self.retries,
-                    self.journal.as_deref(),
-                    store,
-                )?;
-                Ok(SweepRun {
-                    results,
-                    store_hits,
-                    forked: None,
-                })
-            }
-            Some(warmup) => self.run_forked(warmup, store),
-        }
-    }
-
-    fn run_forked(&self, warmup: u64, store: Option<&Store>) -> Result<SweepRun, SweepError> {
-        if self.journal.is_some() {
-            return Err(SweepError::InvalidOptions(
-                "forked sweeps do not support a resume journal".into(),
-            ));
-        }
-        if let Some(cell) = self.cells.iter().find(|c| c.bw_scale != 1.0) {
-            return Err(SweepError::InvalidOptions(format!(
-                "forked sweeps require stock bandwidth; cell {}/{} has bw_scale {}",
-                cell.app,
-                cell.design.label(),
-                cell.bw_scale
-            )));
-        }
-        // The fork engine runs apps × designs; derive both matrices from
-        // the cell list, unique in first-appearance order.
-        let mut apps: Vec<&'static str> = Vec::new();
-        let mut designs: Vec<DesignId> = Vec::new();
-        for c in &self.cells {
-            if !apps.contains(&c.app) {
-                apps.push(c.app);
-            }
-            if !designs.contains(&c.design) {
-                designs.push(c.design);
-            }
-        }
-        let sweep: ForkedSweep = exec_forked(&self.sc, &apps, &designs, warmup, self.jobs, store)
-            .map_err(SweepError::Fork)?;
-
-        let meta = ForkMeta {
-            warmup_cycles: sweep.warmup_cycles,
-            warmup_wall_s: sweep.warmup_wall_s,
-            snapshot_bytes: sweep.snapshot_bytes,
-            warm_hits: sweep.warm_hits,
-            forked_cells: sweep.cells.iter().filter(|c| c.forked).count(),
-        };
-        // Re-emit in the builder's input order (the engine returns
-        // apps-major over the derived matrices, which may be a superset
-        // when the input was not a full cross product).
-        let results = self
+        let specs: Vec<CellSpec> = self
             .cells
             .iter()
-            .map(|c| {
-                sweep
-                    .cells
-                    .iter()
-                    .find(|fc| fc.result.cell == *c)
-                    .expect("fork engine covers every requested cell")
-                    .result
-                    .clone()
-            })
+            .map(|c| CellSpec::new(&self.sc, *c))
             .collect();
-        Ok(SweepRun {
-            results,
+        let journal = match &self.journal {
+            Some(path) => Some(Journal::open(
+                path,
+                crate::cell::sweep_hash(&self.sc.cfg, self.sc.scale),
+            )?),
+            None => None,
+        };
+        let mut run = SweepRun {
+            results: Vec::with_capacity(specs.len()),
             store_hits: 0,
-            forked: Some(meta),
-        })
+        };
+        let mut failed = Vec::new();
+        let cell = |i: usize| -> CellOutcome {
+            let spec: &CellSpec = &specs[i];
+            let key = spec.content_hash();
+            if let Some((stats, wall_s)) = journal.as_ref().and_then(|j| j.get(key)) {
+                return CellOutcome::restored(spec, stats.clone(), *wall_s, false);
+            }
+            let outcome = run_cell_stored(spec, key, self.retries, self.store);
+            if let (Ok(r), Some(journal)) = (&outcome.result, &journal) {
+                journal.append(key, &r.stats, r.wall_s);
+            }
+            outcome
+        };
+        let collected: Result<(), Infallible> = fan_out(specs.len(), self.jobs, cell, |i, out| {
+            run.store_hits += out.from_store as usize;
+            match out.result {
+                Ok(result) => run.results.push(result),
+                Err(failure) => failed.push((self.cells[i], failure)),
+            }
+            Ok(())
+        });
+        let Ok(()) = collected;
+        if failed.is_empty() {
+            Ok(run)
+        } else {
+            Err(SweepError::CellsFailed(failed))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{figure_table, run_cells, run_forked};
+    use crate::DesignId;
     use caba_sim::GpuConfig;
 
-    fn tiny_sc() -> SweepConfig {
-        SweepConfig {
+    #[test]
+    fn any_job_count_matches_serial_bit_for_bit() {
+        let sc = SweepConfig {
             scale: 0.05,
             cfg: GpuConfig::small(),
-        }
-    }
-
-    fn tiny_cells() -> Vec<SweepCell> {
-        [
-            ("CONS", DesignId::Base, 1.0),
-            ("CONS", DesignId::CabaBdi, 1.0),
-            ("BFS", DesignId::Base, 1.0),
+        };
+        let cells: Vec<SweepCell> = [
+            ("CONS", DesignId::Base),
+            ("BFS", DesignId::CabaBdi),
+            ("MM", DesignId::HwBdi),
+            ("LPS", DesignId::Base),
         ]
         .into_iter()
-        .map(|(app, design, bw_scale)| SweepCell {
+        .map(|(app, design)| SweepCell {
             app,
             design,
-            bw_scale,
+            bw_scale: 1.0,
         })
-        .collect()
-    }
-
-    #[test]
-    fn builder_matches_the_plain_executor_bit_for_bit() {
-        let sc = tiny_sc();
-        let cells = tiny_cells();
-        let plain = run_cells(&sc, &cells, 2);
-        let built = Sweep::new(&sc, cells).jobs(2).run().expect("sweep runs");
-        assert_eq!(built.store_hits, 0);
-        assert!(built.forked.is_none());
-        assert_eq!(figure_table(&built.results), figure_table(&plain));
-    }
-
-    #[test]
-    fn store_dir_layer_warm_starts_a_second_run() {
-        let sc = tiny_sc();
-        let cells = tiny_cells();
-        let dir = caba_store::fsio::scratch_dir("builder-warm");
-
-        let cold = Sweep::new(&sc, cells.clone())
-            .jobs(2)
-            .store_dir(&dir)
-            .run()
-            .expect("cold sweep");
-        assert_eq!(cold.store_hits, 0);
-
-        let warm = Sweep::new(&sc, cells.clone())
-            .jobs(2)
-            .store_dir(&dir)
-            .run()
-            .expect("warm sweep");
-        assert_eq!(warm.store_hits, cells.len(), "every cell restored");
-        assert_eq!(figure_table(&warm.results), figure_table(&cold.results));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn forked_layer_matches_run_forked_in_input_order() {
-        let sc = tiny_sc();
-        // Input deliberately NOT apps-major: the builder must reorder the
-        // engine's apps-major output back to this.
-        let cells = vec![
-            SweepCell {
-                app: "CONS",
-                design: DesignId::CabaBdi,
-                bw_scale: 1.0,
-            },
-            SweepCell {
-                app: "CONS",
-                design: DesignId::Base,
-                bw_scale: 1.0,
-            },
-        ];
-        let built = Sweep::new(&sc, cells.clone())
+        .collect();
+        let serial = Sweep::new(&sc, cells.clone())
             .jobs(1)
-            .forked(500)
             .run()
-            .expect("forked sweep");
-        let meta = built.forked.expect("fork meta present");
-        assert_eq!(meta.warmup_cycles, 500);
-        assert_eq!(meta.forked_cells, 2, "CONS outlives a 500-cycle warm-up");
-        for (got, want) in built.results.iter().zip(&cells) {
-            assert_eq!(got.cell, *want, "input order preserved");
+            .expect("serial");
+        let parallel = Sweep::new(&sc, cells).jobs(4).run().expect("parallel");
+        assert_eq!((serial.store_hits, parallel.store_hits), (0, 0));
+        for (s, p) in serial.results.iter().zip(&parallel.results) {
+            assert_eq!(s.cell, p.cell);
+            assert_eq!(s.stats, p.stats, "{:?}", s.cell);
         }
-        let reference = run_forked(&sc, &["CONS"], &[DesignId::CabaBdi, DesignId::Base], 500, 1)
-            .expect("reference fork");
-        for (got, want) in built.results.iter().zip(&reference.cells) {
-            assert_eq!(got.stats, want.result.stats);
-        }
-    }
-
-    #[test]
-    fn inconsistent_layers_fail_typed() {
-        let sc = tiny_sc();
-        let store = Store::open(caba_store::fsio::scratch_dir("builder-both")).unwrap();
-        let err = Sweep::new(&sc, tiny_cells())
-            .store(&store)
-            .store_dir("/tmp/elsewhere")
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SweepError::InvalidOptions(_)), "{err}");
-
-        let err = Sweep::new(&sc, tiny_cells())
-            .forked(500)
-            .journal("/tmp/j")
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SweepError::InvalidOptions(_)), "{err}");
-
-        let mut cells = tiny_cells();
-        cells[0].bw_scale = 2.0;
-        let err = Sweep::new(&sc, cells).forked(500).run().unwrap_err();
-        assert!(
-            matches!(err, SweepError::InvalidOptions(ref msg) if msg.contains("bw_scale 2")),
-            "{err}"
-        );
+        assert_eq!(serial.table(), parallel.table());
     }
 }

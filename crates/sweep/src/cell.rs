@@ -15,9 +15,8 @@
 use crate::{fig01_cells, fig07_cells, fig10_cells, fig12_cells};
 use crate::{CellResult, DesignId, SweepCell, SweepConfig};
 use caba_sim::snapshot::config_hash;
-use caba_sim::{GpuConfig, Kernel, RunError};
+use caba_sim::{GpuConfig, RunError};
 use caba_stats::checksum64;
-use caba_store::SnapKey;
 use caba_workloads::{app, run_app};
 use std::fmt;
 use std::str::FromStr;
@@ -91,14 +90,7 @@ impl CellSpec {
     /// machine configuration plus the workload scale. A resume journal is
     /// keyed by this value and refuses to resume a different sweep.
     pub fn sweep_hash(&self) -> u64 {
-        checksum64(
-            format!(
-                "{:016x}|{:016x}",
-                config_hash(&self.cfg),
-                self.scale.to_bits()
-            )
-            .as_bytes(),
-        )
+        sweep_hash(&self.cfg, self.scale)
     }
 
     /// Content hash identifying this cell: [`sweep_hash`] folded with the
@@ -132,36 +124,18 @@ impl CellSpec {
             self.scale
         )
     }
+}
 
-    /// The store key of this app's warm Base snapshot at `warmup` cycles —
-    /// the fork-from-checkpoint identity ([`crate::fork`]). The kernel's
-    /// own `content_hash` covers instruction encodings only; the snapshot
-    /// carries functional memory, so the app name and workload scale are
-    /// folded in — restoring a same-code, different-scale snapshot would
-    /// silently resurrect the wrong working set. Warm-ups always run on
-    /// the Base design (the only forkable one), so the key ignores
-    /// `self.design`.
-    pub fn warm_snap_key(&self, kernel: &Kernel, warmup: u64) -> SnapKey {
-        SnapKey {
-            config_hash: config_hash(&self.cfg),
-            kernel_hash: checksum64(
-                format!(
-                    "{:016x}|{}|{:016x}",
-                    kernel.program().content_hash(),
-                    self.app,
-                    self.scale.to_bits()
-                )
-                .as_bytes(),
-            ),
-            design: "Base".to_string(),
-            cycle: warmup,
-        }
-    }
+/// [`CellSpec::sweep_hash`] from the two fields it covers, for a sweep
+/// that has shared options but (possibly) no cell to ask.
+pub(crate) fn sweep_hash(cfg: &GpuConfig, scale: f64) -> u64 {
+    checksum64(format!("{:016x}|{:016x}", config_hash(cfg), scale.to_bits()).as_bytes())
 }
 
 /// Runs one cell from scratch and returns its result — the single kernel
-/// entry point. Every executor (the parallel sweep, the resilient
-/// journaled/stored layers, and the HTTP service) bottoms out here.
+/// entry point, which the per-cell path
+/// ([`run_cell_stored`](crate::run_cell_stored)) wraps for the sweep
+/// builder and the HTTP service alike.
 ///
 /// # Errors
 ///
@@ -172,8 +146,8 @@ impl CellSpec {
 ///
 /// Panics if `spec.app` does not resolve. Specs built through
 /// [`CellSpec::resolve`] or from figure cell lists cannot hit this; the
-/// resilient executor additionally pre-checks names so a hand-built bad
-/// spec fails typed instead.
+/// per-cell path additionally pre-checks names so a hand-built bad spec
+/// fails typed instead.
 pub fn run_cell(spec: &CellSpec) -> Result<CellResult, RunError> {
     let app_spec = app(spec.app).unwrap_or_else(|| panic!("unknown app {}", spec.app));
     let cfg = spec.cfg.with_bandwidth_scale(spec.bw_scale);
@@ -220,8 +194,7 @@ impl FromStr for DesignId {
     }
 }
 
-/// The ported evaluation figures, typed. Replaces stringly figure
-/// selection (`figure_cells(fig: &str)`): a `Figure` either exists or the
+/// The ported evaluation figures, typed: a `Figure` either exists or the
 /// name failed to parse — there is no half-resolved state to thread
 /// through the CLI and the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -391,10 +364,5 @@ mod tests {
         }
         assert_eq!("FIG07".parse::<Figure>().unwrap(), Figure::Fig07);
         assert!("fig99".parse::<Figure>().is_err());
-        // The typed lists equal what the deprecated shim serves.
-        #[allow(deprecated)]
-        for fig in Figure::ALL {
-            assert_eq!(crate::figure_cells(fig.name()).unwrap(), fig.cells());
-        }
     }
 }

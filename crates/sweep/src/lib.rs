@@ -3,43 +3,42 @@
 //! The paper's evaluation (Figures 7–13) is a matrix of `(application,
 //! design, configuration)` cells, each an independent cycle-accurate run.
 //! Runs share no state — `caba_workloads::run_app` builds a fresh [`Gpu`]
-//! per cell — so the sweep is embarrassingly parallel. This crate fans the
-//! cells out over `std::thread::scope` workers (no external dependencies;
-//! the workspace keeps building offline) while keeping results
-//! **bit-identical and identically ordered** to a serial sweep: workers
-//! claim cell *indices* from a shared atomic counter and write each result
-//! into its input slot, so downstream table generation sees the same
-//! `RunStats` in the same order regardless of completion order or worker
-//! count.
+//! per cell — so the sweep is embarrassingly parallel. There is one path
+//! from a cell list to results, shared by the `caba-sweep` CLI and the
+//! `caba-serve` HTTP front:
+//!
+//! - [`run_cell_stored`]: one cell — store probe, else simulate with panic
+//!   isolation and bounded retry, then persist;
+//! - [`fan_out`]: the ordered fan-out — workers claim cell *indices* from a
+//!   shared counter and results reach the caller in input order, so tables
+//!   are **bit-identical and identically ordered** to a serial sweep
+//!   regardless of completion order or worker count;
+//! - [`Sweep`]: the builder that layers a resume journal over the two.
 //!
 //! [`Gpu`]: caba_sim::Gpu
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use caba_sweep::{fig07_cells, run_cells, SweepConfig};
+//! use caba_sweep::{fig07_cells, Sweep, SweepConfig};
 //!
 //! let sc = SweepConfig { scale: 0.05, ..SweepConfig::default() };
 //! let cells = fig07_cells();
-//! let results = run_cells(&sc, &cells, 8);
-//! assert_eq!(results.len(), cells.len());
+//! let run = Sweep::new(&sc, cells.clone()).jobs(8).run().expect("sweep");
+//! assert_eq!(run.results.len(), cells.len());
 //! ```
 
 pub mod builder;
 pub mod cell;
-pub mod fork;
+pub mod fanout;
 pub mod resilient;
 
-pub use builder::{ForkMeta, Sweep, SweepRun};
+pub use builder::{Sweep, SweepRun};
 pub use cell::{run_cell, CellSpec, Figure, ParseDesignError, ParseFigureError};
-#[allow(deprecated)]
-pub use fork::run_forked_stored;
-pub use fork::{run_forked, ForkError, ForkedCell, ForkedSweep};
-#[allow(deprecated)]
-pub use resilient::{cell_key, run_cells_journaled, run_cells_stored, sweep_key};
+pub use fanout::fan_out;
 pub use resilient::{
-    decode_result_payload, encode_result_payload, figure_table, figure_table_line,
-    run_cell_resilient, CellFailure, FailureClass, ResilientOutcome, SweepError,
+    decode_result_payload, encode_result_payload, figure_table, figure_table_line, run_cell_stored,
+    CellFailure, CellOutcome, FailureClass, SweepError,
 };
 
 use caba_compress::Algorithm;
@@ -48,8 +47,6 @@ use caba_energy::DesignKind;
 use caba_sim::{Design, GpuConfig, RunStats};
 use caba_stats::json::fmt_f64 as json_f64;
 use caba_workloads::eval_apps;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Identifies a design point in the run matrix (a cloneable stand-in for
 /// [`Design`], which owns a controller and therefore is not `Clone`).
@@ -200,60 +197,6 @@ pub struct CellResult {
     pub wall_s: f64,
 }
 
-/// Runs every cell and returns results in **input order**, regardless of
-/// `jobs` or completion order.
-///
-/// Each worker claims the next unclaimed index from a shared atomic
-/// counter (work-stealing over a static list), simulates the cell on its
-/// own fresh [`caba_sim::Gpu`], and stores the result into the slot for
-/// that index. With `jobs == 1` this degenerates to the serial loop.
-///
-/// # Panics
-///
-/// Panics (propagating out of the thread scope) if any cell's simulation
-/// returns an error — a sweep with a hung or misconfigured cell has no
-/// meaningful aggregate.
-pub fn run_cells(sc: &SweepConfig, cells: &[SweepCell], jobs: usize) -> Vec<CellResult> {
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let cell = cells[i];
-                let result = run_cell(&CellSpec::new(sc, cell)).unwrap_or_else(|e| {
-                    panic!(
-                        "{} / {} @ {}x BW: {e}",
-                        cell.app,
-                        cell.design.label(),
-                        cell.bw_scale
-                    )
-                });
-                *slots[i].lock().expect("slot lock") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("every cell was claimed and ran")
-        })
-        .collect()
-}
-
-/// The ported figure sweeps run by the default `caba-sweep` invocation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the typed `Figure::DEFAULT_SWEEP` instead"
-)]
-pub const FIGURES: [&str; 3] = ["fig07", "fig10", "fig12"];
-
 /// Cells of Figure 1: evaluation apps × ½×/1×/2× bandwidth on the
 /// uncompressed baseline, from which the issue-slot taxonomy fractions are
 /// reported (see `caba-sweep`'s `fig01` binary).
@@ -324,15 +267,6 @@ pub fn fig12_cells() -> Vec<SweepCell> {
         }
     }
     cells
-}
-
-/// Cells of a figure by name (`"fig01"`, `"fig07"`, `"fig10"`, `"fig12"`).
-#[deprecated(
-    since = "0.1.0",
-    note = "parse a typed `Figure` and call `Figure::cells` instead"
-)]
-pub fn figure_cells(fig: &str) -> Option<Vec<SweepCell>> {
-    fig.parse::<Figure>().ok().map(Figure::cells)
 }
 
 /// The union of several figures' cells with duplicates removed (first
@@ -528,32 +462,5 @@ mod tests {
         assert!(j.contains("\"summary\": {\"cycles\": 100"), "{j}");
         assert!(j.contains("\"ipc\": 2.5"), "{j}");
         assert!(j.ends_with("]\n}\n"), "{j}");
-    }
-
-    #[test]
-    fn parallel_results_match_serial_on_a_tiny_sweep() {
-        let sc = SweepConfig {
-            scale: 0.05,
-            cfg: GpuConfig::small(),
-        };
-        let cells: Vec<SweepCell> = [
-            ("CONS", DesignId::Base),
-            ("BFS", DesignId::CabaBdi),
-            ("MM", DesignId::HwBdi),
-            ("LPS", DesignId::Base),
-        ]
-        .into_iter()
-        .map(|(app, design)| SweepCell {
-            app,
-            design,
-            bw_scale: 1.0,
-        })
-        .collect();
-        let serial = run_cells(&sc, &cells, 1);
-        let parallel = run_cells(&sc, &cells, 4);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.cell, p.cell);
-            assert_eq!(s.stats, p.stats, "{:?}", s.cell);
-        }
     }
 }

@@ -14,7 +14,7 @@
 
 use caba_store::{write_file_atomic, FaultFs, FaultRates, Store};
 use caba_sweep::{
-    dedup_cells, figure_table, host_cores, run_cells, Figure, Sweep, SweepCell, SweepConfig,
+    dedup_cells, figure_table, host_cores, Figure, Sweep, SweepCell, SweepConfig, SweepError,
     SweepReport,
 };
 use std::path::PathBuf;
@@ -63,14 +63,14 @@ fn usage() -> ! {
                         seconds — CI perf-regression gate\n\
          --resume PATH  journal finished cells to PATH and, if PATH already\n\
                         holds a journal for this sweep, re-run only missing\n\
-                        cells (crash-resilient resume; panics are isolated\n\
-                        per cell and retried)\n\
+                        cells (crash-resilient resume)\n\
          --checkpoint-every N\n\
                         take a periodic in-memory machine snapshot every N\n\
                         cycles; enables time-travel hang forensics.\n\
                         N must be > 0 (omit the flag to disable)\n\
-         --retries N    extra attempts per panicking cell under --resume\n\
-                        (default 1; deterministic failures stop early)\n\
+         --retries N    extra attempts per panicking cell, in every sweep:\n\
+                        panics are isolated per cell and retried (default 1;\n\
+                        deterministic failures stop early)\n\
          --store-dir DIR\n\
                         durable content-addressed store: finished cells are\n\
                         persisted and looked up by content key, so a fresh\n\
@@ -336,15 +336,16 @@ fn main() -> ExitCode {
         return store_command(verb, &argv[2..]);
     }
     let args = parse_args();
-    let (report, ok) = if args.selftest {
-        selftest(&args)
+    let outcome = if args.selftest {
+        selftest(&args).map_err(Into::into)
     } else {
-        match sweep(&args) {
-            Ok(r) => (r, true),
-            Err(e) => {
-                eprintln!("caba-sweep: {e}");
-                return ExitCode::FAILURE;
-            }
+        sweep(&args).map(|r| (r, true))
+    };
+    let (report, ok) = match outcome {
+        Ok(done) => done,
+        Err(e) => {
+            eprintln!("caba-sweep: {e}");
+            return ExitCode::FAILURE;
         }
     };
     if let Err(e) = write_file_atomic(&args.out, report.to_json().as_bytes()) {
@@ -432,6 +433,12 @@ fn selected_cells(args: &Args) -> Vec<SweepCell> {
     cells
 }
 
+/// Every sweep this binary runs — baseline, selftest or the real thing —
+/// starts here, so `--retries` applies to all of them.
+fn plan<'a>(args: &Args, sc: &SweepConfig, cells: Vec<SweepCell>, jobs: usize) -> Sweep<'a> {
+    Sweep::new(sc, cells).jobs(jobs).retries(args.retries)
+}
+
 /// Full figure sweep; optionally measures a serial baseline first.
 fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
     let sc = base_config(args, env_scale());
@@ -452,29 +459,23 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
         let mut serial_sc = sc;
         serial_sc.cfg.intra_jobs = 1;
         let t0 = Instant::now();
-        let serial = run_cells(&serial_sc, &cells, 1);
+        let serial = plan(args, &serial_sc, cells.clone(), 1).run()?;
         let w = t0.elapsed().as_secs_f64();
-        eprintln!("  serial: {w:.2}s over {} cells", serial.len());
+        eprintln!("  serial: {w:.2}s over {} cells", serial.results.len());
         Some(w)
     } else {
         None
     };
     let t0 = Instant::now();
-    let results = if args.resume.is_some() || store.is_some() {
-        let mut sweep = Sweep::new(&sc, cells.clone())
-            .jobs(cjobs)
-            .retries(args.retries);
-        if let Some(manifest) = &args.resume {
-            eprintln!("  journaling to {} (resume-capable)", manifest.display());
-            sweep = sweep.journal(manifest);
-        }
-        if let Some(store) = &store {
-            sweep = sweep.store(store);
-        }
-        sweep.run()?.results
-    } else {
-        run_cells(&sc, &cells, cjobs)
-    };
+    let mut sweep = plan(args, &sc, cells, cjobs);
+    if let Some(manifest) = &args.resume {
+        eprintln!("  journaling to {} (resume-capable)", manifest.display());
+        sweep = sweep.journal(manifest);
+    }
+    if let Some(store) = &store {
+        sweep = sweep.store(store);
+    }
+    let results = sweep.run()?.results;
     let parallel_wall_s = t0.elapsed().as_secs_f64();
     eprintln!(
         "  parallel ({cjobs} x {} jobs): {parallel_wall_s:.2}s",
@@ -519,7 +520,7 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
 /// Per-figure determinism proof: serial and parallel runs of the same cell
 /// list must produce bit-identical `RunStats` in the same order. Returns
 /// the report and whether every figure matched.
-fn selftest(args: &Args) -> (SweepReport, bool) {
+fn selftest(args: &Args) -> Result<(SweepReport, bool), SweepError> {
     let sc = base_config(args, 0.05);
     // The serial reference is fully serial: one cell at a time, one thread
     // inside each simulation.
@@ -539,11 +540,11 @@ fn selftest(args: &Args) -> (SweepReport, bool) {
             args.intra_jobs
         );
         let t0 = Instant::now();
-        let serial = run_cells(&serial_sc, &cells, 1);
+        let serial = plan(args, &serial_sc, cells.clone(), 1).run()?.results;
         let sw = t0.elapsed().as_secs_f64();
         serial_total += sw;
         let t0 = Instant::now();
-        let parallel = run_cells(&sc, &cells, cjobs);
+        let parallel = plan(args, &sc, cells, cjobs).run()?.results;
         let pw = t0.elapsed().as_secs_f64();
         parallel_total += pw;
         let mut mismatches = 0usize;
@@ -583,5 +584,5 @@ fn selftest(args: &Args) -> (SweepReport, bool) {
         deterministic: Some(ok),
         results: all_results,
     };
-    (report, ok)
+    Ok((report, ok))
 }

@@ -1,7 +1,8 @@
-//! Crash-resilient sweep execution: per-cell panic isolation with bounded
-//! retry, transient-vs-deterministic failure classification, and a
-//! journaled resume manifest so an interrupted sweep re-runs only the
-//! missing cells.
+//! The one per-cell path and the resume journal: a cell is looked up in
+//! the durable store by [`CellSpec::content_hash`], otherwise simulated
+//! with panic isolation and bounded retry, then persisted
+//! ([`run_cell_stored`]). `Sweep::run`, and `caba-serve`'s `/figure` and
+//! `/cell` endpoints, all reach a cell through that one function.
 //!
 //! # Failure model
 //!
@@ -9,37 +10,39 @@
 //! timeout, hang, audit failure) is deterministic by construction — the
 //! simulator is bit-reproducible, so retrying is pointless and the error is
 //! reported immediately. A **panic** escaping the cell (a harness bug, or a
-//! transient host fault) is caught with [`std::panic::catch_unwind`] and
-//! retried up to a bounded count; a cell that succeeds on retry is
-//! classified *transient*, one that repeats the identical panic is
-//! classified *deterministic*, and exhausted retries with varying messages
-//! stay *undetermined*.
+//! transient host fault) is caught and retried up to a bounded count; a
+//! cell that succeeds on retry is *transient*, one that repeats the
+//! identical panic is classified *deterministic*, and exhausted retries
+//! with varying messages stay *undetermined*.
 //!
-//! # Resume manifest
+//! Store faults degrade gracefully: a failed read means the cell
+//! recomputes, a failed write means it will recompute next time — results
+//! are never affected, only speed.
 //!
-//! [`run_cells_journaled`] appends one line per finished cell to a journal
-//! keyed by a content hash of the canonicalized [`GpuConfig`] (via
+//! # Resume journal
+//!
+//! A journaled sweep appends one line per finished cell to a file keyed by
+//! [`CellSpec::sweep_hash`] (the canonicalized [`GpuConfig`] via
 //! [`caba_sim::snapshot::config_hash`], which ignores observability /
-//! checkpoint / worker knobs) plus the cell spec. Each line carries its own
-//! checksum, so a line torn by a crash mid-write is skipped and that cell
-//! simply re-runs. Restarting the same invocation re-runs *only* cells
-//! absent from the journal; because every cell is bit-deterministic, the
-//! resumed report is identical to an uninterrupted one.
+//! checkpoint / worker knobs, plus the workload scale). Each line carries
+//! its own checksum, so a line torn by a crash mid-write is skipped and
+//! that cell simply re-runs. Restarting the same invocation re-runs *only*
+//! cells absent from the journal; because every cell is bit-deterministic,
+//! the resumed report is identical to an uninterrupted one.
 //!
 //! [`GpuConfig`]: caba_sim::GpuConfig
+//! [`RunError`]: caba_sim::RunError
 
 use crate::cell::{run_cell, CellSpec};
-use crate::fork::ForkError;
-use crate::{CellResult, SweepCell, SweepConfig};
+use crate::{CellResult, SweepCell};
 use caba_sim::RunStats;
 use caba_stats::snap::{checksum64, SnapshotReader, SnapshotState, SnapshotWriter};
-use caba_store::{Store, StoreError};
+use caba_store::Store;
 use caba_workloads::app;
+use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Why a cell could not produce statistics.
@@ -74,18 +77,44 @@ pub struct CellFailure {
     pub errors: Vec<String>,
 }
 
-/// The outcome of one cell under the resilient executor.
+impl fmt::Display for CellFailure {
+    /// The classification and the last attempt's message.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let last = self.errors.last().map_or("?", String::as_str);
+        write!(f, "{}: {last}", self.class)
+    }
+}
+
+/// What the per-cell path ([`run_cell_stored`]) reports for one cell.
 #[derive(Debug, Clone)]
-pub struct ResilientOutcome {
-    /// The cell.
-    pub cell: SweepCell,
-    /// Attempts consumed (1 = first try succeeded).
+pub struct CellOutcome {
+    /// The cell's result, or its classified failure.
+    pub result: Result<CellResult, CellFailure>,
+    /// Simulation attempts consumed: 0 when the store answered, 1 when the
+    /// first try succeeded, more when a caught panic was retried.
     pub attempts: u32,
-    /// Statistics and wall seconds, or the classified failure.
-    pub result: Result<(RunStats, f64), CellFailure>,
-    /// Whether success came only after at least one caught panic — the
-    /// signature of a transient fault.
-    pub recovered: bool,
+    /// Whether the result was restored from the durable store.
+    pub from_store: bool,
+}
+
+impl CellOutcome {
+    /// A result read back (from the store or the journal), not simulated.
+    pub(crate) fn restored(
+        spec: &CellSpec,
+        stats: RunStats,
+        wall_s: f64,
+        from_store: bool,
+    ) -> Self {
+        CellOutcome {
+            result: Ok(CellResult {
+                cell: spec.cell(),
+                stats,
+                wall_s,
+            }),
+            attempts: 0,
+            from_store,
+        }
+    }
 }
 
 /// Errors from journaled sweep execution.
@@ -109,17 +138,6 @@ pub enum SweepError {
     /// One or more cells failed every attempt. The journal retains every
     /// completed cell, so a later `--resume` re-runs only these.
     CellsFailed(Vec<(SweepCell, CellFailure)>),
-    /// Opening the durable store failed ([`Sweep::store_dir`]).
-    ///
-    /// [`Sweep::store_dir`]: crate::Sweep::store_dir
-    Store(StoreError),
-    /// A forked sweep ([`Sweep::forked`]) failed.
-    ///
-    /// [`Sweep::forked`]: crate::Sweep::forked
-    Fork(ForkError),
-    /// The requested option combination is not executable (e.g. a forked
-    /// sweep over non-stock bandwidth cells).
-    InvalidOptions(String),
 }
 
 impl fmt::Display for SweepError {
@@ -138,95 +156,83 @@ impl fmt::Display for SweepError {
                 for (cell, failure) in cells {
                     writeln!(
                         f,
-                        "  {} / {} @ {}x BW: {} — {}",
+                        "  {} / {} @ {}x BW: {failure}",
                         cell.app,
                         cell.design.label(),
                         cell.bw_scale,
-                        failure.class,
-                        failure.errors.last().map(String::as_str).unwrap_or("?")
                     )?;
                 }
                 Ok(())
             }
-            SweepError::Store(e) => write!(f, "opening store: {e}"),
-            SweepError::Fork(e) => write!(f, "forked sweep: {e}"),
-            SweepError::InvalidOptions(msg) => write!(f, "invalid sweep options: {msg}"),
         }
     }
 }
 
 impl std::error::Error for SweepError {}
 
-/// Content hash identifying a sweep: the canonicalized machine
-/// configuration plus the workload scale. Cells journal under this key;
-/// a manifest written for one sweep refuses to resume another.
-#[deprecated(since = "0.1.0", note = "use `CellSpec::sweep_hash` instead")]
-pub fn sweep_key(sc: &SweepConfig) -> u64 {
-    sweep_hash_of(sc)
-}
-
-/// [`CellSpec::sweep_hash`] for a whole sweep's shared options (every
-/// cell of one sweep shares the hash, so any representative spec works).
-fn sweep_hash_of(sc: &SweepConfig) -> u64 {
-    CellSpec {
-        app: "",
-        design: crate::DesignId::Base,
-        bw_scale: 1.0,
-        scale: sc.scale,
-        cfg: sc.cfg,
+/// The one per-cell path: probe `store` by [`CellSpec::content_hash`];
+/// on a miss simulate [`run_cell`] with panic isolation and up to
+/// `retries` extra attempts (see the module docs for the classification
+/// rules); persist a fresh result before returning, so a cell is durable
+/// the moment it finishes, whatever its place in the output order.
+///
+/// `key` is `spec.content_hash()`. Both callers need it before the call
+/// (the journal lookup, the single-flight key) and it is the costliest
+/// step of a warm cell, so it is passed in rather than derived twice.
+pub fn run_cell_stored(
+    spec: &CellSpec,
+    key: u64,
+    retries: u32,
+    store: Option<&Store>,
+) -> CellOutcome {
+    debug_assert_eq!(key, spec.content_hash(), "key must be the spec's own");
+    if let Some(store) = store {
+        match store.get_result(key) {
+            Ok(Some(payload)) => {
+                if let Some((stats, wall_s)) = decode_result_payload(&payload) {
+                    return CellOutcome::restored(spec, stats, wall_s, true);
+                }
+            }
+            Ok(None) => {}
+            Err(e) => eprintln!(
+                "caba: store read for {} failed ({e}); recomputing",
+                spec.label()
+            ),
+        }
     }
-    .sweep_hash()
+    let (result, attempts) = simulate_with_retry(spec, retries);
+    if let (Ok(r), Some(store)) = (&result, store) {
+        let payload = encode_result_payload(&r.stats, r.wall_s);
+        if let Err(e) = store.put_result(key, &spec.label(), &payload) {
+            eprintln!("caba: store write for {} failed ({e})", spec.label());
+        }
+    }
+    CellOutcome {
+        result,
+        attempts,
+        from_store: false,
+    }
 }
 
-/// Content hash identifying one cell within a sweep.
-#[deprecated(since = "0.1.0", note = "use `CellSpec::content_hash` instead")]
-pub fn cell_key(sc: &SweepConfig, cell: &SweepCell) -> u64 {
-    CellSpec::new(sc, *cell).content_hash()
-}
-
-/// Runs one cell with panic isolation and bounded retry (`retries` extra
-/// attempts after the first). See the module docs for the classification
-/// rules. A thin resilience layer over [`run_cell`].
-pub fn run_cell_resilient(sc: &SweepConfig, cell: SweepCell, retries: u32) -> ResilientOutcome {
+/// [`run_cell`] under panic isolation; returns the result and the attempts
+/// consumed.
+fn simulate_with_retry(spec: &CellSpec, retries: u32) -> (Result<CellResult, CellFailure>, u32) {
+    let fail = |class, errors| Err(CellFailure { class, errors });
     // Unknown app names repeat forever; fail immediately and typed
     // instead of letting `run_cell`'s panic burn the retry budget.
-    if app(cell.app).is_none() {
-        return ResilientOutcome {
-            cell,
-            attempts: 1,
-            result: Err(CellFailure {
-                class: FailureClass::DeterministicPanic,
-                errors: vec![format!("unknown app {}", cell.app)],
-            }),
-            recovered: false,
-        };
+    if app(spec.app).is_none() {
+        let errors = vec![format!("unknown app {}", spec.app)];
+        return (fail(FailureClass::DeterministicPanic, errors), 1);
     }
-    let spec = CellSpec::new(sc, cell);
     let mut errors: Vec<String> = Vec::new();
-    for attempt in 0..=retries {
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_cell(&spec)));
-        match outcome {
-            Ok(Ok(result)) => {
-                return ResilientOutcome {
-                    cell,
-                    attempts: attempt + 1,
-                    result: Ok((result.stats, result.wall_s)),
-                    recovered: attempt > 0,
-                };
-            }
+    for attempt in 1..=retries.saturating_add(1) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(spec))) {
+            Ok(Ok(result)) => return (Ok(result), attempt),
             Ok(Err(run_err)) => {
                 // The simulator is bit-deterministic: a RunError will
                 // repeat identically, so there is nothing to retry.
                 errors.push(run_err.to_string());
-                return ResilientOutcome {
-                    cell,
-                    attempts: attempt + 1,
-                    result: Err(CellFailure {
-                        class: FailureClass::SimError,
-                        errors,
-                    }),
-                    recovered: false,
-                };
+                return (fail(FailureClass::SimError, errors), attempt);
             }
             Err(payload) => {
                 let msg = panic_message(&payload);
@@ -234,29 +240,13 @@ pub fn run_cell_resilient(sc: &SweepConfig, cell: SweepCell, retries: u32) -> Re
                 errors.push(msg);
                 if repeated {
                     // The identical panic twice in a row: deterministic.
-                    return ResilientOutcome {
-                        cell,
-                        attempts: attempt + 1,
-                        result: Err(CellFailure {
-                            class: FailureClass::DeterministicPanic,
-                            errors,
-                        }),
-                        recovered: false,
-                    };
+                    return (fail(FailureClass::DeterministicPanic, errors), attempt);
                 }
             }
         }
     }
     let attempts = errors.len() as u32;
-    ResilientOutcome {
-        cell,
-        attempts,
-        result: Err(CellFailure {
-            class: FailureClass::Undetermined,
-            errors,
-        }),
-        recovered: false,
-    }
+    (fail(FailureClass::Undetermined, errors), attempts)
 }
 
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
@@ -325,50 +315,89 @@ fn parse_journal_line(line: &str) -> Option<(u64, RunStats, f64)> {
     Some((key, stats, wall))
 }
 
-/// Already-journaled results, keyed by cell hash.
-fn read_manifest(
-    path: &Path,
-    expected_key: u64,
-) -> Result<std::collections::HashMap<u64, (RunStats, f64)>, SweepError> {
-    let mut done = std::collections::HashMap::new();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(done),
-        Err(e) => {
-            return Err(SweepError::Io {
-                path: path.to_path_buf(),
-                source: e,
-            })
-        }
-    };
-    let mut lines = text.lines();
-    match lines.next() {
-        None => return Ok(done),
-        Some(header) => {
-            let key = header
+/// An open resume journal: what earlier runs finished, and the file that
+/// every newly finished cell is appended to.
+pub(crate) struct Journal {
+    done: HashMap<u64, (RunStats, f64)>,
+    file: Mutex<std::fs::File>,
+}
+
+impl Journal {
+    /// Opens the journal at `path` for the sweep keyed `sweep_hash`. An
+    /// intact journal is appended to; a missing or empty file, or one whose
+    /// header does not parse (torn by a crash), is truncated and started
+    /// over with a fresh header.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::ManifestMismatch`] if the journal belongs to a
+    /// different sweep; [`SweepError::Io`] on I/O failures.
+    pub(crate) fn open(path: &Path, sweep_hash: u64) -> Result<Journal, SweepError> {
+        let io_err = |source| SweepError::Io {
+            path: path.to_path_buf(),
+            source,
+        };
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(io_err(e)),
+        };
+        let mut lines = text.lines();
+        let header_key = lines.next().and_then(|header| {
+            header
                 .strip_prefix(MANIFEST_HEADER)
                 .and_then(|r| r.trim().strip_prefix("key="))
-                .and_then(|k| u64::from_str_radix(k, 16).ok());
-            match key {
-                Some(k) if k == expected_key => {}
-                Some(k) => {
-                    return Err(SweepError::ManifestMismatch {
-                        found: k,
-                        expected: expected_key,
-                    })
-                }
-                // A torn header: treat as empty and rewrite from scratch.
-                None => return Ok(done),
+                .filter(|k| k.len() == 16)
+                .and_then(|k| u64::from_str_radix(k, 16).ok())
+        });
+        let mut open = std::fs::OpenOptions::new();
+        let (done, prefix) = match header_key {
+            Some(found) if found != sweep_hash => {
+                return Err(SweepError::ManifestMismatch {
+                    found,
+                    expected: sweep_hash,
+                })
             }
-        }
+            Some(_) => {
+                open.append(true);
+                // Malformed lines (torn by a crash) are skipped: the cell
+                // re-runs. A torn tail is closed off so the next line
+                // does not land on it.
+                let done = lines
+                    .filter_map(parse_journal_line)
+                    .map(|(key, stats, wall)| (key, (stats, wall)))
+                    .collect();
+                let prefix = if text.ends_with('\n') { "" } else { "\n" };
+                (done, prefix.to_string())
+            }
+            None => {
+                open.write(true).create(true).truncate(true);
+                (
+                    HashMap::new(),
+                    format!("{MANIFEST_HEADER} key={sweep_hash:016x}\n"),
+                )
+            }
+        };
+        let mut file = open.open(path).map_err(io_err)?;
+        file.write_all(prefix.as_bytes()).map_err(io_err)?;
+        Ok(Journal {
+            done,
+            file: Mutex::new(file),
+        })
     }
-    for line in lines {
-        if let Some((key, stats, wall)) = parse_journal_line(line) {
-            done.insert(key, (stats, wall));
-        }
-        // Malformed lines (torn by a crash) are skipped: the cell re-runs.
+
+    /// The journaled result for cell `key`, if an earlier run finished it.
+    pub(crate) fn get(&self, key: u64) -> Option<&(RunStats, f64)> {
+        self.done.get(&key)
     }
-    Ok(done)
+
+    /// Appends a finished cell. One write per line; a crash tears at most
+    /// the final line, which resume skips.
+    pub(crate) fn append(&self, key: u64, stats: &RunStats, wall_s: f64) {
+        let line = journal_line(key, stats, wall_s);
+        let mut f = self.file.lock().expect("journal lock");
+        let _ = f.write_all(line.as_bytes()).and_then(|()| f.flush());
+    }
 }
 
 /// Encodes a finished cell result — the run's [`RunStats`] plus its wall
@@ -389,223 +418,6 @@ pub fn decode_result_payload(bytes: &[u8]) -> Option<(RunStats, f64)> {
     let stats = RunStats::load(&mut r).ok()?;
     r.finish().ok()?;
     Some((stats, wall))
-}
-
-/// Runs `cells` with panic isolation, bounded retry, and an append-only
-/// resume journal at `manifest`: cells already journaled are not re-run,
-/// and every newly finished cell is flushed to the journal immediately, so
-/// a killed sweep resumes from where it died. Results return in **input
-/// order** with journaled wall times for restored cells.
-///
-/// # Errors
-///
-/// [`SweepError::ManifestMismatch`] before any cell runs if the journal
-/// belongs to a different sweep; [`SweepError::CellsFailed`] after the
-/// sweep if any cell failed every attempt (completed cells stay
-/// journaled); [`SweepError::Io`] on journal I/O failures.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Sweep::new(sc, cells).journal(path).run()` instead"
-)]
-pub fn run_cells_journaled(
-    sc: &SweepConfig,
-    cells: &[SweepCell],
-    jobs: usize,
-    retries: u32,
-    manifest: &Path,
-) -> Result<Vec<CellResult>, SweepError> {
-    exec_stored(sc, cells, jobs, retries, Some(manifest), None).map(|(results, _)| results)
-}
-
-/// The store-backed executor: panic isolation and bounded retry, plus an
-/// optional resume journal and an optional durable result [`Store`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Sweep::new(sc, cells).journal(path).store(&store).run()` instead"
-)]
-pub fn run_cells_stored(
-    sc: &SweepConfig,
-    cells: &[SweepCell],
-    jobs: usize,
-    retries: u32,
-    manifest: Option<&Path>,
-    store: Option<&Store>,
-) -> Result<Vec<CellResult>, SweepError> {
-    exec_stored(sc, cells, jobs, retries, manifest, store).map(|(results, _)| results)
-}
-
-/// The one resilient executor every batch layer composes over
-/// ([`run_cells_journaled`]/[`run_cells_stored`] wrappers and the
-/// [`Sweep`](crate::Sweep) builder): panic isolation and bounded retry
-/// around [`run_cell`], plus an optional resume journal and an optional
-/// durable result [`Store`]. Returns the results in **input order**
-/// together with the number of cells restored from the store.
-///
-/// Before running anything, every cell the journal does not cover is
-/// looked up in the store by [`CellSpec::content_hash`] — results
-/// persisted by an *earlier process* warm-start this one bit-identically
-/// (each cell is deterministic, so a restored result equals a recomputed
-/// one). Every newly finished cell is journaled and persisted to the
-/// store as it completes.
-///
-/// Store faults degrade gracefully: a failed read means the cell
-/// recomputes, a failed write means it will recompute next time — the
-/// sweep's results are never affected, only its speed.
-///
-/// # Errors
-///
-/// As [`run_cells_journaled`].
-pub(crate) fn exec_stored(
-    sc: &SweepConfig,
-    cells: &[SweepCell],
-    jobs: usize,
-    retries: u32,
-    manifest: Option<&Path>,
-    store: Option<&Store>,
-) -> Result<(Vec<CellResult>, usize), SweepError> {
-    let skey = sweep_hash_of(sc);
-    let keys: Vec<u64> = cells
-        .iter()
-        .map(|c| CellSpec::new(sc, *c).content_hash())
-        .collect();
-    let mut done = match manifest {
-        Some(path) => read_manifest(path, skey)?,
-        None => std::collections::HashMap::new(),
-    };
-    let fresh = done.is_empty();
-
-    // Cross-process warm-start: cells missing from the journal may still
-    // be persisted in the durable store by an earlier run.
-    let mut store_hits: Vec<u64> = Vec::new();
-    if let Some(store) = store {
-        for (i, cell) in cells.iter().enumerate() {
-            if done.contains_key(&keys[i]) {
-                continue;
-            }
-            match store.get_result(keys[i]) {
-                Ok(Some(payload)) => {
-                    if let Some((stats, wall)) = decode_result_payload(&payload) {
-                        done.insert(keys[i], (stats, wall));
-                        store_hits.push(keys[i]);
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => eprintln!(
-                    "caba-sweep: store read for {}/{} failed ({e}); recomputing",
-                    cell.app,
-                    cell.design.label()
-                ),
-            }
-        }
-    }
-
-    let missing: Vec<usize> = (0..cells.len())
-        .filter(|&i| !done.contains_key(&keys[i]))
-        .collect();
-
-    let journal = match manifest {
-        Some(path) => {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| SweepError::Io {
-                    path: path.to_path_buf(),
-                    source: e,
-                })?;
-            if fresh {
-                file.write_all(format!("{MANIFEST_HEADER} key={skey:016x}\n").as_bytes())
-                    .map_err(|e| SweepError::Io {
-                        path: path.to_path_buf(),
-                        source: e,
-                    })?;
-            }
-            // Backfill store-restored cells so the journal alone is a
-            // complete record of what is finished.
-            for key in &store_hits {
-                let (stats, wall) = &done[key];
-                let _ = file.write_all(journal_line(*key, stats, *wall).as_bytes());
-            }
-            let _ = file.flush();
-            Some(Mutex::new(file))
-        }
-        None => None,
-    };
-
-    let jobs = jobs.clamp(1, missing.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ResilientOutcome>>> =
-        missing.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= missing.len() {
-                    break;
-                }
-                let i = missing[slot];
-                let outcome = run_cell_resilient(sc, cells[i], retries);
-                if let Ok((stats, wall)) = &outcome.result {
-                    if let Some(journal) = &journal {
-                        let line = journal_line(keys[i], stats, *wall);
-                        let mut f = journal.lock().expect("journal lock");
-                        // Write+flush as one unit per cell; a crash tears
-                        // at most the final line, which resume skips.
-                        let _ = f.write_all(line.as_bytes()).and_then(|()| f.flush());
-                    }
-                    if let Some(store) = store {
-                        let label = CellSpec::new(sc, cells[i]).label();
-                        if let Err(e) =
-                            store.put_result(keys[i], &label, &encode_result_payload(stats, *wall))
-                        {
-                            eprintln!("caba-sweep: store write for {label} failed ({e})");
-                        }
-                    }
-                }
-                *slots[slot].lock().expect("slot lock") = Some(outcome);
-            });
-        }
-    });
-
-    let mut by_index: std::collections::HashMap<usize, ResilientOutcome> = missing
-        .iter()
-        .zip(slots)
-        .map(|(&i, m)| {
-            (
-                i,
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every missing cell was claimed"),
-            )
-        })
-        .collect();
-
-    let mut failed = Vec::new();
-    let mut results = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        if let Some((stats, wall_s)) = done.get(&keys[i]) {
-            results.push(CellResult {
-                cell: *cell,
-                stats: stats.clone(),
-                wall_s: *wall_s,
-            });
-        } else {
-            let outcome = by_index.remove(&i).expect("missing cell has an outcome");
-            match outcome.result {
-                Ok((stats, wall_s)) => results.push(CellResult {
-                    cell: *cell,
-                    stats,
-                    wall_s,
-                }),
-                Err(failure) => failed.push((*cell, failure)),
-            }
-        }
-    }
-    if failed.is_empty() {
-        Ok((results, store_hits.len()))
-    } else {
-        Err(SweepError::CellsFailed(failed))
-    }
 }
 
 /// One line of the deterministic figure table for a finished cell:
@@ -638,10 +450,9 @@ pub fn figure_table(results: &[CellResult]) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers stay covered until removal
 mod tests {
     use super::*;
-    use crate::DesignId;
+    use crate::{DesignId, Sweep, SweepConfig};
     use caba_sim::snapshot::config_hash;
     use caba_sim::GpuConfig;
 
@@ -667,34 +478,53 @@ mod tests {
         .collect()
     }
 
+    fn sweep_hash(sc: &SweepConfig) -> u64 {
+        crate::cell::sweep_hash(&sc.cfg, sc.scale)
+    }
+
+    /// A fresh journal path unique to `tag`.
+    fn scratch_journal(tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("caba-test-{tag}-{:x}.txt", sweep_hash(&tiny_sc())));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn journaled(sc: &SweepConfig, manifest: &Path) -> Result<String, SweepError> {
+        let run = Sweep::new(sc, tiny_cells())
+            .jobs(2)
+            .journal(manifest)
+            .run()?;
+        Ok(run.table())
+    }
+
     #[test]
     fn keys_are_stable_and_config_sensitive() {
         let sc = tiny_sc();
         let cells = tiny_cells();
-        assert_eq!(cell_key(&sc, &cells[0]), cell_key(&sc, &cells[0]));
-        assert_ne!(cell_key(&sc, &cells[0]), cell_key(&sc, &cells[1]));
+        let key = |sc: &SweepConfig, cell: &SweepCell| CellSpec::new(sc, *cell).content_hash();
+        assert_eq!(key(&sc, &cells[0]), key(&sc, &cells[0]));
+        assert_ne!(key(&sc, &cells[0]), key(&sc, &cells[1]));
         let mut other = sc;
         other.cfg.mshrs += 1;
-        assert_ne!(cell_key(&sc, &cells[0]), cell_key(&other, &cells[0]));
+        assert_ne!(key(&sc, &cells[0]), key(&other, &cells[0]));
         // Worker-count and observability knobs are canonicalized away.
         let mut tolerated = sc;
         tolerated.cfg.intra_jobs = 4;
         tolerated.cfg.checkpoint_interval = 500;
-        assert_eq!(sweep_key(&sc), sweep_key(&tolerated));
+        assert_eq!(sweep_hash(&sc), sweep_hash(&tolerated));
     }
 
-    /// Satellite pin: the resume journal (historically `cell_key`), the
-    /// durable store, and the `caba-serve` service all key cells by
-    /// [`CellSpec::content_hash`] — one derivation, provably shared, and
-    /// byte-compatible with the pre-refactor formula so stores written by
-    /// earlier builds stay warm.
+    /// Satellite pin: the resume journal, the durable store, and the
+    /// `caba-serve` service all key cells by [`CellSpec::content_hash`] —
+    /// one derivation, provably shared, and byte-compatible with the
+    /// pre-refactor formula so stores written by earlier builds stay warm.
     #[test]
     fn keys_agree_across_journal_store_and_server() {
         let sc = tiny_sc();
         for cell in tiny_cells() {
             let spec = CellSpec::new(&sc, cell);
-            assert_eq!(cell_key(&sc, &cell), spec.content_hash());
-            assert_eq!(sweep_key(&sc), spec.sweep_hash());
+            assert_eq!(sweep_hash(&sc), spec.sweep_hash());
             // The pre-refactor formulas, spelled out literally.
             let legacy_sweep = checksum64(
                 format!("{:016x}|{:016x}", config_hash(&sc.cfg), sc.scale.to_bits()).as_bytes(),
@@ -739,48 +569,24 @@ mod tests {
     }
 
     #[test]
-    fn resilient_cell_classifies_unknown_app_as_deterministic() {
-        let sc = tiny_sc();
-        let cell = SweepCell {
-            app: "NOPE",
-            design: DesignId::Base,
-            bw_scale: 1.0,
-        };
-        let out = run_cell_resilient(&sc, cell, 3);
+    fn unknown_app_is_deterministic_and_never_retried() {
+        let mut spec = CellSpec::new(&tiny_sc(), tiny_cells()[0]);
+        spec.app = "NOPE";
+        let out = run_cell_stored(&spec, spec.content_hash(), 5, None);
         let failure = out.result.expect_err("unknown app fails");
         assert_eq!(failure.class, FailureClass::DeterministicPanic);
         assert_eq!(out.attempts, 1, "deterministic failures are not retried");
-    }
-
-    #[test]
-    fn sim_errors_are_not_retried() {
-        // A 1-cycle... impossible; instead force a timeout via an absurd
-        // watchdog-free budget? run_app uses DEFAULT_MAX_CYCLES, so a
-        // deterministic RunError is hard to provoke from here; covered by
-        // the integration test instead. Keep the classifier honest on the
-        // panic path: a panic that repeats identically stops early.
-        let sc = tiny_sc();
-        let cell = SweepCell {
-            app: "NOPE2",
-            design: DesignId::Base,
-            bw_scale: 1.0,
-        };
-        let out = run_cell_resilient(&sc, cell, 5);
-        assert!(out.result.is_err());
-        assert!(out.attempts <= 2, "identical panics stop the retry loop");
+        assert!(!out.from_store);
     }
 
     #[test]
     fn journaled_sweep_resumes_without_rerunning() {
         let sc = tiny_sc();
         let cells = tiny_cells();
-        let dir = std::env::temp_dir();
-        let manifest = dir.join(format!("caba-test-manifest-{:x}.txt", sweep_key(&sc)));
-        let _ = std::fs::remove_file(&manifest);
+        let manifest = scratch_journal("manifest");
 
         // Full run from scratch.
-        let full = run_cells_journaled(&sc, &cells, 2, 0, &manifest).expect("sweep runs");
-        let full_table = figure_table(&full);
+        let full_table = journaled(&sc, &manifest).expect("sweep runs");
 
         // Kill simulation: drop the last journal line (plus a torn tail)
         // and resume. Only the dropped cell re-runs; the table is
@@ -797,17 +603,18 @@ mod tests {
         truncated.push_str("\ncell 0123torn");
         std::fs::write(&manifest, truncated).expect("truncate manifest");
 
-        let resumed = run_cells_journaled(&sc, &cells, 2, 0, &manifest).expect("resume runs");
-        assert_eq!(
-            figure_table(&resumed),
-            full_table,
-            "resumed table is byte-identical"
-        );
+        let resumed = journaled(&sc, &manifest).expect("resume runs");
+        assert_eq!(resumed, full_table, "resumed table is byte-identical");
+        // The re-run cell's line starts on a line of its own, not glued to
+        // the torn tail: the journal is complete again.
+        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+        let intact = text.lines().filter_map(parse_journal_line).count();
+        assert_eq!(intact, cells.len(), "{text}");
 
         // A different sweep refuses the manifest.
         let mut other = sc;
         other.scale = 0.1;
-        let err = run_cells_journaled(&other, &cells, 1, 0, &manifest).unwrap_err();
+        let err = journaled(&other, &manifest).unwrap_err();
         assert!(matches!(err, SweepError::ManifestMismatch { .. }));
         let _ = std::fs::remove_file(&manifest);
     }
@@ -834,16 +641,19 @@ mod tests {
 
     #[test]
     fn store_warm_starts_a_fresh_process_and_backfills_the_journal() {
-        use caba_store::Store;
         let sc = tiny_sc();
         let cells = tiny_cells();
         let dir = caba_store::fsio::scratch_dir("resilient-warm");
 
         let store = Store::open(&dir).expect("store opens");
-        let full =
-            run_cells_stored(&sc, &cells, 2, 0, None, Some(&store)).expect("stored sweep runs");
-        let table = figure_table(&full);
+        let full = Sweep::new(&sc, cells.clone())
+            .jobs(2)
+            .store(&store)
+            .run()
+            .expect("stored sweep runs");
+        assert_eq!(full.store_hits, 0);
         assert_eq!(store.hit_count(), 0);
+        let table = full.table();
         drop(store);
 
         // A fresh Store over the same directory models a fresh process
@@ -851,18 +661,15 @@ mod tests {
         // is backfilled into a complete standalone record.
         let store = Store::open(&dir).expect("store reopens");
         let manifest = dir.join("resume.journal");
-        let restored = run_cells_stored(&sc, &cells, 2, 0, Some(&manifest), Some(&store))
+        let restored = Sweep::new(&sc, cells.clone())
+            .jobs(2)
+            .journal(&manifest)
+            .store(&store)
+            .run()
             .expect("warm-started sweep runs");
-        assert_eq!(
-            figure_table(&restored),
-            table,
-            "warm start is bit-identical"
-        );
-        assert_eq!(
-            store.hit_count() as usize,
-            cells.len(),
-            "every cell hit the store"
-        );
+        assert_eq!(restored.table(), table, "warm start is bit-identical");
+        assert_eq!(restored.store_hits, cells.len(), "every cell restored");
+        assert_eq!(store.hit_count() as usize, cells.len());
         let text = std::fs::read_to_string(&manifest).expect("journal exists");
         assert_eq!(
             text.lines().count(),
@@ -871,9 +678,7 @@ mod tests {
         );
 
         // The backfilled journal alone (store detached) also resumes.
-        let journal_only =
-            run_cells_journaled(&sc, &cells, 2, 0, &manifest).expect("journal-only resume");
-        assert_eq!(figure_table(&journal_only), table);
+        assert_eq!(journaled(&sc, &manifest).expect("journal-only"), table);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -881,13 +686,8 @@ mod tests {
     fn faultfs_torn_journal_line_is_tolerated_on_resume() {
         use caba_store::{FaultFs, FaultRates, StoreFs};
         let sc = tiny_sc();
-        let cells = tiny_cells();
-        let manifest =
-            std::env::temp_dir().join(format!("caba-test-torn-journal-{:x}.txt", sweep_key(&sc)));
-        let _ = std::fs::remove_file(&manifest);
-
-        let full = run_cells_journaled(&sc, &cells, 2, 0, &manifest).expect("sweep runs");
-        let table = figure_table(&full);
+        let manifest = scratch_journal("torn-journal");
+        let table = journaled(&sc, &manifest).expect("sweep runs");
 
         // Re-append the final journal line through a FaultFs whose torn
         // write is certain: the crash artifact is produced by the real
@@ -911,8 +711,7 @@ mod tests {
         // Resume over the torn journal: the torn tail is skipped (or, if
         // the kept prefix happened to be the whole line, restored) and the
         // table is byte-identical either way.
-        let resumed = run_cells_journaled(&sc, &cells, 2, 0, &manifest).expect("resume runs");
-        assert_eq!(figure_table(&resumed), table);
+        assert_eq!(journaled(&sc, &manifest).expect("resume runs"), table);
         let _ = std::fs::remove_file(&manifest);
     }
 
@@ -921,12 +720,8 @@ mod tests {
         use caba_store::{FaultFs, FaultRates, StoreFs};
         let sc = tiny_sc();
         let cells = tiny_cells();
-        let manifest =
-            std::env::temp_dir().join(format!("caba-test-torn-header-{:x}.txt", sweep_key(&sc)));
-        let _ = std::fs::remove_file(&manifest);
-
-        let full = run_cells_journaled(&sc, &cells, 2, 0, &manifest).expect("sweep runs");
-        let table = figure_table(&full);
+        let manifest = scratch_journal("torn-header");
+        let table = journaled(&sc, &manifest).expect("sweep runs");
         let header = std::fs::read_to_string(&manifest)
             .expect("manifest exists")
             .lines()
@@ -937,7 +732,7 @@ mod tests {
         // An intact header for this sweep still mismatches another sweep.
         let mut other = sc;
         other.scale = 0.1;
-        let err = run_cells_stored(&other, &cells, 1, 0, Some(&manifest), None).unwrap_err();
+        let err = journaled(&other, &manifest).unwrap_err();
         assert!(matches!(err, SweepError::ManifestMismatch { .. }));
 
         // Tear the header with real injection, picking the first seed
@@ -959,19 +754,31 @@ mod tests {
                 break;
             }
         }
-        let rerun = run_cells_journaled(&sc, &cells, 2, 0, &manifest)
-            .expect("torn header reads as an empty journal");
-        assert_eq!(figure_table(&rerun), table);
+        let rerun = journaled(&sc, &manifest).expect("torn header reads as an empty journal");
+        assert_eq!(rerun, table);
+
+        // The rewrite replaced the torn prefix instead of appending to it,
+        // so a third run resumes from a journal that is whole again:
+        // header, one line per cell, nothing re-run and nothing re-added.
+        assert_eq!(journaled(&sc, &manifest).expect("third run"), table);
+        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+        assert_eq!(text.lines().next(), Some(header.as_str()), "{text}");
+        assert_eq!(text.lines().count(), 1 + cells.len(), "{text}");
+
+        // A tear inside the key leaves a shorter hex number, which must
+        // read as torn too, not as some other sweep's journal.
+        std::fs::write(&manifest, &header[..header.len() - 3]).expect("tear the key");
+        assert_eq!(journaled(&sc, &manifest).expect("torn key"), table);
         let _ = std::fs::remove_file(&manifest);
     }
 
     #[test]
     fn chaotic_store_degrades_to_recompute_never_corrupts() {
-        use caba_store::{FaultFs, FaultRates, Store};
+        use caba_store::{FaultFs, FaultRates};
         let sc = tiny_sc();
         let cells = tiny_cells();
-        let clean = crate::run_cells(&sc, &cells, 2);
-        let table = figure_table(&clean);
+        let clean = Sweep::new(&sc, cells.clone()).jobs(2).run().expect("clean");
+        let table = clean.table();
         for seed in 0..4 {
             let dir = caba_store::fsio::scratch_dir(&format!("resilient-chaos-{seed}"));
             let store = Store::open_with_fs(
@@ -980,10 +787,13 @@ mod tests {
             )
             .expect("store opens");
             for pass in 0..2 {
-                let got = run_cells_stored(&sc, &cells, 2, 0, None, Some(&store))
+                let got = Sweep::new(&sc, cells.clone())
+                    .jobs(2)
+                    .store(&store)
+                    .run()
                     .expect("faulted store never fails the sweep");
                 assert_eq!(
-                    figure_table(&got),
+                    got.table(),
                     table,
                     "seed {seed} pass {pass}: store fault leaked into results"
                 );

@@ -8,7 +8,7 @@
 
 use caba_sim::fault::FaultConfig;
 use caba_sim::{Gpu, GpuConfig, RunError, RunStats};
-use caba_sweep::{run_cells, DesignId, SweepCell, SweepConfig};
+use caba_sweep::{DesignId, Sweep, SweepCell, SweepConfig};
 use caba_workloads::{app, prepare_app, run_app, DEFAULT_MAX_CYCLES};
 
 /// Exact `(design, cycles, icnt_flits)` triples for CONS on
@@ -265,8 +265,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         scale: 0.05,
         ..SweepConfig::default()
     };
-    let serial = run_cells(&sc, &cells, 1);
-    let parallel = run_cells(&sc, &cells, 4);
+    let run = |jobs| Sweep::new(&sc, cells.clone()).jobs(jobs).run().unwrap();
+    let (serial, parallel) = (run(1).results, run(4).results);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.cell, p.cell, "cell order must be stable");

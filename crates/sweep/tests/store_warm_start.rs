@@ -4,7 +4,7 @@
 //! produce a figure table byte-identical to an unbroken in-process run —
 //! the store is a pure accelerator, never an influence.
 
-use caba_sweep::{dedup_cells, figure_table, run_cells, Figure, Sweep, SweepCell, SweepConfig};
+use caba_sweep::{dedup_cells, Figure, Sweep, SweepCell, SweepConfig};
 use std::process::Command;
 
 const SCALE: &str = "0.05";
@@ -52,7 +52,11 @@ fn killed_sweep_resumes_bit_identically_in_a_fresh_process() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
     // Unbroken in-process reference.
-    let reference = figure_table(&run_cells(&sc(), &cells(), 2));
+    let reference = Sweep::new(&sc(), cells())
+        .jobs(2)
+        .run()
+        .expect("unbroken sweep")
+        .table();
 
     // Process 1, "killed" partway: only the CONS cells run and persist.
     run_cli(&[
@@ -112,7 +116,7 @@ fn killed_sweep_resumes_bit_identically_in_a_fresh_process() {
         "every cell should restore from the two CLI processes' work"
     );
     assert_eq!(
-        figure_table(&restored.results),
+        restored.table(),
         reference,
         "cross-process warm start diverged from the unbroken run"
     );
