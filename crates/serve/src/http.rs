@@ -10,7 +10,7 @@
 //! that decodes both fixed-length and chunked bodies.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
 /// Longest accepted request line or header, in bytes — requests are tiny
@@ -174,20 +174,22 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response.
+/// Writes a complete fixed-length response: header and body leave in one
+/// `write`, so an unbuffered socket sends one segment, not one per piece.
 pub fn respond<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        w,
+    let mut wire = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len()
-    )?;
-    w.write_all(body)?;
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -221,27 +223,33 @@ pub fn respond_error<W: Write>(w: &mut W, status: u16, code: &str, msg: &str) ->
 }
 
 /// A chunked (`Transfer-Encoding: chunked`) 200 response in progress.
-/// Each [`chunk`](ChunkedWriter::chunk) is flushed immediately — the
-/// client sees per-cell progress, not a buffered table. Dropping the
-/// writer without [`finish`](ChunkedWriter::finish) leaves the stream
-/// without its terminal chunk, which clients see as truncation — the
-/// deliberate mid-stream error signal (the 200 header is long gone).
+/// Chunks collect in a buffer that reaches the client when it fills, on
+/// [`flush`](ChunkedWriter::flush) — which the caller owes the client
+/// after any chunk that took real time to produce, so progress shows —
+/// and on [`finish`](ChunkedWriter::finish). Dropping the writer without
+/// `finish` sends what is buffered but not the terminal chunk, which
+/// clients see as truncation — the deliberate mid-stream error signal
+/// (the 200 header is long gone).
 pub struct ChunkedWriter<W: Write> {
-    w: W,
+    w: BufWriter<W>,
 }
 
+/// Holds a whole figure table (100 cells come to 52 KB on the wire), so a
+/// table that takes no time to produce leaves in one write.
+const CHUNK_BUFFER: usize = 64 * 1024;
+
 impl<W: Write> ChunkedWriter<W> {
-    /// Writes the 200 response header and switches to chunked encoding.
-    pub fn begin(mut w: W, content_type: &str) -> io::Result<Self> {
+    /// Buffers the 200 response header and switches to chunked encoding.
+    pub fn begin(w: W, content_type: &str) -> io::Result<Self> {
+        let mut w = BufWriter::with_capacity(CHUNK_BUFFER, w);
         write!(
             w,
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
         )?;
-        w.flush()?;
         Ok(ChunkedWriter { w })
     }
 
-    /// Writes one chunk (empty input is skipped — an empty chunk would
+    /// Buffers one chunk (empty input is skipped — an empty chunk would
     /// terminate the stream early).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         if data.is_empty() {
@@ -249,7 +257,11 @@ impl<W: Write> ChunkedWriter<W> {
         }
         write!(self.w, "{:x}\r\n", data.len())?;
         self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        self.w.write_all(b"\r\n")
+    }
+
+    /// Sends everything buffered so far.
+    pub fn flush(&mut self) -> io::Result<()> {
         self.w.flush()
     }
 
@@ -294,11 +306,10 @@ pub fn fetch_on(
     target: &str,
     host: &str,
 ) -> io::Result<FetchedResponse> {
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    // One `write`, like `respond`: the socket is unbuffered.
+    let request =
+        format!("{method} {target} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     let mut r = BufReader::new(stream);
 
     let status_line = read_crlf_line(&mut r)?
@@ -371,9 +382,60 @@ fn decode_chunked<R: BufRead>(r: &mut R) -> io::Result<Vec<u8>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// What a socket would have been asked to do, call by call.
+    #[derive(Debug, PartialEq)]
+    pub(crate) enum Call {
+        Write(String),
+        Flush,
+    }
+
+    /// A `Write` that takes every byte offered and records the calls.
+    #[derive(Default)]
+    pub(crate) struct Recorder(pub(crate) Vec<Call>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0
+                .push(Call::Write(String::from_utf8_lossy(buf).into()));
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.push(Call::Flush);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_fixed_length_response_is_one_write() {
+        let mut sock = Recorder::default();
+        respond(&mut sock, 200, "application/json", b"{\"ok\": true}\n").unwrap();
+        let wire = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    Content-Length: 13\r\nConnection: close\r\n\r\n{\"ok\": true}\n";
+        assert_eq!(sock.0, [Call::Write(wire.into()), Call::Flush]);
+        let mut sock = Recorder::default();
+        respond_error(&mut sock, 404, "not_found", "no such thing").unwrap();
+        assert_eq!(sock.0.len(), 2, "{:?}", sock.0);
+    }
+
+    #[test]
+    fn buffered_chunks_frame_exactly_as_flushed_ones_did() {
+        let mut sock = Recorder::default();
+        let mut cw = ChunkedWriter::begin(&mut sock, "text/plain").unwrap();
+        cw.chunk(b"hello ").unwrap();
+        cw.chunk(&[b'x'; 26]).unwrap();
+        cw.finish().unwrap();
+        // Header, then per chunk: hex length, CRLF, data, CRLF.
+        let wire = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\
+             Connection: close\r\n\r\n6\r\nhello \r\n1a\r\n{}\r\n0\r\n\r\n",
+            "x".repeat(26)
+        );
+        assert_eq!(sock.0, [Call::Write(wire), Call::Flush]);
+    }
 
     #[test]
     fn parses_a_request_with_query_and_body() {

@@ -11,8 +11,10 @@
 //!
 //! - HTTP ([`http`]): parsing, typed JSON errors, chunked streaming —
 //!   figure tables stream per cell, in input order, as each prefix
-//!   completes, and the streamed bytes are exactly [`figure_table_line`],
-//!   so the served table is byte-identical to `caba-sweep --table`'s;
+//!   completes (a simulated row is sent at once, rows already stored
+//!   travel together), and the streamed bytes are exactly
+//!   [`figure_table_line`], so the served table is byte-identical to
+//!   `caba-sweep --table`'s;
 //! - single-flight ([`Coalescer`]) around the per-cell call — a thousand
 //!   clients asking for Fig. 7 cost one sweep plus 999 waits;
 //! - counters (`/stats`), derived from what the cell path reports.
@@ -42,8 +44,8 @@ use caba_sweep::{
 };
 use http::{ChunkedWriter, Request};
 use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -146,6 +148,8 @@ struct State {
     store: Option<Store>,
     flights: Coalescer<CellOutcome>,
     shutdown: AtomicBool,
+    /// Where a connection reaches this server's own listener.
+    wake: SocketAddr,
     requests: AtomicU64,
     cells_computed: AtomicU64,
     store_warm_hits: AtomicU64,
@@ -163,39 +167,64 @@ pub struct Server {
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// the accept loop.
-    pub fn start(addr: &str, opts: ServeOptions) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let state = Arc::new(State {
+impl State {
+    /// `local` is the listener's bound address. A wildcard bind is reached
+    /// over loopback; any other address is its own.
+    fn new(opts: ServeOptions, local: SocketAddr) -> State {
+        let ip = match local.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+            ip => ip,
+        };
+        State {
             sc: opts.sc,
             jobs: opts.jobs.max(1),
             store: opts.store,
             flights: Coalescer::new(),
             shutdown: AtomicBool::new(false),
+            wake: SocketAddr::new(ip, local.port()),
             requests: AtomicU64::new(0),
             cells_computed: AtomicU64::new(0),
             store_warm_hits: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
             bench_out: opts.bench_out,
             bench: Mutex::new(Vec::new()),
-        });
+        }
+    }
+
+    /// Raises the flag, then gets the accept loop out of `accept(2)` to see
+    /// it with one throw-away connection. Once the listener is gone the
+    /// connect is refused, which is fine: there is no loop left to wake.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+}
+
+impl Server {
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
+    /// the accept loop.
+    pub fn start(addr: &str, opts: ServeOptions) -> io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        let state = Arc::new(State::new(opts, local));
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || {
             let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-            while !accept_state.shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
+            loop {
+                // Blocks until a client, or `request_shutdown`, connects.
+                let accepted = listener.accept();
+                if accept_state.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _peer)) => {
                         let st = Arc::clone(&accept_state);
                         handlers.push(std::thread::spawn(move || handle(&st, stream)));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
                     Err(e) => {
+                        // Out of descriptors or memory: let handlers finish
+                        // and release some before asking again.
                         eprintln!("caba-serve: accept failed: {e}");
                         std::thread::sleep(Duration::from_millis(50));
                     }
@@ -221,7 +250,7 @@ impl Server {
 
     /// Requests shutdown (idempotent; also triggered by POST `/shutdown`).
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.request_shutdown();
     }
 
     /// True once shutdown has been requested.
@@ -229,11 +258,9 @@ impl Server {
         self.state.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Blocks until shutdown is requested, then joins the accept loop.
+    /// Blocks until shutdown has been requested and every in-flight
+    /// request has been answered: the accept loop ends on nothing else.
     pub fn join(mut self) {
-        while !self.is_shutdown() {
-            std::thread::sleep(Duration::from_millis(50));
-        }
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -270,7 +297,7 @@ fn route(state: &Arc<State>, req: &Request, out: &mut TcpStream) -> io::Result<(
         ("GET", ["cell", app, design, bw]) => cell_endpoint(state, req, app, design, bw, out),
         ("GET", ["result", key]) => result_endpoint(state, key, out),
         ("POST", ["shutdown"]) => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.request_shutdown();
             http::respond(out, 200, "application/json", b"{\"ok\": true}\n")
         }
         // Known resources with the wrong method are 405, not 404.
@@ -311,11 +338,11 @@ fn stats_endpoint(state: &State, out: &mut TcpStream) -> io::Result<()> {
 const RETRIES: u32 = 1;
 
 /// One cell under single-flight discipline: the leader runs the sweep
-/// library's per-cell path, followers share its outcome. Returns the
-/// outcome plus whether it was served from cache (store or coalesced
-/// flight); the counters move by what the cell path reported.
-fn serve_cell(state: &State, spec: &CellSpec) -> (CellOutcome, bool) {
-    let key = spec.content_hash();
+/// library's per-cell path, followers share its outcome. `key` is the
+/// spec's content hash. Returns the outcome plus whether it was served
+/// from cache (store or coalesced flight); the counters move by what the
+/// cell path reported.
+fn serve_cell(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
     let (outcome, led) = state.flights.run(key, || {
         run_cell_stored(spec, key, RETRIES, state.store.as_ref())
     });
@@ -375,17 +402,18 @@ fn figure_endpoint(
     // aborts the chunked stream without its terminal chunk, which clients
     // observe as truncation (http::fetch turns it into an error).
     let t0 = Instant::now();
-    let mut writer = ChunkedWriter::begin(out.try_clone()?, "text/tab-separated-values")?;
+    let mut writer = ChunkedWriter::begin(&mut *out, "text/tab-separated-values")?;
     let specs: Vec<CellSpec> = cells.iter().map(|c| CellSpec::new(&sc, *c)).collect();
+    let sweep_hash = sc.sweep_hash();
     let mut cached_cells = 0;
     fan_out(
         specs.len(),
         state.jobs,
-        |i| serve_cell(state, &specs[i]),
+        |i| serve_cell(state, &specs[i], specs[i].content_hash_in(sweep_hash)),
         |i, (outcome, cached)| match outcome.result {
             Ok(r) => {
                 cached_cells += cached as usize;
-                writer.chunk(figure_table_line(&r.cell, &r.stats).as_bytes())
+                write_row(&mut writer, &figure_table_line(&r.cell, &r.stats), cached)
             }
             Err(failure) => {
                 let msg = failure.to_string();
@@ -407,6 +435,18 @@ fn figure_endpoint(
         },
     );
     Ok(())
+}
+
+/// One table row. A row that was simulated just now took long enough that
+/// the client should see it before the next one starts; a cached row took
+/// microseconds and travels with its neighbours.
+fn write_row<W: Write>(writer: &mut ChunkedWriter<W>, line: &str, cached: bool) -> io::Result<()> {
+    writer.chunk(line.as_bytes())?;
+    if cached {
+        Ok(())
+    } else {
+        writer.flush()
+    }
 }
 
 fn cell_endpoint(
@@ -431,18 +471,18 @@ fn cell_endpoint(
     let Some(spec) = CellSpec::resolve(app, design, bw_scale, sc.scale, sc.cfg) else {
         return http::respond_error(out, 404, "not_found", &format!("unknown app {app:?}"));
     };
-    let (outcome, cached) = serve_cell(state, &spec);
+    let key = spec.content_hash();
+    let (outcome, cached) = serve_cell(state, &spec, key);
     match outcome.result {
         Ok(CellResult { stats, wall_s, .. }) => {
             let body = format!(
                 "{{\n  \"app\": \"{}\", \"design\": \"{}\", \"bw\": {}, \"scale\": {},\n  \
-                 \"key\": \"{:016x}\", \"cached\": {cached}, \"wall_s\": {},\n  \
+                 \"key\": \"{key:016x}\", \"cached\": {cached}, \"wall_s\": {},\n  \
                  \"summary\": {}\n}}\n",
                 spec.app,
                 spec.design.label(),
                 json_f64(spec.bw_scale),
                 json_f64(spec.scale),
-                spec.content_hash(),
                 json_f64(wall_s),
                 stats.summary().to_json(),
             );
@@ -491,15 +531,18 @@ fn result_endpoint(state: &State, key: &str, out: &mut TcpStream) -> io::Result<
 
 // ----- bench recording ------------------------------------------------------
 
+/// Adds `sample` to `BENCH_serve.json`. A server with nowhere to write
+/// the file keeps no samples: it may run for months.
 fn record_bench(state: &State, sample: BenchSample) {
+    let Some(path) = &state.bench_out else {
+        return;
+    };
     let mut bench = state.bench.lock().expect("bench lock");
     bench.push(sample);
-    if let Some(path) = &state.bench_out {
-        let json = bench_json(&bench);
-        drop(bench);
-        if let Err(e) = write_file_atomic(path, json.as_bytes()) {
-            eprintln!("caba-serve: writing {}: {e}", path.display());
-        }
+    let json = bench_json(&bench);
+    drop(bench);
+    if let Err(e) = write_file_atomic(path, json.as_bytes()) {
+        eprintln!("caba-serve: writing {}: {e}", path.display());
     }
 }
 
@@ -601,6 +644,63 @@ mod tests {
         let (a, led_a) = coal.run(1, || 10);
         let (b, led_b) = coal.run(2, || 20);
         assert_eq!((a, led_a, b, led_b), (10, true, 20, true));
+    }
+
+    #[test]
+    fn a_simulated_row_is_sent_before_the_next_and_cached_rows_are_not() {
+        use http::tests::{Call, Recorder};
+        let mut sock = Recorder::default();
+        let mut writer = ChunkedWriter::begin(&mut sock, "text/plain").unwrap();
+        for (line, cached) in [("a\n", true), ("b\n", true), ("c\n", false), ("d\n", true)] {
+            write_row(&mut writer, line, cached).unwrap();
+        }
+        writer.finish().unwrap();
+        let Call::Write(first) = &sock.0[0] else {
+            panic!("{:?}", sock.0)
+        };
+        assert!(first.starts_with("HTTP/1.1 200 OK\r\n"), "{first}");
+        assert!(first.ends_with("\r\n\r\n2\r\na\n\r\n2\r\nb\n\r\n2\r\nc\n\r\n"));
+        let rest = [
+            Call::Flush,
+            Call::Write("2\r\nd\n\r\n0\r\n\r\n".into()),
+            Call::Flush,
+        ];
+        assert_eq!(sock.0[1..], rest);
+    }
+
+    #[test]
+    fn bench_samples_are_kept_only_when_there_is_a_file_to_write() {
+        let sample = BenchSample {
+            fig: Figure::Fig07,
+            scale: 0.25,
+            cells: 100,
+            cached_cells: 100,
+            wall_s: 0.5,
+        };
+        let state = |bench_out| {
+            let opts = ServeOptions {
+                sc: SweepConfig::default(),
+                jobs: 1,
+                store: None,
+                bench_out,
+            };
+            State::new(opts, "127.0.0.1:1".parse().unwrap())
+        };
+        let quiet = state(None);
+        for _ in 0..3 {
+            record_bench(&quiet, sample.clone());
+        }
+        assert!(quiet.bench.lock().unwrap().is_empty());
+
+        let path = caba_store::fsio::scratch_dir("serve-bench").join("BENCH_serve.json");
+        let recording = state(Some(path.clone()));
+        for _ in 0..3 {
+            record_bench(&recording, sample.clone());
+        }
+        assert_eq!(recording.bench.lock().unwrap().len(), 3);
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(json.matches("\"cached_cells\": 100").count(), 3, "{json}");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]

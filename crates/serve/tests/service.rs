@@ -9,8 +9,10 @@ use caba_serve::{ServeOptions, Server};
 use caba_sim::GpuConfig;
 use caba_store::{FaultFs, FaultRates, RealFs, Store, StoreFs};
 use caba_sweep::{dedup_cells, Figure, Sweep, SweepCell, SweepConfig};
-use std::io;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::path::Path;
+use std::time::Duration;
 
 const SCALE: f64 = 0.05;
 const APPS: [&str; 2] = ["CONS", "BFS"];
@@ -324,6 +326,75 @@ fn concurrent_identical_requests_coalesce_onto_one_computation() {
     let stats = get(&server, "/stats").text();
     assert!(stats.contains("\"cells_computed\": 1"), "{stats}");
     stop(server);
+}
+
+/// `join` on another thread, so a server that never wakes fails the test
+/// instead of hanging it.
+fn join_within_a_second(server: Server) {
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(1))
+        .expect("join returns within a second of the shutdown request");
+}
+
+#[test]
+fn an_idle_server_stops_at_once_however_it_is_asked_and_bound() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let idle = || {
+            let opts = ServeOptions {
+                sc: sc(),
+                jobs: 2,
+                store: None,
+                bench_out: None,
+            };
+            Server::start(bind, opts).expect("server binds")
+        };
+        // No client has ever connected: the accept loop is parked.
+        let server = idle();
+        server.shutdown();
+        server.shutdown(); // idempotent, also once the loop is on its way out
+        join_within_a_second(server);
+
+        let server = idle();
+        let addr = format!("127.0.0.1:{}", server.addr().port());
+        let resp = fetch(&addr, "POST", "/shutdown").expect("shutdown request");
+        assert_eq!(resp.status, 200, "{bind}");
+        join_within_a_second(server);
+        assert!(fetch(&addr, "GET", "/healthz").is_err(), "{bind}: gone");
+    }
+}
+
+#[test]
+fn a_cold_figure_in_flight_is_finished_before_join_returns() {
+    let server = start(None);
+    let mut stream = TcpStream::connect(server.addr()).expect("connects");
+    stream
+        .write_all(format!("GET {FIG_TARGET} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())
+        .expect("request sent");
+    // The header leaves with the first simulated row, so one byte of
+    // response means the request is being served, with cells still to run.
+    let mut first = [0u8; 1];
+    stream.read_exact(&mut first).expect("response began");
+    server.shutdown();
+    server.join();
+
+    // Loopback delivers in the sender's `write`: whatever the handler sent
+    // before `join` returned is readable now, without waiting.
+    stream.set_nonblocking(true).expect("nonblocking");
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .expect("the whole response arrived before join returned");
+    let rest = String::from_utf8(rest).expect("UTF-8");
+    assert!(rest.ends_with("\r\n0\r\n\r\n"), "terminal chunk: {rest}");
+    let reference = reference_table();
+    for line in reference.lines() {
+        assert!(rest.contains(line), "row missing: {line}");
+    }
 }
 
 #[test]

@@ -38,7 +38,7 @@
 //!   objects/rs/<key:016x>.entry   cell results
 //!   tmp/                          in-flight writes (pre-rename)
 //!   quarantine/                   corrupt entries, moved — never deleted
-//!   lru.log                       append-only self-checksummed touch log
+//!   lru.log                       self-checksummed touch log, compacted in place
 //! ```
 //!
 //! # Write discipline
@@ -64,6 +64,7 @@ pub mod fsio;
 use caba_stats::checksum::{self, Fnv64};
 use caba_stats::snap::{SnapshotReader, SnapshotWriter};
 pub use fsio::{FaultCounts, FaultFs, FaultRates, RealFs, StoreFs};
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -331,15 +332,50 @@ struct Counters {
     misses: u64,
 }
 
+/// What this handle knows of `lru.log` without reading it: enough to
+/// decide, per touch, whether the log is due for compaction.
+struct TouchLog {
+    /// Lines in the log: counted at open, plus this handle's appends.
+    lines: u64,
+    /// Keys of the entries the log names. A snapshot and a result sharing
+    /// a key would count once, which only moves the trigger by a line.
+    live: HashSet<u64>,
+    /// No compaction below this many lines: [`COMPACT_MIN_LINES`], raised
+    /// past the current length after a failed attempt.
+    compact_above: u64,
+}
+
 /// The store handle. All methods take `&self`; internal counters are
 /// mutex-guarded so a handle can be shared across sweep worker threads.
 pub struct Store {
     root: PathBuf,
     fs: Box<dyn StoreFs>,
     counters: Mutex<Counters>,
+    touch_log: Mutex<TouchLog>,
 }
 
 const LRU_LOG: &str = "lru.log";
+
+/// A touch log this short is never compacted.
+const COMPACT_MIN_LINES: u64 = 1024;
+/// Nor is one holding fewer than this many lines per entry it names: a
+/// store that mostly puts (a few touches per entry) never pays for a
+/// compaction, one that mostly re-reads the same entries pays one replay
+/// per `COMPACT_LINES_PER_ENTRY - 1` touches of each.
+const COMPACT_LINES_PER_ENTRY: u64 = 8;
+
+/// The key in an entry's file name (`<key:016x>.entry`).
+fn entry_key(file_name: &str) -> Option<u64> {
+    let hex = file_name.strip_suffix(".entry")?;
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// One touch-log line: the body and its own checksum.
+fn touch_line(dir: &str, key_hex: impl fmt::Display, seq: u64) -> String {
+    let body = format!("touch {dir} {key_hex} {seq:016x}");
+    let sum = checksum::checksum64(body.as_bytes());
+    format!("{body} sum={sum:016x}\n")
+}
 
 impl Store {
     /// Opens (creating if needed) a store rooted at `root` on the real
@@ -365,7 +401,7 @@ impl Store {
             fs.create_dir_all(&dir)
                 .map_err(|e| ioerr("create dir", &dir, e))?;
         }
-        let store = Store {
+        let mut store = Store {
             root,
             fs,
             counters: Mutex::new(Counters {
@@ -373,11 +409,23 @@ impl Store {
                 hits: 0,
                 misses: 0,
             }),
+            touch_log: Mutex::new(TouchLog {
+                lines: 0,
+                live: HashSet::new(),
+                compact_above: COMPACT_MIN_LINES,
+            }),
         };
         // Resume the touch sequence past anything already logged so new
         // touches sort after old ones.
-        let max_seq = store.read_touches().into_iter().map(|(_, s)| s).max();
+        let (touches, lines) = store.read_touches();
+        let max_seq = touches.iter().map(|(_, s)| *s).max();
         store.counters.lock().expect("store counters").next_seq = max_seq.map_or(0, |s| s + 1);
+        let log = store.touch_log.get_mut().expect("touch log");
+        log.lines = lines;
+        log.live = touches
+            .iter()
+            .filter_map(|(name, _)| entry_key(name.rsplit('/').next()?))
+            .collect();
         Ok(store)
     }
 
@@ -582,27 +630,86 @@ impl Store {
     /// Records a use of `(kind, key)` in the touch log. Best-effort: the
     /// log is advisory (it only orders GC eviction), so an injected
     /// append fault must not fail the surrounding put/get.
+    ///
+    /// The log stays bounded: once it holds more than
+    /// max([`COMPACT_MIN_LINES`], [`COMPACT_LINES_PER_ENTRY`] x the entries
+    /// it names) lines, the touch that crossed the line compacts it. This
+    /// handle's appends and its compaction share one lock, so it never
+    /// drops its own touches; a touch *another* handle appends between the
+    /// compaction's replay and its rename is lost, which costs that entry
+    /// some GC seniority and nothing else.
     fn touch(&self, kind: EntryKind, key: u64) {
-        let seq = self.bump_seq();
-        let body = format!("touch {} {key:016x} {seq:016x}", kind.dir_name());
-        let sum = checksum::checksum64(body.as_bytes());
-        let line = format!("{body} sum={sum:016x}\n");
+        let line = touch_line(kind.dir_name(), format_args!("{key:016x}"), self.bump_seq());
+        let mut log = self.touch_log.lock().expect("touch log");
         let _ = self
             .fs
             .append_sync(&self.root.join(LRU_LOG), line.as_bytes());
+        log.lines += 1;
+        log.live.insert(key);
+        let due = log
+            .compact_above
+            .max(COMPACT_LINES_PER_ENTRY * log.live.len() as u64);
+        if log.lines > due {
+            self.compact_touches(&mut log);
+        }
+    }
+
+    /// Rewrites the touch log as one line per entry, each carrying the
+    /// entry's highest sequence — exactly what [`read_touches`] makes of
+    /// the long log, so GC order and the resumed sequence do not change.
+    /// The new log is fsynced under `tmp/` and renamed over the old one: a
+    /// crash leaves the old log, the new log, or the old log plus a stale
+    /// temp for [`scrub`](Store::scrub) — each replayable. Any failure
+    /// leaves the old log as it was and doubles the trigger, so a disk that
+    /// keeps failing costs one attempt per doubling, not one per touch.
+    ///
+    /// [`read_touches`]: Store::read_touches
+    fn compact_touches(&self, log: &mut TouchLog) {
+        let (latest, _) = self.read_touches();
+        let compacted: String = latest
+            .iter()
+            .filter_map(|(name, seq)| {
+                let (dir, file) = name.split_once('/')?;
+                Some(touch_line(dir, file.strip_suffix(".entry")?, *seq))
+            })
+            .collect();
+        let tmp_path = self
+            .root
+            .join("tmp")
+            .join(format!("lru-{:08x}.tmp", self.bump_seq()));
+        // `append_sync` onto a fresh name, not `write_sync`: that call is
+        // the store's object write, and a read-only workload makes none.
+        // Fresh, because a crashed process may have left this very name.
+        let _ = self.fs.remove_file(&tmp_path);
+        let swapped = self
+            .fs
+            .append_sync(&tmp_path, compacted.as_bytes())
+            .and_then(|()| self.fs.rename(&tmp_path, &self.root.join(LRU_LOG)));
+        match swapped {
+            Ok(()) => {
+                log.lines = latest.len() as u64;
+                log.compact_above = COMPACT_MIN_LINES;
+            }
+            Err(_) => {
+                let _ = self.fs.remove_file(&tmp_path);
+                log.compact_above = 2 * log.lines;
+            }
+        }
     }
 
     /// Replays the touch log, skipping torn/corrupt lines (the journal
     /// idiom: each line carries its own checksum). Returns the latest
-    /// sequence per entry file name.
-    fn read_touches(&self) -> Vec<(String, u64)> {
+    /// sequence per entry file name, and how many lines the log holds.
+    fn read_touches(&self) -> (Vec<(String, u64)>, u64) {
         let bytes = match self.fs.read(&self.root.join(LRU_LOG)) {
             Ok(b) => b,
-            Err(_) => return Vec::new(),
+            Err(_) => return (Vec::new(), 0),
         };
         let text = String::from_utf8_lossy(&bytes);
         let mut latest: Vec<(String, u64)> = Vec::new();
+        let mut lines = 0;
         for line in text.lines() {
+            lines += 1;
             let Some((body, sum_part)) = line.rsplit_once(" sum=") else {
                 continue;
             };
@@ -633,7 +740,7 @@ impl Store {
                 None => latest.push((name, seq)),
             }
         }
-        latest
+        (latest, lines)
     }
 
     // ---- scrub ---------------------------------------------------------
@@ -652,10 +759,7 @@ impl Store {
             for name in names {
                 let rel = format!("objects/{}/{name}", kind.dir_name());
                 let path = dir.join(&name);
-                let Some(key) = name
-                    .strip_suffix(".entry")
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-                else {
+                let Some(key) = entry_key(&name) else {
                     if self.quarantine_file(&path, "unrecognized file name") {
                         report.quarantined.push(Quarantined {
                             rel_path: rel,
@@ -737,7 +841,7 @@ impl Store {
     /// evicted, even when it alone exceeds the cap. This is the store's
     /// only deletion path.
     pub fn gc(&self, cap_bytes: u64) -> Result<GcReport, StoreError> {
-        let touches = self.read_touches();
+        let (touches, _) = self.read_touches();
         let seq_of = |name: &str| -> u64 {
             touches
                 .iter()
@@ -1088,8 +1192,8 @@ mod tests {
         std::fs::write(&log, &bytes).unwrap();
         // Reopen replays the log without error; the valid touch survives.
         let store = Store::open(&dir).unwrap();
-        let touches = store.read_touches();
-        assert_eq!(touches.len(), 1);
+        let (touches, lines) = store.read_touches();
+        assert_eq!((touches.len(), lines), (1, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1135,5 +1239,190 @@ mod tests {
         let clean = Store::open(&dir).unwrap();
         assert_eq!(clean.get_snapshot(&key).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- touch-log compaction --------------------------------------------
+
+    /// Files in memory, so that tens of thousands of touches cost no
+    /// fsyncs. Clones share the files: a second handle, or a `FaultFs`
+    /// over it, sees what the first one wrote.
+    #[derive(Clone, Default)]
+    struct MemFs(std::sync::Arc<Mutex<std::collections::BTreeMap<PathBuf, Vec<u8>>>>);
+
+    impl MemFs {
+        fn files(&self) -> std::sync::MutexGuard<'_, std::collections::BTreeMap<PathBuf, Vec<u8>>> {
+            self.0.lock().unwrap()
+        }
+
+        fn open(&self) -> Store {
+            Store::open_with_fs("/mem", Box::new(self.clone())).unwrap()
+        }
+
+        fn open_faulted(&self, rates: FaultRates) -> Store {
+            let fs = FaultFs::over(Box::new(self.clone()), 5, rates);
+            Store::open_with_fs("/mem", Box::new(fs)).unwrap()
+        }
+    }
+
+    fn not_found() -> io::Error {
+        io::Error::from(io::ErrorKind::NotFound)
+    }
+
+    impl StoreFs for MemFs {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.files().get(path).cloned().ok_or_else(not_found)
+        }
+        fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.files().insert(path.to_path_buf(), bytes.to_vec());
+            Ok(())
+        }
+        fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            let mut files = self.files();
+            files.entry(path.to_path_buf()).or_default().extend(bytes);
+            Ok(())
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            let mut files = self.files();
+            let bytes = files.remove(from).ok_or_else(not_found)?;
+            files.insert(to.to_path_buf(), bytes);
+            Ok(())
+        }
+        fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            let files = self.files();
+            let names = files.keys().filter(|p| p.parent() == Some(dir));
+            Ok(names
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect())
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.files().remove(path).map(drop).ok_or_else(not_found)
+        }
+        fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
+            Ok(self.files().get(path).map(|b| b.len() as u64))
+        }
+    }
+
+    const ENTRIES: u64 = 10;
+
+    /// `ENTRIES` results, then `gets` reads of them in a fixed scrambled
+    /// order. Every read must hit, whatever the filesystem does to the log.
+    fn put_then_reread(fs: &MemFs, reader: &Store, gets: u64) {
+        let writer = fs.open();
+        for key in 0..ENTRIES {
+            writer.put_result(key, "cell", &[key as u8; 300]).unwrap();
+        }
+        for i in 0..gets {
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % ENTRIES;
+            assert!(reader.get_result(key).unwrap().is_some(), "get {i}");
+        }
+    }
+
+    fn log_len(fs: &MemFs) -> usize {
+        fs.files()[Path::new("/mem/lru.log")].len()
+    }
+
+    #[test]
+    fn rereading_a_few_entries_does_not_grow_the_touch_log() {
+        let fs = MemFs::default();
+        put_then_reread(&fs, &fs.open(), 50_000);
+        assert!(log_len(&fs) < 128 * 1024, "{} bytes", log_len(&fs));
+        let store = fs.open();
+        assert_eq!(store.read_touches().0.len(), ENTRIES as usize);
+        assert_eq!(store.stats().unwrap().stale_temps, 0);
+    }
+
+    #[test]
+    fn gc_order_is_the_same_with_and_without_compaction() {
+        // The control's renames all fail, so its log is never replaced.
+        let (compacted, control) = (MemFs::default(), MemFs::default());
+        put_then_reread(&compacted, &compacted.open(), 5_000);
+        let no_rename = FaultRates {
+            rename_fail: 1.0,
+            ..FaultRates::none()
+        };
+        put_then_reread(&control, &control.open_faulted(no_rename), 5_000);
+        assert!(log_len(&control) > 5_000 * 60, "the control log is whole");
+        assert!(log_len(&compacted) < log_len(&control) / 4);
+
+        let evictions = |fs: &MemFs| {
+            let store = fs.open();
+            // One more touch makes entry 3 the newest, whatever came before.
+            assert!(store.get_result(3).unwrap().is_some());
+            let all = store.gc(0).unwrap();
+            assert!(store.get_result(3).unwrap().is_some(), "newest survives");
+            all.evicted
+        };
+        let order = evictions(&compacted);
+        assert_eq!(order.len() as u64, ENTRIES - 1);
+        assert_eq!(order, evictions(&control));
+    }
+
+    #[test]
+    fn a_reopened_handle_resumes_past_the_compacted_maximum() {
+        let fs = MemFs::default();
+        put_then_reread(&fs, &fs.open(), 2_000);
+        assert!(log_len(&fs) < 1_100 * 62, "compacted at least once");
+        let reopened = fs.open();
+        let max_before = reopened.read_touches().0.iter().map(|t| t.1).max().unwrap();
+        assert!(max_before >= 2_000, "the highest sequence survived");
+        assert!(reopened.get_result(7).unwrap().is_some());
+        let seq_of_7 = reopened
+            .read_touches()
+            .0
+            .into_iter()
+            .find(|(name, _)| name == &format!("rs/{:016x}.entry", 7))
+            .map(|(_, seq)| seq);
+        assert_eq!(seq_of_7, Some(max_before + 1));
+    }
+
+    #[test]
+    fn a_failed_compaction_leaves_the_old_log_and_a_temp_for_scrub() {
+        for failing in [
+            // Every append tears (the temp's too) and no cleanup works.
+            FaultRates {
+                torn_write: 1.0,
+                cleanup_fail: 1.0,
+                ..FaultRates::none()
+            },
+            // The temp is whole, but cannot be renamed or removed.
+            FaultRates {
+                rename_fail: 1.0,
+                cleanup_fail: 1.0,
+                ..FaultRates::none()
+            },
+        ] {
+            let fs = MemFs::default();
+            // A log one touch short of due, written without faults.
+            put_then_reread(&fs, &fs.open(), COMPACT_MIN_LINES - ENTRIES);
+            let before = fs.open().read_touches().0;
+            assert_eq!(before.len() as u64, ENTRIES);
+
+            let faulted = fs.open_faulted(failing);
+            for i in 0..3 * COMPACT_MIN_LINES {
+                let got = faulted.get_result(i % ENTRIES);
+                assert!(matches!(got, Ok(Some(_))), "get {i}: {got:?}");
+            }
+            drop(faulted);
+
+            // The old lines are all still there (later ones may be torn).
+            let clean = fs.open();
+            let after = clean.read_touches().0;
+            for (name, seq) in &before {
+                let kept = after.iter().find(|(n, _)| n == name).map(|t| t.1);
+                assert!(kept >= Some(*seq), "{name}: {kept:?} < {seq}");
+            }
+            // Backed off: 1025, 2050 and 4100 lines, not every touch.
+            let temps = clean.stats().unwrap().stale_temps;
+            assert!((1..=3).contains(&temps), "{temps} temps");
+            let report = clean.scrub().unwrap();
+            assert_eq!(report.quarantined.len() as u64, temps);
+            assert_eq!(clean.stats().unwrap().stale_temps, 0);
+        }
     }
 }

@@ -118,11 +118,9 @@ impl<'a> Sweep<'a> {
             .iter()
             .map(|c| CellSpec::new(&self.sc, *c))
             .collect();
+        let sweep_hash = self.sc.sweep_hash();
         let journal = match &self.journal {
-            Some(path) => Some(Journal::open(
-                path,
-                crate::cell::sweep_hash(&self.sc.cfg, self.sc.scale),
-            )?),
+            Some(path) => Some(Journal::open(path, sweep_hash)?),
             None => None,
         };
         let mut run = SweepRun {
@@ -132,7 +130,7 @@ impl<'a> Sweep<'a> {
         let mut failed = Vec::new();
         let cell = |i: usize| -> CellOutcome {
             let spec: &CellSpec = &specs[i];
-            let key = spec.content_hash();
+            let key = spec.content_hash_in(sweep_hash);
             if let Some((stats, wall_s)) = journal.as_ref().and_then(|j| j.get(key)) {
                 return CellOutcome::restored(spec, stats.clone(), *wall_s, false);
             }

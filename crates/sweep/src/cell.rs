@@ -102,10 +102,19 @@ impl CellSpec {
     ///
     /// [`sweep_hash`]: CellSpec::sweep_hash
     pub fn content_hash(&self) -> u64 {
+        self.content_hash_in(self.sweep_hash())
+    }
+
+    /// [`content_hash`](CellSpec::content_hash) given this spec's own
+    /// [`sweep_hash`](CellSpec::sweep_hash). The sweep hash formats the
+    /// whole machine configuration and costs several times the rest of the
+    /// key, so a caller holding many cells of one sweep derives it once
+    /// ([`SweepConfig::sweep_hash`]).
+    pub fn content_hash_in(&self, sweep_hash: u64) -> u64 {
+        debug_assert_eq!(sweep_hash, self.sweep_hash(), "another sweep's hash");
         checksum64(
             format!(
-                "{:016x}|{}|{}|{:016x}",
-                self.sweep_hash(),
+                "{sweep_hash:016x}|{}|{}|{:016x}",
                 self.app,
                 self.design.label(),
                 self.bw_scale.to_bits()
@@ -126,10 +135,17 @@ impl CellSpec {
     }
 }
 
-/// [`CellSpec::sweep_hash`] from the two fields it covers, for a sweep
-/// that has shared options but (possibly) no cell to ask.
-pub(crate) fn sweep_hash(cfg: &GpuConfig, scale: f64) -> u64 {
+/// [`CellSpec::sweep_hash`] from the two fields it covers.
+fn sweep_hash(cfg: &GpuConfig, scale: f64) -> u64 {
     checksum64(format!("{:016x}|{:016x}", config_hash(cfg), scale.to_bits()).as_bytes())
+}
+
+impl SweepConfig {
+    /// The [`CellSpec::sweep_hash`] every cell built from these options
+    /// ([`CellSpec::new`]) has.
+    pub fn sweep_hash(&self) -> u64 {
+        sweep_hash(&self.cfg, self.scale)
+    }
 }
 
 /// Runs one cell from scratch and returns its result — the single kernel

@@ -37,6 +37,8 @@ impl<T> Drop for WakeOnPanic<'_, T> {
 /// to `sink(i, value)` on the calling thread, for `i` ascending. `work(i)`
 /// does everything that must happen when item `i` *finishes* (journal,
 /// persist); `sink` does what must happen *in order* (collect, stream).
+/// One worker (or one item) needs no thread: the caller alternates `work`
+/// and `sink` itself.
 ///
 /// # Errors
 ///
@@ -52,6 +54,9 @@ pub fn fan_out<T: Send, E>(
     work: impl Fn(usize) -> T + Sync,
     mut sink: impl FnMut(usize, T) -> Result<(), E>,
 ) -> Result<(), E> {
+    if jobs <= 1 || n <= 1 {
+        return (0..n).try_for_each(|i| sink(i, work(i)));
+    }
     let pending = Mutex::new(Pending {
         slots: (0..n).map(|_| None).collect(),
         worker_panicked: false,
@@ -60,7 +65,7 @@ pub fn fan_out<T: Send, E>(
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
-        for _ in 0..jobs.clamp(1, n.max(1)) {
+        for _ in 0..jobs.min(n) {
             s.spawn(|| {
                 let _wake = WakeOnPanic {
                     pending: &pending,
@@ -202,6 +207,59 @@ mod tests {
         let _ = fan_out(
             3,
             2,
+            |i| {
+                if i == 1 {
+                    panic!("work item {i} blew up");
+                }
+                i
+            },
+            |_, _| Ok::<(), Infallible>(()),
+        );
+    }
+
+    #[test]
+    fn one_job_alternates_work_and_sink_on_the_caller_in_input_order() {
+        let caller = std::thread::current().id();
+        let calls = Mutex::new(Vec::new());
+        fan_out(
+            3,
+            1,
+            |i| {
+                assert_eq!(std::thread::current().id(), caller);
+                calls.lock().unwrap().push(("work", i));
+                i * 10
+            },
+            |i, v| {
+                calls.lock().unwrap().push(("sink", v / 10));
+                assert_eq!(v, i * 10);
+                Ok::<(), Infallible>(())
+            },
+        )
+        .unwrap();
+        let order = [0, 1, 2].map(|i| [("work", i), ("sink", i)]).concat();
+        assert_eq!(*calls.lock().unwrap(), order);
+    }
+
+    #[test]
+    fn one_job_never_starts_an_item_after_a_sink_error() {
+        let started = AtomicUsize::new(0);
+        let err = fan_out(
+            8,
+            1,
+            |i| started.fetch_add(1, Ordering::Relaxed) + i,
+            |i, _| if i == 2 { Err("sink full") } else { Ok(()) },
+        )
+        .unwrap_err();
+        assert_eq!(err, "sink full");
+        assert_eq!(started.load(Ordering::Relaxed), 3, "items 0..=2 only");
+    }
+
+    #[test]
+    #[should_panic(expected = "work item 1 blew up")]
+    fn one_job_propagates_a_work_panic() {
+        let _ = fan_out(
+            3,
+            1,
             |i| {
                 if i == 1 {
                     panic!("work item {i} blew up");

@@ -478,14 +478,10 @@ mod tests {
         .collect()
     }
 
-    fn sweep_hash(sc: &SweepConfig) -> u64 {
-        crate::cell::sweep_hash(&sc.cfg, sc.scale)
-    }
-
     /// A fresh journal path unique to `tag`.
     fn scratch_journal(tag: &str) -> PathBuf {
         let path =
-            std::env::temp_dir().join(format!("caba-test-{tag}-{:x}.txt", sweep_hash(&tiny_sc())));
+            std::env::temp_dir().join(format!("caba-test-{tag}-{:x}.txt", tiny_sc().sweep_hash()));
         let _ = std::fs::remove_file(&path);
         path
     }
@@ -512,7 +508,7 @@ mod tests {
         let mut tolerated = sc;
         tolerated.cfg.intra_jobs = 4;
         tolerated.cfg.checkpoint_interval = 500;
-        assert_eq!(sweep_hash(&sc), sweep_hash(&tolerated));
+        assert_eq!(sc.sweep_hash(), tolerated.sweep_hash());
     }
 
     /// Satellite pin: the resume journal, the durable store, and the
@@ -524,7 +520,7 @@ mod tests {
         let sc = tiny_sc();
         for cell in tiny_cells() {
             let spec = CellSpec::new(&sc, cell);
-            assert_eq!(sweep_hash(&sc), spec.sweep_hash());
+            assert_eq!(sc.sweep_hash(), spec.sweep_hash());
             // The pre-refactor formulas, spelled out literally.
             let legacy_sweep = checksum64(
                 format!("{:016x}|{:016x}", config_hash(&sc.cfg), sc.scale.to_bits()).as_bytes(),
@@ -541,6 +537,7 @@ mod tests {
             );
             assert_eq!(spec.sweep_hash(), legacy_sweep);
             assert_eq!(spec.content_hash(), legacy_cell);
+            assert_eq!(spec.content_hash_in(sc.sweep_hash()), legacy_cell);
         }
     }
 
