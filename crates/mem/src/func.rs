@@ -334,19 +334,6 @@ impl CompressionMap {
         self.lines.get(&base).and_then(|o| o.as_ref())
     }
 
-    /// The cached entry for the line containing `addr`, without computing:
-    /// `None` = never computed, `Some(None)` = computed and incompressible.
-    /// Overlay views use this to layer per-cycle deltas over the shared map.
-    pub fn peek(&self, addr: u64) -> Option<&Option<CompressedLine>> {
-        self.lines.get(&line_base(addr))
-    }
-
-    /// Installs a computed entry for the line containing `addr`, replacing
-    /// any cached form. Used when replaying per-cycle overlay deltas.
-    pub fn insert_cached(&mut self, addr: u64, c: Option<CompressedLine>) {
-        self.lines.insert(line_base(addr), c);
-    }
-
     /// DRAM bursts to transfer the line containing `addr` in compressed form.
     pub fn line_bursts(&mut self, mem: &FuncMem, addr: u64) -> u32 {
         match self.compressed(mem, addr) {
@@ -355,8 +342,10 @@ impl CompressionMap {
         }
     }
 
-    /// Invalidates the cached form of the line containing `addr` (call on
-    /// every store to the line).
+    /// Invalidates the cached form of the line containing `addr`. The
+    /// engine calls this from the end-of-cycle commit, for every line written
+    /// that cycle (see [`crate::overlay`]); code that stores to a [`FuncMem`]
+    /// directly calls it itself.
     pub fn invalidate(&mut self, addr: u64) {
         self.lines.remove(&line_base(addr));
     }

@@ -396,70 +396,6 @@ impl<T: SnapshotState> Crossbar<T> {
     }
 }
 
-/// Double-buffered per-source staging lanes in front of a [`Crossbar`].
-///
-/// The barrier-phased parallel engine lets each worker advance its slice of
-/// sources (SMs, or partitions on the response path) concurrently. Workers
-/// cannot inject into the crossbar directly: admission shares per-output
-/// queue capacity across sources and draws from a global fault-injection RNG
-/// stream, both of which are order-sensitive. Instead, every packet a source
-/// produces in cycle *t* is staged into that source's private lane — one
-/// lane per source, so no two workers ever touch the same lane — and the
-/// coordinator merges the lanes **in source-index order** at the cycle
-/// barrier, applying exactly the admission logic the serial loop would.
-///
-/// This staging is timing-equivalent to serial injection: [`Crossbar::try_push`]
-/// stamps `min_deliver_at = now + latency` with `latency ≥ 1`, so a packet
-/// produced in cycle *t* can never be observed before cycle *t+1* regardless
-/// of whether it was injected mid-phase (serial) or at the barrier (staged).
-#[derive(Debug)]
-pub struct IngressLanes<T> {
-    lanes: Vec<VecDeque<T>>,
-}
-
-impl<T> IngressLanes<T> {
-    /// Creates one empty lane per source.
-    pub fn new(n_src: usize) -> Self {
-        IngressLanes {
-            lanes: (0..n_src).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// Number of source lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True when every lane is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.is_empty())
-    }
-
-    /// The private lane of source `src`. Each worker may only touch the
-    /// lanes of the sources it owns.
-    pub fn lane_mut(&mut self, src: usize) -> &mut VecDeque<T> {
-        &mut self.lanes[src]
-    }
-
-    /// Pops the oldest staged packet of source `src` (merge step; called by
-    /// the coordinator in ascending `src` order).
-    pub fn take(&mut self, src: usize) -> Option<T> {
-        self.lanes[src].pop_front()
-    }
-
-    /// All lanes as a slice, for engines that pre-capture per-lane pointers
-    /// (each worker thread touches only the lanes of sources it owns).
-    pub fn as_mut_slice(&mut self) -> &mut [VecDeque<T>] {
-        &mut self.lanes
-    }
-}
-
-impl<T> Default for IngressLanes<T> {
-    fn default() -> Self {
-        IngressLanes { lanes: Vec::new() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

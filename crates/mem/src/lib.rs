@@ -34,9 +34,9 @@ pub mod overlay;
 pub use cache::{AccessOutcome, Cache, CacheGeometry, Eviction, Mshr};
 pub use dram::{DramChannel, DramConfig, DramRequest, DramStats};
 pub use func::{CompressionMap, FuncMem, LineCompressor};
-pub use icnt::{Crossbar, Flit, IngressLanes, PushError, PushErrorKind};
+pub use icnt::{Crossbar, Flit, PushError, PushErrorKind};
 pub use mdcache::MdCache;
-pub use overlay::{CmapDelta, MemDelta, SharedCmap, SharedMem};
+pub use overlay::{MemDelta, SharedMem};
 
 /// Cache line size used throughout the hierarchy (bytes).
 pub use caba_compress::LINE_SIZE;

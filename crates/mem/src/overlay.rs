@@ -1,49 +1,59 @@
-//! Deferred-visibility overlays for the barrier-phased parallel engine.
+//! The clocked end-of-cycle commit.
 //!
-//! When the cycle loop shards SMs across workers, every SM in cycle *t* must
-//! observe the same shared state: the start-of-cycle snapshot **plus its own
-//! writes** (assist-warp controllers read back lines they stored in the same
-//! cycle), and nothing from its neighbours. The overlay types here give each
-//! worker that view without copying the multi-megabyte functional memory:
+//! The cycle loop advances the SMs one after another, but the machine it
+//! models is clocked: in cycle *t* every SM observes the start-of-cycle
+//! memory **plus its own writes** (assist-warp controllers read back lines
+//! they stored in the same cycle), and nothing from its neighbours before
+//! *t + 1*. The types here give each SM that view without copying the
+//! multi-megabyte functional memory:
 //!
-//! * [`MemDelta`] — a per-SM write set over [`FuncMem`]: a line-granular
-//!   shadow for read-your-own-writes plus an ordered op log that the
-//!   coordinator replays into the real memory at the cycle barrier, in SM
-//!   index order. Replaying *ops* (not shadow lines) means two SMs writing
-//!   different bytes of the same line both land, in deterministic order.
+//! * [`MemDelta`] — the cycle's write set over [`FuncMem`]. Every line an
+//!   SM writes gets a shadow copy (start-of-cycle bytes patched with the
+//!   writes, plus a written-byte mask) on an ordered commit list. Ending the
+//!   SM's turn hides its lines from the next SM; after the last turn the
+//!   list is applied once, masked, in SM index order — so two SMs writing
+//!   different bytes of one line both land, and the later SM wins a byte
+//!   both wrote.
 //! * [`SharedMem`] — the read/write facade the execution engine uses:
-//!   `Direct` (serial phases, unit tests), `Frozen` (read-only snapshot for
-//!   the partition phase) or `Overlay` (SM phase).
-//! * [`CmapDelta`] / [`SharedCmap`] — same idea for the [`CompressionMap`].
-//!   The map is pure memoization (entries are recomputed lazily from line
-//!   bytes), so the commit rule is simple: replay each SM's invalidate/cache
-//!   ops in order, then blanket-invalidate every line written this cycle.
-//!
-//! The engine uses the overlay view for **every** `intra_jobs` setting,
-//! including 1, so `RunStats` are bit-identical across worker counts by
-//! construction rather than by a racy argument.
+//!   `Direct` (the fill phase, unit tests) or `Overlay` (the SM phase).
+//! * The [`CompressionMap`] is shared directly under one rule: a line in the
+//!   viewing SM's own shadow is compressed from the view and never cached;
+//!   every other line goes through the map
+//!   ([`CompressionMap::compressed_in`]); the commit invalidates every line
+//!   written that cycle ([`MemDelta::dirty_lines`]). The map is pure
+//!   memoization, so the rule is all it takes for every SM to get the
+//!   compressed form of exactly the bytes it sees.
 
-use crate::func::{lanes, le_get, le_put, pieces, CompressionMap, FuncMem, LineCompressor};
+use crate::func::{lanes, le_get, le_put, pieces, CompressionMap, FuncMem};
 use crate::{line_base, LINE_SIZE};
 use caba_compress::CompressedLine;
 use caba_stats::FxHashMap;
+use std::borrow::Cow;
 
-/// One logged write against the functional memory.
-#[derive(Debug, Clone)]
-enum MemOp {
-    /// `write_le(addr, n, val)` — covers all scalar widths.
-    Le { addr: u64, n: u8, val: u64 },
-    /// `load_image(addr, bytes)` — bulk copies (assist-warp payload moves).
-    Image { addr: u64, bytes: Vec<u8> },
+/// One line an SM wrote this cycle: the start-of-cycle bytes patched with
+/// its writes, and which bytes those are.
+#[derive(Debug)]
+struct ShadowLine {
+    base: u64,
+    bytes: [u8; LINE_SIZE],
+    written: u128,
 }
 
-/// A per-SM, per-cycle write set over a frozen [`FuncMem`] snapshot.
+const _: () = assert!(LINE_SIZE == 128, "one `written` bit per line byte");
+
+/// Bits `off..off + n` of a written-byte mask (`n` ≥ 1, inside the line).
+fn span(off: usize, n: usize) -> u128 {
+    (u128::MAX >> (LINE_SIZE - n)) << off
+}
+
+/// One cycle's write set over a start-of-cycle [`FuncMem`].
 #[derive(Debug, Default)]
 pub struct MemDelta {
-    // Line-granular shadow: snapshot bytes patched with this SM's writes.
+    /// The commit list: every (SM, line) written this cycle, in turn order.
+    lines: Vec<ShadowLine>,
+    /// Where in `lines` the current SM's shadow of a line is.
     // FxHash: consulted on the load path only while non-empty; never iterated.
-    shadow: FxHashMap<u64, [u8; LINE_SIZE]>,
-    log: Vec<MemOp>,
+    own: FxHashMap<u64, usize>,
 }
 
 impl MemDelta {
@@ -52,37 +62,44 @@ impl MemDelta {
         Self::default()
     }
 
-    /// True when no write has been logged this cycle.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
+    /// Ends the current SM's turn: its lines stay on the commit list, where
+    /// the next SM cannot see them.
+    pub fn end_turn(&mut self) {
+        self.own.clear();
     }
 
-    fn shadow_line<'a>(
-        shadow: &'a mut FxHashMap<u64, [u8; LINE_SIZE]>,
-        base: &FuncMem,
-        line: u64,
-    ) -> &'a mut [u8; LINE_SIZE] {
-        shadow.entry(line).or_insert_with(|| {
-            let mut buf = [0u8; LINE_SIZE];
-            base.read_line_into(line, &mut buf);
-            buf
-        })
+    /// The current SM's shadow of `line`, if it wrote the line this cycle.
+    fn own_line(&self, line: u64) -> Option<&[u8; LINE_SIZE]> {
+        self.own.get(&line).map(|&i| &self.lines[i].bytes)
+    }
+
+    fn shadow_line(&mut self, base: &FuncMem, line: u64) -> &mut ShadowLine {
+        let i = *self.own.entry(line).or_insert_with(|| {
+            let mut bytes = [0u8; LINE_SIZE];
+            base.read_line_into(line, &mut bytes);
+            self.lines.push(ShadowLine {
+                base: line,
+                bytes,
+                written: 0,
+            });
+            self.lines.len() - 1
+        });
+        &mut self.lines[i]
     }
 
     fn write_le(&mut self, base: &FuncMem, addr: u64, n: usize, v: u64) {
         // One shadow-line lookup per touched line (a ≤8-byte write touches
-        // at most two), not one per byte.
+        // at most two), not one per byte; a zero-width write touches none.
         for (a, i, run) in pieces(addr, n, LINE_SIZE) {
-            let line = Self::shadow_line(&mut self.shadow, base, line_base(a));
-            le_put(line, (a - line_base(a)) as usize, run, v >> (8 * i));
+            let off = (a - line_base(a)) as usize;
+            let line = self.shadow_line(base, line_base(a));
+            le_put(&mut line.bytes, off, run, v >> (8 * i));
+            line.written |= span(off, run);
         }
-        let n = n as u8;
-        self.log.push(MemOp::Le { addr, n, val: v });
     }
 
     /// Per-lane [`MemDelta::write_le`] in lane order, with one shadow-line
-    /// lookup per run of lanes on one line. Logs one op per lane, exactly as
-    /// the per-lane form does.
+    /// lookup per run of lanes on one line.
     fn write_lanes(&mut self, base: &FuncMem, n: usize, mask: u32, addrs: &[u64], vals: &[u64]) {
         let within = |a: u64| n != 0 && (a - line_base(a)) as usize + n <= LINE_SIZE;
         let mut rest = lanes(mask).peekable();
@@ -92,71 +109,60 @@ impl MemDelta {
                 continue;
             }
             let lb = line_base(addrs[first]);
-            let line = Self::shadow_line(&mut self.shadow, base, lb);
+            let line = self.shadow_line(base, lb);
             let mut lane = Some(first);
             while let Some(l) = lane {
-                le_put(line, (addrs[l] - lb) as usize, n, vals[l]);
-                let (addr, n, val) = (addrs[l], n as u8, vals[l]);
-                self.log.push(MemOp::Le { addr, n, val });
+                let off = (addrs[l] - lb) as usize;
+                le_put(&mut line.bytes, off, n, vals[l]);
+                line.written |= span(off, n);
                 lane = rest.next_if(|&l| within(addrs[l]) && line_base(addrs[l]) == lb);
             }
         }
     }
 
     fn load_image(&mut self, base: &FuncMem, addr: u64, bytes: &[u8]) {
-        // Copy line-sized runs into the shadow, one lookup per line.
         for (a, i, run) in pieces(addr, bytes.len(), LINE_SIZE) {
             let off = (a - line_base(a)) as usize;
-            let line = Self::shadow_line(&mut self.shadow, base, line_base(a));
-            line[off..off + run].copy_from_slice(&bytes[i..i + run]);
+            let line = self.shadow_line(base, line_base(a));
+            line.bytes[off..off + run].copy_from_slice(&bytes[i..i + run]);
+            line.written |= span(off, run);
         }
-        let bytes = bytes.to_vec();
-        self.log.push(MemOp::Image { addr, bytes });
     }
 
-    /// Replays the logged writes into `mem` and clears the delta. When
-    /// `dirty` is given, the base address of every written line is appended
-    /// (the engine blanket-invalidates those in the compression map).
-    pub fn commit(&mut self, mem: &mut FuncMem, mut dirty: Option<&mut Vec<u64>>) {
-        for op in self.log.drain(..) {
-            match op {
-                MemOp::Le { addr, n, val } => {
-                    mem.write_le(addr, n as usize, val);
-                    if let Some(d) = dirty.as_deref_mut() {
-                        d.push(line_base(addr));
-                        d.push(line_base(addr + n as u64 - 1));
-                    }
-                }
-                MemOp::Image { addr, bytes } => {
-                    if let Some(d) = dirty.as_deref_mut() {
-                        let mut l = line_base(addr);
-                        let end = addr + bytes.len() as u64;
-                        while l < end {
-                            d.push(l);
-                            l += LINE_SIZE as u64;
-                        }
-                    }
-                    mem.load_image(addr, &bytes);
-                }
+    /// Base address of every line on the commit list (one per writing SM, so
+    /// a line two SMs wrote appears twice). The engine invalidates these in
+    /// the compression map when it commits.
+    pub fn dirty_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lines.iter().map(|l| l.base)
+    }
+
+    /// Lands the written bytes of every line on the commit list in `mem`, in
+    /// list order, and clears the delta.
+    pub fn commit(&mut self, mem: &mut FuncMem) {
+        for l in self.lines.drain(..) {
+            let mut rest = l.written;
+            while rest != 0 {
+                let off = rest.trailing_zeros() as usize;
+                let run = (rest >> off).trailing_ones() as usize;
+                mem.load_image(l.base + off as u64, &l.bytes[off..off + run]);
+                rest &= !span(off, run);
             }
         }
-        self.shadow.clear();
+        self.own.clear();
     }
 }
 
-/// A view of the functional memory, parameterized by execution phase.
+/// A view of the functional memory, by execution phase.
 #[derive(Debug)]
 pub enum SharedMem<'a> {
-    /// Exclusive access (serial phases, unit tests): reads and writes go
+    /// Exclusive access (the fill phase, unit tests): reads and writes go
     /// straight to the underlying memory.
     Direct(&'a mut FuncMem),
-    /// Shared read-only snapshot (partition phase). Writes panic.
-    Frozen(&'a FuncMem),
-    /// Start-of-cycle snapshot plus this SM's own writes (SM phase).
+    /// Start-of-cycle memory plus this SM's own writes (SM phase).
     Overlay {
-        /// The frozen start-of-cycle memory.
+        /// The start-of-cycle memory.
         base: &'a FuncMem,
-        /// This SM's private write set.
+        /// The cycle's write set; this SM sees its own lines in it.
         delta: &'a mut MemDelta,
     },
 }
@@ -166,22 +172,21 @@ impl SharedMem<'_> {
     fn base(&self) -> &FuncMem {
         match self {
             SharedMem::Direct(m) => m,
-            SharedMem::Frozen(m) => m,
             SharedMem::Overlay { base, .. } => base,
         }
     }
 
     /// This SM's writes of the cycle so far, if it made any.
-    fn shadow(&self) -> Option<&FxHashMap<u64, [u8; LINE_SIZE]>> {
+    fn shadow(&self) -> Option<&MemDelta> {
         match self {
-            SharedMem::Overlay { delta, .. } if !delta.shadow.is_empty() => Some(&delta.shadow),
+            SharedMem::Overlay { delta, .. } if !delta.own.is_empty() => Some(delta),
             _ => None,
         }
     }
 
     /// The shadow copy of the line containing `addr`: one lookup.
     fn shadowed(&self, addr: u64) -> Option<&[u8; LINE_SIZE]> {
-        self.shadow()?.get(&line_base(addr))
+        self.shadow()?.own_line(line_base(addr))
     }
 
     /// Reads one byte.
@@ -221,12 +226,11 @@ impl SharedMem<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `n > 8`, or on a [`SharedMem::Frozen`] view.
+    /// Panics if `n > 8`.
     pub fn write_le(&mut self, addr: u64, n: usize, v: u64) {
         assert!(n <= 8, "write width {n} exceeds 8 bytes");
         match self {
             SharedMem::Direct(m) => m.write_le(addr, n, v),
-            SharedMem::Frozen(_) => panic!("write through a frozen memory view"),
             SharedMem::Overlay { base, delta } => delta.write_le(base, addr, n, v),
         }
     }
@@ -286,14 +290,9 @@ impl SharedMem<'_> {
     }
 
     /// Copies a byte slice into memory ("cudaMemcpy host→device").
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`SharedMem::Frozen`] view.
     pub fn load_image(&mut self, addr: u64, bytes: &[u8]) {
         match self {
             SharedMem::Direct(m) => m.load_image(addr, bytes),
-            SharedMem::Frozen(_) => panic!("write through a frozen memory view"),
             SharedMem::Overlay { base, delta } => delta.load_image(base, addr, bytes),
         }
     }
@@ -304,7 +303,7 @@ impl SharedMem<'_> {
         if let Some(shadow) = self.shadow() {
             // Patch this SM's shadowed lines over the snapshot bytes.
             for (a, i, run) in pieces(addr, len, LINE_SIZE) {
-                if let Some(l) = shadow.get(&line_base(a)) {
+                if let Some(l) = shadow.own_line(line_base(a)) {
                     let off = (a - line_base(a)) as usize;
                     out[i..i + run].copy_from_slice(&l[off..off + run]);
                 }
@@ -330,169 +329,19 @@ impl SharedMem<'_> {
     }
 }
 
-/// One logged operation against the compression map.
-#[derive(Debug, Clone)]
-enum CmapOp {
-    /// A store invalidated the cached form of this line base.
-    Invalidate(u64),
-    /// A lazy compute cached this form for this line base.
-    Cache(u64, Option<CompressedLine>),
-}
-
-/// Local (per-view) knowledge about one line's cached form.
-#[derive(Debug, Clone)]
-enum CmapLocal {
-    /// Invalidated this cycle; recompute on next query.
-    Invalid,
-    /// Computed this cycle from the view's bytes.
-    Cached(Option<CompressedLine>),
-}
-
-/// A per-worker, per-cycle delta over a frozen [`CompressionMap`].
-#[derive(Debug, Default)]
-pub struct CmapDelta {
-    // FxHash: per-cycle scratch, never iterated.
-    local: FxHashMap<u64, CmapLocal>,
-    log: Vec<CmapOp>,
-}
-
-impl CmapDelta {
-    /// Creates an empty delta.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replays the logged operations into `map` in order and clears the
-    /// delta. The compression map is pure memoization, so replaying each
-    /// worker's ops in worker-index order (then blanket-invalidating lines
-    /// written this cycle) reproduces the serial map exactly.
-    pub fn commit(&mut self, map: &mut CompressionMap) {
-        for op in self.log.drain(..) {
-            match op {
-                CmapOp::Invalidate(b) => map.invalidate(b),
-                CmapOp::Cache(b, c) => map.insert_cached(b, c),
-            }
-        }
-        self.local.clear();
-    }
-}
-
-/// A view of the compression map, parameterized by execution phase.
-#[derive(Debug)]
-pub enum SharedCmap<'a> {
-    /// Exclusive access (serial phases, unit tests).
-    Direct(&'a mut CompressionMap),
-    /// Frozen start-of-cycle map plus this worker's private delta.
-    Overlay {
-        /// The frozen start-of-cycle map.
-        base: &'a CompressionMap,
-        /// This worker's private delta.
-        delta: &'a mut CmapDelta,
-    },
-}
-
-impl SharedCmap<'_> {
-    /// The configured compressor choice.
-    pub fn compressor(&self) -> LineCompressor {
-        match self {
-            SharedCmap::Direct(m) => m.compressor(),
-            SharedCmap::Overlay { base, .. } => base.compressor(),
-        }
-    }
-
-    /// Applies `f` to the compressed form of the line containing `addr`,
-    /// computing and caching it (in the map or the delta) on first use.
-    /// Returns `None` when the line is incompressible.
-    fn with_compressed<R>(
+impl CompressionMap {
+    /// The compressed form of the line containing `addr` as `view` sees it
+    /// (`None` when incompressible). A line in the view's own shadow is
+    /// compressed from the view and never cached; every other line goes
+    /// through the map.
+    pub fn compressed_in(
         &mut self,
-        mem: &SharedMem<'_>,
+        view: &SharedMem<'_>,
         addr: u64,
-        f: impl FnOnce(&CompressedLine) -> R,
-    ) -> Option<R> {
-        let b = line_base(addr);
-        match self {
-            SharedCmap::Direct(map) => {
-                if map.peek(b).is_none() {
-                    let mut bytes = [0u8; LINE_SIZE];
-                    mem.read_line_into(b, &mut bytes);
-                    let c = map.compressor().compress_line(&bytes);
-                    map.insert_cached(b, c);
-                }
-                map.peek(b).and_then(|o| o.as_ref()).map(f)
-            }
-            SharedCmap::Overlay { base, delta } => {
-                if delta.local.is_empty() {
-                    // Fast path: nothing local this cycle, consult the
-                    // frozen base directly.
-                    if let Some(o) = base.peek(b) {
-                        return o.as_ref().map(f);
-                    }
-                } else {
-                    match delta.local.get(&b) {
-                        Some(CmapLocal::Cached(o)) => return o.as_ref().map(f),
-                        Some(CmapLocal::Invalid) => {}
-                        None => {
-                            if let Some(o) = base.peek(b) {
-                                return o.as_ref().map(f);
-                            }
-                        }
-                    }
-                }
-                let mut bytes = [0u8; LINE_SIZE];
-                mem.read_line_into(b, &mut bytes);
-                let c = base.compressor().compress_line(&bytes);
-                let r = c.as_ref().map(f);
-                delta.log.push(CmapOp::Cache(b, c.clone()));
-                delta.local.insert(b, CmapLocal::Cached(c));
-                r
-            }
-        }
-    }
-
-    /// Compressed size in bytes of the line containing `addr`, or `None`
-    /// when incompressible. Never clones the payload.
-    pub fn compressed_size(&mut self, mem: &SharedMem<'_>, addr: u64) -> Option<usize> {
-        self.with_compressed(mem, addr, |c| c.size_bytes())
-    }
-
-    /// A clone of the compressed form of the line containing `addr`.
-    pub fn compressed_clone(&mut self, mem: &SharedMem<'_>, addr: u64) -> Option<CompressedLine> {
-        self.with_compressed(mem, addr, |c| c.clone())
-    }
-
-    /// DRAM bursts to transfer the line containing `addr` in compressed form.
-    pub fn line_bursts(&mut self, mem: &SharedMem<'_>, addr: u64) -> u32 {
-        match self.with_compressed(mem, addr, |c| c.bursts() as u32) {
-            Some(b) => b,
-            None => (LINE_SIZE / caba_compress::BURST_BYTES) as u32,
-        }
-    }
-
-    /// Invalidates the cached form of the line containing `addr` (call on
-    /// every store to the line).
-    pub fn invalidate(&mut self, addr: u64) {
-        match self {
-            SharedCmap::Direct(map) => map.invalidate(addr),
-            SharedCmap::Overlay { delta, .. } => {
-                let b = line_base(addr);
-                delta.log.push(CmapOp::Invalidate(b));
-                delta.local.insert(b, CmapLocal::Invalid);
-            }
-        }
-    }
-
-    /// Mutable access to a cached compressed form (fault-injection only).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an overlay view: corruption happens in the serial fill
-    /// phase, which always runs with direct access.
-    pub fn cached_mut(&mut self, addr: u64) -> Option<&mut CompressedLine> {
-        match self {
-            SharedCmap::Direct(map) => map.cached_mut(addr),
-            SharedCmap::Overlay { .. } => {
-                panic!("fault injection must not corrupt through an overlay view")
-            }
+    ) -> Option<Cow<'_, CompressedLine>> {
+        match view.shadowed(addr) {
+            Some(bytes) => self.compressor().compress_line(bytes).map(Cow::Owned),
+            None => self.compressed(view.base(), addr).map(Cow::Borrowed),
         }
     }
 }
@@ -500,6 +349,7 @@ impl SharedCmap<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::func::LineCompressor;
     use caba_compress::Algorithm;
 
     fn seeded_mem() -> FuncMem {
@@ -531,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_replays_ops_and_reports_dirty_lines() {
+    fn commit_lands_writes_and_reports_dirty_lines() {
         let mut mem = seeded_mem();
         let mut delta = MemDelta::new();
         {
@@ -543,16 +393,24 @@ mod tests {
             view.load_image(256, &[1, 2, 3, 4]);
             // A write spanning a line boundary dirties both lines.
             view.write_u64(124, u64::MAX);
+            // A zero-width write dirties nothing and materialises no page:
+            // not its own line, not the line before, not the line below 0.
+            for addr in [0, 0x100, 0x400, 0x2000] {
+                view.write_le(addr, 0, u64::MAX);
+            }
+            view.write_lanes(0, 1, &[0x2000], &[u64::MAX]);
+            view.load_image(0x2000, &[]);
         }
-        let mut dirty = Vec::new();
-        delta.commit(&mut mem, Some(&mut dirty));
-        assert!(delta.is_empty());
+        let mut dirty: Vec<u64> = delta.dirty_lines().collect();
+        delta.commit(&mut mem);
+        assert_eq!(delta.dirty_lines().next(), None);
         assert_eq!(mem.read_u32(8), 42);
         assert_eq!(mem.read_bytes(256, 4), vec![1, 2, 3, 4]);
         assert_eq!(mem.read_u64(124), u64::MAX);
         dirty.sort_unstable();
         dirty.dedup();
         assert_eq!(dirty, vec![0, 128, 256]);
+        assert_eq!(mem.resident_pages(), 1);
     }
 
     #[test]
@@ -588,10 +446,12 @@ mod tests {
                 batched.read_bytes(4096 - 80, 300),
                 per_lane.read_bytes(4096 - 80, 300)
             );
-            let (mut dirty_batched, mut dirty_lane) = (Vec::new(), Vec::new());
-            d_batched.commit(&mut m_batched, Some(&mut dirty_batched));
-            d_lane.commit(&mut m_lane, Some(&mut dirty_lane));
-            assert_eq!(dirty_batched, dirty_lane, "mask {mask:#x}");
+            assert!(
+                d_batched.dirty_lines().eq(d_lane.dirty_lines()),
+                "mask {mask:#x}"
+            );
+            d_batched.commit(&mut m_batched);
+            d_lane.commit(&mut m_lane);
             assert_eq!(
                 m_batched.read_bytes(4096 - 80, 300),
                 m_lane.read_bytes(4096 - 80, 300)
@@ -601,81 +461,71 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_commits_merge_byte_writes_to_one_line() {
-        // Two deltas write different bytes of the same line; op replay must
-        // preserve both (a line-copy commit would clobber one).
+    fn turns_hide_writes_until_the_commit_merges_them_bytewise() {
+        // Two SMs write different bytes of one line and the same byte of
+        // another. Neither sees the other's write; the commit keeps both
+        // bytes of the first line (a whole-line copy would clobber one) and
+        // the later SM's byte of the second.
         let mut mem = FuncMem::new();
-        let mut d0 = MemDelta::new();
-        let mut d1 = MemDelta::new();
-        SharedMem::Overlay {
+        let mut delta = MemDelta::new();
+        let mut sm0 = SharedMem::Overlay {
             base: &mem,
-            delta: &mut d0,
-        }
-        .write_u8(0, 0xAA);
-        SharedMem::Overlay {
-            base: &mem,
-            delta: &mut d1,
-        }
-        .write_u8(1, 0xBB);
-        d0.commit(&mut mem, None);
-        d1.commit(&mut mem, None);
-        assert_eq!(mem.read_u8(0), 0xAA);
-        assert_eq!(mem.read_u8(1), 0xBB);
-    }
-
-    #[test]
-    fn frozen_view_reads_and_rejects_writes() {
-        let mem = seeded_mem();
-        let view = SharedMem::Frozen(&mem);
-        assert_eq!(view.read_u32(0), 0x100);
-        assert_eq!(view.read_line(0).len(), LINE_SIZE);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut v = SharedMem::Frozen(&mem);
-            v.write_u8(0, 1);
-        }));
-        assert!(r.is_err(), "frozen writes must panic");
-    }
-
-    #[test]
-    fn cmap_overlay_matches_direct_semantics() {
-        let mem = seeded_mem();
-        let mut map = CompressionMap::new(LineCompressor::Fixed(Algorithm::Bdi));
-        let mut direct_map = CompressionMap::new(LineCompressor::Fixed(Algorithm::Bdi));
-
-        let mut delta = CmapDelta::new();
-        let frozen = SharedMem::Frozen(&mem);
-        let mut view = SharedCmap::Overlay {
-            base: &map,
             delta: &mut delta,
         };
-        let via_overlay = view.compressed_size(&frozen, 0);
-        view.invalidate(0);
-        let recomputed = view.compressed_size(&frozen, 0);
-        delta.commit(&mut map);
-
-        let mut direct = SharedCmap::Direct(&mut direct_map);
-        let via_direct = direct.compressed_size(&frozen, 0);
-        assert_eq!(via_overlay, via_direct);
-        assert_eq!(recomputed, via_direct);
-        // After commit the real map holds the computed entry.
-        assert_eq!(
-            map.peek(0).and_then(|o| o.as_ref()).map(|c| c.size_bytes()),
-            via_direct
-        );
+        sm0.write_u8(0, 0xAA);
+        sm0.write_u8(128, 0x01);
+        delta.end_turn();
+        let mut sm1 = SharedMem::Overlay {
+            base: &mem,
+            delta: &mut delta,
+        };
+        assert_eq!(sm1.read_u8(0), 0, "another SM's same-cycle write leaked");
+        assert_eq!(sm1.read_line(128), vec![0; LINE_SIZE]);
+        sm1.write_u8(1, 0xBB);
+        sm1.write_u8(128, 0x02);
+        assert_eq!(sm1.read_u32(0), 0xBB00);
+        delta.end_turn();
+        delta.commit(&mut mem);
+        assert_eq!(mem.read_u32(0), 0xBBAA);
+        assert_eq!(mem.read_u8(128), 0x02);
     }
 
     #[test]
-    fn cmap_overlay_sees_base_entries_without_logging() {
-        let mem = seeded_mem();
+    fn own_shadow_lines_bypass_the_compression_map() {
+        let mut mem = seeded_mem();
         let mut map = CompressionMap::new(LineCompressor::Fixed(Algorithm::Bdi));
-        let direct_size = map.compressed(&mem, 0).map(|c| c.size_bytes());
-        let mut delta = CmapDelta::new();
-        let frozen = SharedMem::Frozen(&mem);
-        let mut view = SharedCmap::Overlay {
-            base: &map,
+        let mut delta = MemDelta::new();
+        let mut view = SharedMem::Overlay {
+            base: &mem,
             delta: &mut delta,
         };
-        assert_eq!(view.compressed_size(&frozen, 0), direct_size);
-        assert!(delta.log.is_empty(), "base hits must not be re-logged");
+        // Look-up, own write, look-up: the second sees the write.
+        let form = |map: &mut CompressionMap, view: &SharedMem<'_>, addr| {
+            map.compressed_in(view, addr).map(Cow::into_owned)
+        };
+        let before = form(&mut map, &view, 0);
+        assert!(before.is_some(), "seeded line compresses");
+        view.write_u64(64, 0x0123_4567_89AB_CDEF);
+        let line = view.read_line(0);
+        let after = form(&mut map, &view, 0);
+        assert_ne!(after, before, "the look-up ignored this SM's own store");
+        assert_eq!(after, Algorithm::Bdi.compress_line(&line));
+        // Nothing is cached for a shadowed line, whether the map had the
+        // line (0) or not (512: a one, then zeros).
+        view.write_u8(512, 1);
+        assert!(form(&mut map, &view, 512).is_some());
+        assert_eq!(map.cached_lines().collect::<Vec<_>>(), vec![0]);
+        // The next SM still gets the start-of-cycle form.
+        delta.end_turn();
+        let other = SharedMem::Overlay {
+            base: &mem,
+            delta: &mut delta,
+        };
+        assert_eq!(form(&mut map, &other, 0), before);
+        // The commit invalidates what was written, so from the next cycle
+        // every view gets the new form.
+        delta.dirty_lines().for_each(|l| map.invalidate(l));
+        delta.commit(&mut mem);
+        assert_eq!(form(&mut map, &SharedMem::Direct(&mut mem), 0), after);
     }
 }

@@ -39,8 +39,8 @@ pub mod http;
 use caba_stats::json::fmt_f64 as json_f64;
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
-    decode_result_payload, fan_out, figure_table_line, run_cell_stored, CellOutcome, CellResult,
-    CellSpec, DesignId, Figure, SweepConfig,
+    decode_result_payload, fan_out, figure_table_line, parse_positive, run_cell_stored,
+    CellOutcome, CellResult, CellSpec, DesignId, Figure, SweepConfig,
 };
 use http::{ChunkedWriter, Request};
 use std::collections::HashMap;
@@ -355,12 +355,6 @@ fn serve_cell(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
     }
     let cached = outcome.from_store || !led;
     (outcome, cached)
-}
-
-/// A finite, strictly positive number — the only kind the machine model
-/// accepts as a workload or bandwidth scale.
-fn parse_positive(s: &str) -> Option<f64> {
-    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
 }
 
 /// The sweep config for a request: the server's, with the `scale` query

@@ -2,7 +2,7 @@
 
 use caba_serve::{ServeOptions, Server};
 use caba_store::{FaultFs, FaultRates, Store};
-use caba_sweep::{host_cores, SweepConfig};
+use caba_sweep::{host_cores, parse_positive, SweepConfig};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -10,7 +10,6 @@ struct Args {
     addr: String,
     store_dir: Option<PathBuf>,
     jobs: usize,
-    intra_jobs: usize,
     scale: f64,
     bench_out: Option<PathBuf>,
     store_fault_seed: Option<u64>,
@@ -19,8 +18,8 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: caba-serve [--addr HOST:PORT] [--store-dir DIR] [--jobs N] [--intra-jobs N]\n\
-         \x20                 [--scale F] [--bench-out PATH]\n\
+        "usage: caba-serve [--addr HOST:PORT] [--store-dir DIR] [--jobs N] [--scale F]\n\
+         \x20                 [--bench-out PATH]\n\
          \x20                 [--store-fault-seed N [--store-fault-rate F]]\n\
          \n\
          Serve sweep/figure/cell simulations over HTTP. Cells are keyed by content\n\
@@ -32,10 +31,9 @@ fn usage() -> ! {
          \x20                  ephemeral port — the actual address is printed)\n\
          --store-dir DIR    durable content-addressed result store (shared with\n\
          \x20                  caba-sweep --store-dir)\n\
-         --jobs N           cell-level worker threads per figure request\n\
-         --intra-jobs N     worker threads inside each simulation\n\
+         --jobs N           cells simulated at once per figure request\n\
          --scale F          default workload scale when a request omits ?scale=\n\
-         \x20                  (default 0.25)\n\
+         \x20                  (finite and > 0; default 0.25)\n\
          --bench-out PATH   rewrite BENCH_serve.json after each figure request\n\
          --store-fault-seed N / --store-fault-rate F\n\
          \x20                  wrap the store in the deterministic fault injector\n\
@@ -59,7 +57,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:7199".to_string(),
         store_dir: None,
         jobs: host_cores(),
-        intra_jobs: 1,
         scale: 0.25,
         bench_out: None,
         store_fault_seed: None,
@@ -71,8 +68,13 @@ fn parse_args() -> Args {
             "--addr" => args.addr = parse_flag(&a, it.next()),
             "--store-dir" => args.store_dir = Some(parse_flag(&a, it.next())),
             "--jobs" => args.jobs = parse_flag(&a, it.next()),
-            "--intra-jobs" => args.intra_jobs = parse_flag(&a, it.next()),
-            "--scale" => args.scale = parse_flag(&a, it.next()),
+            "--scale" => {
+                let v: String = parse_flag(&a, it.next());
+                args.scale = parse_positive(&v).unwrap_or_else(|| {
+                    eprintln!("caba-serve: --scale must be a finite number > 0, got {v:?}\n");
+                    usage()
+                });
+            }
             "--bench-out" => args.bench_out = Some(parse_flag(&a, it.next())),
             "--store-fault-seed" => args.store_fault_seed = Some(parse_flag(&a, it.next())),
             "--store-fault-rate" => args.store_fault_rate = parse_flag(&a, it.next()),
@@ -83,8 +85,8 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.jobs == 0 || args.intra_jobs == 0 || args.scale <= 0.0 {
-        eprintln!("caba-serve: --jobs/--intra-jobs must be nonzero and --scale positive\n");
+    if args.jobs == 0 {
+        eprintln!("caba-serve: --jobs must be nonzero\n");
         usage();
     }
     args
@@ -110,17 +112,16 @@ fn main() {
         })
     });
 
-    let mut sc = SweepConfig {
+    let sc = SweepConfig {
         scale: args.scale,
         ..SweepConfig::default()
     };
-    sc.cfg.intra_jobs = args.intra_jobs;
 
     let server = Server::start(
         &args.addr,
         ServeOptions {
             sc,
-            jobs: (args.jobs / args.intra_jobs).max(1),
+            jobs: args.jobs,
             store,
             bench_out: args.bench_out,
         },

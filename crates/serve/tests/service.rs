@@ -407,9 +407,23 @@ fn serve_binary_prints_usage_and_rejects_bad_flags() {
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(usage.contains("--store-dir"), "{usage}");
 
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_caba-serve"))
-        .args(["--jobs", "0"])
-        .output()
-        .expect("caba-serve binary runs");
-    assert_eq!(out.status.code(), Some(2), "bad flags exit with usage");
+    // `--addr :0` so that a flag this test expects to be refused, but which
+    // a regression accepts, binds no fixed port.
+    for bad in [
+        ["--jobs", "0"],
+        ["--scale", "nan"],
+        ["--scale", "0"],
+        ["--scale", "-1"],
+        ["--scale", "inf"],
+        ["--intra-jobs", "2"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_caba-serve"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(bad)
+            .output()
+            .expect("caba-serve binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bad:?} exits with usage");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(bad[0] != "--scale" || stderr.contains(&format!("{:?}", bad[1])));
+    }
 }

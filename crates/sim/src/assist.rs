@@ -11,8 +11,10 @@
 
 use caba_compress::{Algorithm, CompressedLine};
 use caba_isa::{Program, Reg};
-use caba_mem::{line_base, SharedCmap, SharedMem, LINE_SIZE};
+use caba_mem::{line_base, CompressionMap, FuncMem, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
+use caba_stats::FxHashMap;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -113,15 +115,15 @@ pub enum AssistOutcome {
 
 /// Mutable services the SM exposes to the controller during callbacks.
 ///
-/// All shared state is reached through phase-aware views ([`SharedMem`] and
-/// friends): during the parallel SM phase these are overlays (start-of-cycle
-/// snapshot plus this SM's own writes), during serial phases they are direct.
-/// Controller code is identical either way.
+/// Memory and the line store are reached through phase-aware views
+/// ([`SharedMem`], [`SharedLineStore`]): overlays during the SM phase
+/// (start-of-cycle state plus this SM's own writes), direct during the fill
+/// phase. Controller code is identical either way.
 pub struct SmServices<'a, 'm> {
     /// Functional global memory (staging regions live here too).
     pub mem: &'a mut SharedMem<'m>,
     /// The reference compression map (present on compressed designs).
-    pub cmap: Option<&'a mut SharedCmap<'m>>,
+    pub cmap: Option<&'a mut CompressionMap>,
     /// Per-line stored forms.
     pub line_store: &'a mut SharedLineStore<'m>,
     /// Base address of this SM's staging region (assist-warp scratch).
@@ -148,10 +150,9 @@ pub trait AssistController {
     /// An assist warp with `tag` ran to completion.
     fn on_assist_complete(&mut self, tag: u64, svc: &mut SmServices<'_, '_>) -> AssistOutcome;
 
-    /// A fresh controller with the same policy but no per-run state, for the
-    /// per-SM controller instances the barrier-phased engine hands each
-    /// worker. Tags and slot addresses are per-SM namespaces, so forked
-    /// controllers behave identically to one shared instance.
+    /// A fresh controller with the same policy but no per-run state: every
+    /// SM gets its own instance, since tags and slot addresses are per-SM
+    /// namespaces.
     fn fork(&self) -> Box<dyn AssistController + Send>;
 
     /// Registers each enabled helper routine adds to the per-block
@@ -195,6 +196,16 @@ pub enum StoredForm {
     Compressed(CompressedLine),
 }
 
+impl StoredForm {
+    /// Bytes the line occupies in this form.
+    pub fn size_bytes(&self) -> usize {
+        match self {
+            StoredForm::Raw => LINE_SIZE,
+            StoredForm::Compressed(c) => c.size_bytes(),
+        }
+    }
+}
+
 /// Tracks the stored form of every line that deviates from the lazily
 /// computed reference form (initial data is software-pre-compressed per
 /// §4.3.1; CABA writebacks override with whatever the assist warp produced).
@@ -209,21 +220,13 @@ impl LineStore {
         Self::default()
     }
 
-    /// Records that `addr`'s line is stored raw.
-    pub fn set_raw(&mut self, addr: u64) {
-        self.overrides.insert(line_base(addr), StoredForm::Raw);
-    }
-
-    /// Records an explicit compressed form for `addr`'s line.
-    pub fn set_compressed(&mut self, addr: u64, line: CompressedLine) {
-        self.overrides
-            .insert(line_base(addr), StoredForm::Compressed(line));
-    }
-
-    /// Forgets any override for `addr`'s line (falls back to the reference
-    /// map).
-    pub fn clear(&mut self, addr: u64) {
-        self.overrides.remove(&line_base(addr));
+    /// Sets (`Some`) or forgets (`None`) the override for line base `line`.
+    /// Callers go through a [`SharedLineStore`] view.
+    fn set(&mut self, line: u64, form: Option<StoredForm>) {
+        match form {
+            Some(f) => self.overrides.insert(line, f),
+            None => self.overrides.remove(&line),
+        };
     }
 
     /// The explicit override for `addr`'s line, if any.
@@ -234,6 +237,22 @@ impl LineStore {
     /// Number of explicit overrides (diagnostics).
     pub fn overrides(&self) -> usize {
         self.overrides.len()
+    }
+
+    /// Size in bytes of `addr`'s line as stored (consulting the override,
+    /// then the reference map over `mem`).
+    pub fn stored_size(
+        &self,
+        mem: &FuncMem,
+        cmap: Option<&mut CompressionMap>,
+        addr: u64,
+    ) -> usize {
+        match self.override_for(addr) {
+            Some(form) => form.size_bytes(),
+            None => cmap
+                .and_then(|map| map.compressed(mem, addr))
+                .map_or(LINE_SIZE, |c| c.size_bytes()),
+        }
     }
 }
 
@@ -300,21 +319,18 @@ impl SnapshotState for LineStore {
     }
 }
 
-/// One logged operation against the line store.
-#[derive(Debug, Clone)]
-enum LsOp {
-    SetRaw(u64),
-    SetCompressed(u64, CompressedLine),
-    Clear(u64),
-}
-
-/// A per-SM, per-cycle delta over a frozen [`LineStore`], replayed by the
-/// coordinator at the cycle barrier in SM index order.
+/// One cycle's changes to a [`LineStore`]: the same clocked commit as
+/// [`caba_mem::MemDelta`]. Each SM sees the start-of-cycle store plus its own
+/// changes; ending its turn hides them from the next SM; after the last turn
+/// the list is applied once, in SM index order.
 #[derive(Debug, Default)]
 pub struct LineStoreDelta {
-    // line base -> local override state; `Some(None)` = cleared this cycle.
-    local: HashMap<u64, Option<StoredForm>>,
-    log: Vec<LsOp>,
+    /// The commit list: `(line base, override)` per (SM, line) touched this
+    /// cycle, in turn order; `None` = cleared.
+    pending: Vec<(u64, Option<StoredForm>)>,
+    /// Where in `pending` the current SM's entry for a line is.
+    // FxHash: per-cycle scratch, never iterated.
+    own: FxHashMap<u64, usize>,
 }
 
 impl LineStoreDelta {
@@ -323,31 +339,41 @@ impl LineStoreDelta {
         Self::default()
     }
 
-    /// Replays logged operations into `store` in order and clears the delta.
-    pub fn commit(&mut self, store: &mut LineStore) {
-        for op in self.log.drain(..) {
-            match op {
-                LsOp::SetRaw(b) => store.set_raw(b),
-                LsOp::SetCompressed(b, c) => store.set_compressed(b, c),
-                LsOp::Clear(b) => store.clear(b),
+    /// Ends the current SM's turn: its changes stay on the commit list,
+    /// where the next SM cannot see them.
+    pub fn end_turn(&mut self) {
+        self.own.clear();
+    }
+
+    fn set(&mut self, line: u64, form: Option<StoredForm>) {
+        match self.own.get(&line) {
+            Some(&i) => self.pending[i].1 = form,
+            None => {
+                self.own.insert(line, self.pending.len());
+                self.pending.push((line, form));
             }
         }
-        self.local.clear();
+    }
+
+    /// Applies the commit list to `store` in order and clears the delta.
+    pub fn commit(&mut self, store: &mut LineStore) {
+        for (line, form) in self.pending.drain(..) {
+            store.set(line, form);
+        }
+        self.own.clear();
     }
 }
 
-/// A view of the line store, parameterized by execution phase.
+/// A view of the line store, by execution phase.
 #[derive(Debug)]
 pub enum SharedLineStore<'a> {
-    /// Exclusive access (serial phases, unit tests).
+    /// Exclusive access (the fill phase, unit tests).
     Direct(&'a mut LineStore),
-    /// Shared read-only snapshot (partition phase). Writes panic.
-    Frozen(&'a LineStore),
-    /// Frozen start-of-cycle store plus this SM's private delta.
+    /// Start-of-cycle store plus this SM's own changes (SM phase).
     Overlay {
-        /// The frozen start-of-cycle store.
+        /// The start-of-cycle store.
         base: &'a LineStore,
-        /// This SM's private delta.
+        /// The cycle's changes; this SM sees its own in it.
         delta: &'a mut LineStoreDelta,
     },
 }
@@ -357,69 +383,49 @@ impl SharedLineStore<'_> {
     pub fn override_for(&self, addr: u64) -> Option<&StoredForm> {
         match self {
             SharedLineStore::Direct(ls) => ls.override_for(addr),
-            SharedLineStore::Frozen(ls) => ls.override_for(addr),
-            SharedLineStore::Overlay { base, delta } => match delta.local.get(&line_base(addr)) {
-                Some(local) => local.as_ref(),
+            SharedLineStore::Overlay { base, delta } => match delta.own.get(&line_base(addr)) {
+                Some(&i) => delta.pending[i].1.as_ref(),
                 None => base.override_for(addr),
             },
         }
     }
 
+    fn set(&mut self, addr: u64, form: Option<StoredForm>) {
+        match self {
+            SharedLineStore::Direct(ls) => ls.set(line_base(addr), form),
+            SharedLineStore::Overlay { delta, .. } => delta.set(line_base(addr), form),
+        }
+    }
+
     /// Records that `addr`'s line is stored raw.
     pub fn set_raw(&mut self, addr: u64) {
-        let b = line_base(addr);
-        match self {
-            SharedLineStore::Direct(ls) => ls.set_raw(b),
-            SharedLineStore::Frozen(_) => panic!("write through a frozen line-store view"),
-            SharedLineStore::Overlay { delta, .. } => {
-                delta.log.push(LsOp::SetRaw(b));
-                delta.local.insert(b, Some(StoredForm::Raw));
-            }
-        }
+        self.set(addr, Some(StoredForm::Raw));
     }
 
     /// Records an explicit compressed form for `addr`'s line.
     pub fn set_compressed(&mut self, addr: u64, line: CompressedLine) {
-        let b = line_base(addr);
-        match self {
-            SharedLineStore::Direct(ls) => ls.set_compressed(b, line),
-            SharedLineStore::Frozen(_) => panic!("write through a frozen line-store view"),
-            SharedLineStore::Overlay { delta, .. } => {
-                delta.log.push(LsOp::SetCompressed(b, line.clone()));
-                delta.local.insert(b, Some(StoredForm::Compressed(line)));
-            }
-        }
+        self.set(addr, Some(StoredForm::Compressed(line)));
     }
 
     /// Forgets any override for `addr`'s line (falls back to the reference
     /// map).
     pub fn clear(&mut self, addr: u64) {
-        let b = line_base(addr);
-        match self {
-            SharedLineStore::Direct(ls) => ls.clear(b),
-            SharedLineStore::Frozen(_) => panic!("write through a frozen line-store view"),
-            SharedLineStore::Overlay { delta, .. } => {
-                delta.log.push(LsOp::Clear(b));
-                delta.local.insert(b, None);
-            }
-        }
+        self.set(addr, None);
     }
 
     /// Size in bytes of `addr`'s line as stored (consulting the override,
-    /// then the reference map).
+    /// then the reference map as `mem` sees the line).
     pub fn stored_size(
         &self,
         mem: &SharedMem<'_>,
-        cmap: Option<&mut SharedCmap<'_>>,
+        cmap: Option<&mut CompressionMap>,
         addr: u64,
     ) -> usize {
         match self.override_for(addr) {
-            Some(StoredForm::Raw) => LINE_SIZE,
-            Some(StoredForm::Compressed(c)) => c.size_bytes(),
-            None => match cmap {
-                Some(map) => map.compressed_size(mem, addr).unwrap_or(LINE_SIZE),
-                None => LINE_SIZE,
-            },
+            Some(form) => form.size_bytes(),
+            None => cmap
+                .and_then(|map| map.compressed_in(mem, addr))
+                .map_or(LINE_SIZE, |c| c.size_bytes()),
         }
     }
 
@@ -428,13 +434,15 @@ impl SharedLineStore<'_> {
     pub fn stored_compressed(
         &self,
         mem: &SharedMem<'_>,
-        cmap: Option<&mut SharedCmap<'_>>,
+        cmap: Option<&mut CompressionMap>,
         addr: u64,
     ) -> Option<CompressedLine> {
         match self.override_for(addr) {
             Some(StoredForm::Raw) => None,
             Some(StoredForm::Compressed(c)) => Some(c.clone()),
-            None => cmap.and_then(|map| map.compressed_clone(mem, addr)),
+            None => cmap
+                .and_then(|map| map.compressed_in(mem, addr))
+                .map(Cow::into_owned),
         }
     }
 }
@@ -442,7 +450,7 @@ impl SharedLineStore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caba_mem::{CompressionMap, FuncMem, LineCompressor};
+    use caba_mem::LineCompressor;
 
     #[test]
     fn line_store_override_precedence() {
@@ -453,25 +461,21 @@ mod tests {
         }
         let mut cmap = CompressionMap::new(LineCompressor::Fixed(Algorithm::Bdi));
         let mut store = LineStore::new();
-        let mem_view = SharedMem::Frozen(&mem);
-        let mut cmap_view = SharedCmap::Direct(&mut cmap);
+        let mem_view = SharedMem::Direct(&mut mem);
         let mut view = SharedLineStore::Direct(&mut store);
 
         // No override: reference size (< 128).
-        let s = view.stored_size(&mem_view, Some(&mut cmap_view), 0);
+        let s = view.stored_size(&mem_view, Some(&mut cmap), 0);
         assert!(s < LINE_SIZE);
         assert!(view
-            .stored_compressed(&mem_view, Some(&mut cmap_view), 0)
+            .stored_compressed(&mem_view, Some(&mut cmap), 0)
             .is_some());
 
         // Raw override wins.
         view.set_raw(5); // same line
-        assert_eq!(
-            view.stored_size(&mem_view, Some(&mut cmap_view), 0),
-            LINE_SIZE
-        );
+        assert_eq!(view.stored_size(&mem_view, Some(&mut cmap), 0), LINE_SIZE);
         assert!(view
-            .stored_compressed(&mem_view, Some(&mut cmap_view), 0)
+            .stored_compressed(&mem_view, Some(&mut cmap), 0)
             .is_none());
 
         // Explicit compressed override wins over both.
@@ -482,23 +486,27 @@ mod tests {
             original_len: LINE_SIZE,
         };
         view.set_compressed(0, c.clone());
-        assert_eq!(view.stored_size(&mem_view, Some(&mut cmap_view), 0), 40);
+        assert_eq!(view.stored_size(&mem_view, Some(&mut cmap), 0), 40);
         assert_eq!(
-            view.stored_compressed(&mem_view, Some(&mut cmap_view), 0),
+            view.stored_compressed(&mem_view, Some(&mut cmap), 0),
             Some(c)
         );
 
-        view.clear(0);
+        // The partition's read-only path agrees, with and without override.
+        assert_eq!(store.stored_size(&mem, Some(&mut cmap), 0), 40);
+        SharedLineStore::Direct(&mut store).clear(0);
         assert_eq!(store.overrides(), 0);
         assert!(store.override_for(0).is_none());
+        assert_eq!(store.stored_size(&mem, Some(&mut cmap), 0), s);
     }
 
     #[test]
     fn no_cmap_means_raw() {
-        let mem = FuncMem::new();
-        let store = LineStore::new();
-        let mem_view = SharedMem::Frozen(&mem);
-        let view = SharedLineStore::Frozen(&store);
+        let mut mem = FuncMem::new();
+        let mut store = LineStore::new();
+        assert_eq!(store.stored_size(&mem, None, 0), LINE_SIZE);
+        let mem_view = SharedMem::Direct(&mut mem);
+        let view = SharedLineStore::Direct(&mut store);
         assert_eq!(view.stored_size(&mem_view, None, 0), LINE_SIZE);
         assert!(view.stored_compressed(&mem_view, None, 0).is_none());
     }
@@ -506,7 +514,7 @@ mod tests {
     #[test]
     fn line_store_overlay_defers_until_commit() {
         let mut store = LineStore::new();
-        store.set_raw(0);
+        SharedLineStore::Direct(&mut store).set_raw(0);
         let mut delta = LineStoreDelta::new();
         {
             let mut view = SharedLineStore::Overlay {
@@ -520,11 +528,20 @@ mod tests {
             view.set_raw(128);
             assert_eq!(view.override_for(128), Some(&StoredForm::Raw));
         }
+        // The next SM sees neither change; the later SM wins line 128.
+        delta.end_turn();
+        let mut next = SharedLineStore::Overlay {
+            base: &store,
+            delta: &mut delta,
+        };
+        assert_eq!(next.override_for(0), Some(&StoredForm::Raw));
+        assert_eq!(next.override_for(128), None);
+        next.set_raw(128);
+        next.clear(128);
         // Base untouched until commit.
         assert_eq!(store.override_for(0), Some(&StoredForm::Raw));
         assert_eq!(store.override_for(128), None);
         delta.commit(&mut store);
-        assert_eq!(store.override_for(0), None);
-        assert_eq!(store.override_for(128), Some(&StoredForm::Raw));
+        assert_eq!(store.overrides(), 0);
     }
 }

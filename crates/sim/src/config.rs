@@ -100,9 +100,14 @@ pub struct GpuConfig {
     /// — no setting here may change timing — and fully off by default, so
     /// the cycle loop pays nothing unless asked.
     pub observability: ObservabilityConfig,
-    /// Worker threads sharding the per-cycle SM / memory-partition loops
-    /// (the barrier-phased engine). 1 = serial. Results are bit-identical
-    /// for any value; this knob trades wall-clock for cores.
+    /// Inert: nothing reads it. It once set the worker-thread count of a
+    /// threaded cycle engine that never measured faster than this serial
+    /// one and is gone (EXPERIMENTS.md "Intra-run sharding: the verdict").
+    /// The field stays, canonicalized to 1 in
+    /// [`crate::snapshot::config_hash`], because that hash covers the
+    /// `Debug` text of this whole struct — dropping the field would re-key
+    /// every stored result, journal and snapshot — and because the repo's
+    /// benchmark still assigns it.
     pub intra_jobs: usize,
     /// Take a rolling in-memory machine snapshot every N cycles during
     /// `Gpu::run` (0 disables). Record-only — snapshots never change timing
@@ -241,7 +246,6 @@ impl GpuConfig {
             });
         }
         nonzero("num_channels", self.num_channels)?;
-        nonzero("intra_jobs", self.intra_jobs)?;
         nonzero("warps_per_sm", self.warps_per_sm)?;
         nonzero("max_blocks_per_sm", self.max_blocks_per_sm)?;
         nonzero("schedulers_per_sm", self.schedulers_per_sm)?;

@@ -592,8 +592,8 @@ mod differential {
                         delta: &mut d_old,
                     },
                 );
-                d_new.commit(&mut m_new, None);
-                d_old.commit(&mut m_old, None);
+                d_new.commit(&mut m_new);
+                d_old.commit(&mut m_old);
             }
             assert_eq!(m_new.resident_pages(), m_old.resident_pages());
             assert!(image(&m_new) == image(&m_old), "memory differs");

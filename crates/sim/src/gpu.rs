@@ -2,21 +2,18 @@
 //! dispatcher, and the simulation integrity layer (forward-progress
 //! watchdog, structural invariant audits, hang forensics).
 
-use crate::assist::{LineStore, SharedLineStore};
+use crate::assist::{LineStore, LineStoreDelta, SharedLineStore};
 use crate::config::{ConfigError, Design, GpuConfig};
 use crate::fault::{stream, FaultInjector, FaultMode};
 use crate::integrity::{Component, HangReport, Violation};
-use crate::mempart::{PartReq, PartResp, Partition};
+use crate::mempart::{PartReq, PartResp, Partition, SizeOracle};
 use crate::observe::{sim_metrics_schema, ObservabilityConfig, TraceConfig};
-use crate::shard::{self, PhaseCtl, QuitGuard, ShardPtrs, SmDelta, PHASE_PART, PHASE_SM};
-use crate::sm::{OutReq, SharedState, Sm};
+use crate::sm::{SharedState, Sm};
 use crate::snapshot::{self, RestoreError};
 use crate::stats::RunStats;
 use crate::trace::{ActivityTrace, Sample, TraceEvent, TraceEventKind, Tracer};
 use caba_isa::{Kernel, Program};
-use caba_mem::{
-    CmapDelta, CompressionMap, Crossbar, FuncMem, IngressLanes, SharedCmap, SharedMem, LINE_SIZE,
-};
+use caba_mem::{CompressionMap, Crossbar, FuncMem, MemDelta, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{FxHashMap, MetricsLevel, MetricsSnapshot, StallKind};
 use std::fmt;
@@ -123,19 +120,14 @@ pub struct Gpu {
     cmap: Option<CompressionMap>,
     line_store: LineStore,
     sms: Vec<Sm>,
-    /// Per-SM design forks (CABA controllers are per-SM state machines; the
-    /// barrier-phased engine hands each worker exclusive instances).
+    /// Per-SM design forks: CABA controllers are per-SM state machines
+    /// (assist tags and staging slots are per-SM namespaces).
     sm_designs: Vec<Design>,
-    /// Per-SM deferred-visibility deltas (parallel SM phase only).
-    sm_deltas: Vec<SmDelta>,
+    /// The SM phase's writes to `mem` and `line_store`, held back until the
+    /// end-of-cycle commit. Empty at every cycle boundary.
+    mem_delta: MemDelta,
+    ls_delta: LineStoreDelta,
     parts: Vec<Partition>,
-    /// Per-partition compression-map overlays (parallel partition phase).
-    part_deltas: Vec<CmapDelta>,
-    /// Double-buffered crossbar ingress: requests staged per-SM during the
-    /// SM phase, merged into `xbar_fwd` in SM index order at the barrier.
-    fwd_lanes: IngressLanes<OutReq>,
-    /// Responses staged per-partition, merged in partition index order.
-    rsp_lanes: IngressLanes<PartResp>,
     xbar_fwd: Crossbar<PartReq>,
     xbar_rsp: Crossbar<PartResp>,
     now: u64,
@@ -156,9 +148,6 @@ pub struct Gpu {
     /// the same totals; architectural state never depends on them.
     cycles_skipped: u64,
     skip_events: u64,
-    /// Reusable dirty-line scratch for `commit_sm_deltas` — avoids a heap
-    /// allocation on every cycle with memory writes.
-    dirty_scratch: Vec<u64>,
     /// CTA dispatch cursor. Lives on the machine (not the run loop) so a
     /// restored snapshot resumes dispatch exactly where it left off.
     next_cta: u32,
@@ -200,13 +189,11 @@ impl Gpu {
             line_store: LineStore::new(),
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg)).collect(),
             sm_designs: (0..cfg.num_sms).map(|_| design.fork()).collect(),
-            sm_deltas: (0..cfg.num_sms).map(|_| SmDelta::default()).collect(),
+            mem_delta: MemDelta::new(),
+            ls_delta: LineStoreDelta::new(),
             parts: (0..cfg.num_channels)
                 .map(|i| Partition::new(i, cfg, with_md))
                 .collect(),
-            part_deltas: (0..cfg.num_channels).map(|_| CmapDelta::new()).collect(),
-            fwd_lanes: IngressLanes::new(cfg.num_sms),
-            rsp_lanes: IngressLanes::new(cfg.num_channels),
             xbar_fwd: Crossbar::new(cfg.num_sms, cfg.num_channels, cfg.icnt_latency),
             xbar_rsp: Crossbar::new(cfg.num_channels, cfg.num_sms, cfg.icnt_latency),
             now: 0,
@@ -219,7 +206,6 @@ impl Gpu {
             flit_retransmissions: 0,
             cycles_skipped: 0,
             skip_events: 0,
-            dirty_scratch: Vec::new(),
             next_cta: 0,
             run_start: 0,
             last_checkpoint: None,
@@ -260,8 +246,7 @@ impl Gpu {
     /// registry exists and nothing was recorded). At `Counters` the snapshot
     /// holds only export-time entries derived from `stats`; at `Full` it
     /// additionally carries the per-event shard values (assist spawn/retire
-    /// counts, occupancy high-water marks) merged across SMs in index order,
-    /// so the result is bit-identical for any `intra_jobs`.
+    /// counts, occupancy high-water marks) merged across SMs in index order.
     pub fn metrics_snapshot(&self, stats: &RunStats) -> Option<MetricsSnapshot> {
         let level = self.cfg.observability.metrics;
         if !level.enabled() {
@@ -514,11 +499,10 @@ impl Gpu {
             trace: Some(TraceConfig::full(1)),
             metrics: MetricsLevel::Off,
         };
-        // Replay serially and without taking further checkpoints. Both
-        // knobs (like observability) are outside the config hash, and both
-        // are record-only: the replayed window is bit-identical to the
-        // original run, which is exactly what makes the trace evidence.
-        cfg.intra_jobs = 1;
+        // Replay without taking further checkpoints. The knob (like
+        // observability) is outside the config hash and record-only: the
+        // replayed window is bit-identical to the original run, which is
+        // exactly what makes the trace evidence.
         cfg.checkpoint_interval = 0;
         let mut replay = Gpu::try_new(cfg, self.design.fork()).ok()?;
         replay.restore(kernel, bytes).ok()?;
@@ -538,35 +522,9 @@ impl Gpu {
         Some(path.display().to_string())
     }
 
-    /// Raw pointers into the shardable state, captured once per run. The
-    /// vectors behind these pointers are never resized while a run is in
-    /// flight.
-    fn shard_ptrs(&mut self) -> ShardPtrs {
-        ShardPtrs {
-            mem: &mut self.mem,
-            cmap: &mut self.cmap,
-            line_store: &mut self.line_store,
-            sms: self.sms.as_mut_ptr(),
-            num_sms: self.sms.len(),
-            sm_designs: self.sm_designs.as_mut_ptr(),
-            sm_deltas: self.sm_deltas.as_mut_ptr(),
-            fwd_lanes: self.fwd_lanes.as_mut_slice().as_mut_ptr(),
-            parts: self.parts.as_mut_ptr(),
-            num_parts: self.parts.len(),
-            part_deltas: self.part_deltas.as_mut_ptr(),
-            rsp_lanes: self.rsp_lanes.as_mut_slice().as_mut_ptr(),
-            mem_compressed: self.design.mem_compressed(),
-            icnt_compressed: self.design.icnt_compressed(),
-        }
-    }
-
-    /// Runs `kernel` to completion (or `max_cycles`).
-    ///
-    /// With [`GpuConfig::intra_jobs`] > 1 the per-cycle SM and
-    /// memory-partition loops are sharded over that many worker threads
-    /// (see the [`crate::shard`] module docs for the phase structure and
-    /// the determinism argument). [`RunStats`] are bit-identical for any
-    /// worker count.
+    /// Runs `kernel` to completion (or `max_cycles`) on the calling thread.
+    /// The run is a pure function of the machine state, the configuration
+    /// and the kernel: [`RunStats`] are bit-identical from run to run.
     ///
     /// # Errors
     ///
@@ -582,7 +540,7 @@ impl Gpu {
         self.last_checkpoint = None;
         self.cycles_skipped = 0;
         self.skip_events = 0;
-        self.run_phases(kernel, max_cycles)
+        self.run_loop(kernel, max_cycles)
     }
 
     /// Continues a run — typically after [`Gpu::restore`], or after
@@ -596,38 +554,11 @@ impl Gpu {
     ///
     /// As [`Gpu::run`].
     pub fn resume(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
-        self.run_phases(kernel, max_cycles)
+        self.run_loop(kernel, max_cycles)
     }
 
-    fn run_phases(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
-        // More workers than SMs would own empty shards: clamp.
-        let jobs = self.cfg.intra_jobs.min(self.cfg.num_sms).max(1);
-        let ptrs = self.shard_ptrs();
-        if jobs == 1 {
-            return self.run_loop(kernel, max_cycles, &ptrs, None);
-        }
-        let ctl = PhaseCtl::new();
-        std::thread::scope(|s| {
-            for w in 1..jobs {
-                let ctl = &ctl;
-                s.spawn(move || shard::worker_loop(w, jobs, ptrs, ctl, kernel));
-            }
-            // Releases the workers even if the run loop unwinds.
-            let _quit = QuitGuard(&ctl);
-            self.run_loop(kernel, max_cycles, &ptrs, Some((&ctl, jobs)))
-        })
-    }
-
-    /// The per-cycle engine. `par` is `None` for the inline serial path and
-    /// `Some((barrier, jobs))` when worker threads share the phases; both
-    /// paths run the identical phase sequence, so stats are bit-identical.
-    fn run_loop(
-        &mut self,
-        kernel: &Kernel,
-        max_cycles: u64,
-        ptrs: &ShardPtrs,
-        par: Option<(&PhaseCtl, usize)>,
-    ) -> Result<RunStats, RunError> {
+    /// The per-cycle engine.
+    fn run_loop(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
         let extra_regs = match &self.design {
             Design::Caba(c) => c.extra_regs_per_thread(),
             _ => 0,
@@ -676,7 +607,7 @@ impl Gpu {
                 self.last_checkpoint = Some((now, self.snapshot(kernel)));
             }
 
-            // 1. CTA dispatch (round-robin over SMs) — serial. A launch
+            // 1. CTA dispatch (round-robin over SMs). A launch
             //    attempt can only flip from rejected to accepted when a
             //    block retires somewhere (regs/shared/warp slots free only
             //    at block retirement, and failed attempts are pure), so
@@ -708,34 +639,40 @@ impl Gpu {
                 }
             }
 
-            // 2. SM phase. Every SM advances one cycle against a
-            //    deferred-visibility overlay (start-of-cycle snapshot plus
-            //    its own writes) and stages at most one outbound request
-            //    into its ingress lane; the deltas then commit in SM index
-            //    order. The overlay runs even at `intra_jobs = 1` — writes
-            //    become visible to *other* SMs only at the end-of-cycle
-            //    commit, a clocked-synchronous semantics that is identical
-            //    no matter how the phase is sharded. (A direct-view serial
-            //    phase would leak same-cycle writes to higher-numbered SMs
-            //    in sweep order — a simulation artifact no real crossbar
-            //    exhibits, and inherently order-dependent.)
-            //    SAFETY: `ptrs` targets this Gpu's fields; the barrier
-            //    protocol (shard module docs) partitions all access.
-            match par {
-                None => unsafe { shard::sm_phase_overlay(ptrs, 0, ptrs.num_sms, now, kernel) },
-                Some((ctl, jobs)) => {
-                    ctl.publish(PHASE_SM, now);
-                    let (lo, hi) = shard::shard_range(ptrs.num_sms, 0, jobs);
-                    unsafe { shard::sm_phase_overlay(ptrs, lo, hi, now, kernel) };
-                    ctl.wait_done(jobs - 1);
+            // 2. SM phase. Every SM advances one cycle against an overlay
+            //    view — start-of-cycle memory and line store plus its own
+            //    writes — and its writes become visible to the *other* SMs
+            //    only at the end-of-cycle commit, in SM index order: a
+            //    clocked machine. (Direct views would leak same-cycle
+            //    writes to higher-numbered SMs in sweep order — a simulation
+            //    artifact no real crossbar exhibits.)
+            for (sm, design) in self.sms.iter_mut().zip(&mut self.sm_designs) {
+                if sm.quiesced() {
+                    sm.idle_tick();
+                    continue;
                 }
+                let mut shared = SharedState {
+                    mem: SharedMem::Overlay {
+                        base: &self.mem,
+                        delta: &mut self.mem_delta,
+                    },
+                    cmap: self.cmap.as_mut(),
+                    line_store: SharedLineStore::Overlay {
+                        base: &self.line_store,
+                        delta: &mut self.ls_delta,
+                    },
+                    design,
+                };
+                sm.cycle(now, kernel, &mut shared);
+                self.mem_delta.end_turn();
+                self.ls_delta.end_turn();
             }
-            self.commit_sm_deltas();
+            self.commit_deltas();
 
-            // 3. Merge staged requests into the forward crossbar in SM
-            //    index order — crossbar admission, the fault-injection RNG
-            //    stream, and the request ledger see the exact serial
-            //    sequence. Reads enter the request ledger here.
+            // 3. At most one request per SM enters the forward crossbar,
+            //    in SM index order — the order crossbar admission, the
+            //    fault-injection RNG stream and the request ledger see.
+            //    Reads enter the request ledger here.
             self.merge_requests(now);
 
             // 4. Crossbar → partitions. The output-port scan only runs when
@@ -756,32 +693,29 @@ impl Gpu {
                 }
             }
 
-            // 5. Partition phase. Parallel: workers advance partition
-            //    shards against a frozen memory snapshot (partitions are
-            //    address-disjoint, so per-partition compression-map
-            //    overlays never conflict), staging one response per
-            //    partition. Quiesced partitions are clock-skipped — their
-            //    DRAM clock is repaid in bulk by `Partition::catch_up`,
-            //    which is timing-equivalent because FR-FCFS compares
-            //    against the absolute `now`, not per-cycle deltas.
-            match par {
-                None => unsafe { shard::part_phase_overlay(ptrs, 0, ptrs.num_parts, now) },
-                Some((ctl, jobs)) => {
-                    ctl.publish(PHASE_PART, now);
-                    let (lo, hi) = shard::shard_range(ptrs.num_parts, 0, jobs);
-                    unsafe { shard::part_phase_overlay(ptrs, lo, hi, now) };
-                    ctl.wait_done(jobs - 1);
-                }
+            // 5. Partition phase. Partitions only read memory and stored
+            //    forms. Quiesced partitions are clock-skipped — their DRAM
+            //    clock is repaid in bulk by `Partition::catch_up`, which is
+            //    timing-equivalent because FR-FCFS compares against the
+            //    absolute `now`, not per-cycle deltas.
+            let mut oracle = SizeOracle {
+                mem: &self.mem,
+                cmap: self.cmap.as_mut(),
+                line_store: &self.line_store,
+                mem_compressed: self.design.mem_compressed(),
+                icnt_compressed: self.design.icnt_compressed(),
+            };
+            for part in self.parts.iter_mut().filter(|p| !p.quiesced()) {
+                part.cycle(now, &mut oracle);
             }
-            self.commit_part_deltas();
 
-            // 6. Merge staged responses into the response crossbar in
-            //    partition index order.
+            // 6. At most one response per partition enters the response
+            //    crossbar, in partition index order.
             self.merge_responses();
 
-            // 7. Response crossbar → SM fills — serial, direct views, each
-            //    SM's own design fork (fills may launch assist warps whose
-            //    slots/tags live in that SM's controller).
+            // 7. Response crossbar → SM fills — direct views, each SM's own
+            //    design fork (fills may launch assist warps whose slots/tags
+            //    live in that SM's controller).
             self.xbar_rsp.cycle();
             if self.xbar_rsp.delivered_pending() > 0 {
                 for i in 0..self.sms.len() {
@@ -789,7 +723,7 @@ impl Gpu {
                         self.ledger.remove(&(i, resp.addr));
                         let mut shared = SharedState {
                             mem: SharedMem::Direct(&mut self.mem),
-                            cmap: self.cmap.as_mut().map(SharedCmap::Direct),
+                            cmap: self.cmap.as_mut(),
                             line_store: SharedLineStore::Direct(&mut self.line_store),
                             design: &mut self.sm_designs[i],
                         };
@@ -853,21 +787,18 @@ impl Gpu {
 
             // 9. Next-event time skip. The cycle just executed proved every
             //    SM frozen (dormant) or empty (quiesced); if on top of that
-            //    both crossbars and all ingress lanes are drained and CTA
-            //    dispatch is done or blocked on residency, then every cycle
-            //    before the earliest component horizon is a proven no-op:
-            //    jump the clock there, crediting the span to the Fig. 1
-            //    buckets in bulk (see DESIGN.md "Next-event clock"). The
-            //    jump is capped so every checkpoint top, audit / watchdog /
-            //    trace-sample bottom, and the timeout boundary still execute
-            //    at their exact cycles — the skip is observable only as
-            //    wall-clock. If no component has a horizon at all the
-            //    machine is wedged; fall through to per-cycle ticking so the
-            //    watchdog can prove it.
+            //    both crossbars are drained and CTA dispatch is done or
+            //    blocked on residency, then every cycle before the earliest
+            //    component horizon is a proven no-op: jump the clock there,
+            //    crediting the span to the Fig. 1 buckets in bulk (see
+            //    DESIGN.md "Next-event clock"). The jump is capped so every
+            //    checkpoint top, audit / watchdog / trace-sample bottom, and
+            //    the timeout boundary still execute at their exact cycles —
+            //    the skip is observable only as wall-clock. If no component
+            //    has a horizon at all the machine is wedged; fall through to
+            //    per-cycle ticking so the watchdog can prove it.
             if time_skip
                 && (next_cta >= grid || !launched_any)
-                && self.fwd_lanes.is_empty()
-                && self.rsp_lanes.is_empty()
                 && self.xbar_fwd.idle()
                 && self.xbar_rsp.idle()
                 && self.sms.iter().all(|s| s.dormant() || s.quiesced())
@@ -940,55 +871,27 @@ impl Gpu {
         Ok(self.collect_stats(self.now - start))
     }
 
-    /// Commits every SM's deferred-visibility delta at the cycle barrier,
-    /// in SM index order: memory write logs first (byte-merged, so two SMs
-    /// touching different bytes of one line both land), then line-store
-    /// logs, then compression-map logs. Finally every dirtied line is
-    /// blanket-invalidated in the compression map — an SM may have cached
-    /// an entry computed from its own overlay that a later-committing SM's
-    /// write staled. Invalidation only forces recomputation of a pure
-    /// memoization, so it is invisible to timing.
-    fn commit_sm_deltas(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        dirty.clear();
-        // Only the compression map consumes the dirty list.
-        let track = self.cmap.is_some();
-        for d in &mut self.sm_deltas {
-            d.mem.commit(&mut self.mem, track.then_some(&mut dirty));
-            d.ls.commit(&mut self.line_store);
-        }
+    /// The end-of-cycle commit: lands the SM phase's memory writes (masked
+    /// per byte, in SM index order, so two SMs touching different bytes of
+    /// one line both land) and line-store changes, and invalidates every
+    /// written line in the compression map — which only forces a pure
+    /// memoization to recompute, so it is invisible to timing.
+    fn commit_deltas(&mut self) {
         if let Some(cmap) = self.cmap.as_mut() {
-            for d in &mut self.sm_deltas {
-                d.cmap.commit(cmap);
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            for &base in &dirty {
-                cmap.invalidate(base);
-            }
+            self.mem_delta
+                .dirty_lines()
+                .for_each(|l| cmap.invalidate(l));
         }
-        self.dirty_scratch = dirty;
+        self.mem_delta.commit(&mut self.mem);
+        self.ls_delta.commit(&mut self.line_store);
     }
 
-    /// Commits per-partition compression-map overlays in partition index
-    /// order. Partition deltas only carry lazily computed cache entries
-    /// for partition-owned (address-disjoint) lines, so order is cosmetic.
-    fn commit_part_deltas(&mut self) {
-        if let Some(cmap) = self.cmap.as_mut() {
-            for d in &mut self.part_deltas {
-                d.commit(cmap);
-            }
-        }
-    }
-
-    /// Drains the per-SM ingress lanes into the forward crossbar in SM
-    /// index order (at most one request per SM per cycle, as in the serial
-    /// engine). A request the crossbar cannot admit returns to the front
-    /// of its SM's outbound queue, exactly where a serial run would have
-    /// left it.
+    /// Moves at most one request per SM into the forward crossbar, in SM
+    /// index order. A request the crossbar cannot admit returns to the front
+    /// of its SM's outbound queue.
     fn merge_requests(&mut self, now: u64) {
         for i in 0..self.sms.len() {
-            let Some(req) = self.fwd_lanes.take(i) else {
+            let Some(req) = self.sms[i].pop_request() else {
                 continue;
             };
             let dst = ((req.addr / LINE_SIZE as u64) % self.cfg.num_channels as u64) as usize;
@@ -1054,12 +957,12 @@ impl Gpu {
         }
     }
 
-    /// Drains the per-partition ingress lanes into the response crossbar in
-    /// partition index order; a response the crossbar cannot admit is held
-    /// back in its partition (back-pressure), as in the serial engine.
+    /// Moves at most one response per partition into the response crossbar,
+    /// in partition index order; a response the crossbar cannot admit is
+    /// held back in its partition (back-pressure).
     fn merge_responses(&mut self) {
         for p in 0..self.parts.len() {
-            let Some(resp) = self.rsp_lanes.take(p) else {
+            let Some(resp) = self.parts[p].pop_response() else {
                 continue;
             };
             if !self.xbar_rsp.can_accept(resp.sm) {
@@ -1198,8 +1101,8 @@ impl Gpu {
 
     /// Restores machine state from a [`Gpu::snapshot`] container into this
     /// GPU, which must have been built with an equivalent configuration
-    /// (everything but observability, checkpointing, and worker-count
-    /// knobs), the same design point, and be given the same kernel.
+    /// (everything but the knobs [`snapshot::config_hash`] canonicalizes
+    /// away), the same design point, and be given the same kernel.
     ///
     /// The container checksum is verified *before* any state is decoded —
     /// corrupt bytes are rejected with [`RestoreError::ChecksumMismatch`]
@@ -1238,8 +1141,8 @@ impl Gpu {
     /// Serializes everything [`Gpu::restore`] needs to continue the run.
     /// Deliberately absent: the compression map (a pure memoization,
     /// rebuilt empty), the tracer and event buffers (record-only), the
-    /// phase-engine deltas and ingress lanes (empty at every cycle
-    /// boundary), and the rolling checkpoint itself.
+    /// memory and line-store deltas (empty at every cycle boundary), and
+    /// the rolling checkpoint itself.
     fn payload_save(&self, w: &mut SnapshotWriter) {
         w.u64(self.now);
         w.u64(self.run_start);
@@ -1353,14 +1256,6 @@ impl Gpu {
 
         // Non-serialized runtime state: rebuild, drain, or re-baseline.
         self.cmap = Self::build_cmap(&self.design);
-        for d in &mut self.sm_deltas {
-            *d = SmDelta::default();
-        }
-        for d in &mut self.part_deltas {
-            *d = CmapDelta::new();
-        }
-        self.fwd_lanes = IngressLanes::new(self.cfg.num_sms);
-        self.rsp_lanes = IngressLanes::new(self.cfg.num_channels);
         self.last_checkpoint = None;
         self.tracer = self
             .cfg

@@ -62,7 +62,6 @@ pub mod lsu;
 pub mod mempart;
 pub mod observe;
 pub mod occupancy;
-mod shard;
 pub mod sm;
 pub mod snapshot;
 pub mod stats;

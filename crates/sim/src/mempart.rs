@@ -6,12 +6,13 @@ use crate::fault::{stream, FaultInjector};
 use crate::integrity::{Component, PartitionSnapshot, Violation};
 use crate::trace::{TraceEvent, TraceEventKind};
 use caba_mem::{
-    AccessOutcome, Cache, DramChannel, DramRequest, MdCache, Mshr, SharedCmap, SharedMem, LINE_SIZE,
+    AccessOutcome, Cache, CompressionMap, DramChannel, DramRequest, FuncMem, MdCache, Mshr,
+    LINE_SIZE,
 };
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use std::collections::VecDeque;
 
-use crate::assist::SharedLineStore;
+use crate::assist::LineStore;
 
 /// A request arriving at a partition from the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,14 +38,15 @@ pub struct PartResp {
 
 /// Answers "how big is this line as stored / as transferred", consulting
 /// the stored forms and the reference compression map. Built fresh by the
-/// GPU each cycle from its owned state.
+/// GPU each cycle from its owned state. Partitions read memory and stored
+/// forms and never write them, so both are plain shared references.
 pub struct SizeOracle<'a> {
-    /// Functional memory (frozen during the parallel partition phase).
-    pub mem: SharedMem<'a>,
-    /// Reference compression map (per-partition overlay when parallel).
-    pub cmap: Option<SharedCmap<'a>>,
+    /// Functional memory.
+    pub mem: &'a FuncMem,
+    /// Reference compression map.
+    pub cmap: Option<&'a mut CompressionMap>,
     /// Stored-form overrides.
-    pub line_store: SharedLineStore<'a>,
+    pub line_store: &'a LineStore,
     /// DRAM transfers compressed?
     pub mem_compressed: bool,
     /// Interconnect/L2 compressed?
@@ -54,7 +56,7 @@ pub struct SizeOracle<'a> {
 impl SizeOracle<'_> {
     fn stored_size(&mut self, addr: u64) -> usize {
         self.line_store
-            .stored_size(&self.mem, self.cmap.as_mut(), addr)
+            .stored_size(self.mem, self.cmap.as_deref_mut(), addr)
     }
 
     /// DRAM bursts for a line transfer.
@@ -638,9 +640,9 @@ mod tests {
     fn oracle_sizes() {
         let (mem, mut cmap, ls) = oracle_parts();
         let mut o = SizeOracle {
-            mem: SharedMem::Frozen(&mem),
-            cmap: Some(SharedCmap::Direct(&mut cmap)),
-            line_store: SharedLineStore::Frozen(&ls),
+            mem: &mem,
+            cmap: Some(&mut cmap),
+            line_store: &ls,
             mem_compressed: true,
             icnt_compressed: true,
         };
@@ -650,9 +652,9 @@ mod tests {
         assert!(o.l2_size(0) < LINE_SIZE);
 
         let mut base = SizeOracle {
-            mem: SharedMem::Frozen(&mem),
+            mem: &mem,
             cmap: None,
-            line_store: SharedLineStore::Frozen(&ls),
+            line_store: &ls,
             mem_compressed: false,
             icnt_compressed: false,
         };
@@ -681,9 +683,9 @@ mod tests {
         let (mem, mut cmap, ls) = oracle_parts();
         let mut part = Partition::new(0, cfg, false);
         let mut oracle = SizeOracle {
-            mem: SharedMem::Frozen(&mem),
-            cmap: Some(SharedCmap::Direct(&mut cmap)),
-            line_store: SharedLineStore::Frozen(&ls),
+            mem: &mem,
+            cmap: Some(&mut cmap),
+            line_store: &ls,
             mem_compressed: false,
             icnt_compressed: false,
         };
@@ -723,9 +725,9 @@ mod tests {
         let (mem, mut cmap, ls) = oracle_parts();
         let mut part = Partition::new(0, cfg, false);
         let mut oracle = SizeOracle {
-            mem: SharedMem::Frozen(&mem),
-            cmap: Some(SharedCmap::Direct(&mut cmap)),
-            line_store: SharedLineStore::Frozen(&ls),
+            mem: &mem,
+            cmap: Some(&mut cmap),
+            line_store: &ls,
             mem_compressed: false,
             icnt_compressed: false,
         };
@@ -755,9 +757,9 @@ mod tests {
         let (mem, mut cmap, ls) = oracle_parts();
         let mut part = Partition::new(0, cfg, true);
         let mut oracle = SizeOracle {
-            mem: SharedMem::Frozen(&mem),
-            cmap: Some(SharedCmap::Direct(&mut cmap)),
-            line_store: SharedLineStore::Frozen(&ls),
+            mem: &mem,
+            cmap: Some(&mut cmap),
+            line_store: &ls,
             mem_compressed: true,
             icnt_compressed: true,
         };
@@ -778,9 +780,9 @@ mod tests {
         let (mem, mut cmap, ls) = oracle_parts();
         let mut part = Partition::new(0, cfg, false);
         let mut oracle = SizeOracle {
-            mem: SharedMem::Frozen(&mem),
-            cmap: Some(SharedCmap::Direct(&mut cmap)),
-            line_store: SharedLineStore::Frozen(&ls),
+            mem: &mem,
+            cmap: Some(&mut cmap),
+            line_store: &ls,
             mem_compressed: false,
             icnt_compressed: false,
         };

@@ -15,7 +15,7 @@ use crate::observe::{sim_metrics_schema, SimMetricIds};
 use crate::trace::{TraceEvent, TraceEventKind};
 use crate::warp::{Warp, FULL_MASK};
 use caba_isa::{FuClass, Instr, Kernel, Op, Program, Reg, Space, WARP_SIZE};
-use caba_mem::{AccessOutcome, Cache, Mshr, SharedCmap, SharedMem, LINE_SIZE};
+use caba_mem::{AccessOutcome, Cache, CompressionMap, Mshr, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{FxHashMap, IssueBreakdown, MetricShard, StallKind};
 use std::collections::VecDeque;
@@ -32,14 +32,15 @@ pub const STAGING_BASE: u64 = 0x5000_0000_0000;
 /// Bytes of staging per SM.
 pub const STAGING_SIZE: u64 = 0x10_0000;
 
-/// Shared mutable state the SM needs from the GPU each cycle, behind
-/// phase-aware views: direct in serial phases, overlay (snapshot + own
-/// writes) during the parallel SM phase. SM code is identical either way.
+/// Shared mutable state the SM needs from the GPU each cycle. Memory and
+/// the line store sit behind phase-aware views: overlay (start-of-cycle
+/// state plus this SM's own writes) during the SM phase, direct during the
+/// fill phase. SM code is identical either way.
 pub struct SharedState<'a> {
     /// Functional memory.
     pub mem: SharedMem<'a>,
     /// Reference compression map (compressed designs only).
-    pub cmap: Option<SharedCmap<'a>>,
+    pub cmap: Option<&'a mut CompressionMap>,
     /// Per-line stored forms.
     pub line_store: SharedLineStore<'a>,
     /// The evaluated design point (owns the CABA controller, if any).
@@ -802,7 +803,7 @@ impl Sm {
                 Design::Caba(ctrl) => {
                     let mut svc = SmServices {
                         mem: &mut shared.mem,
-                        cmap: shared.cmap.as_mut(),
+                        cmap: shared.cmap.as_deref_mut(),
                         line_store: &mut shared.line_store,
                         staging_base: STAGING_BASE + self.id as u64 * STAGING_SIZE,
                         sm_id: self.id,
@@ -821,10 +822,11 @@ impl Sm {
                     if let Some(pos) = self.store_buffer.iter().position(|&x| x == addr) {
                         self.store_buffer.remove(pos);
                     }
-                    let size =
-                        shared
-                            .line_store
-                            .stored_size(&shared.mem, shared.cmap.as_mut(), addr);
+                    let size = shared.line_store.stored_size(
+                        &shared.mem,
+                        shared.cmap.as_deref_mut(),
+                        addr,
+                    );
                     self.emit_write(addr, size);
                 }
                 AssistOutcome::Nothing => {}
@@ -857,7 +859,7 @@ impl Sm {
         if self.injector.active() {
             let compressed = shared
                 .line_store
-                .stored_compressed(&shared.mem, shared.cmap.as_mut(), addr)
+                .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), addr)
                 .is_some();
             if compressed && self.injector.corrupt_fill() {
                 match self.injector.mode() {
@@ -880,7 +882,9 @@ impl Sm {
                     }
                     FaultMode::Silent => {
                         let truth = shared.mem.read_line(addr);
-                        if let Some(line) = shared.cmap.as_mut().and_then(|c| c.cached_mut(addr)) {
+                        if let Some(line) =
+                            shared.cmap.as_deref_mut().and_then(|c| c.cached_mut(addr))
+                        {
                             if self.injector.corrupt_line(line, &truth) {
                                 self.lines_corrupted += 1;
                             }
@@ -898,7 +902,7 @@ impl Sm {
             Design::HwFull { alg, ideal } => {
                 let compressed = shared
                     .line_store
-                    .stored_compressed(&shared.mem, shared.cmap.as_mut(), addr)
+                    .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), addr)
                     .is_some();
                 if compressed {
                     self.lines_decompressed += 1;
@@ -918,7 +922,7 @@ impl Sm {
             Action::Caba => {
                 let compressed = shared
                     .line_store
-                    .stored_compressed(&shared.mem, shared.cmap.as_mut(), addr)
+                    .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), addr)
                     .is_some();
                 if !compressed {
                     self.complete_fill_waiters(now, addr, 0);
@@ -943,7 +947,7 @@ impl Sm {
                     Design::Caba(ctrl) => {
                         let mut svc = SmServices {
                             mem: &mut shared.mem,
-                            cmap: shared.cmap.as_mut(),
+                            cmap: shared.cmap.as_deref_mut(),
                             line_store: &mut shared.line_store,
                             staging_base: STAGING_BASE + self.id as u64 * STAGING_SIZE,
                             sm_id: self.id,
@@ -1011,7 +1015,7 @@ impl Sm {
                         if self.cfg.l1_compressed {
                             let compressible = shared
                                 .line_store
-                                .stored_compressed(&shared.mem, shared.cmap.as_mut(), op.addr)
+                                .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), op.addr)
                                 .is_some();
                             if compressible {
                                 lat += self.cfg.l1_hit_decompress_penalty;
@@ -1069,9 +1073,10 @@ impl Sm {
                 // Dedicated core-side logic compresses (5-cycle pipeline, off
                 // the critical path): the outgoing packet is compressed.
                 self.lsu.pop();
-                let size = shared
-                    .line_store
-                    .stored_size(&shared.mem, shared.cmap.as_mut(), addr);
+                let size =
+                    shared
+                        .line_store
+                        .stored_size(&shared.mem, shared.cmap.as_deref_mut(), addr);
                 self.lines_compressed += u64::from(size < LINE_SIZE);
                 self.emit_write(addr, size);
             }
@@ -1099,7 +1104,7 @@ impl Sm {
                     Design::Caba(ctrl) => {
                         let mut svc = SmServices {
                             mem: &mut shared.mem,
-                            cmap: shared.cmap.as_mut(),
+                            cmap: shared.cmap.as_deref_mut(),
                             line_store: &mut shared.line_store,
                             staging_base: STAGING_BASE + self.id as u64 * STAGING_SIZE,
                             sm_id: self.id,
@@ -1327,11 +1332,15 @@ impl Sm {
             *lsu_used = true;
             for &addr in self.exec_out.lines_written.iter() {
                 if !is_assist {
-                    // Application stores change line contents: stale
-                    // compressed forms must be dropped.
-                    if let Some(cmap) = shared.cmap.as_mut() {
-                        cmap.invalidate(addr);
-                    }
+                    // Application stores change line contents: the stored
+                    // form is stale, and so is the compression map's. The
+                    // map needs no call here because this SM's look-ups
+                    // bypass it for lines in its own shadow and the
+                    // end-of-cycle commit invalidates them for everyone —
+                    // which holds only under an overlay view.
+                    debug_assert!(
+                        shared.cmap.is_none() || matches!(shared.mem, SharedMem::Overlay { .. })
+                    );
                     shared.line_store.clear(addr);
                 }
                 let kind = if is_assist {
@@ -2052,6 +2061,10 @@ impl Sm {
     /// change nothing else. This per-SM fast tick is what keeps a
     /// memory-bound steady state cheap even when the *global* next-event
     /// skip cannot fire because other SMs or the interconnect are busy.
+    ///
+    /// On a design with a compression map, `shared.mem` must be an overlay
+    /// view whose delta the caller commits (invalidating what was written)
+    /// before the next cycle: stores do not invalidate the map themselves.
     pub fn cycle(&mut self, now: u64, kernel: &Kernel, shared: &mut SharedState<'_>) {
         if self.dormant && self.dorm_horizon.is_none_or(|h| now < h) {
             self.skip_ahead(1);

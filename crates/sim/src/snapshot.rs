@@ -28,8 +28,9 @@
 //! * `observability` — tracing and metrics are record-only; time-travel
 //!   forensics restores a quiet run's snapshot into a fully-traced replay.
 //! * `checkpoint_interval` — itself record-only.
-//! * `intra_jobs` — worker count is bit-identical by construction, so a
-//!   snapshot from a serial run resumes under any sharding and vice versa.
+//! * `intra_jobs` — an inert field nothing reads ([`GpuConfig::intra_jobs`]);
+//!   it stays canonicalized so that stores and snapshots written while it
+//!   meant something keep their keys.
 //! * `watchdog_window` — detection-only; it never mutates machine state.
 
 use crate::config::GpuConfig;

@@ -3,10 +3,10 @@
 //! Components register named metrics once, up front, and get back typed
 //! handles ([`CounterId`] / [`GaugeId`]) that resolve to dense `Vec` indices
 //! — recording an event is a bounds-checked array increment, never a string
-//! lookup. Each parallel worker records into its own [`MetricShard`]; shards
-//! are merged **in index order** at a serial point (counters sum, gauges
-//! take the max), so the merged [`MetricsSnapshot`] is bit-identical no
-//! matter how many workers ran.
+//! lookup. Each recording component (an SM of the simulator) owns a
+//! [`MetricShard`]; shards are merged **in index order** when a snapshot is
+//! taken (counters sum, gauges take the max), so the merged
+//! [`MetricsSnapshot`] is bit-identical from run to run.
 //!
 //! Hierarchy is by dotted name (`"sm.assist.launches"`): the registry keeps
 //! registration order, so a snapshot lists a component's metrics together
@@ -159,8 +159,7 @@ impl MetricRegistry {
     }
 
     /// Merges `shards` in index order into one shard (counters sum, gauges
-    /// max). Index order makes the result independent of which worker owned
-    /// which shard.
+    /// max).
     pub fn merge_shards<'a>(&self, shards: impl Iterator<Item = &'a MetricShard>) -> MetricShard {
         let mut out = self.shard();
         for s in shards {
@@ -170,7 +169,7 @@ impl MetricRegistry {
     }
 }
 
-/// One worker's dense metric storage.
+/// One component's dense metric storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricShard {
     values: Vec<u64>,

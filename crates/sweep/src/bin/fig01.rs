@@ -19,13 +19,12 @@
 
 use caba_sim::{Gpu, GpuConfig, MetricsLevel, TraceConfig};
 use caba_stats::json;
-use caba_sweep::{fig01_cells, Sweep, SweepCell, SweepConfig};
+use caba_sweep::{fig01_cells, parse_positive, Sweep, SweepCell, SweepConfig};
 use caba_workloads::app;
 
 struct Args {
     scale: f64,
     jobs: usize,
-    intra_jobs: usize,
     apps: Option<Vec<String>>,
     trace: Option<String>,
     check: bool,
@@ -34,12 +33,11 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fig01 [--scale F] [--jobs N] [--intra-jobs N] [--apps A,B,..] \
+        "usage: fig01 [--scale F] [--jobs N] [--apps A,B,..] \
          [--trace PATH] [--check] [--out PATH]\n\
          \n\
-         --scale F      workload scale (default 0.25)\n\
-         --jobs N       total worker-thread budget (default: available parallelism)\n\
-         --intra-jobs N worker threads inside each simulation (default 1)\n\
+         --scale F      workload scale, finite and > 0 (default 0.25)\n\
+         --jobs N       cells simulated at once (default: available parallelism)\n\
          --apps A,B     restrict to a comma-separated subset of apps\n\
          --trace PATH   rerun the first cell fully observed and write its\n\
                         Perfetto trace (plus a metric snapshot in the report)\n\
@@ -53,7 +51,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         scale: 0.25,
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        intra_jobs: 1,
         apps: None,
         trace: None,
         check: false,
@@ -63,19 +60,14 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let v = it.next().unwrap_or_else(|| usage());
+                args.scale = parse_positive(&v).unwrap_or_else(|| {
+                    eprintln!("fig01: --scale must be a finite number > 0, got {v:?}\n");
+                    usage()
+                });
             }
             "--jobs" => {
                 args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--intra-jobs" => {
-                args.intra_jobs = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -96,7 +88,7 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if args.jobs == 0 || args.intra_jobs == 0 {
+    if args.jobs == 0 {
         usage();
     }
     args
@@ -148,19 +140,17 @@ fn main() -> std::process::ExitCode {
             std::process::exit(2);
         }
     }
-    let mut sc = SweepConfig {
+    let sc = SweepConfig {
         scale: args.scale,
         ..SweepConfig::default()
     };
-    sc.cfg.intra_jobs = args.intra_jobs;
-    let cjobs = (args.jobs / args.intra_jobs).max(1);
     eprintln!(
-        "fig01: {} cells at scale {} with {cjobs} cell jobs x {} intra jobs",
+        "fig01: {} cells at scale {} with {} jobs",
         cells.len(),
         sc.scale,
-        args.intra_jobs
+        args.jobs
     );
-    let results = match Sweep::new(&sc, cells.clone()).jobs(cjobs).run() {
+    let results = match Sweep::new(&sc, cells.clone()).jobs(args.jobs).run() {
         Ok(run) => run.results,
         Err(e) => {
             eprintln!("fig01: {e}");

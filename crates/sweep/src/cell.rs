@@ -40,8 +40,8 @@ pub struct CellSpec {
     /// Workload scale factor (grid/working-set size).
     pub scale: f64,
     /// The machine configuration **before** per-cell bandwidth scaling.
-    /// Worker-count and observability knobs are canonicalized out of the
-    /// content hash (see [`config_hash`]); the fault-injection seed is in.
+    /// Record-only knobs are canonicalized out of the content hash (see
+    /// [`config_hash`]); the fault-injection seed is in.
     pub cfg: GpuConfig,
 }
 
@@ -146,6 +146,15 @@ impl SweepConfig {
     pub fn sweep_hash(&self) -> u64 {
         sweep_hash(&self.cfg, self.scale)
     }
+}
+
+/// A finite, strictly positive number — the only kind the machine model
+/// accepts as a workload or bandwidth scale. Every place a scale enters the
+/// program from outside (CLI flag, environment, HTTP request) parses it
+/// here.
+#[inline]
+pub fn parse_positive(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
 }
 
 /// Runs one cell from scratch and returns its result — the single kernel
@@ -325,9 +334,9 @@ mod tests {
         other.cfg.fault.seed = other.cfg.fault.seed.wrapping_add(1);
         assert_ne!(base, other.content_hash(), "fault seed is identity");
 
-        // Worker-count and observability knobs are canonicalized away:
-        // the same cell computed with different parallelism or tracing is
-        // still the same cell.
+        // Record-only knobs and the inert `intra_jobs` are canonicalized
+        // away: the same cell computed with different tracing or
+        // checkpointing is still the same cell.
         let mut tolerated = spec;
         tolerated.cfg.intra_jobs = 4;
         tolerated.cfg.checkpoint_interval = 500;

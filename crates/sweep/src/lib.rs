@@ -34,7 +34,7 @@ pub mod fanout;
 pub mod resilient;
 
 pub use builder::{Sweep, SweepRun};
-pub use cell::{run_cell, CellSpec, Figure, ParseDesignError, ParseFigureError};
+pub use cell::{parse_positive, run_cell, CellSpec, Figure, ParseDesignError, ParseFigureError};
 pub use fanout::fan_out;
 pub use resilient::{
     decode_result_payload, encode_result_payload, figure_table, figure_table_line, run_cell_stored,
@@ -301,11 +301,8 @@ pub struct SweepReport {
     pub mode: &'static str,
     /// Workload scale the cells ran at.
     pub scale: f64,
-    /// Worker count of the parallel run (total thread budget).
+    /// Cells the parallel run simulated at once.
     pub jobs: usize,
-    /// Intra-run worker threads per cell ([`GpuConfig::intra_jobs`]); the
-    /// cell-level fan-out is `jobs / intra_jobs`.
-    pub intra_jobs: usize,
     /// Logical cores the host exposed at run time ([`host_cores`]);
     /// contextualizes the wall-clock numbers across machines.
     pub host_cores: usize,
@@ -343,7 +340,6 @@ impl SweepReport {
         s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
         s.push_str(&format!("  \"scale\": {},\n", json_f64(self.scale)));
         s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"intra_jobs\": {},\n", self.intra_jobs));
         s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
         let figs: Vec<String> = self.figures.iter().map(|f| format!("\"{f}\"")).collect();
         s.push_str(&format!("  \"figures\": [{}],\n", figs.join(", ")));
@@ -432,7 +428,6 @@ mod tests {
             mode: "selftest",
             scale: 0.05,
             jobs: 4,
-            intra_jobs: 2,
             host_cores: 8,
             figures: vec!["fig07".into()],
             serial_wall_s: Some(2.0),

@@ -14,8 +14,8 @@
 
 use caba_store::{write_file_atomic, FaultFs, FaultRates, Store};
 use caba_sweep::{
-    dedup_cells, figure_table, host_cores, Figure, Sweep, SweepCell, SweepConfig, SweepError,
-    SweepReport,
+    dedup_cells, figure_table, host_cores, parse_positive, Figure, Sweep, SweepCell, SweepConfig,
+    SweepError, SweepReport,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,7 +23,6 @@ use std::time::Instant;
 
 struct Args {
     jobs: usize,
-    intra_jobs: usize,
     ref_wall: Option<f64>,
     max_wall: Option<f64>,
     selftest: bool,
@@ -44,19 +43,18 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: caba-sweep [--jobs N] [--intra-jobs N] [--scale F] [--baseline] [--selftest]\n\
+        "usage: caba-sweep [--jobs N] [--scale F] [--baseline] [--selftest]\n\
          \x20                 [--resume PATH] [--checkpoint-every N] [--retries N] [--out PATH]\n\
          \x20                 [--store-dir DIR] [--store-cap BYTES] [--figures LIST] [--apps LIST]\n\
          \x20      caba-sweep store (scrub|gc|stats) --store-dir DIR [--store-cap BYTES] [--out PATH]\n\
          \n\
-         --jobs N       total worker-thread budget (default: available parallelism)\n\
-         --intra-jobs N worker threads INSIDE each simulation (default:\n\
-                        CABA_INTRA_JOBS or 1); the cell-level fan-out becomes\n\
-                        jobs / intra-jobs, so the thread budget is conserved.\n\
-                        Results are bit-identical for any value.\n\
-         --scale F      workload scale (default: CABA_BENCH_SCALE or 0.5; selftest: 0.05)\n\
-         --baseline     also run the sweep fully serial (1 cell job, intra-jobs 1)\n\
-                        and record the speedup\n\
+         --jobs N       cells simulated at once, one thread each (default:\n\
+                        available parallelism). Results are bit-identical\n\
+                        for any value.\n\
+         --scale F      workload scale, finite and > 0 (default:\n\
+                        CABA_BENCH_SCALE or 0.5; selftest: 0.05)\n\
+         --baseline     also run the sweep one cell at a time and record\n\
+                        the speedup\n\
          --ref-wall S   reference wall seconds from an earlier build (recorded\n\
                         as ref_wall_s / hot_path_speedup_vs_ref in the report)\n\
          --max-wall S   fail (exit 1) if the sweep's wall time exceeds S\n\
@@ -200,7 +198,6 @@ fn store_command(verb: &str, rest: &[String]) -> ExitCode {
 fn parse_args() -> Args {
     let mut args = Args {
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        intra_jobs: env_intra_jobs(),
         ref_wall: None,
         max_wall: None,
         selftest: false,
@@ -222,8 +219,10 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => args.jobs = parse_flag(&a, it.next()),
-            "--intra-jobs" => args.intra_jobs = parse_flag(&a, it.next()),
-            "--scale" => args.scale = Some(parse_flag(&a, it.next())),
+            "--scale" => {
+                let v = it.next().unwrap_or_else(|| missing_value(&a));
+                args.scale = Some(scale_or_usage(&a, &v));
+            }
             "--out" => args.out = it.next().unwrap_or_else(|| missing_value("--out")),
             "--table" => args.table = Some(it.next().unwrap_or_else(|| missing_value("--table"))),
             "--ref-wall" => args.ref_wall = Some(parse_flag(&a, it.next())),
@@ -279,8 +278,8 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.jobs == 0 || args.intra_jobs == 0 {
-        eprintln!("caba-sweep: --jobs and --intra-jobs must be nonzero\n");
+    if args.jobs == 0 {
+        eprintln!("caba-sweep: --jobs must be nonzero\n");
         usage();
     }
     let cores = host_cores();
@@ -310,19 +309,21 @@ fn missing_value(flag: &str) -> ! {
     usage();
 }
 
-fn env_scale() -> f64 {
-    std::env::var("CABA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5)
+/// A workload scale from outside the program (`source` names the flag or
+/// variable), or usage (code 2) naming the value the machine model cannot
+/// take.
+fn scale_or_usage(source: &str, v: &str) -> f64 {
+    parse_positive(v).unwrap_or_else(|| {
+        eprintln!("caba-sweep: {source} must be a finite number > 0, got {v:?}\n");
+        usage();
+    })
 }
 
-fn env_intra_jobs() -> usize {
-    std::env::var("CABA_INTRA_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+fn env_scale() -> f64 {
+    match std::env::var("CABA_BENCH_SCALE") {
+        Ok(v) => scale_or_usage("CABA_BENCH_SCALE", &v),
+        Err(_) => 0.5,
+    }
 }
 
 fn main() -> ExitCode {
@@ -379,19 +380,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits the total thread budget between cell-level fan-out and intra-run
-/// workers: `intra_jobs` threads live inside each simulation, so only
-/// `jobs / intra_jobs` cells run concurrently.
-fn cell_jobs(args: &Args) -> usize {
-    (args.jobs / args.intra_jobs).max(1)
-}
-
-fn base_config(args: &Args, default_scale: f64) -> SweepConfig {
+fn base_config(args: &Args, default_scale: fn() -> f64) -> SweepConfig {
     let mut sc = SweepConfig {
-        scale: args.scale.unwrap_or(default_scale),
+        scale: args.scale.unwrap_or_else(default_scale),
         ..SweepConfig::default()
     };
-    sc.cfg.intra_jobs = args.intra_jobs;
     sc.cfg.checkpoint_interval = args.checkpoint_every;
     sc
 }
@@ -441,25 +434,21 @@ fn plan<'a>(args: &Args, sc: &SweepConfig, cells: Vec<SweepCell>, jobs: usize) -
 
 /// Full figure sweep; optionally measures a serial baseline first.
 fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
-    let sc = base_config(args, env_scale());
+    let sc = base_config(args, env_scale);
     let cells = selected_cells(args);
-    let cjobs = cell_jobs(args);
     let fig_names: Vec<String> = args.figures.iter().map(Figure::to_string).collect();
     eprintln!(
-        "sweep: {} cells ({}) at scale {} with {} cell jobs x {} intra jobs",
+        "sweep: {} cells ({}) at scale {} with {} jobs",
         cells.len(),
         fig_names.join("+"),
         sc.scale,
-        cjobs,
-        args.intra_jobs
+        args.jobs
     );
     let store = open_store(args)?;
     let serial_wall_s = if args.baseline {
         eprintln!("  serial baseline ...");
-        let mut serial_sc = sc;
-        serial_sc.cfg.intra_jobs = 1;
         let t0 = Instant::now();
-        let serial = plan(args, &serial_sc, cells.clone(), 1).run()?;
+        let serial = plan(args, &sc, cells.clone(), 1).run()?;
         let w = t0.elapsed().as_secs_f64();
         eprintln!("  serial: {w:.2}s over {} cells", serial.results.len());
         Some(w)
@@ -467,7 +456,7 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
         None
     };
     let t0 = Instant::now();
-    let mut sweep = plan(args, &sc, cells, cjobs);
+    let mut sweep = plan(args, &sc, cells, args.jobs);
     if let Some(manifest) = &args.resume {
         eprintln!("  journaling to {} (resume-capable)", manifest.display());
         sweep = sweep.journal(manifest);
@@ -477,10 +466,7 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
     }
     let results = sweep.run()?.results;
     let parallel_wall_s = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "  parallel ({cjobs} x {} jobs): {parallel_wall_s:.2}s",
-        args.intra_jobs
-    );
+    eprintln!("  parallel ({} jobs): {parallel_wall_s:.2}s", args.jobs);
     if let Some(s) = serial_wall_s {
         eprintln!("  speedup: {:.2}x", s / parallel_wall_s);
     }
@@ -506,7 +492,6 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
         mode: "sweep",
         scale: sc.scale,
         jobs: args.jobs,
-        intra_jobs: args.intra_jobs,
         host_cores: host_cores(),
         figures: fig_names,
         serial_wall_s,
@@ -521,12 +506,7 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
 /// list must produce bit-identical `RunStats` in the same order. Returns
 /// the report and whether every figure matched.
 fn selftest(args: &Args) -> Result<(SweepReport, bool), SweepError> {
-    let sc = base_config(args, 0.05);
-    // The serial reference is fully serial: one cell at a time, one thread
-    // inside each simulation.
-    let mut serial_sc = sc;
-    serial_sc.cfg.intra_jobs = 1;
-    let cjobs = cell_jobs(args);
+    let sc = base_config(args, || 0.05);
     let mut all_results = Vec::new();
     let mut serial_total = 0.0f64;
     let mut parallel_total = 0.0f64;
@@ -534,17 +514,17 @@ fn selftest(args: &Args) -> Result<(SweepReport, bool), SweepError> {
     for fig in Figure::DEFAULT_SWEEP {
         let cells = fig.cells();
         eprintln!(
-            "selftest {fig}: {} cells at scale {} ({cjobs} cell jobs x {} intra jobs vs serial)",
+            "selftest {fig}: {} cells at scale {} ({} jobs vs 1)",
             cells.len(),
             sc.scale,
-            args.intra_jobs
+            args.jobs
         );
         let t0 = Instant::now();
-        let serial = plan(args, &serial_sc, cells.clone(), 1).run()?.results;
+        let serial = plan(args, &sc, cells.clone(), 1).run()?.results;
         let sw = t0.elapsed().as_secs_f64();
         serial_total += sw;
         let t0 = Instant::now();
-        let parallel = plan(args, &sc, cells, cjobs).run()?.results;
+        let parallel = plan(args, &sc, cells, args.jobs).run()?.results;
         let pw = t0.elapsed().as_secs_f64();
         parallel_total += pw;
         let mut mismatches = 0usize;
@@ -572,7 +552,6 @@ fn selftest(args: &Args) -> Result<(SweepReport, bool), SweepError> {
         mode: "selftest",
         scale: sc.scale,
         jobs: args.jobs,
-        intra_jobs: args.intra_jobs,
         host_cores: host_cores(),
         figures: Figure::DEFAULT_SWEEP
             .iter()

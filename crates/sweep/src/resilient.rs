@@ -23,8 +23,8 @@
 //!
 //! A journaled sweep appends one line per finished cell to a file keyed by
 //! [`CellSpec::sweep_hash`] (the canonicalized [`GpuConfig`] via
-//! [`caba_sim::snapshot::config_hash`], which ignores observability /
-//! checkpoint / worker knobs, plus the workload scale). Each line carries
+//! [`caba_sim::snapshot::config_hash`], which ignores the observability
+//! and checkpoint knobs, plus the workload scale). Each line carries
 //! its own checksum, so a line torn by a crash mid-write is skipped and
 //! that cell simply re-runs. Restarting the same invocation re-runs *only*
 //! cells absent from the journal; because every cell is bit-deterministic,
@@ -504,7 +504,8 @@ mod tests {
         let mut other = sc;
         other.cfg.mshrs += 1;
         assert_ne!(key(&sc, &cells[0]), key(&other, &cells[0]));
-        // Worker-count and observability knobs are canonicalized away.
+        // Record-only knobs and the inert `intra_jobs` are canonicalized
+        // away.
         let mut tolerated = sc;
         tolerated.cfg.intra_jobs = 4;
         tolerated.cfg.checkpoint_interval = 500;

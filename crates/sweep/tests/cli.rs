@@ -1,0 +1,82 @@
+//! Binary-level tests of the two sweep CLIs' argument handling: a scale the
+//! machine model cannot take and the removed `--intra-jobs` flag are usage
+//! errors (exit 2) before any work, and the removed `CABA_INTRA_JOBS`
+//! variable is not read.
+
+use std::process::{Command, Output};
+
+const SWEEP: &str = env!("CARGO_BIN_EXE_caba-sweep");
+const FIG01: &str = env!("CARGO_BIN_EXE_fig01");
+
+/// Runs `bin` with the space-separated `args` (scratch paths have no spaces).
+fn run(bin: &str, args: &str, env: &[(&str, &str)]) -> (Option<i32>, String) {
+    let out: Output = Command::new(bin)
+        .args(args.split(' '))
+        .env_remove("CABA_BENCH_SCALE")
+        .envs(env.iter().copied())
+        .output()
+        .unwrap_or_else(|e| panic!("{bin} spawns: {e}"));
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+#[test]
+fn bad_scales_and_the_removed_flag_are_usage_errors() {
+    let dir = caba_store::fsio::scratch_dir("cli-usage");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let report = dir.join("report.json");
+    let out = format!("--out {}", report.display());
+    for bin in [SWEEP, FIG01] {
+        for scale in ["nan", "0", "-1", "inf"] {
+            let (code, stderr) = run(bin, &format!("--scale {scale} {out}"), &[]);
+            assert_eq!(code, Some(2), "{bin} --scale {scale}: {stderr}");
+            assert!(stderr.contains(&format!("{scale:?}")), "{bin}: {stderr}");
+        }
+        let (code, _) = run(bin, &format!("--intra-jobs 2 {out}"), &[]);
+        assert_eq!(code, Some(2), "{bin} --intra-jobs 2");
+    }
+    let (code, stderr) = run(SWEEP, &out, &[("CABA_BENCH_SCALE", "nan")]);
+    assert_eq!(code, Some(2), "CABA_BENCH_SCALE=nan: {stderr}");
+    assert!(stderr.contains("CABA_BENCH_SCALE"), "{stderr}");
+    assert!(!report.exists(), "a usage error still wrote a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `json` with the number after every wall-clock key zeroed: those differ
+/// from run to run, everything else in a report must not.
+fn without_walls(json: &str) -> String {
+    let mut out = String::new();
+    let mut rest = json;
+    while let Some(i) = rest.find("\": ") {
+        let (head, tail) = rest.split_at(i + 3);
+        out.push_str(head);
+        let key = &head[head[..i].rfind('"').expect("key opens") + 1..i];
+        rest = tail;
+        if key.contains("wall") || key.contains("per_sec") {
+            out.push('0');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || "+-.eE".contains(c));
+        }
+    }
+    out + rest
+}
+
+#[test]
+fn the_removed_environment_variable_changes_nothing() {
+    let dir = caba_store::fsio::scratch_dir("cli-env");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let report = |tag: &str, env: &[(&str, &str)]| {
+        let (json, table) = (dir.join(tag).with_extension("json"), dir.join(tag));
+        let files = format!("--out {} --table {}", json.display(), table.display());
+        let cells = "--figures fig07 --apps CONS --scale 0.05 --jobs 1";
+        let (code, stderr) = run(SWEEP, &format!("{cells} {files}"), env);
+        assert_eq!(code, Some(0), "{stderr}");
+        let read = |p| std::fs::read_to_string(p).expect("written");
+        (without_walls(&read(json)), read(table))
+    };
+    let plain = report("plain", &[]);
+    assert!(plain.0.contains("\"jobs\": 1,") && !plain.0.contains("intra"));
+    assert_eq!(report("env", &[("CABA_INTRA_JOBS", "4")]), plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}

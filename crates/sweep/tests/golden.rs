@@ -8,7 +8,9 @@
 
 use caba_sim::fault::FaultConfig;
 use caba_sim::{Gpu, GpuConfig, RunError, RunStats};
-use caba_sweep::{DesignId, Sweep, SweepCell, SweepConfig};
+use caba_stats::checksum64;
+use caba_stats::snap::{SnapshotState, SnapshotWriter};
+use caba_sweep::{run_cell, CellSpec, DesignId, Sweep, SweepCell, SweepConfig};
 use caba_workloads::{app, prepare_app, run_app, DEFAULT_MAX_CYCLES};
 
 /// Exact `(design, cycles, icnt_flits)` triples for CONS on
@@ -54,102 +56,92 @@ fn golden_cycle_counts_are_stable() {
     }
 }
 
-/// Runs one `(app, design)` cell serially and under every tested intra-run
-/// worker count, asserting exact `RunStats` equality (the struct derives
-/// `Eq`, so every counter is compared, not a tolerance band).
-fn assert_intra_deterministic(app_name: &str, design: DesignId, cfg: GpuConfig) {
-    let spec = app(app_name).unwrap_or_else(|| panic!("unknown app {app_name}"));
-    let mut serial_cfg = cfg;
-    serial_cfg.intra_jobs = 1;
-    let serial = run_app(&spec, serial_cfg, design.make(), 0.05)
-        .unwrap_or_else(|e| panic!("{app_name}/{}: {e}", design.label()));
-    for jobs in [2, 4] {
-        let mut par_cfg = cfg;
-        par_cfg.intra_jobs = jobs;
-        let par = run_app(&spec, par_cfg, design.make(), 0.05)
-            .unwrap_or_else(|e| panic!("{app_name}/{} @ intra_jobs={jobs}: {e}", design.label()));
+/// The clocked end-of-cycle commit, pinned: in cycle *t* an SM sees
+/// start-of-cycle memory plus its own writes, and other SMs see those writes
+/// from *t + 1*. These two cells are the cheapest of the sweep that notice
+/// when that breaks: hand the SM phase direct views, or let an SM read the
+/// shared compression map for a line it wrote this cycle, and `icnt_flits`
+/// moves by three on each.
+#[test]
+fn clocked_commit_is_pinned() {
+    let sc = SweepConfig {
+        scale: 0.05,
+        ..SweepConfig::default()
+    };
+    for (app, cycles, flits) in [("LPS", 845, 3617), ("nw", 831, 3371)] {
+        let cell = SweepCell {
+            app,
+            design: DesignId::HwBdi,
+            bw_scale: 1.0,
+        };
+        let stats = run_cell(&CellSpec::new(&sc, cell))
+            .expect("cell runs")
+            .stats;
         assert_eq!(
-            serial,
-            par,
-            "{app_name}/{}: RunStats diverged at intra_jobs={jobs}",
-            design.label()
+            (stats.cycles, stats.icnt_flits),
+            (cycles, flits),
+            "{app}/HW-BDI: same-cycle stores leaked between SMs"
         );
     }
 }
 
+/// `checksum64` of the [`RunStats::save`] bytes of one cell on
+/// `GpuConfig::small()` at scale 0.05 — every counter, not the three the
+/// `GOLDEN` table names — plus the Fig. 1 conservation law
+/// `Σ buckets == cycles × schedulers × SMs`.
+fn stats_checksum(app_name: &str, design: DesignId, cfg: GpuConfig) -> u64 {
+    let spec = app(app_name).unwrap_or_else(|| panic!("unknown app {app_name}"));
+    let stats = run_app(&spec, cfg, design.make(), 0.05)
+        .unwrap_or_else(|e| panic!("{app_name}/{}: {e}", design.label()));
+    assert_eq!(
+        stats.breakdown.total(),
+        stats.cycles * (cfg.num_sms * cfg.schedulers_per_sm) as u64,
+        "{app_name}/{}: taxonomy leaks slots",
+        design.label()
+    );
+    let mut w = SnapshotWriter::new();
+    stats.save(&mut w);
+    checksum64(&w.into_bytes())
+}
+
 #[test]
-fn intra_jobs_is_bit_identical_to_serial() {
+fn every_counter_is_pinned() {
     // 3 apps x 3 designs covering every design family: bare baseline (no
     // compression map), dedicated-logic compression, and CABA assist warps
-    // (per-SM controller forks, line store, staging traffic).
-    for app_name in ["CONS", "BFS", "MM"] {
-        for design in [DesignId::Base, DesignId::HwBdi, DesignId::CabaBdi] {
-            assert_intra_deterministic(app_name, design, GpuConfig::small());
-        }
+    // (per-SM controller forks, line store, staging traffic). The last cell
+    // runs under fault injection: fault streams are keyed per component
+    // (per-SM, per-partition, one crossbar stream drawn where requests and
+    // responses merge), so injected drops and retransmissions land on the
+    // same packets at the same cycles in every run.
+    let small = GpuConfig::small();
+    let mut faulty = small;
+    faulty.fault = FaultConfig::recover(0xFA57_CAB4, 0.02);
+    let pins = [
+        ("CONS", DesignId::Base, small, 0xfb8e_75d8_70cc_4af2),
+        ("CONS", DesignId::HwBdi, small, 0xb994_d636_9d22_4897),
+        ("CONS", DesignId::CabaBdi, small, 0x88e1_4b4e_01ed_ea19),
+        ("BFS", DesignId::Base, small, 0xfd71_0345_2fa1_b8ca),
+        ("BFS", DesignId::HwBdi, small, 0x55f7_18e8_9a45_65e6),
+        ("BFS", DesignId::CabaBdi, small, 0xdc43_521b_1ac6_908f),
+        ("MM", DesignId::Base, small, 0x838f_0c24_0366_8b86),
+        ("MM", DesignId::HwBdi, small, 0xc085_fb61_767d_87f2),
+        ("MM", DesignId::CabaBdi, small, 0xa31f_1aa8_ef62_8a17),
+        ("CONS", DesignId::CabaBdi, faulty, 0x61e8_be2b_96a6_c730),
+    ];
+    for (app_name, design, cfg, pin) in pins {
+        assert_eq!(
+            stats_checksum(app_name, design, cfg),
+            pin,
+            "{app_name}/{} (faults {}): a counter drifted",
+            design.label(),
+            cfg.fault.enabled
+        );
     }
-}
-
-/// Figure 1 bucket totals must be bit-identical across intra-run worker
-/// counts: the issue-slot taxonomy is recorded per scheduler inside the
-/// sharded SM phase and merged at serial points in SM index order, so no
-/// worker schedule may perturb a single bucket. Checked explicitly
-/// per-bucket (not just through `RunStats` equality) together with the
-/// conservation law `Σ buckets == cycles × schedulers × SMs`.
-#[test]
-fn fig01_bucket_totals_identical_across_intra_jobs() {
-    use caba_stats::StallKind;
-    let cfg = GpuConfig::small();
-    let slots_per_cycle = (cfg.num_sms * cfg.schedulers_per_sm) as u64;
-    for app_name in ["CONS", "BFS"] {
-        for design in [DesignId::Base, DesignId::CabaBdi] {
-            let spec = app(app_name).expect("known app");
-            let mut reference = None;
-            for jobs in [1, 2, 4] {
-                let mut c = cfg;
-                c.intra_jobs = jobs;
-                let stats = run_app(&spec, c, design.make(), 0.05).unwrap_or_else(|e| {
-                    panic!("{app_name}/{} @ intra_jobs={jobs}: {e}", design.label())
-                });
-                assert_eq!(
-                    stats.breakdown.total(),
-                    stats.cycles * slots_per_cycle,
-                    "{app_name}/{} @ intra_jobs={jobs}: taxonomy leaks slots",
-                    design.label()
-                );
-                match &reference {
-                    None => reference = Some(stats.breakdown),
-                    Some(r) => {
-                        for k in StallKind::ALL {
-                            assert_eq!(
-                                stats.breakdown.count(k),
-                                r.count(k),
-                                "{app_name}/{} @ intra_jobs={jobs}: bucket {} diverged",
-                                design.label(),
-                                k.slug()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn intra_jobs_is_bit_identical_under_fault_injection() {
-    // Fault streams are keyed per component (per-SM, per-partition, one
-    // global crossbar stream drawn only at the serial merge points), so
-    // injected drops/retransmissions must land on the same packets at the
-    // same cycles regardless of worker count.
-    let mut cfg = GpuConfig::small();
-    cfg.fault = FaultConfig::recover(0xFA57_CAB4, 0.02);
-    assert_intra_deterministic("CONS", DesignId::CabaBdi, cfg);
 }
 
 /// Runs `app_name` under `design` to a mid-run timeout at `split` cycles,
 /// snapshots the machine, restores the snapshot into a **fresh** machine
-/// (built with `resume_cfg`, which may differ in tolerated knobs such as
-/// `intra_jobs`), and resumes to completion.
+/// (built with `resume_cfg`), and resumes to completion.
 fn split_resume_stats(
     app_name: &str,
     design: DesignId,
@@ -223,28 +215,6 @@ fn restored_run_is_exact_under_fault_injection() {
     );
     let resumed = split_resume_stats("CONS", DesignId::CabaBdi, cfg, cfg, 1000);
     assert_eq!(resumed, unbroken);
-}
-
-/// Restore determinism across intra-run worker counts: a snapshot taken
-/// under one `intra_jobs` restores under another (the knob is
-/// canonicalized out of the config hash) and still completes bit-identical
-/// to the serial unbroken run.
-#[test]
-fn restored_run_is_exact_across_intra_jobs() {
-    let spec = app("CONS").expect("CONS exists");
-    let unbroken =
-        run_app(&spec, GpuConfig::small(), DesignId::CabaBdi.make(), 0.05).expect("unbroken run");
-    for (take_jobs, resume_jobs) in [(1, 2), (2, 4), (4, 1)] {
-        let mut take_cfg = GpuConfig::small();
-        take_cfg.intra_jobs = take_jobs;
-        let mut resume_cfg = GpuConfig::small();
-        resume_cfg.intra_jobs = resume_jobs;
-        let resumed = split_resume_stats("CONS", DesignId::CabaBdi, take_cfg, resume_cfg, 1000);
-        assert_eq!(
-            resumed, unbroken,
-            "snapshot @ intra_jobs={take_jobs} resumed @ intra_jobs={resume_jobs} diverged"
-        );
-    }
 }
 
 #[test]
