@@ -3,9 +3,10 @@
 //!
 //! Every durable byte container in the repository — the `CABASNAP` machine
 //! snapshot (`caba_sim::snapshot`), the on-disk store entries of
-//! `caba-store`, and the per-line checksums of the sweep resume journal —
-//! seals its bytes with the same trailing checksum and verifies it
-//! **before any field is decoded**. Centralizing the hash and the framing
+//! `caba-store`, and the lines of the store's touch log and the sweep
+//! resume journal ([`seal_line`] / [`verify_line`]) — seals its bytes with
+//! the same trailing checksum and verifies it **before any field is
+//! decoded**. Centralizing the hash and the framing
 //! here keeps the corruption-rejection behaviour identical everywhere: a
 //! torn, truncated, or bit-flipped container is rejected as a unit, and
 //! corrupt bytes never reach a decoder.
@@ -94,6 +95,43 @@ pub fn verify_sealed(bytes: &[u8]) -> Option<&[u8]> {
     (checksum64(body) == stored).then_some(body)
 }
 
+/// The separator between a sealed line's body and its checksum field.
+const LINE_SUM: &str = " sum=";
+
+/// Seals one line of a text log: appends `" sum="`, the body's checksum as
+/// 16 hex digits and a newline — the framing of the store's touch log and
+/// the sweep resume journal. The inverse of [`verify_line`].
+///
+/// ```
+/// use caba_stats::checksum::{seal_line, verify_line};
+///
+/// let line = seal_line("touch rs 00ff 0001".to_string());
+/// assert_eq!(verify_line(line.trim_end_matches('\n')), Some("touch rs 00ff 0001"));
+/// assert_eq!(verify_line(&line[..line.len() - 3]), None);
+/// ```
+pub fn seal_line(mut body: String) -> String {
+    use std::fmt::Write as _;
+    let sum = checksum64(body.as_bytes());
+    writeln!(body, "{LINE_SUM}{sum:016x}").expect("writing to a String cannot fail");
+    body
+}
+
+/// Verifies one sealed line (without its newline) and returns the body the
+/// checksum covers, or `None` for a torn, corrupt or foreign line. The
+/// checksum field is everything after the last `" sum="` and must be hex
+/// digits and nothing else: a caller that tolerates trailing whitespace
+/// trims before calling. Like [`verify_sealed`] this runs **before** the
+/// body is parsed.
+pub fn verify_line(line: &str) -> Option<&str> {
+    let at = line
+        .as_bytes()
+        .windows(LINE_SUM.len())
+        .rposition(|w| w == LINE_SUM.as_bytes())?;
+    let (body, field) = (&line[..at], &line[at + LINE_SUM.len()..]);
+    let sum = u64::from_str_radix(field, 16).ok()?;
+    (checksum64(body.as_bytes()) == sum).then_some(body)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +170,37 @@ mod tests {
                 assert_eq!(verify_sealed(&bad), None, "flip at {byte}:{bit}");
             }
         }
+    }
+
+    #[test]
+    fn sealed_lines_round_trip_and_reject_every_tear_and_flip() {
+        let line = seal_line("cell 00ff wall=3ff0 stats=".to_string());
+        assert_eq!(
+            line,
+            format!(
+                "cell 00ff wall=3ff0 stats= sum={:016x}\n",
+                checksum64(b"cell 00ff wall=3ff0 stats=")
+            )
+        );
+        let whole = line
+            .strip_suffix('\n')
+            .expect("sealed lines end in a newline");
+        assert_eq!(verify_line(whole), Some("cell 00ff wall=3ff0 stats="));
+        for len in 0..whole.len() {
+            assert_eq!(verify_line(&whole[..len]), None, "torn at {len}");
+        }
+        for byte in 0..whole.len() {
+            let mut bad = whole.as_bytes().to_vec();
+            bad[byte] ^= 0x01;
+            let bad = String::from_utf8(bad).expect("an ASCII line stays ASCII");
+            assert_eq!(verify_line(&bad), None, "flip at {byte}");
+        }
+        // The field is the digits alone, and the last separator wins.
+        assert_eq!(verify_line(&format!("{whole} ")), None);
+        assert_eq!(verify_line(&line), None, "the newline is not the line's");
+        let nested = seal_line(whole.to_string());
+        assert_eq!(verify_line(nested.trim_end()), Some(whole));
+        assert_eq!(verify_line(" sum=cbf29ce484222325"), Some(""));
     }
 
     #[test]

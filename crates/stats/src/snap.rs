@@ -119,6 +119,14 @@ impl SnapshotWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `bytes` bytes: a caller that knows the
+    /// encoded size up front pays for one allocation, not a doubling series.
+    pub fn with_capacity(bytes: usize) -> Self {
+        SnapshotWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -106,9 +106,11 @@ fn store_command(verb: &str, rest: &[String]) -> ExitCode {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--store-dir" => store_dir = it.next().map(PathBuf::from),
-            "--store-cap" => store_cap = it.next().and_then(|v| v.parse().ok()),
-            "--out" => out = it.next().cloned(),
+            "--store-dir" => {
+                store_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| missing_value(a))))
+            }
+            "--store-cap" => store_cap = Some(parse_flag(a, it.next().cloned())),
+            "--out" => out = Some(it.next().cloned().unwrap_or_else(|| missing_value(a))),
             "--help" | "-h" => usage(),
             _ => {
                 eprintln!("caba-sweep store: unknown flag {a}\n");

@@ -36,7 +36,8 @@
 use crate::cell::{run_cell, CellSpec};
 use crate::{CellResult, SweepCell};
 use caba_sim::RunStats;
-use caba_stats::snap::{checksum64, SnapshotReader, SnapshotState, SnapshotWriter};
+use caba_stats::checksum::{seal_line, verify_line};
+use caba_stats::snap::{SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_store::Store;
 use caba_workloads::app;
 use std::collections::HashMap;
@@ -285,22 +286,18 @@ fn decode_hex(s: &str) -> Option<Vec<u8>> {
 fn journal_line(key: u64, stats: &RunStats, wall_s: f64) -> String {
     let mut w = SnapshotWriter::new();
     stats.save(&mut w);
-    let body = format!(
+    seal_line(format!(
         "cell {key:016x} wall={:016x} stats={}",
         wall_s.to_bits(),
         encode_hex(&w.into_bytes())
-    );
-    format!("{body} sum={:016x}\n", checksum64(body.as_bytes()))
+    ))
 }
 
 /// Parses one journal line; `None` for anything malformed (including a
 /// line torn by a crash mid-write).
 fn parse_journal_line(line: &str) -> Option<(u64, RunStats, f64)> {
-    let (body, sum_field) = line.rsplit_once(" sum=")?;
-    let sum = u64::from_str_radix(sum_field.trim(), 16).ok()?;
-    if checksum64(body.as_bytes()) != sum {
-        return None;
-    }
+    // The journal has always let whitespace trail the checksum digits.
+    let body = verify_line(line.trim_end())?;
     let rest = body.strip_prefix("cell ")?;
     let (key_s, rest) = rest.split_once(' ')?;
     let key = u64::from_str_radix(key_s, 16).ok()?;
@@ -455,6 +452,7 @@ mod tests {
     use crate::{DesignId, Sweep, SweepConfig};
     use caba_sim::snapshot::config_hash;
     use caba_sim::GpuConfig;
+    use caba_stats::checksum::checksum64;
 
     fn tiny_sc() -> SweepConfig {
         SweepConfig {

@@ -1,7 +1,7 @@
 //! Binary-level tests of the two sweep CLIs' argument handling: a scale the
-//! machine model cannot take and the removed `--intra-jobs` flag are usage
-//! errors (exit 2) before any work, and the removed `CABA_INTRA_JOBS`
-//! variable is not read.
+//! machine model cannot take, the removed `--intra-jobs` flag and a bad or
+//! missing value under `caba-sweep store` are usage errors (exit 2) before
+//! any work, and the removed `CABA_INTRA_JOBS` variable is not read.
 
 use std::process::{Command, Output};
 
@@ -41,6 +41,39 @@ fn bad_scales_and_the_removed_flag_are_usage_errors() {
     assert_eq!(code, Some(2), "CABA_BENCH_SCALE=nan: {stderr}");
     assert!(stderr.contains("CABA_BENCH_SCALE"), "{stderr}");
     assert!(!report.exists(), "a usage error still wrote a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_store_subcommand_names_a_bad_or_missing_flag_value() {
+    let dir = caba_store::fsio::scratch_dir("cli-store");
+    let root = dir.display();
+    let (code, stderr) = run(
+        SWEEP,
+        &format!("store gc --store-dir {root} --store-cap 10MB"),
+        &[],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("invalid value \"10MB\" for --store-cap"),
+        "{stderr}"
+    );
+    for flag in ["--store-dir", "--store-cap", "--out"] {
+        let (code, stderr) = run(SWEEP, &format!("store gc --store-cap 0 {flag}"), &[]);
+        assert_eq!(code, Some(2), "trailing {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} requires a value")),
+            "{stderr}"
+        );
+    }
+    assert!(!dir.exists(), "a usage error still opened a store");
+    // The flags still work when they are well formed.
+    let (code, stderr) = run(
+        SWEEP,
+        &format!("store gc --store-dir {root} --store-cap 0"),
+        &[],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
