@@ -156,23 +156,23 @@ impl Bdi {
         }
         let ranked = &mut ranked[..n];
         ranked.sort_unstable();
-        for &(_, idx) in ranked.iter() {
-            let enc = BdiEncoding::ALL[idx];
-            let applies = match enc {
-                BdiEncoding::Rep8 => rep8_applies(line),
-                BdiEncoding::B8D1 => base_delta_fits::<8, 1>(line),
-                BdiEncoding::B8D2 => base_delta_fits::<8, 2>(line),
-                BdiEncoding::B8D4 => base_delta_fits::<8, 4>(line),
-                BdiEncoding::B4D1 => base_delta_fits::<4, 1>(line),
-                BdiEncoding::B4D2 => base_delta_fits::<4, 2>(line),
-                BdiEncoding::B2D1 => base_delta_fits::<2, 1>(line),
-                BdiEncoding::Zeros => unreachable!("handled above"),
-            };
-            if applies {
-                return Some(enc);
+        ranked
+            .iter()
+            .map(|&(_, idx)| BdiEncoding::ALL[idx])
+            .find(|&enc| applies(line, enc))
+    }
+
+    /// Whether [`Bdi::compress_with`]`(line, enc)` would return a line —
+    /// the same answer for any `line`, without building the payload.
+    pub fn fits(&self, line: &[u8], enc: BdiEncoding) -> bool {
+        let shaped = match enc.sizes() {
+            // `compress_with`'s "no benefit" rule.
+            Some((vs, _)) => {
+                line.len().is_multiple_of(vs) && enc.compressed_size(line.len()) < line.len()
             }
-        }
-        None
+            None => enc == BdiEncoding::Zeros || line.len().is_multiple_of(8),
+        };
+        shaped && applies(line, enc)
     }
 
     /// Exact compressed size [`Compressor::compress`] would produce for
@@ -225,6 +225,22 @@ impl Bdi {
     }
 }
 
+/// Whether `line`'s values fit `enc`: the data-dependent half of the
+/// decision, shared by [`Bdi::scan`] and [`Bdi::fits`].
+#[inline]
+fn applies(line: &[u8], enc: BdiEncoding) -> bool {
+    match enc {
+        BdiEncoding::Zeros => all_zero(line),
+        BdiEncoding::Rep8 => rep8_applies(line),
+        BdiEncoding::B8D1 => base_delta_fits::<8, 1>(line),
+        BdiEncoding::B8D2 => base_delta_fits::<8, 2>(line),
+        BdiEncoding::B8D4 => base_delta_fits::<8, 4>(line),
+        BdiEncoding::B4D1 => base_delta_fits::<4, 1>(line),
+        BdiEncoding::B4D2 => base_delta_fits::<4, 2>(line),
+        BdiEncoding::B2D1 => base_delta_fits::<2, 1>(line),
+    }
+}
+
 /// OR-reduction over `u64` lanes: branch-free, so the compiler vectorizes
 /// it; a 128-byte line is 16 lane loads and one compare.
 fn all_zero(line: &[u8]) -> bool {
@@ -262,8 +278,7 @@ fn base_delta_fits<const VS: usize, const DS: usize>(line: &[u8]) -> bool {
     };
     let mut base = 0u64;
     let mut have_base = false;
-    for word in line.chunks_exact(8) {
-        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+    let mut word_fits = |w: u64| {
         for lane in 0..(8 / VS) {
             let v = (w >> (lane * vbits)) & vmask;
             let sv = sign_extend(v, vbits);
@@ -280,8 +295,20 @@ fn base_delta_fits<const VS: usize, const DS: usize>(line: &[u8]) -> bool {
                 return false;
             }
         }
+        true
+    };
+    let chunks = line.chunks_exact(8);
+    let rem = chunks.remainder();
+    for word in chunks {
+        if !word_fits(u64::from_le_bytes(word.try_into().expect("8-byte chunk"))) {
+            return false;
+        }
     }
-    true
+    // A tail shorter than a word is padded with zero values, which always
+    // fit the implicit zero base.
+    let mut tail = [0u8; 8];
+    tail[..rem.len()].copy_from_slice(rem);
+    rem.is_empty() || word_fits(u64::from_le_bytes(tail))
 }
 
 fn read_value(line: &[u8], idx: usize, vs: usize) -> u64 {

@@ -2,6 +2,7 @@
 //! accepts, across data profiles from all-zero to full-entropy. Driven by
 //! the in-repo deterministic property harness (`caba_stats::prop`).
 
+use caba_compress::bdi::{Bdi, BdiEncoding};
 use caba_compress::{average_best_ratio, average_burst_ratio, Algorithm, BestOfAll, LINE_SIZE};
 use caba_stats::prop;
 use caba_stats::Rng64;
@@ -121,6 +122,56 @@ fn scan_size_matches_compress() {
             .min_by_key(|c| c.size_bytes());
         assert_eq!(BestOfAll::new().compress(&line), reference);
     });
+}
+
+/// `Bdi::fits` is `compress_with(..).is_some()` without the payload: for
+/// every encoding, on the corpus above, on lines made to fit each
+/// base-delta shape, and on every length down to the empty line (odd ones
+/// included, where `compress_with` answers from its length rules).
+#[test]
+fn bdi_fits_is_compress_with_without_the_payload() {
+    let bdi = Bdi::new();
+    let mut fitted = [0u32; 8];
+    prop::check(0xF175, CASES, |rng| {
+        let mut line = match rng.range_u64(3) {
+            0 => {
+                // Values of `vs` bytes within `ds` bytes of one base.
+                let (vs, ds) =
+                    [(8, 1), (8, 2), (8, 4), (4, 1), (4, 2), (2, 1)][rng.range_u64(6) as usize];
+                let base = rng.next_u64();
+                let mut line = Vec::with_capacity(LINE_SIZE);
+                for _ in 0..LINE_SIZE / vs {
+                    let near = base.wrapping_add(rng.range_u64(1 << (8 * ds - 1)));
+                    let v = if rng.chance(0.2) {
+                        rng.range_u64(100)
+                    } else {
+                        near
+                    };
+                    line.extend_from_slice(&v.to_le_bytes()[..vs]);
+                }
+                line
+            }
+            1 => [rng.next_u64() * rng.range_u64(2); 16]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect(),
+            _ => random_line(rng),
+        };
+        if rng.chance(0.5) {
+            line.truncate(rng.range_u64(LINE_SIZE as u64 + 1) as usize);
+        }
+        for enc in BdiEncoding::ALL {
+            let reference = bdi.compress_with(&line, enc).is_some();
+            assert_eq!(
+                bdi.fits(&line, enc),
+                reference,
+                "{enc:?} on {} bytes",
+                line.len()
+            );
+            fitted[enc.id() as usize] += u32::from(reference);
+        }
+    });
+    assert!(fitted.iter().all(|&n| n > 0), "{fitted:?}");
 }
 
 #[test]

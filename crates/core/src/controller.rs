@@ -187,10 +187,9 @@ impl CabaController {
     fn pick_encoding(line: &[u8]) -> BdiEncoding {
         let bdi = Bdi::new();
         crate::subroutines::CABA_COMPRESS_ENCODINGS
-            .iter()
-            .filter_map(|&e| bdi.compress_with(line, e).map(|c| (c.size_bytes(), e)))
-            .min_by_key(|&(s, _)| s)
-            .map(|(_, e)| e)
+            .into_iter()
+            .filter(|&e| bdi.fits(line, e))
+            .min_by_key(|e| e.compressed_size(line.len()))
             // Nothing fits: still run one test (it will report failure and
             // the line is released uncompressed) — the paper's overhead for
             // incompressible data.
@@ -272,7 +271,7 @@ impl AssistController for CabaController {
             program,
             parent_warp: info.parent_warp,
             priority: self.decompress_priority,
-            live_in: vec![(Reg(0), payload_addr), (Reg(1), info.addr)],
+            live_in: [(Reg(0), payload_addr), (Reg(1), info.addr)],
             active_mask,
             tag,
         })
@@ -349,7 +348,7 @@ impl AssistController for CabaController {
             program,
             parent_warp: info.parent_warp,
             priority: AssistPriority::Low,
-            live_in: vec![(Reg(0), info.addr), (Reg(1), slot)],
+            live_in: [(Reg(0), info.addr), (Reg(1), slot)],
             active_mask,
             tag,
         })

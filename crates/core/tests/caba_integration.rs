@@ -4,7 +4,7 @@
 use caba_compress::Algorithm;
 use caba_core::CabaController;
 use caba_isa::{AluOp, Kernel, LaunchDims, ProgramBuilder, Reg, Space, Special, Src, Width};
-use caba_sim::{Design, Gpu, GpuConfig};
+use caba_sim::{Design, Gpu, GpuConfig, RunError};
 
 /// Bandwidth-bound streaming reduction: each thread sums four strided
 /// elements and stores one result. Load-dominated, coalesced, and with a
@@ -214,4 +214,87 @@ fn store_buffer_overflow_path() {
         stats.store_buffer_overflows > 0,
         "tiny buffer must overflow"
     );
+}
+
+/// Snapshots cut through assist bursts. A short CABA run is stopped at every
+/// 7th cycle; each cut is restored into a fresh machine, which must write
+/// the same bytes back and resume to the unbroken run's exact `RunStats`.
+/// Restore re-derives the candidate lists wholesale where the running
+/// machine kept them current by assist-only updates, so some cut has to land
+/// in a stretch the assist-only path alone maintained — the per-SM
+/// `(full rebuilds, assist-only updates)` counters say which do.
+///
+/// The same counters guard the mechanism without a clock: over the unbroken
+/// run, full rebuilds are bounded by block launches and retires, however
+/// many assist warps deploy.
+fn cut_every_7th_cycle(ctrl: fn() -> CabaController) {
+    let n = 4096u32;
+    let cfg = GpuConfig::small();
+    let kernel = copy_kernel(n, 0x1_0000, 0x40_0000);
+    let fresh = || Gpu::new(cfg, Design::Caba(Box::new(ctrl())));
+
+    let mut whole = fresh();
+    load_compressible(&mut whole, n, 0x1_0000);
+    let full = whole.run(&kernel, 1_000_000).unwrap();
+    assert!(full.assist_launches > 50, "{}", full.assist_launches);
+    let (rebuilds, updates) = whole
+        .list_rebuilds()
+        .iter()
+        .fold((0, 0), |(r, u), sm| (r + sm.0, u + sm.1));
+    let blocks = u64::from(kernel.dims().grid_dim);
+    assert!(
+        rebuilds <= 2 * blocks + cfg.num_sms as u64,
+        "{rebuilds} full rebuilds for {blocks} blocks launched and retired"
+    );
+    assert!(
+        updates > full.assist_launches / 2,
+        "{updates} assist updates"
+    );
+
+    let mut stepped = fresh();
+    load_compressible(&mut stepped, n, 0x1_0000);
+    let mut before = stepped.list_rebuilds();
+    let mut in_burst = 0;
+    for cut in (7..).step_by(7) {
+        let outcome = if cut == 7 {
+            stepped.run(&kernel, cut)
+        } else {
+            stepped.resume(&kernel, cut)
+        };
+        match outcome {
+            Ok(stats) => {
+                assert_eq!(stats, full, "stepping in place");
+                break;
+            }
+            Err(RunError::Timeout { .. }) => {}
+            Err(e) => panic!("cut {cut}: {e}"),
+        }
+        let bytes = stepped.snapshot(&kernel);
+        let mut restored = fresh();
+        restored
+            .restore(&kernel, &bytes)
+            .expect("snapshot restores");
+        assert!(restored.snapshot(&kernel) == bytes, "cut {cut} re-saves");
+        let resumed = restored.resume(&kernel, 1_000_000).unwrap();
+        assert_eq!(resumed, full, "resumed from cycle {cut}");
+
+        let now = stepped.list_rebuilds();
+        in_burst += usize::from(
+            now.iter()
+                .zip(&before)
+                .any(|(n, b)| n.0 == b.0 && n.1 > b.1),
+        );
+        before = now;
+    }
+    assert!(in_burst > 10, "{in_burst} cuts inside assist bursts");
+}
+
+#[test]
+fn snapshots_cut_through_caba_bdi_assist_bursts() {
+    cut_every_7th_cycle(CabaController::bdi);
+}
+
+#[test]
+fn snapshots_cut_through_caba_fpc_assist_bursts() {
+    cut_every_7th_cycle(CabaController::fpc);
 }

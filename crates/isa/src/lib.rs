@@ -539,6 +539,12 @@ impl Instr {
         }
     }
 
+    /// Every register the instruction reads or writes.
+    fn regs(&self) -> impl Iterator<Item = Reg> {
+        let srcs = self.src_regs_fixed().into_iter();
+        srcs.chain([self.dst_reg()]).flatten()
+    }
+
     /// True for loads (global or shared, plain or packed).
     pub fn is_load(&self) -> bool {
         matches!(self.op, Op::Ld { .. } | Op::LdPacked { .. })
@@ -559,13 +565,65 @@ impl Instr {
     }
 }
 
+/// What the issue stage asks of an instruction every time it considers it,
+/// decoded once when the [`Program`] is built (the AWB stages assist-warp
+/// instructions decoded the same way, §3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssueMeta {
+    /// Bit `r` for every register `r < 64` the instruction reads or writes.
+    regs: u64,
+    /// It names a register at or above 64, which `regs` cannot hold.
+    wide: bool,
+    /// [`Instr::fu_class`].
+    pub fu: FuClass,
+    /// A shared-space `Ld`/`St`: it needs the memory issue slot but no
+    /// line-op queue space.
+    pub shared_space: bool,
+    /// [`Instr::steers_control`].
+    pub steers: bool,
+}
+
+impl IssueMeta {
+    fn of(i: &Instr) -> Self {
+        let (mut regs, mut wide) = (0, false);
+        for Reg(r) in i.regs() {
+            match r {
+                0..64 => regs |= 1 << r,
+                _ => wide = true,
+            }
+        }
+        let shared_space = match i.op {
+            Op::Ld { space, .. } | Op::St { space, .. } => space == Space::Shared,
+            _ => false,
+        };
+        IssueMeta {
+            regs,
+            wide,
+            fu: i.fu_class(),
+            shared_space,
+            steers: i.steers_control(),
+        }
+    }
+
+    /// The scoreboard's answer for a warp whose pending bits for registers
+    /// 0..64 are `pending_low`: whether a source or destination awaits an
+    /// in-flight producer. `None` when the instruction names a register the
+    /// word does not cover; the caller then checks the instruction itself.
+    #[inline]
+    pub fn hazard(&self, pending_low: u64) -> Option<bool> {
+        (!self.wide).then_some(self.regs & pending_low != 0)
+    }
+}
+
 /// A straight-line-addressable sequence of instructions (one kernel body or
 /// one assist-warp subroutine).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
-    // Derived from `instrs` at construction: assist deployment reads it for
-    // every launch.
+    // Both derived from `instrs` at construction: the scheduler reads a meta
+    // for every candidate it considers, assist deployment reads `max_reg`
+    // for every launch.
+    metas: Vec<IssueMeta>,
     max_reg: u16,
 }
 
@@ -584,14 +642,14 @@ impl Program {
                 );
             }
         }
-        let regs = instrs.iter().flat_map(|i| {
-            i.src_regs_fixed()
-                .into_iter()
-                .chain([i.dst_reg()])
-                .flatten()
-        });
+        let regs = instrs.iter().flat_map(Instr::regs);
         let max_reg = regs.map(|Reg(r)| r + 1).max().unwrap_or(0);
-        Program { instrs, max_reg }
+        let metas = instrs.iter().map(IssueMeta::of).collect();
+        Program {
+            instrs,
+            metas,
+            max_reg,
+        }
     }
 
     /// Number of instructions.
@@ -607,6 +665,13 @@ impl Program {
     /// The instruction at `pc`, or `None` past the end.
     pub fn fetch(&self, pc: usize) -> Option<&Instr> {
         self.instrs.get(pc)
+    }
+
+    /// The issue metadata of the instruction at `pc`, or `None` past the
+    /// end.
+    #[inline]
+    pub fn fetch_meta(&self, pc: usize) -> Option<IssueMeta> {
+        self.metas.get(pc).copied()
     }
 
     /// All instructions.

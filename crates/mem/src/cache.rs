@@ -333,6 +333,9 @@ pub struct Mshr<T> {
     // insertion order (a Vec), so response ordering is hasher-independent.
     entries: FxHashMap<u64, Vec<T>>,
     merged: u64,
+    // Drained waiter lists handed back through `recycle`, emptied, for the
+    // next allocations; at most `capacity` of them. Not serialized.
+    spare: Vec<Vec<T>>,
 }
 
 impl<T> Mshr<T> {
@@ -342,6 +345,7 @@ impl<T> Mshr<T> {
             capacity,
             entries: FxHashMap::default(),
             merged: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -371,13 +375,25 @@ impl<T> Mshr<T> {
         if self.entries.len() >= self.capacity {
             return Err(waiter);
         }
-        self.entries.insert(base, vec![waiter]);
+        let mut ws = self.spare.pop().unwrap_or_default();
+        ws.push(waiter);
+        self.entries.insert(base, ws);
         Ok(true)
     }
 
-    /// Completes the fill for `addr`'s line, returning all waiters.
+    /// Completes the fill for `addr`'s line, returning all waiters. Hand the
+    /// list back with [`Mshr::recycle`] once it has been read.
     pub fn complete(&mut self, addr: u64) -> Vec<T> {
         self.entries.remove(&line_base(addr)).unwrap_or_default()
+    }
+
+    /// Takes back a waiter list [`Mshr::complete`] returned, so that a later
+    /// [`Mshr::allocate`] reuses its storage.
+    pub fn recycle(&mut self, mut waiters: Vec<T>) {
+        if waiters.capacity() > 0 && self.spare.len() < self.capacity {
+            waiters.clear();
+            self.spare.push(waiters);
+        }
     }
 
     /// Outstanding line count.
@@ -579,5 +595,35 @@ mod tests {
         assert_eq!(ws, vec![1, 2]);
         assert_eq!(m.outstanding(), 1);
         assert!(m.complete(0).is_empty());
+    }
+
+    /// Recycled waiter lists are storage only: a file that hands every
+    /// drained list back behaves, and serializes, exactly like a twin that
+    /// never does.
+    #[test]
+    fn mshr_recycling_is_invisible() {
+        let saved = |m: &Mshr<u32>| {
+            let mut w = SnapshotWriter::new();
+            m.snap_save(&mut w);
+            w.into_bytes()
+        };
+        let (mut pooled, mut plain): (Mshr<u32>, Mshr<u32>) = (Mshr::new(4), Mshr::new(4));
+        let mut rng = caba_stats::rng::Rng64::new(0xCABA_0023);
+        for waiter in 0..4000u32 {
+            let addr = rng.range_u64(6) * LINE_SIZE as u64 + rng.range_u64(LINE_SIZE as u64);
+            if rng.chance(0.6) {
+                assert_eq!(pooled.allocate(addr, waiter), plain.allocate(addr, waiter));
+            } else {
+                let ws = pooled.complete(addr);
+                assert_eq!(ws, plain.complete(addr), "waiter order");
+                pooled.recycle(ws);
+            }
+            assert_eq!(pooled.merged(), plain.merged());
+            assert_eq!(pooled.outstanding(), plain.outstanding());
+            assert_eq!(saved(&pooled), saved(&plain));
+            assert!(pooled.spare.len() <= pooled.capacity());
+            assert!(pooled.spare.iter().all(|ws| ws.is_empty()));
+        }
+        assert!(pooled.merged() > 100 && !pooled.spare.is_empty());
     }
 }

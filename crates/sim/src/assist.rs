@@ -41,7 +41,7 @@ pub struct AssistLaunch {
     pub priority: AssistPriority,
     /// Live-in register values, broadcast to all lanes (the MOVE-in step of
     /// §3.4 "Communication and Control").
-    pub live_in: Vec<(Reg, u64)>,
+    pub live_in: [(Reg, u64); 2],
     /// Initial active mask (the AWT active-mask field of §3.3).
     pub active_mask: u32,
     /// Controller-chosen tag returned on completion.
@@ -429,6 +429,20 @@ impl SharedLineStore<'_> {
         }
     }
 
+    /// Whether [`SharedLineStore::stored_compressed`] would return a line,
+    /// without copying one out of the override or the map.
+    pub fn is_stored_compressed(
+        &self,
+        mem: &SharedMem<'_>,
+        cmap: Option<&mut CompressionMap>,
+        addr: u64,
+    ) -> bool {
+        match self.override_for(addr) {
+            Some(form) => matches!(form, StoredForm::Compressed(_)),
+            None => cmap.is_some_and(|map| map.compressed_in(mem, addr).is_some()),
+        }
+    }
+
     /// The compressed form of `addr`'s line as stored, or `None` when raw /
     /// incompressible.
     pub fn stored_compressed(
@@ -470,6 +484,7 @@ mod tests {
         assert!(view
             .stored_compressed(&mem_view, Some(&mut cmap), 0)
             .is_some());
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 0);
 
         // Raw override wins.
         view.set_raw(5); // same line
@@ -477,6 +492,7 @@ mod tests {
         assert!(view
             .stored_compressed(&mem_view, Some(&mut cmap), 0)
             .is_none());
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 0);
 
         // Explicit compressed override wins over both.
         let c = CompressedLine {
@@ -491,6 +507,9 @@ mod tests {
             view.stored_compressed(&mem_view, Some(&mut cmap), 0),
             Some(c)
         );
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 0);
+        // A line nothing has touched: all zeros, not yet in the map.
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 4096);
 
         // The partition's read-only path agrees, with and without override.
         assert_eq!(store.stored_size(&mem, Some(&mut cmap), 0), 40);
@@ -498,6 +517,72 @@ mod tests {
         assert_eq!(store.overrides(), 0);
         assert!(store.override_for(0).is_none());
         assert_eq!(store.stored_size(&mem, Some(&mut cmap), 0), s);
+    }
+
+    /// `is_stored_compressed` is `stored_compressed(..).is_some()`, with a
+    /// map and without one.
+    fn assert_flag_agrees(
+        view: &SharedLineStore<'_>,
+        mem: &SharedMem<'_>,
+        cmap: &mut CompressionMap,
+        addr: u64,
+    ) {
+        assert_eq!(
+            view.is_stored_compressed(mem, Some(cmap), addr),
+            view.stored_compressed(mem, Some(cmap), addr).is_some()
+        );
+        assert_eq!(
+            view.is_stored_compressed(mem, None, addr),
+            view.stored_compressed(mem, None, addr).is_some()
+        );
+    }
+
+    /// Under an overlay a line in this SM's own shadow is compressed from
+    /// the view, not the map; the flag follows, both ways.
+    #[test]
+    fn stored_flag_sees_the_own_shadow() {
+        let mut mem = FuncMem::new();
+        for i in 0..32u32 {
+            mem.write_u32(i as u64 * 4, 0x400 + i);
+        }
+        let mut cmap = CompressionMap::new(LineCompressor::Fixed(Algorithm::Bdi));
+        let store = LineStore::new();
+        let (mut mem_delta, mut ls_delta) = (caba_mem::MemDelta::new(), LineStoreDelta::new());
+        let mut mem_view = SharedMem::Overlay {
+            base: &mem,
+            delta: &mut mem_delta,
+        };
+        let mut view = SharedLineStore::Overlay {
+            base: &store,
+            delta: &mut ls_delta,
+        };
+        assert!(view.is_stored_compressed(&mem_view, Some(&mut cmap), 0));
+        // Own stores of noise: the map still holds the compressible form.
+        let mut x = 17u64;
+        for i in 0..16 {
+            x = x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(0x33);
+            mem_view.write_u64(i * 8, x);
+        }
+        assert!(!view.is_stored_compressed(&mem_view, Some(&mut cmap), 0));
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 0);
+        // An all-zero line made compressible-but-different by an own store.
+        mem_view.write_u8(512, 1);
+        assert!(view.is_stored_compressed(&mem_view, Some(&mut cmap), 512));
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 512);
+        // Own overrides in the overlay win over both.
+        view.set_raw(512);
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 512);
+        view.set_compressed(
+            0,
+            CompressedLine {
+                algorithm: Algorithm::Bdi,
+                encoding: 2,
+                payload: vec![0u8; 40],
+                original_len: LINE_SIZE,
+            },
+        );
+        assert!(view.is_stored_compressed(&mem_view, Some(&mut cmap), 0));
+        assert_flag_agrees(&view, &mem_view, &mut cmap, 0);
     }
 
     #[test]

@@ -1067,6 +1067,15 @@ impl Gpu {
         (self.cycles_skipped, self.skip_events)
     }
 
+    /// Per SM, `(full candidate-list rebuilds, assist-only list updates)`
+    /// since construction: block launch and retire pay for the first, assist
+    /// deploy and retire only for the second. Host-efficiency counters like
+    /// [`Gpu::skip_stats`], outside [`RunStats`] and the snapshot.
+    #[doc(hidden)]
+    pub fn list_rebuilds(&self) -> Vec<(u64, u64)> {
+        self.sms.iter().map(|sm| sm.list_rebuilds()).collect()
+    }
+
     /// The most recent periodic checkpoint taken during a run with
     /// [`GpuConfig::checkpoint_interval`] > 0, as `(cycle, container
     /// bytes)`.

@@ -391,13 +391,15 @@ impl Partition {
                 }
             }
             let flits = oracle.resp_flits(done.addr);
-            for sm in self.mshr.complete(done.addr) {
+            let waiters = self.mshr.complete(done.addr);
+            for &sm in &waiters {
                 self.resp_out.push_back(PartResp {
                     sm,
                     addr: done.addr,
                     flits,
                 });
             }
+            self.mshr.recycle(waiters);
         }
 
         // Release L2-hit responses whose latency elapsed.

@@ -14,7 +14,7 @@ use crate::lsu::{LineOp, LineOpKind, Lsu, WarpRef};
 use crate::observe::{sim_metrics_schema, SimMetricIds};
 use crate::trace::{TraceEvent, TraceEventKind};
 use crate::warp::{Warp, FULL_MASK};
-use caba_isa::{FuClass, Instr, Kernel, Op, Program, Reg, Space, WARP_SIZE};
+use caba_isa::{FuClass, Instr, IssueMeta, Kernel, Program, Reg, WARP_SIZE};
 use caba_mem::{AccessOutcome, Cache, CompressionMap, Mshr, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{FxHashMap, IssueBreakdown, MetricShard, StallKind};
@@ -45,6 +45,14 @@ pub struct SharedState<'a> {
     pub line_store: SharedLineStore<'a>,
     /// The evaluated design point (owns the CABA controller, if any).
     pub design: &'a mut Design,
+}
+
+impl SharedState<'_> {
+    /// Whether `addr`'s line is stored compressed, as this view sees it.
+    fn stored_compressed(&mut self, addr: u64) -> bool {
+        let cmap = self.cmap.as_deref_mut();
+        self.line_store.is_stored_compressed(&self.mem, cmap, addr)
+    }
 }
 
 /// An outbound memory request (SM → partition).
@@ -102,6 +110,13 @@ struct Writeback {
     at: u64,
     warp: WarpRef,
     reg: Option<Reg>,
+}
+
+/// See [`Sm::head`].
+struct Head<'a> {
+    meta: IssueMeta,
+    hazard: bool,
+    instr: &'a Instr,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,6 +293,14 @@ enum ListKind {
 /// Sentinel for "slot not in any candidate list" in the position maps.
 const NO_POS: u8 = u8::MAX;
 
+#[cfg(test)]
+thread_local! {
+    /// Holds `masks_ok` false on this thread, so every scan takes the plain
+    /// per-candidate path: the reference the masked scan is compared with.
+    pub(crate) static FORCE_PLAIN_SCAN: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
 /// One streaming multiprocessor.
 pub struct Sm {
     id: usize,
@@ -324,16 +347,18 @@ pub struct Sm {
     /// retirement, so a blocked dispatch cannot unblock until this moves.
     /// Not serialized: restore conservatively reopens the gate.
     blocks_retired_total: u64,
-    /// Per-scheduler candidate slots in issue-priority order, rebuilt only
-    /// when warp/assist residency changes (`cand_dirty`): high-priority
+    /// Per-scheduler candidate slots in issue-priority order: high-priority
     /// assists, occupied app-warp slots by age, low-priority assists.
-    /// Done/at-barrier warps stay listed — `fetch_for` skips them exactly
-    /// as the per-cycle rebuild used to, so cached scheduling is
-    /// bit-identical.
+    /// Block launch and retire (`cand_dirty`) re-derive all three; assist
+    /// deploy and retire (`assist_dirty`) only the two assist lists, so the
+    /// parents' list, its sort and `slot_pos` are left alone. Done/at-barrier
+    /// warps stay listed — `head` skips them exactly as the per-cycle
+    /// rebuild used to, so cached scheduling is bit-identical.
     cand_his: Vec<Vec<usize>>,
     cand_parents: Vec<Vec<usize>>,
     cand_lows: Vec<Vec<usize>>,
     cand_dirty: bool,
+    assist_dirty: bool,
     /// Per-scheduler [`ClassMasks`] for each candidate list, kept in
     /// lockstep with the memos by [`Sm::set_memo`]; rebuilt with the lists
     /// and after snapshot restore. Only consulted when `masks_ok`.
@@ -352,8 +377,8 @@ pub struct Sm {
     /// Per-slot consideration memos (see [`SlotMemo`]): what the last full
     /// evaluation proved about each candidate, so stalled-machine scans
     /// cost a tag check per candidate instead of a fetch + scoreboard
-    /// scan. Cleared wholesale on any residency change
-    /// (`rebuild_candidates`).
+    /// scan. Cleared wholesale on any residency change, assist-side ones
+    /// included (`wipe_memos`).
     memo_app: Vec<SlotMemo>,
     memo_assist: Vec<SlotMemo>,
     /// App warps that have fully exited but not yet been reaped; gates the
@@ -377,6 +402,15 @@ pub struct Sm {
     /// Reusable sort scratch for `rebuild_candidates` (age, slot) pairs —
     /// avoids a heap allocation on every residency change.
     cand_scratch: Vec<(u64, usize)>,
+    /// Contexts of retired assist warps, re-initialised in place by the next
+    /// deploy ([`Warp::reset`]). At most `max_assist_warps` exist, live and
+    /// spare together. Not serialized.
+    spare_warps: Vec<Warp>,
+    /// Full candidate rebuilds and assist-only list updates so far — host
+    /// efficiency counters like `Gpu::skip_stats`, outside `RunStats` and
+    /// the snapshot.
+    parent_rebuilds: u64,
+    assist_updates: u64,
     /// Reused outcome storage for `do_issue` (see [`execute_into`]).
     exec_out: ExecOutcome,
     injector: FaultInjector,
@@ -459,6 +493,7 @@ impl Sm {
             assist_pos: vec![NO_POS; cfg.max_assist_warps],
             masks_ok: true,
             cand_dirty: true,
+            assist_dirty: false,
             memo_app: vec![SlotMemo::Unknown; cfg.warps_per_sm],
             memo_assist: vec![SlotMemo::Unknown; cfg.max_assist_warps],
             done_unreaped: 0,
@@ -466,6 +501,9 @@ impl Sm {
             dorm_horizon: None,
             last_slots: vec![StallKind::Idle; cfg.schedulers_per_sm],
             cand_scratch: Vec::new(),
+            spare_warps: Vec::new(),
+            parent_rebuilds: 0,
+            assist_updates: 0,
             exec_out: ExecOutcome::default(),
             injector: FaultInjector::for_stream(cfg.fault, stream::SM_BASE + id as u64),
             events: Vec::new(),
@@ -734,7 +772,11 @@ impl Sm {
             self.high_pending_count -= 1;
         }
         let nregs = launch.program.max_reg().max(1) as usize;
-        let mut warp = Warp::new(nregs, launch.active_mask);
+        // A retired assist's context if there is one, sized and cleared
+        // for this launch either way.
+        let spare = self.spare_warps.pop();
+        let mut warp = spare.unwrap_or_else(|| Warp::new(0, 0));
+        warp.reset(nregs, launch.active_mask);
         for &(reg, val) in &launch.live_in {
             warp.write_row(reg, FULL_MASK, &[val; WARP_SIZE]);
         }
@@ -753,7 +795,9 @@ impl Sm {
             self.low_assist_count += 1;
         }
         self.assist_launches += 1;
-        self.cand_dirty = true;
+        self.assist_list(launch.priority, launch.parent_warp)
+            .push(slot);
+        self.assist_dirty = true;
         if self.events_on {
             self.events.push(TraceEvent {
                 cycle: now,
@@ -789,7 +833,10 @@ impl Sm {
             if a.priority == AssistPriority::Low {
                 self.low_assist_count -= 1;
             }
-            self.cand_dirty = true;
+            self.spare_warps.push(a.warp);
+            self.assist_list(a.priority, a.parent)
+                .retain(|&s| s != slot);
+            self.assist_dirty = true;
             if self.events_on {
                 self.events.push(TraceEvent {
                     cycle: now,
@@ -857,10 +904,7 @@ impl Sm {
         // while `Silent` mode corrupts the cached compressed form in place
         // so the compression-map audit must catch it.
         if self.injector.active() {
-            let compressed = shared
-                .line_store
-                .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), addr)
-                .is_some();
+            let compressed = shared.stored_compressed(addr);
             if compressed && self.injector.corrupt_fill() {
                 match self.injector.mode() {
                     FaultMode::Recover => {
@@ -897,16 +941,13 @@ impl Sm {
             Complete(u64),
             Caba,
         }
-        let act = match shared.design {
+        let act = match *shared.design {
             Design::Base | Design::HwMemOnly { .. } => Action::Complete(0),
             Design::HwFull { alg, ideal } => {
-                let compressed = shared
-                    .line_store
-                    .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), addr)
-                    .is_some();
+                let compressed = shared.stored_compressed(addr);
                 if compressed {
                     self.lines_decompressed += 1;
-                    Action::Complete(if *ideal {
+                    Action::Complete(if ideal {
                         0
                     } else {
                         alg.hw_decompress_latency()
@@ -920,16 +961,13 @@ impl Sm {
         match act {
             Action::Complete(extra) => self.complete_fill_waiters(now, addr, extra),
             Action::Caba => {
-                let compressed = shared
-                    .line_store
-                    .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), addr)
-                    .is_some();
+                let compressed = shared.stored_compressed(addr);
                 if !compressed {
                     self.complete_fill_waiters(now, addr, 0);
                     return;
                 }
                 // Find a waiting parent warp for the trigger's warp ID.
-                let parent = self.mshr.complete(addr).into_iter().collect::<Vec<usize>>();
+                let parent = self.mshr.complete(addr);
                 let parent_warp = parent
                     .first()
                     .and_then(|&t| self.tickets[t].as_ref())
@@ -960,12 +998,17 @@ impl Sm {
                     FillAction::Complete { extra_latency } => {
                         self.lines_decompressed += 1;
                         self.l1.fill(addr, false, LINE_SIZE);
-                        for t in parent {
-                            self.resolve_ticket(t, now + self.cfg.l1_latency + extra_latency);
-                        }
+                        self.resolve_waiters(parent, now + self.cfg.l1_latency + extra_latency);
                     }
                     FillAction::Assist(launch) => {
-                        self.pending_decomp.entry(addr).or_default().extend(parent);
+                        // The waiters park under the line until the assist
+                        // warp exits, in the list the MSHR handed over.
+                        if let Some(ws) = self.pending_decomp.get_mut(&addr) {
+                            ws.extend_from_slice(&parent);
+                            self.mshr.recycle(parent);
+                        } else {
+                            self.pending_decomp.insert(addr, parent);
+                        }
                         self.queue_assist(launch);
                     }
                 }
@@ -977,14 +1020,19 @@ impl Sm {
         let size = LINE_SIZE; // L1 stores lines uncompressed (§4.2.1).
         self.l1.fill(addr, false, size);
         let waiters = self.mshr.complete(addr);
-        for t in waiters {
-            self.resolve_ticket(t, now + self.cfg.l1_latency + extra);
-        }
+        self.resolve_waiters(waiters, now + self.cfg.l1_latency + extra);
         if let Some(ws) = self.pending_decomp.remove(&addr) {
-            for t in ws {
-                self.resolve_ticket(t, now + self.cfg.l1_latency + extra);
-            }
+            self.resolve_waiters(ws, now + self.cfg.l1_latency + extra);
         }
+    }
+
+    /// Resolves every ticket of a drained waiter list at `at` and hands the
+    /// list back to the MSHR file it came from.
+    fn resolve_waiters(&mut self, waiters: Vec<usize>, at: u64) {
+        for &t in &waiters {
+            self.resolve_ticket(t, at);
+        }
+        self.mshr.recycle(waiters);
     }
 
     // ----- LSU -------------------------------------------------------------
@@ -1013,10 +1061,7 @@ impl Sm {
                         self.lsu.pop();
                         let mut lat = self.cfg.l1_latency;
                         if self.cfg.l1_compressed {
-                            let compressible = shared
-                                .line_store
-                                .stored_compressed(&shared.mem, shared.cmap.as_deref_mut(), op.addr)
-                                .is_some();
+                            let compressible = shared.stored_compressed(op.addr);
                             if compressible {
                                 lat += self.cfg.l1_hit_decompress_penalty;
                             }
@@ -1130,77 +1175,66 @@ impl Sm {
 
     // ----- issue -----------------------------------------------------------
 
-    fn fetch_for(&self, warp: WarpRef, program: &Program) -> Option<Instr> {
-        match warp {
+    /// What `wr` would issue next: the decoded metadata of its head
+    /// instruction, the scoreboard's answer for it, and the instruction
+    /// itself, which the issuing path alone reads. `None` for an empty
+    /// slot, an exited warp, one parked at a barrier, or a PC past the
+    /// program's end.
+    fn head<'a>(&'a self, wr: WarpRef, program: &'a Program) -> Option<Head<'a>> {
+        let (warp, program) = match wr {
             WarpRef::App(s) => {
-                let w = self.warps[s].as_ref()?;
-                if w.warp.done || w.warp.at_barrier {
+                let w = &self.warps[s].as_ref()?.warp;
+                if w.at_barrier {
                     return None;
                 }
-                program.fetch(w.warp.pc()).copied()
+                (w, program)
             }
             WarpRef::Assist(s) => {
                 let a = self.assists[s].as_ref()?;
-                if a.warp.done {
-                    return None;
-                }
-                a.program.fetch(a.warp.pc()).copied()
+                (&a.warp, &*a.program)
             }
+        };
+        if warp.done {
+            return None;
         }
+        let pc = warp.pc();
+        let (meta, instr) = (program.fetch_meta(pc)?, program.fetch(pc)?);
+        let hazard = warp.hazard_at(meta, instr);
+        Some(Head {
+            meta,
+            hazard,
+            instr,
+        })
     }
 
     fn check_issue(
         &self,
         now: u64,
-        warp: WarpRef,
-        instr: &Instr,
+        meta: IssueMeta,
+        hazard: bool,
         lsu_free: bool,
     ) -> Result<(), IssueBlock> {
-        let hazard = match warp {
-            WarpRef::App(s) => self.warps[s].as_ref().expect("resident").warp.hazard(instr),
-            WarpRef::Assist(s) => self.assists[s]
-                .as_ref()
-                .expect("resident")
-                .warp
-                .hazard(instr),
-        };
         if hazard {
             return Err(IssueBlock::Hazard);
         }
-        match instr.fu_class() {
-            FuClass::Sp => Ok(()),
+        let open = match meta.fu {
+            FuClass::Sp => return Ok(()),
             FuClass::Sfu => {
-                if now >= self.sfu_ready_at {
+                return if now >= self.sfu_ready_at {
                     Ok(())
                 } else {
                     Err(IssueBlock::ComputeStructural)
                 }
             }
-            FuClass::Mem => {
-                let shared_space = matches!(
-                    instr.op,
-                    Op::Ld {
-                        space: Space::Shared,
-                        ..
-                    } | Op::St {
-                        space: Space::Shared,
-                        ..
-                    }
-                );
-                if shared_space {
-                    // Shared accesses use the shared-memory pipe; they only
-                    // need the mem issue slot.
-                    if lsu_free {
-                        Ok(())
-                    } else {
-                        Err(IssueBlock::MemStructural)
-                    }
-                } else if lsu_free && self.lsu.can_accept(1) {
-                    Ok(())
-                } else {
-                    Err(IssueBlock::MemStructural)
-                }
-            }
+            // Shared accesses use the shared-memory pipe; they only need
+            // the mem issue slot.
+            FuClass::Mem if meta.shared_space => lsu_free,
+            FuClass::Mem => lsu_free && self.lsu.can_accept(1),
+        };
+        if open {
+            Ok(())
+        } else {
+            Err(IssueBlock::MemStructural)
         }
     }
 
@@ -1250,7 +1284,7 @@ impl Sm {
                 w.warp.last_issue = now;
                 let out = &mut self.exec_out;
                 execute_into(&mut w.warp, &instr, &ctx, &mut shared.mem, out);
-                // `fetch_for` never offers a done warp, so `done` here means
+                // `head` never offers a done warp, so `done` here means
                 // this issue exited the last lanes.
                 if w.warp.done {
                     self.done_unreaped += 1;
@@ -1472,15 +1506,13 @@ impl Sm {
         }
     }
 
-    /// Rebuilds the per-scheduler candidate caches. Runs only when warp or
-    /// assist residency changed since the last cycle; scheduling order is
-    /// identical to rebuilding from scratch every cycle because slot ages
-    /// are fixed at launch and dynamic skips (done, at-barrier) happen in
-    /// `fetch_for` at consideration time.
+    /// Rebuilds the per-scheduler candidate caches. Runs only when block
+    /// residency changed since the last cycle (or, without masks, any
+    /// residency); scheduling order is identical to rebuilding from scratch
+    /// every cycle because slot ages are fixed at launch and dynamic skips
+    /// (done, at-barrier) happen in `head` at consideration time.
     fn rebuild_candidates(&mut self) {
-        // Slots may have been reused since the memos were written.
-        self.memo_app.fill(SlotMemo::Unknown);
-        self.memo_assist.fill(SlotMemo::Unknown);
+        self.wipe_memos();
         let nsched = self.cfg.schedulers_per_sm;
         for v in &mut self.cand_his {
             v.clear();
@@ -1513,25 +1545,74 @@ impl Sm {
         tmp.sort_unstable();
         for &(_, i) in &tmp {
             let a = self.assists[i].as_ref().expect("resident");
-            let dst = match a.priority {
-                AssistPriority::High => &mut self.cand_his[a.parent % nsched],
-                AssistPriority::Low => &mut self.cand_lows[a.parent % nsched],
-            };
-            dst.push(i);
+            let (priority, parent) = (a.priority, a.parent);
+            self.assist_list(priority, parent).push(i);
         }
         self.cand_scratch = tmp;
-        self.cand_dirty = false;
+        (self.cand_dirty, self.assist_dirty) = (false, false);
+        self.parent_rebuilds += 1;
         self.rebuild_class_masks();
     }
 
+    /// Every residency change, assist-side ones included, voids every memo:
+    /// slots may have been reused since they were written. For the parents'
+    /// memos on an assist event the wipe is more than hygiene, it is
+    /// observable: a `Hazard(HazardMem)` memo written while a load was
+    /// outstanding re-classifies to `HazardSb`/`HazardCtrl` once
+    /// `resolve_ticket` has dropped `outstanding_loads` and before the
+    /// writeback lands (the window `snap_load` documents), so skipping it
+    /// moves Fig. 1 buckets.
+    fn wipe_memos(&mut self) {
+        self.memo_app.fill(SlotMemo::Unknown);
+        self.memo_assist.fill(SlotMemo::Unknown);
+    }
+
+    /// The list an assist warp of `priority` coupled to `parent` is offered
+    /// from. Deploy appends to it (a new assist is the youngest) and retire
+    /// removes from it, so the two assist lists are current at all times.
+    fn assist_list(&mut self, priority: AssistPriority, parent: usize) -> &mut Vec<usize> {
+        let sched = parent % self.cfg.schedulers_per_sm;
+        match priority {
+            AssistPriority::High => &mut self.cand_his[sched],
+            AssistPriority::Low => &mut self.cand_lows[sched],
+        }
+    }
+
+    /// An assist deployed or retired and no block did: the parents' list,
+    /// its sort and `slot_pos` stand. With every memo wiped all three mask
+    /// sets are zero, so only `assist_pos` is left to re-derive.
+    fn refresh_assist_candidates(&mut self) {
+        self.wipe_memos();
+        self.assist_dirty = false;
+        self.assist_updates += 1;
+        let mut lists = self.cand_his.iter().chain(&self.cand_lows);
+        if lists.any(|l| l.len() > 64) {
+            return self.rebuild_class_masks();
+        }
+        self.assist_pos.fill(NO_POS);
+        for list in self.cand_his.iter().chain(&self.cand_lows) {
+            for (pos, &slot) in list.iter().enumerate() {
+                self.assist_pos[slot] = pos as u8;
+            }
+        }
+        self.parent_masks.fill(ClassMasks::default());
+        self.hi_masks.fill(ClassMasks::default());
+        self.low_masks.fill(ClassMasks::default());
+    }
+
     /// Recomputes the position maps and [`ClassMasks`] from the candidate
-    /// lists and the current memos. Runs after every list rebuild (memos
-    /// just reset to `Unknown`, so all masks clear) and after snapshot
-    /// restore (memos travel on the wire, so masks re-derive from them).
+    /// lists and the current memos. Runs after every full list rebuild
+    /// (memos just reset to `Unknown`, so all masks clear) and after
+    /// snapshot restore (memos travel on the wire, so masks re-derive from
+    /// them).
     fn rebuild_class_masks(&mut self) {
         self.masks_ok = self.cand_parents.iter().all(|l| l.len() <= 64)
             && self.cand_his.iter().all(|l| l.len() <= 64)
             && self.cand_lows.iter().all(|l| l.len() <= 64);
+        #[cfg(test)]
+        if FORCE_PLAIN_SCAN.with(std::cell::Cell::get) {
+            self.masks_ok = false;
+        }
         self.slot_pos.fill(NO_POS);
         self.assist_pos.fill(NO_POS);
         if !self.masks_ok {
@@ -1559,16 +1640,16 @@ impl Sm {
         }
     }
 
-    /// Classifies a scoreboard hazard for `wr` blocked on `instr` into its
-    /// [`StallVerdict`]: waiting on memory data when the warp has loads in
-    /// flight, control-reconvergence when the blocked instruction steers
-    /// control flow, otherwise a plain in-pipeline dependency.
+    /// Classifies a scoreboard hazard for `wr` blocked on an instruction
+    /// into its [`StallVerdict`]: waiting on memory data when the warp has
+    /// loads in flight, control-reconvergence when the blocked instruction
+    /// `steers` control flow, otherwise a plain in-pipeline dependency.
     ///
     /// Assist warps never raise their `outstanding_loads` (their load
     /// tickets resolve straight to writebacks), so their hazards classify
     /// as pipeline/control stalls — a small, documented approximation
     /// (DESIGN.md "Observability").
-    fn classify_hazard(&self, wr: WarpRef, instr: &Instr) -> StallVerdict {
+    fn classify_hazard(&self, wr: WarpRef, steers: bool) -> StallVerdict {
         let outstanding = match wr {
             WarpRef::App(s) => {
                 self.warps[s]
@@ -1581,7 +1662,7 @@ impl Sm {
         };
         if outstanding > 0 {
             StallVerdict::HazardMem
-        } else if instr.steers_control() {
+        } else if steers {
             StallVerdict::HazardCtrl
         } else {
             StallVerdict::HazardSb
@@ -1638,8 +1719,8 @@ impl Sm {
             }
             SlotMemo::Unknown => {}
         }
-        let Some(instr) = self.fetch_for(wr, kernel.program()) else {
-            // `fetch_for` skips done and barrier-parked warps. A live warp
+        let Some(head) = self.head(wr, kernel.program()) else {
+            // `head` skips done and barrier-parked warps. A live warp
             // parked at a barrier is the paper's synchronization stall.
             let mut tag = SlotMemo::Done;
             if let WarpRef::App(s) = wr {
@@ -1652,8 +1733,10 @@ impl Sm {
             self.set_memo(wr, tag);
             return false;
         };
-        match self.check_issue(now, wr, &instr, !*lsu_used) {
+        let meta = head.meta;
+        match self.check_issue(now, meta, head.hazard, !*lsu_used) {
             Ok(()) => {
+                let instr = *head.instr;
                 // The slot's state (PC, pending bits) is about to change:
                 // whatever was memoized is void.
                 self.set_memo(wr, SlotMemo::Unknown);
@@ -1664,27 +1747,13 @@ impl Sm {
             Err(block) => {
                 let v = match block {
                     IssueBlock::Hazard => {
-                        let h = self.classify_hazard(wr, &instr);
+                        let h = self.classify_hazard(wr, meta.steers);
                         self.set_memo(wr, SlotMemo::Hazard(h));
                         h
                     }
                     IssueBlock::MemStructural => {
-                        let shared_pipe = matches!(
-                            instr.op,
-                            Op::Ld {
-                                space: Space::Shared,
-                                ..
-                            } | Op::St {
-                                space: Space::Shared,
-                                ..
-                            }
-                        );
-                        self.set_memo(
-                            wr,
-                            SlotMemo::MemBlocked {
-                                shared: shared_pipe,
-                            },
-                        );
+                        let shared = meta.shared_space;
+                        self.set_memo(wr, SlotMemo::MemBlocked { shared });
                         StallVerdict::MemStructural
                     }
                     IssueBlock::ComputeStructural => {
@@ -1919,8 +1988,10 @@ impl Sm {
         shared: &mut SharedState<'_>,
         lsu_used: &mut bool,
     ) {
-        if self.cand_dirty {
+        if self.cand_dirty || (self.assist_dirty && !self.masks_ok) {
             self.rebuild_candidates();
+        } else if self.assist_dirty {
+            self.refresh_assist_candidates();
         }
         for sched in 0..self.cfg.schedulers_per_sm {
             let mut verdict: Option<StallVerdict> = None;
@@ -2216,6 +2287,11 @@ impl Sm {
 
     // ----- statistics ------------------------------------------------------
 
+    /// `(full candidate rebuilds, assist-only list updates)` so far.
+    pub(crate) fn list_rebuilds(&self) -> (u64, u64) {
+        (self.parent_rebuilds, self.assist_updates)
+    }
+
     /// Monotonic blocks-retired count (the CTA-dispatch gate signal).
     pub(crate) fn blocks_retired_total(&self) -> u64 {
         self.blocks_retired_total
@@ -2282,10 +2358,10 @@ impl Sm {
         if w.warp.at_barrier {
             return WarpState::AtBarrier;
         }
-        let Some(instr) = self.fetch_for(WarpRef::App(slot), program) else {
+        let Some(head) = self.head(WarpRef::App(slot), program) else {
             return WarpState::Ready;
         };
-        match self.check_issue(now, WarpRef::App(slot), &instr, true) {
+        match self.check_issue(now, head.meta, head.hazard, true) {
             Ok(()) => WarpState::Ready,
             Err(IssueBlock::Hazard) => WarpState::DataDependence {
                 outstanding_loads: w.warp.outstanding_loads,
@@ -2574,7 +2650,7 @@ impl Sm {
         self.store_buffer.save(w);
         self.out_reqs.save(w);
         w.u64(self.sfu_ready_at);
-        w.bool(self.cand_dirty);
+        w.bool(self.cand_dirty || self.assist_dirty);
         save_slot_memo(&self.memo_app, w);
         save_slot_memo(&self.memo_assist, w);
         self.greedy.save(w);
@@ -2803,7 +2879,8 @@ impl Sm {
         // computed from (a fill drops `outstanding_loads` before the
         // writeback clears the pending bit and the memo), so recomputing
         // them can flip a Fig. 1 bucket for one cycle — they restore from
-        // the wire, as does the rebuild-pending flag.
+        // the wire, as does the rebuild-pending flag: one bool, "either
+        // side stale", restored into the full rebuild.
         self.rebuild_candidates();
         self.cand_dirty = cand_dirty;
         self.memo_app = memo_app;
@@ -2856,7 +2933,11 @@ fn save_launch(l: &AssistLaunch, w: &mut SnapshotWriter) {
     w.u64(l.program.content_hash());
     w.usize(l.parent_warp);
     l.priority.save(w);
-    l.live_in.save(w);
+    // A length-prefixed sequence: the wire predates the inline pair.
+    w.usize(l.live_in.len());
+    for pair in &l.live_in {
+        pair.save(w);
+    }
     w.u32(l.active_mask);
     w.u64(l.tag);
 }
@@ -2871,11 +2952,18 @@ fn load_launch(
     let program = programs.get(&hash).cloned().ok_or(SnapError::Invariant {
         what: "assist launch program hash not resolvable",
     })?;
+    let parent_warp = r.usize()?;
+    let priority = AssistPriority::load(r)?;
+    if r.usize()? != 2 {
+        return Err(SnapError::Invariant {
+            what: "assist launch carries other than two live-ins",
+        });
+    }
     Ok(AssistLaunch {
         program,
-        parent_warp: r.usize()?,
-        priority: AssistPriority::load(r)?,
-        live_in: Vec::<(Reg, u64)>::load(r)?,
+        parent_warp,
+        priority,
+        live_in: [<(Reg, u64)>::load(r)?, <(Reg, u64)>::load(r)?],
         active_mask: r.u32()?,
         tag: r.u64()?,
     })
@@ -2948,6 +3036,9 @@ fn verdict_from_tag(tag: u8) -> Result<StallVerdict, SnapError> {
         }
     })
 }
+
+#[cfg(test)]
+mod scan_diff;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,346 @@
+//! The masked candidate scan against the plain one.
+//!
+//! [`Sm::scan_list`](super::Sm) has two bodies: the [`ClassMasks`](super)
+//! fast path and, for lists that outgrow 64 entries, a plain ordered walk.
+//! [`FORCE_PLAIN_SCAN`] holds `masks_ok` false, so any run can be replayed
+//! through the plain body; every test here demands the two produce the same
+//! [`RunStats`], counter for counter. A stand-in assist controller deploys
+//! and retires assist warps on every compressed fill and every store, so the
+//! assist-side list updates are under the same comparison.
+
+use super::FORCE_PLAIN_SCAN;
+use crate::assist::{
+    AssistController, AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo,
+    SmServices, StoreAction, StoreInfo,
+};
+use crate::{Design, Gpu, GpuConfig, RunStats, SchedulerPolicy};
+use caba_compress::Algorithm;
+use caba_isa::{
+    AluOp, CmpOp, Kernel, LaunchDims, Pred, Program, ProgramBuilder, Reg, SfuOp, Space, Special,
+    Src, Width,
+};
+use caba_mem::LineCompressor;
+use caba_stats::prop;
+use caba_stats::rng::Rng64;
+use std::sync::Arc;
+
+#[path = "../../tests/kernels/mod.rs"]
+mod kernels;
+
+const IN: u64 = 0x1_0000;
+const OUT: u64 = 0x10_0000;
+/// 8-byte words of input every kernel here may read.
+const WORDS: u64 = 4096;
+const MAX: u64 = 2_000_000;
+
+/// Deploys a high- (or, `low_fills`, low-) priority assist warp for every
+/// compressed fill and a low-priority one for every store line. Stateless:
+/// the tag is the line address, bit 0 set for a store.
+struct StubAssist {
+    program: Arc<Program>,
+    low_fills: bool,
+}
+
+impl StubAssist {
+    fn design(low_fills: bool) -> Design {
+        // A load, an SFU op, both consumed, a predicate and a store: every
+        // memo class a real subroutine meets. The SFU op before the exit
+        // keeps the exited warp listed, memoized `Done`, until it lands.
+        let mut b = ProgramBuilder::new();
+        b.alu(AluOp::Add, Reg(2), Src::Reg(Reg(0)), Src::Imm(64));
+        b.ld_packed(4, Reg(3), Src::Reg(Reg(1)));
+        b.sfu(SfuOp::Rcp, Reg(4), Src::Reg(Reg(2)));
+        b.alu(AluOp::Add, Reg(5), Src::Reg(Reg(3)), Src::Reg(Reg(4)));
+        b.setp(Pred(0), CmpOp::LtU, Src::Reg(Reg(5)), Src::Imm(7));
+        b.st_packed(4, Src::Reg(Reg(5)), Src::Reg(Reg(0)));
+        b.sfu(SfuOp::Ex2, Reg(4), Src::Reg(Reg(5)));
+        b.exit();
+        Design::Caba(Box::new(StubAssist {
+            program: Arc::new(b.build()),
+            low_fills,
+        }))
+    }
+
+    fn launch(&self, parent_warp: usize, low: bool, staging: u64, tag: u64) -> AssistLaunch {
+        AssistLaunch {
+            program: self.program.clone(),
+            parent_warp,
+            priority: if low {
+                AssistPriority::Low
+            } else {
+                AssistPriority::High
+            },
+            live_in: [(Reg(0), staging), (Reg(1), tag & !1)],
+            active_mask: u32::MAX,
+            tag,
+        }
+    }
+}
+
+impl AssistController for StubAssist {
+    fn algorithm(&self) -> Option<Algorithm> {
+        Some(Algorithm::Bdi)
+    }
+    fn selector(&self) -> LineCompressor {
+        LineCompressor::Fixed(Algorithm::Bdi)
+    }
+    fn on_fill(&mut self, info: &FillInfo, svc: &mut SmServices<'_, '_>) -> FillAction {
+        FillAction::Assist(self.launch(
+            info.parent_warp,
+            self.low_fills,
+            svc.staging_base,
+            info.addr,
+        ))
+    }
+    fn on_store(&mut self, info: &StoreInfo, svc: &mut SmServices<'_, '_>) -> StoreAction {
+        StoreAction::Assist(self.launch(info.parent_warp, true, svc.staging_base, info.addr | 1))
+    }
+    fn on_assist_complete(&mut self, tag: u64, _: &mut SmServices<'_, '_>) -> AssistOutcome {
+        if tag & 1 == 1 {
+            AssistOutcome::StoreRelease { addr: tag & !1 }
+        } else {
+            AssistOutcome::FillComplete { addr: tag }
+        }
+    }
+    fn fork(&self) -> Box<dyn AssistController + Send> {
+        Box::new(StubAssist {
+            program: self.program.clone(),
+            low_fills: self.low_fills,
+        })
+    }
+}
+
+fn designs() -> Vec<Design> {
+    let alg = Algorithm::Bdi;
+    vec![
+        Design::Base,
+        Design::HwMemOnly { alg },
+        Design::HwFull { alg, ideal: false },
+        Design::HwFull { alg, ideal: true },
+        StubAssist::design(false),
+        StubAssist::design(true),
+    ]
+}
+
+/// One run to completion; the rebuild counters ride along.
+fn run(
+    cfg: GpuConfig,
+    design: Design,
+    kernel: &Kernel,
+    noise: bool,
+    plain: bool,
+) -> (RunStats, Vec<(u64, u64)>) {
+    FORCE_PLAIN_SCAN.with(|f| f.set(plain));
+    let mut gpu = Gpu::new(cfg, design);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 0..WORDS {
+        x = x.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0xB);
+        // Low dynamic range compresses (so fills deploy assists); noise
+        // does not.
+        let v = if noise { x } else { 0x4000_0000 + i % 50 };
+        gpu.mem_mut().write_u64(IN + i * 8, v);
+    }
+    let stats = gpu.run(kernel, MAX);
+    FORCE_PLAIN_SCAN.with(|f| f.set(false));
+    (
+        stats.unwrap_or_else(|e| panic!("{}: {e}", kernel.name())),
+        gpu.list_rebuilds(),
+    )
+}
+
+fn assert_masked_equals_plain(cfg: GpuConfig, design: &Design, kernel: &Kernel, noise: bool) {
+    let (masked, _) = run(cfg, design.fork(), kernel, noise, false);
+    let (plain, _) = run(cfg, design.fork(), kernel, noise, true);
+    assert_eq!(
+        masked,
+        plain,
+        "{} on {} under {:?}",
+        kernel.name(),
+        design.label(),
+        cfg.scheduler
+    );
+}
+
+const POLICIES: [SchedulerPolicy; 3] = [
+    SchedulerPolicy::Gto,
+    SchedulerPolicy::OldestFirst,
+    SchedulerPolicy::RoundRobin,
+];
+
+#[test]
+fn the_test_kernels_scan_the_same_masked_and_plain() {
+    let kernels = [
+        kernels::scale_kernel(1024, IN, OUT),
+        kernels::loop_kernel(16, IN, OUT),
+        kernels::divergent_kernel(OUT),
+        kernels::barrier_kernel(OUT),
+    ];
+    let mut assists = 0;
+    for kernel in &kernels {
+        for design in designs() {
+            for scheduler in POLICIES {
+                let cfg = GpuConfig {
+                    scheduler,
+                    ..GpuConfig::small()
+                };
+                assert_masked_equals_plain(cfg, &design, kernel, false);
+            }
+            assists += run(GpuConfig::small(), design, kernel, false, false)
+                .0
+                .assist_launches;
+        }
+    }
+    assert!(assists > 100, "the stand-in controller deployed {assists}");
+}
+
+fn pick<T: Copy>(rng: &mut Rng64, items: &[T]) -> T {
+    items[rng.range_u64(items.len() as u64) as usize]
+}
+
+const GID: Reg = Reg(0);
+const ADDR: Reg = Reg(1);
+const V: Reg = Reg(2);
+const ACC: Reg = Reg(3);
+const T: Reg = Reg(4);
+const F: Reg = Reg(5);
+
+/// One random straight-line piece of a kernel body. `top` pieces may also
+/// be a block barrier, a divergent branch or a loop around nested pieces.
+fn piece(rng: &mut Rng64, b: &mut ProgramBuilder, block: u64, top: bool) {
+    let width = pick(rng, &[Width::B1, Width::B2, Width::B4, Width::B8]);
+    let offset = (width.bytes() * rng.range_u64(4)) as i64;
+    match rng.range_u64(if top { 7 } else { 4 }) {
+        0 => {
+            // acc += in[(gid * stride + k) % WORDS], some width of it.
+            let stride = pick(rng, &[1, 1, 2, 16, 33]);
+            b.alu(AluOp::Mul, ADDR, Src::Reg(GID), Src::Imm(stride));
+            b.alu(
+                AluOp::Add,
+                ADDR,
+                Src::Reg(ADDR),
+                Src::Imm(rng.range_u64(64)),
+            );
+            b.alu(AluOp::Rem, ADDR, Src::Reg(ADDR), Src::Imm(WORDS - 4));
+            b.alu(AluOp::Shl, ADDR, Src::Reg(ADDR), Src::Imm(3));
+            b.alu(AluOp::Add, ADDR, Src::Reg(ADDR), Src::Sp(Special::Param(0)));
+            b.ld(Space::Global, width, V, Src::Reg(ADDR), offset);
+            b.alu(AluOp::Add, ACC, Src::Reg(ACC), Src::Reg(V));
+        }
+        1 => {
+            b.alu(AluOp::Shl, ADDR, Src::Reg(GID), Src::Imm(3));
+            b.alu(AluOp::Add, ADDR, Src::Reg(ADDR), Src::Sp(Special::Param(1)));
+            b.st(Space::Global, width, Src::Reg(ACC), Src::Reg(ADDR), offset);
+        }
+        2 => {
+            for _ in 0..1 + rng.range_u64(4) {
+                let op = pick(rng, &[SfuOp::Rcp, SfuOp::Rsqrt, SfuOp::Sin, SfuOp::Ex2]);
+                b.sfu(op, F, Src::Reg(ACC));
+                if rng.chance(0.5) {
+                    b.alu(AluOp::Xor, ACC, Src::Reg(ACC), Src::Reg(F));
+                }
+            }
+        }
+        3 => {
+            for _ in 0..1 + rng.range_u64(3) {
+                let op = pick(rng, &[AluOp::Add, AluOp::Mul, AluOp::Xor, AluOp::Shr]);
+                b.alu(op, ACC, Src::Reg(ACC), Src::Imm(1 + rng.range_u64(5)));
+            }
+        }
+        4 => {
+            // Every thread of the block reaches a top-level barrier once.
+            b.mov(T, Src::Sp(Special::Tid));
+            b.alu(AluOp::Shl, ADDR, Src::Reg(T), Src::Imm(3));
+            b.st(Space::Shared, Width::B8, Src::Reg(ACC), Src::Reg(ADDR), 0);
+            b.bar();
+            b.alu(AluOp::Add, T, Src::Reg(T), Src::Imm(1));
+            b.alu(AluOp::Rem, T, Src::Reg(T), Src::Imm(block));
+            b.alu(AluOp::Shl, ADDR, Src::Reg(T), Src::Imm(3));
+            b.ld(Space::Shared, width, V, Src::Reg(ADDR), 0);
+            b.alu(AluOp::Add, ACC, Src::Reg(ACC), Src::Reg(V));
+        }
+        5 => {
+            let mask = pick(rng, &[1, 3, 5, 32, 63]);
+            b.alu(AluOp::And, T, Src::Reg(GID), Src::Imm(mask));
+            b.setp(Pred(0), CmpOp::Eq, Src::Reg(T), Src::Imm(0));
+            let polarity = rng.chance(0.5);
+            let n = 1 + rng.range_u64(3);
+            b.if_then(Pred(0), polarity, |b| {
+                for _ in 0..n {
+                    piece(rng, b, block, false);
+                }
+            });
+        }
+        _ => {
+            // A loop whose trip count differs across lanes.
+            let n = 1 + rng.range_u64(2);
+            b.alu(AluOp::And, T, Src::Reg(GID), Src::Imm(3));
+            b.do_while(|b| {
+                for _ in 0..n {
+                    piece(rng, b, block, false);
+                }
+                b.alu(AluOp::Sub, T, Src::Reg(T), Src::Imm(1));
+                b.setp(Pred(1), CmpOp::LtS, Src::Imm(0), Src::Reg(T));
+                Pred(1)
+            });
+        }
+    }
+}
+
+fn random_kernel(rng: &mut Rng64) -> Kernel {
+    let block = pick(rng, &[32, 40, 64, 96, 128]);
+    let grid = 1 + rng.range_u64(6) as u32;
+    let mut b = ProgramBuilder::new();
+    b.global_thread_id(GID);
+    b.movi(ACC, 1);
+    for _ in 0..2 + rng.range_u64(6) {
+        piece(rng, &mut b, block, true);
+    }
+    b.alu(AluOp::Shl, ADDR, Src::Reg(GID), Src::Imm(3));
+    b.alu(AluOp::Add, ADDR, Src::Reg(ADDR), Src::Sp(Special::Param(1)));
+    b.st(Space::Global, Width::B8, Src::Reg(ACC), Src::Reg(ADDR), 0);
+    b.exit();
+    Kernel::new("random", b.build(), LaunchDims::new(grid, block as u32))
+        .with_params(vec![IN, OUT])
+        .with_shared_bytes(block as u32 * 8)
+}
+
+#[test]
+fn random_kernels_scan_the_same_masked_and_plain() {
+    let designs = designs();
+    prop::check(0xCABA_0023, 320, |rng| {
+        let kernel = random_kernel(rng);
+        let mut cfg = GpuConfig::small();
+        cfg.scheduler = pick(rng, &POLICIES);
+        cfg.num_sms = pick(rng, &[1, 2, 5]);
+        cfg.max_assist_warps = pick(rng, &[2, 5, 48]);
+        cfg.mshrs = pick(rng, &[2, 32]);
+        cfg.lsu_queue = pick(rng, &[4, 64]);
+        cfg.store_buffer = pick(rng, &[1, 16]);
+        let design = &designs[rng.range_u64(designs.len() as u64) as usize];
+        assert_masked_equals_plain(cfg, design, &kernel, rng.chance(0.25));
+    });
+}
+
+/// 8 blocks x 16 warps on one scheduler: a 128-entry parent list, which no
+/// 64-bit mask covers, so the machine itself picks the plain scan.
+#[test]
+fn an_oversize_configuration_runs_on_the_plain_scan() {
+    let mut cfg = GpuConfig::small();
+    cfg.warps_per_sm = 160;
+    cfg.schedulers_per_sm = 1;
+    cfg.audit_interval = 64;
+    assert_eq!(cfg.validate(), Ok(()));
+    // 80 blocks of 16 warps over 5 SMs; the register file holds 5 a time.
+    let kernel = {
+        let k = kernels::scale_kernel(80 * 512, IN, OUT);
+        Kernel::new("oversize", k.program().clone(), LaunchDims::new(80, 512))
+            .with_params(vec![IN, OUT])
+    };
+    let (stats, rebuilds) = run(cfg, StubAssist::design(false), &kernel, false, false);
+    assert_eq!(stats.threads_retired, 80 * 512);
+    assert!(stats.assist_launches > 0);
+    // Without masks every assist deploy and retire takes the full rebuild:
+    // more of them than 80 launches, 80 retires and the first cycle explain.
+    let full: u64 = rebuilds.iter().map(|r| r.0).sum();
+    assert!(full > 160 + cfg.num_sms as u64, "{rebuilds:?}");
+}

@@ -2,7 +2,7 @@
 //! the per-warp scoreboard.
 
 use caba_isa::exec::Row;
-use caba_isa::{Instr, Pred, Reg, NUM_PREGS, WARP_SIZE};
+use caba_isa::{Instr, IssueMeta, Pred, Reg, NUM_PREGS, WARP_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 
 /// Full active mask (all 32 lanes).
@@ -63,6 +63,28 @@ impl Warp {
             last_issue: 0,
             issued: 0,
         }
+    }
+
+    /// Returns the warp to exactly the state [`Warp::new`]`(nregs, mask)`
+    /// builds, keeping its allocations: a retired assist warp's context is
+    /// redeployed this way.
+    pub fn reset(&mut self, nregs: usize, mask: u32) {
+        self.simt.clear();
+        self.simt.push(SimtEntry {
+            pc: 0,
+            mask,
+            reconv: usize::MAX,
+        });
+        self.regs.clear();
+        self.regs.resize(nregs, [0u64; WARP_SIZE]);
+        self.preds = [0u32; NUM_PREGS];
+        self.pending.clear();
+        self.pending.resize(nregs.div_ceil(64), 0);
+        self.outstanding_loads = 0;
+        self.at_barrier = false;
+        self.done = false;
+        self.last_issue = 0;
+        self.issued = 0;
     }
 
     /// Current program counter (top of the SIMT stack).
@@ -185,6 +207,15 @@ impl Warp {
             .into_iter()
             .flatten()
             .any(|r| self.is_pending(r))
+    }
+
+    /// [`Warp::hazard`] answered from `instr`'s decoded `meta`: one AND
+    /// against the first pending word. The instruction itself is read only
+    /// when it names a register above 63.
+    #[inline]
+    pub(crate) fn hazard_at(&self, meta: IssueMeta, instr: &Instr) -> bool {
+        let low = self.pending.first().copied().unwrap_or(0);
+        meta.hazard(low).unwrap_or_else(|| self.hazard(instr))
     }
 
     /// True when any register is pending.
@@ -372,6 +403,67 @@ mod tests {
         w.mark_pending(Reg(65));
         assert!(w.is_pending(Reg(65)));
         assert!(!w.is_pending(Reg(1)));
+    }
+
+    /// The scheduler's check from decoded metadata is `hazard`, word
+    /// boundary and the registers past it included. (`tests/issue_meta.rs`
+    /// at the workspace root runs the same comparison over every shipped
+    /// program and random instructions.)
+    #[test]
+    fn hazard_from_metadata_is_hazard() {
+        let regs = [0u16, 1, 62, 63, 64, 65, 129];
+        for &dst in &regs {
+            for &a in &regs {
+                let instr = add_instr(dst, a);
+                let program = caba_isa::Program::new(vec![instr]);
+                let meta = program.fetch_meta(0).expect("one instruction");
+                for &pending in &regs {
+                    let mut w = Warp::new(130, FULL_MASK);
+                    assert!(!w.hazard_at(meta, &instr));
+                    w.mark_pending(Reg(pending));
+                    assert_eq!(
+                        w.hazard_at(meta, &instr),
+                        w.hazard(&instr),
+                        "r{dst} = r{a} + 1 with r{pending} pending"
+                    );
+                }
+            }
+        }
+    }
+
+    fn saved(w: &Warp) -> Vec<u8> {
+        let mut out = SnapshotWriter::new();
+        w.save(&mut out);
+        out.into_bytes()
+    }
+
+    #[test]
+    fn reset_is_new() {
+        let sizes = [1usize, 9, 64, 65, 130];
+        for &from in &sizes {
+            for &to in &sizes {
+                let mut w = Warp::new(from, 0xFFFF);
+                // Dirty every field `new` initialises.
+                for r in [0, from - 1] {
+                    w.write_row(Reg(r as u16), FULL_MASK, &[u64::MAX; WARP_SIZE]);
+                    w.mark_pending(Reg(r as u16));
+                }
+                w.write_pred(Pred(3), FULL_MASK, 0xA5A5);
+                w.take_branch(0x00FF, 7, 1, 9);
+                w.outstanding_loads = 3;
+                w.at_barrier = true;
+                w.last_issue = 99;
+                w.issued = 12;
+                w.exit_lanes(0xFFFF);
+                assert!(w.done);
+                w.reset(to, 0x0F0F_0F0F);
+                assert_eq!(
+                    saved(&w),
+                    saved(&Warp::new(to, 0x0F0F_0F0F)),
+                    "{from} -> {to} registers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,30 +1,11 @@
 //! End-to-end simulator tests: functional correctness of full kernel runs
 //! and first-order timing sanity across design points.
 
-use caba_compress::Algorithm;
-use caba_isa::{
-    AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, Space, Special, Src, Width,
-};
-use caba_sim::{Design, Gpu, GpuConfig, RunError};
+mod kernels;
 
-/// out[i] = in[i] * 2 for n elements (one element per thread).
-fn scale_kernel(n: u32, in_base: u64, out_base: u64) -> Kernel {
-    let mut b = ProgramBuilder::new();
-    let (gid, addr, v) = (Reg(0), Reg(1), Reg(2));
-    b.global_thread_id(gid);
-    // addr = in_base + gid*4
-    b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(0)));
-    b.ld(Space::Global, Width::B4, v, Src::Reg(addr), 0);
-    b.alu(AluOp::Shl, v, Src::Reg(v), Src::Imm(1));
-    b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(1)));
-    b.st(Space::Global, Width::B4, Src::Reg(v), Src::Reg(addr), 0);
-    b.exit();
-    let blocks = n.div_ceil(64);
-    Kernel::new("scale", b.build(), LaunchDims::new(blocks, 64))
-        .with_params(vec![in_base, out_base])
-}
+use caba_compress::Algorithm;
+use caba_sim::{Design, Gpu, GpuConfig, RunError};
+use kernels::{barrier_kernel, divergent_kernel, loop_kernel, scale_kernel};
 
 fn load_input(gpu: &mut Gpu, n: u32, base: u64) {
     for i in 0..n {
@@ -121,32 +102,8 @@ fn compressed_design_moves_fewer_bursts() {
 /// Loop kernel: sums array elements with a do-while loop.
 #[test]
 fn loop_kernel_runs_to_completion() {
-    let mut b = ProgramBuilder::new();
-    let (gid, i, acc, addr, v) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4));
     let iters = 16u64;
-    b.global_thread_id(gid);
-    b.movi(i, 0);
-    b.movi(acc, 0);
-    b.do_while(|b| {
-        // addr = param0 + ((gid*iters + i) % 4096)*4
-        b.alu(AluOp::Mul, addr, Src::Reg(gid), Src::Imm(iters));
-        b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Reg(i));
-        b.alu(AluOp::Rem, addr, Src::Reg(addr), Src::Imm(4096));
-        b.alu(AluOp::Shl, addr, Src::Reg(addr), Src::Imm(2));
-        b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(0)));
-        b.ld(Space::Global, Width::B4, v, Src::Reg(addr), 0);
-        b.alu(AluOp::Add, acc, Src::Reg(acc), Src::Reg(v));
-        b.alu(AluOp::Add, i, Src::Reg(i), Src::Imm(1));
-        b.setp(Pred(0), CmpOp::LtU, Src::Reg(i), Src::Imm(iters));
-        Pred(0)
-    });
-    // out[gid] = acc
-    b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(1)));
-    b.st(Space::Global, Width::B4, Src::Reg(acc), Src::Reg(addr), 0);
-    b.exit();
-    let kernel = Kernel::new("loop", b.build(), LaunchDims::new(4, 64))
-        .with_params(vec![0x1_0000, 0x9_0000]);
+    let kernel = loop_kernel(iters, 0x1_0000, 0x9_0000);
 
     let mut gpu = Gpu::new(GpuConfig::small(), Design::Base);
     for i in 0..4096u64 {
@@ -166,23 +123,7 @@ fn loop_kernel_runs_to_completion() {
 /// Divergent kernel: threads with even gid write 1, odd write 2.
 #[test]
 fn divergent_kernel_is_correct() {
-    let mut b = ProgramBuilder::new();
-    let (gid, addr, v) = (Reg(0), Reg(1), Reg(2));
-    b.global_thread_id(gid);
-    b.alu(AluOp::And, v, Src::Reg(gid), Src::Imm(1));
-    b.setp(Pred(0), CmpOp::Eq, Src::Reg(v), Src::Imm(0));
-    b.if_then(Pred(0), true, |b| {
-        b.movi(v, 1);
-    });
-    b.if_then(Pred(0), false, |b| {
-        b.movi(v, 2);
-    });
-    b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(0)));
-    b.st(Space::Global, Width::B4, Src::Reg(v), Src::Reg(addr), 0);
-    b.exit();
-    let kernel =
-        Kernel::new("diverge", b.build(), LaunchDims::new(2, 64)).with_params(vec![0xA_0000]);
+    let kernel = divergent_kernel(0xA_0000);
     let mut gpu = Gpu::new(GpuConfig::small(), Design::Base);
     gpu.run(&kernel, 200_000).unwrap();
     for t in 0..128u64 {
@@ -195,27 +136,7 @@ fn divergent_kernel_is_correct() {
 /// value — only correct if the barrier orders the phases.
 #[test]
 fn barrier_orders_block_phases() {
-    let mut b = ProgramBuilder::new();
-    let (tid, addr, v) = (Reg(0), Reg(1), Reg(2));
-    b.mov(tid, Src::Sp(Special::Tid));
-    // shared[tid] = tid
-    b.alu(AluOp::Shl, addr, Src::Reg(tid), Src::Imm(2));
-    b.st(Space::Shared, Width::B4, Src::Reg(tid), Src::Reg(addr), 0);
-    b.bar();
-    // v = shared[(tid+1) % 64]
-    b.alu(AluOp::Add, v, Src::Reg(tid), Src::Imm(1));
-    b.alu(AluOp::Rem, v, Src::Reg(v), Src::Imm(64));
-    b.alu(AluOp::Shl, addr, Src::Reg(v), Src::Imm(2));
-    b.ld(Space::Shared, Width::B4, v, Src::Reg(addr), 0);
-    // out[ctaid*64 + tid] = v
-    b.global_thread_id(addr);
-    b.alu(AluOp::Shl, addr, Src::Reg(addr), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(0)));
-    b.st(Space::Global, Width::B4, Src::Reg(v), Src::Reg(addr), 0);
-    b.exit();
-    let kernel = Kernel::new("barrier", b.build(), LaunchDims::new(3, 64))
-        .with_params(vec![0xB_0000])
-        .with_shared_bytes(256);
+    let kernel = barrier_kernel(0xB_0000);
     let mut gpu = Gpu::new(GpuConfig::small(), Design::Base);
     let stats = gpu.run(&kernel, 500_000).unwrap();
     for blk in 0..3u64 {

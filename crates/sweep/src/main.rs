@@ -38,7 +38,7 @@ struct Args {
     store_fault_seed: u64,
     store_fault_rate: f64,
     figures: Vec<Figure>,
-    apps: Option<Vec<String>>,
+    apps: Option<Vec<&'static str>>,
 }
 
 fn usage() -> ! {
@@ -221,14 +221,13 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => args.jobs = parse_flag(&a, it.next()),
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| missing_value(&a));
-                args.scale = Some(scale_or_usage(&a, &v));
-            }
+            "--scale" => args.scale = Some(positive_or_usage(&a, it.next())),
             "--out" => args.out = it.next().unwrap_or_else(|| missing_value("--out")),
             "--table" => args.table = Some(it.next().unwrap_or_else(|| missing_value("--table"))),
-            "--ref-wall" => args.ref_wall = Some(parse_flag(&a, it.next())),
-            "--max-wall" => args.max_wall = Some(parse_flag(&a, it.next())),
+            // A budget that is not a positive number would turn the perf
+            // gate into `wall > NaN`: never true, always OK.
+            "--ref-wall" => args.ref_wall = Some(positive_or_usage(&a, it.next())),
+            "--max-wall" => args.max_wall = Some(positive_or_usage(&a, it.next())),
             "--resume" => {
                 args.resume = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| missing_value("--resume")),
@@ -254,7 +253,16 @@ fn parse_args() -> Args {
             }
             "--store-cap" => args.store_cap = Some(parse_flag(&a, it.next())),
             "--store-fault-seed" => args.store_fault_seed = parse_flag(&a, it.next()),
-            "--store-fault-rate" => args.store_fault_rate = parse_flag(&a, it.next()),
+            "--store-fault-rate" => {
+                args.store_fault_rate = parse_flag(&a, it.next());
+                if !(0.0..=1.0).contains(&args.store_fault_rate) {
+                    eprintln!(
+                        "caba-sweep: --store-fault-rate must lie in 0..=1, got {}\n",
+                        args.store_fault_rate
+                    );
+                    usage();
+                }
+            }
             "--figures" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--figures"));
                 args.figures = list
@@ -269,7 +277,7 @@ fn parse_args() -> Args {
             }
             "--apps" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--apps"));
-                args.apps = Some(list.split(',').map(|s| s.trim().to_string()).collect());
+                args.apps = Some(list.split(',').map(|s| app_or_usage(s.trim())).collect());
             }
             "--baseline" => args.baseline = true,
             "--selftest" => args.selftest = true,
@@ -311,19 +319,33 @@ fn missing_value(flag: &str) -> ! {
     usage();
 }
 
-/// A workload scale from outside the program (`source` names the flag or
-/// variable), or usage (code 2) naming the value the machine model cannot
-/// take.
-fn scale_or_usage(source: &str, v: &str) -> f64 {
-    parse_positive(v).unwrap_or_else(|| {
+/// A workload scale or a wall-time budget from outside the program
+/// (`source` names the flag or variable), or usage (code 2) naming the value
+/// that is missing or not a finite number above zero.
+fn positive_or_usage(source: &str, value: Option<String>) -> f64 {
+    let v = value.unwrap_or_else(|| missing_value(source));
+    parse_positive(&v).unwrap_or_else(|| {
         eprintln!("caba-sweep: {source} must be a finite number > 0, got {v:?}\n");
         usage();
     })
 }
 
+/// The registry's name for an `--apps` entry, or usage (code 2) listing the
+/// names there are: a misspelt app must not silently thin the sweep out.
+fn app_or_usage(name: &str) -> &'static str {
+    let apps = caba_workloads::all_apps();
+    let Some(app) = apps.iter().find(|a| a.name == name) else {
+        let known: Vec<_> = apps.iter().map(|a| a.name).collect();
+        let known = known.join(", ");
+        eprintln!("caba-sweep: unknown app {name:?} (expected one of: {known})\n");
+        usage();
+    };
+    app.name
+}
+
 fn env_scale() -> f64 {
     match std::env::var("CABA_BENCH_SCALE") {
-        Ok(v) => scale_or_usage("CABA_BENCH_SCALE", &v),
+        Ok(v) => positive_or_usage("CABA_BENCH_SCALE", Some(v)),
         Err(_) => 0.5,
     }
 }
@@ -423,7 +445,12 @@ fn selected_cells(args: &Args) -> Vec<SweepCell> {
     let groups: Vec<_> = args.figures.iter().map(|f| f.cells()).collect();
     let mut cells = dedup_cells(&groups);
     if let Some(apps) = &args.apps {
-        cells.retain(|c| apps.iter().any(|a| a == c.app));
+        cells.retain(|c| apps.contains(&c.app));
+    }
+    if cells.is_empty() {
+        // An empty sweep takes no time, so it would pass any `--max-wall`.
+        eprintln!("caba-sweep: --figures and --apps select no cells\n");
+        usage();
     }
     cells
 }

@@ -1,7 +1,10 @@
 //! Binary-level tests of the two sweep CLIs' argument handling: a scale the
-//! machine model cannot take, the removed `--intra-jobs` flag and a bad or
-//! missing value under `caba-sweep store` are usage errors (exit 2) before
-//! any work, and the removed `CABA_INTRA_JOBS` variable is not read.
+//! machine model cannot take, the removed `--intra-jobs` flag, a bad or
+//! missing value under `caba-sweep store`, and anything that would let the
+//! `--max-wall` perf gate pass without measuring (a budget that is not a
+//! number, an app nobody registered, a filter that selects nothing) are
+//! usage errors (exit 2) before any work, and the removed `CABA_INTRA_JOBS`
+//! variable is not read.
 
 use std::process::{Command, Output};
 
@@ -41,6 +44,64 @@ fn bad_scales_and_the_removed_flag_are_usage_errors() {
     assert_eq!(code, Some(2), "CABA_BENCH_SCALE=nan: {stderr}");
     assert!(stderr.contains("CABA_BENCH_SCALE"), "{stderr}");
     assert!(!report.exists(), "a usage error still wrote a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_perf_gate_cannot_pass_without_measuring() {
+    let dir = caba_store::fsio::scratch_dir("cli-gate");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let report = dir.join("report.json");
+    let tail = format!("--scale 0.02 --jobs 1 --out {}", report.display());
+    let cons = "--figures fig07 --apps CONS";
+    // Each case: the arguments, and what stderr must name.
+    let cases = [
+        (
+            format!("{cons} --max-wall nan"),
+            "--max-wall must be a finite number > 0, got \"nan\"",
+        ),
+        (format!("{cons} --max-wall inf"), "got \"inf\""),
+        (format!("{cons} --max-wall 0"), "got \"0\""),
+        (
+            format!("{cons} --ref-wall nan"),
+            "--ref-wall must be a finite number > 0, got \"nan\"",
+        ),
+        (format!("{cons} --ref-wall -3"), "got \"-3\""),
+        (
+            "--figures fig07 --apps NOPE --max-wall 30".into(),
+            "unknown app \"NOPE\"",
+        ),
+        (
+            "--figures fig07 --apps CONS,NOPE".into(),
+            "expected one of: BFS, CONS, ",
+        ),
+        // A registered app that fig07 does not plot.
+        (
+            "--figures fig07 --apps mc --max-wall 30".into(),
+            "select no cells",
+        ),
+        (
+            format!("{cons} --store-fault-rate 7"),
+            "--store-fault-rate must lie in 0..=1, got 7",
+        ),
+        (format!("{cons} --store-fault-rate nan"), "got NaN"),
+        (format!("{cons} --store-fault-rate -0.5"), "got -0.5"),
+    ];
+    for (args, names) in &cases {
+        let (code, stderr) = run(SWEEP, &format!("{args} {tail}"), &[]);
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(names), "{args}: {stderr}");
+        assert!(!stderr.contains("perf gate OK"), "{args}: {stderr}");
+    }
+    assert!(!report.exists(), "a usage error still wrote a report");
+    // Well-formed, the same flags measure one cell and gate on it.
+    let flags = "--max-wall 600 --ref-wall 1.5 --store-fault-rate 1";
+    let (code, stderr) = run(SWEEP, &format!("{cons} {flags} {tail}"), &[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("sweep: 5 cells") && stderr.contains("perf gate OK"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
