@@ -432,8 +432,10 @@ fn observability_is_record_only_and_audits_conserve_slots() {
         "fault-event trace must serialize to valid JSON"
     );
 
-    // The metric snapshot exists and agrees with the stats it derives from.
+    // The metric snapshot exists, serializes to valid JSON too, and agrees
+    // with the stats it derives from.
     let snap = gpu.metrics_snapshot(&stats).expect("metrics were on");
+    caba_stats::json::validate(&snap.to_json()).expect("metric snapshot is valid JSON");
     assert_eq!(snap.get("run.cycles"), Some(stats.cycles));
     assert_eq!(
         snap.get("issued-app"),

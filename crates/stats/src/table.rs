@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A simple left-aligned text table.
 ///
-/// Used by `caba-bench` to print the rows/series each paper figure reports.
+/// Used by `caba-sweep paper` to print the rows/series each paper figure reports.
 ///
 /// # Examples
 ///

@@ -224,7 +224,7 @@ impl FromStr for DesignId {
 /// through the CLI and the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Figure {
-    /// Figure 1: issue-slot taxonomy (apps × ½×/1×/2× bandwidth on Base).
+    /// Figure 1: issue-slot taxonomy (all apps × ½×/1×/2× bandwidth on Base).
     Fig01,
     /// Figure 7 (and 8/9): apps × the five-design comparison.
     Fig07,
@@ -238,8 +238,7 @@ impl Figure {
     /// Every ported figure.
     pub const ALL: [Figure; 4] = [Figure::Fig01, Figure::Fig07, Figure::Fig10, Figure::Fig12];
 
-    /// The figures a default `caba-sweep` invocation runs (`fig01` has its
-    /// own emitter binary and is not part of the default union).
+    /// The figures a default `caba-sweep` invocation runs.
     pub const DEFAULT_SWEEP: [Figure; 3] = [Figure::Fig07, Figure::Fig10, Figure::Fig12];
 
     /// The canonical lowercase name (`"fig07"`).

@@ -13,7 +13,9 @@
 //!   shared counter and results reach the caller in input order, so tables
 //!   are **bit-identical and identically ordered** to a serial sweep
 //!   regardless of completion order or worker count;
-//! - [`Sweep`]: the builder that layers a resume journal over the two.
+//! - [`Sweep`]: the builder that layers a resume journal over the two;
+//! - [`Paper`]: the paper's eleven tables, each rendered from the results
+//!   of cells that ran through [`Sweep`].
 //!
 //! [`Gpu`]: caba_sim::Gpu
 //!
@@ -31,11 +33,13 @@
 pub mod builder;
 pub mod cell;
 pub mod fanout;
+pub mod paper;
 pub mod resilient;
 
 pub use builder::{Sweep, SweepRun};
 pub use cell::{parse_positive, run_cell, CellSpec, Figure, ParseDesignError, ParseFigureError};
 pub use fanout::fan_out;
+pub use paper::Paper;
 pub use resilient::{
     decode_result_payload, encode_result_payload, figure_table, figure_table_line, run_cell_stored,
     CellFailure, CellOutcome, FailureClass, SweepError,
@@ -45,8 +49,7 @@ use caba_compress::Algorithm;
 use caba_core::CabaController;
 use caba_energy::DesignKind;
 use caba_sim::{Design, GpuConfig, RunStats};
-use caba_stats::json::fmt_f64 as json_f64;
-use caba_workloads::eval_apps;
+use caba_workloads::{all_apps, eval_apps};
 
 /// Identifies a design point in the run matrix (a cloneable stand-in for
 /// [`Design`], which owns a controller and therefore is not `Clone`).
@@ -162,7 +165,8 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    fn key(&self) -> (&'static str, DesignId, u64) {
+    /// The cell as a hashable key: the bandwidth scale by its bits.
+    pub fn key(&self) -> (&'static str, DesignId, u64) {
         (self.app, self.design, self.bw_scale.to_bits())
     }
 }
@@ -197,12 +201,12 @@ pub struct CellResult {
     pub wall_s: f64,
 }
 
-/// Cells of Figure 1: evaluation apps × ½×/1×/2× bandwidth on the
-/// uncompressed baseline, from which the issue-slot taxonomy fractions are
-/// reported (see `caba-sweep`'s `fig01` binary).
+/// Cells of Figure 1: every app, the compute-bound ones the figure exists
+/// to contrast included, × ½×/1×/2× bandwidth on the uncompressed baseline,
+/// from which the issue-slot taxonomy fractions are reported.
 pub fn fig01_cells() -> Vec<SweepCell> {
     let mut cells = Vec::new();
-    for a in eval_apps() {
+    for a in all_apps() {
         for bw in [0.5, 1.0, 2.0] {
             cells.push(SweepCell {
                 app: a.name,
@@ -285,112 +289,12 @@ pub fn dedup_cells(groups: &[Vec<SweepCell>]) -> Vec<SweepCell> {
 }
 
 /// The host's available parallelism (logical cores visible to this
-/// process), or 1 when the query fails. Recorded in every report so a
-/// `BENCH_sweep.json` from one machine is comparable to another's, and
-/// used by the CLI to clamp `--jobs` before oversubscribing.
+/// process), or 1 when the query fails. The default worker count, and
+/// what the CLI clamps `--jobs` to before oversubscribing.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// A machine-readable sweep report, serialized to `BENCH_sweep.json`.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// `"sweep"` or `"selftest"`.
-    pub mode: &'static str,
-    /// Workload scale the cells ran at.
-    pub scale: f64,
-    /// Cells the parallel run simulated at once.
-    pub jobs: usize,
-    /// Logical cores the host exposed at run time ([`host_cores`]);
-    /// contextualizes the wall-clock numbers across machines.
-    pub host_cores: usize,
-    /// Which figures' cells are covered.
-    pub figures: Vec<String>,
-    /// Serial (jobs = 1) total wall seconds, when measured.
-    pub serial_wall_s: Option<f64>,
-    /// Reference wall seconds for the same sweep on an earlier build
-    /// (`--ref-wall`), for tracking hot-path wins across revisions.
-    pub ref_wall_s: Option<f64>,
-    /// Parallel total wall seconds.
-    pub parallel_wall_s: f64,
-    /// Whether the selftest proved parallel == serial (selftest mode).
-    pub deterministic: Option<bool>,
-    /// Per-cell results of the parallel run.
-    pub results: Vec<CellResult>,
-}
-
-impl SweepReport {
-    /// Total simulated cycles over all cells.
-    pub fn total_sim_cycles(&self) -> u64 {
-        self.results.iter().map(|r| r.stats.cycles).sum()
-    }
-
-    /// Serial-vs-parallel wall-clock speedup, when a baseline was measured.
-    pub fn speedup(&self) -> Option<f64> {
-        self.serial_wall_s.map(|s| s / self.parallel_wall_s)
-    }
-
-    /// Renders the report as JSON (hand-rolled; no serde dependency).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096 + 128 * self.results.len());
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"caba-sweep-v1\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"scale\": {},\n", json_f64(self.scale)));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        let figs: Vec<String> = self.figures.iter().map(|f| format!("\"{f}\"")).collect();
-        s.push_str(&format!("  \"figures\": [{}],\n", figs.join(", ")));
-        s.push_str(&format!("  \"num_cells\": {},\n", self.results.len()));
-        let cycles = self.total_sim_cycles();
-        s.push_str(&format!("  \"total_sim_cycles\": {cycles},\n"));
-        if let Some(w) = self.serial_wall_s {
-            s.push_str(&format!("  \"serial_wall_s\": {},\n", json_f64(w)));
-            s.push_str(&format!(
-                "  \"serial_sim_cycles_per_sec\": {},\n",
-                json_f64(cycles as f64 / w)
-            ));
-        }
-        s.push_str(&format!(
-            "  \"parallel_wall_s\": {},\n",
-            json_f64(self.parallel_wall_s)
-        ));
-        s.push_str(&format!(
-            "  \"parallel_sim_cycles_per_sec\": {},\n",
-            json_f64(cycles as f64 / self.parallel_wall_s)
-        ));
-        if let Some(sp) = self.speedup() {
-            s.push_str(&format!("  \"speedup\": {},\n", json_f64(sp)));
-        }
-        if let Some(r) = self.ref_wall_s {
-            s.push_str(&format!("  \"ref_wall_s\": {},\n", json_f64(r)));
-            let best = self.serial_wall_s.unwrap_or(self.parallel_wall_s);
-            s.push_str(&format!(
-                "  \"hot_path_speedup_vs_ref\": {},\n",
-                json_f64(r / best)
-            ));
-        }
-        if let Some(d) = self.deterministic {
-            s.push_str(&format!("  \"deterministic\": {d},\n"));
-        }
-        s.push_str("  \"cells\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let sep = if i + 1 == self.results.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"app\": \"{}\", \"design\": \"{}\", \"bw\": {}, \"wall_s\": {}, \"cycles_per_sec\": {}, \"summary\": {}}}{sep}\n",
-                r.cell.app,
-                r.cell.design.label(),
-                json_f64(r.cell.bw_scale),
-                json_f64(r.wall_s),
-                json_f64(r.stats.cycles as f64 / r.wall_s.max(1e-9)),
-                r.stats.summary().to_json(),
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -405,6 +309,12 @@ mod tests {
             assert!(!a.is_empty(), "{fig}");
             assert_eq!(a, b, "{fig}");
         }
+        // Fig. 1 is every app, compute-bound ones included, at three
+        // bandwidths on Base.
+        let fig01 = fig01_cells();
+        assert_eq!(fig01.len(), 90);
+        assert!(fig01.iter().any(|c| c.app == "NQU"));
+        assert!(fig01.iter().all(|c| c.design == DesignId::Base));
         assert!("fig99".parse::<Figure>().is_err());
     }
 
@@ -420,42 +330,5 @@ mod tests {
         // fig10 overlaps fig07 in Base and CABA-BDI; fig12 overlaps at 1x.
         let total = f7.len() + fig10_cells().len() + fig12_cells().len();
         assert!(union.len() < total);
-    }
-
-    #[test]
-    fn report_renders_valid_shape() {
-        let r = SweepReport {
-            mode: "selftest",
-            scale: 0.05,
-            jobs: 4,
-            host_cores: 8,
-            figures: vec!["fig07".into()],
-            serial_wall_s: Some(2.0),
-            ref_wall_s: None,
-            parallel_wall_s: 0.5,
-            deterministic: Some(true),
-            results: vec![CellResult {
-                cell: SweepCell {
-                    app: "CONS",
-                    design: DesignId::Base,
-                    bw_scale: 1.0,
-                },
-                stats: RunStats {
-                    cycles: 100,
-                    app_instructions: 250,
-                    ..Default::default()
-                },
-                wall_s: 0.5,
-            }],
-        };
-        let j = r.to_json();
-        caba_stats::json::validate(&j).expect("report JSON parses");
-        assert!(j.contains("\"speedup\": 4"), "{j}");
-        assert!(j.contains("\"deterministic\": true"), "{j}");
-        assert!(j.contains("\"host_cores\": 8"), "{j}");
-        // Derived rates come from RunStats::summary(), nested per cell.
-        assert!(j.contains("\"summary\": {\"cycles\": 100"), "{j}");
-        assert!(j.contains("\"ipc\": 2.5"), "{j}");
-        assert!(j.ends_with("]\n}\n"), "{j}");
     }
 }

@@ -1,64 +1,63 @@
 //! `caba-sweep` — parallel deterministic figure-sweep runner.
 //!
-//! Default mode runs the union of the ported figure sweeps (fig07, fig10,
-//! fig12) in parallel and writes a machine-readable `BENCH_sweep.json`.
-//! `--selftest` proves determinism: every ported figure's cell list is run
-//! serially and in parallel, and the two `RunStats` vectors must be
+//! Default mode runs the union of the selected figure sweeps (fig07, fig10,
+//! fig12 unless `--figures` says otherwise) in parallel and emits the
+//! deterministic figure table: to `--table PATH`, else to stdout.
+//! `--selftest` proves determinism first: the same cells are run one at a
+//! time and `--jobs` at once, and the two `RunStats` vectors must be
 //! bit-identical (exit code 1 otherwise).
+//!
+//! `caba-sweep paper NAME` prints one of the paper's eleven tables (or
+//! `all` of them) from cells that run through the same sweep path, so
+//! `--jobs`, `--retries`, `--scale` and `--store-dir` apply to it too.
 //!
 //! `--resume PATH` makes the sweep crash-resilient: every finished cell is
 //! journaled to PATH, and re-running the same invocation re-runs only the
 //! cells the journal is missing. Because each cell is bit-deterministic,
-//! the resumed report's figure table is byte-identical to an uninterrupted
+//! the resumed sweep's figure table is byte-identical to an uninterrupted
 //! run's.
 
 use caba_store::{write_file_atomic, FaultFs, FaultRates, Store};
+use caba_sweep::paper::cache_configs;
 use caba_sweep::{
-    dedup_cells, figure_table, host_cores, parse_positive, Figure, Sweep, SweepCell, SweepConfig,
-    SweepError, SweepReport,
+    dedup_cells, figure_table, host_cores, parse_positive, Figure, Paper, Sweep, SweepCell,
+    SweepConfig,
 };
+use std::collections::HashMap;
+use std::error::Error;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Args {
     jobs: usize,
-    ref_wall: Option<f64>,
-    max_wall: Option<f64>,
     selftest: bool,
-    baseline: bool,
     scale: Option<f64>,
-    out: String,
     table: Option<String>,
     resume: Option<PathBuf>,
     checkpoint_every: u64,
     retries: u32,
     store_dir: Option<PathBuf>,
     store_cap: Option<u64>,
-    store_fault_seed: u64,
-    store_fault_rate: f64,
-    figures: Vec<Figure>,
+    store_fault_seed: Option<u64>,
+    store_fault_rate: Option<f64>,
+    figures: Option<Vec<Figure>>,
     apps: Option<Vec<&'static str>>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: caba-sweep [--jobs N] [--scale F] [--baseline] [--selftest]\n\
-         \x20                 [--resume PATH] [--checkpoint-every N] [--retries N] [--out PATH]\n\
-         \x20                 [--store-dir DIR] [--store-cap BYTES] [--figures LIST] [--apps LIST]\n\
+        "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--resume PATH] [--table PATH]\n\
+         \x20                 [--checkpoint-every N] [--retries N] [--figures LIST] [--apps LIST]\n\
+         \x20                 [--store-dir DIR] [--store-cap BYTES]\n\
+         \x20      caba-sweep paper (fig01|fig02|fig05|fig07|fig08|fig09|fig10|fig11|fig12|fig13|tab_md|all)\n\
+         \x20                 [--jobs N] [--scale F] [--retries N] [--store-dir DIR] [--table PATH]\n\
          \x20      caba-sweep store (scrub|gc|stats) --store-dir DIR [--store-cap BYTES] [--out PATH]\n\
          \n\
          --jobs N       cells simulated at once, one thread each (default:\n\
                         available parallelism). Results are bit-identical\n\
                         for any value.\n\
-         --scale F      workload scale, finite and > 0 (default:\n\
-                        CABA_BENCH_SCALE or 0.5; selftest: 0.05)\n\
-         --baseline     also run the sweep one cell at a time and record\n\
-                        the speedup\n\
-         --ref-wall S   reference wall seconds from an earlier build (recorded\n\
-                        as ref_wall_s / hot_path_speedup_vs_ref in the report)\n\
-         --max-wall S   fail (exit 1) if the sweep's wall time exceeds S\n\
-                        seconds — CI perf-regression gate\n\
+         --scale F      workload scale, finite and > 0 (default 0.5;\n\
+                        selftest: 0.05)\n\
          --resume PATH  journal finished cells to PATH and, if PATH already\n\
                         holds a journal for this sweep, re-run only missing\n\
                         cells (crash-resilient resume)\n\
@@ -76,19 +75,25 @@ fn usage() -> ! {
                         (even killed) run's work\n\
          --store-cap BYTES\n\
                         after the sweep, garbage-collect the store down to\n\
-                        BYTES via LRU eviction\n\
+                        BYTES via LRU eviction (needs --store-dir)\n\
          --store-fault-seed N / --store-fault-rate F\n\
                         inject deterministic seeded I/O faults (torn writes,\n\
                         short reads, ENOSPC, failed renames/cleanups) under\n\
                         the store at per-op rate F — chaos testing; the\n\
-                        sweep's results must be unaffected\n\
+                        sweep's results must be unaffected (need --store-dir)\n\
          --figures LIST comma-separated figure subset (default: fig07,fig10,fig12)\n\
          --apps LIST    comma-separated app-name filter applied to the cells\n\
-         --selftest     verify parallel RunStats are bit-identical to serial per figure\n\
-         --out PATH     report path (default: BENCH_sweep.json)\n\
-         --table PATH   also write the deterministic figure table (the exact\n\
-                        bytes caba-serve streams for the same cells)\n\
+         --selftest     first verify that the cells' RunStats are bit-identical\n\
+                        one at a time and --jobs at once\n\
+         --table PATH   write the deterministic figure table (the exact bytes\n\
+                        caba-serve streams for the same cells) to PATH\n\
+                        instead of stdout\n\
          \n\
+         paper NAME     print one of the paper's tables, or all eleven, from\n\
+                        cells run through the same sweep path; with\n\
+                        --store-dir, tables that share runs (fig07, fig08,\n\
+                        fig09, tab_md) simulate them once across invocations.\n\
+                        Takes no --figures, --apps, --resume or --selftest\n\
          store scrub    verify every store entry's checksum; quarantine (never\n\
                         delete) corrupt entries and stale temps; write a JSON\n\
                         report to --out if given; exit 1 if anything was found\n\
@@ -180,15 +185,9 @@ fn store_command(verb: &str, rest: &[String]) -> ExitCode {
             usage();
         }
     };
-    match out {
-        Some(path) => {
-            if let Err(e) = write_file_atomic(&path, json.as_bytes()) {
-                eprintln!("caba-sweep store {verb}: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("report written to {path}");
-        }
-        None => print!("{json}"),
+    if let Err(e) = emit(out.as_deref(), &json) {
+        eprintln!("caba-sweep store {verb}: {e}");
+        return ExitCode::FAILURE;
     }
     if ok {
         ExitCode::SUCCESS
@@ -197,37 +196,28 @@ fn store_command(verb: &str, rest: &[String]) -> ExitCode {
     }
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut args = Args {
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        ref_wall: None,
-        max_wall: None,
+        jobs: host_cores(),
         selftest: false,
-        baseline: false,
         scale: None,
-        out: "BENCH_sweep.json".to_string(),
         table: None,
         resume: None,
         checkpoint_every: 0,
         retries: 1,
         store_dir: None,
         store_cap: None,
-        store_fault_seed: 0,
-        store_fault_rate: 0.0,
-        figures: Figure::DEFAULT_SWEEP.to_vec(),
+        store_fault_seed: None,
+        store_fault_rate: None,
+        figures: None,
         apps: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => args.jobs = parse_flag(&a, it.next()),
             "--scale" => args.scale = Some(positive_or_usage(&a, it.next())),
-            "--out" => args.out = it.next().unwrap_or_else(|| missing_value("--out")),
             "--table" => args.table = Some(it.next().unwrap_or_else(|| missing_value("--table"))),
-            // A budget that is not a positive number would turn the perf
-            // gate into `wall > NaN`: never true, always OK.
-            "--ref-wall" => args.ref_wall = Some(positive_or_usage(&a, it.next())),
-            "--max-wall" => args.max_wall = Some(positive_or_usage(&a, it.next())),
             "--resume" => {
                 args.resume = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| missing_value("--resume")),
@@ -252,34 +242,29 @@ fn parse_args() -> Args {
                 ));
             }
             "--store-cap" => args.store_cap = Some(parse_flag(&a, it.next())),
-            "--store-fault-seed" => args.store_fault_seed = parse_flag(&a, it.next()),
+            "--store-fault-seed" => args.store_fault_seed = Some(parse_flag(&a, it.next())),
             "--store-fault-rate" => {
-                args.store_fault_rate = parse_flag(&a, it.next());
-                if !(0.0..=1.0).contains(&args.store_fault_rate) {
-                    eprintln!(
-                        "caba-sweep: --store-fault-rate must lie in 0..=1, got {}\n",
-                        args.store_fault_rate
-                    );
+                let rate: f64 = parse_flag(&a, it.next());
+                if !(0.0..=1.0).contains(&rate) {
+                    eprintln!("caba-sweep: --store-fault-rate must lie in 0..=1, got {rate}\n");
                     usage();
                 }
+                args.store_fault_rate = Some(rate);
             }
             "--figures" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--figures"));
-                args.figures = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse::<Figure>().unwrap_or_else(|e| {
-                            eprintln!("caba-sweep: {e}\n");
-                            usage();
-                        })
+                let figures = list.split(',').map(|s| {
+                    s.trim().parse::<Figure>().unwrap_or_else(|e| {
+                        eprintln!("caba-sweep: {e}\n");
+                        usage();
                     })
-                    .collect();
+                });
+                args.figures = Some(figures.collect());
             }
             "--apps" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--apps"));
                 args.apps = Some(list.split(',').map(|s| app_or_usage(s.trim())).collect());
             }
-            "--baseline" => args.baseline = true,
             "--selftest" => args.selftest = true,
             "--help" | "-h" => usage(),
             _ => {
@@ -290,6 +275,23 @@ fn parse_args() -> Args {
     }
     if args.jobs == 0 {
         eprintln!("caba-sweep: --jobs must be nonzero\n");
+        usage();
+    }
+    // A store option with no store to apply to would be dropped silently.
+    let store_flags = [
+        ("--store-cap", args.store_cap.is_some()),
+        ("--store-fault-seed", args.store_fault_seed.is_some()),
+        ("--store-fault-rate", args.store_fault_rate.is_some()),
+    ];
+    for (flag, given) in store_flags {
+        if given && args.store_dir.is_none() {
+            eprintln!("caba-sweep: {flag} needs --store-dir\n");
+            usage();
+        }
+    }
+    if args.selftest && (args.store_dir.is_some() || args.resume.is_some()) {
+        // Either would answer for a cell the proof has to compute twice.
+        eprintln!("caba-sweep: --selftest takes no --store-dir or --resume\n");
         usage();
     }
     let cores = host_cores();
@@ -319,13 +321,12 @@ fn missing_value(flag: &str) -> ! {
     usage();
 }
 
-/// A workload scale or a wall-time budget from outside the program
-/// (`source` names the flag or variable), or usage (code 2) naming the value
-/// that is missing or not a finite number above zero.
-fn positive_or_usage(source: &str, value: Option<String>) -> f64 {
-    let v = value.unwrap_or_else(|| missing_value(source));
+/// A workload scale from the command line, or usage (code 2) naming the
+/// value that is missing or not a finite number above zero.
+fn positive_or_usage(flag: &str, value: Option<String>) -> f64 {
+    let v = value.unwrap_or_else(|| missing_value(flag));
     parse_positive(&v).unwrap_or_else(|| {
-        eprintln!("caba-sweep: {source} must be a finite number > 0, got {v:?}\n");
+        eprintln!("caba-sweep: {flag} must be a finite number > 0, got {v:?}\n");
         usage();
     })
 }
@@ -343,70 +344,84 @@ fn app_or_usage(name: &str) -> &'static str {
     app.name
 }
 
-fn env_scale() -> f64 {
-    match std::env::var("CABA_BENCH_SCALE") {
-        Ok(v) => positive_or_usage("CABA_BENCH_SCALE", Some(v)),
-        Err(_) => 0.5,
+/// The tables `caba-sweep paper NAME` asks for, or usage (code 2), which
+/// lists the names there are.
+fn tables_or_usage(name: Option<&String>) -> Vec<Paper> {
+    match name.map(String::as_str) {
+        Some("all") => Paper::ALL.to_vec(),
+        Some(name) if !name.starts_with('-') => match Paper::from_name(name) {
+            Some(table) => vec![table],
+            None => {
+                eprintln!("caba-sweep paper: unknown table {name:?}\n");
+                usage();
+            }
+        },
+        _ => {
+            eprintln!("caba-sweep paper: missing table name\n");
+            usage();
+        }
     }
 }
 
 fn main() -> ExitCode {
-    // `caba-sweep store (scrub|gc|stats)` is a separate maintenance mode.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().is_some_and(|a| a == "store") {
-        let Some(verb) = argv.get(1) else {
-            eprintln!("caba-sweep store: missing verb (scrub|gc|stats)\n");
-            usage();
-        };
-        return store_command(verb, &argv[2..]);
-    }
-    let args = parse_args();
-    let outcome = if args.selftest {
-        selftest(&args).map_err(Into::into)
-    } else {
-        sweep(&args).map(|r| (r, true))
+    let (args, text) = match argv.first().map(String::as_str) {
+        // `caba-sweep store (scrub|gc|stats)` is a separate maintenance mode.
+        Some("store") => {
+            let Some(verb) = argv.get(1) else {
+                eprintln!("caba-sweep store: missing verb (scrub|gc|stats)\n");
+                usage();
+            };
+            return store_command(verb, &argv[2..]);
+        }
+        Some("paper") => {
+            let tables = tables_or_usage(argv.get(1));
+            let args = parse_args(argv.get(2..).unwrap_or_default());
+            // A table is defined over its own apps and cells, and its runs
+            // can span more machine configurations than one journal holds.
+            if args.figures.is_some()
+                || args.apps.is_some()
+                || args.resume.is_some()
+                || args.selftest
+            {
+                eprintln!("caba-sweep paper: takes no --figures, --apps, --resume or --selftest\n");
+                usage();
+            }
+            let text = paper(&args, &tables);
+            (args, text)
+        }
+        _ => {
+            let args = parse_args(&argv);
+            let text = sweep(&args);
+            (args, text)
+        }
     };
-    let (report, ok) = match outcome {
-        Ok(done) => done,
+    let emitted = text.and_then(|text| Ok(emit(args.table.as_deref(), &text)?));
+    match emitted {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("caba-sweep: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if let Err(e) = write_file_atomic(&args.out, report.to_json().as_bytes()) {
-        eprintln!("caba-sweep: writing {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("report written to {}", args.out);
-    if let Some(path) = &args.table {
-        if let Err(e) = write_file_atomic(path, figure_table(&report.results).as_bytes()) {
-            eprintln!("caba-sweep: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("figure table written to {path}");
-    }
-    if let Some(max) = args.max_wall {
-        let wall = report.parallel_wall_s;
-        if wall > max {
-            eprintln!(
-                "caba-sweep: PERF REGRESSION: sweep took {wall:.3}s, budget {max:.3}s \
-                 (raise --max-wall only if the slowdown is intended)"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("perf gate OK: {wall:.3}s <= {max:.3}s budget");
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("selftest FAILED: parallel sweep is not bit-identical to serial");
-        ExitCode::FAILURE
     }
 }
 
-fn base_config(args: &Args, default_scale: fn() -> f64) -> SweepConfig {
+/// Writes what a mode produced to `path` (`--table`, `store … --out`), else
+/// to stdout.
+fn emit(path: Option<&str>, text: &str) -> Result<(), String> {
+    match path {
+        Some(path) => {
+            write_file_atomic(path, text.as_bytes()).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("written to {path}");
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
+}
+
+fn base_config(args: &Args, default_scale: f64) -> SweepConfig {
     let mut sc = SweepConfig {
-        scale: args.scale.unwrap_or_else(default_scale),
+        scale: args.scale.unwrap_or(default_scale),
         ..SweepConfig::default()
     };
     sc.cfg.checkpoint_interval = args.checkpoint_every;
@@ -415,24 +430,21 @@ fn base_config(args: &Args, default_scale: fn() -> f64) -> SweepConfig {
 
 /// Opens the durable store per the CLI flags: plain, or over a seeded
 /// [`FaultFs`] when chaos injection was requested.
-fn open_store(args: &Args) -> Result<Option<Store>, Box<dyn std::error::Error>> {
+fn open_store(args: &Args) -> Result<Option<Store>, Box<dyn Error>> {
     let Some(dir) = &args.store_dir else {
         return Ok(None);
     };
-    let store = if args.store_fault_rate > 0.0 {
+    let (seed, rate) = (
+        args.store_fault_seed.unwrap_or(0),
+        args.store_fault_rate.unwrap_or(0.0),
+    );
+    let store = if rate > 0.0 {
         eprintln!(
-            "  store: {} (fault injection: seed {}, rate {})",
-            dir.display(),
-            args.store_fault_seed,
-            args.store_fault_rate
+            "  store: {} (fault injection: seed {seed}, rate {rate})",
+            dir.display()
         );
-        Store::open_with_fs(
-            dir,
-            Box::new(FaultFs::new(
-                args.store_fault_seed,
-                FaultRates::uniform(args.store_fault_rate),
-            )),
-        )?
+        let fs = FaultFs::new(seed, FaultRates::uniform(rate));
+        Store::open_with_fs(dir, Box::new(fs))?
     } else {
         eprintln!("  store: {}", dir.display());
         Store::open(dir)?
@@ -440,51 +452,66 @@ fn open_store(args: &Args) -> Result<Option<Store>, Box<dyn std::error::Error>> 
     Ok(Some(store))
 }
 
-/// The selected figures' cells, deduplicated and app-filtered.
-fn selected_cells(args: &Args) -> Vec<SweepCell> {
-    let groups: Vec<_> = args.figures.iter().map(|f| f.cells()).collect();
+/// What the store answered and missed, then the `--store-cap` collection.
+fn close_store(args: &Args, store: &Store) {
+    eprintln!(
+        "  store: {} hits, {} misses",
+        store.hit_count(),
+        store.miss_count()
+    );
+    if let Some(cap) = args.store_cap {
+        match store.gc(cap) {
+            Ok(gc) => eprintln!(
+                "  store gc: {} -> {} bytes ({} evicted)",
+                gc.before_bytes,
+                gc.after_bytes,
+                gc.evicted.len()
+            ),
+            Err(e) => eprintln!("  store gc failed: {e}"),
+        }
+    }
+}
+
+/// The selected figures, and their cells deduplicated and app-filtered.
+fn selected_cells(args: &Args) -> (String, Vec<SweepCell>) {
+    let figures = args.figures.as_deref().unwrap_or(&Figure::DEFAULT_SWEEP);
+    let groups: Vec<_> = figures.iter().map(|f| f.cells()).collect();
     let mut cells = dedup_cells(&groups);
     if let Some(apps) = &args.apps {
         cells.retain(|c| apps.contains(&c.app));
     }
     if cells.is_empty() {
-        // An empty sweep takes no time, so it would pass any `--max-wall`.
         eprintln!("caba-sweep: --figures and --apps select no cells\n");
         usage();
     }
-    cells
+    let names: Vec<_> = figures.iter().map(|f| f.name()).collect();
+    (names.join("+"), cells)
 }
 
-/// Every sweep this binary runs — baseline, selftest or the real thing —
-/// starts here, so `--retries` applies to all of them.
+/// Every sweep this binary runs — selftest, paper table or the real thing
+/// — starts here, so `--retries` applies to all of them.
 fn plan<'a>(args: &Args, sc: &SweepConfig, cells: Vec<SweepCell>, jobs: usize) -> Sweep<'a> {
     Sweep::new(sc, cells).jobs(jobs).retries(args.retries)
 }
 
-/// Full figure sweep; optionally measures a serial baseline first.
-fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
-    let sc = base_config(args, env_scale);
-    let cells = selected_cells(args);
-    let fig_names: Vec<String> = args.figures.iter().map(Figure::to_string).collect();
+/// The figure sweep, after the `--selftest` determinism proof if asked for;
+/// returns the figure table.
+fn sweep(args: &Args) -> Result<String, Box<dyn Error>> {
+    let sc = base_config(args, if args.selftest { 0.05 } else { 0.5 });
+    let (figures, cells) = selected_cells(args);
+    let mode = if args.selftest { "selftest" } else { "sweep" };
     eprintln!(
-        "sweep: {} cells ({}) at scale {} with {} jobs",
+        "{mode} {figures}: {} cells at scale {} with {} jobs",
         cells.len(),
-        fig_names.join("+"),
         sc.scale,
         args.jobs
     );
-    let store = open_store(args)?;
-    let serial_wall_s = if args.baseline {
-        eprintln!("  serial baseline ...");
-        let t0 = Instant::now();
-        let serial = plan(args, &sc, cells.clone(), 1).run()?;
-        let w = t0.elapsed().as_secs_f64();
-        eprintln!("  serial: {w:.2}s over {} cells", serial.results.len());
-        Some(w)
+    let serial = if args.selftest {
+        Some(plan(args, &sc, cells.clone(), 1).run()?.results)
     } else {
         None
     };
-    let t0 = Instant::now();
+    let store = open_store(args)?;
     let mut sweep = plan(args, &sc, cells, args.jobs);
     if let Some(manifest) = &args.resume {
         eprintln!("  journaling to {} (resume-capable)", manifest.display());
@@ -494,103 +521,75 @@ fn sweep(args: &Args) -> Result<SweepReport, Box<dyn std::error::Error>> {
         sweep = sweep.store(store);
     }
     let results = sweep.run()?.results;
-    let parallel_wall_s = t0.elapsed().as_secs_f64();
-    eprintln!("  parallel ({} jobs): {parallel_wall_s:.2}s", args.jobs);
-    if let Some(s) = serial_wall_s {
-        eprintln!("  speedup: {:.2}x", s / parallel_wall_s);
-    }
     if let Some(store) = &store {
-        eprintln!(
-            "  store: {} hits, {} misses",
-            store.hit_count(),
-            store.miss_count()
-        );
-        if let Some(cap) = args.store_cap {
-            match store.gc(cap) {
-                Ok(gc) => eprintln!(
-                    "  store gc: {} -> {} bytes ({} evicted)",
-                    gc.before_bytes,
-                    gc.after_bytes,
-                    gc.evicted.len()
-                ),
-                Err(e) => eprintln!("  store gc failed: {e}"),
-            }
-        }
+        close_store(args, store);
     }
-    Ok(SweepReport {
-        mode: "sweep",
-        scale: sc.scale,
-        jobs: args.jobs,
-        host_cores: host_cores(),
-        figures: fig_names,
-        serial_wall_s,
-        ref_wall_s: args.ref_wall,
-        parallel_wall_s,
-        deterministic: None,
-        results,
-    })
+    if let Some(serial) = serial {
+        let differ = serial
+            .iter()
+            .zip(&results)
+            .filter(|(s, p)| s.cell != p.cell || s.stats != p.stats)
+            .inspect(|(s, _)| eprintln!("  MISMATCH {:?}", s.cell))
+            .count();
+        if differ > 0 {
+            return Err(format!(
+                "selftest FAILED: {differ} cells are not bit-identical to the serial run"
+            )
+            .into());
+        }
+        eprintln!(
+            "selftest OK: {figures} bit-identical at 1 and {} jobs",
+            args.jobs
+        );
+    }
+    Ok(figure_table(&results))
 }
 
-/// Per-figure determinism proof: serial and parallel runs of the same cell
-/// list must produce bit-identical `RunStats` in the same order. Returns
-/// the report and whether every figure matched.
-fn selftest(args: &Args) -> Result<(SweepReport, bool), SweepError> {
-    let sc = base_config(args, || 0.05);
-    let mut all_results = Vec::new();
-    let mut serial_total = 0.0f64;
-    let mut parallel_total = 0.0f64;
-    let mut ok = true;
-    for fig in Figure::DEFAULT_SWEEP {
-        let cells = fig.cells();
+/// The paper tables `tables`: every cell they need runs once, in one sweep
+/// per machine configuration over the union of the tables' cells, and each
+/// table is rendered from its own cells' results. With more than one table
+/// each goes under its title.
+fn paper(args: &Args, tables: &[Paper]) -> Result<String, Box<dyn Error>> {
+    let sc = base_config(args, 0.5);
+    let store = open_store(args)?;
+    let mut done = HashMap::new();
+    for (v, cfg) in cache_configs(sc.cfg).into_iter().enumerate() {
+        let needed = tables.iter().filter(|t| v < t.configs());
+        let groups: Vec<_> = needed.map(|t| t.cells()).collect();
+        let cells = dedup_cells(&groups);
+        if cells.is_empty() {
+            continue;
+        }
         eprintln!(
-            "selftest {fig}: {} cells at scale {} ({} jobs vs 1)",
+            "paper: {} cells at scale {} with {} jobs (machine configuration {v})",
             cells.len(),
             sc.scale,
             args.jobs
         );
-        let t0 = Instant::now();
-        let serial = plan(args, &sc, cells.clone(), 1).run()?.results;
-        let sw = t0.elapsed().as_secs_f64();
-        serial_total += sw;
-        let t0 = Instant::now();
-        let parallel = plan(args, &sc, cells, args.jobs).run()?.results;
-        let pw = t0.elapsed().as_secs_f64();
-        parallel_total += pw;
-        let mut mismatches = 0usize;
-        for (s, p) in serial.iter().zip(&parallel) {
-            if s.cell != p.cell || s.stats != p.stats {
-                eprintln!("  MISMATCH {:?}", s.cell);
-                mismatches += 1;
-            }
+        let mut sweep = plan(args, &SweepConfig { cfg, ..sc }, cells, args.jobs);
+        if let Some(store) = &store {
+            sweep = sweep.store(store);
         }
-        if mismatches > 0 {
-            ok = false;
-            eprintln!("  {fig}: NONDETERMINISTIC ({mismatches} cells differ)");
-        } else {
-            eprintln!("  {fig}: deterministic; serial {sw:.2}s, parallel {pw:.2}s");
+        for r in sweep.run()?.results {
+            done.insert((v, r.cell.key()), r);
         }
-        all_results.extend(parallel);
     }
-    if ok {
-        eprintln!(
-            "selftest OK: all figures bit-identical; serial {serial_total:.2}s vs parallel {parallel_total:.2}s ({:.2}x)",
-            serial_total / parallel_total
-        );
+    if let Some(store) = &store {
+        close_store(args, store);
     }
-    let report = SweepReport {
-        mode: "selftest",
-        scale: sc.scale,
-        jobs: args.jobs,
-        host_cores: host_cores(),
-        figures: Figure::DEFAULT_SWEEP
-            .iter()
-            .map(Figure::to_string)
-            .collect(),
-        serial_wall_s: Some(serial_total),
-        ref_wall_s: args.ref_wall,
-        parallel_wall_s: parallel_total,
-        deterministic: Some(ok),
-        results: all_results,
-    };
-    Ok((report, ok))
+    let mut out = String::new();
+    for t in tables {
+        let cells = t.cells();
+        let results: Vec<_> = (0..t.configs())
+            .flat_map(|v| cells.iter().map(move |c| (v, c)))
+            .map(|(v, c)| done[&(v, c.key())].clone())
+            .collect();
+        let table = t.render(&sc, &results)?;
+        if tables.len() > 1 {
+            let rule = "=".repeat(64);
+            out.push_str(&format!("\n{rule}\n{}\n{rule}\n", t.title()));
+        }
+        out.push_str(&table.to_string());
+    }
+    Ok(out)
 }

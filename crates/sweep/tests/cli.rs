@@ -1,24 +1,26 @@
-//! Binary-level tests of the two sweep CLIs' argument handling: a scale the
-//! machine model cannot take, the removed `--intra-jobs` flag, a bad or
-//! missing value under `caba-sweep store`, and anything that would let the
-//! `--max-wall` perf gate pass without measuring (a budget that is not a
-//! number, an app nobody registered, a filter that selects nothing) are
-//! usage errors (exit 2) before any work, and the removed `CABA_INTRA_JOBS`
-//! variable is not read.
+//! Binary-level tests of the sweep CLI's argument handling: a scale the
+//! machine model cannot take, the removed flags, a bad or missing value under
+//! `caba-sweep store`, an app nobody registered, a filter that selects
+//! nothing and a store option with no store are usage errors (exit 2) before
+//! any work; the removed environment variables are not read; `--selftest`
+//! honours `--figures`; and `paper` tables share their runs through the store.
 
 use std::process::{Command, Output};
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_caba-sweep");
-const FIG01: &str = env!("CARGO_BIN_EXE_fig01");
 
 /// Runs `bin` with the space-separated `args` (scratch paths have no spaces).
-fn run(bin: &str, args: &str, env: &[(&str, &str)]) -> (Option<i32>, String) {
-    let out: Output = Command::new(bin)
+fn output(args: &str, env: &[(&str, &str)]) -> Output {
+    Command::new(SWEEP)
         .args(args.split(' '))
-        .env_remove("CABA_BENCH_SCALE")
         .envs(env.iter().copied())
         .output()
-        .unwrap_or_else(|e| panic!("{bin} spawns: {e}"));
+        .unwrap_or_else(|e| panic!("{SWEEP} spawns: {e}"))
+}
+
+/// [`output`]'s exit code and stderr.
+fn run(args: &str, env: &[(&str, &str)]) -> (Option<i32>, String) {
+    let out = output(args, env);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into(),
@@ -26,49 +28,47 @@ fn run(bin: &str, args: &str, env: &[(&str, &str)]) -> (Option<i32>, String) {
 }
 
 #[test]
-fn bad_scales_and_the_removed_flag_are_usage_errors() {
+fn bad_scales_and_the_removed_flags_are_usage_errors() {
     let dir = caba_store::fsio::scratch_dir("cli-usage");
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let report = dir.join("report.json");
-    let out = format!("--out {}", report.display());
-    for bin in [SWEEP, FIG01] {
+    let table = dir.join("table.tsv");
+    let out = format!("--table {}", table.display());
+    for mode in ["", "paper fig07 "] {
         for scale in ["nan", "0", "-1", "inf"] {
-            let (code, stderr) = run(bin, &format!("--scale {scale} {out}"), &[]);
-            assert_eq!(code, Some(2), "{bin} --scale {scale}: {stderr}");
-            assert!(stderr.contains(&format!("{scale:?}")), "{bin}: {stderr}");
+            let (code, stderr) = run(&format!("{mode}--scale {scale} {out}"), &[]);
+            assert_eq!(code, Some(2), "{mode}--scale {scale}: {stderr}");
+            assert!(stderr.contains(&format!("{scale:?}")), "{mode}: {stderr}");
         }
-        let (code, _) = run(bin, &format!("--intra-jobs 2 {out}"), &[]);
-        assert_eq!(code, Some(2), "{bin} --intra-jobs 2");
     }
-    let (code, stderr) = run(SWEEP, &out, &[("CABA_BENCH_SCALE", "nan")]);
-    assert_eq!(code, Some(2), "CABA_BENCH_SCALE=nan: {stderr}");
-    assert!(stderr.contains("CABA_BENCH_SCALE"), "{stderr}");
-    assert!(!report.exists(), "a usage error still wrote a report");
+    let removed = [
+        "--intra-jobs 2",
+        "--baseline",
+        "--ref-wall 1.5",
+        "--max-wall 600",
+        "--out report.json",
+    ];
+    for flag in removed {
+        let (code, stderr) = run(&format!("{flag} {out}"), &[]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        let name = flag.split(' ').next().expect("a flag");
+        assert!(stderr.contains(&format!("unknown flag {name}")), "{stderr}");
+    }
+    assert!(!table.exists(), "a usage error still wrote a table");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn the_perf_gate_cannot_pass_without_measuring() {
+fn a_sweep_that_would_run_other_cells_than_asked_is_a_usage_error() {
     let dir = caba_store::fsio::scratch_dir("cli-gate");
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let report = dir.join("report.json");
-    let tail = format!("--scale 0.02 --jobs 1 --out {}", report.display());
+    let table = dir.join("table.tsv");
+    let store = format!("--store-dir {}", dir.join("store").display());
+    let tail = format!("--scale 0.02 --jobs 1 --table {}", table.display());
     let cons = "--figures fig07 --apps CONS";
     // Each case: the arguments, and what stderr must name.
     let cases = [
         (
-            format!("{cons} --max-wall nan"),
-            "--max-wall must be a finite number > 0, got \"nan\"",
-        ),
-        (format!("{cons} --max-wall inf"), "got \"inf\""),
-        (format!("{cons} --max-wall 0"), "got \"0\""),
-        (
-            format!("{cons} --ref-wall nan"),
-            "--ref-wall must be a finite number > 0, got \"nan\"",
-        ),
-        (format!("{cons} --ref-wall -3"), "got \"-3\""),
-        (
-            "--figures fig07 --apps NOPE --max-wall 30".into(),
+            "--figures fig07 --apps NOPE".to_string(),
             "unknown app \"NOPE\"",
         ),
         (
@@ -76,32 +76,98 @@ fn the_perf_gate_cannot_pass_without_measuring() {
             "expected one of: BFS, CONS, ",
         ),
         // A registered app that fig07 does not plot.
+        ("--figures fig07 --apps mc".into(), "select no cells"),
         (
-            "--figures fig07 --apps mc --max-wall 30".into(),
-            "select no cells",
-        ),
-        (
-            format!("{cons} --store-fault-rate 7"),
+            format!("{cons} {store} --store-fault-rate 7"),
             "--store-fault-rate must lie in 0..=1, got 7",
         ),
-        (format!("{cons} --store-fault-rate nan"), "got NaN"),
-        (format!("{cons} --store-fault-rate -0.5"), "got -0.5"),
+        (format!("{cons} {store} --store-fault-rate nan"), "got NaN"),
+        (
+            format!("{cons} {store} --store-fault-rate -0.5"),
+            "got -0.5",
+        ),
+        // A store option with no store to apply to.
+        (
+            format!("{cons} --store-cap 0"),
+            "--store-cap needs --store-dir",
+        ),
+        (
+            format!("{cons} --store-fault-seed 7"),
+            "--store-fault-seed needs --store-dir",
+        ),
+        (
+            format!("{cons} --store-fault-rate 0.5"),
+            "--store-fault-rate needs --store-dir",
+        ),
+        // A store would answer for cells the proof must compute twice.
+        (
+            format!("{cons} {store} --selftest"),
+            "--selftest takes no --store-dir or --resume",
+        ),
+        // A paper table is defined over its own cells.
+        (
+            "paper fig07 --apps CONS".into(),
+            "takes no --figures, --apps",
+        ),
+        ("paper fig99".into(), "unknown table \"fig99\""),
+        ("paper".into(), "missing table name"),
     ];
     for (args, names) in &cases {
-        let (code, stderr) = run(SWEEP, &format!("{args} {tail}"), &[]);
+        let (code, stderr) = run(&format!("{args} {tail}"), &[]);
         assert_eq!(code, Some(2), "{args}: {stderr}");
         assert!(stderr.contains(names), "{args}: {stderr}");
-        assert!(!stderr.contains("perf gate OK"), "{args}: {stderr}");
     }
-    assert!(!report.exists(), "a usage error still wrote a report");
-    // Well-formed, the same flags measure one cell and gate on it.
-    let flags = "--max-wall 600 --ref-wall 1.5 --store-fault-rate 1";
-    let (code, stderr) = run(SWEEP, &format!("{cons} {flags} {tail}"), &[]);
+    assert!(!table.exists(), "a usage error still wrote a table");
+    // Well-formed, the same flags run the five cells asked for.
+    let flags = format!("{store} --store-fault-seed 7 --store-fault-rate 1 --store-cap 0");
+    let (code, stderr) = run(&format!("{cons} {flags} {tail}"), &[]);
     assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("sweep fig07: 5 cells"), "{stderr}");
+    assert_eq!(
+        std::fs::read_to_string(&table)
+            .expect("table")
+            .lines()
+            .count(),
+        5
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn selftest_runs_the_figures_and_apps_it_was_given() {
+    let args = "--selftest --figures fig01 --apps CONS,NQU --scale 0.02";
+    let out = output(args, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("selftest fig01: 6 cells"), "{stderr}");
     assert!(
-        stderr.contains("sweep: 5 cells") && stderr.contains("perf gate OK"),
+        stderr.contains("selftest OK: fig01 bit-identical"),
         "{stderr}"
     );
+    for other in ["fig07", "fig10", "fig12"] {
+        assert!(!stderr.contains(other), "{other} ran too: {stderr}");
+    }
+    // With no --table the figure table is what stdout carries.
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(table.lines().count(), 6, "{table}");
+    assert!(table.starts_with("CONS\tBase\t0.5\t{"), "{table}");
+}
+
+#[test]
+fn paper_tables_share_their_runs_through_the_store() {
+    let dir = caba_store::fsio::scratch_dir("cli-paper");
+    let flags = format!("--scale 0.02 --store-dir {}", dir.display());
+    let fig07 = output(&format!("paper fig07 {flags}"), &[]);
+    let stderr = String::from_utf8_lossy(&fig07.stderr);
+    assert_eq!(fig07.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("store: 0 hits, 100 misses"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&fig07.stdout);
+    assert!(stdout.starts_with("App "), "{stdout}");
+    assert_eq!(stdout.lines().count(), 2 + 20 + 1, "{stdout}");
+    // Fig. 8 reports another metric of the same hundred runs.
+    let (code, stderr) = run(&format!("paper fig08 {flags}"), &[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("store: 100 hits, 0 misses"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -110,7 +176,6 @@ fn the_store_subcommand_names_a_bad_or_missing_flag_value() {
     let dir = caba_store::fsio::scratch_dir("cli-store");
     let root = dir.display();
     let (code, stderr) = run(
-        SWEEP,
         &format!("store gc --store-dir {root} --store-cap 10MB"),
         &[],
     );
@@ -120,7 +185,7 @@ fn the_store_subcommand_names_a_bad_or_missing_flag_value() {
         "{stderr}"
     );
     for flag in ["--store-dir", "--store-cap", "--out"] {
-        let (code, stderr) = run(SWEEP, &format!("store gc --store-cap 0 {flag}"), &[]);
+        let (code, stderr) = run(&format!("store gc --store-cap 0 {flag}"), &[]);
         assert_eq!(code, Some(2), "trailing {flag}: {stderr}");
         assert!(
             stderr.contains(&format!("{flag} requires a value")),
@@ -129,48 +194,30 @@ fn the_store_subcommand_names_a_bad_or_missing_flag_value() {
     }
     assert!(!dir.exists(), "a usage error still opened a store");
     // The flags still work when they are well formed.
-    let (code, stderr) = run(
-        SWEEP,
-        &format!("store gc --store-dir {root} --store-cap 0"),
-        &[],
-    );
+    let (code, stderr) = run(&format!("store gc --store-dir {root} --store-cap 0"), &[]);
     assert_eq!(code, Some(0), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `json` with the number after every wall-clock key zeroed: those differ
-/// from run to run, everything else in a report must not.
-fn without_walls(json: &str) -> String {
-    let mut out = String::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\": ") {
-        let (head, tail) = rest.split_at(i + 3);
-        out.push_str(head);
-        let key = &head[head[..i].rfind('"').expect("key opens") + 1..i];
-        rest = tail;
-        if key.contains("wall") || key.contains("per_sec") {
-            out.push('0');
-            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || "+-.eE".contains(c));
-        }
-    }
-    out + rest
-}
-
 #[test]
-fn the_removed_environment_variable_changes_nothing() {
+fn the_removed_environment_variables_change_nothing() {
     let dir = caba_store::fsio::scratch_dir("cli-env");
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let report = |tag: &str, env: &[(&str, &str)]| {
-        let (json, table) = (dir.join(tag).with_extension("json"), dir.join(tag));
-        let files = format!("--out {} --table {}", json.display(), table.display());
-        let cells = "--figures fig07 --apps CONS --scale 0.05 --jobs 1";
-        let (code, stderr) = run(SWEEP, &format!("{cells} {files}"), env);
+    let table = |tag: &str, env: &[(&str, &str)]| {
+        let path = dir.join(tag);
+        // No --scale and --jobs 1: the two values the variables used to set.
+        let cells = "--figures fig07 --apps CONS --jobs 1";
+        let (code, stderr) = run(&format!("{cells} --table {}", path.display()), env);
         assert_eq!(code, Some(0), "{stderr}");
-        let read = |p| std::fs::read_to_string(p).expect("written");
-        (without_walls(&read(json)), read(table))
+        assert!(stderr.contains("at scale 0.5 with 1 jobs"), "{stderr}");
+        std::fs::read_to_string(path).expect("written")
     };
-    let plain = report("plain", &[]);
-    assert!(plain.0.contains("\"jobs\": 1,") && !plain.0.contains("intra"));
-    assert_eq!(report("env", &[("CABA_INTRA_JOBS", "4")]), plain);
+    let plain = table("plain", &[]);
+    let removed = [
+        ("CABA_INTRA_JOBS", "4"),
+        ("CABA_BENCH_SCALE", "nan"),
+        ("CABA_SWEEP_JOBS", "0"),
+    ];
+    assert_eq!(table("env", &removed), plain);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,19 +8,20 @@
 //!    access.
 //! 5. Warp scheduler policy (Table 1 uses GTO).
 //!
-//! Run with `cargo bench -p caba-bench --bench ablations`. The apps used
-//! are a small representative trio (streaming / gather / stencil).
+//! Run with `cargo run --release --example ablations -- [SCALE]` (default
+//! scale 0.5). The apps used are a small representative trio (streaming /
+//! gather / stencil).
 
-use caba_core::CabaController;
-use caba_sim::{Design, GpuConfig, SchedulerPolicy};
-use caba_stats::Table;
-use caba_workloads::{app, run_app};
+use caba::core::CabaController;
+use caba::sim::{Design, GpuConfig, SchedulerPolicy};
+use caba::stats::Table;
+use caba::workloads::{app, run_app};
 
 const APPS: [&str; 3] = ["CONS", "PVC", "LPS"];
 
 fn scale() -> f64 {
-    std::env::var("CABA_BENCH_SCALE")
-        .ok()
+    std::env::args()
+        .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.5)
 }

@@ -1,16 +1,17 @@
 //! Inspect one application under Base / CABA-BDI / HW-BDI side by side.
 //!
 //! ```sh
-//! cargo run --release -p caba-bench --bin diag_app -- PVC 0.5
+//! cargo run --release --example diag_app -- PVC 0.5
 //! ```
 //!
 //! Arguments: application name (see `caba_workloads::all_apps`) and an
 //! optional scale factor (default 0.5).
 
-use caba_bench::DesignId;
-use caba_sim::GpuConfig;
-use caba_stats::StallKind;
-use caba_workloads::{all_apps, app, run_app};
+use caba::compress::Algorithm;
+use caba::core::CabaController;
+use caba::sim::{Design, GpuConfig};
+use caba::stats::StallKind;
+use caba::workloads::{all_apps, app, run_app};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "PVC".into());
@@ -26,9 +27,17 @@ fn main() {
         std::process::exit(1);
     };
     println!("{name} @ scale {scale} on the scaled Table 1 machine\n");
-    for d in [DesignId::Base, DesignId::CabaBdi, DesignId::HwBdi] {
-        let s = run_app(&a, GpuConfig::isca2015_scaled(), d.make(), scale)
-            .unwrap_or_else(|e| panic!("{}: {e}", d.label()));
+    let hw_bdi = Design::HwFull {
+        alg: Algorithm::Bdi,
+        ideal: false,
+    };
+    for (label, design) in [
+        ("Base", Design::Base),
+        ("CABA-BDI", Design::Caba(Box::new(CabaController::bdi()))),
+        ("HW-BDI", hw_bdi),
+    ] {
+        let s = run_app(&a, GpuConfig::isca2015_scaled(), design, scale)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         let stalls = StallKind::ALL
             .iter()
             .map(|&k| format!("{}={:.2}", k.slug(), s.breakdown.fraction(k)))
@@ -37,7 +46,7 @@ fn main() {
         println!(
             "{:<10} cyc={:<8} app_i={:<9} asst_i={:<9} launches={:<6} l1hr={:.2} l2hr={:.2} \
              bursts={:<8} flits={:<8} bw={:.2} ovf={:<5} dec={:<6} cmp={:<6}\n           {stalls}",
-            d.label(),
+            label,
             s.cycles,
             s.app_instructions,
             s.assist_instructions,

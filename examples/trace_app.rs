@@ -1,16 +1,16 @@
 //! Record a Chrome-trace (Perfetto) activity trace of one application run.
 //!
 //! ```sh
-//! cargo run --release -p caba-bench --bin trace_app -- PVC 0.25 caba trace.json
+//! cargo run --release --example trace_app -- PVC 0.25 caba trace.json
 //! ```
 //!
 //! Open the JSON in `chrome://tracing` or https://ui.perfetto.dev to see
 //! per-SM issue activity (app vs. assist instructions) and DRAM bandwidth
 //! utilization over time.
 
-use caba_core::CabaController;
-use caba_sim::{Design, Gpu, GpuConfig, TraceConfig};
-use caba_workloads::app;
+use caba::core::CabaController;
+use caba::sim::{Design, Gpu, GpuConfig, TraceConfig};
+use caba::workloads::app;
 
 fn main() {
     let mut args = std::env::args().skip(1);
