@@ -27,7 +27,7 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics unless capacity is divisible by `ways * line_size` and the set
-    /// count is a power of two.
+    /// count and line size are powers of two.
     pub fn new(capacity: usize, ways: usize, line_size: usize) -> Self {
         let g = CacheGeometry {
             capacity,
@@ -35,8 +35,17 @@ impl CacheGeometry {
             line_size,
             tag_factor: 1,
         };
-        assert!(g.sets() > 0 && g.sets().is_power_of_two(), "bad geometry");
+        assert!(g.is_valid(), "bad geometry");
         g
+    }
+
+    /// Whether [`Cache`] can index this geometry with shifts: a power-of-two
+    /// line size and set count.
+    fn is_valid(&self) -> bool {
+        self.line_size.is_power_of_two()
+            && self.ways > 0
+            && self.sets() > 0
+            && self.sets().is_power_of_two()
     }
 
     /// Compressed-cache geometry with multiplied tags.
@@ -72,14 +81,14 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct LineState {
     tag: u64,
-    dirty: bool,
+    last_use: u64,
     /// Resident size in bytes (= line_size unless the cache stores the line
     /// compressed).
-    size: usize,
-    last_use: u64,
+    size: u32,
+    dirty: bool,
 }
 
 /// A line evicted to make room.
@@ -103,6 +112,12 @@ pub enum AccessOutcome {
 /// A set-associative, write-back, LRU cache (tags only — functional data
 /// lives in [`crate::FuncMem`]).
 ///
+/// The tags live in one flat array, `tags_per_set` slots per set, of which
+/// the first `lens[set]` are resident in the order a per-set list would hold
+/// them (removal swaps the last resident slot in), so LRU ties, eviction
+/// order and the snapshot bytes are those of a `Vec` per set. Set and tag
+/// come from shifts precomputed from the power-of-two geometry.
+///
 /// # Examples
 ///
 /// ```
@@ -115,7 +130,15 @@ pub enum AccessOutcome {
 #[derive(Debug)]
 pub struct Cache {
     geo: CacheGeometry,
-    sets: Vec<Vec<LineState>>,
+    /// `log2(line_size)`: address bits below the set index.
+    line_shift: u32,
+    /// `log2(sets)`: set-index bits above the line offset.
+    set_bits: u32,
+    /// Slots per set in `lines` (`tags_per_set`).
+    ways: usize,
+    lines: Vec<LineState>,
+    /// Resident lines per set: the prefix of its slots in `lines`.
+    lens: Vec<usize>,
     use_clock: u64,
     hits: u64,
     misses: u64,
@@ -123,10 +146,20 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the set count and line size are powers of two.
     pub fn new(geo: CacheGeometry) -> Self {
+        assert!(geo.is_valid(), "bad geometry");
+        let ways = geo.tags_per_set();
         Cache {
             geo,
-            sets: (0..geo.sets()).map(|_| Vec::new()).collect(),
+            line_shift: geo.line_size.trailing_zeros(),
+            set_bits: geo.sets().trailing_zeros(),
+            ways,
+            lines: vec![LineState::default(); geo.sets() * ways],
+            lens: vec![0; geo.sets()],
             use_clock: 0,
             hits: 0,
             misses: 0,
@@ -138,21 +171,40 @@ impl Cache {
         self.geo
     }
 
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.geo.line_size as u64) % self.geo.sets() as u64) as usize
+    /// The set `addr` maps to and its tag within that set.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & ((1u64 << self.set_bits) - 1)) as usize;
+        (set, line >> self.set_bits)
     }
 
-    fn tag(&self, addr: u64) -> u64 {
-        addr / (self.geo.line_size as u64 * self.geo.sets() as u64)
+    /// The resident lines of `set`, in list order.
+    fn set_lines(&self, set: usize) -> &[LineState] {
+        let base = set * self.ways;
+        &self.lines[base..base + self.lens[set]]
+    }
+
+    fn set_lines_mut(&mut self, set: usize) -> &mut [LineState] {
+        let base = set * self.ways;
+        &mut self.lines[base..base + self.lens[set]]
+    }
+
+    /// Removes the line at `idx` of `set` the way `Vec::swap_remove` would.
+    fn swap_remove(&mut self, set: usize, idx: usize) -> LineState {
+        let base = set * self.ways;
+        let last = base + self.lens[set] - 1;
+        let line = self.lines[base + idx];
+        self.lines[base + idx] = self.lines[last];
+        self.lens[set] -= 1;
+        line
     }
 
     /// Looks up `addr`, updating LRU and hit/miss stats. Does not allocate.
     pub fn access(&mut self, addr: u64, mark_dirty: bool) -> AccessOutcome {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set, tag) = self.locate(addr);
         self.use_clock += 1;
         let clock = self.use_clock;
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
+        if let Some(line) = self.set_lines_mut(set).iter_mut().find(|l| l.tag == tag) {
             line.last_use = clock;
             line.dirty |= mark_dirty;
             self.hits += 1;
@@ -163,11 +215,21 @@ impl Cache {
         }
     }
 
+    /// Accounts for `n` [`Cache::access`] calls that all miss. A miss moves
+    /// only the replacement clock and the miss counter, so this leaves the
+    /// cache exactly as those calls would: same counters, same later LRU
+    /// victims, same snapshot bytes. The next-event clock uses it to skip
+    /// cycles in which a stalled load re-probes for a line that cannot
+    /// arrive before the skip ends.
+    pub fn credit_misses(&mut self, n: u64) {
+        self.use_clock += n;
+        self.misses += n;
+    }
+
     /// True if the line containing `addr` is resident (no stat/LRU update).
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        self.sets[set].iter().any(|l| l.tag == tag)
+        let (set, tag) = self.locate(addr);
+        self.set_lines(set).iter().any(|l| l.tag == tag)
     }
 
     /// Inserts the line containing `addr` with resident `size` bytes,
@@ -183,61 +245,60 @@ impl Cache {
             size > 0 && size <= self.geo.line_size,
             "fill size {size} out of range"
         );
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set, tag) = self.locate(addr);
         self.use_clock += 1;
         let clock = self.use_clock;
+        let size32 = size as u32;
 
         // Refill of a resident line just updates state.
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
+        if let Some(line) = self.set_lines_mut(set).iter_mut().find(|l| l.tag == tag) {
             line.dirty |= dirty;
-            line.size = size;
+            line.size = size32;
             line.last_use = clock;
             return Vec::new();
         }
 
         let mut evictions = Vec::new();
         loop {
-            let used: usize = self.sets[set].iter().map(|l| l.size).sum();
-            let tags_ok = self.sets[set].len() < self.geo.tags_per_set();
+            let lines = self.set_lines(set);
+            let used: usize = lines.iter().map(|l| l.size as usize).sum();
+            let tags_ok = lines.len() < self.ways;
             let bytes_ok = used + size <= self.geo.set_bytes();
             if tags_ok && bytes_ok {
                 break;
             }
             // Evict LRU.
-            let victim_idx = self.sets[set]
+            let victim_idx = lines
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.last_use)
                 .map(|(i, _)| i)
                 .expect("set cannot be empty while over budget");
-            let victim = self.sets[set].swap_remove(victim_idx);
-            let victim_addr = self.reconstruct_addr(victim.tag, set);
+            let victim = self.swap_remove(set, victim_idx);
             evictions.push(Eviction {
-                addr: victim_addr,
+                addr: self.reconstruct_addr(victim.tag, set),
                 dirty: victim.dirty,
             });
         }
-        self.sets[set].push(LineState {
+        self.lines[set * self.ways + self.lens[set]] = LineState {
             tag,
-            dirty,
-            size,
             last_use: clock,
-        });
+            size: size32,
+            dirty,
+        };
+        self.lens[set] += 1;
         evictions
     }
 
     fn reconstruct_addr(&self, tag: u64, set: usize) -> u64 {
-        (tag * self.geo.sets() as u64 + set as u64) * self.geo.line_size as u64
+        ((tag << self.set_bits) | set as u64) << self.line_shift
     }
 
     /// Removes the line containing `addr`, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let idx = self.sets[set].iter().position(|l| l.tag == tag)?;
-        let line = self.sets[set].swap_remove(idx);
-        Some(line.dirty)
+        let (set, tag) = self.locate(addr);
+        let idx = self.set_lines(set).iter().position(|l| l.tag == tag)?;
+        Some(self.swap_remove(set, idx).dirty)
     }
 
     /// Hit count since construction.
@@ -262,7 +323,7 @@ impl Cache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.lens.iter().sum()
     }
 
     /// Serializes tag state and counters. Geometry is not serialized: it is
@@ -271,13 +332,14 @@ impl Cache {
         w.u64(self.use_clock);
         w.u64(self.hits);
         w.u64(self.misses);
-        w.usize(self.sets.len());
-        for set in &self.sets {
-            w.usize(set.len());
-            for l in set {
+        w.usize(self.lens.len());
+        for set in 0..self.lens.len() {
+            let lines = self.set_lines(set);
+            w.usize(lines.len());
+            for l in lines {
                 w.u64(l.tag);
                 w.bool(l.dirty);
-                w.usize(l.size);
+                w.usize(l.size as usize);
                 w.u64(l.last_use);
             }
         }
@@ -288,7 +350,8 @@ impl Cache {
     /// # Errors
     ///
     /// Fails with [`SnapError::Invariant`] when the serialized set count
-    /// disagrees with this cache's geometry, or with a decode error for
+    /// disagrees with this cache's geometry, a set holds more lines than it
+    /// has tags or a line is larger than a line, or with a decode error for
     /// malformed bytes. On error the cache contents are unspecified but the
     /// call never panics.
     pub fn snap_load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapError> {
@@ -296,26 +359,35 @@ impl Cache {
         self.hits = r.u64()?;
         self.misses = r.u64()?;
         let n_sets = r.usize()?;
-        if n_sets != self.geo.sets() {
+        if n_sets != self.lens.len() {
             return Err(SnapError::Invariant {
                 what: "cache set count mismatch",
             });
         }
-        for set in &mut self.sets {
+        for set in 0..n_sets {
             let n = r.seq_len("cache set", 8)?;
-            if n > self.geo.tags_per_set() {
+            if n > self.ways {
                 return Err(SnapError::Invariant {
                     what: "cache set exceeds tag budget",
                 });
             }
-            set.clear();
-            for _ in 0..n {
-                set.push(LineState {
-                    tag: r.u64()?,
-                    dirty: r.bool()?,
-                    size: r.usize()?,
+            self.lens[set] = 0;
+            for i in 0..n {
+                let tag = r.u64()?;
+                let dirty = r.bool()?;
+                let size = r.usize()?;
+                if size > self.geo.line_size {
+                    return Err(SnapError::Invariant {
+                        what: "cached line larger than a line",
+                    });
+                }
+                self.lines[set * self.ways + i] = LineState {
+                    tag,
                     last_use: r.u64()?,
-                });
+                    size: size as u32,
+                    dirty,
+                };
+                self.lens[set] = i + 1;
             }
         }
         Ok(())
@@ -575,6 +647,174 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_size_fill_panics() {
         small_cache().fill(0, false, 0);
+    }
+
+    fn saved(c: &Cache) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        c.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    /// `credit_misses(n)` stands in for `n` missing `access` calls: same
+    /// counters and bytes at once, and the same victims from then on.
+    #[test]
+    fn credited_misses_equal_real_misses() {
+        let geo = CacheGeometry::new(512, 2, LINE_SIZE).with_tag_factor(2);
+        let (mut real, mut credited) = (Cache::new(geo), Cache::new(geo));
+        let mut rng = caba_stats::rng::Rng64::new(0xC4ED);
+        for step in 0..2000u64 {
+            let addr = rng.range_u64(24) * LINE_SIZE as u64;
+            if rng.chance(0.1) && !real.probe(addr) {
+                let n = 1 + rng.range_u64(40);
+                for _ in 0..n {
+                    assert_eq!(real.access(addr, false), AccessOutcome::Miss);
+                }
+                credited.credit_misses(n);
+            } else if rng.chance(0.5) {
+                let size = 1 + rng.range_u64(LINE_SIZE as u64) as usize;
+                let dirty = rng.chance(0.3);
+                let ev = real.fill(addr, dirty, size);
+                assert_eq!(ev, credited.fill(addr, dirty, size), "step {step}");
+            } else {
+                let dirty = rng.chance(0.3);
+                assert_eq!(real.access(addr, dirty), credited.access(addr, dirty));
+            }
+            assert_eq!(
+                (real.hits(), real.misses()),
+                (credited.hits(), credited.misses())
+            );
+            assert_eq!(saved(&real), saved(&credited), "step {step}");
+        }
+    }
+
+    /// The per-set `Vec` layout the flat tag array replaced, kept as the
+    /// reference its bytes and victims are compared against.
+    struct VecCache {
+        geo: CacheGeometry,
+        sets: Vec<Vec<LineState>>,
+        use_clock: u64,
+    }
+
+    impl VecCache {
+        fn locate(&self, addr: u64) -> (usize, u64) {
+            let line = addr / self.geo.line_size as u64;
+            let sets = self.geo.sets() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn access(&mut self, addr: u64, dirty: bool) {
+            let (set, tag) = self.locate(addr);
+            self.use_clock += 1;
+            if let Some(l) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
+                l.last_use = self.use_clock;
+                l.dirty |= dirty;
+            }
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool, size: usize) -> Vec<Eviction> {
+            let (set, tag) = self.locate(addr);
+            self.use_clock += 1;
+            let clock = self.use_clock;
+            if let Some(l) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
+                l.dirty |= dirty;
+                l.size = size as u32;
+                l.last_use = clock;
+                return Vec::new();
+            }
+            let mut ev = Vec::new();
+            loop {
+                let used: usize = self.sets[set].iter().map(|l| l.size as usize).sum();
+                if self.sets[set].len() < self.geo.tags_per_set()
+                    && used + size <= self.geo.set_bytes()
+                {
+                    break;
+                }
+                let (i, _) = self.sets[set]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use)
+                    .unwrap();
+                let v = self.sets[set].swap_remove(i);
+                let sets = self.geo.sets() as u64;
+                ev.push(Eviction {
+                    addr: (v.tag * sets + set as u64) * self.geo.line_size as u64,
+                    dirty: v.dirty,
+                });
+            }
+            self.sets[set].push(LineState {
+                tag,
+                last_use: clock,
+                size: size as u32,
+                dirty,
+            });
+            ev
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<bool> {
+            let (set, tag) = self.locate(addr);
+            let i = self.sets[set].iter().position(|l| l.tag == tag)?;
+            Some(self.sets[set].swap_remove(i).dirty)
+        }
+
+        /// The tag part of `Cache::snap_save` (after the three counters).
+        fn saved_sets(&self) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            w.usize(self.sets.len());
+            for set in &self.sets {
+                w.usize(set.len());
+                for l in set {
+                    w.u64(l.tag);
+                    w.bool(l.dirty);
+                    w.usize(l.size as usize);
+                    w.u64(l.last_use);
+                }
+            }
+            w.into_bytes()
+        }
+    }
+
+    /// On random fill/access/invalidate sequences the flat tag array evicts
+    /// the same victims and saves the same bytes as one `Vec` per set, in
+    /// conventional and tag-multiplied (compressed) geometries.
+    #[test]
+    fn flat_tags_match_per_set_vectors() {
+        for tag_factor in [1, 2, 4] {
+            let geo = CacheGeometry::new(1024, 2, LINE_SIZE).with_tag_factor(tag_factor);
+            let mut flat = Cache::new(geo);
+            let mut reference = VecCache {
+                geo,
+                sets: vec![Vec::new(); geo.sets()],
+                use_clock: 0,
+            };
+            let mut rng = caba_stats::rng::Rng64::new(0xF1A7 + tag_factor as u64);
+            for step in 0..5000 {
+                let addr = rng.range_u64(48) * LINE_SIZE as u64 + rng.range_u64(LINE_SIZE as u64);
+                let dirty = rng.chance(0.3);
+                match rng.range_u64(10) {
+                    0..=3 => {
+                        let size = 1 + rng.range_u64(LINE_SIZE as u64) as usize;
+                        let want = reference.fill(addr, dirty, size);
+                        assert_eq!(flat.fill(addr, dirty, size), want, "step {step}");
+                    }
+                    4 => assert_eq!(flat.invalidate(addr), reference.invalidate(addr)),
+                    _ => {
+                        flat.access(addr, dirty);
+                        reference.access(addr, dirty);
+                    }
+                }
+                assert_eq!(
+                    saved(&flat)[24..],
+                    reference.saved_sets()[..],
+                    "step {step}"
+                );
+            }
+            let mut restored = Cache::new(geo);
+            let bytes = saved(&flat);
+            restored
+                .snap_load(&mut SnapshotReader::new(&bytes))
+                .expect("own bytes restore");
+            assert_eq!(saved(&restored), bytes);
+        }
     }
 
     #[test]

@@ -115,12 +115,13 @@ pub struct GpuConfig {
     /// the last periodic snapshot is replayed with full tracing (see
     /// DESIGN.md "Checkpoint/restore and crash recovery").
     pub checkpoint_interval: u64,
-    /// Next-event time skipping: when no scheduler can issue and every
-    /// in-flight state change sits at a known future cycle, `Gpu::run`
-    /// jumps the clock to the earliest such cycle instead of ticking,
-    /// crediting the skipped span to the Fig. 1 stall buckets in bulk.
-    /// Results are bit-identical with this on or off (DESIGN.md
-    /// "Next-event clock"); the knob exists for A/B verification.
+    /// The next-event engine: `Gpu::run` cycles an SM or partition only
+    /// once its next event has come, credits the cycles it slept through
+    /// in bulk (Fig. 1 stall buckets included), and jumps the clock when
+    /// nothing is due. Off runs the naive reference engine, every SM and
+    /// partition every cycle. Results are bit-identical either way, and so
+    /// are snapshots but for the skip counters (DESIGN.md "Next-event
+    /// clock"); the knob exists for A/B verification.
     pub time_skip: bool,
 }
 

@@ -272,12 +272,11 @@ impl Gpu {
     }
 
     fn trace_tick(&mut self) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        if self.now - tr.last_cycle < tr.interval {
-            return;
+        match &self.tracer {
+            Some(tr) if self.now - tr.last_cycle >= tr.interval => self.settle_all(),
+            _ => return,
         }
+        let tr = self.tracer.as_mut().expect("checked above");
         let mut app = Vec::with_capacity(self.sms.len());
         let mut assist = Vec::with_capacity(self.sms.len());
         let mut stalls = Vec::with_capacity(self.sms.len());
@@ -294,9 +293,6 @@ impl Gpu {
         }
         let (mut busy, mut total) = (0u64, 0u64);
         for p in &mut self.parts {
-            // Quiesced partitions are clock-skipped by the run loop; repay
-            // the lag so the sampled utilization denominator is exact.
-            p.catch_up(self.now);
             let d = p.dram_stats();
             busy += d.bus_busy_cycles;
             total += d.total_cycles;
@@ -450,14 +446,19 @@ impl Gpu {
         out
     }
 
-    /// Repays the clock of every quiesced (skipped) partition so DRAM
-    /// cycle counters are exact. Must run before anything reads
-    /// `dram_stats().total_cycles`: trace samples, hang forensics, and
-    /// final stats collection.
-    fn catch_up_parts(&mut self) {
+    /// Accounts for every cycle before `now` that an SM or partition slept
+    /// through ([`Sm::settle`], [`Partition::settle`]), so that each reads
+    /// as if it had been cycled every cycle. Owed before anything reads
+    /// them: audits, trace samples, the watchdog, checkpoints, and every
+    /// return from the run loop, so the machine is settled whenever
+    /// [`Gpu::snapshot`] or [`Gpu::run`]'s caller can see it.
+    fn settle_all(&mut self) {
         let now = self.now;
+        for sm in &mut self.sms {
+            sm.settle(now);
+        }
         for p in &mut self.parts {
-            p.catch_up(now);
+            p.settle(now);
         }
     }
 
@@ -557,7 +558,10 @@ impl Gpu {
         self.run_loop(kernel, max_cycles)
     }
 
-    /// The per-cycle engine.
+    /// The cycle engine. With [`GpuConfig::time_skip`] it cycles an SM or
+    /// partition only once its next event has come and jumps the clock
+    /// when nothing is due; without, it is the naive reference and cycles
+    /// every component every cycle (DESIGN.md "Next-event clock").
     fn run_loop(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
         let extra_regs = match &self.design {
             Design::Caba(c) => c.extra_regs_per_thread(),
@@ -584,12 +588,14 @@ impl Gpu {
         // nothing, then reopened by any block retirement.
         let mut dispatch_open = true;
         let mut blocks_retired_seen: u64 = self.sms.iter().map(|s| s.blocks_retired_total()).sum();
+        // The SMs executed this cycle, in index order.
+        let mut cycled: Vec<usize> = Vec::with_capacity(self.sms.len());
 
         loop {
             let now = self.now;
             if now - start >= max_cycles {
                 self.next_cta = next_cta;
-                self.catch_up_parts();
+                self.settle_all();
                 return Err(RunError::Timeout {
                     cycles: max_cycles,
                     report: Box::new(self.hang_report(kernel, next_cta, grid)),
@@ -597,13 +603,14 @@ impl Gpu {
             }
 
             // Periodic rolling checkpoint (record-only; the snapshot is a
-            // pure read of the cycle-boundary state).
+            // pure read of the settled cycle-boundary state).
             if ckpt != 0
                 && now != start
                 && (now - start).is_multiple_of(ckpt)
                 && self.last_checkpoint.as_ref().is_none_or(|(c, _)| *c != now)
             {
                 self.next_cta = next_cta;
+                self.settle_all();
                 self.last_checkpoint = Some((now, self.snapshot(kernel)));
             }
 
@@ -625,6 +632,7 @@ impl Gpu {
                             if next_cta >= grid {
                                 break;
                             }
+                            sm.settle(now);
                             if sm.try_launch_block(next_cta, kernel, extra_regs) {
                                 next_cta += 1;
                                 launched = true;
@@ -639,18 +647,20 @@ impl Gpu {
                 }
             }
 
-            // 2. SM phase. Every SM advances one cycle against an overlay
-            //    view — start-of-cycle memory and line store plus its own
-            //    writes — and its writes become visible to the *other* SMs
-            //    only at the end-of-cycle commit, in SM index order: a
-            //    clocked machine. (Direct views would leak same-cycle
-            //    writes to higher-numbered SMs in sweep order — a simulation
-            //    artifact no real crossbar exhibits.)
-            for (sm, design) in self.sms.iter_mut().zip(&mut self.sm_designs) {
-                if sm.quiesced() {
-                    sm.idle_tick();
+            // 2. SM phase. Every due SM advances one cycle against an
+            //    overlay view — start-of-cycle memory and line store plus
+            //    its own writes — and its writes become visible to the
+            //    *other* SMs only at the end-of-cycle commit, in SM index
+            //    order: a clocked machine. (Direct views would leak
+            //    same-cycle writes to higher-numbered SMs in sweep order —
+            //    a simulation artifact no real crossbar exhibits.) An SM
+            //    that is not due sleeps; it is settled when next touched.
+            cycled.clear();
+            for (i, (sm, design)) in self.sms.iter_mut().zip(&mut self.sm_designs).enumerate() {
+                if time_skip && !sm.due(now) {
                     continue;
                 }
+                cycled.push(i);
                 let mut shared = SharedState {
                     mem: SharedMem::Overlay {
                         base: &self.mem,
@@ -672,11 +682,13 @@ impl Gpu {
             // 3. At most one request per SM enters the forward crossbar,
             //    in SM index order — the order crossbar admission, the
             //    fault-injection RNG stream and the request ledger see.
-            //    Reads enter the request ledger here.
-            self.merge_requests(now);
+            //    Reads enter the request ledger here. Only an SM cycled
+            //    this cycle can hold a request.
+            self.merge_requests(now, &cycled);
 
             // 4. Crossbar → partitions. The output-port scan only runs when
-            //    the crossbar actually holds delivered flits.
+            //    the crossbar actually holds delivered flits. A push makes
+            //    its partition due.
             self.xbar_fwd.cycle();
             if self.xbar_fwd.delivered_pending() > 0 {
                 for (p, part) in self.parts.iter_mut().enumerate() {
@@ -694,10 +706,12 @@ impl Gpu {
             }
 
             // 5. Partition phase. Partitions only read memory and stored
-            //    forms. Quiesced partitions are clock-skipped — their DRAM
-            //    clock is repaid in bulk by `Partition::catch_up`, which is
-            //    timing-equivalent because FR-FCFS compares against the
-            //    absolute `now`, not per-cycle deltas.
+            //    forms. A partition is cycled only once the wake time it
+            //    cached after its last cycle has come; the cycles between
+            //    only tick DRAM (and re-probe a stalled incoming head),
+            //    which `Partition::settle` repays in bulk — timing-
+            //    equivalent because FR-FCFS compares against the absolute
+            //    `now`, not per-cycle deltas.
             let mut oracle = SizeOracle {
                 mem: &self.mem,
                 cmap: self.cmap.as_mut(),
@@ -705,8 +719,10 @@ impl Gpu {
                 mem_compressed: self.design.mem_compressed(),
                 icnt_compressed: self.design.icnt_compressed(),
             };
-            for part in self.parts.iter_mut().filter(|p| !p.quiesced()) {
-                part.cycle(now, &mut oracle);
+            for part in &mut self.parts {
+                if !time_skip || part.due(now) {
+                    part.cycle(now, &mut oracle);
+                }
             }
 
             // 6. At most one response per partition enters the response
@@ -739,13 +755,13 @@ impl Gpu {
 
             // Forward-progress watchdog (sampled every `wd_stride` cycles).
             if wd_window > 0 && (self.now - start).is_multiple_of(wd_stride) {
+                self.settle_all();
                 let sig = self.progress_signature();
                 if sig != last_sig {
                     last_sig = sig;
                     last_progress = self.now;
                 } else if self.now - last_progress >= wd_window {
                     self.next_cta = next_cta;
-                    self.catch_up_parts();
                     let mut report = Box::new(self.hang_report(kernel, next_cta, grid));
                     report.trace_path = self.hang_forensics(kernel);
                     return Err(RunError::Hang {
@@ -761,6 +777,7 @@ impl Gpu {
                 && (self.now - start).is_multiple_of(self.cfg.audit_interval)
             {
                 self.audits_run += 1;
+                self.settle_all();
                 let violations = self.audit(self.now);
                 if !violations.is_empty() {
                     self.next_cta = next_cta;
@@ -785,41 +802,24 @@ impl Gpu {
                 break;
             }
 
-            // 9. Next-event time skip. The cycle just executed proved every
-            //    SM frozen (dormant) or empty (quiesced); if on top of that
-            //    both crossbars are drained and CTA dispatch is done or
-            //    blocked on residency, then every cycle before the earliest
-            //    component horizon is a proven no-op: jump the clock there,
-            //    crediting the span to the Fig. 1 buckets in bulk (see
+            // 9. Global jump. With both crossbars drained and CTA dispatch
+            //    done or blocked on residency, nothing can happen before
+            //    the earliest component wake time: jump the clock there.
+            //    Sleeping components are settled when next touched (see
             //    DESIGN.md "Next-event clock"). The jump is capped so every
             //    checkpoint top, audit / watchdog / trace-sample bottom, and
             //    the timeout boundary still execute at their exact cycles —
-            //    the skip is observable only as wall-clock. If no component
-            //    has a horizon at all the machine is wedged; fall through to
-            //    per-cycle ticking so the watchdog can prove it.
+            //    the jump is observable only as wall-clock. If no component
+            //    has a wake time at all the machine is wedged; fall through
+            //    to per-cycle ticking so the watchdog can prove it.
             if time_skip
                 && (next_cta >= grid || !launched_any)
                 && self.xbar_fwd.idle()
                 && self.xbar_rsp.idle()
-                && self.sms.iter().all(|s| s.dormant() || s.quiesced())
             {
-                let mut horizon: Option<u64> = None;
-                let fold = |t: u64, h: &mut Option<u64>| {
-                    *h = Some(h.map_or(t, |a: u64| a.min(t)));
-                };
-                for sm in &self.sms {
-                    if sm.dormant() {
-                        if let Some(t) = sm.skip_horizon() {
-                            fold(t, &mut horizon);
-                        }
-                    }
-                }
-                for p in &self.parts {
-                    if let Some(t) = p.next_event(self.now) {
-                        fold(t, &mut horizon);
-                    }
-                }
-                if let Some(mut t) = horizon {
+                let sms = self.sms.iter().filter_map(Sm::next_event);
+                let parts = self.parts.iter().filter_map(Partition::wake);
+                if let Some(mut t) = sms.chain(parts).min() {
                     t = t.min(start.saturating_add(max_cycles));
                     if ckpt != 0 {
                         // Checkpoints fire at the top of the iteration that
@@ -853,9 +853,6 @@ impl Gpu {
                     }
                     if t > self.now {
                         let span = t - self.now;
-                        for sm in &mut self.sms {
-                            sm.skip_ahead(span);
-                        }
                         self.xbar_fwd.skip(span);
                         self.xbar_rsp.skip(span);
                         self.now = t;
@@ -867,7 +864,7 @@ impl Gpu {
         }
 
         self.next_cta = next_cta;
-        self.catch_up_parts();
+        self.settle_all();
         Ok(self.collect_stats(self.now - start))
     }
 
@@ -888,9 +885,17 @@ impl Gpu {
 
     /// Moves at most one request per SM into the forward crossbar, in SM
     /// index order. A request the crossbar cannot admit returns to the front
-    /// of its SM's outbound queue.
-    fn merge_requests(&mut self, now: u64) {
-        for i in 0..self.sms.len() {
+    /// of its SM's outbound queue. Only the SMs in `cycled` (ascending) are
+    /// visited: an SM that slept through this cycle was left with an empty
+    /// outbound queue, since popping a request or pushing one back wakes it.
+    fn merge_requests(&mut self, now: u64, cycled: &[usize]) {
+        debug_assert!(
+            (0..self.sms.len())
+                .filter(|i| !cycled.contains(i))
+                .all(|i| self.sms[i].peek_request().is_none()),
+            "a sleeping SM holds an outbound request"
+        );
+        for &i in cycled {
             let Some(req) = self.sms[i].pop_request() else {
                 continue;
             };
@@ -1219,7 +1224,7 @@ impl Gpu {
             });
         }
         for sm in &mut self.sms {
-            sm.snap_load(r, &programs)?;
+            sm.snap_load(r, &programs, self.now)?;
         }
         for d in &mut self.sm_designs {
             if let Design::Caba(c) = d {

@@ -107,12 +107,20 @@ pub struct Partition {
     /// Fault-delayed DRAM requests: (release cycle, request).
     delayed: Vec<(u64, DramRequest)>,
     now: u64,
-    /// The next GPU cycle this partition expects to be cycled at. When the
-    /// GPU skips a quiesced partition, the gap is repaid as bulk DRAM idle
-    /// ticks on the next real cycle (or via [`Partition::catch_up`]), so
+    /// The next GPU cycle this partition expects to be cycled at. Cycles
+    /// the GPU does not execute are repaid by [`Partition::settle`] on the
+    /// next real cycle or before anything reads the partition, so
     /// `dram_total_cycles` — the Figure 8 utilization denominator — stays
     /// bit-identical with an unskipped run.
     next_tick: u64,
+    /// [`Partition::next_event`] as of the last cycle (`u64::MAX`: none),
+    /// reset by [`Partition::push`]; the GPU cycles the partition only
+    /// once this has come. Derived; recomputed on restore.
+    wake: u64,
+    /// The incoming head waits on a full MSHR file, so every cycle until
+    /// `wake` re-probes the L2 for it: [`Partition::settle`] credits one
+    /// miss per cycle.
+    reprobe: bool,
     delay_faults: u64,
     /// DRAM channel-cycles spent fetching compression metadata (each MD
     /// miss issues one extra single-burst access, §4.3.2) — the Fig. 14
@@ -148,6 +156,8 @@ impl Partition {
             delayed: Vec::new(),
             now: 0,
             next_tick: 0,
+            wake: u64::MAX,
+            reprobe: false,
             delay_faults: 0,
             md_stall_cycles: 0,
             events: Vec::new(),
@@ -165,20 +175,29 @@ impl Partition {
         self.incoming.len() < 16
     }
 
-    /// Queues an incoming request.
+    /// Queues an incoming request, which makes the partition due at once.
+    /// The request goes behind any incoming head, so the cycles still owed
+    /// to [`Partition::settle`] stay what they were.
     pub fn push(&mut self, req: PartReq) {
         self.incoming.push_back(req);
+        self.wake = 0;
     }
 
-    /// Pops a ready response.
+    /// Pops a ready response. Popping the last one can move the
+    /// partition's next event later, so the cached one is recomputed.
     pub fn pop_response(&mut self) -> Option<PartResp> {
-        self.resp_out.pop_front()
+        let r = self.resp_out.pop_front();
+        if r.is_some() && self.resp_out.is_empty() {
+            self.refresh_wake();
+        }
+        r
     }
 
     /// Requeues a response that could not enter the interconnect
     /// (back-pressure).
     pub fn push_response_front(&mut self, resp: PartResp) {
         self.resp_out.push_front(resp);
+        self.wake = 0;
     }
 
     /// True when nothing is pending anywhere in the partition.
@@ -233,34 +252,70 @@ impl Partition {
         }
     }
 
-    /// Repays skipped cycles as bulk DRAM clock ticks. A partition is only
-    /// skipped across cycles in which it provably does nothing — it is
-    /// quiesced, or every piece of in-flight state is dated at or beyond
-    /// the cycle it is next cycled at (see [`Partition::next_event`]) — and
-    /// such a cycle advances nothing but the DRAM clock, so bulk-ticking is
-    /// bit-identical to having cycled it every skipped cycle. Call before
-    /// reading [`Partition::dram_stats`] mid-run.
-    pub fn catch_up(&mut self, now: u64) {
-        if now > self.next_tick {
-            self.dram.tick_gap(now - self.next_tick);
-            self.next_tick = now;
+    /// Accounts for every cycle before `upto` the GPU did not execute. A
+    /// partition is only left uncycled across cycles in which it provably
+    /// does nothing — see [`Partition::next_event`] — and such a cycle
+    /// advances the DRAM clock and, when the incoming head waits on a full
+    /// MSHR file, re-probes the L2 for it (one miss, which moves nothing
+    /// but the miss count and the replacement clock). Repaying both in bulk
+    /// is bit-identical to having cycled it every skipped cycle. Call
+    /// before cycling the partition and before reading it mid-run.
+    pub fn settle(&mut self, upto: u64) {
+        if upto > self.next_tick {
+            let gap = upto - self.next_tick;
+            self.dram.tick_gap(gap);
+            if self.reprobe {
+                self.l2.credit_misses(gap);
+            }
+            self.next_tick = upto;
+            self.now = upto - 1;
         }
+    }
+
+    /// Whether the GPU must execute cycle `now` of this partition.
+    pub fn due(&self, now: u64) -> bool {
+        self.wake <= now
+    }
+
+    /// The cached [`Partition::next_event`], `None` meaning no horizon.
+    pub fn wake(&self) -> Option<u64> {
+        (self.wake != u64::MAX).then_some(self.wake)
+    }
+
+    fn refresh_wake(&mut self) {
+        self.wake = self.next_event(self.next_tick).unwrap_or(u64::MAX);
+        self.reprobe = self.head_stalled();
+    }
+
+    /// The incoming head is a read that misses the L2, is not already
+    /// pending, and finds every MSHR taken: servicing it only re-probes the
+    /// L2 and requeues it. Only a DRAM completion frees an MSHR, and new
+    /// requests queue behind it, so the stall holds until the next DRAM
+    /// event.
+    fn head_stalled(&self) -> bool {
+        self.incoming.front().is_some_and(|r| {
+            !r.is_write && self.mshr.full() && !self.mshr.pending(r.addr) && !self.l2.probe(r.addr)
+        })
     }
 
     /// The earliest GPU cycle at or after `next` — the next cycle the run
     /// loop will execute — at which cycling this partition does more than
-    /// advance the DRAM clock: a fault-delay or L2-latency timer expires,
-    /// a DRAM transfer completes or a queued DRAM request becomes
-    /// schedulable. `None` when fully quiesced; `Some(next)` when work is
-    /// actionable immediately (queues to drain, responses to hand the
-    /// interconnect). The global next-event clock may skip this partition
-    /// up to (exclusive of) the returned cycle and repay the span via
-    /// [`Partition::catch_up`].
+    /// advance the DRAM clock (and re-probe for a stalled incoming head): a
+    /// fault-delay or L2-latency timer expires, a DRAM transfer completes
+    /// or a queued DRAM request becomes schedulable. `None` when fully
+    /// quiesced; `Some(next)` when work is actionable immediately (requests
+    /// to service, responses to hand the interconnect, DRAM pushes to
+    /// retry). The run loop may leave this partition uncycled up to
+    /// (exclusive of) the returned cycle and repay the span via
+    /// [`Partition::settle`].
     pub fn next_event(&self, next: u64) -> Option<u64> {
         if self.quiesced() {
             return None;
         }
-        if !self.incoming.is_empty() || !self.resp_out.is_empty() || !self.dram_retry.is_empty() {
+        if !self.resp_out.is_empty()
+            || !self.dram_retry.is_empty()
+            || (!self.incoming.is_empty() && !self.head_stalled())
+        {
             return Some(next);
         }
         let mut at: Option<u64> = None;
@@ -286,7 +341,7 @@ impl Partition {
 
     /// Advances the partition one cycle.
     pub fn cycle(&mut self, now: u64, oracle: &mut SizeOracle<'_>) {
-        self.catch_up(now);
+        self.settle(now);
         self.next_tick = now + 1;
         self.now = now;
 
@@ -412,6 +467,7 @@ impl Partition {
                 i += 1;
             }
         }
+        self.refresh_wake();
     }
 
     /// L2 hit count.
@@ -559,6 +615,7 @@ impl Partition {
         self.next_tick = r.u64()?;
         self.delay_faults = r.u64()?;
         self.md_stall_cycles = r.u64()?;
+        self.refresh_wake();
         self.events.clear();
         Ok(())
     }

@@ -310,6 +310,10 @@ pub struct Sm {
     assists: Vec<Option<AssistRt>>,
     assist_pending: VecDeque<AssistLaunch>,
     writebacks: Vec<Writeback>,
+    /// Earliest `at` in `writebacks` (`u64::MAX` when empty): the cycle
+    /// before which `process_writebacks` has nothing to do, and the
+    /// writeback term of the dormancy horizon. Derived; rebuilt on restore.
+    wb_due: u64,
     tickets: Vec<Option<Ticket>>,
     free_tickets: Vec<usize>,
     lsu: Lsu,
@@ -386,18 +390,29 @@ pub struct Sm {
     done_unreaped: u32,
     /// Next-event dormancy cache, recomputed at the end of every executed
     /// cycle: true when that cycle proved the SM frozen (nothing issued,
-    /// drained, deployed, or retired), so every following cycle until
-    /// `dorm_horizon` — or an external fill/launch/request push, which
-    /// clears the flag — is bit-identical and the global clock may skip
-    /// them. Never serialized: restore clears it and the next real cycle
-    /// (identical to a skipped one by this very invariant) recomputes it.
+    /// drained, deployed, or retired; at most a stalled load re-probed the
+    /// L1), so every following cycle until `wake` — or an external
+    /// fill/launch/request pop, which clears the flag — would repeat it and
+    /// the run loop need not execute them (see [`Sm::next_event`]). Never
+    /// serialized: restore clears it and the next real cycle (identical to
+    /// a skipped one by this very invariant) recomputes it.
     dormant: bool,
-    /// Earliest cycle a frozen SM acts on its own: the next writeback
-    /// maturity or SFU readiness. `None` = only external input wakes it.
-    dorm_horizon: Option<u64>,
+    /// The frozen cycle's one change was an L1 miss by the stalled LSU
+    /// head (no MSHR or outbound slot free), which every skipped cycle
+    /// repeats: [`Sm::settle`] credits one miss per cycle.
+    reprobe: bool,
+    /// Cycles before this one are accounted for, executed or credited by
+    /// [`Sm::settle`]. Not serialized: restore sets it to the snapshot
+    /// cycle, whose predecessors the snapshot already holds.
+    settled: u64,
+    /// [`Sm::next_event`] (`u64::MAX`: none): for a frozen SM the earliest
+    /// writeback maturity or SFU readiness, else the next cycle unless the
+    /// SM is empty. Recomputed at the end of every cycle and on every
+    /// external input. Derived.
+    wake: u64,
     /// The Fig. 1 bucket each scheduler slot resolved to in the last
     /// executed cycle; while frozen every subsequent cycle resolves the
-    /// same way, so `skip_ahead` bulk-credits these.
+    /// same way, so `settle` bulk-credits these.
     last_slots: Vec<StallKind>,
     /// Reusable sort scratch for `rebuild_candidates` (age, slot) pairs —
     /// avoids a heap allocation on every residency change.
@@ -463,6 +478,7 @@ impl Sm {
             assists: (0..cfg.max_assist_warps).map(|_| None).collect(),
             assist_pending: VecDeque::new(),
             writebacks: Vec::new(),
+            wb_due: u64::MAX,
             tickets: Vec::new(),
             free_tickets: Vec::new(),
             lsu: Lsu::new(cfg.lsu_queue),
@@ -492,13 +508,18 @@ impl Sm {
             slot_pos: vec![NO_POS; cfg.warps_per_sm],
             assist_pos: vec![NO_POS; cfg.max_assist_warps],
             masks_ok: true,
-            cand_dirty: true,
+            // Empty lists are already what a rebuild of an empty SM makes,
+            // so an SM that never holds a block never rebuilds: a cycle on
+            // a quiesced SM then changes nothing a settled one does not.
+            cand_dirty: false,
             assist_dirty: false,
             memo_app: vec![SlotMemo::Unknown; cfg.warps_per_sm],
             memo_assist: vec![SlotMemo::Unknown; cfg.max_assist_warps],
             done_unreaped: 0,
             dormant: false,
-            dorm_horizon: None,
+            reprobe: false,
+            settled: 0,
+            wake: u64::MAX,
             last_slots: vec![StallKind::Idle; cfg.schedulers_per_sm],
             cand_scratch: Vec::new(),
             spare_warps: Vec::new(),
@@ -617,14 +638,15 @@ impl Sm {
         self.used_shared += shared_needed;
         self.resident_block_count += 1;
         self.cand_dirty = true;
-        self.dormant = false;
+        self.wake_up();
         true
     }
 
-    /// True when nothing is executing or outstanding in this SM. All
-    /// constituent checks are O(1) (maintained counters and queue lengths),
-    /// so the GPU can consult this every cycle for its active-set and
-    /// completion check without scanning warp or assist slots.
+    /// True when nothing is executing or outstanding in this SM: it has no
+    /// next event until a block is launched into it. All constituent
+    /// checks are O(1) (maintained counters and queue lengths), so the GPU
+    /// can consult this for its completion check, and the SM for its wake
+    /// time, without scanning warp or assist slots.
     pub fn quiesced(&self) -> bool {
         self.resident_block_count == 0
             && self.active_assist_count == 0
@@ -642,7 +664,7 @@ impl Sm {
         let r = self.out_reqs.pop_front();
         if r.is_some() {
             // Draining a request can unblock a full-queue LSU stall.
-            self.dormant = false;
+            self.wake_up();
         }
         r
     }
@@ -654,8 +676,8 @@ impl Sm {
 
     /// Requeues a request that could not enter the interconnect.
     pub fn push_request_front(&mut self, req: OutReq) {
-        self.dormant = false;
         self.out_reqs.push_front(req);
+        self.wake_up();
     }
 
     fn shared_base_for(&self, block_slot: usize) -> u64 {
@@ -682,7 +704,7 @@ impl Sm {
         if done {
             let t = self.tickets[idx].take().expect("live ticket");
             self.free_tickets.push(idx);
-            self.writebacks.push(Writeback {
+            self.push_writeback(Writeback {
                 at,
                 warp: t.warp,
                 reg: t.dst,
@@ -695,10 +717,24 @@ impl Sm {
         }
     }
 
+    fn push_writeback(&mut self, wb: Writeback) {
+        self.wb_due = self.wb_due.min(wb.at);
+        self.writebacks.push(wb);
+    }
+
     fn process_writebacks(&mut self, now: u64) {
+        if now < self.wb_due {
+            return;
+        }
+        // The sweep below removes every matured entry; what it keeps is
+        // the new earliest due time.
+        let mut due = u64::MAX;
         let mut i = 0;
         while i < self.writebacks.len() {
-            if self.writebacks[i].at <= now {
+            if self.writebacks[i].at > now {
+                due = due.min(self.writebacks[i].at);
+                i += 1;
+            } else {
                 let wb = self.writebacks.swap_remove(i);
                 match wb.warp {
                     WarpRef::App(slot) => {
@@ -724,10 +760,9 @@ impl Sm {
                         }
                     }
                 }
-            } else {
-                i += 1;
             }
         }
+        self.wb_due = due;
     }
 
     // ----- assist warp runtime (AWC/AWT/AWB) -------------------------------
@@ -894,9 +929,15 @@ impl Sm {
 
     /// Handles a read response arriving from the interconnect.
     pub fn handle_fill(&mut self, now: u64, addr: u64, shared: &mut SharedState<'_>) {
-        // External input: whatever the last cycle proved about this SM
-        // being frozen no longer holds.
-        self.dormant = false;
+        // Fills land after the SM phase: cycle `now` is owed first. Then
+        // this external input voids whatever the last cycle proved about
+        // the SM being frozen.
+        self.settle(now + 1);
+        self.apply_fill(now, addr, shared);
+        self.wake_up();
+    }
+
+    fn apply_fill(&mut self, now: u64, addr: u64, shared: &mut SharedState<'_>) {
         // Fault injection: a compressed line arriving at the SM may be
         // corrupted in transit. The fill boundary runs a round-trip check
         // (decompress and compare); in `Recover` mode a detected-corrupt
@@ -1419,7 +1460,7 @@ impl Sm {
 
     fn mark_pending_and_schedule(&mut self, warp: WarpRef, reg: Reg, at: u64) {
         self.mark_pending(warp, reg);
-        self.writebacks.push(Writeback {
+        self.push_writeback(Writeback {
             at,
             warp,
             reg: Some(reg),
@@ -1451,8 +1492,7 @@ impl Sm {
         }
     }
 
-    fn retire_warp(&mut self, slot: usize, block_slot: usize) {
-        let _ = slot;
+    fn retire_warp(&mut self, block_slot: usize) {
         // Threads retired: all lanes of the warp's initial mask. For
         // simplicity we count 32 per warp (partial warps are rare in the
         // workloads).
@@ -1483,7 +1523,6 @@ impl Sm {
             }
             self.used_regs -= b.regs;
             self.used_shared -= b.shared;
-            let _ = b.ctaid;
         }
     }
 
@@ -2123,25 +2162,17 @@ impl Sm {
 
     // ----- main per-cycle entry --------------------------------------------
 
-    /// Advances this SM by one cycle.
-    ///
-    /// When the previous executed cycle proved the SM dormant and `now`
-    /// is still short of its self-wake horizon, the whole pipeline walk
-    /// collapses to [`Sm::skip_ahead`]`(1)`: the dormancy invariant
-    /// guarantees a full cycle would record the same issue slots and
-    /// change nothing else. This per-SM fast tick is what keeps a
-    /// memory-bound steady state cheap even when the *global* next-event
-    /// skip cannot fire because other SMs or the interconnect are busy.
+    /// Advances this SM by one cycle: settles any cycles it slept through
+    /// ([`Sm::settle`]), runs the whole pipeline, and re-derives
+    /// [`Sm::next_event`] from what the cycle changed.
     ///
     /// On a design with a compression map, `shared.mem` must be an overlay
     /// view whose delta the caller commits (invalidating what was written)
     /// before the next cycle: stores do not invalidate the map themselves.
     pub fn cycle(&mut self, now: u64, kernel: &Kernel, shared: &mut SharedState<'_>) {
-        if self.dormant && self.dorm_horizon.is_none_or(|h| now < h) {
-            self.skip_ahead(1);
-            return;
-        }
+        self.settle(now);
         let pre = self.activity_signature();
+        let pre_misses = self.l1.misses();
         self.process_writebacks(now);
         self.reap_warps();
         self.finish_assists(now, shared);
@@ -2152,27 +2183,27 @@ impl Sm {
         if let Some((ids, shard)) = &mut self.metrics {
             shard.set_max(ids.peak_lsu_pending, self.lsu.pending() as u64);
         }
-        self.update_dormancy(now, pre);
+        self.settled = now + 1;
+        self.update_dormancy(now, pre, pre_misses);
     }
 
     /// A cheap fingerprint of every SM-internal mutation path. Each way a
     /// cycle can change future behaviour — an issue, an LSU pop, a
     /// writeback landing, a reap, an assist deploy/finish, a store-buffer
-    /// or decompression-queue drain, an outbound request — moves at least
-    /// one of these counters, so `pre == post` proves the cycle was a
-    /// no-op. The L1 access total is included because a *stalled* LSU
-    /// head (miss with MSHRs or the outbound queue full) re-probes the
-    /// cache every cycle, moving hit/miss stats and the replacement
-    /// clock even though nothing architectural advances — such cycles
-    /// must not be treated as skippable. Hazard-memo writes are
-    /// deliberately excluded: the memoized fold is defined to resolve
-    /// identically to the recomputed one, so they never change a verdict.
+    /// or decompression-queue drain, an outbound request, an L1 hit —
+    /// moves at least one of these counters, so `pre == post` proves the
+    /// cycle changed nothing but, possibly, the L1 miss count: a stalled
+    /// LSU head (a miss with the MSHRs or the outbound queue full)
+    /// re-probes the cache every cycle, which [`Sm::update_dormancy`]
+    /// accounts for separately. Hazard-memo writes are deliberately
+    /// excluded: the memoized fold is defined to resolve identically to
+    /// the recomputed one, so they never change a verdict.
     fn activity_signature(&self) -> [u64; 12] {
         [
             self.app_instructions,
             self.assist_instructions,
             self.lsu.processed(),
-            self.l1.hits() + self.l1.misses(),
+            self.l1.hits(),
             self.writebacks.len() as u64,
             self.assist_pending.len() as u64,
             self.active_assist_count as u64,
@@ -2184,76 +2215,89 @@ impl Sm {
         ]
     }
 
-    fn update_dormancy(&mut self, now: u64, pre: [u64; 12]) {
-        self.dormant = false;
-        self.dorm_horizon = None;
-        if self.activity_signature() != pre {
-            return;
-        }
+    /// Decides whether the cycle just executed at `now` proved the SM
+    /// frozen. It did when the activity signature is unchanged and the L1
+    /// took at most one miss: that miss can only be the stalled LSU head
+    /// re-probing, and it repeats every cycle until a fill frees an MSHR or
+    /// the GPU drains the outbound queue — both external input, which wakes
+    /// the SM. Until then the SM acts on its own only when a writeback
+    /// matures or the SFU frees, which is its wake time.
+    fn update_dormancy(&mut self, now: u64, pre: [u64; 12], pre_misses: u64) {
+        let post = self.activity_signature();
+        // An OR of XORs instead of `pre == post`, which compiles to a
+        // `bcmp` call.
+        let changed = pre.iter().zip(&post).fold(0, |d, (a, b)| d | (a ^ b));
+        let misses = self.l1.misses() - pre_misses;
         // RoundRobin rotates its scan start every cycle, so even a frozen
         // machine state can fold a different stall verdict each cycle;
         // with parent candidates present the recorded buckets are not
         // constant and the span cannot be credited in bulk.
-        if self.cfg.scheduler == SchedulerPolicy::RoundRobin
-            && self.cand_parents.iter().any(|c| !c.is_empty())
-        {
-            return;
-        }
-        let mut horizon: Option<u64> = None;
-        let fold = |t: u64, h: &mut Option<u64>| *h = Some(h.map_or(t, |a: u64| a.min(t)));
-        for wb in &self.writebacks {
-            fold(wb.at.max(now + 1), &mut horizon);
-        }
-        if self.sfu_ready_at > now {
-            fold(self.sfu_ready_at, &mut horizon);
+        let rotating = self.cfg.scheduler == SchedulerPolicy::RoundRobin
+            && self.cand_parents.iter().any(|c| !c.is_empty());
+        if changed != 0 || misses > 1 || rotating {
+            return self.wake_up();
         }
         self.dormant = true;
-        self.dorm_horizon = horizon;
+        self.reprobe = misses == 1;
+        self.wake = self.wb_due.max(now + 1);
+        if self.sfu_ready_at > now {
+            self.wake = self.wake.min(self.sfu_ready_at);
+        }
     }
 
-    /// True when the last executed cycle proved this SM frozen — see the
-    /// `dormant` field. Cleared by any external mutation (fill, block
-    /// launch, request requeue) and on snapshot restore.
-    pub fn dormant(&self) -> bool {
-        self.dormant
+    /// The next cycle at which this SM must be cycled, or `None` when only
+    /// external input (a block launch, a fill, an outbound request popped)
+    /// can change it. A frozen SM answers its dormancy horizon, an empty
+    /// one `None`, any other SM the cycle after its last. Every cycle
+    /// before the answer would repeat the last executed one (or, on an
+    /// empty SM, record `Idle` slots), and [`Sm::settle`] accounts for
+    /// them in bulk.
+    pub fn next_event(&self) -> Option<u64> {
+        (self.wake != u64::MAX).then_some(self.wake)
     }
 
-    /// The next cycle at which a frozen SM acts on its own (earliest
-    /// pending writeback or SFU readiness); `None` when only external
-    /// input can wake it. Meaningful only while [`Sm::dormant`].
-    pub fn skip_horizon(&self) -> Option<u64> {
-        self.dorm_horizon
+    /// Whether cycle `now` must be executed rather than settled.
+    pub fn due(&self, now: u64) -> bool {
+        self.wake <= now
     }
 
-    /// Credits `span` skipped cycles in bulk: each scheduler re-records
-    /// the bucket its slot resolved to in the dormant cycle (`Idle` on a
-    /// quiesced SM, matching [`Sm::idle_tick`]) and advances its
-    /// round-robin cursor — exactly what `span` per-cycle calls would do.
-    pub fn skip_ahead(&mut self, span: u64) {
-        if self.quiesced() {
-            for sched in 0..self.cfg.schedulers_per_sm {
-                self.breakdown.record_n(StallKind::Idle, span);
-                self.rr_cursor[sched] = self.rr_cursor[sched].wrapping_add(span);
-            }
+    /// The SM is not frozen (external input arrived, or its last cycle
+    /// changed something): it is due at its next cycle, unless it is empty.
+    fn wake_up(&mut self) {
+        self.dormant = false;
+        self.wake = if self.quiesced() {
+            u64::MAX
+        } else {
+            self.settled
+        };
+    }
+
+    /// Accounts for every cycle before `upto` that was not executed: each
+    /// scheduler re-records the bucket its slot resolved to in the last
+    /// executed cycle (`Idle` on an empty SM) and advances its round-robin
+    /// cursor, and a re-probing LSU head takes one L1 miss per cycle —
+    /// exactly what executing them would have done. Owed before the SM is
+    /// cycled, filled or launched into, and before anything reads it; a
+    /// no-op when nothing is owed.
+    pub fn settle(&mut self, upto: u64) {
+        if upto <= self.settled {
             return;
         }
-        debug_assert!(self.dormant, "skip_ahead on an active SM");
+        let span = upto - self.settled;
+        self.settled = upto;
+        let frozen = self.dormant;
+        debug_assert!(frozen || self.quiesced(), "settling cycles an SM was due");
         for sched in 0..self.cfg.schedulers_per_sm {
-            self.breakdown.record_n(self.last_slots[sched], span);
+            let slot = if frozen {
+                self.last_slots[sched]
+            } else {
+                StallKind::Idle
+            };
+            self.breakdown.record_n(slot, span);
             self.rr_cursor[sched] = self.rr_cursor[sched].wrapping_add(span);
         }
-    }
-
-    /// The cheap stand-in for [`Sm::cycle`] on a quiesced SM. A full cycle
-    /// on an empty SM has exactly two architectural effects — each
-    /// scheduler records an `Idle` issue slot (Figure 1 data) and advances
-    /// its round-robin cursor — so this must replicate both, and nothing
-    /// else, for skipped SMs to stay bit-identical with unskipped runs.
-    pub fn idle_tick(&mut self) {
-        debug_assert!(self.quiesced());
-        for sched in 0..self.cfg.schedulers_per_sm {
-            self.breakdown.record(StallKind::Idle);
-            self.rr_cursor[sched] = self.rr_cursor[sched].wrapping_add(1);
+        if frozen && self.reprobe {
+            self.l1.credit_misses(span);
         }
     }
 
@@ -2280,7 +2324,7 @@ impl Sm {
                     w.block_slot
                 };
                 self.done_unreaped -= 1;
-                self.retire_warp(slot, bs);
+                self.retire_warp(bs);
             }
         }
     }
@@ -2414,8 +2458,8 @@ impl Sm {
 
         // Fig. 1 conservation: the seven taxonomy buckets are mutually
         // exclusive and exhaustive, so they must sum to exactly one record
-        // per scheduler per elapsed cycle (`idle_tick` keeps this true for
-        // clock-skipped SMs).
+        // per scheduler per elapsed cycle (the GPU settles every SM before
+        // it audits, so this holds for SMs that slept too).
         let expected_slots = cycle.saturating_mul(self.cfg.schedulers_per_sm as u64);
         if self.breakdown.total() != expected_slots {
             flag(format!(
@@ -2686,9 +2730,10 @@ impl Sm {
         w.u64(self.assist_slots_reclaimed);
     }
 
-    /// Restores the SM in place from bytes written by [`Sm::snap_save`].
-    /// Assist programs are stored by content hash and resolved against
-    /// `programs` (kernel program + controller subroutines).
+    /// Restores the SM in place from bytes written by [`Sm::snap_save`]
+    /// at cycle `now`. Assist programs are stored by content hash and
+    /// resolved against `programs` (kernel program + controller
+    /// subroutines).
     ///
     /// # Errors
     ///
@@ -2698,6 +2743,7 @@ impl Sm {
         &mut self,
         r: &mut SnapshotReader<'_>,
         programs: &FxHashMap<u64, Arc<Program>>,
+        now: u64,
     ) -> Result<(), SnapError> {
         if r.usize()? != self.blocks.len() {
             return Err(SnapError::Invariant {
@@ -2890,8 +2936,14 @@ impl Sm {
         // The dormancy cache is recomputed, never restored: the next real
         // cycle is bit-identical to the skipped one it replaces, so losing
         // the cache costs one executed cycle and changes nothing else.
-        self.dormant = false;
-        self.dorm_horizon = None;
+        self.settled = now;
+        self.wake_up();
+        self.wb_due = self
+            .writebacks
+            .iter()
+            .map(|wb| wb.at)
+            .min()
+            .unwrap_or(u64::MAX);
         self.events.clear();
         Ok(())
     }
@@ -3177,16 +3229,93 @@ mod tests {
         assert_eq!(HazardCtrl.bucket(), StallKind::ControlReconvergence);
     }
 
+    fn saved(sm: &Sm) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        sm.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Cycles `sm` at `now` on Base against `mem`, then drains its outbound
+    /// queue the way the crossbar would, so only a full MSHR file can stall
+    /// its loads.
+    fn step(sm: &mut Sm, now: u64, k: &Kernel, mem: &mut caba_mem::FuncMem) {
+        let mut store = crate::assist::LineStore::new();
+        let mut design = Design::Base;
+        let mut shared = SharedState {
+            mem: SharedMem::Direct(mem),
+            cmap: None,
+            line_store: SharedLineStore::Direct(&mut store),
+            design: &mut design,
+        };
+        sm.cycle(now, k, &mut shared);
+        while sm.pop_request().is_some() {}
+    }
+
     #[test]
-    fn idle_tick_matches_a_real_idle_cycle() {
+    fn an_empty_sm_settles_to_idle_cycles() {
         let cfg = GpuConfig::small();
         let mut sm = Sm::new(0, cfg);
-        sm.idle_tick();
+        assert_eq!(sm.next_event(), None, "an empty SM has no horizon");
+        let mut cycled = Sm::new(0, cfg);
+        let k = kernel(8, 32, 1, 0);
+        let mut mem = caba_mem::FuncMem::new();
+        for now in 0..5 {
+            step(&mut cycled, now, &k, &mut mem);
+        }
+        sm.settle(5);
         assert_eq!(
             sm.breakdown().count(StallKind::Idle),
-            cfg.schedulers_per_sm as u64
+            5 * cfg.schedulers_per_sm as u64
         );
-        assert_eq!(sm.breakdown().total(), cfg.schedulers_per_sm as u64);
+        assert_eq!(saved(&sm), saved(&cycled));
+    }
+
+    /// One warp loads 32 distinct lines through a two-entry MSHR file: the
+    /// third line re-probes the L1 every cycle until a fill arrives, which
+    /// never does here. The SM must then report not-due, and settling `k`
+    /// cycles must leave exactly the bytes `k` executed cycles leave.
+    #[test]
+    fn an_mshr_full_stall_sleeps_and_settles_to_real_cycles() {
+        use caba_isa::{AluOp, ProgramBuilder, Space, Src, Width};
+        let mut cfg = GpuConfig::small();
+        cfg.mshrs = 2;
+        let mut b = ProgramBuilder::new();
+        let (tid, addr, v) = (Reg(0), Reg(1), Reg(2));
+        b.global_thread_id(tid);
+        b.alu(AluOp::Shl, addr, Src::Reg(tid), Src::Imm(7));
+        b.ld(Space::Global, Width::B4, v, Src::Reg(addr), 0x1_0000);
+        b.alu(AluOp::Add, v, Src::Reg(v), Src::Imm(1));
+        b.exit();
+        let k = Kernel::new("stall", b.build(), caba_isa::LaunchDims::new(1, 32))
+            .with_regs_per_thread(8);
+        let (mut slept, mut cycled) = (Sm::new(0, cfg), Sm::new(0, cfg));
+        let mut mem = caba_mem::FuncMem::new();
+        for sm in [&mut slept, &mut cycled] {
+            assert!(sm.try_launch_block(0, &k, 0));
+        }
+        let mut now = 0;
+        while slept.next_event().is_some() {
+            assert!(now < 200, "the load never stalled");
+            step(&mut slept, now, &k, &mut mem);
+            step(&mut cycled, now, &k, &mut mem);
+            now += 1;
+        }
+        assert!(!slept.due(now), "only a fill can end the stall");
+        assert_eq!(slept.mshr.outstanding(), cfg.mshrs);
+        assert!(slept.reprobe);
+        let misses = cycled.l1.misses();
+        let k_cycles = 37;
+        for c in now..now + k_cycles {
+            step(&mut cycled, c, &k, &mut mem);
+        }
+        assert_eq!(
+            cycled.l1.misses(),
+            misses + k_cycles,
+            "real cycles re-probe"
+        );
+        slept.settle(now + k_cycles);
+        assert_eq!(saved(&slept), saved(&cycled));
+        assert_eq!(slept.breakdown(), cycled.breakdown());
     }
 
     #[test]

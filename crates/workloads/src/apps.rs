@@ -214,18 +214,14 @@ impl AppSpec {
     }
 }
 
-/// All 27 Figure 1 applications plus the evaluation-set extras.
-pub fn all_apps() -> Vec<AppSpec> {
-    use AppClass::*;
-    use Suite::*;
-    let mut v = Vec::new();
-    let mut push = |spec: AppSpec| v.push(spec);
-
+/// The registry: all 27 Figure 1 applications plus the evaluation-set
+/// extras, in figure order.
+const APPS: &[AppSpec] = &[
     // ---- Memory-bound (Figure 1 left group) -------------------------------
-    push(AppSpec {
+    AppSpec {
         name: "BFS",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Gather { alu_per_load: 1 },
         data: DataProfile::SparseSmall {
             zero_prob: 0.55,
@@ -235,11 +231,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "CONS",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 3,
             alu_per_load: 2,
@@ -249,11 +245,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 192 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "JPEG",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 2,
             alu_per_load: 4,
@@ -266,11 +262,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 160 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "LPS",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Stencil,
         data: DataProfile::SparseSmall {
             zero_prob: 0.5,
@@ -280,11 +276,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 128 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "MUM",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::PointerChase { hops: 3 },
         data: DataProfile::SparseSmall {
             zero_prob: 0.3,
@@ -294,11 +290,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 192,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "RAY",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 3,
             alu_per_load: 2,
@@ -308,11 +304,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 160 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "SCP",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 3,
             alu_per_load: 1,
@@ -322,11 +318,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 192 * 1024,
         in_eval_set: false, // incompressible (§5: no gain, no loss)
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "MM",
-        suite: Mars,
-        class: MemoryBound,
+        suite: Suite::Mars,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 4,
             alu_per_load: 1,
@@ -339,11 +335,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 160 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "PVC",
-        suite: Mars,
-        class: MemoryBound,
+        suite: Suite::Mars,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Gather { alu_per_load: 2 },
         data: DataProfile::LowDynamicRange {
             base: 0x8001_D000,
@@ -353,11 +349,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "PVR",
-        suite: Mars,
-        class: MemoryBound,
+        suite: Suite::Mars,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Gather { alu_per_load: 1 },
         data: DataProfile::LowDynamicRange {
             base: 0x1000_0000,
@@ -367,11 +363,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "SS",
-        suite: Mars,
-        class: MemoryBound,
+        suite: Suite::Mars,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 2,
             alu_per_load: 2,
@@ -381,11 +377,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 176 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "sc",
-        suite: Rodinia,
-        class: MemoryBound,
+        suite: Suite::Rodinia,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 2,
             alu_per_load: 3,
@@ -395,11 +391,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 160 * 1024,
         in_eval_set: false, // incompressible
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "bfs",
-        suite: Lonestar,
-        class: MemoryBound,
+        suite: Suite::Lonestar,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Gather { alu_per_load: 1 },
         data: DataProfile::SparseSmall {
             zero_prob: 0.6,
@@ -409,22 +405,22 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "bh",
-        suite: Lonestar,
-        class: MemoryBound,
+        suite: Suite::Lonestar,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::PointerChase { hops: 3 },
         data: DataProfile::PointerPool { pool: 12 },
         regs_per_thread: 22,
         block_dim: 192,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "mst",
-        suite: Lonestar,
-        class: MemoryBound,
+        suite: Suite::Lonestar,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Gather { alu_per_load: 2 },
         data: DataProfile::SparseSmall {
             zero_prob: 0.55,
@@ -434,11 +430,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 80 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "sp",
-        suite: Lonestar,
-        class: MemoryBound,
+        suite: Suite::Lonestar,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 2,
             alu_per_load: 1,
@@ -451,11 +447,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 192 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "sssp",
-        suite: Lonestar,
-        class: MemoryBound,
+        suite: Suite::Lonestar,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Gather { alu_per_load: 2 },
         data: DataProfile::LowDynamicRange {
             base: 0x10_0000,
@@ -465,13 +461,12 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 96 * 1024,
         in_eval_set: true,
-    });
-
+    },
     // ---- Evaluation-set extras (Figures 7–13) -----------------------------
-    push(AppSpec {
+    AppSpec {
         name: "SLA",
-        suite: Cuda,
-        class: ComputeBound,
+        suite: Suite::Cuda,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::Streaming {
             loads: 2,
             alu_per_load: 4,
@@ -484,11 +479,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 128 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "TRA",
-        suite: Cuda,
-        class: MemoryBound,
+        suite: Suite::Cuda,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 2,
             alu_per_load: 1,
@@ -498,22 +493,22 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 176 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "hs",
-        suite: Rodinia,
-        class: ComputeBound,
+        suite: Suite::Rodinia,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::Stencil,
         data: DataProfile::FloatLike,
         regs_per_thread: 20,
         block_dim: 256,
         elements: 128 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "nw",
-        suite: Rodinia,
-        class: MemoryBound,
+        suite: Suite::Rodinia,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Stencil,
         data: DataProfile::SparseSmall {
             zero_prob: 0.7,
@@ -523,11 +518,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 128 * 1024,
         in_eval_set: true,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "KM",
-        suite: Mars,
-        class: MemoryBound,
+        suite: Suite::Mars,
+        class: AppClass::MemoryBound,
         template: KernelTemplate::Streaming {
             loads: 3,
             alu_per_load: 3,
@@ -537,35 +532,34 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 256,
         elements: 176 * 1024,
         in_eval_set: true,
-    });
-
+    },
     // ---- Compute-bound (Figure 1 right group) -----------------------------
-    push(AppSpec {
+    AppSpec {
         name: "bp",
-        suite: Rodinia,
-        class: ComputeBound,
+        suite: Suite::Rodinia,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::GemmTile { k: 24 },
         data: DataProfile::FloatLike,
         regs_per_thread: 20,
         block_dim: 256,
         elements: 16 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "dmr",
-        suite: Lonestar,
-        class: ComputeBound,
+        suite: Suite::Lonestar,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::SfuHeavy { iters: 12 },
         data: DataProfile::FloatLike,
         regs_per_thread: 28,
         block_dim: 128,
         elements: 12 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "NQU",
-        suite: Cuda,
-        class: ComputeBound,
+        suite: Suite::Cuda,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::ComputeHeavy {
             alu_iters: 32,
             sfu_every: 0,
@@ -578,11 +572,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 96,
         elements: 12 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "pt",
-        suite: Lonestar,
-        class: ComputeBound,
+        suite: Suite::Lonestar,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::ComputeHeavy {
             alu_iters: 20,
             sfu_every: 4,
@@ -592,11 +586,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 192,
         elements: 16 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "lc",
-        suite: Rodinia,
-        class: ComputeBound,
+        suite: Suite::Rodinia,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::ComputeHeavy {
             alu_iters: 28,
             sfu_every: 0,
@@ -609,11 +603,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 12 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "STO",
-        suite: Cuda,
-        class: ComputeBound,
+        suite: Suite::Cuda,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::ComputeHeavy {
             alu_iters: 36,
             sfu_every: 0,
@@ -623,11 +617,11 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 128,
         elements: 12 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "NN",
-        suite: Cuda,
-        class: ComputeBound,
+        suite: Suite::Cuda,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::ComputeHeavy {
             alu_iters: 24,
             sfu_every: 6,
@@ -637,31 +631,34 @@ pub fn all_apps() -> Vec<AppSpec> {
         block_dim: 192,
         elements: 16 * 1024,
         in_eval_set: false,
-    });
-    push(AppSpec {
+    },
+    AppSpec {
         name: "mc",
-        suite: Rodinia,
-        class: ComputeBound,
+        suite: Suite::Rodinia,
+        class: AppClass::ComputeBound,
         template: KernelTemplate::SfuHeavy { iters: 10 },
         data: DataProfile::Random,
         regs_per_thread: 20,
         block_dim: 128,
         elements: 12 * 1024,
         in_eval_set: false,
-    });
+    },
+];
 
-    v
+/// All 27 Figure 1 applications plus the evaluation-set extras.
+pub fn all_apps() -> Vec<AppSpec> {
+    APPS.to_vec()
 }
 
 /// The applications evaluated in Figures 7–13 (bandwidth-sensitive with
 /// compressible traffic).
 pub fn eval_apps() -> Vec<AppSpec> {
-    all_apps().into_iter().filter(|a| a.in_eval_set).collect()
+    APPS.iter().filter(|a| a.in_eval_set).copied().collect()
 }
 
 /// Looks an application up by name.
 pub fn app(name: &str) -> Option<AppSpec> {
-    all_apps().into_iter().find(|a| a.name == name)
+    APPS.iter().find(|a| a.name == name).copied()
 }
 
 #[cfg(test)]

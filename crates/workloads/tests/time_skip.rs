@@ -1,39 +1,53 @@
-//! Golden tests for the global next-event clock: time skipping must be
-//! **bit-invisible** to every architectural statistic. A run with
-//! `time_skip` on and one with it off must produce byte-equal [`RunStats`]
-//! — including the Figure 1 issue-slot buckets, whose skipped spans are
-//! credited in bulk — and a snapshot taken *inside* a skipped span must
-//! resume to the identical completion.
+//! The reference differential for the next-event engine. With
+//! `time_skip` off, `Gpu::run` is the naive reference: every SM and
+//! partition is cycled every cycle. With it on, a component is cycled only
+//! once its next event has come, the cycles it slept through are settled
+//! in bulk, and the clock jumps when nothing is due. The two must agree
+//! **bit for bit**: byte-equal [`RunStats`] — including the Figure 1
+//! issue-slot buckets — and byte-equal snapshots at any cycle, apart from
+//! the engine's own skip counters.
 
 use caba_compress::Algorithm;
 use caba_core::CabaController;
-use caba_sim::{Design, Gpu, GpuConfig, RunError, RunStats};
+use caba_sim::{Design, Gpu, GpuConfig, RunError, RunStats, SchedulerPolicy};
 use caba_stats::StallKind;
 use caba_workloads::{app, prepare_app};
 
 const SCALE: f64 = 0.05;
 const MAX: u64 = 50_000_000;
 
+fn base() -> Design {
+    Design::Base
+}
+
+fn hw_bdi() -> Design {
+    Design::HwFull {
+        alg: Algorithm::Bdi,
+        ideal: false,
+    }
+}
+
+fn caba_bdi() -> Design {
+    Design::Caba(Box::new(CabaController::bdi()))
+}
+
 /// A named design constructor (designs are rebuilt per run, not cloned).
 type DesignCell = (&'static str, fn() -> Design);
 
-/// The three designs the skip interacts with differently: no compression
+/// The three designs the engines treat differently: no compression
 /// machinery at all, dedicated-logic compression (partition-side horizon
 /// work), and assist warps (SM-side dormancy with live assist slots).
-fn designs() -> [DesignCell; 3] {
-    [
-        ("Base", || Design::Base),
-        ("HW-BDI", || Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        }),
-        ("CABA-BDI", || Design::Caba(Box::new(CabaController::bdi()))),
-    ]
-}
+const DESIGNS: [DesignCell; 3] = [("Base", base), ("HW-BDI", hw_bdi), ("CABA-BDI", caba_bdi)];
 
-fn run_with_skip(app_name: &str, design: Design, time_skip: bool) -> (RunStats, u64, u64) {
+/// Runs `app_name` to completion; returns its statistics and
+/// `Gpu::skip_stats`.
+fn run(
+    app_name: &str,
+    mut cfg: GpuConfig,
+    design: Design,
+    time_skip: bool,
+) -> (RunStats, u64, u64) {
     let spec = app(app_name).expect(app_name);
-    let mut cfg = GpuConfig::small();
     cfg.time_skip = time_skip;
     let (mut gpu, kernel) = prepare_app(&spec, cfg, design, SCALE);
     let stats = gpu.run(&kernel, MAX).expect("run completes");
@@ -41,19 +55,19 @@ fn run_with_skip(app_name: &str, design: Design, time_skip: bool) -> (RunStats, 
     (stats, skipped, events)
 }
 
-/// Every Fig. 1 bucket and every other counter must be identical with the
-/// next-event clock on and off, across apps and designs; the slot totals
-/// must conserve (`buckets == cycles x SMs x schedulers`) in both modes;
-/// and the skip must actually fire somewhere, or this test proves nothing.
+/// Every Fig. 1 bucket and every other counter must be identical on both
+/// engines, across apps and designs; the slot totals must conserve
+/// (`buckets == cycles x SMs x schedulers`) on both; and the clock must
+/// actually jump somewhere, or this test proves nothing.
 #[test]
 fn time_skip_is_bit_invisible_across_apps_and_designs() {
     let cfg = GpuConfig::small();
     let slots_per_cycle = (cfg.num_sms * cfg.schedulers_per_sm) as u64;
     let mut total_skipped = 0;
     for app_name in ["CONS", "bfs", "MUM"] {
-        for (dname, make) in designs() {
-            let (on, skipped, events) = run_with_skip(app_name, make(), true);
-            let (off, off_skipped, _) = run_with_skip(app_name, make(), false);
+        for (dname, make) in DESIGNS {
+            let (on, skipped, events) = run(app_name, cfg, make(), true);
+            let (off, off_skipped, _) = run(app_name, cfg, make(), false);
             assert_eq!(
                 on, off,
                 "{app_name}/{dname}: RunStats must not depend on time_skip"
@@ -142,4 +156,128 @@ fn mid_skip_snapshot_resumes_bit_identically() {
         mid_skip_proven,
         "no probed split landed inside a skip span — move the probes"
     );
+}
+
+/// One differential cell: an app, a design, and the machine it runs on.
+struct Cell {
+    app: &'static str,
+    design: fn() -> Design,
+    cfg: GpuConfig,
+}
+
+/// The four regimes the engines diverge on most easily: Base at half
+/// bandwidth, where loads stall on full MSHR files in the SMs and the L2
+/// slices (the re-probe sleep); dedicated-logic compression; assist warps;
+/// and a round-robin scheduler, whose rotating scan keeps SMs from
+/// freezing. Audits run every 61 cycles, so the Fig. 1 conservation check
+/// reads every SM, sleeping or not, mid-run.
+fn cells() -> [Cell; 4] {
+    let mut cfg = GpuConfig::small();
+    cfg.audit_interval = 61;
+    let mut rr = cfg;
+    rr.scheduler = SchedulerPolicy::RoundRobin;
+    [
+        Cell {
+            app: "CONS",
+            design: base,
+            cfg: cfg.with_bandwidth_scale(0.5),
+        },
+        Cell {
+            app: "bfs",
+            design: hw_bdi,
+            cfg,
+        },
+        Cell {
+            app: "MUM",
+            design: caba_bdi,
+            cfg,
+        },
+        Cell {
+            app: "hs",
+            design: base,
+            cfg: rr,
+        },
+    ]
+}
+
+/// A snapshot without what may differ between the engines: the skip
+/// counters (the payload's last two words) and the trailing checksum.
+fn machine_bytes(snapshot: &[u8]) -> &[u8] {
+    &snapshot[..snapshot.len() - 24]
+}
+
+/// Runs `cell` on one engine in 17 pieces, snapshotting at each of the
+/// `cuts`, and returns the snapshots and the final statistics.
+fn stepped(cell: &Cell, time_skip: bool, cuts: &[u64]) -> (Vec<Vec<u8>>, RunStats) {
+    let spec = app(cell.app).expect(cell.app);
+    let mut cfg = cell.cfg;
+    cfg.time_skip = time_skip;
+    let (mut gpu, kernel) = prepare_app(&spec, cfg, (cell.design)(), SCALE);
+    let mut snaps = Vec::new();
+    for (i, &cut) in cuts.iter().enumerate() {
+        let outcome = if i == 0 {
+            gpu.run(&kernel, cut)
+        } else {
+            gpu.resume(&kernel, cut)
+        };
+        match outcome {
+            Err(RunError::Timeout { cycles, .. }) => assert_eq!(cycles, cut),
+            other => panic!("{}: the run must reach cut {cut}, got {other:?}", cell.app),
+        }
+        snaps.push(gpu.snapshot(&kernel));
+    }
+    let stats = gpu.resume(&kernel, MAX).expect("stepped run completes");
+    if !time_skip {
+        assert_eq!(gpu.skip_stats(), (0, 0), "the naive engine never skips");
+    }
+    (snaps, stats)
+}
+
+/// The naive engine and the next-event engine produce the same
+/// `RunStats`, and the same machine snapshot for snapshot at 16 cuts
+/// spread over each of the four cells; and a snapshot the naive engine
+/// took resumes on the next-event engine to the same end.
+#[test]
+fn naive_and_next_event_engines_agree_on_stats_and_snapshots() {
+    for cell in cells() {
+        let (naive, _, _) = run(cell.app, cell.cfg, (cell.design)(), false);
+        let (event, _, _) = run(cell.app, cell.cfg, (cell.design)(), true);
+        assert_eq!(
+            naive, event,
+            "{}: RunStats must not depend on the engine",
+            cell.app
+        );
+        assert!(naive.audits_run > 0, "{}: the audits never ran", cell.app);
+        let cuts: Vec<u64> = (1..=16).map(|i| i * naive.cycles / 17).collect();
+        let (naive_snaps, naive_end) = stepped(&cell, false, &cuts);
+        let (event_snaps, event_end) = stepped(&cell, true, &cuts);
+        assert_eq!(naive_end, naive, "{}: stepping the naive engine", cell.app);
+        assert_eq!(
+            event_end, naive,
+            "{}: stepping the next-event engine",
+            cell.app
+        );
+        for ((a, b), cut) in naive_snaps.iter().zip(&event_snaps).zip(&cuts) {
+            assert_eq!(
+                a.len(),
+                b.len(),
+                "{} at cycle {cut}: snapshot size",
+                cell.app
+            );
+            assert!(
+                machine_bytes(a) == machine_bytes(b),
+                "{} at cycle {cut}: the engines' machines differ",
+                cell.app
+            );
+        }
+
+        let mut cfg = cell.cfg;
+        cfg.time_skip = true;
+        let spec = app(cell.app).expect(cell.app);
+        let (mut gpu, kernel) = prepare_app(&spec, cfg, (cell.design)(), SCALE);
+        gpu.restore(&kernel, &naive_snaps[naive_snaps.len() / 2])
+            .expect("a naive snapshot restores on the next-event engine");
+        let resumed = gpu.resume(&kernel, MAX).expect("resumed run completes");
+        assert_eq!(resumed, naive, "{}: naive snapshot resumed", cell.app);
+    }
 }
