@@ -1008,25 +1008,6 @@ impl Gpu {
         }
     }
 
-    /// Diagnostic multi-line state dump.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        let mut out = String::new();
-        for sm in &self.sms {
-            out.push_str(&sm.debug_state());
-            out.push('\n');
-        }
-        for p in &self.parts {
-            out.push_str(&format!("P{}: quiesced={}\n", p.id(), p.quiesced()));
-        }
-        out.push_str(&format!(
-            "xbar_fwd idle={} xbar_rsp idle={}\n",
-            self.xbar_fwd.idle(),
-            self.xbar_rsp.idle()
-        ));
-        out
-    }
-
     fn collect_stats(&self, cycles: u64) -> RunStats {
         let mut stats = RunStats {
             cycles,

@@ -194,10 +194,12 @@ pub(crate) fn fold_verdict(cur: Option<StallVerdict>, new: StallVerdict) -> Opti
 }
 
 /// Per-candidate consideration memo: what the last full evaluation of this
-/// warp/assist slot proved, valid until an invalidation point. Scheduling
-/// scans in a stalled machine re-visit every candidate every cycle; the
-/// memo collapses each revisit to a tag check instead of an instruction
-/// fetch plus scoreboard scan.
+/// warp/assist slot proved, valid until an invalidation point. A frozen SM
+/// sleeps instead of re-scanning (DESIGN.md "Next-event clock"), but one
+/// that is not frozen — a warp issuing while its neighbours wait, a
+/// round-robin SM — re-visits every blocked candidate every cycle; the
+/// memo collapses each revisit to a tag check ([`Sm::memo_blocks`])
+/// instead of an instruction fetch plus scoreboard scan.
 ///
 /// Soundness rests on two facts. First, a non-issuing warp's pending
 /// register set only *shrinks* (writebacks clear bits; only the warp's own
@@ -237,68 +239,12 @@ enum SlotMemo {
     Barrier,
 }
 
-/// Per-candidate-list bitmasks over list *positions*, one bit set in at
-/// most one mask per candidate, mirroring that candidate's [`SlotMemo`].
-/// They let the scheduler scan skip whole blocked classes in O(1): every
-/// `MemBlocked` candidate in a list shares one openness condition (the
-/// LSU issue path), every `SfuBlocked` one shares the SFU interval, and
-/// hazard/done/barrier parking is position-stable — so a fully-stalled
-/// scan reduces to a handful of mask operations plus one representative
-/// verdict per class (the first position in scan order, which is the only
-/// member of a same-tier class that [`fold_verdict`] can ever keep).
-#[derive(Clone, Copy, Default)]
-struct ClassMasks {
-    hazard: u64,
-    barrier: u64,
-    done: u64,
-    /// `MemBlocked { shared: false }`: needs the issue slot *and* line-op
-    /// queue space.
-    mem_g: u64,
-    /// `MemBlocked { shared: true }`: needs only the issue slot.
-    mem_s: u64,
-    sfu: u64,
-}
-
-impl ClassMasks {
-    /// Moves `pos` into the mask matching `memo` (clearing it everywhere
-    /// else). `Unknown` clears it from all masks.
-    fn assign(&mut self, pos: u8, memo: SlotMemo) {
-        let bit = 1u64 << pos;
-        self.hazard &= !bit;
-        self.barrier &= !bit;
-        self.done &= !bit;
-        self.mem_g &= !bit;
-        self.mem_s &= !bit;
-        self.sfu &= !bit;
-        match memo {
-            SlotMemo::Unknown => {}
-            SlotMemo::Hazard(_) => self.hazard |= bit,
-            SlotMemo::MemBlocked { shared: false } => self.mem_g |= bit,
-            SlotMemo::MemBlocked { shared: true } => self.mem_s |= bit,
-            SlotMemo::SfuBlocked => self.sfu |= bit,
-            SlotMemo::Done => self.done |= bit,
-            SlotMemo::Barrier => self.barrier |= bit,
-        }
-    }
-}
-
-/// Which candidate list a masked scan walks.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which of a scheduler's candidate lists [`Sm::scan_list`] walks.
+#[derive(Clone, Copy)]
 enum ListKind {
     HiAssist,
     Parents,
     LowAssist,
-}
-
-/// Sentinel for "slot not in any candidate list" in the position maps.
-const NO_POS: u8 = u8::MAX;
-
-#[cfg(test)]
-thread_local! {
-    /// Holds `masks_ok` false on this thread, so every scan takes the plain
-    /// per-candidate path: the reference the masked scan is compared with.
-    pub(crate) static FORCE_PLAIN_SCAN: std::cell::Cell<bool> =
-        const { std::cell::Cell::new(false) };
 }
 
 /// One streaming multiprocessor.
@@ -354,30 +300,16 @@ pub struct Sm {
     /// Per-scheduler candidate slots in issue-priority order: high-priority
     /// assists, occupied app-warp slots by age, low-priority assists.
     /// Block launch and retire (`cand_dirty`) re-derive all three; assist
-    /// deploy and retire (`assist_dirty`) only the two assist lists, so the
-    /// parents' list, its sort and `slot_pos` are left alone. Done/at-barrier
-    /// warps stay listed — `head` skips them exactly as the per-cycle
-    /// rebuild used to, so cached scheduling is bit-identical.
+    /// deploy and retire (`assist_dirty`) only wipe the memos: they splice
+    /// the two assist lists themselves, so the parents' list and its sort
+    /// are left alone. Done/at-barrier warps stay listed — `head` skips
+    /// them exactly as the per-cycle rebuild used to, so cached scheduling
+    /// is bit-identical.
     cand_his: Vec<Vec<usize>>,
     cand_parents: Vec<Vec<usize>>,
     cand_lows: Vec<Vec<usize>>,
     cand_dirty: bool,
     assist_dirty: bool,
-    /// Per-scheduler [`ClassMasks`] for each candidate list, kept in
-    /// lockstep with the memos by [`Sm::set_memo`]; rebuilt with the lists
-    /// and after snapshot restore. Only consulted when `masks_ok`.
-    parent_masks: Vec<ClassMasks>,
-    hi_masks: Vec<ClassMasks>,
-    low_masks: Vec<ClassMasks>,
-    /// App warp slot -> position in its scheduler's parent list
-    /// ([`NO_POS`] when unlisted).
-    slot_pos: Vec<u8>,
-    /// Assist slot -> position in its hi/low list ([`NO_POS`] when
-    /// unlisted); which list is derived from the assist's priority.
-    assist_pos: Vec<u8>,
-    /// All candidate lists fit in 64-bit masks; oversized configurations
-    /// fall back to the plain per-candidate scan.
-    masks_ok: bool,
     /// Per-slot consideration memos (see [`SlotMemo`]): what the last full
     /// evaluation proved about each candidate, so stalled-machine scans
     /// cost a tag check per candidate instead of a fetch + scoreboard
@@ -502,12 +434,6 @@ impl Sm {
             cand_his: vec![Vec::new(); cfg.schedulers_per_sm],
             cand_parents: vec![Vec::new(); cfg.schedulers_per_sm],
             cand_lows: vec![Vec::new(); cfg.schedulers_per_sm],
-            parent_masks: vec![ClassMasks::default(); cfg.schedulers_per_sm],
-            hi_masks: vec![ClassMasks::default(); cfg.schedulers_per_sm],
-            low_masks: vec![ClassMasks::default(); cfg.schedulers_per_sm],
-            slot_pos: vec![NO_POS; cfg.warps_per_sm],
-            assist_pos: vec![NO_POS; cfg.max_assist_warps],
-            masks_ok: true,
             // Empty lists are already what a rebuild of an empty SM makes,
             // so an SM that never holds a block never rebuilds: a cycle on
             // a quiesced SM then changes nothing a settled one does not.
@@ -744,7 +670,7 @@ impl Sm {
                             // blocked-class tags stay hazard-free when bits
                             // clear and remain valid.
                             if matches!(self.memo_app[slot], SlotMemo::Hazard(_)) {
-                                self.set_memo(WarpRef::App(slot), SlotMemo::Unknown);
+                                self.memo_app[slot] = SlotMemo::Unknown;
                             }
                         }
                     }
@@ -755,7 +681,7 @@ impl Sm {
                                 self.assist_done_hint = true;
                             }
                             if matches!(self.memo_assist[slot], SlotMemo::Hazard(_)) {
-                                self.set_memo(WarpRef::Assist(slot), SlotMemo::Unknown);
+                                self.memo_assist[slot] = SlotMemo::Unknown;
                             }
                         }
                     }
@@ -1475,20 +1401,7 @@ impl Sm {
             b.arrived >= live
         };
         if release {
-            let slots = self.blocks[block_slot]
-                .as_ref()
-                .expect("resident block")
-                .warp_slots
-                .clone();
-            for s in slots {
-                if let Some(w) = self.warps[s].as_mut() {
-                    w.warp.at_barrier = false;
-                    if matches!(self.memo_app[s], SlotMemo::Barrier) {
-                        self.set_memo(WarpRef::App(s), SlotMemo::Unknown);
-                    }
-                }
-            }
-            self.blocks[block_slot].as_mut().expect("resident").arrived = 0;
+            self.barrier_release(block_slot);
         }
     }
 
@@ -1536,7 +1449,7 @@ impl Sm {
             if let Some(w) = self.warps[s].as_mut() {
                 w.warp.at_barrier = false;
                 if matches!(self.memo_app[s], SlotMemo::Barrier) {
-                    self.set_memo(WarpRef::App(s), SlotMemo::Unknown);
+                    self.memo_app[s] = SlotMemo::Unknown;
                 }
             }
         }
@@ -1546,10 +1459,10 @@ impl Sm {
     }
 
     /// Rebuilds the per-scheduler candidate caches. Runs only when block
-    /// residency changed since the last cycle (or, without masks, any
-    /// residency); scheduling order is identical to rebuilding from scratch
-    /// every cycle because slot ages are fixed at launch and dynamic skips
-    /// (done, at-barrier) happen in `head` at consideration time.
+    /// residency changed since the last cycle; scheduling order is identical
+    /// to rebuilding from scratch every cycle because slot ages are fixed at
+    /// launch and dynamic skips (done, at-barrier) happen in `head` at
+    /// consideration time.
     fn rebuild_candidates(&mut self) {
         self.wipe_memos();
         let nsched = self.cfg.schedulers_per_sm;
@@ -1590,7 +1503,6 @@ impl Sm {
         self.cand_scratch = tmp;
         (self.cand_dirty, self.assist_dirty) = (false, false);
         self.parent_rebuilds += 1;
-        self.rebuild_class_masks();
     }
 
     /// Every residency change, assist-side ones included, voids every memo:
@@ -1617,66 +1529,13 @@ impl Sm {
         }
     }
 
-    /// An assist deployed or retired and no block did: the parents' list,
-    /// its sort and `slot_pos` stand. With every memo wiped all three mask
-    /// sets are zero, so only `assist_pos` is left to re-derive.
+    /// An assist deployed or retired and no block did: deploy and retire
+    /// spliced the assist lists already and the parents' list stands, so
+    /// all that is owed is the memo wipe.
     fn refresh_assist_candidates(&mut self) {
         self.wipe_memos();
         self.assist_dirty = false;
         self.assist_updates += 1;
-        let mut lists = self.cand_his.iter().chain(&self.cand_lows);
-        if lists.any(|l| l.len() > 64) {
-            return self.rebuild_class_masks();
-        }
-        self.assist_pos.fill(NO_POS);
-        for list in self.cand_his.iter().chain(&self.cand_lows) {
-            for (pos, &slot) in list.iter().enumerate() {
-                self.assist_pos[slot] = pos as u8;
-            }
-        }
-        self.parent_masks.fill(ClassMasks::default());
-        self.hi_masks.fill(ClassMasks::default());
-        self.low_masks.fill(ClassMasks::default());
-    }
-
-    /// Recomputes the position maps and [`ClassMasks`] from the candidate
-    /// lists and the current memos. Runs after every full list rebuild
-    /// (memos just reset to `Unknown`, so all masks clear) and after
-    /// snapshot restore (memos travel on the wire, so masks re-derive from
-    /// them).
-    fn rebuild_class_masks(&mut self) {
-        self.masks_ok = self.cand_parents.iter().all(|l| l.len() <= 64)
-            && self.cand_his.iter().all(|l| l.len() <= 64)
-            && self.cand_lows.iter().all(|l| l.len() <= 64);
-        #[cfg(test)]
-        if FORCE_PLAIN_SCAN.with(std::cell::Cell::get) {
-            self.masks_ok = false;
-        }
-        self.slot_pos.fill(NO_POS);
-        self.assist_pos.fill(NO_POS);
-        if !self.masks_ok {
-            return;
-        }
-        for sched in 0..self.cfg.schedulers_per_sm {
-            let mut m = ClassMasks::default();
-            for (pos, &slot) in self.cand_parents[sched].iter().enumerate() {
-                self.slot_pos[slot] = pos as u8;
-                m.assign(pos as u8, self.memo_app[slot]);
-            }
-            self.parent_masks[sched] = m;
-            let mut m = ClassMasks::default();
-            for (pos, &slot) in self.cand_his[sched].iter().enumerate() {
-                self.assist_pos[slot] = pos as u8;
-                m.assign(pos as u8, self.memo_assist[slot]);
-            }
-            self.hi_masks[sched] = m;
-            let mut m = ClassMasks::default();
-            for (pos, &slot) in self.cand_lows[sched].iter().enumerate() {
-                self.assist_pos[slot] = pos as u8;
-                m.assign(pos as u8, self.memo_assist[slot]);
-            }
-            self.low_masks[sched] = m;
-        }
     }
 
     /// Classifies a scoreboard hazard for `wr` blocked on an instruction
@@ -1708,11 +1567,13 @@ impl Sm {
         }
     }
 
-    /// Offers `wr` the issue slot: fetch, scoreboard/structural check, and
-    /// issue on success. Returns whether it issued; on a block, folds the
-    /// stall reason into `verdict` via [`fold_verdict`] (first blocked
-    /// candidate in priority order wins within an evidence tier).
+    /// Offers `wr` the issue slot. Returns whether it issued; on a block,
+    /// folds the stall reason into `verdict` via [`fold_verdict`] (first
+    /// blocked candidate in priority order wins within an evidence tier).
+    /// The memo tag check is inlined into every scan step, so a memoized
+    /// blocked candidate costs no call into [`Sm::evaluate`].
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn consider(
         &mut self,
         now: u64,
@@ -1723,41 +1584,67 @@ impl Sm {
         lsu_used: &mut bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        // Memoized fast paths: each resolves exactly as the full
-        // evaluation below would (see `SlotMemo` for the invariants).
+        !self.memo_blocks(now, wr, *lsu_used, verdict)
+            && self.evaluate(now, sched, wr, kernel, shared, lsu_used, verdict)
+    }
+
+    /// Whether `wr`'s memo alone proves it cannot issue this cycle; if so
+    /// its stall reason is folded into `verdict` exactly as
+    /// [`Sm::evaluate`] would fold it (see [`SlotMemo`] for the
+    /// invariants). `Hazard`, `Done` and `Barrier` always decide;
+    /// `MemBlocked` and `SfuBlocked` decide while their shared condition
+    /// (the LSU issue path, the SFU interval) is closed, and fall through
+    /// to a real issue once it opens.
+    #[inline(always)]
+    fn memo_blocks(
+        &self,
+        now: u64,
+        wr: WarpRef,
+        lsu_used: bool,
+        verdict: &mut Option<StallVerdict>,
+    ) -> bool {
         let memo = match wr {
             WarpRef::App(s) => self.memo_app[s],
             WarpRef::Assist(s) => self.memo_assist[s],
         };
-        match memo {
-            SlotMemo::Hazard(h) => {
-                // The memo stores the classified verdict, so this folds
-                // identically to the recomputed `IssueBlock::Hazard` path
-                // below.
-                *verdict = fold_verdict(*verdict, h);
-                return false;
-            }
-            SlotMemo::Done => return false,
-            SlotMemo::Barrier => {
-                *verdict = fold_verdict(*verdict, StallVerdict::Barrier);
-                return false;
-            }
+        let v = match memo {
+            SlotMemo::Unknown => return false,
+            SlotMemo::Done => return true,
+            // The memo stores the classified verdict, so this folds
+            // identically to the recomputed `IssueBlock::Hazard` path.
+            SlotMemo::Hazard(h) => h,
+            SlotMemo::Barrier => StallVerdict::Barrier,
             SlotMemo::MemBlocked { shared } => {
-                let open = !*lsu_used && (shared || self.lsu.can_accept(1));
-                if !open {
-                    *verdict = fold_verdict(*verdict, StallVerdict::MemStructural);
+                if !lsu_used && (shared || self.lsu.can_accept(1)) {
                     return false;
                 }
-                // The LSU path opened: fall through and issue for real.
+                StallVerdict::MemStructural
             }
             SlotMemo::SfuBlocked => {
-                if now < self.sfu_ready_at {
-                    *verdict = fold_verdict(*verdict, StallVerdict::ComputeStructural);
+                if now >= self.sfu_ready_at {
                     return false;
                 }
+                StallVerdict::ComputeStructural
             }
-            SlotMemo::Unknown => {}
-        }
+        };
+        *verdict = fold_verdict(*verdict, v);
+        true
+    }
+
+    /// The full evaluation behind [`Sm::consider`]: fetch,
+    /// scoreboard/structural check, and issue on success. A block memoizes
+    /// what it proved.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate(
+        &mut self,
+        now: u64,
+        sched: usize,
+        wr: WarpRef,
+        kernel: &Kernel,
+        shared: &mut SharedState<'_>,
+        lsu_used: &mut bool,
+        verdict: &mut Option<StallVerdict>,
+    ) -> bool {
         let Some(head) = self.head(wr, kernel.program()) else {
             // `head` skips done and barrier-parked warps. A live warp
             // parked at a barrier is the paper's synchronization stall.
@@ -1809,60 +1696,26 @@ impl Sm {
     #[inline]
     fn set_memo(&mut self, wr: WarpRef, memo: SlotMemo) {
         match wr {
-            WarpRef::App(s) => {
-                self.memo_app[s] = memo;
-                if self.masks_ok {
-                    let pos = self.slot_pos[s];
-                    if pos != NO_POS {
-                        let sched = s % self.cfg.schedulers_per_sm;
-                        self.parent_masks[sched].assign(pos, memo);
-                    }
-                }
-            }
-            WarpRef::Assist(s) => {
-                self.memo_assist[s] = memo;
-                if self.masks_ok {
-                    let pos = self.assist_pos[s];
-                    if pos != NO_POS {
-                        if let Some(a) = self.assists[s].as_ref() {
-                            let sched = a.parent % self.cfg.schedulers_per_sm;
-                            let masks = match a.priority {
-                                AssistPriority::High => &mut self.hi_masks[sched],
-                                AssistPriority::Low => &mut self.low_masks[sched],
-                            };
-                            masks.assign(pos, memo);
-                        }
-                    }
-                }
-            }
+            WarpRef::App(s) => self.memo_app[s] = memo,
+            WarpRef::Assist(s) => self.memo_assist[s] = memo,
         }
     }
 
-    /// The candidate slot at `pos` of one of scheduler `sched`'s lists.
+    /// One of scheduler `sched`'s candidate lists.
     #[inline]
-    fn list_slot(&self, sched: usize, which: ListKind, pos: usize) -> usize {
+    fn list(&self, sched: usize, which: ListKind) -> &[usize] {
         match which {
-            ListKind::Parents => self.cand_parents[sched][pos],
-            ListKind::HiAssist => self.cand_his[sched][pos],
-            ListKind::LowAssist => self.cand_lows[sched][pos],
+            ListKind::Parents => &self.cand_parents[sched],
+            ListKind::HiAssist => &self.cand_his[sched],
+            ListKind::LowAssist => &self.cand_lows[sched],
         }
     }
 
-    /// Scans one candidate list in issue-priority order (rotated by
-    /// `start` for round-robin), skipping `skip_slot` (the GTO greedy
-    /// warp, offered separately). Returns whether a candidate issued;
-    /// stall reasons fold into `verdict` exactly as a plain ordered scan
-    /// would.
-    ///
-    /// With valid class masks the scan visits only candidates that could
-    /// possibly issue this cycle: every memoized blocked class is either
-    /// skipped wholesale (its shared openness condition is false) with
-    /// one representative verdict fold, or merged back into the visit
-    /// set. Verdict equivalence rests on [`fold_verdict`] keeping the
-    /// *first* candidate of the highest evidence tier: members of one
-    /// class share a tier, so only the first of each class (in scan
-    /// order) can ever be kept, and the merge below folds class
-    /// representatives and visited candidates in exact scan order.
+    /// Offers one candidate list the issue slot in issue-priority order
+    /// (rotated by `start` for round-robin), skipping `skip_slot` (the GTO
+    /// greedy warp, offered separately). Returns whether a candidate
+    /// issued; every candidate passed over folds its stall reason into
+    /// `verdict`, in scan order.
     #[allow(clippy::too_many_arguments)]
     fn scan_list(
         &mut self,
@@ -1876,146 +1729,24 @@ impl Sm {
         lsu_used: &mut bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        let len = match which {
-            ListKind::Parents => self.cand_parents[sched].len(),
-            ListKind::HiAssist => self.cand_his[sched].len(),
-            ListKind::LowAssist => self.cand_lows[sched].len(),
-        };
-        if len == 0 {
-            return false;
-        }
-        if !self.masks_ok {
-            // Oversized list: plain ordered scan.
-            for k in 0..len {
-                let pos = if start == 0 { k } else { (start + k) % len };
-                let slot = self.list_slot(sched, which, pos);
-                if skip_slot == Some(slot) {
-                    continue;
-                }
-                let wr = match which {
-                    ListKind::Parents => WarpRef::App(slot),
-                    _ => WarpRef::Assist(slot),
-                };
-                if self.consider(now, sched, wr, kernel, shared, lsu_used, verdict) {
-                    return true;
-                }
-            }
-            return false;
-        }
-
-        let masks = match which {
-            ListKind::Parents => self.parent_masks[sched],
-            ListKind::HiAssist => self.hi_masks[sched],
-            ListKind::LowAssist => self.low_masks[sched],
-        };
-        let occupied: u64 = if len == 64 {
-            u64::MAX
-        } else {
-            (1u64 << len) - 1
-        };
-        let mut skip_bit = 0u64;
-        if let Some(g) = skip_slot {
-            let pos = if which == ListKind::Parents {
-                self.slot_pos[g]
+        let len = self.list(sched, which).len();
+        for k in 0..len {
+            let pos = if start + k < len {
+                start + k
             } else {
-                NO_POS
+                start + k - len
             };
-            if pos != NO_POS && g % self.cfg.schedulers_per_sm == sched {
-                skip_bit = 1u64 << pos;
+            let slot = self.list(sched, which)[pos];
+            if skip_slot == Some(slot) {
+                continue;
             }
-        }
-        let live = !skip_bit;
-        let hazard = masks.hazard & live;
-        let barrier = masks.barrier & live;
-        let done = masks.done & live;
-        // Openness of each blocked class's shared condition. Nothing a
-        // non-issuing candidate does can change these mid-scan, and the
-        // scan ends at the first issue, so evaluating them once up front
-        // matches the per-candidate re-check of a plain scan.
-        let mem_g_open = !*lsu_used && self.lsu.can_accept(1);
-        let mem_s_open = !*lsu_used;
-        let sfu_open = now >= self.sfu_ready_at;
-        let closed_mem_g = if mem_g_open { 0 } else { masks.mem_g & live };
-        let closed_mem_s = if mem_s_open { 0 } else { masks.mem_s & live };
-        let closed_sfu = if sfu_open { 0 } else { masks.sfu & live };
-        let eval =
-            occupied & live & !(hazard | barrier | done | closed_mem_g | closed_mem_s | closed_sfu);
-
-        // Scan-order rank of a position under rotation.
-        let rank = |pos: u32| -> u32 {
-            if pos as usize >= start {
-                pos - start as u32
-            } else {
-                pos + (len - start) as u32
-            }
-        };
-        // First position of `mask` in scan order.
-        let first = |mask: u64| -> u32 {
-            let high = mask >> start << start;
-            if high != 0 {
-                high.trailing_zeros()
-            } else {
-                mask.trailing_zeros()
-            }
-        };
-
-        // One representative (rank, verdict) per skipped class, sorted by
-        // rank so the merge below folds them at their exact scan points.
-        let mut sums = [(0u32, StallVerdict::Barrier); 4];
-        let mut ns = 0;
-        if hazard != 0 {
-            let pos = first(hazard);
-            let slot = self.list_slot(sched, which, pos as usize);
-            let memo = match which {
-                ListKind::Parents => self.memo_app[slot],
-                _ => self.memo_assist[slot],
+            let wr = match which {
+                ListKind::Parents => WarpRef::App(slot),
+                ListKind::HiAssist | ListKind::LowAssist => WarpRef::Assist(slot),
             };
-            let SlotMemo::Hazard(h) = memo else {
-                unreachable!("hazard mask desynced from memo");
-            };
-            sums[ns] = (rank(pos), h);
-            ns += 1;
-        }
-        if barrier != 0 {
-            sums[ns] = (rank(first(barrier)), StallVerdict::Barrier);
-            ns += 1;
-        }
-        let closed_mem = closed_mem_g | closed_mem_s;
-        if closed_mem != 0 {
-            sums[ns] = (rank(first(closed_mem)), StallVerdict::MemStructural);
-            ns += 1;
-        }
-        if closed_sfu != 0 {
-            sums[ns] = (rank(first(closed_sfu)), StallVerdict::ComputeStructural);
-            ns += 1;
-        }
-        sums[..ns].sort_unstable_by_key(|&(r, _)| r);
-
-        let mut si = 0;
-        let low_mask = if start == 0 { 0 } else { (1u64 << start) - 1 };
-        for phase in [eval & !low_mask, eval & low_mask] {
-            let mut m = phase;
-            while m != 0 {
-                let pos = m.trailing_zeros();
-                m &= m - 1;
-                let r = rank(pos);
-                while si < ns && sums[si].0 < r {
-                    *verdict = fold_verdict(*verdict, sums[si].1);
-                    si += 1;
-                }
-                let slot = self.list_slot(sched, which, pos as usize);
-                let wr = match which {
-                    ListKind::Parents => WarpRef::App(slot),
-                    _ => WarpRef::Assist(slot),
-                };
-                if self.consider(now, sched, wr, kernel, shared, lsu_used, verdict) {
-                    return true;
-                }
+            if self.consider(now, sched, wr, kernel, shared, lsu_used, verdict) {
+                return true;
             }
-        }
-        while si < ns {
-            *verdict = fold_verdict(*verdict, sums[si].1);
-            si += 1;
         }
         false
     }
@@ -2027,7 +1758,7 @@ impl Sm {
         shared: &mut SharedState<'_>,
         lsu_used: &mut bool,
     ) {
-        if self.cand_dirty || (self.assist_dirty && !self.masks_ok) {
+        if self.cand_dirty {
             self.rebuild_candidates();
         } else if self.assist_dirty {
             self.refresh_assist_candidates();
@@ -2550,58 +2281,6 @@ impl Sm {
         }
     }
 
-    /// Diagnostic one-line state dump (used by harness debugging).
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        let warps: Vec<String> = self
-            .warps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| w.as_ref().map(|w| (i, w)))
-            .map(|(i, w)| {
-                format!(
-                    "w{}[pc={} done={} bar={} out={} pend={}]",
-                    i,
-                    w.warp.pc(),
-                    w.warp.done,
-                    w.warp.at_barrier,
-                    w.warp.outstanding_loads,
-                    w.warp.any_pending()
-                )
-            })
-            .collect();
-        let assists: Vec<String> = self
-            .assists
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.as_ref().map(|a| (i, a)))
-            .map(|(i, a)| {
-                format!(
-                    "a{}[pc={} done={} pend={} prio={:?}]",
-                    i,
-                    a.warp.pc(),
-                    a.warp.done,
-                    a.warp.any_pending(),
-                    a.priority
-                )
-            })
-            .collect();
-        format!(
-            "SM{}: blocks={} lsu={} mshr={} decomp={} sbuf={} outq={} apend={} wb={} | {} | {}",
-            self.id,
-            self.resident_blocks(),
-            self.lsu.pending(),
-            self.mshr.outstanding(),
-            self.pending_decomp.len(),
-            self.store_buffer.len(),
-            self.out_reqs.len(),
-            self.assist_pending.len(),
-            self.writebacks.len(),
-            warps.join(" "),
-            assists.join(" ")
-        )
-    }
-
     // ----- binary checkpoint (see [`crate::snapshot`]) ----------------------
 
     /// Serializes the SM's full architectural state. Config-derived
@@ -2931,8 +2610,6 @@ impl Sm {
         self.cand_dirty = cand_dirty;
         self.memo_app = memo_app;
         self.memo_assist = memo_assist;
-        // The class masks mirror the memos, which just changed under them.
-        self.rebuild_class_masks();
         // The dormancy cache is recomputed, never restored: the next real
         // cycle is bit-identical to the skipped one it replaces, so losing
         // the cache costs one executed cycle and changes nothing else.
@@ -3090,7 +2767,7 @@ fn verdict_from_tag(tag: u8) -> Result<StallVerdict, SnapError> {
 }
 
 #[cfg(test)]
-mod scan_diff;
+mod engine_diff;
 
 #[cfg(test)]
 mod tests {

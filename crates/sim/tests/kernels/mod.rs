@@ -1,5 +1,5 @@
-//! The kernels `end_to_end.rs` runs, shared with the in-crate scan
-//! differential (`src/sm/scan_diff.rs` includes this file by path).
+//! The kernels `end_to_end.rs` runs, shared with the in-crate engine
+//! differential (`src/sm/engine_diff.rs` includes this file by path).
 #![allow(dead_code)]
 
 use caba_isa::{
