@@ -9,6 +9,7 @@
 //! tests (and usable from scripts via `caba-serve --probe`-style tooling)
 //! that decodes both fixed-length and chunked bodies.
 
+use caba_stats::json;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
@@ -193,31 +194,14 @@ pub fn respond<W: Write>(
     w.flush()
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes a typed JSON error: `{"error": CODE, "message": MSG}`. Every
 /// non-2xx the service produces goes through here, so clients can always
 /// parse the body.
 pub fn respond_error<W: Write>(w: &mut W, status: u16, code: &str, msg: &str) -> io::Result<()> {
     let body = format!(
         "{{\"error\": \"{}\", \"message\": \"{}\"}}\n",
-        json_escape(code),
-        json_escape(msg)
+        json::escape(code),
+        json::escape(msg)
     );
     respond(w, status, "application/json", body.as_bytes())
 }

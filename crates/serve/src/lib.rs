@@ -253,11 +253,6 @@ impl Server {
         self.state.request_shutdown();
     }
 
-    /// True once shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Blocks until shutdown has been requested and every in-flight
     /// request has been answered: the accept loop ends on nothing else.
     pub fn join(mut self) {
@@ -382,6 +377,10 @@ fn figure_endpoint(
         Err(msg) => return http::respond_error(out, 400, "bad_request", &msg),
     };
     let mut cells = fig.cells();
+    if cells.is_empty() {
+        let msg = format!("figure {fig} simulates no cells");
+        return http::respond_error(out, 400, "bad_request", &msg);
+    }
     if let Some(apps) = req.query("apps") {
         let filter: Vec<&str> = apps.split(',').map(str::trim).collect();
         for a in &filter {

@@ -93,6 +93,10 @@ fn cold_warm_and_restarted_servers_stream_byte_identical_tables() {
         stats.contains(&format!("\"store_warm_hits\": {}", cells().len())),
         "second request should hit the store for every cell: {stats}"
     );
+    // Fig. 8 is another metric of Fig. 7's runs: its raw table is fig07's.
+    let fig08 = get(&server, &FIG_TARGET.replace("fig07", "fig08"));
+    assert_eq!(fig08.status, 200);
+    assert_eq!(fig08.text(), reference, "fig08 is not fig07's cells");
     stop(server);
 
     // Killed and restarted: a fresh process over the same store dir must
@@ -127,6 +131,8 @@ fn malformed_requests_get_typed_errors_without_poisoning_the_store() {
     };
 
     expect("/figure/fig99", 400, "bad_request");
+    // A figure that simulates nothing has no raw table.
+    expect("/figure/fig02", 400, "bad_request");
     expect("/figure/fig07?scale=banana", 400, "bad_request");
     expect("/figure/fig07?scale=-1", 400, "bad_request");
     expect("/figure/fig07?apps=NOPE", 400, "bad_request");

@@ -81,9 +81,11 @@ pub struct GpuConfig {
     /// (compressed designs). Disabling it models the naive design whose
     /// every DRAM access pays a second metadata access.
     pub md_cache_enabled: bool,
-    /// When true, every assist-warp global store is checked against the
-    /// functional truth (used by the test suite to prove the subroutines
-    /// really decompress correctly).
+    /// Inert: nothing in the simulator reads it, and the content hash
+    /// ([`crate::snapshot::config_hash`]) canonicalizes it away, so a debug
+    /// and a release build key a cell alike. The assist-warp result checks
+    /// are the controller's own (`CabaController::with_paranoid` in
+    /// `caba-core`).
     pub paranoid_assist_checks: bool,
     /// Forward-progress watchdog window in cycles: if no progress counter
     /// moves for this many consecutive cycles, `Gpu::run` aborts with

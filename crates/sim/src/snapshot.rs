@@ -22,7 +22,7 @@
 //! # Config-hash tolerance
 //!
 //! The config hash covers every [`GpuConfig`] knob that shapes machine
-//! state or its evolution. Four knob groups are deliberately excluded, so
+//! state or its evolution. These knobs are deliberately excluded, so
 //! a snapshot can be restored under a *different* setting of each:
 //!
 //! * `observability` — tracing and metrics are record-only; time-travel
@@ -31,7 +31,12 @@
 //! * `intra_jobs` — an inert field nothing reads ([`GpuConfig::intra_jobs`]);
 //!   it stays canonicalized so that stores and snapshots written while it
 //!   meant something keep their keys.
+//! * `paranoid_assist_checks` — inert too
+//!   ([`GpuConfig::paranoid_assist_checks`]); its default follows the build
+//!   profile, so hashing it would key every cell of a debug build apart
+//!   from a release build's.
 //! * `watchdog_window` — detection-only; it never mutates machine state.
+//! * `time_skip` — the next-event and the naive engine give identical runs.
 
 use crate::config::GpuConfig;
 use crate::observe::ObservabilityConfig;
@@ -116,6 +121,7 @@ pub fn config_hash(cfg: &GpuConfig) -> u64 {
     canon.observability = ObservabilityConfig::default();
     canon.checkpoint_interval = 0;
     canon.intra_jobs = 1;
+    canon.paranoid_assist_checks = false;
     canon.watchdog_window = 0;
     canon.time_skip = true;
     checksum64(format!("{canon:?}").as_bytes())

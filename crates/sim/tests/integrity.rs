@@ -265,9 +265,6 @@ fn silent_packet_drops_are_caught_naming_the_crossbar() {
 fn silent_corruption_is_caught_naming_the_compression_map() {
     let mut cfg = GpuConfig::small();
     cfg.audit_interval = 32;
-    // Paranoid in-line checks would assert before the audit gets a chance
-    // to report; this test is about the audit path.
-    cfg.paranoid_assist_checks = false;
     cfg.fault = FaultConfig {
         enabled: true,
         seed: 0xC0FF,

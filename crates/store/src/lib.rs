@@ -65,6 +65,7 @@ mod touchlog;
 
 use caba_stats::checksum::{self, Fnv64};
 use caba_stats::fxhash::FxHashSet;
+use caba_stats::json;
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotWriter};
 pub use fsio::{FaultCounts, FaultFs, FaultRates, RealFs, StoreFs};
 use std::fmt;
@@ -234,9 +235,9 @@ impl ScrubReport {
                 .iter()
                 .map(|q| {
                     format!(
-                        "    {{\"path\": {}, \"reason\": {}}}",
-                        json_str(&q.rel_path),
-                        json_str(&q.reason)
+                        "    {{\"path\": \"{}\", \"reason\": \"{}\"}}",
+                        json::escape(&q.rel_path),
+                        json::escape(&q.reason)
                     )
                 })
                 .collect();
@@ -272,7 +273,11 @@ pub struct GcReport {
 impl GcReport {
     /// Serializes the report as JSON.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.evicted.iter().map(|n| json_str(n)).collect();
+        let rows: Vec<String> = self
+            .evicted
+            .iter()
+            .map(|n| format!("\"{}\"", json::escape(n)))
+            .collect();
         format!(
             "{{\n  \"before_bytes\": {},\n  \"after_bytes\": {},\n  \"evicted\": [{}],\n  \"failed\": {}\n}}\n",
             self.before_bytes,
@@ -316,24 +321,6 @@ impl StoreStats {
             self.misses
         )
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 struct Counters {

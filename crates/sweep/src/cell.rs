@@ -12,7 +12,6 @@
 //!
 //! [`GpuConfig`]: caba_sim::GpuConfig
 
-use crate::{fig01_cells, fig07_cells, fig10_cells, fig12_cells};
 use crate::{CellResult, DesignId, SweepCell, SweepConfig};
 use caba_sim::snapshot::config_hash;
 use caba_sim::{GpuConfig, RunError};
@@ -219,83 +218,6 @@ impl FromStr for DesignId {
     }
 }
 
-/// The ported evaluation figures, typed: a `Figure` either exists or the
-/// name failed to parse — there is no half-resolved state to thread
-/// through the CLI and the service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Figure {
-    /// Figure 1: issue-slot taxonomy (all apps × ½×/1×/2× bandwidth on Base).
-    Fig01,
-    /// Figure 7 (and 8/9): apps × the five-design comparison.
-    Fig07,
-    /// Figure 10: apps × the CABA algorithm variants (+ Base rows).
-    Fig10,
-    /// Figure 12: apps × ½×/1×/2× bandwidth × {Base, CABA-BDI}.
-    Fig12,
-}
-
-impl Figure {
-    /// Every ported figure.
-    pub const ALL: [Figure; 4] = [Figure::Fig01, Figure::Fig07, Figure::Fig10, Figure::Fig12];
-
-    /// The figures a default `caba-sweep` invocation runs.
-    pub const DEFAULT_SWEEP: [Figure; 3] = [Figure::Fig07, Figure::Fig10, Figure::Fig12];
-
-    /// The canonical lowercase name (`"fig07"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Figure::Fig01 => "fig01",
-            Figure::Fig07 => "fig07",
-            Figure::Fig10 => "fig10",
-            Figure::Fig12 => "fig12",
-        }
-    }
-
-    /// This figure's cell matrix, in deterministic order.
-    pub fn cells(self) -> Vec<SweepCell> {
-        match self {
-            Figure::Fig01 => fig01_cells(),
-            Figure::Fig07 => fig07_cells(),
-            Figure::Fig10 => fig10_cells(),
-            Figure::Fig12 => fig12_cells(),
-        }
-    }
-}
-
-impl fmt::Display for Figure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A figure name that did not parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseFigureError(pub String);
-
-impl fmt::Display for ParseFigureError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown figure {:?} (expected one of: fig01, fig07, fig10, fig12)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseFigureError {}
-
-impl FromStr for Figure {
-    type Err = ParseFigureError;
-
-    /// Parses a canonical name (`"fig07"`), ASCII-case-insensitively.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Figure::ALL
-            .into_iter()
-            .find(|f| f.name().eq_ignore_ascii_case(s))
-            .ok_or_else(|| ParseFigureError(s.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,11 +255,13 @@ mod tests {
         other.cfg.fault.seed = other.cfg.fault.seed.wrapping_add(1);
         assert_ne!(base, other.content_hash(), "fault seed is identity");
 
-        // Record-only knobs and the inert `intra_jobs` are canonicalized
-        // away: the same cell computed with different tracing or
-        // checkpointing is still the same cell.
+        // Record-only knobs and the inert `intra_jobs` and
+        // `paranoid_assist_checks` are canonicalized away: the same cell
+        // computed with different tracing or checkpointing, or by a debug
+        // build, is still the same cell.
         let mut tolerated = spec;
         tolerated.cfg.intra_jobs = 4;
+        tolerated.cfg.paranoid_assist_checks = !spec.cfg.paranoid_assist_checks;
         tolerated.cfg.checkpoint_interval = 500;
         assert_eq!(base, tolerated.content_hash());
     }
@@ -376,17 +300,5 @@ mod tests {
         assert_eq!("caba-bdi".parse::<DesignId>().unwrap(), DesignId::CabaBdi);
         let err = "Turbo-BDI".parse::<DesignId>().unwrap_err();
         assert!(err.to_string().contains("Turbo-BDI"));
-    }
-
-    #[test]
-    fn figures_round_trip_and_match_cell_lists() {
-        for fig in Figure::ALL {
-            let parsed: Figure = fig.name().parse().unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(parsed, fig);
-            assert_eq!(format!("{fig}"), fig.name());
-            assert!(!fig.cells().is_empty());
-        }
-        assert_eq!("FIG07".parse::<Figure>().unwrap(), Figure::Fig07);
-        assert!("fig99".parse::<Figure>().is_err());
     }
 }

@@ -14,18 +14,18 @@
 //!   are **bit-identical and identically ordered** to a serial sweep
 //!   regardless of completion order or worker count;
 //! - [`Sweep`]: the builder that layers a resume journal over the two;
-//! - [`Paper`]: the paper's eleven tables, each rendered from the results
-//!   of cells that ran through [`Sweep`].
+//! - [`Figure`]: the paper's eleven tables, each naming its cells and
+//!   rendered from the results of cells that ran through [`Sweep`].
 //!
 //! [`Gpu`]: caba_sim::Gpu
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use caba_sweep::{fig07_cells, Sweep, SweepConfig};
+//! use caba_sweep::{Figure, Sweep, SweepConfig};
 //!
 //! let sc = SweepConfig { scale: 0.05, ..SweepConfig::default() };
-//! let cells = fig07_cells();
+//! let cells = Figure::Fig07.cells();
 //! let run = Sweep::new(&sc, cells.clone()).jobs(8).run().expect("sweep");
 //! assert_eq!(run.results.len(), cells.len());
 //! ```
@@ -37,9 +37,9 @@ pub mod paper;
 pub mod resilient;
 
 pub use builder::{Sweep, SweepRun};
-pub use cell::{parse_positive, run_cell, CellSpec, Figure, ParseDesignError, ParseFigureError};
+pub use cell::{parse_positive, run_cell, CellSpec, ParseDesignError};
 pub use fanout::fan_out;
-pub use paper::Paper;
+pub use paper::{Figure, ParseFigureError};
 pub use resilient::{
     decode_result_payload, encode_result_payload, figure_table, figure_table_line, run_cell_stored,
     CellFailure, CellOutcome, FailureClass, SweepError,
@@ -49,7 +49,6 @@ use caba_compress::Algorithm;
 use caba_core::CabaController;
 use caba_energy::DesignKind;
 use caba_sim::{Design, GpuConfig, RunStats};
-use caba_workloads::{all_apps, eval_apps};
 
 /// Identifies a design point in the run matrix (a cloneable stand-in for
 /// [`Design`], which owns a controller and therefore is not `Clone`).
@@ -98,8 +97,10 @@ impl DesignId {
         DesignId::IdealBdi,
     ];
 
-    /// The four CABA algorithm variants of Figure 10.
-    pub const FIG10: [DesignId; 4] = [
+    /// Figure 10's columns: the Base cell each row normalizes against,
+    /// then the four CABA algorithm variants.
+    pub const FIG10: [DesignId; 5] = [
+        DesignId::Base,
         DesignId::CabaFpc,
         DesignId::CabaBdi,
         DesignId::CabaCPack,
@@ -201,78 +202,6 @@ pub struct CellResult {
     pub wall_s: f64,
 }
 
-/// Cells of Figure 1: every app, the compute-bound ones the figure exists
-/// to contrast included, × ½×/1×/2× bandwidth on the uncompressed baseline,
-/// from which the issue-slot taxonomy fractions are reported.
-pub fn fig01_cells() -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for a in all_apps() {
-        for bw in [0.5, 1.0, 2.0] {
-            cells.push(SweepCell {
-                app: a.name,
-                design: DesignId::Base,
-                bw_scale: bw,
-            });
-        }
-    }
-    cells
-}
-
-/// Cells of Figure 7 (and 8/9, which reuse the same runs): evaluation apps
-/// × the five-design comparison at stock bandwidth.
-pub fn fig07_cells() -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for a in eval_apps() {
-        for d in DesignId::FIG7 {
-            cells.push(SweepCell {
-                app: a.name,
-                design: d,
-                bw_scale: 1.0,
-            });
-        }
-    }
-    cells
-}
-
-/// Cells of Figure 10: evaluation apps × the CABA algorithm variants, plus
-/// the Base cell each row normalizes against.
-pub fn fig10_cells() -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for a in eval_apps() {
-        cells.push(SweepCell {
-            app: a.name,
-            design: DesignId::Base,
-            bw_scale: 1.0,
-        });
-        for d in DesignId::FIG10 {
-            cells.push(SweepCell {
-                app: a.name,
-                design: d,
-                bw_scale: 1.0,
-            });
-        }
-    }
-    cells
-}
-
-/// Cells of Figure 12: evaluation apps × ½×/1×/2× bandwidth × {Base,
-/// CABA-BDI}.
-pub fn fig12_cells() -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for a in eval_apps() {
-        for bw in [0.5, 1.0, 2.0] {
-            for d in [DesignId::Base, DesignId::CabaBdi] {
-                cells.push(SweepCell {
-                    app: a.name,
-                    design: d,
-                    bw_scale: bw,
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// The union of several figures' cells with duplicates removed (first
 /// occurrence wins), preserving deterministic order.
 pub fn dedup_cells(groups: &[Vec<SweepCell>]) -> Vec<SweepCell> {
@@ -302,33 +231,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn figure_cells_are_deterministic_and_nonempty() {
-        for fig in Figure::ALL {
-            let a = fig.cells();
-            let b = fig.cells();
-            assert!(!a.is_empty(), "{fig}");
-            assert_eq!(a, b, "{fig}");
-        }
-        // Fig. 1 is every app, compute-bound ones included, at three
-        // bandwidths on Base.
-        let fig01 = fig01_cells();
+    fn fig01_is_every_app_at_three_bandwidths_on_base() {
+        // Compute-bound apps included: the figure exists to contrast them.
+        let fig01 = Figure::Fig01.cells();
         assert_eq!(fig01.len(), 90);
         assert!(fig01.iter().any(|c| c.app == "NQU"));
         assert!(fig01.iter().all(|c| c.design == DesignId::Base));
-        assert!("fig99".parse::<Figure>().is_err());
     }
 
     #[test]
     fn dedup_preserves_first_occurrence_order() {
-        let union = dedup_cells(&[fig07_cells(), fig10_cells(), fig12_cells()]);
-        let f7 = fig07_cells();
+        let groups = Figure::DEFAULT_SWEEP.map(Figure::cells);
+        let union = dedup_cells(&groups);
+        let f7 = &groups[0];
         assert_eq!(&union[..f7.len()], &f7[..], "fig07 cells lead the union");
         let mut seen = std::collections::HashSet::new();
         for c in &union {
             assert!(seen.insert(c.key()), "duplicate cell {c:?}");
         }
         // fig10 overlaps fig07 in Base and CABA-BDI; fig12 overlaps at 1x.
-        let total = f7.len() + fig10_cells().len() + fig12_cells().len();
+        let total: usize = groups.iter().map(Vec::len).sum();
         assert!(union.len() < total);
     }
 }

@@ -20,8 +20,7 @@
 use caba_store::{write_file_atomic, FaultFs, FaultRates, Store};
 use caba_sweep::paper::cache_configs;
 use caba_sweep::{
-    dedup_cells, figure_table, host_cores, parse_positive, Figure, Paper, Sweep, SweepCell,
-    SweepConfig,
+    dedup_cells, figure_table, host_cores, parse_positive, Figure, Sweep, SweepCell, SweepConfig,
 };
 use std::collections::HashMap;
 use std::error::Error;
@@ -81,7 +80,11 @@ fn usage() -> ! {
                         short reads, ENOSPC, failed renames/cleanups) under\n\
                         the store at per-op rate F — chaos testing; the\n\
                         sweep's results must be unaffected (need --store-dir)\n\
-         --figures LIST comma-separated figure subset (default: fig07,fig10,fig12)\n\
+         --figures LIST comma-separated figures, by the names paper takes\n\
+                        (default: fig07,fig10,fig12); the table is their\n\
+                        cells' raw rows on the stock machine, so fig08 and\n\
+                        fig09 give fig07's, fig13 and tab_md the CABA-BDI\n\
+                        cells, and fig02, fig05 and fig11 have none\n\
          --apps LIST    comma-separated app-name filter applied to the cells\n\
          --selftest     first verify that the cells' RunStats are bit-identical\n\
                         one at a time and --jobs at once\n\
@@ -253,13 +256,7 @@ fn parse_args(argv: &[String]) -> Args {
             }
             "--figures" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--figures"));
-                let figures = list.split(',').map(|s| {
-                    s.trim().parse::<Figure>().unwrap_or_else(|e| {
-                        eprintln!("caba-sweep: {e}\n");
-                        usage();
-                    })
-                });
-                args.figures = Some(figures.collect());
+                args.figures = Some(list.split(',').map(|s| figure_or_usage(s.trim())).collect());
             }
             "--apps" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--apps"));
@@ -346,21 +343,23 @@ fn app_or_usage(name: &str) -> &'static str {
 
 /// The tables `caba-sweep paper NAME` asks for, or usage (code 2), which
 /// lists the names there are.
-fn tables_or_usage(name: Option<&String>) -> Vec<Paper> {
+fn tables_or_usage(name: Option<&String>) -> Vec<Figure> {
     match name.map(String::as_str) {
-        Some("all") => Paper::ALL.to_vec(),
-        Some(name) if !name.starts_with('-') => match Paper::from_name(name) {
-            Some(table) => vec![table],
-            None => {
-                eprintln!("caba-sweep paper: unknown table {name:?}\n");
-                usage();
-            }
-        },
+        Some("all") => Figure::ALL.to_vec(),
+        Some(name) if !name.starts_with('-') => vec![figure_or_usage(name)],
         _ => {
             eprintln!("caba-sweep paper: missing table name\n");
             usage();
         }
     }
+}
+
+/// The figure called `name`, or usage (code 2) naming every figure.
+fn figure_or_usage(name: &str) -> Figure {
+    name.parse().unwrap_or_else(|e| {
+        eprintln!("caba-sweep: {e}\n");
+        usage();
+    })
 }
 
 fn main() -> ExitCode {
@@ -549,7 +548,7 @@ fn sweep(args: &Args) -> Result<String, Box<dyn Error>> {
 /// per machine configuration over the union of the tables' cells, and each
 /// table is rendered from its own cells' results. With more than one table
 /// each goes under its title.
-fn paper(args: &Args, tables: &[Paper]) -> Result<String, Box<dyn Error>> {
+fn paper(args: &Args, tables: &[Figure]) -> Result<String, Box<dyn Error>> {
     let sc = base_config(args, 0.5);
     let store = open_store(args)?;
     let mut done = HashMap::new();

@@ -1,5 +1,5 @@
 //! The paper's eleven tables (Fig. 1, 2, 5, 7–13 and the §4.3.2 MD-cache
-//! table): [`Paper`] names one, says which cells it needs under which
+//! table): [`Figure`] names one, says which cells it needs under which
 //! machine configurations, and renders it from their results.
 //!
 //! A renderer is a pure function of `&[CellResult]` and never simulates:
@@ -10,7 +10,6 @@
 //! DESIGN.md); the *shapes* are the reproduction target, and EXPERIMENTS.md
 //! records paper-vs-measured for every table.
 
-use crate::{fig01_cells, fig07_cells, fig10_cells, fig12_cells};
 use crate::{CellResult, DesignId, SweepCell, SweepConfig};
 use caba_compress::{average_best_ratio, average_burst_ratio, Algorithm, Bdi, Compressor};
 use caba_energy::energy;
@@ -20,10 +19,13 @@ use caba_stats::table::{pct, speedup};
 use caba_stats::{StallKind, Table};
 use caba_workloads::{all_apps, app, eval_apps, AppClass};
 use std::fmt;
+use std::str::FromStr;
 
-/// One table of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Paper {
+/// One table of the paper's evaluation, typed: a `Figure` either exists or
+/// its name failed to parse — there is no half-resolved state to thread
+/// through the CLI and the service.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Figure {
     /// Fig. 1: issue-slot breakdown at ½×/1×/2× bandwidth, all apps.
     Fig01,
     /// Fig. 2: statically unallocated registers (no simulation).
@@ -48,92 +50,104 @@ pub enum Paper {
     TabMd,
 }
 
-impl Paper {
-    /// Every table, in the order `caba-sweep paper all` prints them.
-    pub const ALL: [Paper; 11] = [
-        Paper::Fig01,
-        Paper::Fig02,
-        Paper::Fig05,
-        Paper::Fig07,
-        Paper::Fig08,
-        Paper::Fig09,
-        Paper::Fig10,
-        Paper::Fig11,
-        Paper::Fig12,
-        Paper::Fig13,
-        Paper::TabMd,
+impl Figure {
+    /// Every table, in the order `caba-sweep paper all` prints them — the
+    /// [`FromStr`] parse domain.
+    pub const ALL: [Figure; 11] = [
+        Figure::Fig01,
+        Figure::Fig02,
+        Figure::Fig05,
+        Figure::Fig07,
+        Figure::Fig08,
+        Figure::Fig09,
+        Figure::Fig10,
+        Figure::Fig11,
+        Figure::Fig12,
+        Figure::Fig13,
+        Figure::TabMd,
     ];
 
-    /// The table called `name`, if there is one.
-    pub fn from_name(name: &str) -> Option<Paper> {
-        Paper::ALL.into_iter().find(|p| p.name() == name)
-    }
+    /// The figures a default `caba-sweep` invocation runs.
+    pub const DEFAULT_SWEEP: [Figure; 3] = [Figure::Fig07, Figure::Fig10, Figure::Fig12];
 
-    /// The name `caba-sweep paper` takes (`"fig07"`, `"tab_md"`).
+    /// The canonical lowercase name (`"fig07"`, `"tab_md"`).
     pub fn name(self) -> &'static str {
         match self {
-            Paper::Fig01 => "fig01",
-            Paper::Fig02 => "fig02",
-            Paper::Fig05 => "fig05",
-            Paper::Fig07 => "fig07",
-            Paper::Fig08 => "fig08",
-            Paper::Fig09 => "fig09",
-            Paper::Fig10 => "fig10",
-            Paper::Fig11 => "fig11",
-            Paper::Fig12 => "fig12",
-            Paper::Fig13 => "fig13",
-            Paper::TabMd => "tab_md",
+            Figure::Fig01 => "fig01",
+            Figure::Fig02 => "fig02",
+            Figure::Fig05 => "fig05",
+            Figure::Fig07 => "fig07",
+            Figure::Fig08 => "fig08",
+            Figure::Fig09 => "fig09",
+            Figure::Fig10 => "fig10",
+            Figure::Fig11 => "fig11",
+            Figure::Fig12 => "fig12",
+            Figure::Fig13 => "fig13",
+            Figure::TabMd => "tab_md",
         }
     }
 
     /// The heading `caba-sweep paper all` prints above the table.
     pub fn title(self) -> &'static str {
         match self {
-            Paper::Fig01 => "Figure 1: issue-cycle breakdown at 1/2x, 1x, 2x bandwidth",
-            Paper::Fig02 => "Figure 2: fraction of statically unallocated registers",
-            Paper::Fig05 => "Figure 5: BDI compression of the PVC example line",
-            Paper::Fig07 => "Figure 7: normalized performance (5 designs)",
-            Paper::Fig08 => "Figure 8: memory bandwidth utilization",
-            Paper::Fig09 => "Figure 9: normalized energy (+ §6.2 DRAM energy & power)",
-            Paper::Fig10 => "Figure 10: speedup with different algorithms",
-            Paper::Fig11 => "Figure 11: compression ratio per algorithm",
-            Paper::Fig12 => "Figure 12: sensitivity to peak memory bandwidth",
-            Paper::Fig13 => "Figure 13: selective cache compression",
-            Paper::TabMd => "§4.3.2: metadata-cache hit rate",
+            Figure::Fig01 => "Figure 1: issue-cycle breakdown at 1/2x, 1x, 2x bandwidth",
+            Figure::Fig02 => "Figure 2: fraction of statically unallocated registers",
+            Figure::Fig05 => "Figure 5: BDI compression of the PVC example line",
+            Figure::Fig07 => "Figure 7: normalized performance (5 designs)",
+            Figure::Fig08 => "Figure 8: memory bandwidth utilization",
+            Figure::Fig09 => "Figure 9: normalized energy (+ §6.2 DRAM energy & power)",
+            Figure::Fig10 => "Figure 10: speedup with different algorithms",
+            Figure::Fig11 => "Figure 11: compression ratio per algorithm",
+            Figure::Fig12 => "Figure 12: sensitivity to peak memory bandwidth",
+            Figure::Fig13 => "Figure 13: selective cache compression",
+            Figure::TabMd => "§4.3.2: metadata-cache hit rate",
         }
     }
 
     /// The cells this table needs under each of its machine configurations
-    /// ([`configs`](Paper::configs)); empty for the tables that simulate
-    /// nothing.
+    /// ([`configs`](Figure::configs)), in deterministic order: app-major,
+    /// then bandwidth, then design. Empty for the tables that simulate
+    /// nothing. The single source of every figure's cell matrix.
     pub fn cells(self) -> Vec<SweepCell> {
-        match self {
-            Paper::Fig01 => fig01_cells(),
-            Paper::Fig02 | Paper::Fig05 | Paper::Fig11 => Vec::new(),
-            Paper::Fig07 | Paper::Fig08 | Paper::Fig09 => fig07_cells(),
-            Paper::Fig10 => fig10_cells(),
-            Paper::Fig12 => fig12_cells(),
-            Paper::Fig13 | Paper::TabMd => eval_apps()
-                .iter()
-                .map(|a| SweepCell {
-                    app: a.name,
-                    design: DesignId::CabaBdi,
-                    bw_scale: 1.0,
-                })
-                .collect(),
+        let (apps, bws, designs): (_, &[f64], &[DesignId]) = match self {
+            // Every app, the compute-bound ones the figure exists to
+            // contrast included, on the uncompressed baseline.
+            Figure::Fig01 => (all_apps(), &[0.5, 1.0, 2.0], &[DesignId::Base]),
+            Figure::Fig02 | Figure::Fig05 | Figure::Fig11 => return Vec::new(),
+            Figure::Fig07 | Figure::Fig08 | Figure::Fig09 => (eval_apps(), &[1.0], &DesignId::FIG7),
+            Figure::Fig10 => (eval_apps(), &[1.0], &DesignId::FIG10),
+            Figure::Fig12 => (
+                eval_apps(),
+                &[0.5, 1.0, 2.0],
+                &[DesignId::Base, DesignId::CabaBdi],
+            ),
+            Figure::Fig13 | Figure::TabMd => (eval_apps(), &[1.0], &[DesignId::CabaBdi]),
+        };
+        let mut cells = Vec::new();
+        for a in apps {
+            for &bw_scale in bws {
+                for &design in designs {
+                    cells.push(SweepCell {
+                        app: a.name,
+                        design,
+                        bw_scale,
+                    });
+                }
+            }
         }
+        cells
     }
 
     /// How many of [`cache_configs`] this table runs its cells under: the
     /// stock machine alone, or for Fig. 13 all five.
     pub fn configs(self) -> usize {
         match self {
-            Paper::Fig13 => 5,
+            Figure::Fig13 => 5,
             _ => 1,
         }
     }
 
-    /// Renders the table from the results of [`cells`](Paper::cells), in
+    /// Renders the table from the results of [`cells`](Figure::cells), in
     /// that order, once per configuration (configuration-major).
     ///
     /// # Errors
@@ -146,19 +160,53 @@ impl Paper {
         results: &[CellResult],
     ) -> Result<Table, SlotConservationError> {
         let table = match self {
-            Paper::Fig01 => fig01(results, (sc.cfg.num_sms * sc.cfg.schedulers_per_sm) as u64)?,
-            Paper::Fig02 => fig02(),
-            Paper::Fig05 => fig05(),
-            Paper::Fig07 => fig07(results),
-            Paper::Fig08 => fig08(results),
-            Paper::Fig09 => fig09(results),
-            Paper::Fig10 => fig10(results),
-            Paper::Fig11 => fig11(sc.scale),
-            Paper::Fig12 => fig12(results),
-            Paper::Fig13 => fig13(results),
-            Paper::TabMd => tab_md(results),
+            Figure::Fig01 => fig01(results, (sc.cfg.num_sms * sc.cfg.schedulers_per_sm) as u64)?,
+            Figure::Fig02 => fig02(),
+            Figure::Fig05 => fig05(),
+            Figure::Fig07 => fig07(results),
+            Figure::Fig08 => fig08(results),
+            Figure::Fig09 => fig09(results),
+            Figure::Fig10 => fig10(results),
+            Figure::Fig11 => fig11(sc.scale),
+            Figure::Fig12 => fig12(results),
+            Figure::Fig13 => fig13(results),
+            Figure::TabMd => tab_md(results),
         };
         Ok(table)
+    }
+}
+
+impl fmt::Display for Figure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A figure name that did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseFigureError(pub String);
+
+impl fmt::Display for ParseFigureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown figure {:?} (expected one of: ", self.0)?;
+        for (i, fig) in Figure::ALL.iter().enumerate() {
+            write!(f, "{}{fig}", if i > 0 { ", " } else { "" })?;
+        }
+        write!(f, ")")
+    }
+}
+
+impl std::error::Error for ParseFigureError {}
+
+impl FromStr for Figure {
+    type Err = ParseFigureError;
+
+    /// Parses a canonical name (`"fig07"`), ASCII-case-insensitively.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Figure::ALL
+            .into_iter()
+            .find(|f| f.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| ParseFigureError(s.to_string()))
     }
 }
 
@@ -246,7 +294,7 @@ fn fig7_columns() -> Vec<&'static str> {
     std::iter::once("App").chain(designs).collect()
 }
 
-/// Fig. 1 from [`fig01_cells`]' results, one column per taxonomy bucket in
+/// Fig. 1 from [`Figure::Fig01`]'s results, one column per taxonomy bucket in
 /// [`StallKind::ALL`] order. `slots_per_cycle` is the machine's
 /// `SMs × schedulers per SM`.
 ///
@@ -339,7 +387,7 @@ pub fn fig05() -> Table {
     t
 }
 
-/// Fig. 7 from [`fig07_cells`]' results: each design's speedup over the
+/// Fig. 7 from [`Figure::Fig07`]'s results: each design's speedup over the
 /// app's Base cell.
 pub fn fig07(results: &[CellResult]) -> Table {
     let rows = per_app(results, 5).map(|c| {
@@ -349,7 +397,7 @@ pub fn fig07(results: &[CellResult]) -> Table {
     averaged(&fig7_columns(), rows, |_, v| speedup(v))
 }
 
-/// Fig. 8 from [`fig07_cells`]' results.
+/// Fig. 8 from [`Figure::Fig07`]'s results.
 pub fn fig08(results: &[CellResult]) -> Table {
     let rows = per_app(results, 5).map(|c| {
         let values = c.iter().map(|r| r.stats.bandwidth_utilization()).collect();
@@ -358,7 +406,7 @@ pub fn fig08(results: &[CellResult]) -> Table {
     averaged(&fig7_columns(), rows, |_, v| pct(v))
 }
 
-/// Fig. 9 from [`fig07_cells`]' results: energy normalized to Base, plus
+/// Fig. 9 from [`Figure::Fig07`]'s results: energy normalized to Base, plus
 /// CABA-BDI's §6.2 DRAM-power reduction and system-power overhead.
 pub fn fig09(results: &[CellResult]) -> Table {
     let mut cols = fig7_columns();
@@ -388,7 +436,7 @@ pub fn fig09(results: &[CellResult]) -> Table {
     })
 }
 
-/// Fig. 10 from [`fig10_cells`]' results: each algorithm's speedup over the
+/// Fig. 10 from [`Figure::Fig10`]'s results: each algorithm's speedup over the
 /// app's Base cell.
 pub fn fig10(results: &[CellResult]) -> Table {
     let rows = per_app(results, 5).map(|c| {
@@ -418,7 +466,7 @@ pub fn fig11(scale: f64) -> Table {
     averaged(&cols, rows, |_, v| format!("{v:.2}"))
 }
 
-/// Fig. 12 from [`fig12_cells`]' results, normalized to the 1×-Base cell
+/// Fig. 12 from [`Figure::Fig12`]'s results, normalized to the 1×-Base cell
 /// of the same app.
 pub fn fig12(results: &[CellResult]) -> Table {
     let rows = per_app(results, 6).map(|c| {
@@ -520,7 +568,7 @@ mod tests {
 
     #[test]
     fn fig07_divides_base_cycles_and_averages_arithmetically() {
-        let two_apps: Vec<_> = fig07_cells().into_iter().take(10).collect();
+        let two_apps: Vec<_> = Figure::Fig07.cells().into_iter().take(10).collect();
         let results = with_cycles(
             two_apps,
             &[1000, 800, 500, 2000, 400, 300, 300, 100, 600, 150],
@@ -590,14 +638,14 @@ mod tests {
 
     #[test]
     fn fig10_skips_the_base_column_it_normalizes_to() {
-        let one_app: Vec<_> = fig10_cells().into_iter().take(5).collect();
+        let one_app: Vec<_> = Figure::Fig10.cells().into_iter().take(5).collect();
         let got = rows(&fig10(&with_cycles(one_app, &[900, 600, 450, 300, 1800])));
         assert_eq!(got[0], ["BFS", "1.50x", "2.00x", "3.00x", "0.50x"]);
     }
 
     #[test]
     fn fig12_normalizes_to_the_1x_base_cell_of_the_same_app() {
-        let two_apps: Vec<_> = fig12_cells().into_iter().take(12).collect();
+        let two_apps: Vec<_> = Figure::Fig12.cells().into_iter().take(12).collect();
         let counts = [
             2000, 1000, 1000, 500, 800, 400, // BFS: 1x-Base is 1000
             600, 300, 300, 150, 200, 100, // CONS: 1x-Base is 300
@@ -614,7 +662,7 @@ mod tests {
 
     #[test]
     fn fig13_reads_configuration_major_results() {
-        let two_apps: Vec<_> = Paper::Fig13.cells().into_iter().take(2).collect();
+        let two_apps: Vec<_> = Figure::Fig13.cells().into_iter().take(2).collect();
         let five_configs: Vec<_> = (0..5).flat_map(|_| two_apps.clone()).collect();
         let counts = [1000, 600, 500, 600, 250, 300, 2000, 1200, 800, 400];
         let got = rows(&fig13(&with_cycles(five_configs, &counts)));
@@ -656,15 +704,28 @@ mod tests {
     }
 
     #[test]
-    fn every_table_parses_by_name_and_plans_its_runs() {
+    fn figures_round_trip_and_match_cell_lists() {
         // Runs per table: cells × machine configurations.
         let runs = [90, 0, 0, 100, 100, 100, 100, 0, 120, 20 * 5, 20];
-        for (p, runs) in Paper::ALL.into_iter().zip(runs) {
-            assert_eq!(Paper::from_name(p.name()), Some(p));
-            assert!(!p.title().is_empty());
-            assert_eq!(p.cells().len() * p.configs(), runs, "{}", p.name());
+        for (fig, runs) in Figure::ALL.into_iter().zip(runs) {
+            for name in [fig.name(), &fig.name().to_ascii_uppercase()] {
+                let parsed: Figure = name.parse().unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(parsed, fig);
+            }
+            assert_eq!(format!("{fig}"), fig.name());
+            assert!(!fig.title().is_empty());
+            assert_eq!(fig.cells(), fig.cells(), "{fig}");
+            assert_eq!(fig.cells().len() * fig.configs(), runs, "{fig}");
         }
-        assert_eq!(Paper::from_name("fig99"), None);
+        // Figures 8 and 9 are other metrics of Figure 7's runs.
+        assert_eq!(Figure::Fig08.cells(), Figure::Fig07.cells());
+        assert_eq!(Figure::Fig09.cells(), Figure::Fig07.cells());
+        let err = "fig99".parse::<Figure>().unwrap_err().to_string();
+        assert!(
+            err.contains("\"fig99\"") && err.contains("fig01, fig02, "),
+            "{err}"
+        );
+        assert!(err.ends_with("fig13, tab_md)"), "{err}");
     }
 
     #[test]

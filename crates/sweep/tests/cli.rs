@@ -3,7 +3,8 @@
 //! `caba-sweep store`, an app nobody registered, a filter that selects
 //! nothing and a store option with no store are usage errors (exit 2) before
 //! any work; the removed environment variables are not read; `--selftest`
-//! honours `--figures`; and `paper` tables share their runs through the store.
+//! honours `--figures`; `--figures fig08` prints fig07's rows; and `paper`
+//! tables, named in any case, share their runs through the store.
 
 use std::process::{Command, Output};
 
@@ -109,7 +110,12 @@ fn a_sweep_that_would_run_other_cells_than_asked_is_a_usage_error() {
             "paper fig07 --apps CONS".into(),
             "takes no --figures, --apps",
         ),
-        ("paper fig99".into(), "unknown table \"fig99\""),
+        (
+            "paper fig99".into(),
+            "unknown figure \"fig99\" (expected one of: fig01, fig02, ",
+        ),
+        // A figure that simulates nothing has no raw rows to print.
+        ("--figures fig02".into(), "select no cells"),
         ("paper".into(), "missing table name"),
     ];
     for (args, names) in &cases {
@@ -154,6 +160,21 @@ fn selftest_runs_the_figures_and_apps_it_was_given() {
 }
 
 #[test]
+fn a_figure_table_is_its_cells_raw_rows() {
+    let stdout = |args: &str| {
+        let out = output(args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args}: {stderr}");
+        out.stdout
+    };
+    // Fig. 8 is another metric of Fig. 7's runs: its raw rows are fig07's.
+    let cells = "--apps CONS --scale 0.05 --jobs 1";
+    let fig07 = stdout(&format!("--figures fig07 {cells}"));
+    assert_eq!(fig07.split(|&b| b == b'\n').count(), 5 + 1);
+    assert_eq!(stdout(&format!("--figures fig08 {cells}")), fig07);
+}
+
+#[test]
 fn paper_tables_share_their_runs_through_the_store() {
     let dir = caba_store::fsio::scratch_dir("cli-paper");
     let flags = format!("--scale 0.02 --store-dir {}", dir.display());
@@ -164,6 +185,11 @@ fn paper_tables_share_their_runs_through_the_store() {
     let stdout = String::from_utf8_lossy(&fig07.stdout);
     assert!(stdout.starts_with("App "), "{stdout}");
     assert_eq!(stdout.lines().count(), 2 + 20 + 1, "{stdout}");
+    // Names parse in any ASCII case, as `--figures` takes them.
+    let upper = output(&format!("paper FIG07 {flags}"), &[]);
+    let stderr = String::from_utf8_lossy(&upper.stderr);
+    assert!(stderr.contains("store: 100 hits, 0 misses"), "{stderr}");
+    assert_eq!(upper.stdout, fig07.stdout);
     // Fig. 8 reports another metric of the same hundred runs.
     let (code, stderr) = run(&format!("paper fig08 {flags}"), &[]);
     assert_eq!(code, Some(0), "{stderr}");

@@ -108,7 +108,6 @@ fn main() {
     // 3. Silent corruption: broken hardware the audits must catch.
     let mut cfg = GpuConfig::small();
     cfg.audit_interval = 32;
-    cfg.paranoid_assist_checks = false;
     cfg.fault = FaultConfig {
         enabled: true,
         seed: 0xC0FF,
