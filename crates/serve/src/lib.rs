@@ -13,8 +13,8 @@
 //!   figure tables stream per cell, in input order, as each prefix
 //!   completes (a simulated row is sent at once, rows already stored
 //!   travel together), and the streamed bytes are exactly
-//!   [`figure_table_line`], so the served table is byte-identical to
-//!   `caba-sweep --table`'s;
+//!   [`caba_sweep::figure_table_line`], so the served table is
+//!   byte-identical to `caba-sweep --table`'s;
 //! - single-flight ([`Coalescer`]) around the per-cell call — a thousand
 //!   clients asking for Fig. 7 cost one sweep plus 999 waits;
 //! - counters (`/stats`), derived from what the cell path reports.
@@ -33,19 +33,23 @@
 //! Every non-2xx carries a typed JSON body `{"error", "message"}`. Store
 //! faults during computation degrade to recomputing (results are never
 //! affected); a store fault on the raw `/result` path is a typed 503.
+//!
+//! Each connection gets its own thread, with 10 s read and write timeouts,
+//! and at most [`MAX_HANDLERS`] are alive at once: the accept thread
+//! answers a connection beyond them `503 {"error": "busy"}` itself.
 
 pub mod http;
 
 use caba_stats::json::fmt_f64 as json_f64;
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
-    decode_result_payload, fan_out, figure_table_line, parse_positive, run_cell_stored,
+    decode_result_payload, fan_out, parse_positive, push_figure_table_line, run_cell_stored,
     CellOutcome, CellResult, CellSpec, DesignId, Figure, SweepConfig,
 };
 use http::{ChunkedWriter, Request};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -144,6 +148,9 @@ struct BenchSample {
 
 struct State {
     sc: SweepConfig,
+    /// `sc.sweep_hash()`, computed once: every request at the default
+    /// scale keys its cells with it.
+    sweep_hash: u64,
     jobs: usize,
     store: Option<Store>,
     flights: Coalescer<CellOutcome>,
@@ -178,6 +185,7 @@ impl State {
         };
         State {
             sc: opts.sc,
+            sweep_hash: opts.sc.sweep_hash(),
             jobs: opts.jobs.max(1),
             store: opts.store,
             flights: Coalescer::new(),
@@ -217,7 +225,10 @@ impl Server {
                 if accept_state.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
+                handlers.retain(|h| !h.is_finished());
                 match accepted {
+                    // The cap is checked here, so the refusal costs no thread.
+                    Ok((stream, _peer)) if handlers.len() >= MAX_HANDLERS => refuse_busy(stream),
                     Ok((stream, _peer)) => {
                         let st = Arc::clone(&accept_state);
                         handlers.push(std::thread::spawn(move || handle(&st, stream)));
@@ -229,7 +240,6 @@ impl Server {
                         std::thread::sleep(Duration::from_millis(50));
                     }
                 }
-                handlers.retain(|h| !h.is_finished());
             }
             // Drain in-flight handlers before the listener drops.
             for h in handlers {
@@ -264,8 +274,20 @@ impl Server {
 
 // ----- request handling -----------------------------------------------------
 
+/// Handler threads alive at once, at most. A connection beyond them is
+/// answered `503 busy` by the accept thread and never gets a thread.
+pub const MAX_HANDLERS: usize = 64;
+
+/// How long a handler waits on a client that neither sends its request
+/// nor takes its response.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long the accept thread spends on a refused connection, at most.
+const REFUSE_LINGER: Duration = Duration::from_millis(100);
+
 fn handle(state: &Arc<State>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -281,6 +303,29 @@ fn handle(state: &Arc<State>, stream: TcpStream) {
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
     let _ = route(state, &req, &mut out);
+}
+
+/// Answers a connection over [`MAX_HANDLERS`] on the accept thread: a typed
+/// 503, far smaller than a socket buffer, so the write does not wait on
+/// the client. Then the request is read and dropped until the client
+/// closes, or for [`REFUSE_LINGER`] at most: a socket closed with unread
+/// bytes is reset, and the reset can destroy the 503 before it is read.
+fn refuse_busy(mut stream: TcpStream) {
+    let deadline = Instant::now() + REFUSE_LINGER;
+    let _ = stream.set_write_timeout(Some(REFUSE_LINGER));
+    let msg = format!("{MAX_HANDLERS} requests are in flight; retry later");
+    let _ = http::respond_error(&mut stream, 503, "busy", &msg);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 1024];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
+            break;
+        }
+    }
 }
 
 fn route(state: &Arc<State>, req: &Request, out: &mut TcpStream) -> io::Result<()> {
@@ -352,14 +397,20 @@ fn serve_cell(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
     (outcome, cached)
 }
 
-/// The sweep config for a request: the server's, with the `scale` query
-/// option applied.
-fn request_sc(state: &State, req: &Request) -> Result<SweepConfig, String> {
+/// The sweep config for a request — the server's, with the `scale` query
+/// option applied — and its sweep hash. A scale with the default's bits
+/// reuses the hash the server computed at start.
+fn request_sc(state: &State, req: &Request) -> Result<(SweepConfig, u64), String> {
     let mut sc = state.sc;
     if let Some(s) = req.query("scale") {
         sc.scale = parse_positive(s).ok_or_else(|| format!("invalid scale {s:?}"))?;
     }
-    Ok(sc)
+    let sweep_hash = if sc.scale.to_bits() == state.sc.scale.to_bits() {
+        state.sweep_hash
+    } else {
+        sc.sweep_hash()
+    };
+    Ok((sc, sweep_hash))
 }
 
 fn figure_endpoint(
@@ -372,7 +423,7 @@ fn figure_endpoint(
         Ok(f) => f,
         Err(e) => return http::respond_error(out, 400, "bad_request", &e.to_string()),
     };
-    let sc = match request_sc(state, req) {
+    let (sc, sweep_hash) = match request_sc(state, req) {
         Ok(sc) => sc,
         Err(msg) => return http::respond_error(out, 400, "bad_request", &msg),
     };
@@ -397,8 +448,9 @@ fn figure_endpoint(
     let t0 = Instant::now();
     let mut writer = ChunkedWriter::begin(&mut *out, "text/tab-separated-values")?;
     let specs: Vec<CellSpec> = cells.iter().map(|c| CellSpec::new(&sc, *c)).collect();
-    let sweep_hash = sc.sweep_hash();
     let mut cached_cells = 0;
+    // One line buffer for the whole table: a row allocates nothing.
+    let mut line = String::with_capacity(1024);
     fan_out(
         specs.len(),
         state.jobs,
@@ -406,7 +458,9 @@ fn figure_endpoint(
         |i, (outcome, cached)| match outcome.result {
             Ok(r) => {
                 cached_cells += cached as usize;
-                write_row(&mut writer, &figure_table_line(&r.cell, &r.stats), cached)
+                line.clear();
+                push_figure_table_line(&mut line, &r.cell, &r.stats);
+                write_row(&mut writer, &line, cached)
             }
             Err(failure) => {
                 let msg = failure.to_string();
@@ -457,14 +511,14 @@ fn cell_endpoint(
     let Some(bw_scale) = parse_positive(bw) else {
         return http::respond_error(out, 400, "bad_request", &format!("invalid bw {bw:?}"));
     };
-    let sc = match request_sc(state, req) {
+    let (sc, sweep_hash) = match request_sc(state, req) {
         Ok(sc) => sc,
         Err(msg) => return http::respond_error(out, 400, "bad_request", &msg),
     };
     let Some(spec) = CellSpec::resolve(app, design, bw_scale, sc.scale, sc.cfg) else {
         return http::respond_error(out, 404, "not_found", &format!("unknown app {app:?}"));
     };
-    let key = spec.content_hash();
+    let key = spec.content_hash_in(sweep_hash);
     let (outcome, cached) = serve_cell(state, &spec, key);
     match outcome.result {
         Ok(CellResult { stats, wall_s, .. }) => {

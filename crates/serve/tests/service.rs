@@ -5,14 +5,14 @@
 //! typed JSON error without poisoning the store.
 
 use caba_serve::http::{fetch, FetchedResponse};
-use caba_serve::{ServeOptions, Server};
+use caba_serve::{ServeOptions, Server, MAX_HANDLERS};
 use caba_sim::GpuConfig;
 use caba_store::{FaultFs, FaultRates, RealFs, Store, StoreFs};
-use caba_sweep::{dedup_cells, Figure, Sweep, SweepCell, SweepConfig};
+use caba_sweep::{dedup_cells, CellSpec, DesignId, Figure, Sweep, SweepCell, SweepConfig};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.05;
 const APPS: [&str; 2] = ["CONS", "BFS"];
@@ -331,6 +331,78 @@ fn concurrent_identical_requests_coalesce_onto_one_computation() {
     // deduplicated by the coalescer; at most one client computed.
     let stats = get(&server, "/stats").text();
     assert!(stats.contains("\"cells_computed\": 1"), "{stats}");
+    stop(server);
+}
+
+/// The server keys `/cell` with the sweep hash it computed at start when
+/// the request's scale has the default's bits, and computes another one
+/// otherwise; either way the key is `CellSpec::content_hash`'s.
+#[test]
+fn cell_keys_are_the_content_hash_at_the_default_scale_and_any_other() {
+    let server = start(None);
+    let cell = SweepCell {
+        app: "CONS",
+        design: DesignId::Base,
+        bw_scale: 1.0,
+    };
+    let key_at = |scale: f64| CellSpec::new(&SweepConfig { scale, ..sc() }, cell).content_hash();
+    let other = 0.02;
+    assert_ne!(key_at(SCALE), key_at(other));
+    assert_eq!("5e-2".parse::<f64>().map(f64::to_bits), Ok(SCALE.to_bits()));
+    for (query, scale) in [
+        (String::new(), SCALE),
+        (format!("?scale={SCALE}"), SCALE),
+        ("?scale=5e-2".to_string(), SCALE),
+        (format!("?scale={other}"), other),
+    ] {
+        let resp = get(&server, &format!("/cell/CONS/Base/1{query}"));
+        assert_eq!(resp.status, 200, "{query}: {}", resp.text());
+        let want = format!("\"key\": \"{:016x}\"", key_at(scale));
+        assert!(resp.text().contains(&want), "{query}: {}", resp.text());
+    }
+    stop(server);
+}
+
+/// One handler per connection, up to the cap: the next connection is
+/// refused by the accept thread with a typed 503, and once the idle ones
+/// close the server answers again.
+#[test]
+fn connections_over_the_handler_cap_get_a_typed_503_busy() {
+    let server = start(None);
+    // Connected and silent: each holds a handler in its request read. The
+    // accept thread takes connections in the order they were made, so all
+    // of these have a handler before the probe below is accepted.
+    let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
+        .map(|_| TcpStream::connect(server.addr()).expect("connects"))
+        .collect();
+    let busy = get(&server, "/healthz");
+    assert_eq!(busy.status, 503, "{}", busy.text());
+    caba_stats::json::validate(&busy.text()).expect("503 body is JSON");
+    assert!(
+        busy.text().contains("\"error\": \"busy\""),
+        "{}",
+        busy.text()
+    );
+
+    // Closing a silent connection ends its handler with a 400.
+    for mut conn in idle {
+        conn.shutdown(Shutdown::Write).expect("half-close");
+        let mut answer = String::new();
+        conn.read_to_string(&mut answer).expect("handler answers");
+        assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    }
+    // A handler's thread ends a moment after its socket closes, and the
+    // accept thread counts only ended threads as free: retry until it has.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let resp = get(&server, "/healthz");
+        if resp.status == 200 {
+            break;
+        }
+        assert_eq!(resp.status, 503, "{}", resp.text());
+        assert!(Instant::now() < deadline, "handlers never freed");
+        std::thread::yield_now();
+    }
     stop(server);
 }
 

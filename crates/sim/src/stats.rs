@@ -8,7 +8,7 @@
 
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{json, IssueBreakdown, StallKind};
-use std::io::{self, Write};
+use std::fmt::Write as _;
 
 /// Statistics of one kernel run, aggregated over all SMs and partitions.
 ///
@@ -269,54 +269,53 @@ pub struct StatsSummary {
 }
 
 impl StatsSummary {
-    /// Serializes the summary as one JSON object. Issue-slot fractions nest
-    /// under `"issue_fractions"`, keyed by [`StallKind::slug`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_json<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    /// Appends the summary to `out` as one JSON object. Issue-slot
+    /// fractions nest under `"issue_fractions"`, keyed by
+    /// [`StallKind::slug`]. Every value is written straight into `out`, so
+    /// a caller that reuses its buffer allocates nothing here.
+    pub fn write_json(&self, out: &mut String) {
+        const INFALLIBLE: &str = "writing to a String cannot fail";
         write!(
-            w,
-            "{{\"cycles\": {}, \"app_instructions\": {}, \"assist_instructions\": {}, \
-             \"ipc\": {}, \"assist_fraction\": {}, \"l1_hit_rate\": {}, \
-             \"l2_hit_rate\": {}, \"md_hit_rate\": {}, \"bandwidth_utilization\": {}, \
-             \"icnt_flits\": {}, \"md_stall_cycles\": {}, \"assist_slots_stolen\": {}, \
+            out,
+            "{{\"cycles\": {}, \"app_instructions\": {}, \"assist_instructions\": {}",
+            self.cycles, self.app_instructions, self.assist_instructions,
+        )
+        .expect(INFALLIBLE);
+        for (key, x) in [
+            (", \"ipc\": ", self.ipc),
+            (", \"assist_fraction\": ", self.assist_fraction),
+            (", \"l1_hit_rate\": ", self.l1_hit_rate),
+            (", \"l2_hit_rate\": ", self.l2_hit_rate),
+            (", \"md_hit_rate\": ", self.md_hit_rate),
+            (", \"bandwidth_utilization\": ", self.bandwidth_utilization),
+        ] {
+            out.push_str(key);
+            json::write_f64(out, x);
+        }
+        write!(
+            out,
+            ", \"icnt_flits\": {}, \"md_stall_cycles\": {}, \"assist_slots_stolen\": {}, \
              \"assist_slots_reclaimed\": {}, \"issue_fractions\": {{",
-            self.cycles,
-            self.app_instructions,
-            self.assist_instructions,
-            json::fmt_f64(self.ipc),
-            json::fmt_f64(self.assist_fraction),
-            json::fmt_f64(self.l1_hit_rate),
-            json::fmt_f64(self.l2_hit_rate),
-            json::fmt_f64(self.md_hit_rate),
-            json::fmt_f64(self.bandwidth_utilization),
             self.icnt_flits,
             self.md_stall_cycles,
             self.assist_slots_stolen,
             self.assist_slots_reclaimed,
-        )?;
+        )
+        .expect(INFALLIBLE);
         for (i, k) in StallKind::ALL.iter().enumerate() {
-            if i > 0 {
-                w.write_all(b", ")?;
-            }
-            write!(
-                w,
-                "\"{}\": {}",
-                json::escape(k.slug()),
-                json::fmt_f64(self.issue_fractions[i])
-            )?;
+            out.push_str(if i > 0 { ", \"" } else { "\"" });
+            json::write_escaped(out, k.slug());
+            out.push_str("\": ");
+            json::write_f64(out, self.issue_fractions[i]);
         }
-        w.write_all(b"}}")
+        out.push_str("}}");
     }
 
-    /// [`StatsSummary::write_json`] into a `String`.
+    /// [`StatsSummary::write_json`] into a fresh `String`.
     pub fn to_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_json(&mut buf)
-            .expect("Vec<u8> writes are infallible");
-        String::from_utf8(buf).expect("JSON output is UTF-8")
+        let mut out = String::with_capacity(512);
+        self.write_json(&mut out);
+        out
     }
 }
 

@@ -110,10 +110,28 @@ const LINE_SUM: &str = " sum=";
 /// assert_eq!(verify_line(&line[..line.len() - 3]), None);
 /// ```
 pub fn seal_line(mut body: String) -> String {
-    use std::fmt::Write as _;
-    let sum = checksum64(body.as_bytes());
-    writeln!(body, "{LINE_SUM}{sum:016x}").expect("writing to a String cannot fail");
+    seal_line_in(&mut body, 0);
     body
+}
+
+/// [`seal_line`] in place: the body is `buf[body_start..]`, and the
+/// checksum field and newline are appended to `buf`, so a caller that
+/// writes its lines into one buffer allocates nothing per line.
+pub fn seal_line_in(buf: &mut String, body_start: usize) {
+    use std::fmt::Write as _;
+    let sum = checksum64(&buf.as_bytes()[body_start..]);
+    writeln!(buf, "{LINE_SUM}{sum:016x}").expect("writing to a String cannot fail");
+}
+
+/// `x` as `format!("{x:016x}")` spells it, without the `String`: the form
+/// every key and checksum in the workspace is written, named and hashed in.
+pub fn hex16(x: u64) -> [u8; 16] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = [0u8; 16];
+    for (i, d) in out.iter_mut().enumerate() {
+        *d = DIGITS[(x >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out
 }
 
 /// Verifies one sealed line (without its newline) and returns the body the
@@ -201,6 +219,27 @@ mod tests {
         let nested = seal_line(whole.to_string());
         assert_eq!(verify_line(nested.trim_end()), Some(whole));
         assert_eq!(verify_line(" sum=cbf29ce484222325"), Some(""));
+
+        // Sealed in place after earlier lines, only the new body is summed.
+        let mut buf = line.clone();
+        let start = buf.len();
+        buf.push_str("cell 00ff wall=3ff0 stats=");
+        seal_line_in(&mut buf, start);
+        assert_eq!(buf, format!("{line}{line}"));
+    }
+
+    #[test]
+    fn hex16_spells_what_format_spells() {
+        crate::prop::check(0x4E16, 256, |rng| {
+            for x in [
+                rng.next_u64(),
+                rng.next_u64() >> rng.range_u64(64),
+                0,
+                u64::MAX,
+            ] {
+                assert_eq!(hex16(x), format!("{x:016x}").as_bytes(), "{x:#x}");
+            }
+        });
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //! json::validate(&s).expect("escaped output parses");
 //! assert_eq!(json::fmt_f64(0.25), "0.25");
 //! ```
+//!
+//! [`write_escaped`] and [`write_f64`] append to a buffer the caller owns,
+//! so an emitter that renders many values (a figure table row per cell)
+//! allocates nothing per value; [`escape`] and [`fmt_f64`] are the same
+//! text as a fresh `String`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Escapes `s` for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
@@ -25,6 +30,12 @@ use std::fmt;
 /// characters below U+0020, using the short forms where JSON defines them.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    write_escaped(&mut out, s);
+    out
+}
+
+/// [`escape`], appended to `out`.
+pub fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -35,29 +46,38 @@ pub fn escape(s: &str) -> String {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Formats a float compactly but losslessly enough for reports: six decimal
 /// places with trailing zeros trimmed, and non-finite values mapped to
 /// `null` (JSON has no NaN/Infinity).
 pub fn fmt_f64(x: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, x);
+    out
+}
+
+/// [`fmt_f64`], appended to `out`: the `{:.6}` text is written in place and
+/// its trailing zeros, then a trailing `.`, are cut off again. Finite
+/// values always print a digit before the point, so nothing is left empty:
+/// `-1e-7` prints `-0`, as it always has.
+pub fn write_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
-    let s = format!("{x:.6}");
-    let s = s.trim_end_matches('0');
-    let s = s.trim_end_matches('.');
-    if s.is_empty() || s == "-" {
-        "0".to_string()
-    } else {
-        s.to_string()
-    }
+    let start = out.len();
+    write!(out, "{x:.6}").expect("writing to a String cannot fail");
+    let kept = out[start..]
+        .trim_end_matches('0')
+        .trim_end_matches('.')
+        .len();
+    out.truncate(start + kept);
 }
 
 /// A JSON well-formedness error from [`validate`].
@@ -301,6 +321,89 @@ mod tests {
         assert_eq!(fmt_f64(f64::INFINITY), "null");
         for x in [0.0, 1.0, 0.25, -2.5, 1.0 / 3.0, 1e-9, -0.0] {
             validate(&fmt_f64(x)).unwrap_or_else(|e| panic!("{x}: {e}"));
+        }
+    }
+
+    /// The formatter [`write_f64`] replaced: a fresh `{:.6}` string,
+    /// trimmed, then copied.
+    fn reference_fmt_f64(x: f64) -> String {
+        if !x.is_finite() {
+            return "null".to_string();
+        }
+        let s = format!("{x:.6}");
+        let s = s.trim_end_matches('0');
+        let s = s.trim_end_matches('.');
+        if s.is_empty() || s == "-" {
+            "0".to_string()
+        } else {
+            s.to_string()
+        }
+    }
+
+    /// `write_f64` appended after `prefix` leaves the prefix and adds
+    /// exactly the reference's text.
+    fn assert_writes_reference(prefix: &str, x: f64) {
+        let mut out = prefix.to_string();
+        write_f64(&mut out, x);
+        let want = reference_fmt_f64(x);
+        assert_eq!(out.strip_prefix(prefix), Some(want.as_str()), "{x:e}");
+    }
+
+    #[test]
+    fn write_f64_matches_the_reference_formatter() {
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1e-7,
+            0.9999995,
+            -0.9999995,
+            5e-7,
+            4.9999999e-7,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::from_bits(1),
+            1e15,
+            -1e15,
+            1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in edges {
+            assert_writes_reference("", x);
+            assert_writes_reference("\"ipc\": ", x);
+        }
+        assert_eq!(fmt_f64(-1e-7), "-0");
+        assert_eq!(fmt_f64(1e15), "1000000000000000");
+        assert_eq!(fmt_f64(f64::MAX).len(), 309);
+        assert_eq!(fmt_f64(f64::NEG_INFINITY), "null");
+
+        crate::prop::check(0xF64_F64, 4_000, |rng| {
+            // Any bit pattern (NaNs, subnormals, huge), a rate in [0, 1),
+            // a count-sized integer, and a value on a 7th-decimal boundary.
+            let boundary = rng.range_u64(10_000_000) as f64 / 1e6 + 5e-7;
+            for x in [
+                f64::from_bits(rng.next_u64()),
+                rng.next_f64(),
+                -rng.next_f64(),
+                rng.range_u64(1 << 40) as f64,
+                boundary,
+                -boundary,
+            ] {
+                assert_writes_reference("", x);
+            }
+        });
+    }
+
+    #[test]
+    fn write_escaped_appends_what_escape_returns() {
+        for s in ["plain", "a\"b\\c\n", "\u{01}\u{1f}µs\t", ""] {
+            let mut out = String::from("[");
+            write_escaped(&mut out, s);
+            assert_eq!(out, format!("[{}", escape(s)));
         }
     }
 

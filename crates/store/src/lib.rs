@@ -72,7 +72,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use touchlog::{touch_line, EntryId, Replay};
+use touchlog::{push_touch_line, EntryId, Replay};
 
 /// First bytes of every store entry.
 pub const MAGIC: &[u8; 8] = b"CABASTOR";
@@ -342,6 +342,9 @@ struct TouchLog {
     /// No compaction below this many lines: [`COMPACT_MIN_LINES`], raised
     /// past the current length after a failed attempt.
     compact_above: u64,
+    /// The line being appended, kept so a touch formats into it instead
+    /// of a fresh `String`.
+    line: String,
 }
 
 impl TouchLog {
@@ -354,14 +357,29 @@ impl TouchLog {
 
 /// The store handle. All methods take `&self`; internal counters are
 /// mutex-guarded so a handle can be shared across sweep worker threads.
+///
+/// Every directory and the log's path are joined once, at open, so a `get`
+/// builds one path (its entry's) and a touch none.
 pub struct Store {
     root: PathBuf,
+    /// `objects/sn` and `objects/rs`, indexed by `EntryKind as usize`.
+    objects: [PathBuf; 2],
+    tmp: PathBuf,
+    quarantine: PathBuf,
+    lru_log: PathBuf,
     fs: Box<dyn StoreFs>,
     counters: Mutex<Counters>,
     touch_log: Mutex<TouchLog>,
 }
 
 const LRU_LOG: &str = "lru.log";
+
+/// An entry's file name, `<key:016x>.entry`, without a `String`.
+fn entry_file_name(key: u64) -> [u8; 22] {
+    let mut name = *b"0000000000000000.entry";
+    name[..16].copy_from_slice(&checksum::hex16(key));
+    name
+}
 
 /// A touch log this short is never compacted.
 const COMPACT_MIN_LINES: u64 = 1024;
@@ -391,18 +409,19 @@ impl Store {
         fs: Box<dyn StoreFs>,
     ) -> Result<Self, StoreError> {
         let root = root.into();
-        for sub in [
-            PathBuf::from("objects").join("sn"),
-            PathBuf::from("objects").join("rs"),
-            PathBuf::from("tmp"),
-            PathBuf::from("quarantine"),
-        ] {
-            let dir = root.join(&sub);
-            fs.create_dir_all(&dir)
-                .map_err(|e| ioerr("create dir", &dir, e))?;
+        let objects = [EntryKind::Snapshot, EntryKind::Result]
+            .map(|kind| root.join("objects").join(kind.dir_name()));
+        let (tmp, quarantine) = (root.join("tmp"), root.join("quarantine"));
+        for dir in objects.iter().chain([&tmp, &quarantine]) {
+            fs.create_dir_all(dir)
+                .map_err(|e| ioerr("create dir", dir, e))?;
         }
         let mut store = Store {
+            lru_log: root.join(LRU_LOG),
             root,
+            objects,
+            tmp,
+            quarantine,
             fs,
             counters: Mutex::new(Counters {
                 next_seq: 0,
@@ -413,6 +432,7 @@ impl Store {
                 lines: 0,
                 live: FxHashSet::default(),
                 compact_above: COMPACT_MIN_LINES,
+                line: String::new(),
             }),
         };
         // Resume the touch sequence past anything already logged so new
@@ -441,12 +461,18 @@ impl Store {
         self.counters.lock().expect("store counters").misses
     }
 
-    fn objects_dir(&self, kind: EntryKind) -> PathBuf {
-        self.root.join("objects").join(kind.dir_name())
+    fn objects_dir(&self, kind: EntryKind) -> &Path {
+        &self.objects[kind as usize]
     }
 
+    /// `objects/<kind>/<key:016x>.entry`, in one allocation.
     fn entry_path(&self, kind: EntryKind, key: u64) -> PathBuf {
-        self.objects_dir(kind).join(format!("{key:016x}.entry"))
+        let dir = self.objects_dir(kind);
+        let name = entry_file_name(key);
+        let mut path = PathBuf::with_capacity(dir.as_os_str().len() + 1 + name.len());
+        path.push(dir);
+        path.push(std::str::from_utf8(&name).expect("hex digits are ASCII"));
+        path
     }
 
     fn bump_seq(&self) -> u64 {
@@ -558,7 +584,7 @@ impl Store {
     ) -> Result<(), StoreError> {
         let sealed = Self::encode_entry(kind, key, label, payload);
         let final_path = self.entry_path(kind, key);
-        let tmp_path = self.root.join("tmp").join(format!(
+        let tmp_path = self.tmp.join(format!(
             "{}-{key:016x}-{:08x}.tmp",
             kind.dir_name(),
             self.bump_seq()
@@ -576,8 +602,8 @@ impl Store {
         }
         let dir = self.objects_dir(kind);
         self.fs
-            .sync_dir(&dir)
-            .map_err(|e| ioerr("sync dir", &dir, e))?;
+            .sync_dir(dir)
+            .map_err(|e| ioerr("sync dir", dir, e))?;
         self.touch(kind, key);
         Ok(())
     }
@@ -629,8 +655,7 @@ impl Store {
         // Disambiguate collisions with the touch sequence rather than
         // overwriting previously quarantined bytes.
         let dest = self
-            .root
-            .join("quarantine")
+            .quarantine
             .join(format!("{:08x}-{name}", self.bump_seq()));
         self.fs.rename(path, &dest).is_ok()
     }
@@ -649,18 +674,19 @@ impl Store {
     /// compaction's replay and its rename is lost, which costs that entry
     /// some GC seniority and nothing else.
     fn touch(&self, kind: EntryKind, key: u64) {
-        let line = touch_line((kind, key), self.bump_seq());
+        let seq = self.bump_seq();
         let mut log = self.touch_log.lock().expect("touch log");
-        let _ = self
-            .fs
-            .append_sync(&self.root.join(LRU_LOG), line.as_bytes());
+        let log = &mut *log;
+        log.line.clear();
+        push_touch_line(&mut log.line, (kind, key), seq);
+        let _ = self.fs.append_sync(&self.lru_log, log.line.as_bytes());
         log.lines += 1;
         log.live.insert(key);
         let due = log
             .compact_above
             .max(COMPACT_LINES_PER_ENTRY * log.live.len() as u64);
         if log.lines > due {
-            self.compact_touches(&mut log);
+            self.compact_touches(log);
         }
     }
 
@@ -685,10 +711,7 @@ impl Store {
     /// [`scrub`](Store::scrub) — each replayable. Any failure leaves the old
     /// log, and `log`, as they were.
     fn rewrite_touches(&self, log: &mut TouchLog, entries: &[(EntryId, u64)]) -> bool {
-        let tmp_path = self
-            .root
-            .join("tmp")
-            .join(format!("lru-{:08x}.tmp", self.bump_seq()));
+        let tmp_path = self.tmp.join(format!("lru-{:08x}.tmp", self.bump_seq()));
         // `append_sync` onto a fresh name, not `write_sync`: that call is
         // the store's object write, and a read-only workload makes none.
         // Fresh, because a crashed process may have left this very name.
@@ -696,7 +719,7 @@ impl Store {
         let swapped = self
             .fs
             .append_sync(&tmp_path, touchlog::render(entries).as_bytes())
-            .and_then(|()| self.fs.rename(&tmp_path, &self.root.join(LRU_LOG)));
+            .and_then(|()| self.fs.rename(&tmp_path, &self.lru_log));
         match swapped {
             Ok(()) => {
                 log.reset(
@@ -716,7 +739,7 @@ impl Store {
     /// handle may have appended to it, or replaced it. An unreadable log
     /// replays as an empty one.
     fn replay_touches(&self) -> Replay {
-        Replay::of(&self.fs.read(&self.root.join(LRU_LOG)).unwrap_or_default())
+        Replay::of(&self.fs.read(&self.lru_log).unwrap_or_default())
     }
 
     // ---- scrub ---------------------------------------------------------
@@ -730,8 +753,8 @@ impl Store {
             let dir = self.objects_dir(kind);
             let names = self
                 .fs
-                .list(&dir)
-                .map_err(|e| ioerr("list objects", &dir, e))?;
+                .list(dir)
+                .map_err(|e| ioerr("list objects", dir, e))?;
             for name in names {
                 let rel = format!("objects/{}/{name}", kind.dir_name());
                 let path = dir.join(&name);
@@ -788,14 +811,13 @@ impl Store {
         }
         // Anything still in tmp/ is an in-flight write that never
         // committed: a crash artifact. Preserve it in quarantine.
-        let tmp_dir = self.root.join("tmp");
         let temps = self
             .fs
-            .list(&tmp_dir)
-            .map_err(|e| ioerr("list tmp", &tmp_dir, e))?;
+            .list(&self.tmp)
+            .map_err(|e| ioerr("list tmp", &self.tmp, e))?;
         for name in temps {
             let rel = format!("tmp/{name}");
-            if self.quarantine_file(&tmp_dir.join(&name), "stale temp file") {
+            if self.quarantine_file(&self.tmp.join(&name), "stale temp file") {
                 report.quarantined.push(Quarantined {
                     rel_path: rel,
                     reason: "stale temp file".to_string(),
@@ -842,8 +864,8 @@ impl Store {
             let dir = self.objects_dir(kind);
             let names = self
                 .fs
-                .list(&dir)
-                .map_err(|e| ioerr("list objects", &dir, e))?;
+                .list(dir)
+                .map_err(|e| ioerr("list objects", dir, e))?;
             for name in names {
                 let path = dir.join(&name);
                 let len = match self.fs.file_len(&path) {
@@ -907,8 +929,8 @@ impl Store {
             let dir = self.objects_dir(kind);
             let names = self
                 .fs
-                .list(&dir)
-                .map_err(|e| ioerr("list objects", &dir, e))?;
+                .list(dir)
+                .map_err(|e| ioerr("list objects", dir, e))?;
             for name in &names {
                 if let Ok(Some(len)) = self.fs.file_len(&dir.join(name)) {
                     s.entry_bytes += len;
@@ -919,17 +941,15 @@ impl Store {
                 EntryKind::Result => s.results = names.len() as u64,
             }
         }
-        let qdir = self.root.join("quarantine");
         s.quarantined = self
             .fs
-            .list(&qdir)
-            .map_err(|e| ioerr("list quarantine", &qdir, e))?
+            .list(&self.quarantine)
+            .map_err(|e| ioerr("list quarantine", &self.quarantine, e))?
             .len() as u64;
-        let tdir = self.root.join("tmp");
         s.stale_temps = self
             .fs
-            .list(&tdir)
-            .map_err(|e| ioerr("list tmp", &tdir, e))?
+            .list(&self.tmp)
+            .map_err(|e| ioerr("list tmp", &self.tmp, e))?
             .len() as u64;
         let c = self.counters.lock().expect("store counters");
         s.hits = c.hits;
@@ -1620,7 +1640,7 @@ mod tests {
         let mut log = String::new();
         for round in 0..TOUCHES_EACH {
             for i in 0..ENTRIES {
-                log.push_str(&touch_line(result_id(key(i)), round * ENTRIES + i));
+                push_touch_line(&mut log, result_id(key(i)), round * ENTRIES + i);
             }
         }
         {
@@ -1683,13 +1703,17 @@ mod tests {
                 start.wait();
                 let mut evicted = Vec::new();
                 for sweep in 0.. {
-                    if done.load(Ordering::SeqCst) && sweep >= 3 {
-                        break;
-                    }
+                    // The last sweep starts after the user's last put, so
+                    // it leaves at most RECENT + 2 entries however the two
+                    // threads were scheduled.
+                    let user_done = done.load(Ordering::SeqCst);
                     let report = sweeper.gc((RECENT + sweep % 3) * entry_len).unwrap();
                     assert_eq!(report.failed, 0);
                     assert!(report.after_bytes > 0 || report.before_bytes == 0);
                     evicted.extend(report.evicted);
+                    if user_done && sweep >= 3 {
+                        break;
+                    }
                 }
                 evicted
             });

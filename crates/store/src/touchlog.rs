@@ -14,21 +14,29 @@ use crate::EntryKind;
 use caba_stats::checksum;
 use caba_stats::fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
+use std::fmt::Write as _;
 
 /// An entry as the log names it: its kind and its key.
 pub(crate) type EntryId = (EntryKind, u64);
 
-/// One touch-log line: the body and its own checksum.
-pub(crate) fn touch_line((kind, key): EntryId, seq: u64) -> String {
-    checksum::seal_line(format!("touch {} {key:016x} {seq:016x}", kind.dir_name()))
+/// Bytes in one line: 42 of body, 21 of checksum field, a newline.
+const LINE_BYTES: usize = 64;
+
+/// One touch-log line, the body and its own checksum, appended to `out`.
+pub(crate) fn push_touch_line(out: &mut String, (kind, key): EntryId, seq: u64) {
+    let start = out.len();
+    write!(out, "touch {} {key:016x} {seq:016x}", kind.dir_name())
+        .expect("writing to a String cannot fail");
+    checksum::seal_line_in(out, start);
 }
 
 /// One line per entry, each carrying that entry's sequence: a whole log.
 pub(crate) fn render(entries: &[(EntryId, u64)]) -> String {
-    entries
-        .iter()
-        .map(|&(entry, seq)| touch_line(entry, seq))
-        .collect()
+    let mut log = String::with_capacity(LINE_BYTES * entries.len());
+    for &(entry, seq) in entries {
+        push_touch_line(&mut log, entry, seq);
+    }
+    log
 }
 
 /// What one pass over the touch log's bytes yields.
@@ -201,7 +209,9 @@ pub(crate) mod tests {
         for _ in 0..rng.range_u64(60) {
             let kind = [EntryKind::Snapshot, EntryKind::Result][rng.range_u64(2) as usize];
             let key = keys[rng.range_u64(keys.len() as u64) as usize];
-            let mut line = touch_line((kind, key), rng.range_u64(500)).into_bytes();
+            let mut line = String::new();
+            push_touch_line(&mut line, (kind, key), rng.range_u64(500));
+            let mut line = line.into_bytes();
             match rng.range_u64(12) {
                 0 => line.truncate(rng.range_u64(line.len() as u64) as usize),
                 1 => {

@@ -15,7 +15,7 @@
 use crate::{CellResult, DesignId, SweepCell, SweepConfig};
 use caba_sim::snapshot::config_hash;
 use caba_sim::{GpuConfig, RunError};
-use caba_stats::checksum64;
+use caba_stats::checksum::{hex16, Fnv64};
 use caba_workloads::{app, run_app};
 use std::fmt;
 use std::str::FromStr;
@@ -109,17 +109,21 @@ impl CellSpec {
     /// whole machine configuration and costs several times the rest of the
     /// key, so a caller holding many cells of one sweep derives it once
     /// ([`SweepConfig::sweep_hash`]).
+    ///
+    /// The key is the checksum of `"{sweep_hash:016x}|{app}|{design}|
+    /// {bw_scale bits:016x}"`; the fields are streamed into the hasher, so
+    /// the text is never built.
     pub fn content_hash_in(&self, sweep_hash: u64) -> u64 {
         debug_assert_eq!(sweep_hash, self.sweep_hash(), "another sweep's hash");
-        checksum64(
-            format!(
-                "{sweep_hash:016x}|{}|{}|{:016x}",
-                self.app,
-                self.design.label(),
-                self.bw_scale.to_bits()
-            )
-            .as_bytes(),
-        )
+        Fnv64::new()
+            .update(&hex16(sweep_hash))
+            .update(b"|")
+            .update(self.app.as_bytes())
+            .update(b"|")
+            .update(self.design.label().as_bytes())
+            .update(b"|")
+            .update(&hex16(self.bw_scale.to_bits()))
+            .finish()
     }
 
     /// Human-readable provenance label recorded next to stored results.
@@ -134,9 +138,14 @@ impl CellSpec {
     }
 }
 
-/// [`CellSpec::sweep_hash`] from the two fields it covers.
+/// [`CellSpec::sweep_hash`] from the two fields it covers: the checksum of
+/// `"{config_hash:016x}|{scale bits:016x}"`.
 fn sweep_hash(cfg: &GpuConfig, scale: f64) -> u64 {
-    checksum64(format!("{:016x}|{:016x}", config_hash(cfg), scale.to_bits()).as_bytes())
+    Fnv64::new()
+        .update(&hex16(config_hash(cfg)))
+        .update(b"|")
+        .update(&hex16(scale.to_bits()))
+        .finish()
 }
 
 impl SweepConfig {

@@ -41,7 +41,7 @@ use caba_stats::snap::{SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_store::Store;
 use caba_workloads::app;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -424,13 +424,29 @@ pub fn decode_result_payload(bytes: &[u8]) -> Option<(RunStats, f64)> {
 /// `caba-serve` streaming figure endpoint both emit exactly these bytes,
 /// which is what makes the served table byte-identical to the offline one.
 pub fn figure_table_line(cell: &SweepCell, stats: &RunStats) -> String {
-    format!(
-        "{}\t{}\t{}\t{}\n",
+    let mut line = String::with_capacity(TABLE_LINE_BYTES);
+    push_figure_table_line(&mut line, cell, stats);
+    line
+}
+
+/// Room for one [`figure_table_line`]: the default table's rows are 490-560
+/// bytes.
+const TABLE_LINE_BYTES: usize = 640;
+
+/// [`figure_table_line`], appended to `out`: every field is written into
+/// the caller's buffer, so a caller that reuses one buffer per table (the
+/// server streaming a figure) allocates nothing per row.
+pub fn push_figure_table_line(out: &mut String, cell: &SweepCell, stats: &RunStats) {
+    write!(
+        out,
+        "{}\t{}\t{}\t",
         cell.app,
         cell.design.label(),
-        cell.bw_scale,
-        stats.summary().to_json()
+        cell.bw_scale
     )
+    .expect("writing to a String cannot fail");
+    stats.summary().write_json(out);
+    out.push('\n');
 }
 
 /// The deterministic figure table derived from sweep results: one line per
@@ -439,9 +455,9 @@ pub fn figure_table_line(cell: &SweepCell, stats: &RunStats) -> String {
 /// resumed after a kill, a store-warm-started fresh process, or the table
 /// served over HTTP by `caba-serve`.
 pub fn figure_table(results: &[CellResult]) -> String {
-    let mut s = String::with_capacity(128 * results.len());
+    let mut s = String::with_capacity(TABLE_LINE_BYTES * results.len());
     for r in results {
-        s.push_str(&figure_table_line(&r.cell, &r.stats));
+        push_figure_table_line(&mut s, &r.cell, &r.stats);
     }
     s
 }
@@ -514,11 +530,13 @@ mod tests {
     /// `caba-serve` service all key cells by [`CellSpec::content_hash`] —
     /// one derivation, provably shared, and byte-compatible with the
     /// pre-refactor formula so stores written by earlier builds stay warm.
+    /// The key streams its fields into the hasher; the formula `format!`s
+    /// them. Checked on the tiny sweep and on random apps, designs, scales
+    /// (any positive finite bits) and machines.
     #[test]
     fn keys_agree_across_journal_store_and_server() {
-        let sc = tiny_sc();
-        for cell in tiny_cells() {
-            let spec = CellSpec::new(&sc, cell);
+        let check = |sc: &SweepConfig, cell: SweepCell| {
+            let spec = CellSpec::new(sc, cell);
             assert_eq!(sc.sweep_hash(), spec.sweep_hash());
             // The pre-refactor formulas, spelled out literally.
             let legacy_sweep = checksum64(
@@ -534,10 +552,150 @@ mod tests {
                 )
                 .as_bytes(),
             );
-            assert_eq!(spec.sweep_hash(), legacy_sweep);
-            assert_eq!(spec.content_hash(), legacy_cell);
+            assert_eq!(spec.sweep_hash(), legacy_sweep, "{spec:?}");
+            assert_eq!(spec.content_hash(), legacy_cell, "{spec:?}");
             assert_eq!(spec.content_hash_in(sc.sweep_hash()), legacy_cell);
+        };
+        for cell in tiny_cells() {
+            check(&tiny_sc(), cell);
         }
+        let apps = caba_workloads::all_apps();
+        let positive = |bits: u64| f64::from_bits((bits % 0x7FF0_0000_0000_0000).max(1));
+        caba_stats::prop::check(0x4E7_5EED, 300, |rng| {
+            let mut sc = tiny_sc();
+            sc.scale = positive(rng.next_u64());
+            sc.cfg.mshrs = 1 + rng.range_u64(64) as usize;
+            sc.cfg.fault.seed = rng.next_u64();
+            let cell = SweepCell {
+                app: apps[rng.range_u64(apps.len() as u64) as usize].name,
+                design: DesignId::ALL[rng.range_u64(DesignId::ALL.len() as u64) as usize],
+                bw_scale: positive(rng.next_u64()),
+            };
+            check(&sc, cell);
+        });
+    }
+
+    /// The summary object as `StatsSummary::write_json` rendered it through
+    /// `io::Write`, one `format!`ed float and escaped slug at a time.
+    fn reference_summary_json(s: &caba_sim::StatsSummary) -> String {
+        use caba_stats::json::{escape, fmt_f64};
+        use caba_stats::StallKind;
+        let mut w = format!(
+            "{{\"cycles\": {}, \"app_instructions\": {}, \"assist_instructions\": {}, \
+             \"ipc\": {}, \"assist_fraction\": {}, \"l1_hit_rate\": {}, \
+             \"l2_hit_rate\": {}, \"md_hit_rate\": {}, \"bandwidth_utilization\": {}, \
+             \"icnt_flits\": {}, \"md_stall_cycles\": {}, \"assist_slots_stolen\": {}, \
+             \"assist_slots_reclaimed\": {}, \"issue_fractions\": {{",
+            s.cycles,
+            s.app_instructions,
+            s.assist_instructions,
+            fmt_f64(s.ipc),
+            fmt_f64(s.assist_fraction),
+            fmt_f64(s.l1_hit_rate),
+            fmt_f64(s.l2_hit_rate),
+            fmt_f64(s.md_hit_rate),
+            fmt_f64(s.bandwidth_utilization),
+            s.icnt_flits,
+            s.md_stall_cycles,
+            s.assist_slots_stolen,
+            s.assist_slots_reclaimed,
+        );
+        for (i, k) in StallKind::ALL.iter().enumerate() {
+            if i > 0 {
+                w.push_str(", ");
+            }
+            w.push_str(&format!(
+                "\"{}\": {}",
+                escape(k.slug()),
+                fmt_f64(s.issue_fractions[i])
+            ));
+        }
+        w.push_str("}}");
+        w
+    }
+
+    /// The `format!`-based row [`push_figure_table_line`] replaced.
+    fn reference_table_line(cell: &SweepCell, stats: &RunStats) -> String {
+        format!(
+            "{}\t{}\t{}\t{}\n",
+            cell.app,
+            cell.design.label(),
+            cell.bw_scale,
+            reference_summary_json(&stats.summary())
+        )
+    }
+
+    /// Counters from zero to 2^40, so that the summary's sums cannot
+    /// overflow, and every issue bucket at a random weight.
+    fn random_stats(rng: &mut caba_stats::Rng64) -> RunStats {
+        let mut n = || match rng.range_u64(4) {
+            0 => 0,
+            1 => rng.range_u64(100),
+            _ => rng.range_u64(1 << 40),
+        };
+        let mut s = RunStats {
+            cycles: n(),
+            app_instructions: n(),
+            assist_instructions: n(),
+            l1_hits: n(),
+            l1_misses: n(),
+            l2_hits: n(),
+            l2_misses: n(),
+            dram_busy_cycles: n(),
+            dram_total_cycles: n(),
+            icnt_flits: n(),
+            md_lookups: n(),
+            md_stall_cycles: n(),
+            assist_slots_stolen: n(),
+            assist_slots_reclaimed: n(),
+            ..Default::default()
+        };
+        s.md_misses = rng.range_u64(s.md_lookups + 1);
+        for k in caba_stats::StallKind::ALL {
+            let weight = 1 << rng.range_u64(40);
+            s.breakdown.record_n(k, rng.range_u64(weight));
+        }
+        s
+    }
+
+    #[test]
+    fn table_lines_match_the_formatted_reference_on_random_stats() {
+        let mut line = String::new();
+        caba_stats::prop::check(0x7AB1E, 2_000, |rng| {
+            let cell = SweepCell {
+                app: ["CONS", "BFS", "MUM", "PVC"][rng.range_u64(4) as usize],
+                design: DesignId::ALL[rng.range_u64(8) as usize],
+                bw_scale: [0.5, 1.0, 2.0, rng.next_f64() * 4.0][rng.range_u64(4) as usize],
+            };
+            let stats = random_stats(rng);
+            let want = reference_table_line(&cell, &stats);
+            assert_eq!(figure_table_line(&cell, &stats), want);
+            // Appended into a reused buffer, after what is already there.
+            let before = line.len();
+            push_figure_table_line(&mut line, &cell, &stats);
+            assert_eq!(&line[before..], want.as_str());
+            if line.len() > 4096 {
+                line.clear();
+            }
+        });
+        let results = [0.5, 1.0].map(|bw_scale| CellResult {
+            cell: SweepCell {
+                app: "CONS",
+                design: DesignId::CabaBdi,
+                bw_scale,
+            },
+            stats: RunStats {
+                cycles: 9,
+                app_instructions: 4,
+                ..Default::default()
+            },
+            wall_s: 0.0,
+        });
+        let table: String = results
+            .iter()
+            .map(|r| reference_table_line(&r.cell, &r.stats))
+            .collect();
+        assert_eq!(figure_table(&results), table);
     }
 
     #[test]
