@@ -13,6 +13,7 @@ use caba_stats::json;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 /// Longest accepted request line or header, in bytes — requests are tiny
 /// (`GET /figure/fig07?...`), so anything longer is garbage or abuse.
@@ -68,9 +69,13 @@ impl Request {
                 return Ok(None);
             };
             if header.is_empty() {
-                // End of headers: drain any declared body.
+                // End of headers: drain any declared body. One shorter than
+                // declared is malformed, like a head cut short.
                 let mut body = vec![0u8; content_length.min(MAX_LINE)];
-                r.read_exact(&mut body)?;
+                match r.read_exact(&mut body) {
+                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+                    drained => drained?,
+                }
                 let (path, query) = split_target(target);
                 return Ok(Some(Request {
                     method: method.to_string(),
@@ -89,6 +94,37 @@ impl Request {
             }
         }
         Ok(None) // too many headers
+    }
+}
+
+/// Reads one request from `stream`, all of it by `deadline`: the bound is
+/// on the whole request, not on each read, so a client that sends a byte
+/// at a time cannot hold the connection past it. Past the deadline the
+/// error is [`io::ErrorKind::TimedOut`]; otherwise as [`Request::parse`].
+pub fn read_request(stream: &TcpStream, deadline: Instant) -> io::Result<Option<Request>> {
+    Request::parse(&mut BufReader::new(Deadline { stream, deadline }))
+}
+
+/// Reads from a socket until `deadline`: each `read` waits only for what
+/// is left of it, and one at or past it fails with
+/// [`io::ErrorKind::TimedOut`].
+pub(crate) struct Deadline<'a> {
+    pub(crate) stream: &'a TcpStream,
+    pub(crate) deadline: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        match self.stream.read(buf) {
+            // How an expired socket timeout reads on Unix.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::ErrorKind::TimedOut.into()),
+            read => read,
+        }
     }
 }
 
@@ -169,6 +205,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -459,6 +496,65 @@ pub(crate) mod tests {
                 String::from_utf8_lossy(raw)
             );
         }
+    }
+
+    /// Requests that parse, one of each shape.
+    const VALID: [&[u8]; 3] = [
+        b"GET /figure/fig07?scale=0.25&apps=CONS,BFS HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        b"POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nhush",
+    ];
+
+    /// A request no server should act on: random bytes, a valid request cut
+    /// short, a line over `MAX_LINE`, more than `MAX_HEADERS` headers, a
+    /// body over the limit, or a header without a colon.
+    pub(crate) fn hostile_request(rng: &mut caba_stats::Rng64) -> Vec<u8> {
+        let excess = 1 + rng.range_u64(64) as usize;
+        let over = |limit: usize| limit + excess;
+        let head = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        match rng.range_u64(6) {
+            0 => {
+                let len = rng.range_u64(4096) as usize;
+                caba_stats::prop::bytes(rng, len)
+            }
+            1 => {
+                let whole = VALID[rng.range_u64(VALID.len() as u64) as usize];
+                whole[..rng.range_u64(whole.len() as u64) as usize].to_vec()
+            }
+            2 => format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(over(MAX_LINE))).into_bytes(),
+            3 => {
+                let n = over(MAX_HEADERS);
+                let headers: String = (0..n).map(|i| format!("X-{i}: v\r\n")).collect();
+                [head, headers.into_bytes(), b"\r\n".to_vec()].concat()
+            }
+            4 => {
+                let length = format!("Content-Length: {}\r\n\r\n", over(MAX_LINE));
+                [head, length.into_bytes()].concat()
+            }
+            _ => {
+                let len = 1 + rng.range_u64(200) as usize;
+                let line: String = (0..len)
+                    .map(|_| (b'a' + rng.range_u64(26) as u8) as char)
+                    .collect();
+                [head, line.into_bytes(), b"\r\n\r\n".to_vec()].concat()
+            }
+        }
+    }
+
+    /// Garbage, cut-short and oversized requests parse to `Ok(None)` (the
+    /// caller's 400) or an error, and never panic.
+    #[test]
+    fn hostile_requests_never_parse_and_never_panic() {
+        for raw in VALID {
+            let req = Request::parse(&mut Cursor::new(raw)).unwrap();
+            assert!(req.is_some(), "{:?}", String::from_utf8_lossy(raw));
+        }
+        caba_stats::prop::check(0x4177_F022, 2_000, |rng| {
+            let raw = hostile_request(rng);
+            if let Ok(Some(req)) = Request::parse(&mut Cursor::new(&raw)) {
+                panic!("{req:?} parsed from {:?}", String::from_utf8_lossy(&raw));
+            }
+        });
     }
 
     #[test]

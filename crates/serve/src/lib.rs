@@ -15,8 +15,10 @@
 //!   travel together), and the streamed bytes are exactly
 //!   [`caba_sweep::figure_table_line`], so the served table is
 //!   byte-identical to `caba-sweep --table`'s;
-//! - single-flight ([`Coalescer`]) around the per-cell call — a thousand
-//!   clients asking for Fig. 7 cost one sweep plus 999 waits;
+//! - single-flight ([`Coalescer`]) around the per-cell call on a store
+//!   miss — a thousand clients asking for a cold Fig. 7 cost one sweep
+//!   plus 999 waits; a stored cell is answered from the store probe
+//!   ([`caba_sweep::probe_store`]) without entering a flight;
 //! - counters (`/stats`), derived from what the cell path reports.
 //!
 //! # Endpoints
@@ -34,25 +36,32 @@
 //! faults during computation degrade to recomputing (results are never
 //! affected); a store fault on the raw `/result` path is a typed 503.
 //!
-//! Each connection gets its own thread, with 10 s read and write timeouts,
-//! and at most [`MAX_HANDLERS`] are alive at once: the accept thread
-//! answers a connection beyond them `503 {"error": "busy"}` itself.
+//! A connection is served by one handler thread. A handler that is done
+//! parks for the next connection, up to [`MAX_PARKED`] of them, and the
+//! accept thread hands a connection to the most recently parked one before
+//! it spawns another. A request must arrive within 10 s in all (else
+//! `408`), a response write may wait 10 s, and at most [`MAX_HANDLERS`]
+//! handlers, parked ones included, are alive at once: the accept thread
+//! answers a connection beyond them `503 {"error": "busy"}` itself. A cell
+//! that must be simulated runs on a thread of its own, so a parked handler
+//! keeps no simulation's heap.
 
 pub mod http;
 
 use caba_stats::json::fmt_f64 as json_f64;
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
-    decode_result_payload, fan_out, parse_positive, push_figure_table_line, run_cell_stored,
-    CellOutcome, CellResult, CellSpec, DesignId, Figure, SweepConfig,
+    decode_result_payload, fan_out, parse_positive, probe_store, push_figure_table_line,
+    run_cell_stored, CellOutcome, CellResult, CellSpec, DesignId, Figure, SweepConfig,
 };
-use http::{ChunkedWriter, Request};
+use http::{ChunkedWriter, Deadline, Request};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 // ----- single-flight coalescing --------------------------------------------
@@ -157,12 +166,28 @@ struct State {
     shutdown: AtomicBool,
     /// Where a connection reaches this server's own listener.
     wake: SocketAddr,
+    /// Handlers waiting for a connection, the most recently parked last.
+    parked: Mutex<Vec<Arc<Slot>>>,
     requests: AtomicU64,
     cells_computed: AtomicU64,
     store_warm_hits: AtomicU64,
+    /// Requests that waited on another request's simulation of a cell: a
+    /// stored cell never enters a flight, so only a cold one counts.
     coalesced_waits: AtomicU64,
+    /// Handler threads spawned since start.
+    handler_threads: AtomicU64,
+    /// Handler threads alive now, parked or serving.
+    handlers_live: AtomicU64,
     bench_out: Option<PathBuf>,
     bench: Mutex<Vec<BenchSample>>,
+}
+
+/// A parked handler's mailbox: the accept thread leaves its next
+/// connection here.
+#[derive(Default)]
+struct Slot {
+    conn: Mutex<Option<TcpStream>>,
+    ready: Condvar,
 }
 
 /// A running sweep service. Dropping the handle does **not** stop the
@@ -191,10 +216,13 @@ impl State {
             flights: Coalescer::new(),
             shutdown: AtomicBool::new(false),
             wake: SocketAddr::new(ip, local.port()),
+            parked: Mutex::new(Vec::with_capacity(MAX_PARKED)),
             requests: AtomicU64::new(0),
             cells_computed: AtomicU64::new(0),
             store_warm_hits: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
+            handler_threads: AtomicU64::new(0),
+            handlers_live: AtomicU64::new(0),
             bench_out: opts.bench_out,
             bench: Mutex::new(Vec::new()),
         }
@@ -207,6 +235,80 @@ impl State {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
+
+    /// Parks the calling handler, closes `done`, the connection it has
+    /// answered, and waits until the accept thread hands it the next one.
+    /// Parked before the close, it is there for a client that reads to the
+    /// end of its response before it connects again. `None` tells the
+    /// handler to end: [`MAX_PARKED`] others are parked already, or the
+    /// server is shutting down.
+    fn park(&self, slot: &Arc<Slot>, done: TcpStream) -> Option<TcpStream> {
+        {
+            let mut parked = self.parked.lock().expect("parked lock");
+            if parked.len() >= MAX_PARKED {
+                return None;
+            }
+            parked.push(Arc::clone(slot));
+        }
+        drop(done);
+        let mut conn = slot.conn.lock().expect("slot lock");
+        loop {
+            if let Some(stream) = conn.take() {
+                return Some(stream);
+            }
+            // The flag is up before `wake_parked` runs, so a handler that
+            // parks after it, and is never woken, sees the flag here.
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            conn = slot.ready.wait(conn).expect("slot wait");
+        }
+    }
+
+    /// Hands `stream` to the most recently parked handler; gives it back
+    /// when none is parked.
+    fn unpark(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let Some(slot) = self.parked.lock().expect("parked lock").pop() else {
+            return Err(stream);
+        };
+        *slot.conn.lock().expect("slot lock") = Some(stream);
+        slot.ready.notify_one();
+        Ok(())
+    }
+
+    /// Wakes every parked handler to see the shutdown flag and end.
+    fn wake_parked(&self) {
+        for slot in self.parked.lock().expect("parked lock").drain(..) {
+            // Taken, so the wake-up cannot fall between a handler's flag
+            // check and its wait.
+            let _conn = slot.conn.lock().expect("slot lock");
+            slot.ready.notify_one();
+        }
+    }
+}
+
+/// Starts a handler thread on `stream`. It serves connections, parking
+/// between them, until [`State::park`] tells it to end.
+fn spawn_handler(state: &Arc<State>, stream: TcpStream) -> io::Result<JoinHandle<()>> {
+    let st = Arc::clone(state);
+    state.handlers_live.fetch_add(1, Ordering::Relaxed);
+    let spawned = std::thread::Builder::new()
+        .name("caba-serve-handler".into())
+        .spawn(move || {
+            let slot = Arc::new(Slot::default());
+            let mut next = Some(stream);
+            while let Some(mut stream) = next {
+                handle(&st, &mut stream);
+                next = st.park(&slot, stream);
+            }
+            st.handlers_live.fetch_sub(1, Ordering::Relaxed);
+        });
+    if spawned.is_ok() {
+        state.handler_threads.fetch_add(1, Ordering::Relaxed);
+    } else {
+        state.handlers_live.fetch_sub(1, Ordering::Relaxed);
+    }
+    spawned
 }
 
 impl Server {
@@ -218,20 +320,30 @@ impl Server {
         let state = Arc::new(State::new(opts, local));
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || {
-            let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+            let mut handlers: Vec<JoinHandle<()>> = Vec::new();
             loop {
                 // Blocks until a client, or `request_shutdown`, connects.
                 let accepted = listener.accept();
                 if accept_state.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                handlers.retain(|h| !h.is_finished());
                 match accepted {
-                    // The cap is checked here, so the refusal costs no thread.
-                    Ok((stream, _peer)) if handlers.len() >= MAX_HANDLERS => refuse_busy(stream),
                     Ok((stream, _peer)) => {
-                        let st = Arc::clone(&accept_state);
-                        handlers.push(std::thread::spawn(move || handle(&st, stream)));
+                        let Err(stream) = accept_state.unpark(stream) else {
+                            continue;
+                        };
+                        // No handler is parked. The cap counts parked ones
+                        // too, and is checked here, so a refusal costs no
+                        // thread.
+                        handlers.retain(|h| !h.is_finished());
+                        if handlers.len() >= MAX_HANDLERS {
+                            refuse_busy(stream);
+                            continue;
+                        }
+                        match spawn_handler(&accept_state, stream) {
+                            Ok(h) => handlers.push(h),
+                            Err(e) => eprintln!("caba-serve: spawning a handler failed: {e}"),
+                        }
                     }
                     Err(e) => {
                         // Out of descriptors or memory: let handlers finish
@@ -241,7 +353,9 @@ impl Server {
                     }
                 }
             }
-            // Drain in-flight handlers before the listener drops.
+            // Drain in-flight handlers before the listener drops: a parked
+            // one ends at once, a busy one after its request.
+            accept_state.wake_parked();
             for h in handlers {
                 let _ = h.join();
             }
@@ -274,58 +388,68 @@ impl Server {
 
 // ----- request handling -----------------------------------------------------
 
-/// Handler threads alive at once, at most. A connection beyond them is
-/// answered `503 busy` by the accept thread and never gets a thread.
+/// Handler threads alive at once, at most, parked ones included. A
+/// connection beyond them is answered `503 busy` by the accept thread and
+/// never gets a thread.
 pub const MAX_HANDLERS: usize = 64;
 
-/// How long a handler waits on a client that neither sends its request
-/// nor takes its response.
+/// Handler threads parked for reuse, at most; one that finds this many
+/// parked ends instead. A few threads, and their allocator caches, then
+/// serve nearly every request.
+pub const MAX_PARKED: usize = 4;
+
+/// How long a handler waits for a client's whole request, and for each
+/// write of its response.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long the accept thread spends on a refused connection, at most.
-const REFUSE_LINGER: Duration = Duration::from_millis(100);
+/// How long an answered connection whose request was not read in full is
+/// drained before it is closed, at most.
+const LINGER: Duration = Duration::from_millis(100);
 
-fn handle(state: &Arc<State>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+fn handle(state: &Arc<State>, stream: &mut TcpStream) {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut out = stream;
-    let req = match Request::parse(&mut reader) {
-        Ok(Some(req)) => req,
-        Ok(None) => {
-            let _ = http::respond_error(&mut out, 400, "bad_request", "malformed HTTP request");
-            return;
-        }
-        Err(_) => return, // transport error; nothing to answer on
+    let Some(req) = read_head(stream, Instant::now() + IO_TIMEOUT) else {
+        return;
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let _ = route(state, &req, &mut out);
+    let _ = route(state, &req, stream);
+}
+
+/// Reads a request by `deadline`, or answers why there is none: 400 for a
+/// malformed one, 408 once the deadline has passed. A transport error gets
+/// no answer; there is nothing to answer on.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> Option<Request> {
+    let (status, code, msg) = match http::read_request(stream, deadline) {
+        Ok(Some(req)) => return Some(req),
+        Ok(None) => (400, "bad_request", "malformed HTTP request"),
+        Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+            (408, "timeout", "the request did not arrive in time")
+        }
+        Err(_) => return None,
+    };
+    let _ = http::respond_error(stream, status, code, msg);
+    linger(stream);
+    None
+}
+
+/// Closes our side of an answered connection, then reads and drops what
+/// the client still sends until it closes, or for [`LINGER`] at most: a
+/// socket closed with unread bytes is reset, and the reset can destroy the
+/// answer before it is read.
+fn linger(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let _ = io::copy(&mut Deadline { stream, deadline }, &mut io::sink());
 }
 
 /// Answers a connection over [`MAX_HANDLERS`] on the accept thread: a typed
 /// 503, far smaller than a socket buffer, so the write does not wait on
-/// the client. Then the request is read and dropped until the client
-/// closes, or for [`REFUSE_LINGER`] at most: a socket closed with unread
-/// bytes is reset, and the reset can destroy the 503 before it is read.
+/// the client, then [`linger`].
 fn refuse_busy(mut stream: TcpStream) {
-    let deadline = Instant::now() + REFUSE_LINGER;
-    let _ = stream.set_write_timeout(Some(REFUSE_LINGER));
+    let _ = stream.set_write_timeout(Some(LINGER));
     let msg = format!("{MAX_HANDLERS} requests are in flight; retry later");
     let _ = http::respond_error(&mut stream, 503, "busy", &msg);
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut sink = [0u8; 1024];
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
-            break;
-        }
-        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
-            break;
-        }
-    }
+    linger(&stream);
 }
 
 fn route(state: &Arc<State>, req: &Request, out: &mut TcpStream) -> io::Result<()> {
@@ -358,15 +482,20 @@ fn stats_endpoint(state: &State, out: &mut TcpStream) -> io::Result<()> {
         Some(s) => (s.hit_count(), s.miss_count()),
         None => (0, 0),
     };
+    let handlers_parked = state.parked.lock().expect("parked lock").len();
     let body = format!(
         "{{\n  \"schema\": \"caba-serve-stats-v1\",\n  \"requests\": {},\n  \
          \"cells_computed\": {},\n  \"store_warm_hits\": {},\n  \"coalesced_waits\": {},\n  \
          \"store_hits\": {store_hits},\n  \"store_misses\": {store_misses},\n  \
+         \"handler_threads\": {},\n  \"handlers_live\": {},\n  \
+         \"handlers_parked\": {handlers_parked},\n  \
          \"store_attached\": {},\n  \"jobs\": {},\n  \"default_scale\": {}\n}}\n",
         state.requests.load(Ordering::Relaxed),
         state.cells_computed.load(Ordering::Relaxed),
         state.store_warm_hits.load(Ordering::Relaxed),
         state.coalesced_waits.load(Ordering::Relaxed),
+        state.handler_threads.load(Ordering::Relaxed),
+        state.handlers_live.load(Ordering::Relaxed),
         state.store.is_some(),
         state.jobs,
         json_f64(state.sc.scale),
@@ -377,15 +506,19 @@ fn stats_endpoint(state: &State, out: &mut TcpStream) -> io::Result<()> {
 /// Extra attempts after a caught panic, per served cell.
 const RETRIES: u32 = 1;
 
-/// One cell under single-flight discipline: the leader runs the sweep
-/// library's per-cell path, followers share its outcome. `key` is the
-/// spec's content hash. Returns the outcome plus whether it was served
-/// from cache (store or coalesced flight); the counters move by what the
-/// cell path reported.
+/// One cell: a stored one straight from the store probe, any other under
+/// single-flight discipline, where the leader runs the sweep library's
+/// whole per-cell path (probing again, in case another leader's put
+/// landed since) and followers share its outcome. `key` is the spec's
+/// content hash. Returns the outcome plus whether it was served from cache
+/// (store or coalesced flight); the counters move by what the cell path
+/// reported.
 fn serve_cell(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
-    let (outcome, led) = state.flights.run(key, || {
-        run_cell_stored(spec, key, RETRIES, state.store.as_ref())
-    });
+    if let Some(hit) = state.store.as_ref().and_then(|s| probe_store(spec, key, s)) {
+        state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
+        return (hit, true);
+    }
+    let (outcome, led) = state.flights.run(key, || run_cold(state, spec, key));
     if !led {
         state.coalesced_waits.fetch_add(1, Ordering::Relaxed);
     } else if outcome.from_store {
@@ -395,6 +528,24 @@ fn serve_cell(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
     }
     let cached = outcome.from_store || !led;
     (outcome, cached)
+}
+
+/// A flight leader's [`run_cell_stored`], on a thread of its own. The
+/// simulation's heap lives in that thread's malloc arena, which the
+/// allocator puts back on its free list when the thread ends, for the next
+/// cold cell to reuse: a parked handler never holds a simulation's heap.
+fn run_cold(state: &State, spec: &CellSpec, key: u64) -> CellOutcome {
+    let cell = || run_cell_stored(spec, key, RETRIES, state.store.as_ref());
+    std::thread::scope(|s| {
+        let cold = std::thread::Builder::new()
+            .name("caba-serve-cell".into())
+            .spawn_scoped(s, cell);
+        match cold {
+            Ok(h) => h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            // No thread to be had: the handler runs the cell itself.
+            Err(_) => cell(),
+        }
+    })
 }
 
 /// The sweep config for a request — the server's, with the `scale` query
@@ -713,6 +864,121 @@ mod tests {
             Call::Flush,
         ];
         assert_eq!(sock.0[1..], rest);
+    }
+
+    /// A client that sends a byte every 50 ms never keeps one read waiting
+    /// long, but its request as a whole misses a 300 ms deadline: it gets a
+    /// typed 408 just after the deadline, not when its request would end.
+    #[test]
+    fn a_request_dripped_past_its_deadline_gets_a_typed_408() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let answered = &AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let mut drip = client.try_clone().unwrap();
+            s.spawn(move || {
+                for b in b"GET /healthz HTTP/1.1\r\nHost: a-slow-client\r\n\r\n" {
+                    if answered.load(Ordering::SeqCst) || drip.write_all(&[*b]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            });
+            let answer = s.spawn(|| {
+                let mut answer = String::new();
+                let _ = io::Read::read_to_string(&mut &client, &mut answer);
+                answer
+            });
+            let t0 = Instant::now();
+            assert!(read_head(&mut server, t0 + Duration::from_millis(300)).is_none());
+            let waited = t0.elapsed();
+            answered.store(true, Ordering::SeqCst);
+            let range = Duration::from_millis(300)..Duration::from_secs(1);
+            assert!(range.contains(&waited), "answered after {waited:?}");
+            let answer = answer.join().unwrap();
+            assert!(
+                answer.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+                "{answer}"
+            );
+            assert!(answer.contains("\"error\": \"timeout\""), "{answer}");
+        });
+    }
+
+    /// `"name": N` from a `/stats` body.
+    fn counter(stats: &str, name: &str) -> u64 {
+        let key = format!("\"{name}\": ");
+        let at = stats
+            .find(&key)
+            .unwrap_or_else(|| panic!("{name}: {stats}"))
+            + key.len();
+        let digits = stats[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).expect("a count")
+    }
+
+    /// Garbage, cut-short and oversized requests each get a typed 400 from
+    /// a live server, and a client that hangs up mid-table costs nothing.
+    /// Afterwards no handler is left serving (every live one is parked,
+    /// bar the one answering `/stats`), at most `MAX_PARKED` are parked,
+    /// and the store scrubs clean.
+    #[test]
+    fn hostile_clients_get_typed_4xx_and_leak_no_handler() {
+        let dir = caba_store::fsio::scratch_dir("serve-hostile");
+        let opts = ServeOptions {
+            sc: SweepConfig {
+                scale: 0.05,
+                cfg: caba_sim::GpuConfig::small(),
+            },
+            jobs: 2,
+            store: Some(Store::open(&dir).unwrap()),
+            bench_out: None,
+        };
+        let server = Server::start("127.0.0.1:0", opts).unwrap();
+        caba_stats::prop::check(0x4177_11FE, 60, |rng| {
+            let raw = http::tests::hostile_request(rng);
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.write_all(&raw).unwrap();
+            conn.shutdown(Shutdown::Write).unwrap();
+            let mut answer = String::new();
+            io::Read::read_to_string(&mut conn, &mut answer).unwrap();
+            assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+            let body = answer.split("\r\n\r\n").nth(1).unwrap_or_default();
+            caba_stats::json::validate(body).expect("a JSON body");
+            assert!(body.contains("\"error\": \"bad_request\""), "{body}");
+        });
+
+        let figure = b"GET /figure/fig07?apps=CONS,BFS HTTP/1.1\r\n\r\n";
+        // Hangs up after the first row of a cold table: the rows still to
+        // come meet a closed socket.
+        let mut gone = TcpStream::connect(server.addr()).unwrap();
+        gone.write_all(figure).unwrap();
+        io::Read::read_exact(&mut gone, &mut [0u8; 1]).unwrap();
+        drop(gone);
+        // Asks for the table and reads none of it.
+        let mut deaf = TcpStream::connect(server.addr()).unwrap();
+        deaf.write_all(figure).unwrap();
+
+        let addr = server.addr().to_string();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = http::fetch(&addr, "GET", "/stats").unwrap().text();
+            let parked = counter(&stats, "handlers_parked");
+            assert!(parked <= MAX_PARKED as u64, "{stats}");
+            if counter(&stats, "handlers_live") == parked + 1 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "a handler never came back: {stats}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
+        server.join();
+        drop(deaf);
+        let report = Store::open(&dir).unwrap().scrub().unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

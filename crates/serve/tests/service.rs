@@ -5,7 +5,7 @@
 //! typed JSON error without poisoning the store.
 
 use caba_serve::http::{fetch, FetchedResponse};
-use caba_serve::{ServeOptions, Server, MAX_HANDLERS};
+use caba_serve::{ServeOptions, Server, MAX_HANDLERS, MAX_PARKED};
 use caba_sim::GpuConfig;
 use caba_store::{FaultFs, FaultRates, RealFs, Store, StoreFs};
 use caba_sweep::{dedup_cells, CellSpec, DesignId, Figure, Sweep, SweepCell, SweepConfig};
@@ -65,6 +65,39 @@ fn stop(server: Server) {
     let resp = fetch(&addr, "POST", "/shutdown").expect("shutdown request");
     assert_eq!(resp.status, 200);
     server.join();
+}
+
+/// `"name": N` from a `/stats` body.
+fn counter(stats: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = stats
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name}: {stats}"))
+        + key.len();
+    let digits = stats[at..].split(|c: char| !c.is_ascii_digit()).next();
+    digits.and_then(|d| d.parse().ok()).expect("a count")
+}
+
+/// A `/healthz` on `conn`, read until the server closes it: a handler
+/// parks before it closes, so it is parked when this returns.
+fn healthz_to_close(mut conn: TcpStream) {
+    conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("request sent");
+    let mut answer = String::new();
+    conn.read_to_string(&mut answer).expect("handler answers");
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+}
+
+/// Leaves `MAX_PARKED` handlers parked. Connections open at once each need
+/// a handler of their own, and the accept thread hands them out in the
+/// order they were made.
+fn park_handlers(addr: &str) {
+    let held: Vec<TcpStream> = (0..MAX_PARKED)
+        .map(|_| TcpStream::connect(addr).expect("connects"))
+        .collect();
+    for conn in held.into_iter().rev() {
+        healthz_to_close(conn);
+    }
 }
 
 #[test]
@@ -334,6 +367,56 @@ fn concurrent_identical_requests_coalesce_onto_one_computation() {
     stop(server);
 }
 
+/// A stored cell is answered from the store probe and never enters a
+/// flight: concurrent warm tables wait on nobody and compute nothing.
+#[test]
+fn concurrent_warm_figures_skip_the_single_flight() {
+    let dir = caba_store::fsio::scratch_dir("serve-warm-flight");
+    let reference = reference_table();
+    let server = start(Some(Store::open(&dir).expect("store opens")));
+    assert_eq!(get(&server, FIG_TARGET).text(), reference, "cold table");
+    let cold = get(&server, "/stats").text();
+    const CLIENTS: usize = 4;
+    let start_line = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    start_line.wait();
+                    get(&server, FIG_TARGET).text()
+                })
+            })
+            .collect();
+        for c in clients {
+            assert_eq!(c.join().unwrap(), reference, "warm table");
+        }
+    });
+    let warm = get(&server, "/stats").text();
+    assert_eq!(counter(&warm, "coalesced_waits"), 0, "{warm}");
+    assert_eq!(
+        counter(&warm, "cells_computed"),
+        counter(&cold, "cells_computed"),
+        "{warm}"
+    );
+    let hits = (CLIENTS * cells().len()) as u64;
+    assert_eq!(counter(&warm, "store_warm_hits"), hits, "{warm}");
+    stop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A handler that has answered parks, and the next connection goes to it:
+/// fifty requests one after another need a thread or two, not fifty.
+#[test]
+fn sequential_requests_reuse_a_parked_handler() {
+    let server = start(None);
+    for _ in 0..50 {
+        healthz_to_close(TcpStream::connect(server.addr()).expect("connects"));
+    }
+    let stats = get(&server, "/stats").text();
+    assert!(counter(&stats, "handler_threads") <= 2, "{stats}");
+    stop(server);
+}
+
 /// The server keys `/cell` with the sweep hash it computed at start when
 /// the request's scale has the default's bits, and computes another one
 /// otherwise; either way the key is `CellSpec::content_hash`'s.
@@ -363,47 +446,54 @@ fn cell_keys_are_the_content_hash_at_the_default_scale_and_any_other() {
     stop(server);
 }
 
-/// One handler per connection, up to the cap: the next connection is
-/// refused by the accept thread with a typed 503, and once the idle ones
-/// close the server answers again.
+/// One handler per connection, up to the cap, which parked handlers count
+/// toward: the next connection is refused by the accept thread with a
+/// typed 503, and once the idle ones close the server answers again.
 #[test]
 fn connections_over_the_handler_cap_get_a_typed_503_busy() {
-    let server = start(None);
-    // Connected and silent: each holds a handler in its request read. The
-    // accept thread takes connections in the order they were made, so all
-    // of these have a handler before the probe below is accepted.
-    let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
-        .map(|_| TcpStream::connect(server.addr()).expect("connects"))
-        .collect();
-    let busy = get(&server, "/healthz");
-    assert_eq!(busy.status, 503, "{}", busy.text());
-    caba_stats::json::validate(&busy.text()).expect("503 body is JSON");
-    assert!(
-        busy.text().contains("\"error\": \"busy\""),
-        "{}",
-        busy.text()
-    );
-
-    // Closing a silent connection ends its handler with a 400.
-    for mut conn in idle {
-        conn.shutdown(Shutdown::Write).expect("half-close");
-        let mut answer = String::new();
-        conn.read_to_string(&mut answer).expect("handler answers");
-        assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
-    }
-    // A handler's thread ends a moment after its socket closes, and the
-    // accept thread counts only ended threads as free: retry until it has.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let resp = get(&server, "/healthz");
-        if resp.status == 200 {
-            break;
+    for parked in [false, true] {
+        let server = start(None);
+        if parked {
+            park_handlers(&server.addr().to_string());
         }
-        assert_eq!(resp.status, 503, "{}", resp.text());
-        assert!(Instant::now() < deadline, "handlers never freed");
-        std::thread::yield_now();
+        // Connected and silent: each holds a handler in its request read,
+        // a parked one first. The accept thread takes connections in the
+        // order they were made, so all of these have a handler before the
+        // probe below is accepted.
+        let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
+            .map(|_| TcpStream::connect(server.addr()).expect("connects"))
+            .collect();
+        let busy = get(&server, "/healthz");
+        assert_eq!(busy.status, 503, "parked {parked}: {}", busy.text());
+        caba_stats::json::validate(&busy.text()).expect("503 body is JSON");
+        assert!(
+            busy.text().contains("\"error\": \"busy\""),
+            "{}",
+            busy.text()
+        );
+
+        // Closing a silent connection ends its request with a 400.
+        for mut conn in idle {
+            conn.shutdown(Shutdown::Write).expect("half-close");
+            let mut answer = String::new();
+            conn.read_to_string(&mut answer).expect("handler answers");
+            assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+        }
+        // A handler parks, or its thread ends, a moment after its socket
+        // closes, and the accept thread counts only those as free: retry
+        // until it has.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let resp = get(&server, "/healthz");
+            if resp.status == 200 {
+                break;
+            }
+            assert_eq!(resp.status, 503, "{}", resp.text());
+            assert!(Instant::now() < deadline, "handlers never freed");
+            std::thread::yield_now();
+        }
+        stop(server);
     }
-    stop(server);
 }
 
 /// `join` on another thread, so a server that never wakes fails the test
@@ -419,9 +509,17 @@ fn join_within_a_second(server: Server) {
         .expect("join returns within a second of the shutdown request");
 }
 
+/// Asked to stop, a server that has never had a client stops at once, and
+/// so does one whose handlers are parked: they are woken to end, and the
+/// handler that answers `POST /shutdown` ends instead of parking.
 #[test]
 fn an_idle_server_stops_at_once_however_it_is_asked_and_bound() {
-    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+    for (bind, parked) in [
+        ("127.0.0.1:0", false),
+        ("0.0.0.0:0", false),
+        ("127.0.0.1:0", true),
+        ("0.0.0.0:0", true),
+    ] {
         let idle = || {
             let opts = ServeOptions {
                 sc: sc(),
@@ -429,16 +527,20 @@ fn an_idle_server_stops_at_once_however_it_is_asked_and_bound() {
                 store: None,
                 bench_out: None,
             };
-            Server::start(bind, opts).expect("server binds")
+            let server = Server::start(bind, opts).expect("server binds");
+            let addr = format!("127.0.0.1:{}", server.addr().port());
+            if parked {
+                park_handlers(&addr);
+            }
+            (server, addr)
         };
-        // No client has ever connected: the accept loop is parked.
-        let server = idle();
+        // No request is in flight: the accept loop is in `accept`.
+        let (server, _) = idle();
         server.shutdown();
         server.shutdown(); // idempotent, also once the loop is on its way out
         join_within_a_second(server);
 
-        let server = idle();
-        let addr = format!("127.0.0.1:{}", server.addr().port());
+        let (server, addr) = idle();
         let resp = fetch(&addr, "POST", "/shutdown").expect("shutdown request");
         assert_eq!(resp.status, 200, "{bind}");
         join_within_a_second(server);

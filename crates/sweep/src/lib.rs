@@ -41,7 +41,7 @@ pub use cell::{parse_positive, run_cell, CellSpec, ParseDesignError};
 pub use fanout::fan_out;
 pub use paper::{Figure, ParseFigureError};
 pub use resilient::{
-    decode_result_payload, encode_result_payload, figure_table, figure_table_line,
+    decode_result_payload, encode_result_payload, figure_table, figure_table_line, probe_store,
     push_figure_table_line, run_cell_stored, CellFailure, CellOutcome, FailureClass, SweepError,
 };
 

@@ -2,7 +2,8 @@
 //! the durable store by [`CellSpec::content_hash`], otherwise simulated
 //! with panic isolation and bounded retry, then persisted
 //! ([`run_cell_stored`]). `Sweep::run`, and `caba-serve`'s `/figure` and
-//! `/cell` endpoints, all reach a cell through that one function.
+//! `/cell` endpoints, all reach a cell through that one function; the
+//! server answers a stored cell from its probe half ([`probe_store`]) alone.
 //!
 //! # Failure model
 //!
@@ -187,19 +188,8 @@ pub fn run_cell_stored(
     store: Option<&Store>,
 ) -> CellOutcome {
     debug_assert_eq!(key, spec.content_hash(), "key must be the spec's own");
-    if let Some(store) = store {
-        match store.get_result(key) {
-            Ok(Some(payload)) => {
-                if let Some((stats, wall_s)) = decode_result_payload(&payload) {
-                    return CellOutcome::restored(spec, stats, wall_s, true);
-                }
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!(
-                "caba: store read for {} failed ({e}); recomputing",
-                spec.label()
-            ),
-        }
+    if let Some(hit) = store.and_then(|store| probe_store(spec, key, store)) {
+        return hit;
     }
     let (result, attempts) = simulate_with_retry(spec, retries);
     if let (Ok(r), Some(store)) = (&result, store) {
@@ -212,6 +202,29 @@ pub fn run_cell_stored(
         result,
         attempts,
         from_store: false,
+    }
+}
+
+/// The probe half of [`run_cell_stored`]: the cell's result restored from
+/// `store`, or `None` when the store holds no entry for `key`, the read
+/// fails (logged) or the payload does not decode. `key` is
+/// `spec.content_hash()`. A caller that answers a hit at once (the
+/// server, ahead of its single-flight) probes first and calls
+/// `run_cell_stored` only on `None`.
+pub fn probe_store(spec: &CellSpec, key: u64, store: &Store) -> Option<CellOutcome> {
+    match store.get_result(key) {
+        Ok(Some(payload)) => {
+            let (stats, wall_s) = decode_result_payload(&payload)?;
+            Some(CellOutcome::restored(spec, stats, wall_s, true))
+        }
+        Ok(None) => None,
+        Err(e) => {
+            eprintln!(
+                "caba: store read for {} failed ({e}); recomputing",
+                spec.label()
+            );
+            None
+        }
     }
 }
 
