@@ -325,13 +325,15 @@ impl CompressionMap {
     /// use, then cached). `None` when the line is incompressible.
     pub fn compressed(&mut self, mem: &FuncMem, addr: u64) -> Option<&CompressedLine> {
         let base = line_base(addr);
-        if !self.lines.contains_key(&base) {
-            let mut bytes = [0u8; LINE_SIZE];
-            mem.read_line_into(base, &mut bytes);
-            let c = self.compressor.compress_line(&bytes);
-            self.lines.insert(base, c);
-        }
-        self.lines.get(&base).and_then(|o| o.as_ref())
+        let compressor = self.compressor;
+        self.lines
+            .entry(base)
+            .or_insert_with(|| {
+                let mut bytes = [0u8; LINE_SIZE];
+                mem.read_line_into(base, &mut bytes);
+                compressor.compress_line(&bytes)
+            })
+            .as_ref()
     }
 
     /// DRAM bursts to transfer the line containing `addr` in compressed form.

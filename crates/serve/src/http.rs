@@ -9,6 +9,7 @@
 //! tests (and usable from scripts via `caba-serve --probe`-style tooling)
 //! that decodes both fixed-length and chunked bodies.
 
+use caba_stats::checksum::hex16;
 use caba_stats::json;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -276,7 +277,11 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
+        // The length in hex, without leading zeros.
+        let len = data.len() as u64;
+        self.w
+            .write_all(&hex16(len)[len.leading_zeros() as usize / 4..])?;
+        self.w.write_all(b"\r\n")?;
         self.w.write_all(data)?;
         self.w.write_all(b"\r\n")
     }
@@ -456,6 +461,19 @@ pub(crate) mod tests {
             "x".repeat(26)
         );
         assert_eq!(sock.0, [Call::Write(wire), Call::Flush]);
+    }
+
+    #[test]
+    fn chunk_lengths_are_lowercase_hex_without_leading_zeros() {
+        for len in [1, 15, 16, 255, 256, 0xabc, 4096, 65_535, 70_000] {
+            let mut wire = Vec::new();
+            let mut cw = ChunkedWriter::begin(&mut wire, "text/plain").unwrap();
+            cw.chunk(&vec![b'x'; len]).unwrap();
+            drop(cw);
+            let header_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            let want = format!("{len:x}\r\n");
+            assert!(wire[header_end..].starts_with(want.as_bytes()), "{len}");
+        }
     }
 
     #[test]

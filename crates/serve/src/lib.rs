@@ -48,7 +48,9 @@
 
 pub mod http;
 
-use caba_stats::json::fmt_f64 as json_f64;
+use caba_sim::RunStats;
+use caba_stats::checksum::write_hex16;
+use caba_stats::json::{self, fmt_f64 as json_f64};
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
     decode_result_payload, fan_out, parse_positive, probe_store, push_figure_table_line,
@@ -673,17 +675,7 @@ fn cell_endpoint(
     let (outcome, cached) = serve_cell(state, &spec, key);
     match outcome.result {
         Ok(CellResult { stats, wall_s, .. }) => {
-            let body = format!(
-                "{{\n  \"app\": \"{}\", \"design\": \"{}\", \"bw\": {}, \"scale\": {},\n  \
-                 \"key\": \"{key:016x}\", \"cached\": {cached}, \"wall_s\": {},\n  \
-                 \"summary\": {}\n}}\n",
-                spec.app,
-                spec.design.label(),
-                json_f64(spec.bw_scale),
-                json_f64(spec.scale),
-                json_f64(wall_s),
-                stats.summary().to_json(),
-            );
+            let body = cell_body(&spec, key, cached, wall_s, &stats);
             http::respond(out, 200, "application/json", body.as_bytes())
         }
         Err(failure) => http::respond_error(out, 500, "cell_failed", &failure.to_string()),
@@ -716,15 +708,58 @@ fn result_endpoint(state: &State, key: &str, out: &mut TcpStream) -> io::Result<
                 "stored payload failed to decode (version skew)",
             ),
             Some((stats, wall)) => {
-                let body = format!(
-                    "{{\n  \"key\": \"{key:016x}\", \"wall_s\": {},\n  \"summary\": {}\n}}\n",
-                    json_f64(wall),
-                    stats.summary().to_json(),
-                );
+                let body = result_body(key, wall, &stats);
                 http::respond(out, 200, "application/json", body.as_bytes())
             }
         },
     }
+}
+
+/// Room for a `/cell` or `/result` body: about 560 bytes.
+const BODY_BYTES: usize = 768;
+
+/// A `/cell` body, rendered into one buffer: the cell, its key, whether
+/// the store had it, its wall time and its summary.
+fn cell_body(spec: &CellSpec, key: u64, cached: bool, wall_s: f64, stats: &RunStats) -> String {
+    let mut body = String::with_capacity(BODY_BYTES);
+    body.push_str("{\n  \"app\": \"");
+    body.push_str(spec.app);
+    body.push_str("\", \"design\": \"");
+    body.push_str(spec.design.label());
+    body.push_str("\", \"bw\": ");
+    json::write_f64(&mut body, spec.bw_scale);
+    body.push_str(", \"scale\": ");
+    json::write_f64(&mut body, spec.scale);
+    body.push_str(",\n  \"key\": \"");
+    write_hex16(&mut body, key);
+    body.push_str(if cached {
+        "\", \"cached\": true"
+    } else {
+        "\", \"cached\": false"
+    });
+    push_wall_and_summary(&mut body, wall_s, stats);
+    body
+}
+
+/// A `/result` body, rendered into one buffer: the key, the wall time the
+/// cell took when it was simulated, and its summary.
+fn result_body(key: u64, wall_s: f64, stats: &RunStats) -> String {
+    let mut body = String::with_capacity(BODY_BYTES);
+    body.push_str("{\n  \"key\": \"");
+    write_hex16(&mut body, key);
+    body.push('"');
+    push_wall_and_summary(&mut body, wall_s, stats);
+    body
+}
+
+/// The tail both bodies end in: the wall time, the summary, the closing
+/// brace.
+fn push_wall_and_summary(body: &mut String, wall_s: f64, stats: &RunStats) {
+    body.push_str(", \"wall_s\": ");
+    json::write_f64(body, wall_s);
+    body.push_str(",\n  \"summary\": ");
+    stats.summary().write_json(body);
+    body.push_str("\n}\n");
 }
 
 // ----- bench recording ------------------------------------------------------
@@ -902,6 +937,106 @@ mod tests {
                 "{answer}"
             );
             assert!(answer.contains("\"error\": \"timeout\""), "{answer}");
+        });
+    }
+
+    /// A float as the `format!`-based bodies wrote it: `{:.6}`, trimmed.
+    fn reference_f64(x: f64) -> String {
+        if !x.is_finite() {
+            return "null".to_string();
+        }
+        let s = format!("{x:.6}");
+        s.trim_end_matches('0').trim_end_matches('.').to_string()
+    }
+
+    /// The `format!`-based `/cell` body [`cell_body`] replaced. The summary
+    /// is `StatsSummary::to_json`, whose bytes `caba-sweep`'s table
+    /// differential holds to its own `format!`-based reference.
+    fn reference_cell_body(
+        spec: &CellSpec,
+        key: u64,
+        cached: bool,
+        wall_s: f64,
+        stats: &RunStats,
+    ) -> String {
+        format!(
+            "{{\n  \"app\": \"{}\", \"design\": \"{}\", \"bw\": {}, \"scale\": {},\n  \
+             \"key\": \"{key:016x}\", \"cached\": {cached}, \"wall_s\": {},\n  \
+             \"summary\": {}\n}}\n",
+            spec.app,
+            spec.design.label(),
+            reference_f64(spec.bw_scale),
+            reference_f64(spec.scale),
+            reference_f64(wall_s),
+            stats.summary().to_json(),
+        )
+    }
+
+    /// The `format!`-based `/result` body [`result_body`] replaced.
+    fn reference_result_body(key: u64, wall_s: f64, stats: &RunStats) -> String {
+        format!(
+            "{{\n  \"key\": \"{key:016x}\", \"wall_s\": {},\n  \"summary\": {}\n}}\n",
+            reference_f64(wall_s),
+            stats.summary().to_json(),
+        )
+    }
+
+    /// Counters up to 2^40 (so the summary's sums cannot overflow), zero
+    /// and small ones among them, and every issue bucket at its own weight.
+    fn random_stats(rng: &mut caba_stats::Rng64) -> RunStats {
+        let mut s = RunStats::default();
+        for counter in [
+            &mut s.cycles,
+            &mut s.app_instructions,
+            &mut s.assist_instructions,
+            &mut s.l1_hits,
+            &mut s.l1_misses,
+            &mut s.l2_hits,
+            &mut s.l2_misses,
+            &mut s.dram_busy_cycles,
+            &mut s.dram_total_cycles,
+            &mut s.icnt_flits,
+            &mut s.md_lookups,
+            &mut s.md_stall_cycles,
+            &mut s.assist_slots_stolen,
+            &mut s.assist_slots_reclaimed,
+        ] {
+            *counter = match rng.range_u64(4) {
+                0 => 0,
+                1 => rng.range_u64(100),
+                _ => rng.range_u64(1 << 40),
+            };
+        }
+        s.md_misses = rng.range_u64(s.md_lookups + 1);
+        for k in caba_stats::StallKind::ALL {
+            let weight = 1 << rng.range_u64(40);
+            s.breakdown.record_n(k, rng.range_u64(weight));
+        }
+        s
+    }
+
+    #[test]
+    fn cell_and_result_bodies_match_the_formatted_reference_on_random_stats() {
+        let sc = SweepConfig::default();
+        let apps = caba_workloads::all_apps();
+        caba_stats::prop::check(0xB0D1E5, 2_000, |rng| {
+            let app = apps[rng.range_u64(apps.len() as u64) as usize].name;
+            let design = DesignId::ALL[rng.range_u64(DesignId::ALL.len() as u64) as usize];
+            let bw = [0.5, 1.0, 2.0, rng.next_f64() * 4.0][rng.range_u64(4) as usize];
+            let scale = [0.05, 1.0, rng.next_f64()][rng.range_u64(3) as usize];
+            let spec = CellSpec::resolve(app, design, bw, scale, sc.cfg).expect("a registered app");
+            let (key, cached) = (rng.next_u64(), rng.chance(0.5));
+            let wall_s =
+                [rng.next_f64() * 100.0, f64::from_bits(rng.next_u64())][rng.range_u64(2) as usize];
+            let stats = random_stats(rng);
+            let body = cell_body(&spec, key, cached, wall_s, &stats);
+            assert_eq!(
+                body,
+                reference_cell_body(&spec, key, cached, wall_s, &stats)
+            );
+            caba_stats::json::validate(&body).expect("a /cell body is JSON");
+            let body = result_body(key, wall_s, &stats);
+            assert_eq!(body, reference_result_body(key, wall_s, &stats));
         });
     }
 

@@ -8,7 +8,6 @@
 
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{json, IssueBreakdown, StallKind};
-use std::fmt::Write as _;
 
 /// Statistics of one kernel run, aggregated over all SMs and partitions.
 ///
@@ -268,19 +267,33 @@ pub struct StatsSummary {
     pub issue_fractions: [f64; StallKind::ALL.len()],
 }
 
+/// Each issue fraction's key and the separator before it, parallel to
+/// [`StallKind::ALL`]: the slugs are plain ASCII, so they are written as
+/// they stand, without escaping.
+const ISSUE_FRACTION_KEYS: [&str; StallKind::ALL.len()] = [
+    "\"issued-app\": ",
+    ", \"issued-assist\": ",
+    ", \"memory-data\": ",
+    ", \"synchronization\": ",
+    ", \"scoreboard-pipeline\": ",
+    ", \"control-reconvergence\": ",
+    ", \"idle\": ",
+];
+
 impl StatsSummary {
     /// Appends the summary to `out` as one JSON object. Issue-slot
     /// fractions nest under `"issue_fractions"`, keyed by
     /// [`StallKind::slug`]. Every value is written straight into `out`, so
     /// a caller that reuses its buffer allocates nothing here.
     pub fn write_json(&self, out: &mut String) {
-        const INFALLIBLE: &str = "writing to a String cannot fail";
-        write!(
-            out,
-            "{{\"cycles\": {}, \"app_instructions\": {}, \"assist_instructions\": {}",
-            self.cycles, self.app_instructions, self.assist_instructions,
-        )
-        .expect(INFALLIBLE);
+        for (key, n) in [
+            ("{\"cycles\": ", self.cycles),
+            (", \"app_instructions\": ", self.app_instructions),
+            (", \"assist_instructions\": ", self.assist_instructions),
+        ] {
+            out.push_str(key);
+            json::write_u64(out, n);
+        }
         for (key, x) in [
             (", \"ipc\": ", self.ipc),
             (", \"assist_fraction\": ", self.assist_fraction),
@@ -292,21 +305,22 @@ impl StatsSummary {
             out.push_str(key);
             json::write_f64(out, x);
         }
-        write!(
-            out,
-            ", \"icnt_flits\": {}, \"md_stall_cycles\": {}, \"assist_slots_stolen\": {}, \
-             \"assist_slots_reclaimed\": {}, \"issue_fractions\": {{",
-            self.icnt_flits,
-            self.md_stall_cycles,
-            self.assist_slots_stolen,
-            self.assist_slots_reclaimed,
-        )
-        .expect(INFALLIBLE);
-        for (i, k) in StallKind::ALL.iter().enumerate() {
-            out.push_str(if i > 0 { ", \"" } else { "\"" });
-            json::write_escaped(out, k.slug());
-            out.push_str("\": ");
-            json::write_f64(out, self.issue_fractions[i]);
+        for (key, n) in [
+            (", \"icnt_flits\": ", self.icnt_flits),
+            (", \"md_stall_cycles\": ", self.md_stall_cycles),
+            (", \"assist_slots_stolen\": ", self.assist_slots_stolen),
+            (
+                ", \"assist_slots_reclaimed\": ",
+                self.assist_slots_reclaimed,
+            ),
+        ] {
+            out.push_str(key);
+            json::write_u64(out, n);
+        }
+        out.push_str(", \"issue_fractions\": {");
+        for (key, x) in ISSUE_FRACTION_KEYS.into_iter().zip(self.issue_fractions) {
+            out.push_str(key);
+            json::write_f64(out, x);
         }
         out.push_str("}}");
     }
@@ -384,5 +398,13 @@ mod tests {
         // Delegating accessors and the summary must agree exactly.
         assert_eq!(s.ipc(), sum.ipc);
         assert_eq!(s.assist_fraction(), sum.assist_fraction);
+    }
+
+    #[test]
+    fn issue_fraction_keys_are_the_slugs_as_json_spells_them() {
+        for (i, (key, kind)) in ISSUE_FRACTION_KEYS.iter().zip(StallKind::ALL).enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            assert_eq!(*key, format!("{sep}\"{}\": ", json::escape(kind.slug())));
+        }
     }
 }

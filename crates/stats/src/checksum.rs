@@ -118,9 +118,10 @@ pub fn seal_line(mut body: String) -> String {
 /// checksum field and newline are appended to `buf`, so a caller that
 /// writes its lines into one buffer allocates nothing per line.
 pub fn seal_line_in(buf: &mut String, body_start: usize) {
-    use std::fmt::Write as _;
     let sum = checksum64(&buf.as_bytes()[body_start..]);
-    writeln!(buf, "{LINE_SUM}{sum:016x}").expect("writing to a String cannot fail");
+    buf.push_str(LINE_SUM);
+    write_hex16(buf, sum);
+    buf.push('\n');
 }
 
 /// `x` as `format!("{x:016x}")` spells it, without the `String`: the form
@@ -132,6 +133,11 @@ pub fn hex16(x: u64) -> [u8; 16] {
         *d = DIGITS[(x >> (60 - 4 * i)) as usize & 0xf];
     }
     out
+}
+
+/// [`hex16`], appended to `out`.
+pub fn write_hex16(out: &mut String, x: u64) {
+    out.push_str(std::str::from_utf8(&hex16(x)).expect("hex digits are ASCII"));
 }
 
 /// Verifies one sealed line (without its newline) and returns the body the
@@ -238,6 +244,9 @@ mod tests {
                 u64::MAX,
             ] {
                 assert_eq!(hex16(x), format!("{x:016x}").as_bytes(), "{x:#x}");
+                let mut out = String::from("key=");
+                write_hex16(&mut out, x);
+                assert_eq!(out, format!("key={x:016x}"));
             }
         });
     }

@@ -262,25 +262,24 @@ impl MetricsSnapshot {
         self.entries.push((name, value));
     }
 
-    /// Serializes the snapshot as one JSON object, names in registration
-    /// order.
-    pub fn write_json<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(b"{")?;
+    /// Appends the snapshot to `out` as one JSON object, names in
+    /// registration order.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
         for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                w.write_all(b", ")?;
-            }
-            write!(w, "\"{}\": {value}", crate::json::escape(name))?;
+            out.push_str(if i > 0 { ", \"" } else { "\"" });
+            crate::json::write_escaped(out, name);
+            out.push_str("\": ");
+            crate::json::write_u64(out, *value);
         }
-        w.write_all(b"}")
+        out.push('}');
     }
 
-    /// [`MetricsSnapshot::write_json`] into a `String`.
+    /// [`MetricsSnapshot::write_json`] into a fresh `String`.
     pub fn to_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_json(&mut buf)
-            .expect("Vec<u8> writes are infallible");
-        String::from_utf8(buf).expect("JSON output is UTF-8")
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 }
 
@@ -352,6 +351,24 @@ mod tests {
         assert_eq!(json, "{\"sm.assist.launches\": 42, \"derived.extra\": 7}");
         assert_eq!(snap.get("derived.extra"), Some(7));
         assert_eq!(snap.get("missing"), None);
+    }
+
+    /// The text the `write!`-based emitter wrote: an escaped name, the
+    /// largest value, a zero, and an empty snapshot.
+    #[test]
+    fn snapshot_json_keeps_its_bytes() {
+        let mut snap = MetricsSnapshot::default();
+        assert_eq!(snap.to_json(), "{}");
+        snap.push("sim.cycles", 12_345);
+        snap.push("mem.l1\"hits", u64::MAX);
+        snap.push("x", 0);
+        assert_eq!(
+            snap.to_json(),
+            "{\"sim.cycles\": 12345, \"mem.l1\\\"hits\": 18446744073709551615, \"x\": 0}"
+        );
+        let mut out = String::from("metrics=");
+        snap.write_json(&mut out);
+        assert_eq!(out, format!("metrics={}", snap.to_json()));
     }
 
     #[test]

@@ -226,33 +226,29 @@ impl ScrubReport {
     /// Serializes the report as JSON (dependency-free, like the sweep
     /// reports).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"ok\": {},\n", self.ok));
-        s.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        let list = |items: &[Quarantined]| -> String {
-            let rows: Vec<String> = items
-                .iter()
-                .map(|q| {
-                    format!(
-                        "    {{\"path\": \"{}\", \"reason\": \"{}\"}}",
-                        json::escape(&q.rel_path),
-                        json::escape(&q.reason)
-                    )
-                })
-                .collect();
-            if rows.is_empty() {
-                "[]".to_string()
-            } else {
-                format!("[\n{}\n  ]", rows.join(",\n"))
+        let mut s = String::from("{\n  \"ok\": ");
+        json::write_u64(&mut s, self.ok);
+        s.push_str(if self.is_clean() {
+            ",\n  \"clean\": true"
+        } else {
+            ",\n  \"clean\": false"
+        });
+        for (key, items) in [
+            (",\n  \"quarantined\": [", &self.quarantined),
+            (",\n  \"skipped\": [", &self.skipped),
+        ] {
+            s.push_str(key);
+            for (i, q) in items.iter().enumerate() {
+                s.push_str(if i > 0 { ",\n" } else { "\n" });
+                s.push_str("    {\"path\": \"");
+                json::write_escaped(&mut s, &q.rel_path);
+                s.push_str("\", \"reason\": \"");
+                json::write_escaped(&mut s, &q.reason);
+                s.push_str("\"}");
             }
-        };
-        s.push_str(&format!(
-            "  \"quarantined\": {},\n",
-            list(&self.quarantined)
-        ));
-        s.push_str(&format!("  \"skipped\": {}\n", list(&self.skipped)));
-        s.push_str("}\n");
+            s.push_str(if items.is_empty() { "]" } else { "\n  ]" });
+        }
+        s.push_str("\n}\n");
         s
     }
 }
@@ -273,18 +269,20 @@ pub struct GcReport {
 impl GcReport {
     /// Serializes the report as JSON.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .evicted
-            .iter()
-            .map(|n| format!("\"{}\"", json::escape(n)))
-            .collect();
-        format!(
-            "{{\n  \"before_bytes\": {},\n  \"after_bytes\": {},\n  \"evicted\": [{}],\n  \"failed\": {}\n}}\n",
-            self.before_bytes,
-            self.after_bytes,
-            rows.join(", "),
-            self.failed
-        )
+        let mut s = String::from("{\n  \"before_bytes\": ");
+        json::write_u64(&mut s, self.before_bytes);
+        s.push_str(",\n  \"after_bytes\": ");
+        json::write_u64(&mut s, self.after_bytes);
+        s.push_str(",\n  \"evicted\": [");
+        for (i, name) in self.evicted.iter().enumerate() {
+            s.push_str(if i > 0 { ", \"" } else { "\"" });
+            json::write_escaped(&mut s, name);
+            s.push('"');
+        }
+        s.push_str("],\n  \"failed\": ");
+        json::write_u64(&mut s, self.failed);
+        s.push_str("\n}\n");
+        s
     }
 }
 
@@ -310,16 +308,21 @@ pub struct StoreStats {
 impl StoreStats {
     /// Serializes the stats as JSON.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"snapshots\": {},\n  \"results\": {},\n  \"entry_bytes\": {},\n  \"quarantined\": {},\n  \"stale_temps\": {},\n  \"hits\": {},\n  \"misses\": {}\n}}\n",
-            self.snapshots,
-            self.results,
-            self.entry_bytes,
-            self.quarantined,
-            self.stale_temps,
-            self.hits,
-            self.misses
-        )
+        let mut s = String::new();
+        for (key, n) in [
+            ("{\n  \"snapshots\": ", self.snapshots),
+            (",\n  \"results\": ", self.results),
+            (",\n  \"entry_bytes\": ", self.entry_bytes),
+            (",\n  \"quarantined\": ", self.quarantined),
+            (",\n  \"stale_temps\": ", self.stale_temps),
+            (",\n  \"hits\": ", self.hits),
+            (",\n  \"misses\": ", self.misses),
+        ] {
+            s.push_str(key);
+            json::write_u64(&mut s, n);
+        }
+        s.push_str("\n}\n");
+        s
     }
 }
 
@@ -998,6 +1001,85 @@ pub fn write_file_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()>
 mod tests {
     use super::*;
     use fsio::scratch_dir;
+
+    fn quarantined(rel_path: &str, reason: &str) -> Quarantined {
+        Quarantined {
+            rel_path: rel_path.into(),
+            reason: reason.into(),
+        }
+    }
+
+    /// The text the `format!`-based emitter wrote, for a report with
+    /// escapes in it and one with empty lists.
+    #[test]
+    fn scrub_reports_keep_their_json_bytes() {
+        let report = ScrubReport {
+            ok: 41,
+            quarantined: vec![
+                quarantined("objects/sn/00000000000000aa.entry", "checksum mismatch"),
+                quarantined("tmp/x\"y.tmp", "stale temp\tfile"),
+            ],
+            skipped: vec![quarantined(
+                "objects/rs/bad",
+                "read: Permission denied (os error 13)",
+            )],
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\n  \"ok\": 41,\n  \"clean\": false,\n  \"quarantined\": [\n    \
+             {\"path\": \"objects/sn/00000000000000aa.entry\", \"reason\": \"checksum mismatch\"},\n    \
+             {\"path\": \"tmp/x\\\"y.tmp\", \"reason\": \"stale temp\\tfile\"}\n  ],\n  \
+             \"skipped\": [\n    {\"path\": \"objects/rs/bad\", \
+             \"reason\": \"read: Permission denied (os error 13)\"}\n  ]\n}\n"
+        );
+        let clean = ScrubReport {
+            ok: 7,
+            ..Default::default()
+        };
+        assert_eq!(
+            clean.to_json(),
+            "{\n  \"ok\": 7,\n  \"clean\": true,\n  \"quarantined\": [],\n  \"skipped\": []\n}\n"
+        );
+    }
+
+    #[test]
+    fn gc_reports_keep_their_json_bytes() {
+        let report = GcReport {
+            before_bytes: 123_456,
+            after_bytes: 65_536,
+            evicted: vec!["sn/00000000000000aa.entry".into(), "rs/\"q\".entry".into()],
+            failed: 2,
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\n  \"before_bytes\": 123456,\n  \"after_bytes\": 65536,\n  \
+             \"evicted\": [\"sn/00000000000000aa.entry\", \"rs/\\\"q\\\".entry\"],\n  \
+             \"failed\": 2\n}\n"
+        );
+        assert_eq!(
+            GcReport::default().to_json(),
+            "{\n  \"before_bytes\": 0,\n  \"after_bytes\": 0,\n  \"evicted\": [],\n  \"failed\": 0\n}\n"
+        );
+    }
+
+    #[test]
+    fn store_stats_keep_their_json_bytes() {
+        let stats = StoreStats {
+            snapshots: 3,
+            results: 100,
+            entry_bytes: 657_012,
+            quarantined: 1,
+            stale_temps: 0,
+            hits: u64::MAX,
+            misses: 10,
+        };
+        assert_eq!(
+            stats.to_json(),
+            "{\n  \"snapshots\": 3,\n  \"results\": 100,\n  \"entry_bytes\": 657012,\n  \
+             \"quarantined\": 1,\n  \"stale_temps\": 0,\n  \"hits\": 18446744073709551615,\n  \
+             \"misses\": 10\n}\n"
+        );
+    }
 
     fn snap_key(cycle: u64) -> SnapKey {
         SnapKey {

@@ -14,7 +14,6 @@ use crate::EntryKind;
 use caba_stats::checksum;
 use caba_stats::fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
-use std::fmt::Write as _;
 
 /// An entry as the log names it: its kind and its key.
 pub(crate) type EntryId = (EntryKind, u64);
@@ -25,8 +24,12 @@ const LINE_BYTES: usize = 64;
 /// One touch-log line, the body and its own checksum, appended to `out`.
 pub(crate) fn push_touch_line(out: &mut String, (kind, key): EntryId, seq: u64) {
     let start = out.len();
-    write!(out, "touch {} {key:016x} {seq:016x}", kind.dir_name())
-        .expect("writing to a String cannot fail");
+    out.push_str("touch ");
+    out.push_str(kind.dir_name());
+    out.push(' ');
+    checksum::write_hex16(out, key);
+    out.push(' ');
+    checksum::write_hex16(out, seq);
     checksum::seal_line_in(out, start);
 }
 

@@ -38,6 +38,7 @@ use crate::cell::{run_cell, CellSpec};
 use crate::{CellResult, SweepCell};
 use caba_sim::RunStats;
 use caba_stats::checksum::{seal_line, verify_line};
+use caba_stats::json;
 use caba_stats::snap::{SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_store::Store;
 use caba_workloads::app;
@@ -450,16 +451,27 @@ const TABLE_LINE_BYTES: usize = 640;
 /// the caller's buffer, so a caller that reuses one buffer per table (the
 /// server streaming a figure) allocates nothing per row.
 pub fn push_figure_table_line(out: &mut String, cell: &SweepCell, stats: &RunStats) {
-    write!(
-        out,
-        "{}\t{}\t{}\t",
-        cell.app,
-        cell.design.label(),
-        cell.bw_scale
-    )
-    .expect("writing to a String cannot fail");
+    out.push_str(cell.app);
+    out.push('\t');
+    out.push_str(cell.design.label());
+    out.push('\t');
+    push_display_f64(out, cell.bw_scale);
+    out.push('\t');
     stats.summary().write_json(out);
     out.push('\n');
+}
+
+/// `x` as `{}` spells it (the shortest text that reads back as `x`). The
+/// bandwidth scales a sweep runs (½, 1, 2) are multiples of 1/64 below
+/// 2^20: their six-decimal form is exact and has at most 13 significant
+/// digits, and a decimal that short is the shortest one for its `f64`, so
+/// [`json::write_f64`] writes it. Any other value goes through `Display`.
+fn push_display_f64(out: &mut String, x: f64) {
+    if (x * 64.0).fract() == 0.0 && x.abs() < 1_048_576.0 {
+        json::write_f64(out, x);
+    } else {
+        write!(out, "{x}").expect("writing to a String cannot fail");
+    }
 }
 
 /// The deterministic figure table derived from sweep results: one line per
@@ -588,10 +600,20 @@ mod tests {
         });
     }
 
+    /// A float as `json::write_f64` wrote it through `core::fmt`: the
+    /// `{:.6}` text, trimmed.
+    fn reference_f64(x: f64) -> String {
+        if !x.is_finite() {
+            return "null".to_string();
+        }
+        let s = format!("{x:.6}");
+        s.trim_end_matches('0').trim_end_matches('.').to_string()
+    }
+
     /// The summary object as `StatsSummary::write_json` rendered it through
     /// `io::Write`, one `format!`ed float and escaped slug at a time.
     fn reference_summary_json(s: &caba_sim::StatsSummary) -> String {
-        use caba_stats::json::{escape, fmt_f64};
+        use caba_stats::json::escape;
         use caba_stats::StallKind;
         let mut w = format!(
             "{{\"cycles\": {}, \"app_instructions\": {}, \"assist_instructions\": {}, \
@@ -602,12 +624,12 @@ mod tests {
             s.cycles,
             s.app_instructions,
             s.assist_instructions,
-            fmt_f64(s.ipc),
-            fmt_f64(s.assist_fraction),
-            fmt_f64(s.l1_hit_rate),
-            fmt_f64(s.l2_hit_rate),
-            fmt_f64(s.md_hit_rate),
-            fmt_f64(s.bandwidth_utilization),
+            reference_f64(s.ipc),
+            reference_f64(s.assist_fraction),
+            reference_f64(s.l1_hit_rate),
+            reference_f64(s.l2_hit_rate),
+            reference_f64(s.md_hit_rate),
+            reference_f64(s.bandwidth_utilization),
             s.icnt_flits,
             s.md_stall_cycles,
             s.assist_slots_stolen,
@@ -620,7 +642,7 @@ mod tests {
             w.push_str(&format!(
                 "\"{}\": {}",
                 escape(k.slug()),
-                fmt_f64(s.issue_fractions[i])
+                reference_f64(s.issue_fractions[i])
             ));
         }
         w.push_str("}}");
@@ -709,6 +731,38 @@ mod tests {
             .map(|r| reference_table_line(&r.cell, &r.stats))
             .collect();
         assert_eq!(figure_table(&results), table);
+    }
+
+    #[test]
+    fn bandwidth_columns_spell_what_display_spells() {
+        let mut out = String::new();
+        let mut check = |x: f64| {
+            out.clear();
+            push_display_f64(&mut out, x);
+            assert_eq!(out, x.to_string(), "{x:e}");
+        };
+        for x in [
+            0.5,
+            1.0,
+            2.0,
+            0.25,
+            -0.0,
+            1.0 / 64.0,
+            1048575.984375,
+            1048576.0,
+            0.1,
+        ] {
+            check(x);
+        }
+        caba_stats::prop::check(0xB0_D15, 20_000, |rng| {
+            let sixty_fourths = rng.range_u64(1 << 27) as f64 / 64.0;
+            check(sixty_fourths);
+            check(-sixty_fourths);
+            // Seven binary places: six decimals would round these.
+            check((2 * rng.range_u64(1 << 20) + 1) as f64 / 128.0);
+            check(rng.next_f64() * 4.0);
+            check(f64::from_bits(rng.next_u64()));
+        });
     }
 
     #[test]
