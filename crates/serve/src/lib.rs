@@ -18,7 +18,9 @@
 //! - single-flight ([`Coalescer`]) around the per-cell call on a store
 //!   miss — a thousand clients asking for a cold Fig. 7 cost one sweep
 //!   plus 999 waits; a stored cell is answered from the store probe
-//!   ([`caba_sweep::probe_store`]) without entering a flight;
+//!   ([`caba_sweep::probe_store`]) without entering a flight, and a
+//!   figure probes all its rows in one store call
+//!   ([`caba_sweep::probe_store_many`]) before it streams;
 //! - counters (`/stats`), derived from what the cell path reports.
 //!
 //! # Endpoints
@@ -53,13 +55,15 @@ use caba_stats::checksum::write_hex16;
 use caba_stats::json::{self, fmt_f64 as json_f64};
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
-    decode_result_payload, fan_out, parse_positive, probe_store, push_figure_table_line,
-    run_cell_stored, CellOutcome, CellResult, CellSpec, DesignId, Figure, SweepConfig,
+    decode_result_payload, fan_out, parse_positive, probe_store, probe_store_many,
+    push_figure_table_line, run_cell_stored, CellOutcome, CellResult, CellSpec, DesignId, Figure,
+    SweepCell, SweepConfig,
 };
 use http::{ChunkedWriter, Deadline, Request};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -520,6 +524,11 @@ fn serve_cell(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
         state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
         return (hit, true);
     }
+    serve_miss(state, spec, key)
+}
+
+/// [`serve_cell`] past a store probe that found nothing: the single-flight.
+fn serve_miss(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
     let (outcome, led) = state.flights.run(key, || run_cold(state, spec, key));
     if !led {
         state.coalesced_waits.fetch_add(1, Ordering::Relaxed);
@@ -595,34 +604,61 @@ fn figure_endpoint(
         cells.retain(|c| filter.contains(&c.app));
     }
 
+    let specs: Vec<CellSpec> = cells.iter().map(|c| CellSpec::new(&sc, *c)).collect();
+    let keys: Vec<u64> = specs
+        .iter()
+        .map(|s| s.content_hash_in(sweep_hash))
+        .collect();
+    // Every row's store read is one call. A stored row renders at once and
+    // is decoded only then; the rest go straight to the single-flight, on
+    // `jobs` workers.
+    let mut stored = match &state.store {
+        Some(store) => probe_store_many(&specs, &keys, store),
+        None => vec![None; specs.len()],
+    };
+    let cold: Vec<usize> = (0..specs.len()).filter(|&i| stored[i].is_none()).collect();
+
     // From here on the 200 header is committed; a mid-stream cell failure
     // aborts the chunked stream without its terminal chunk, which clients
     // observe as truncation (http::fetch turns it into an error).
     let t0 = Instant::now();
-    let mut writer = ChunkedWriter::begin(&mut *out, "text/tab-separated-values")?;
-    let specs: Vec<CellSpec> = cells.iter().map(|c| CellSpec::new(&sc, *c)).collect();
-    let mut cached_cells = 0;
-    // One line buffer for the whole table: a row allocates nothing.
-    let mut line = String::with_capacity(1024);
+    let mut table = TableStream {
+        writer: ChunkedWriter::begin(&mut *out, "text/tab-separated-values")?,
+        line: String::with_capacity(1024),
+        cached_cells: 0,
+    };
+    let mut stored_rows = |table: &mut TableStream<_>, rows: Range<usize>| -> io::Result<()> {
+        for i in rows {
+            let payload = stored[i].take().expect("a row that is not cold is stored");
+            match decode_result_payload(&payload) {
+                Some((stats, _)) => {
+                    state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
+                    table.row(&specs[i].cell(), &stats, true)?;
+                }
+                // An entry this build cannot decode: recomputed, as
+                // `probe_store` would have had it.
+                None => table.outcome(&specs[i], serve_miss(state, &specs[i], keys[i]))?,
+            }
+        }
+        Ok(())
+    };
+    // The first row not streamed yet.
+    let mut next = 0;
     fan_out(
-        specs.len(),
+        cold.len(),
         state.jobs,
-        |i| serve_cell(state, &specs[i], specs[i].content_hash_in(sweep_hash)),
-        |i, (outcome, cached)| match outcome.result {
-            Ok(r) => {
-                cached_cells += cached as usize;
-                line.clear();
-                push_figure_table_line(&mut line, &r.cell, &r.stats);
-                write_row(&mut writer, &line, cached)
-            }
-            Err(failure) => {
-                let msg = failure.to_string();
-                eprintln!("caba-serve: {} failed mid-stream: {msg}", specs[i].label());
-                Err(io::Error::other(msg))
-            }
+        |j| serve_miss(state, &specs[cold[j]], keys[cold[j]]),
+        |j, served| -> io::Result<()> {
+            let i = cold[j];
+            stored_rows(&mut table, next..i)?;
+            table.outcome(&specs[i], served)?;
+            next = i + 1;
+            Ok(())
         },
     )?;
-    writer.finish()?;
+    stored_rows(&mut table, next..specs.len())?;
+    let cached_cells = table.cached_cells;
+    table.writer.finish()?;
 
     record_bench(
         state,
@@ -637,15 +673,50 @@ fn figure_endpoint(
     Ok(())
 }
 
-/// One table row. A row that was simulated just now took long enough that
-/// the client should see it before the next one starts; a cached row took
-/// microseconds and travels with its neighbours.
-fn write_row<W: Write>(writer: &mut ChunkedWriter<W>, line: &str, cached: bool) -> io::Result<()> {
-    writer.chunk(line.as_bytes())?;
-    if cached {
-        Ok(())
-    } else {
-        writer.flush()
+/// A figure table on its way out: the chunked writer and the one line
+/// buffer every row is written into.
+struct TableStream<W: Write> {
+    writer: ChunkedWriter<W>,
+    line: String,
+    cached_cells: usize,
+}
+
+impl<W: Write> TableStream<W> {
+    /// One table row, `cached` or simulated just now.
+    fn row(&mut self, cell: &SweepCell, stats: &RunStats, cached: bool) -> io::Result<()> {
+        self.cached_cells += cached as usize;
+        self.line.clear();
+        push_figure_table_line(&mut self.line, cell, stats);
+        self.send(cached)
+    }
+
+    /// Sends the row in `line`. A row that was simulated just now took long
+    /// enough that the client should see it before the next one starts; a
+    /// cached row took microseconds and travels with its neighbours.
+    fn send(&mut self, cached: bool) -> io::Result<()> {
+        self.writer.chunk(self.line.as_bytes())?;
+        if cached {
+            Ok(())
+        } else {
+            self.writer.flush()
+        }
+    }
+
+    /// The row of a cell that went through the single-flight, or the end of
+    /// the stream when it failed.
+    fn outcome(
+        &mut self,
+        spec: &CellSpec,
+        (outcome, cached): (CellOutcome, bool),
+    ) -> io::Result<()> {
+        match outcome.result {
+            Ok(r) => self.row(&r.cell, &r.stats, cached),
+            Err(failure) => {
+                let msg = failure.to_string();
+                eprintln!("caba-serve: {} failed mid-stream: {msg}", spec.label());
+                Err(io::Error::other(msg))
+            }
+        }
     }
 }
 
@@ -883,11 +954,18 @@ mod tests {
     fn a_simulated_row_is_sent_before_the_next_and_cached_rows_are_not() {
         use http::tests::{Call, Recorder};
         let mut sock = Recorder::default();
-        let mut writer = ChunkedWriter::begin(&mut sock, "text/plain").unwrap();
-        for (line, cached) in [("a\n", true), ("b\n", true), ("c\n", false), ("d\n", true)] {
-            write_row(&mut writer, line, cached).unwrap();
+        {
+            let mut table = TableStream {
+                writer: ChunkedWriter::begin(&mut sock, "text/plain").unwrap(),
+                line: String::new(),
+                cached_cells: 0,
+            };
+            for (line, cached) in [("a\n", true), ("b\n", true), ("c\n", false), ("d\n", true)] {
+                table.line = line.to_string();
+                table.send(cached).unwrap();
+            }
+            table.writer.finish().unwrap();
         }
-        writer.finish().unwrap();
         let Call::Write(first) = &sock.0[0] else {
             panic!("{:?}", sock.0)
         };

@@ -8,10 +8,15 @@ use caba_serve::http::{fetch, FetchedResponse};
 use caba_serve::{ServeOptions, Server, MAX_HANDLERS, MAX_PARKED};
 use caba_sim::GpuConfig;
 use caba_store::{FaultFs, FaultRates, RealFs, Store, StoreFs};
-use caba_sweep::{dedup_cells, CellSpec, DesignId, Figure, Sweep, SweepCell, SweepConfig};
+use caba_sweep::{
+    decode_result_payload, dedup_cells, encode_result_payload, figure_table_line, CellSpec,
+    DesignId, Figure, Sweep, SweepCell, SweepConfig,
+};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.05;
@@ -401,6 +406,155 @@ fn concurrent_warm_figures_skip_the_single_flight() {
     let hits = (CLIENTS * cells().len()) as u64;
     assert_eq!(counter(&warm, "store_warm_hits"), hits, "{warm}");
     stop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The real filesystem, counting the appends to `lru.log`.
+struct CountLogAppends(RealFs, Arc<AtomicU64>);
+
+impl StoreFs for CountLogAppends {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.0.read(path)
+    }
+    fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.0.write_sync(path, bytes)
+    }
+    fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if path.ends_with("lru.log") {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+        self.0.append_sync(path, bytes)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.0.rename(from, to)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.0.sync_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.0.create_dir_all(dir)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.0.list(dir)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.0.remove_file(path)
+    }
+    fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
+        self.0.file_len(path)
+    }
+}
+
+/// Stats that tell fig07's cells apart and take no simulation to make.
+fn stand_in_stats(i: usize) -> caba_sim::RunStats {
+    caba_sim::RunStats {
+        cycles: 10_000 + i as u64,
+        app_instructions: 40_000 + 7 * i as u64,
+        dram_bursts: 300 + i as u64,
+        ..Default::default()
+    }
+}
+
+/// A store in `dir` holding every fig07 cell at the tests' scale under
+/// [`stand_in_stats`], and the table a server must stream from it.
+fn stand_in_fig07_store(dir: &Path) -> (Vec<CellSpec>, String) {
+    let store = Store::open(dir).expect("store opens");
+    let specs: Vec<CellSpec> = Figure::Fig07
+        .cells()
+        .iter()
+        .map(|c| CellSpec::new(&sc(), *c))
+        .collect();
+    let mut table = String::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let stats = stand_in_stats(i);
+        let payload = encode_result_payload(&stats, 0.5);
+        store
+            .put_result(spec.content_hash(), &spec.label(), &payload)
+            .expect("put");
+        table.push_str(&figure_table_line(&spec.cell(), &stats));
+    }
+    (specs, table)
+}
+
+/// A warm figure reads its rows in one store call: every row a store hit,
+/// and all their touches in one append to the touch log.
+#[test]
+fn a_warm_figure_is_one_store_call_and_one_touch_append() {
+    let dir = caba_store::fsio::scratch_dir("serve-one-call");
+    let (specs, table) = stand_in_fig07_store(&dir);
+    assert_eq!(specs.len(), 100);
+    let appends = Arc::new(AtomicU64::new(0));
+    let fs = CountLogAppends(RealFs, Arc::clone(&appends));
+    let server = start(Some(
+        Store::open_with_fs(&dir, Box::new(fs)).expect("store reopens"),
+    ));
+    for target in ["/figure/fig07", "/figure/fig07?scale=0.05"] {
+        let before = get(&server, "/stats").text();
+        let appended = appends.load(Ordering::SeqCst);
+        let warm = get(&server, target);
+        assert_eq!(warm.status, 200);
+        assert_eq!(warm.text(), table, "{target}");
+        let after = get(&server, "/stats").text();
+        let moved = |name| counter(&after, name) - counter(&before, name);
+        assert_eq!(moved("store_warm_hits"), 100, "{after}");
+        assert_eq!(moved("store_hits"), 100, "{after}");
+        assert_eq!(moved("store_misses"), 0, "{after}");
+        assert_eq!(moved("cells_computed"), 0, "{after}");
+        assert_eq!(moved("coalesced_waits"), 0, "{after}");
+        assert_eq!(appends.load(Ordering::SeqCst) - appended, 1, "{target}");
+    }
+    stop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A row missing from the store goes to the single-flight: it counts the
+/// figure's store miss and the flight leader's, and is computed once.
+#[test]
+fn cold_cells_in_a_warm_figure_count_two_store_misses_each() {
+    let dir = caba_store::fsio::scratch_dir("serve-cold-rows");
+    let (specs, table) = stand_in_fig07_store(&dir);
+    // Two cells of the tests' apps, one of them the figure's last row.
+    let cold: Vec<usize> = [
+        specs
+            .iter()
+            .position(|s| s.app == APPS[0])
+            .expect("a CONS cell"),
+        specs
+            .iter()
+            .rposition(|s| s.app == APPS[1])
+            .expect("a BFS cell"),
+    ]
+    .into();
+    for &i in &cold {
+        let name = format!("{:016x}.entry", specs[i].content_hash());
+        std::fs::remove_file(dir.join("objects").join("rs").join(name)).expect("entry removed");
+    }
+    let server = start(Some(Store::open(&dir).expect("store reopens")));
+    let before = get(&server, "/stats").text();
+    let resp = get(&server, "/figure/fig07?scale=0.05");
+    assert_eq!(resp.status, 200);
+    let after = get(&server, "/stats").text();
+    let moved = |name| counter(&after, name) - counter(&before, name);
+    let k = cold.len() as u64;
+    assert_eq!(moved("store_misses"), 2 * k, "{after}");
+    assert_eq!(moved("cells_computed"), k, "{after}");
+    assert_eq!(moved("store_warm_hits"), 100 - k, "{after}");
+    assert_eq!(moved("coalesced_waits"), 0, "{after}");
+    stop(server);
+
+    // The stored rows stream as they were stored, the computed ones as the
+    // flight persisted them, all in the figure's order.
+    let store = Store::open(&dir).expect("store reopens");
+    let mut want: Vec<String> = table.lines().map(|l| format!("{l}\n")).collect();
+    for &i in &cold {
+        let payload = store
+            .get_result(specs[i].content_hash())
+            .unwrap()
+            .expect("persisted");
+        let (stats, _) = decode_result_payload(&payload).expect("decodes");
+        want[i] = figure_table_line(&specs[i].cell(), &stats);
+    }
+    assert_eq!(resp.text(), want.concat());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

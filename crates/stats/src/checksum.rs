@@ -38,6 +38,31 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// [`checksum64`] of four byte slices at once: lane `i` of the result is
+/// `checksum64(lanes[i])`.
+///
+/// FNV-1a is one serial xor-multiply chain, so a single sum waits out the
+/// multiply's latency on every byte. Four independent chains, interleaved
+/// byte by byte up to the shortest lane, keep the multiplier busy; each
+/// lane then finishes its own tail alone. Four is where that stops paying:
+/// with one multiply issued per cycle, four lanes saturate it (DESIGN.md
+/// "Checksum" has the 1/2/4/8-lane numbers).
+pub fn checksum64x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let shared = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| &lane[..shared]);
+    let mut h = [FNV_OFFSET; 4];
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ x0 as u64).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ x1 as u64).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ x2 as u64).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ x3 as u64).wrapping_mul(FNV_PRIME);
+    }
+    for (h, lane) in h.iter_mut().zip(lanes) {
+        *h = Fnv64 { h: *h }.update(&lane[shared..]).finish();
+    }
+    h
+}
+
 /// Streaming FNV-1a-64 state, for checksumming data that arrives in
 /// pieces (store entry headers + payloads) without concatenating first.
 /// `Fnv64::new().update(a).update(b).finish()` equals
@@ -87,12 +112,30 @@ pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
 /// corrupted. Runs **before** any decoding — the checksum-before-decode
 /// contract shared by every container format in the workspace.
 pub fn verify_sealed(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split tail is 8 bytes"));
+    let (body, stored) = split_sealed(bytes)?;
     (checksum64(body) == stored).then_some(body)
+}
+
+/// A sealed container split into the body and the checksum stored after
+/// it, or `None` when it is too short to hold one.
+fn split_sealed(bytes: &[u8]) -> Option<(&[u8], u64)> {
+    let body_len = bytes.len().checked_sub(8)?;
+    let (body, tail) = bytes.split_at(body_len);
+    Some((body, u64::from_le_bytes(tail.try_into().ok()?)))
+}
+
+/// [`verify_sealed`] of four containers at once, their checksums taken by
+/// [`checksum64x4`]: lane `i` of the result is `verify_sealed(containers[i])`.
+/// A container too short to hold a checksum joins the other lanes as an
+/// empty one and verifies as `None`.
+pub fn verify_sealed_x4(containers: [&[u8]; 4]) -> [Option<&[u8]>; 4] {
+    let split = containers.map(split_sealed);
+    let sums = checksum64x4(split.map(|s| s.map_or(&[][..], |(body, _)| body)));
+    let mut out = [None; 4];
+    for ((out, split), sum) in out.iter_mut().zip(split).zip(sums) {
+        *out = split.and_then(|(body, stored)| (sum == stored).then_some(body));
+    }
+    out
 }
 
 /// The separator between a sealed line's body and its checksum field.
@@ -247,6 +290,99 @@ mod tests {
                 let mut out = String::from("key=");
                 write_hex16(&mut out, x);
                 assert_eq!(out, format!("key={x:016x}"));
+            }
+        });
+    }
+
+    /// Lanes cut from `pool` at random offsets: lengths 0 to 2 KiB, skewed
+    /// short so a million quadruples stay quick in a debug build, and one
+    /// lane in eight empty.
+    fn random_lane<'a>(rng: &mut crate::rng::Rng64, pool: &'a [u8]) -> &'a [u8] {
+        let len = if rng.range_u64(8) == 0 {
+            0
+        } else {
+            (rng.range_u64(2049) >> rng.range_u64(12)) as usize
+        };
+        let start = rng.range_u64((pool.len() - len + 1) as u64) as usize;
+        &pool[start..start + len]
+    }
+
+    /// `checksum64x4` equals `checksum64` lane by lane on `cases` x 16
+    /// random quadruples.
+    fn four_lane_differential(seed: u64, cases: u32) {
+        let mut fill = crate::rng::Rng64::new(seed);
+        let pool: Vec<u8> = (0..4096).map(|_| fill.next_u64() as u8).collect();
+        crate::prop::check(seed, cases, |rng| {
+            for _ in 0..16 {
+                let lanes = [(); 4].map(|()| random_lane(rng, &pool));
+                let lens = lanes.map(<[u8]>::len);
+                assert_eq!(
+                    checksum64x4(lanes),
+                    lanes.map(checksum64),
+                    "lengths {lens:?}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn four_lanes_sum_what_one_lane_sums_on_a_million_quadruples() {
+        assert_eq!(checksum64x4([&[]; 4]), [FNV_OFFSET; 4]);
+        let data = b"the quick brown fox jumps over the lazy dog";
+        for cut in 0..data.len() {
+            let lanes = [&data[..cut], &data[cut..], data, &data[..cut / 2]];
+            assert_eq!(checksum64x4(lanes), lanes.map(checksum64), "cut at {cut}");
+        }
+        four_lane_differential(0x0004_1A4E, 65_536);
+    }
+
+    /// The same differential on 20 M quadruples, for a release build:
+    /// `cargo test --release -p caba-stats --lib checksum -- --ignored`.
+    #[test]
+    #[ignore = "20 M quadruples: run in release with --ignored"]
+    fn four_lanes_sum_what_one_lane_sums_on_twenty_million_quadruples() {
+        four_lane_differential(0x0204_1A4E, 1_250_000);
+    }
+
+    #[test]
+    fn four_containers_verify_as_each_verifies_alone() {
+        crate::prop::check(0x5EA1_0004, 32, |rng| {
+            let sealed: [Vec<u8>; 4] = [(); 4].map(|()| {
+                let len = rng.range_u64(97) as usize;
+                seal((0..len).map(|_| rng.next_u64() as u8).collect())
+            });
+            let mut lanes = sealed.clone();
+            fn one_by_one(lanes: &[Vec<u8>; 4]) -> [Option<&[u8]>; 4] {
+                lanes.each_ref().map(|c| verify_sealed(c))
+            }
+            fn x4(lanes: &[Vec<u8>; 4]) -> [Option<&[u8]>; 4] {
+                verify_sealed_x4(lanes.each_ref().map(Vec::as_slice))
+            }
+            assert_eq!(x4(&lanes), one_by_one(&lanes));
+            assert!(x4(&lanes).iter().all(Option::is_some));
+            // Every single-bit flip, in every lane and position, fails that
+            // lane and no other.
+            for lane in 0..4 {
+                for byte in 0..lanes[lane].len() {
+                    for bit in 0..8 {
+                        lanes[lane][byte] ^= 1 << bit;
+                        let got = x4(&lanes);
+                        assert_eq!(got, one_by_one(&lanes), "flip {lane}:{byte}:{bit}");
+                        assert_eq!(got[lane], None, "flip {lane}:{byte}:{bit}");
+                        lanes[lane][byte] ^= 1 << bit;
+                    }
+                }
+            }
+            // A container shorter than a checksum, in any lane, verifies as
+            // `None` beside whole ones.
+            for lane in 0..4 {
+                for len in 0..8 {
+                    let mut short = sealed.clone();
+                    short[lane].truncate(len);
+                    let got = x4(&short);
+                    assert_eq!(got, one_by_one(&short), "lane {lane} cut to {len}");
+                    assert_eq!(got[lane], None);
+                }
             }
         });
     }

@@ -345,9 +345,9 @@ struct TouchLog {
     /// No compaction below this many lines: [`COMPACT_MIN_LINES`], raised
     /// past the current length after a failed attempt.
     compact_above: u64,
-    /// The line being appended, kept so a touch formats into it instead
+    /// The lines being appended, kept so a touch formats into it instead
     /// of a fresh `String`.
-    line: String,
+    pending: String,
 }
 
 impl TouchLog {
@@ -382,6 +382,46 @@ fn entry_file_name(key: u64) -> [u8; 22] {
     let mut name = *b"0000000000000000.entry";
     name[..16].copy_from_slice(&checksum::hex16(key));
     name
+}
+
+/// What one read call has found for one of its keys.
+enum Read {
+    /// The entry file's bytes, as read and not yet verified.
+    Entry(Vec<u8>),
+    /// A verified entry's payload.
+    Hit(Vec<u8>),
+    /// No entry, or a corrupt one, now quarantined.
+    Miss,
+    /// The entry could not be read.
+    Failed(StoreError),
+}
+
+impl Read {
+    /// The bytes of a read entry not yet verified.
+    fn entry_bytes(&self) -> &[u8] {
+        match self {
+            Read::Entry(bytes) => bytes,
+            _ => unreachable!("only a read entry is verified"),
+        }
+    }
+
+    fn into_result(self) -> Result<Option<Vec<u8>>, StoreError> {
+        match self {
+            Read::Hit(payload) => Ok(Some(payload)),
+            Read::Miss => Ok(None),
+            Read::Failed(e) => Err(e),
+            Read::Entry(_) => unreachable!("every read entry is settled"),
+        }
+    }
+}
+
+/// A verified entry's bytes trimmed, in place, down to its payload: the
+/// last field, `payload_len` bytes ending where the checksum starts.
+fn into_payload(mut bytes: Vec<u8>, payload_len: usize) -> Vec<u8> {
+    let end = bytes.len() - 8;
+    bytes.truncate(end);
+    bytes.drain(..end - payload_len);
+    bytes
 }
 
 /// A touch log this short is never compacted.
@@ -435,7 +475,7 @@ impl Store {
                 lines: 0,
                 live: FxHashSet::default(),
                 compact_above: COMPACT_MIN_LINES,
-                line: String::new(),
+                pending: String::new(),
             }),
         };
         // Resume the touch sequence past anything already logged so new
@@ -485,14 +525,6 @@ impl Store {
         s
     }
 
-    fn count_hit(&self) {
-        self.counters.lock().expect("store counters").hits += 1;
-    }
-
-    fn count_miss(&self) {
-        self.counters.lock().expect("store counters").misses += 1;
-    }
-
     // ---- entry encode/decode -------------------------------------------
 
     fn encode_entry(kind: EntryKind, key: u64, label: &str, payload: &[u8]) -> Vec<u8> {
@@ -518,6 +550,16 @@ impl Store {
         want_key: u64,
     ) -> Result<(&str, &[u8]), String> {
         let body = checksum::verify_sealed(bytes).ok_or("checksum mismatch")?;
+        Self::decode_body(body, want_kind, want_key)
+    }
+
+    /// [`decode_entry`](Self::decode_entry) of a body whose checksum has
+    /// verified: magic, version, kind and key, then `(label, payload)`.
+    fn decode_body(
+        body: &[u8],
+        want_kind: EntryKind,
+        want_key: u64,
+    ) -> Result<(&str, &[u8]), String> {
         let mut r = SnapshotReader::new(body);
         let magic = r.raw(MAGIC.len()).map_err(|e| e.to_string())?;
         if magic != MAGIC {
@@ -578,6 +620,19 @@ impl Store {
         self.get(EntryKind::Result, key)
     }
 
+    /// Fetches many cell results in one call: element `i` is what
+    /// [`get_result`](Store::get_result)`(keys[i])` would return, with the
+    /// same hit and miss counts and the same repairs. The call verifies the
+    /// entries' checksums four at a time, updates the counters once and
+    /// appends every hit's touch line to `lru.log` in one `append_sync`;
+    /// unless it quarantines an entry, those lines are the ones the
+    /// one-key calls would have appended.
+    pub fn get_results(&self, keys: &[u64]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+        let mut reads: Vec<Read> = keys.iter().map(|_| Read::Miss).collect();
+        self.get_many(EntryKind::Result, keys, &mut reads);
+        reads.into_iter().map(Read::into_result).collect()
+    }
+
     fn put(
         &self,
         kind: EntryKind,
@@ -607,43 +662,115 @@ impl Store {
         self.fs
             .sync_dir(dir)
             .map_err(|e| ioerr("sync dir", dir, e))?;
-        self.touch(kind, key);
+        self.touch(kind, self.bump_seq(), [key].into_iter());
         Ok(())
     }
 
+    /// The one-key read: [`get_many`](Store::get_many) of `key` alone.
     fn get(&self, kind: EntryKind, key: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        let path = self.entry_path(kind, key);
-        let mut last_reason = String::new();
-        // Decode failure can be a transient short read; re-read once
-        // before concluding the bytes on disk are actually corrupt.
-        for _attempt in 0..2 {
-            let mut bytes = match self.fs.read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    self.count_miss();
-                    return Ok(None);
+        let mut read = [Read::Miss];
+        self.get_many(kind, &[key], &mut read);
+        let [read] = read;
+        read.into_result()
+    }
+
+    /// The store's one read path, for 1..n keys: `reads[i]` becomes what the
+    /// store holds under `keys[i]`. Every entry is read, its checksum
+    /// verified (four entries at a time) and its header checked. An entry
+    /// that fails either is read once more, since the first read may have
+    /// been short, and quarantined if it fails again. The counters move
+    /// once, and the hits' touch lines, their sequences reserved in key
+    /// order, go to `lru.log` in one append.
+    fn get_many(&self, kind: EntryKind, keys: &[u64], reads: &mut [Read]) {
+        debug_assert_eq!(keys.len(), reads.len());
+        for (read, &key) in reads.iter_mut().zip(keys) {
+            *read = self.read_entry(kind, key);
+        }
+        // Indices of read entries not yet verified: a group of four takes
+        // four interleaved checksum chains, a remainder one chain each.
+        let mut group = [0; 4];
+        let mut grouped = 0;
+        for i in 0..reads.len() {
+            if !matches!(reads[i], Read::Entry(_)) {
+                continue;
+            }
+            group[grouped] = i;
+            grouped += 1;
+            if grouped == 4 {
+                let sums_ok = checksum::verify_sealed_x4(group.map(|i| reads[i].entry_bytes()))
+                    .map(|body| body.is_some());
+                for (&i, sum_ok) in group.iter().zip(sums_ok) {
+                    self.settle(kind, keys[i], &mut reads[i], sum_ok);
                 }
-                Err(e) => return Err(ioerr("read", &path, e)),
-            };
-            match Self::decode_entry(&bytes, kind, key) {
-                Ok((_label, payload)) => {
-                    // Trim the buffer just read down to the payload.
-                    let end = bytes.len() - 8;
-                    let start = end - payload.len();
-                    bytes.truncate(end);
-                    bytes.drain(..start);
-                    self.count_hit();
-                    self.touch(kind, key);
-                    return Ok(Some(bytes));
-                }
-                Err(reason) => last_reason = reason,
+                grouped = 0;
             }
         }
-        // Two reads, two decode failures: the entry itself is corrupt.
-        // Quarantine it (preserving the bytes) and report a miss.
-        self.quarantine_file(&path, &format!("get: {last_reason}"));
-        self.count_miss();
-        Ok(None)
+        for &i in &group[..grouped] {
+            let sum_ok = checksum::verify_sealed(reads[i].entry_bytes()).is_some();
+            self.settle(kind, keys[i], &mut reads[i], sum_ok);
+        }
+
+        let hits = reads.iter().filter(|r| matches!(r, Read::Hit(_))).count() as u64;
+        let misses = reads.iter().filter(|r| matches!(r, Read::Miss)).count() as u64;
+        let first_seq = {
+            let mut c = self.counters.lock().expect("store counters");
+            c.hits += hits;
+            c.misses += misses;
+            c.next_seq += hits;
+            c.next_seq - hits
+        };
+        if hits > 0 {
+            let hit_keys = keys.iter().zip(&*reads);
+            let hit_keys =
+                hit_keys.filter_map(|(&key, r)| matches!(r, Read::Hit(_)).then_some(key));
+            self.touch(kind, first_seq, hit_keys);
+        }
+    }
+
+    /// One read of `key`'s entry file: its bytes, unverified, or a miss
+    /// when there is no such file.
+    fn read_entry(&self, kind: EntryKind, key: u64) -> Read {
+        let path = self.entry_path(kind, key);
+        match self.fs.read(&path) {
+            Ok(bytes) => Read::Entry(bytes),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Read::Miss,
+            Err(e) => Read::Failed(ioerr("read", &path, e)),
+        }
+    }
+
+    /// Turns a read entry into a hit, or repairs it. `sum_ok` says whether
+    /// its checksum verified; a hit also needs its header to be this
+    /// entry's. Anything else can be a transient short read, so the entry
+    /// is read once more and decoded whole; two failures in a row mean the
+    /// bytes on disk are corrupt, and the entry is quarantined (its bytes
+    /// preserved) and reads as a miss.
+    fn settle(&self, kind: EntryKind, key: u64, read: &mut Read, sum_ok: bool) {
+        let Read::Entry(bytes) = std::mem::replace(read, Read::Miss) else {
+            unreachable!("only a read entry is settled");
+        };
+        let body = &bytes[..bytes.len().saturating_sub(8)];
+        let first = match sum_ok {
+            true => Self::decode_body(body, kind, key).ok(),
+            false => None,
+        };
+        if let Some((_, payload)) = first {
+            let payload_len = payload.len();
+            *read = Read::Hit(into_payload(bytes, payload_len));
+            return;
+        }
+        *read = match self.read_entry(kind, key) {
+            Read::Entry(bytes) => match Self::decode_entry(&bytes, kind, key) {
+                Ok((_, payload)) => {
+                    let payload_len = payload.len();
+                    Read::Hit(into_payload(bytes, payload_len))
+                }
+                Err(reason) => {
+                    self.quarantine_file(&self.entry_path(kind, key), &format!("get: {reason}"));
+                    Read::Miss
+                }
+            },
+            other => other,
+        };
     }
 
     // ---- quarantine ----------------------------------------------------
@@ -665,26 +792,30 @@ impl Store {
 
     // ---- LRU touch log -------------------------------------------------
 
-    /// Records a use of `(kind, key)` in the touch log. Best-effort: the
-    /// log is advisory (it only orders GC eviction), so an injected
-    /// append fault must not fail the surrounding put/get.
+    /// Records a use of each of `keys`, entries of `kind`, in the touch
+    /// log: one line per key, with sequences from `first_seq` up, all in
+    /// one append. Best-effort: the log is advisory (it only orders GC
+    /// eviction), so an injected append fault must not fail the
+    /// surrounding put/get, and costs only these touches.
     ///
     /// The log stays bounded: once it holds more than
     /// max([`COMPACT_MIN_LINES`], [`COMPACT_LINES_PER_ENTRY`] x the entries
-    /// it names) lines, the touch that crossed the line compacts it. This
+    /// it names) lines, the append that crossed the line compacts it, so
+    /// the log overshoots the trigger by less than one append's lines. This
     /// handle's appends and its compaction share one lock, so it never
     /// drops its own touches; a touch *another* handle appends between the
     /// compaction's replay and its rename is lost, which costs that entry
     /// some GC seniority and nothing else.
-    fn touch(&self, kind: EntryKind, key: u64) {
-        let seq = self.bump_seq();
+    fn touch(&self, kind: EntryKind, first_seq: u64, keys: impl Iterator<Item = u64>) {
         let mut log = self.touch_log.lock().expect("touch log");
         let log = &mut *log;
-        log.line.clear();
-        push_touch_line(&mut log.line, (kind, key), seq);
-        let _ = self.fs.append_sync(&self.lru_log, log.line.as_bytes());
-        log.lines += 1;
-        log.live.insert(key);
+        log.pending.clear();
+        for (seq, key) in (first_seq..).zip(keys) {
+            push_touch_line(&mut log.pending, (kind, key), seq);
+            log.lines += 1;
+            log.live.insert(key);
+        }
+        let _ = self.fs.append_sync(&self.lru_log, log.pending.as_bytes());
         let due = log
             .compact_above
             .max(COMPACT_LINES_PER_ENTRY * log.live.len() as u64);
@@ -1348,9 +1479,13 @@ mod tests {
 
     /// Files in memory, so that tens of thousands of touches cost no
     /// fsyncs. Clones share the files: a second handle, or a `FaultFs`
-    /// over it, sees what the first one wrote.
+    /// over it, sees what the first one wrote. The second field counts the
+    /// appends to `lru.log` that reached it.
     #[derive(Clone, Default)]
-    struct MemFs(std::sync::Arc<Mutex<std::collections::BTreeMap<PathBuf, Vec<u8>>>>);
+    struct MemFs(
+        std::sync::Arc<Mutex<std::collections::BTreeMap<PathBuf, Vec<u8>>>>,
+        std::sync::Arc<std::sync::atomic::AtomicU64>,
+    );
 
     impl MemFs {
         fn files(&self) -> std::sync::MutexGuard<'_, std::collections::BTreeMap<PathBuf, Vec<u8>>> {
@@ -1380,6 +1515,9 @@ mod tests {
             Ok(())
         }
         fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            if path.ends_with(LRU_LOG) {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
             let mut files = self.files();
             files.entry(path.to_path_buf()).or_default().extend(bytes);
             Ok(())
@@ -1523,6 +1661,178 @@ mod tests {
             assert_eq!(clean.stats().unwrap().stale_temps, 0);
         }
     }
+    // ---- one read call for many keys ----------------------------------
+
+    fn log_appends(fs: &MemFs) -> u64 {
+        fs.1.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn log_bytes(fs: &MemFs) -> Vec<u8> {
+        fs.files()[Path::new("/mem/lru.log")].clone()
+    }
+
+    /// A result payload that differs per key and in length.
+    fn payload_of(key: u64) -> Vec<u8> {
+        vec![key as u8; 200 + (key as usize * 37) % 300]
+    }
+
+    /// `n` results, keys `0..n`, each under [`payload_of`].
+    fn filled(n: u64) -> MemFs {
+        let fs = MemFs::default();
+        let store = fs.open();
+        for key in 0..n {
+            store.put_result(key, "cell", &payload_of(key)).unwrap();
+        }
+        fs
+    }
+
+    #[test]
+    fn one_read_call_is_n_gets_with_one_append() {
+        caba_stats::prop::check(0x000B_A7C4, 48, |rng| {
+            let (batched, single) = (filled(24), filled(24));
+            // Keys past 23 miss; a key may repeat.
+            let n = 1 + rng.range_u64(40) as usize;
+            let keys: Vec<u64> = (0..n).map(|_| rng.range_u64(30)).collect();
+            let (b, s) = (batched.open(), single.open());
+            let (b_appends, s_appends) = (log_appends(&batched), log_appends(&single));
+
+            let got = b.get_results(&keys);
+            let want: Vec<_> = keys.iter().map(|&k| s.get_result(k).unwrap()).collect();
+            let got: Vec<_> = got.into_iter().map(Result::unwrap).collect();
+            assert_eq!(got, want, "{keys:?}");
+            for (key, got) in keys.iter().zip(&got) {
+                assert_eq!(got.as_ref(), (*key < 24).then(|| payload_of(*key)).as_ref());
+            }
+            assert_eq!(b.hit_count(), s.hit_count());
+            assert_eq!(b.miss_count(), s.miss_count());
+            let hits = s.hit_count();
+            assert_eq!(
+                b.replay_touches().latest_in_order(),
+                s.replay_touches().latest_in_order()
+            );
+            assert_eq!(log_bytes(&batched), log_bytes(&single));
+            assert_eq!(log_appends(&batched) - b_appends, u64::from(hits > 0));
+            assert_eq!(log_appends(&single) - s_appends, hits);
+        });
+        // No keys: nothing read, counted or appended.
+        let fs = filled(4);
+        let store = fs.open();
+        let appends = log_appends(&fs);
+        assert!(store.get_results(&[]).is_empty());
+        assert_eq!((store.hit_count(), store.miss_count()), (0, 0));
+        assert_eq!(log_appends(&fs), appends);
+    }
+
+    #[test]
+    fn a_corrupt_entry_mid_call_is_quarantined_and_the_rest_served() {
+        let fs = filled(12);
+        let corrupt = fs
+            .files()
+            .keys()
+            .find(|p| p.ends_with(format!("{:016x}.entry", 5)))
+            .cloned();
+        let corrupt = corrupt.expect("entry 5 is on disk");
+        let mid = fs.files()[&corrupt].len() / 2;
+        fs.files().get_mut(&corrupt).unwrap()[mid] ^= 0x10;
+
+        let store = fs.open_faulted(FaultRates::none());
+        let appends = log_appends(&fs);
+        let keys: Vec<u64> = (0..12).collect();
+        for (key, got) in keys.iter().zip(store.get_results(&keys)) {
+            let want = (*key != 5).then(|| payload_of(*key));
+            assert_eq!(got.unwrap(), want, "key {key}");
+        }
+        assert_eq!((store.hit_count(), store.miss_count()), (11, 1));
+        assert_eq!(log_appends(&fs) - appends, 1);
+        assert!(!fs.files().contains_key(&corrupt), "moved out of objects/");
+        assert_eq!(store.stats().unwrap().quarantined, 1, "bytes preserved");
+        let replay = store.replay_touches();
+        assert_eq!(replay.entries().len(), 12, "the put lines stay");
+    }
+
+    #[test]
+    fn short_reads_in_a_read_call_are_read_again() {
+        let mut healed = 0;
+        for seed in 0..32 {
+            let fs = filled(16);
+            let rates = FaultRates {
+                short_read: 0.25,
+                ..FaultRates::none()
+            };
+            let faulted = FaultFs::over(Box::new(fs.clone()), seed, rates);
+            let counts = faulted.counts_handle();
+            let store = Store::open_with_fs("/mem", Box::new(faulted)).unwrap();
+            let before = counts.lock().unwrap().short_reads;
+            let keys: Vec<u64> = (0..16).collect();
+            let mut misses = 0;
+            for (key, got) in keys.iter().zip(store.get_results(&keys)) {
+                match got.unwrap() {
+                    Some(payload) => assert_eq!(payload, payload_of(*key), "seed {seed}"),
+                    None => misses += 1,
+                }
+            }
+            // A miss is an entry read short twice, and it is quarantined;
+            // any other short read was followed by a whole one.
+            assert_eq!(store.miss_count(), misses, "seed {seed}");
+            let stats = store.stats().unwrap();
+            assert_eq!((stats.quarantined, stats.results), (misses, 16 - misses));
+            let short = counts.lock().unwrap().short_reads - before;
+            assert!(short >= 2 * misses, "seed {seed}");
+            healed += short - 2 * misses;
+        }
+        assert!(healed > 0, "no short read was healed by a second read");
+    }
+
+    #[test]
+    fn a_failed_or_torn_touch_append_fails_no_read() {
+        let mut torn_mid_line = 0;
+        for (seed, rates) in (0..8).flat_map(|seed| {
+            [
+                FaultRates {
+                    torn_write: 1.0,
+                    ..FaultRates::none()
+                },
+                FaultRates {
+                    enospc: 1.0,
+                    ..FaultRates::none()
+                },
+            ]
+            .map(|rates| (seed, rates))
+        }) {
+            let fs = filled(10);
+            let put_lines = fs.open().replay_touches().latest_in_order();
+            let before = log_bytes(&fs).len();
+            let faulted = FaultFs::over(Box::new(fs.clone()), seed, rates);
+            let store = Store::open_with_fs("/mem", Box::new(faulted)).unwrap();
+            let keys: Vec<u64> = (0..10).rev().collect();
+            for (key, got) in keys.iter().zip(store.get_results(&keys)) {
+                assert_eq!(got.unwrap(), Some(payload_of(*key)));
+            }
+            assert_eq!(store.hit_count(), 10);
+            // The append landed a prefix of its ten lines. The replay keeps
+            // the whole lines of it and skips the torn tail.
+            let landed = log_bytes(&fs).len() - before;
+            let (whole, torn) = (
+                landed / touchlog::LINE_BYTES,
+                !landed.is_multiple_of(touchlog::LINE_BYTES),
+            );
+            let replay = fs.open().replay_touches();
+            assert_eq!(replay.lines, (10 + whole + usize::from(torn)) as u64);
+            torn_mid_line += usize::from(torn && (1..9).contains(&whole));
+            let first_seq = put_lines.iter().map(|(_, seq)| seq).max().unwrap() + 1;
+            for (entry, put_seq) in put_lines {
+                let at = keys.iter().position(|&k| result_id(k) == entry).unwrap();
+                let want = if at < whole {
+                    first_seq + at as u64
+                } else {
+                    put_seq
+                };
+                assert_eq!(replay.seq_of(entry), Some(want), "{entry:?}");
+            }
+        }
+        assert!(torn_mid_line > 0, "no append tore after a whole line");
+    }
+
     // ---- one replay behind open, GC and compaction ----------------------
 
     fn log_lines(fs: &MemFs) -> usize {

@@ -19,7 +19,7 @@ use std::collections::hash_map::Entry;
 pub(crate) type EntryId = (EntryKind, u64);
 
 /// Bytes in one line: 42 of body, 21 of checksum field, a newline.
-const LINE_BYTES: usize = 64;
+pub(crate) const LINE_BYTES: usize = 64;
 
 /// One touch-log line, the body and its own checksum, appended to `out`.
 pub(crate) fn push_touch_line(out: &mut String, (kind, key): EntryId, seq: u64) {

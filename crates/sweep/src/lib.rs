@@ -42,7 +42,8 @@ pub use fanout::fan_out;
 pub use paper::{Figure, ParseFigureError};
 pub use resilient::{
     decode_result_payload, encode_result_payload, figure_table, figure_table_line, probe_store,
-    push_figure_table_line, run_cell_stored, CellFailure, CellOutcome, FailureClass, SweepError,
+    probe_store_many, push_figure_table_line, run_cell_stored, CellFailure, CellOutcome,
+    FailureClass, SweepError,
 };
 
 use caba_compress::Algorithm;

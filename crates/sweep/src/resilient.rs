@@ -40,7 +40,7 @@ use caba_sim::RunStats;
 use caba_stats::checksum::{seal_line, verify_line};
 use caba_stats::json;
 use caba_stats::snap::{SnapshotReader, SnapshotState, SnapshotWriter};
-use caba_store::Store;
+use caba_store::{Store, StoreError};
 use caba_workloads::app;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -213,20 +213,37 @@ pub fn run_cell_stored(
 /// server, ahead of its single-flight) probes first and calls
 /// `run_cell_stored` only on `None`.
 pub fn probe_store(spec: &CellSpec, key: u64, store: &Store) -> Option<CellOutcome> {
-    match store.get_result(key) {
-        Ok(Some(payload)) => {
-            let (stats, wall_s) = decode_result_payload(&payload)?;
-            Some(CellOutcome::restored(spec, stats, wall_s, true))
-        }
-        Ok(None) => None,
-        Err(e) => {
-            eprintln!(
-                "caba: store read for {} failed ({e}); recomputing",
-                spec.label()
-            );
-            None
-        }
-    }
+    let payload = logged_read(spec, store.get_result(key))?;
+    let (stats, wall_s) = decode_result_payload(&payload)?;
+    Some(CellOutcome::restored(spec, stats, wall_s, true))
+}
+
+/// [`probe_store`] for many cells in one store call
+/// ([`Store::get_results`]): element `i` is the stored payload of
+/// `specs[i]`, whose key is `keys[i]`, or `None` when the store holds no
+/// entry or the read fails (logged). The payloads stay encoded: a caller
+/// that streams the cells decodes each with [`decode_result_payload`] as
+/// it uses it, and so holds one decoded `RunStats` at a time.
+pub fn probe_store_many(specs: &[CellSpec], keys: &[u64], store: &Store) -> Vec<Option<Vec<u8>>> {
+    debug_assert_eq!(specs.len(), keys.len());
+    let reads = store.get_results(keys);
+    reads
+        .into_iter()
+        .zip(specs)
+        .map(|(read, spec)| logged_read(spec, read))
+        .collect()
+}
+
+/// A store read of `spec`'s result, with a failed read logged and taken as
+/// a miss: the cell is recomputed.
+fn logged_read(spec: &CellSpec, read: Result<Option<Vec<u8>>, StoreError>) -> Option<Vec<u8>> {
+    read.unwrap_or_else(|e| {
+        eprintln!(
+            "caba: store read for {} failed ({e}); recomputing",
+            spec.label()
+        );
+        None
+    })
 }
 
 /// [`run_cell`] under panic isolation; returns the result and the attempts
