@@ -21,10 +21,10 @@
 //!   decompression on compressed fills (high priority, §4.2.1), compression
 //!   on store-buffer drains (low priority, §4.2.2), staging-slot management,
 //!   and completion handling with optional paranoid verification.
-//! * [`memoize`] — the §7.1 "other use": a shared-memory lookup table for
-//!   redundant-computation elimination.
-//! * [`prefetch`] — the §7.2 "other use": stride prefetching assist warps
-//!   throttled to idle memory cycles.
+//!
+//! Compression is the only assist-warp use reproduced. The paper's §7 other
+//! uses (memoization, prefetching) have no evaluation figure to check a
+//! model against, so they are not modelled.
 //!
 //! # Examples
 //!
@@ -56,8 +56,6 @@
 //! ```
 
 pub mod controller;
-pub mod memoize;
-pub mod prefetch;
 pub mod subroutines;
 
 pub use controller::{CabaController, CabaMode, CabaStats};

@@ -312,26 +312,15 @@ impl DramChannel {
         self.in_flight.push((data_end, req));
     }
 
-    /// Advances `n` cycles of pure idleness in one call, so callers can
-    /// skip per-cycle [`DramChannel::cycle`] calls on a drained channel and
-    /// catch the clock up later. Timing-equivalent to `n` `cycle()` calls:
-    /// with nothing queued, in flight, or completed, a cycle only advances
-    /// `now` and `total_cycles` (the Figure 8 utilization denominator).
-    ///
-    /// Must only be called while [`DramChannel::idle`] is true.
-    pub fn tick_idle(&mut self, n: u64) {
-        debug_assert!(self.idle(), "tick_idle on a non-idle channel");
-        self.now += n;
-        self.stats.total_cycles += n;
-    }
-
     /// Advances `n` cycles across a span in which the channel provably does
     /// nothing: no in-flight transfer finishes and no queued request becomes
-    /// schedulable at or before `now + n`. Unlike [`DramChannel::tick_idle`]
-    /// the channel may hold future-dated work — the caller (the next-event
-    /// clock) must pick `n` from [`DramChannel::next_event`] so every skipped
-    /// cycle would have been a pure clock tick, and so that the event cycle
-    /// itself is still executed by a real [`DramChannel::cycle`] call.
+    /// schedulable at or before `now + n`. The channel need not be
+    /// [`DramChannel::idle`]: it may hold future-dated work. Each skipped
+    /// cycle only advances `now` and `total_cycles` (the Figure 8 utilization
+    /// denominator). The caller (the next-event clock) must pick `n` from
+    /// [`DramChannel::next_event`] so every skipped cycle would have been a
+    /// pure clock tick, and so that the event cycle itself is still executed
+    /// by a real [`DramChannel::cycle`] call.
     pub fn tick_gap(&mut self, n: u64) {
         debug_assert!(
             self.completed.is_empty(),

@@ -199,18 +199,6 @@ impl GpuConfig {
         self
     }
 
-    /// Replaces the L1 geometry (cache-compression studies, Fig. 13).
-    pub fn with_l1(mut self, geo: CacheGeometry) -> Self {
-        self.l1 = geo;
-        self
-    }
-
-    /// Replaces the per-partition L2 geometry.
-    pub fn with_l2(mut self, geo: CacheGeometry) -> Self {
-        self.l2 = geo;
-        self
-    }
-
     /// Enables activity tracing. Retrieve the recorded
     /// [`crate::ActivityTrace`] with [`crate::Gpu::take_trace`] after `run`.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {

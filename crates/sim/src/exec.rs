@@ -1,10 +1,10 @@
 //! Functional execution of one instruction for one warp.
 //!
 //! Values are computed at issue time against the functional memory
-//! ([`FuncMem`]); the timing model independently schedules scoreboard
-//! release. The outcome reports everything the timing model needs: which
-//! global lines were touched (already coalesced), whether shared memory was
-//! accessed, and control-flow effects.
+//! ([`FuncMem`](caba_mem::FuncMem)); the timing model independently
+//! schedules scoreboard release. The outcome reports everything the timing
+//! model needs: which global lines were touched (already coalesced),
+//! whether shared memory was accessed, and control-flow effects.
 
 use crate::warp::Warp;
 use caba_isa::exec::{alu_row, cmp_mask, falu_row, sfu_row, truncate, Row};

@@ -70,7 +70,7 @@ pub fn fmt_f64(x: f64) -> String {
 /// before the point, so nothing is left empty: `-1e-7` prints `-0`, as
 /// `{:.6}` does.
 ///
-/// The digits come from [`micro_units`], exact integer arithmetic that
+/// The digits come from `micro_units`, exact integer arithmetic that
 /// rounds a tie to even as `{:.6}` does (`0.0078125` prints `0.007812`).
 /// Only a value of 2^64 micro-units or more (|x| ≳ 1.8·10¹³) takes the
 /// `core::fmt` path.
