@@ -139,16 +139,6 @@ impl Algorithm {
             Algorithm::CPack => 8,
         }
     }
-
-    /// Compression latency in cycles for dedicated hardware (5 cycles for
-    /// BDI per §5).
-    pub fn hw_compress_latency(self) -> u64 {
-        match self {
-            Algorithm::Bdi => 5,
-            Algorithm::Fpc => 8,
-            Algorithm::CPack => 16,
-        }
-    }
 }
 
 impl fmt::Display for Algorithm {
@@ -439,7 +429,6 @@ mod tests {
     fn algorithm_metadata() {
         assert_eq!(Algorithm::Bdi.name(), "BDI");
         assert_eq!(Algorithm::Bdi.hw_decompress_latency(), 1);
-        assert_eq!(Algorithm::Bdi.hw_compress_latency(), 5);
         assert!(Algorithm::CPack.hw_decompress_latency() > Algorithm::Bdi.hw_decompress_latency());
         assert_eq!(format!("{}", Algorithm::CPack), "C-Pack");
     }

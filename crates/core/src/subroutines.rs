@@ -404,11 +404,6 @@ impl AssistWarpStore {
     pub fn is_empty(&self) -> bool {
         self.programs.is_empty()
     }
-
-    /// Total instructions across resident subroutines (the AWS footprint).
-    pub fn total_instructions(&self) -> usize {
-        self.programs.values().map(|p| p.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -462,7 +457,6 @@ mod tests {
         assert_eq!(aws.len(), 1);
         let _ = aws.get(SubroutineKey::SerialCompress(Algorithm::CPack));
         assert_eq!(aws.len(), 2);
-        assert!(aws.total_instructions() > 0);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct ProgramBuilder {
     instrs: Vec<Instr>,
     labels: Vec<Option<usize>>,
     fixups: Vec<(usize, Label, Fixup)>,
-    guard: Option<(Pred, bool)>,
 }
 
 impl ProgramBuilder {
@@ -74,23 +73,8 @@ impl ProgramBuilder {
         self.labels[label.0] = Some(self.pc());
     }
 
-    /// Sets a guard applied to every subsequently emitted instruction until
-    /// [`ProgramBuilder::clear_guard`].
-    pub fn set_guard(&mut self, pred: Pred, polarity: bool) {
-        self.guard = Some((pred, polarity));
-    }
-
-    /// Clears the ambient guard.
-    pub fn clear_guard(&mut self) {
-        self.guard = None;
-    }
-
-    /// Emits a raw instruction (applying the ambient guard if the instruction
-    /// itself is unguarded).
-    pub fn push(&mut self, mut instr: Instr) -> usize {
-        if instr.guard.is_none() {
-            instr.guard = self.guard;
-        }
+    /// Emits a raw instruction.
+    pub fn push(&mut self, instr: Instr) -> usize {
         self.instrs.push(instr);
         self.instrs.len() - 1
     }
@@ -352,18 +336,6 @@ mod tests {
             }
             _ => panic!("expected branch"),
         }
-    }
-
-    #[test]
-    fn ambient_guard_applies() {
-        let mut b = ProgramBuilder::new();
-        b.set_guard(Pred(2), false);
-        b.nop();
-        b.clear_guard();
-        b.nop();
-        let p = b.build();
-        assert_eq!(p.fetch(0).unwrap().guard, Some((Pred(2), false)));
-        assert_eq!(p.fetch(1).unwrap().guard, None);
     }
 
     #[test]

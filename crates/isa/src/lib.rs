@@ -39,14 +39,11 @@
 //! ```
 
 pub mod builder;
-pub mod disasm;
 pub mod exec;
 pub mod kernel;
 
 pub use builder::{Label, ProgramBuilder};
 pub use kernel::{Kernel, LaunchDims};
-
-use std::fmt;
 
 /// Number of threads (lanes) per warp, fixed at 32 as in Table 1.
 pub const WARP_SIZE: usize = 32;
@@ -59,12 +56,6 @@ pub const WARP_SIZE: usize = 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u16);
 
-impl fmt::Display for Reg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
-}
-
 /// A per-lane 1-bit predicate register index (four per thread, like PTX's
 /// `%p0..%p3` subset we need).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,12 +63,6 @@ pub struct Pred(pub u8);
 
 /// Number of predicate registers per thread.
 pub const NUM_PREGS: usize = 4;
-
-impl fmt::Display for Pred {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
 
 /// Read-only per-thread special values (PTX special registers + kernel
 /// parameters).
@@ -544,25 +529,6 @@ impl Instr {
         let srcs = self.src_regs_fixed().into_iter();
         srcs.chain([self.dst_reg()]).flatten()
     }
-
-    /// True for loads (global or shared, plain or packed).
-    pub fn is_load(&self) -> bool {
-        matches!(self.op, Op::Ld { .. } | Op::LdPacked { .. })
-    }
-
-    /// True for stores.
-    pub fn is_store(&self) -> bool {
-        matches!(self.op, Op::St { .. } | Op::StPacked { .. })
-    }
-
-    /// True for accesses to global memory.
-    pub fn is_global_access(&self) -> bool {
-        match self.op {
-            Op::Ld { space, .. } | Op::St { space, .. } => space == Space::Global,
-            Op::LdPacked { .. } | Op::StPacked { .. } => true,
-            _ => false,
-        }
-    }
 }
 
 /// What the issue stage asks of an instruction every time it considers it,
@@ -728,9 +694,6 @@ mod tests {
             offset: 0,
         });
         assert_eq!(ld.fu_class(), FuClass::Mem);
-        assert!(ld.is_load());
-        assert!(!ld.is_store());
-        assert!(ld.is_global_access());
 
         let sfu = Instr::new(Op::Sfu {
             op: SfuOp::Rcp,
@@ -759,7 +722,6 @@ mod tests {
         });
         assert_eq!(i.dst_reg(), None);
         assert_eq!(i.src_regs_fixed(), [Some(Reg(3)), Some(Reg(4)), None]);
-        assert!(i.is_store());
     }
 
     #[test]
@@ -865,7 +827,5 @@ mod tests {
             base: Src::Reg(Reg(1)),
         });
         assert_eq!(i.fu_class(), FuClass::Mem);
-        assert!(i.is_global_access());
-        assert!(i.is_load());
     }
 }

@@ -5,9 +5,9 @@
 //! transfer-encoding for streamed figure tables).
 //!
 //! The module is symmetric: [`Request::parse`] / [`ChunkedWriter`] serve
-//! the server side, and [`fetch`] is a tiny client used by the service
-//! tests (and usable from scripts via `caba-serve --probe`-style tooling)
-//! that decodes both fixed-length and chunked bodies.
+//! the server side, and [`fetch`] is a tiny client, used by the service
+//! tests and the benchmark, that decodes both fixed-length and chunked
+//! bodies.
 
 use caba_stats::checksum::hex16;
 use caba_stats::json;

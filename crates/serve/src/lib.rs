@@ -1,13 +1,15 @@
 //! `caba-serve` — sweep-as-a-service: a long-running, dependency-free
 //! HTTP transport over the `caba-sweep` executor.
 //!
-//! The server owns no simulation logic. A cell a request names goes
-//! through [`caba_sweep::run_cell_stored`] — the per-cell path `Sweep::run`
-//! uses: store probe by [`CellSpec::content_hash`], else simulate with
-//! panic isolation and one retry, then persist — and a figure's cells go
-//! through [`caba_sweep::fan_out`], the ordered fan-out `Sweep::run`
-//! collects from. The CLI and the server therefore warm-start each other
-//! and emit the same bytes by construction. What this crate adds:
+//! The server owns no simulation logic. A figure's cells go through
+//! [`caba_sweep::stream_cells`], the path `Sweep::run` takes from a cell
+//! list to results: one store read for every row, then the misses on an
+//! ordered fan-out. A miss, like a `/cell` the store does not hold, goes
+//! through [`caba_sweep::run_cell_stored`], the per-cell path `Sweep::run`
+//! hands its misses to: store probe by [`CellSpec::content_hash`], else
+//! simulate with panic isolation and one retry, then persist. The CLI and
+//! the server therefore warm-start each other and emit the same bytes by
+//! construction. What this crate adds:
 //!
 //! - HTTP ([`http`]): parsing, typed JSON errors, chunked streaming —
 //!   figure tables stream per cell, in input order, as each prefix
@@ -15,12 +17,11 @@
 //!   travel together), and the streamed bytes are exactly
 //!   [`caba_sweep::figure_table_line`], so the served table is
 //!   byte-identical to `caba-sweep --table`'s;
-//! - single-flight ([`Coalescer`]) around the per-cell call on a store
-//!   miss — a thousand clients asking for a cold Fig. 7 cost one sweep
-//!   plus 999 waits; a stored cell is answered from the store probe
-//!   ([`caba_sweep::probe_store`]) without entering a flight, and a
-//!   figure probes all its rows in one store call
-//!   ([`caba_sweep::probe_store_many`]) before it streams;
+//! - single-flight coalescing around the per-cell call on a store miss —
+//!   a thousand clients asking for a cold Fig. 7 cost one sweep plus 999
+//!   waits; a stored cell never enters a flight: a figure's rows come from
+//!   the list's one store read, and `/cell` answers from the store probe
+//!   ([`caba_sweep::probe_store`]);
 //! - counters (`/stats`), derived from what the cell path reports.
 //!
 //! # Endpoints
@@ -55,15 +56,13 @@ use caba_stats::checksum::write_hex16;
 use caba_stats::json::{self, fmt_f64 as json_f64};
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
-    decode_result_payload, fan_out, parse_positive, probe_store, probe_store_many,
-    push_figure_table_line, run_cell_stored, CellOutcome, CellResult, CellSpec, DesignId, Figure,
-    SweepCell, SweepConfig,
+    decode_result_payload, parse_positive, probe_store, push_figure_table_line, run_cell_stored,
+    stream_cells, CellOutcome, CellResult, CellSpec, DesignId, Figure, StreamedCell, SweepConfig,
 };
 use http::{ChunkedWriter, Deadline, Request};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -78,7 +77,7 @@ use std::time::{Duration, Instant};
 /// clone of the result. Once the leader finishes, the flight is retired:
 /// a later call with the same key starts fresh (and will typically hit
 /// the durable store instead).
-pub struct Coalescer<T: Clone> {
+struct Coalescer<T: Clone> {
     flights: Mutex<HashMap<u64, Arc<Flight<T>>>>,
 }
 
@@ -87,15 +86,9 @@ struct Flight<T> {
     cv: Condvar,
 }
 
-impl<T: Clone> Default for Coalescer<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T: Clone> Coalescer<T> {
     /// An empty coalescer.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Coalescer {
             flights: Mutex::new(HashMap::new()),
         }
@@ -104,7 +97,7 @@ impl<T: Clone> Coalescer<T> {
     /// Runs `compute` under single-flight discipline for `key`. Returns
     /// the value and whether *this* call led the flight (`false` means it
     /// coalesced onto another call's computation).
-    pub fn run<F: FnOnce() -> T>(&self, key: u64, compute: F) -> (T, bool) {
+    fn run<F: FnOnce() -> T>(&self, key: u64, compute: F) -> (T, bool) {
         let (flight, leader) = {
             let mut map = self.flights.lock().expect("flights lock");
             match map.get(&key) {
@@ -609,14 +602,6 @@ fn figure_endpoint(
         .iter()
         .map(|s| s.content_hash_in(sweep_hash))
         .collect();
-    // Every row's store read is one call. A stored row renders at once and
-    // is decoded only then; the rest go straight to the single-flight, on
-    // `jobs` workers.
-    let mut stored = match &state.store {
-        Some(store) => probe_store_many(&specs, &keys, store),
-        None => vec![None; specs.len()],
-    };
-    let cold: Vec<usize> = (0..specs.len()).filter(|&i| stored[i].is_none()).collect();
 
     // From here on the 200 header is committed; a mid-stream cell failure
     // aborts the chunked stream without its terminal chunk, which clients
@@ -627,36 +612,22 @@ fn figure_endpoint(
         line: String::with_capacity(1024),
         cached_cells: 0,
     };
-    let mut stored_rows = |table: &mut TableStream<_>, rows: Range<usize>| -> io::Result<()> {
-        for i in rows {
-            let payload = stored[i].take().expect("a row that is not cold is stored");
-            match decode_result_payload(&payload) {
-                Some((stats, _)) => {
-                    state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
-                    table.row(&specs[i].cell(), &stats, true)?;
-                }
-                // An entry this build cannot decode: recomputed, as
-                // `probe_store` would have had it.
-                None => table.outcome(&specs[i], serve_miss(state, &specs[i], keys[i]))?,
-            }
-        }
-        Ok(())
-    };
-    // The first row not streamed yet.
-    let mut next = 0;
-    fan_out(
-        cold.len(),
+    // One store read for every row; the misses go to the single-flight on
+    // `jobs` workers.
+    stream_cells(
+        &specs,
+        &keys,
+        state.store.as_ref(),
         state.jobs,
-        |j| serve_miss(state, &specs[cold[j]], keys[cold[j]]),
-        |j, served| -> io::Result<()> {
-            let i = cold[j];
-            stored_rows(&mut table, next..i)?;
-            table.outcome(&specs[i], served)?;
-            next = i + 1;
-            Ok(())
+        |i| serve_miss(state, &specs[i], keys[i]),
+        |i, row| match row {
+            StreamedCell::Stored(outcome) => {
+                state.store_warm_hits.fetch_add(1, Ordering::Relaxed);
+                table.outcome(&specs[i], (outcome, true))
+            }
+            StreamedCell::Missed(served) => table.outcome(&specs[i], served),
         },
     )?;
-    stored_rows(&mut table, next..specs.len())?;
     let cached_cells = table.cached_cells;
     table.writer.finish()?;
 
@@ -682,14 +653,6 @@ struct TableStream<W: Write> {
 }
 
 impl<W: Write> TableStream<W> {
-    /// One table row, `cached` or simulated just now.
-    fn row(&mut self, cell: &SweepCell, stats: &RunStats, cached: bool) -> io::Result<()> {
-        self.cached_cells += cached as usize;
-        self.line.clear();
-        push_figure_table_line(&mut self.line, cell, stats);
-        self.send(cached)
-    }
-
     /// Sends the row in `line`. A row that was simulated just now took long
     /// enough that the client should see it before the next one starts; a
     /// cached row took microseconds and travels with its neighbours.
@@ -702,21 +665,22 @@ impl<W: Write> TableStream<W> {
         }
     }
 
-    /// The row of a cell that went through the single-flight, or the end of
-    /// the stream when it failed.
+    /// The row of a cell, `cached` or simulated just now, or the end of the
+    /// stream when it failed.
     fn outcome(
         &mut self,
         spec: &CellSpec,
         (outcome, cached): (CellOutcome, bool),
     ) -> io::Result<()> {
-        match outcome.result {
-            Ok(r) => self.row(&r.cell, &r.stats, cached),
-            Err(failure) => {
-                let msg = failure.to_string();
-                eprintln!("caba-serve: {} failed mid-stream: {msg}", spec.label());
-                Err(io::Error::other(msg))
-            }
-        }
+        let r = outcome.result.map_err(|failure| {
+            let msg = failure.to_string();
+            eprintln!("caba-serve: {} failed mid-stream: {msg}", spec.label());
+            io::Error::other(msg)
+        })?;
+        self.cached_cells += cached as usize;
+        self.line.clear();
+        push_figure_table_line(&mut self.line, &r.cell, &r.stats);
+        self.send(cached)
     }
 }
 

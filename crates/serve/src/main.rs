@@ -1,7 +1,7 @@
 //! `caba-serve` CLI: bind the sweep service and run until shutdown.
 
 use caba_serve::{ServeOptions, Server};
-use caba_store::{FaultFs, FaultRates, Store};
+use caba_store::FaultFlags;
 use caba_sweep::{host_cores, parse_positive, SweepConfig};
 use std::path::PathBuf;
 use std::process::exit;
@@ -12,15 +12,14 @@ struct Args {
     jobs: usize,
     scale: f64,
     bench_out: Option<PathBuf>,
-    store_fault_seed: Option<u64>,
-    store_fault_rate: f64,
+    faults: FaultFlags,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: caba-serve [--addr HOST:PORT] [--store-dir DIR] [--jobs N] [--scale F]\n\
          \x20                 [--bench-out PATH]\n\
-         \x20                 [--store-fault-seed N [--store-fault-rate F]]\n\
+         \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
          \n\
          Serve sweep/figure/cell simulations over HTTP. Cells are keyed by content\n\
          hash of the canonicalized config + workload; with --store-dir, results are\n\
@@ -37,7 +36,8 @@ fn usage() -> ! {
          --bench-out PATH   rewrite BENCH_serve.json after each figure request\n\
          --store-fault-seed N / --store-fault-rate F\n\
          \x20                  wrap the store in the deterministic fault injector\n\
-         \x20                  (testing; rate defaults to 0.05)\n\
+         \x20                  (testing). Either flag turns it on (defaults: seed 0,\n\
+         \x20                  rate 0.05); F lies in 0..=1; both need --store-dir\n\
          \n\
          endpoints: GET /healthz /stats /figure/{{fig}} /cell/{{app}}/{{design}}/{{bw}}\n\
          \x20          /result/{{key}}   POST /shutdown"
@@ -59,8 +59,7 @@ fn parse_args() -> Args {
         jobs: host_cores(),
         scale: 0.25,
         bench_out: None,
-        store_fault_seed: None,
-        store_fault_rate: 0.05,
+        faults: FaultFlags::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -76,8 +75,12 @@ fn parse_args() -> Args {
                 });
             }
             "--bench-out" => args.bench_out = Some(parse_flag(&a, it.next())),
-            "--store-fault-seed" => args.store_fault_seed = Some(parse_flag(&a, it.next())),
-            "--store-fault-rate" => args.store_fault_rate = parse_flag(&a, it.next()),
+            "--store-fault-seed" | "--store-fault-rate" => {
+                if let Err(msg) = args.faults.take(&a, it.next().as_deref()) {
+                    eprintln!("caba-serve: {msg}\n");
+                    usage();
+                }
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("caba-serve: unknown flag {other:?}\n");
@@ -89,6 +92,10 @@ fn parse_args() -> Args {
         eprintln!("caba-serve: --jobs must be nonzero\n");
         usage();
     }
+    if let Err(msg) = args.faults.check_store_dir(args.store_dir.is_some()) {
+        eprintln!("caba-serve: {msg}\n");
+        usage();
+    }
     args
 }
 
@@ -96,17 +103,7 @@ fn main() {
     let args = parse_args();
 
     let store = args.store_dir.as_ref().map(|dir| {
-        let opened = match args.store_fault_seed {
-            Some(seed) => Store::open_with_fs(
-                dir,
-                Box::new(FaultFs::new(
-                    seed,
-                    FaultRates::uniform(args.store_fault_rate),
-                )),
-            ),
-            None => Store::open(dir),
-        };
-        opened.unwrap_or_else(|e| {
+        args.faults.open(dir).unwrap_or_else(|e| {
             eprintln!("caba-serve: opening store {}: {e}", dir.display());
             exit(1);
         })

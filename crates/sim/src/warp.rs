@@ -136,11 +136,6 @@ impl Warp {
         }
     }
 
-    /// Predicate `p` as a lane bitmask.
-    pub fn pred_bits(&self, p: Pred) -> u32 {
-        self.preds[p.0 as usize]
-    }
-
     /// Writes `bits` into predicate `p` in the lanes of `mask`.
     pub fn write_pred(&mut self, p: Pred, mask: u32, bits: u32) {
         let d = &mut self.preds[p.0 as usize];

@@ -5,23 +5,9 @@ mod kernels;
 
 use caba_compress::Algorithm;
 use caba_sim::{Design, Gpu, GpuConfig, RunError};
-use kernels::{barrier_kernel, divergent_kernel, loop_kernel, scale_kernel};
-
-fn load_input(gpu: &mut Gpu, n: u32, base: u64) {
-    for i in 0..n {
-        gpu.mem_mut().write_u32(base + i as u64 * 4, 0x100 + i);
-    }
-}
-
-fn check_output(gpu: &Gpu, n: u32, base: u64) {
-    for i in 0..n {
-        assert_eq!(
-            gpu.mem().read_u32(base + i as u64 * 4),
-            (0x100 + i) * 2,
-            "element {i}"
-        );
-    }
-}
+use kernels::{
+    barrier_kernel, check_output, divergent_kernel, load_input, loop_kernel, scale_kernel,
+};
 
 #[test]
 fn scale_kernel_correct_on_base() {

@@ -1,7 +1,11 @@
-//! The kernels `end_to_end.rs` runs, shared with the in-crate engine
-//! differential (`src/sm/engine_diff.rs` includes this file by path).
+//! The kernels the integration tests run, and the input and output checks
+//! of [`scale_kernel`], shared with the in-crate engine differential
+//! (`src/sm/engine_diff.rs` includes this file by path). `Gpu` comes from
+//! the includer: `caba_sim::Gpu` in a test crate, `crate::Gpu` in the
+//! differential.
 #![allow(dead_code)]
 
+use super::Gpu;
 use caba_isa::{
     AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, Space, Special, Src, Width,
 };
@@ -23,6 +27,24 @@ pub fn scale_kernel(n: u32, in_base: u64, out_base: u64) -> Kernel {
     let blocks = n.div_ceil(64);
     Kernel::new("scale", b.build(), LaunchDims::new(blocks, 64))
         .with_params(vec![in_base, out_base])
+}
+
+/// Writes `scale_kernel`'s input: element `i` is `0x100 + i`.
+pub fn load_input(gpu: &mut Gpu, n: u32, base: u64) {
+    for i in 0..n {
+        gpu.mem_mut().write_u32(base + i as u64 * 4, 0x100 + i);
+    }
+}
+
+/// Asserts that `scale_kernel` doubled every element of [`load_input`]'s.
+pub fn check_output(gpu: &Gpu, n: u32, base: u64) {
+    for i in 0..n {
+        assert_eq!(
+            gpu.mem().read_u32(base + i as u64 * 4),
+            (0x100 + i) * 2,
+            "element {i}"
+        );
+    }
 }
 
 /// Loop kernel: each of 4 x 64 threads sums `iters` array elements with a

@@ -3,6 +3,8 @@
 //! across designs and under fault injection — and a corrupted container
 //! must be rejected with a typed error, never loaded.
 
+mod kernels;
+
 use caba_compress::Algorithm;
 use caba_isa::{
     AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, Space, Special, Src, Width,
@@ -10,42 +12,9 @@ use caba_isa::{
 use caba_sim::fault::corrupt_snapshot;
 use caba_sim::{Design, FaultConfig, FaultMode, Gpu, GpuConfig, RestoreError, RunError, RunStats};
 use caba_stats::checksum64;
+use kernels::{check_output, load_input, scale_kernel};
 
 const MAX: u64 = 2_000_000;
-
-/// out[i] = in[i] * 2, one element per thread.
-fn scale_kernel(n: u32, in_base: u64, out_base: u64) -> Kernel {
-    let mut b = ProgramBuilder::new();
-    let (gid, addr, v) = (Reg(0), Reg(1), Reg(2));
-    b.global_thread_id(gid);
-    b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(0)));
-    b.ld(Space::Global, Width::B4, v, Src::Reg(addr), 0);
-    b.alu(AluOp::Shl, v, Src::Reg(v), Src::Imm(1));
-    b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-    b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(1)));
-    b.st(Space::Global, Width::B4, Src::Reg(v), Src::Reg(addr), 0);
-    b.exit();
-    let blocks = n.div_ceil(64);
-    Kernel::new("scale", b.build(), LaunchDims::new(blocks, 64))
-        .with_params(vec![in_base, out_base])
-}
-
-fn load_input(gpu: &mut Gpu, n: u32, base: u64) {
-    for i in 0..n {
-        gpu.mem_mut().write_u32(base + i as u64 * 4, 0x100 + i);
-    }
-}
-
-fn check_output(gpu: &Gpu, n: u32, base: u64) {
-    for i in 0..n {
-        assert_eq!(
-            gpu.mem().read_u32(base + i as u64 * 4),
-            (0x100 + i) * 2,
-            "element {i}"
-        );
-    }
-}
 
 const N: u32 = 1024;
 const IN: u64 = 0x1_0000;

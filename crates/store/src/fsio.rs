@@ -24,6 +24,7 @@
 //! * **failed cleanup** — removing a temp file errors, modelling a crash
 //!   between write and unlink: the stale temp stays for `scrub` to sweep.
 
+use crate::{Store, StoreError};
 use caba_stats::Rng64;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -168,6 +169,86 @@ impl FaultRates {
             enospc: rate,
             rename_fail: rate,
             cleanup_fail: rate,
+        }
+    }
+}
+
+/// The fault-injection flags `caba-sweep` and `caba-serve` both take,
+/// `--store-fault-seed N` and `--store-fault-rate F`, under one rule:
+/// either flag turns injection on, a missing one takes its default (seed
+/// 0, rate [`FaultFlags::DEFAULT_RATE`]), the rate lies in `0..=1`, and
+/// both need a store directory.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FaultFlags {
+    seed: Option<u64>,
+    rate: Option<f64>,
+}
+
+impl FaultFlags {
+    /// The per-op rate of every fault class when only a seed is given.
+    pub const DEFAULT_RATE: f64 = 0.05;
+
+    /// Takes `value` for `flag`, one of the two flags.
+    ///
+    /// # Errors
+    ///
+    /// The message for another flag, a missing value, one that does not
+    /// parse, or a rate outside `0..=1`.
+    pub fn take(&mut self, flag: &str, value: Option<&str>) -> Result<(), String> {
+        let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
+        let invalid = || format!("invalid value {v:?} for {flag}");
+        match flag {
+            "--store-fault-seed" => self.seed = Some(v.parse().map_err(|_| invalid())?),
+            "--store-fault-rate" => {
+                let rate: f64 = v.parse().map_err(|_| invalid())?;
+                if !(0.0..=1.0).contains(&rate) {
+                    return Err(format!("{flag} must lie in 0..=1, got {rate}"));
+                }
+                self.rate = Some(rate);
+            }
+            _ => return Err(format!("unknown flag {flag}")),
+        }
+        Ok(())
+    }
+
+    /// The seed and rate to inject with, or `None` when neither flag was
+    /// given.
+    pub fn injection(&self) -> Option<(u64, f64)> {
+        (self.seed.is_some() || self.rate.is_some()).then(|| {
+            (
+                self.seed.unwrap_or(0),
+                self.rate.unwrap_or(Self::DEFAULT_RATE),
+            )
+        })
+    }
+
+    /// `Ok` when there is a store directory or no flag was given.
+    ///
+    /// # Errors
+    ///
+    /// The message naming the first flag given without `--store-dir`.
+    pub fn check_store_dir(&self, has_store_dir: bool) -> Result<(), String> {
+        let flag = match (self.seed, self.rate) {
+            _ if has_store_dir => return Ok(()),
+            (Some(_), _) => "--store-fault-seed",
+            (None, Some(_)) => "--store-fault-rate",
+            (None, None) => return Ok(()),
+        };
+        Err(format!("{flag} needs --store-dir"))
+    }
+
+    /// Opens the store at `dir`: over a [`FaultFs`] on the real filesystem
+    /// when either flag was given, plainly otherwise.
+    ///
+    /// # Errors
+    ///
+    /// What [`Store::open_with_fs`] returns.
+    pub fn open(&self, dir: &Path) -> Result<Store, StoreError> {
+        match self.injection() {
+            Some((seed, rate)) => {
+                Store::open_with_fs(dir, Box::new(FaultFs::new(seed, FaultRates::uniform(rate))))
+            }
+            None => Store::open(dir),
         }
     }
 }
@@ -359,6 +440,42 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn either_fault_flag_turns_injection_on_and_the_other_takes_its_default() {
+        let flags = |given: &[(&str, &str)]| {
+            let mut f = FaultFlags::default();
+            for (flag, value) in given {
+                f.take(flag, Some(value)).expect("well-formed");
+            }
+            f
+        };
+        assert_eq!(flags(&[]).injection(), None);
+        let seed = flags(&[("--store-fault-seed", "7")]);
+        assert_eq!(seed.injection(), Some((7, FaultFlags::DEFAULT_RATE)));
+        let rate = flags(&[("--store-fault-rate", "0.5")]);
+        assert_eq!(rate.injection(), Some((0, 0.5)));
+        let both = flags(&[("--store-fault-rate", "1"), ("--store-fault-seed", "3")]);
+        assert_eq!(both.injection(), Some((3, 1.0)));
+        // Rate 0 is still injection, at rates that never fire.
+        let zero = flags(&[("--store-fault-rate", "0")]);
+        assert_eq!(zero.injection(), Some((0, 0.0)));
+        for f in [seed, rate, both, zero] {
+            assert!(f.check_store_dir(true).is_ok());
+            assert!(f
+                .check_store_dir(false)
+                .unwrap_err()
+                .ends_with("needs --store-dir"));
+        }
+        assert!(flags(&[]).check_store_dir(false).is_ok());
+        let mut f = FaultFlags::default();
+        for rate in ["7", "nan", "-0.5", "inf", "1.0000001"] {
+            let err = f.take("--store-fault-rate", Some(rate)).unwrap_err();
+            assert!(err.contains("must lie in 0..=1"), "{rate}: {err}");
+        }
+        assert!(f.take("--store-dir", Some("x")).is_err());
+        assert_eq!(f, FaultFlags::default(), "a rejected value is not kept");
+    }
 
     #[test]
     fn fault_schedule_is_deterministic_per_seed() {

@@ -67,7 +67,7 @@ use caba_stats::checksum::{self, Fnv64};
 use caba_stats::fxhash::FxHashSet;
 use caba_stats::json;
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotWriter};
-pub use fsio::{FaultCounts, FaultFs, FaultRates, RealFs, StoreFs};
+pub use fsio::{FaultCounts, FaultFlags, FaultFs, FaultRates, RealFs, StoreFs};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};

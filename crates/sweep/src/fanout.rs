@@ -1,8 +1,9 @@
 //! The one ordered fan-out: workers claim item indices from a shared
 //! counter, and each result reaches the caller's sink **in input order, as
-//! soon as its prefix is complete**. `Sweep::run` collects through it and
-//! `caba-serve` streams a figure table through it, so neither can reorder
-//! cells whatever the worker count or completion order.
+//! soon as its prefix is complete**. [`stream_cells`](crate::stream_cells)
+//! runs a list's store misses through it, for `Sweep::run` and
+//! `caba-serve`'s `/figure` alike, so neither can reorder cells whatever
+//! the worker count or completion order.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -48,7 +49,7 @@ impl<T> Drop for WakeOnPanic<'_, T> {
 /// # Panics
 ///
 /// A panic in `work` propagates once the remaining workers have stopped.
-pub fn fan_out<T: Send, E>(
+pub(crate) fn fan_out<T: Send, E>(
     n: usize,
     jobs: usize,
     work: impl Fn(usize) -> T + Sync,

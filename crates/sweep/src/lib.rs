@@ -7,12 +7,15 @@
 //! from a cell list to results, shared by the `caba-sweep` CLI and the
 //! `caba-serve` HTTP front:
 //!
-//! - [`run_cell_stored`]: one cell — store probe, else simulate with panic
-//!   isolation and bounded retry, then persist;
-//! - [`fan_out`]: the ordered fan-out — workers claim cell *indices* from a
-//!   shared counter and results reach the caller in input order, so tables
-//!   are **bit-identical and identically ordered** to a serial sweep
-//!   regardless of completion order or worker count;
+//! - [`stream_cells`]: the list — one store read for every cell, stored
+//!   rows delivered in input order, the rest handed to the caller's `miss`
+//!   on an ordered fan-out whose workers claim cell *indices* from a
+//!   shared counter, so tables are **bit-identical and identically
+//!   ordered** to a serial sweep regardless of completion order or worker
+//!   count;
+//! - [`run_cell_stored`]: one cell, the body of both callers' `miss` —
+//!   store probe, else simulate with panic isolation and bounded retry,
+//!   then persist;
 //! - [`Sweep`]: the builder that layers a resume journal over the two;
 //! - [`Figure`]: the paper's eleven tables, each naming its cells and
 //!   rendered from the results of cells that ran through [`Sweep`].
@@ -32,18 +35,17 @@
 
 pub mod builder;
 pub mod cell;
-pub mod fanout;
+mod fanout;
 pub mod paper;
 pub mod resilient;
 
 pub use builder::{Sweep, SweepRun};
 pub use cell::{parse_positive, run_cell, CellSpec, ParseDesignError};
-pub use fanout::fan_out;
 pub use paper::{Figure, ParseFigureError};
 pub use resilient::{
     decode_result_payload, encode_result_payload, figure_table, figure_table_line, probe_store,
-    probe_store_many, push_figure_table_line, run_cell_stored, CellFailure, CellOutcome,
-    FailureClass, SweepError,
+    push_figure_table_line, run_cell_stored, stream_cells, CellFailure, CellOutcome, FailureClass,
+    StreamedCell, SweepError,
 };
 
 use caba_compress::Algorithm;

@@ -17,7 +17,7 @@
 //! the resumed sweep's figure table is byte-identical to an uninterrupted
 //! run's.
 
-use caba_store::{write_file_atomic, FaultFs, FaultRates, Store};
+use caba_store::{write_file_atomic, FaultFlags, Store};
 use caba_sweep::paper::cache_configs;
 use caba_sweep::{
     dedup_cells, figure_table, host_cores, parse_positive, Figure, Sweep, SweepCell, SweepConfig,
@@ -37,8 +37,7 @@ struct Args {
     retries: u32,
     store_dir: Option<PathBuf>,
     store_cap: Option<u64>,
-    store_fault_seed: Option<u64>,
-    store_fault_rate: Option<f64>,
+    faults: FaultFlags,
     figures: Option<Vec<Figure>>,
     apps: Option<Vec<&'static str>>,
 }
@@ -48,6 +47,7 @@ fn usage() -> ! {
         "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--resume PATH] [--table PATH]\n\
          \x20                 [--checkpoint-every N] [--retries N] [--figures LIST] [--apps LIST]\n\
          \x20                 [--store-dir DIR] [--store-cap BYTES]\n\
+         \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
          \x20      caba-sweep paper (fig01|fig02|fig05|fig07|fig08|fig09|fig10|fig11|fig12|fig13|tab_md|all)\n\
          \x20                 [--jobs N] [--scale F] [--retries N] [--store-dir DIR] [--table PATH]\n\
          \x20      caba-sweep store (scrub|gc|stats) --store-dir DIR [--store-cap BYTES] [--out PATH]\n\
@@ -79,7 +79,9 @@ fn usage() -> ! {
                         inject deterministic seeded I/O faults (torn writes,\n\
                         short reads, ENOSPC, failed renames/cleanups) under\n\
                         the store at per-op rate F — chaos testing; the\n\
-                        sweep's results must be unaffected (need --store-dir)\n\
+                        sweep's results must be unaffected. Either flag\n\
+                        turns injection on (defaults: seed 0, rate 0.05);\n\
+                        F lies in 0..=1; both need --store-dir\n\
          --figures LIST comma-separated figures, by the names paper takes\n\
                         (default: fig07,fig10,fig12); the table is their\n\
                         cells' raw rows on the stock machine, so fig08 and\n\
@@ -210,8 +212,7 @@ fn parse_args(argv: &[String]) -> Args {
         retries: 1,
         store_dir: None,
         store_cap: None,
-        store_fault_seed: None,
-        store_fault_rate: None,
+        faults: FaultFlags::default(),
         figures: None,
         apps: None,
     };
@@ -245,14 +246,11 @@ fn parse_args(argv: &[String]) -> Args {
                 ));
             }
             "--store-cap" => args.store_cap = Some(parse_flag(&a, it.next())),
-            "--store-fault-seed" => args.store_fault_seed = Some(parse_flag(&a, it.next())),
-            "--store-fault-rate" => {
-                let rate: f64 = parse_flag(&a, it.next());
-                if !(0.0..=1.0).contains(&rate) {
-                    eprintln!("caba-sweep: --store-fault-rate must lie in 0..=1, got {rate}\n");
+            "--store-fault-seed" | "--store-fault-rate" => {
+                if let Err(msg) = args.faults.take(&a, it.next().as_deref()) {
+                    eprintln!("caba-sweep: {msg}\n");
                     usage();
                 }
-                args.store_fault_rate = Some(rate);
             }
             "--figures" => {
                 let list: String = it.next().unwrap_or_else(|| missing_value("--figures"));
@@ -275,16 +273,15 @@ fn parse_args(argv: &[String]) -> Args {
         usage();
     }
     // A store option with no store to apply to would be dropped silently.
-    let store_flags = [
-        ("--store-cap", args.store_cap.is_some()),
-        ("--store-fault-seed", args.store_fault_seed.is_some()),
-        ("--store-fault-rate", args.store_fault_rate.is_some()),
-    ];
-    for (flag, given) in store_flags {
-        if given && args.store_dir.is_none() {
-            eprintln!("caba-sweep: {flag} needs --store-dir\n");
-            usage();
-        }
+    let has_store_dir = args.store_dir.is_some();
+    let no_store = if args.store_cap.is_some() && !has_store_dir {
+        Err("--store-cap needs --store-dir".to_string())
+    } else {
+        args.faults.check_store_dir(has_store_dir)
+    };
+    if let Err(msg) = no_store {
+        eprintln!("caba-sweep: {msg}\n");
+        usage();
     }
     if args.selftest && (args.store_dir.is_some() || args.resume.is_some()) {
         // Either would answer for a cell the proof has to compute twice.
@@ -427,27 +424,20 @@ fn base_config(args: &Args, default_scale: f64) -> SweepConfig {
     sc
 }
 
-/// Opens the durable store per the CLI flags: plain, or over a seeded
-/// [`FaultFs`] when chaos injection was requested.
+/// Opens the durable store per the CLI flags: plain, or under fault
+/// injection when a `--store-fault-*` flag asks for it.
 fn open_store(args: &Args) -> Result<Option<Store>, Box<dyn Error>> {
     let Some(dir) = &args.store_dir else {
         return Ok(None);
     };
-    let (seed, rate) = (
-        args.store_fault_seed.unwrap_or(0),
-        args.store_fault_rate.unwrap_or(0.0),
-    );
-    let store = if rate > 0.0 {
-        eprintln!(
+    let store = args.faults.open(dir)?;
+    match args.faults.injection() {
+        Some((seed, rate)) => eprintln!(
             "  store: {} (fault injection: seed {seed}, rate {rate})",
             dir.display()
-        );
-        let fs = FaultFs::new(seed, FaultRates::uniform(rate));
-        Store::open_with_fs(dir, Box::new(fs))?
-    } else {
-        eprintln!("  store: {}", dir.display());
-        Store::open(dir)?
-    };
+        ),
+        None => eprintln!("  store: {}", dir.display()),
+    }
     Ok(Some(store))
 }
 

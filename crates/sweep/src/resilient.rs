@@ -1,9 +1,12 @@
-//! The one per-cell path and the resume journal: a cell is looked up in
+//! The one path from a cell list to results ([`stream_cells`]: one store
+//! read for the list, the misses fanned out), the one per-cell path it
+//! hands the misses to, and the resume journal. A cell is looked up in
 //! the durable store by [`CellSpec::content_hash`], otherwise simulated
 //! with panic isolation and bounded retry, then persisted
-//! ([`run_cell_stored`]). `Sweep::run`, and `caba-serve`'s `/figure` and
-//! `/cell` endpoints, all reach a cell through that one function; the
-//! server answers a stored cell from its probe half ([`probe_store`]) alone.
+//! ([`run_cell_stored`]). `Sweep::run` and `caba-serve`'s `/figure` reach
+//! their cells through `stream_cells`, and a miss of either, like a
+//! `/cell` miss, through `run_cell_stored`; `/cell` answers a stored cell
+//! from the probe half ([`probe_store`]) alone.
 //!
 //! # Failure model
 //!
@@ -35,6 +38,7 @@
 //! [`RunError`]: caba_sim::RunError
 
 use crate::cell::{run_cell, CellSpec};
+use crate::fanout::fan_out;
 use crate::{CellResult, SweepCell};
 use caba_sim::RunStats;
 use caba_stats::checksum::{seal_line, verify_line};
@@ -218,20 +222,77 @@ pub fn probe_store(spec: &CellSpec, key: u64, store: &Store) -> Option<CellOutco
     Some(CellOutcome::restored(spec, stats, wall_s, true))
 }
 
-/// [`probe_store`] for many cells in one store call
-/// ([`Store::get_results`]): element `i` is the stored payload of
-/// `specs[i]`, whose key is `keys[i]`, or `None` when the store holds no
-/// entry or the read fails (logged). The payloads stay encoded: a caller
-/// that streams the cells decodes each with [`decode_result_payload`] as
-/// it uses it, and so holds one decoded `RunStats` at a time.
-pub fn probe_store_many(specs: &[CellSpec], keys: &[u64], store: &Store) -> Vec<Option<Vec<u8>>> {
+/// A row as [`stream_cells`] hands it to its sink.
+// `T` is what `miss` returns, which holds a `CellOutcome` too in both
+// callers: the variants are the same size where it matters.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum StreamedCell<T> {
+    /// Restored from the store's one read.
+    Stored(CellOutcome),
+    /// What the caller's `miss` returned for a cell the store did not hold
+    /// or held in a form that does not decode.
+    Missed(T),
+}
+
+/// The one path from a cell list to results, shared by `Sweep::run` and
+/// `caba-serve`'s `/figure`. Reads every cell in one store call
+/// ([`Store::get_results`]); `keys[i]` is `specs[i]`'s content hash. Each
+/// stored row reaches `sink(i, ..)` on the calling thread, in input order,
+/// as soon as every earlier row has, and its payload is decoded only then,
+/// so a streaming caller holds one decoded `RunStats` at a time. Every
+/// other row goes to `miss(i)` through the ordered fan-out on up to `jobs`
+/// workers, as does a stored payload that does not decode (on the calling
+/// thread, when its turn comes). A list the store holds in full starts no
+/// thread.
+///
+/// # Errors
+///
+/// The first `sink` error: delivery stops, and workers finish the cell
+/// they hold and claim no more.
+pub fn stream_cells<T: Send, E>(
+    specs: &[CellSpec],
+    keys: &[u64],
+    store: Option<&Store>,
+    jobs: usize,
+    miss: impl Fn(usize) -> T + Sync,
+    mut sink: impl FnMut(usize, StreamedCell<T>) -> Result<(), E>,
+) -> Result<(), E> {
     debug_assert_eq!(specs.len(), keys.len());
-    let reads = store.get_results(keys);
-    reads
-        .into_iter()
-        .zip(specs)
-        .map(|(read, spec)| logged_read(spec, read))
-        .collect()
+    let mut stored: Vec<Option<Vec<u8>>> = match store {
+        Some(store) => store
+            .get_results(keys)
+            .into_iter()
+            .zip(specs)
+            .map(|(read, spec)| logged_read(spec, read))
+            .collect(),
+        None => vec![None; specs.len()],
+    };
+    let cold: Vec<usize> = (0..specs.len()).filter(|&i| stored[i].is_none()).collect();
+    // Delivers the stored rows from the first row not delivered yet up to
+    // `end`, then the miss at `end`, if any.
+    let mut next = 0;
+    let mut deliver = |end: usize, missed: Option<T>| -> Result<(), E> {
+        for i in next..end {
+            let payload = stored[i].take().expect("a row that is not cold is stored");
+            let row = match decode_result_payload(&payload) {
+                Some((stats, wall_s)) => {
+                    StreamedCell::Stored(CellOutcome::restored(&specs[i], stats, wall_s, true))
+                }
+                None => StreamedCell::Missed(miss(i)),
+            };
+            sink(i, row)?;
+        }
+        next = end + 1;
+        missed.map_or(Ok(()), |value| sink(end, StreamedCell::Missed(value)))
+    };
+    fan_out(
+        cold.len(),
+        jobs,
+        |j| miss(cold[j]),
+        |j, value| deliver(cold[j], Some(value)),
+    )?;
+    deliver(specs.len(), None)
 }
 
 /// A store read of `spec`'s result, with a failed read logged and taken as

@@ -181,7 +181,7 @@ fn paper_tables_share_their_runs_through_the_store() {
     let fig07 = output(&format!("paper fig07 {flags}"), &[]);
     let stderr = String::from_utf8_lossy(&fig07.stderr);
     assert_eq!(fig07.status.code(), Some(0), "{stderr}");
-    assert!(stderr.contains("store: 0 hits, 100 misses"), "{stderr}");
+    assert!(stderr.contains("store: 0 hits, 200 misses"), "{stderr}");
     let stdout = String::from_utf8_lossy(&fig07.stdout);
     assert!(stdout.starts_with("App "), "{stdout}");
     assert_eq!(stdout.lines().count(), 2 + 20 + 1, "{stdout}");
