@@ -75,20 +75,7 @@ impl Algorithm {
         }
     }
 
-    /// Constructs the reference compressor for this algorithm.
-    ///
-    /// Prefer [`Algorithm::compress_line`] / [`Algorithm::decompress_into`]
-    /// in hot paths: they dispatch statically and never allocate a box.
-    pub fn compressor(self) -> Box<dyn Compressor> {
-        match self {
-            Algorithm::Bdi => Box::new(Bdi::new()),
-            Algorithm::Fpc => Box::new(Fpc::new()),
-            Algorithm::CPack => Box::new(CPack::new()),
-        }
-    }
-
-    /// Compresses `line` with this algorithm via static dispatch (no
-    /// `Box<dyn Compressor>` on the per-line-access path).
+    /// Compresses `line` with this algorithm via static dispatch.
     pub fn compress_line(self, line: &[u8]) -> Option<CompressedLine> {
         match self {
             Algorithm::Bdi => Bdi::new().compress(line),
@@ -220,17 +207,17 @@ impl CompressedLine {
     /// to *detect* metadata/payload corruption, so corrupt inputs must be a
     /// `false`, never a panic.
     pub fn round_trips_to(&self, expected: &[u8]) -> bool {
-        if self.original_len <= LINE_SIZE {
-            let mut buf = [0u8; LINE_SIZE];
-            match self.algorithm.decompress_into(self, &mut buf) {
-                Ok(n) => &buf[..n] == expected,
-                Err(_) => false,
-            }
+        let mut line = [0u8; LINE_SIZE];
+        let mut long = Vec::new();
+        let buf = if self.original_len <= LINE_SIZE {
+            &mut line[..]
         } else {
-            match self.algorithm.compressor().decompress(self) {
-                Ok(bytes) => bytes == expected,
-                Err(_) => false,
-            }
+            long.resize(self.original_len, 0);
+            &mut long[..]
+        };
+        match self.algorithm.decompress_into(self, buf) {
+            Ok(n) => &buf[..n] == expected,
+            Err(_) => false,
         }
     }
 }
@@ -440,7 +427,7 @@ mod tests {
         let line = vec![0u8; LINE_SIZE];
         let best = BestOfAll::new().compress(&line).unwrap();
         for a in Algorithm::ALL {
-            if let Some(c) = a.compressor().compress(&line) {
+            if let Some(c) = a.compress_line(&line) {
                 assert!(best.size_bytes() <= c.size_bytes());
             }
         }

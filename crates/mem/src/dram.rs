@@ -56,7 +56,11 @@ impl DramConfig {
     }
 
     /// Scales peak bandwidth by `factor` (0.5, 1.0, 2.0 in the paper's
-    /// sweeps) by scaling the per-burst bus occupancy.
+    /// sweeps) by scaling the per-burst bus occupancy, rounded to a whole
+    /// cycle: the machine runs `factor` times the bandwidth exactly only
+    /// when [`scales_bandwidth_exactly`] accepts `factor`.
+    ///
+    /// [`scales_bandwidth_exactly`]: DramConfig::scales_bandwidth_exactly
     ///
     /// # Panics
     ///
@@ -66,6 +70,18 @@ impl DramConfig {
         let scaled = (self.burst_cycles as f64 / factor).round().max(1.0);
         self.burst_cycles = scaled as u64;
         self
+    }
+
+    /// Whether [`with_bandwidth_scale`](DramConfig::with_bandwidth_scale)
+    /// runs exactly `factor` times this channel's bandwidth: `factor` is
+    /// `burst_cycles / k` (that `f64` quotient, bit for bit) for a whole
+    /// `k` from 1 to 2^32 - 1, and `k` is the scaled burst. With Table 1's
+    /// 2-cycle burst that is `factor = 2/k` (2, 1, ⅔, ½, 0.4, …); the
+    /// paper's ½×, 1× and 2× are exact.
+    pub fn scales_bandwidth_exactly(&self, factor: f64) -> bool {
+        let burst = self.burst_cycles as f64;
+        let k = (burst / factor).round();
+        (1.0..=u32::MAX as f64).contains(&k) && burst / k == factor
     }
 }
 
@@ -548,6 +564,12 @@ mod tests {
         assert_eq!(base.with_bandwidth_scale(2.0).burst_cycles, 1);
         assert_eq!(base.with_bandwidth_scale(0.5).burst_cycles, 4);
         assert_eq!(base.with_bandwidth_scale(1.0).burst_cycles, 2);
+        for exact in [2.0, 1.0, 2.0 / 3.0, 0.5, 0.4, 0.25] {
+            assert!(base.scales_bandwidth_exactly(exact), "{exact}");
+        }
+        for rounded in [4.0, 3.0, 1.2, 0.45, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(!base.scales_bandwidth_exactly(rounded), "{rounded}");
+        }
     }
 
     #[test]

@@ -275,8 +275,7 @@ pub enum LineCompressor {
 }
 
 impl LineCompressor {
-    /// Compresses one line's bytes via static dispatch — no
-    /// `Box<dyn Compressor>` on the per-line-access path.
+    /// Compresses one line's bytes via static dispatch.
     pub fn compress_line(self, bytes: &[u8]) -> Option<CompressedLine> {
         match self {
             LineCompressor::Fixed(a) => a.compress_line(bytes),

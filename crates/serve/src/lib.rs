@@ -7,7 +7,7 @@
 //! ordered fan-out. A miss, like a `/cell` the store does not hold, goes
 //! through [`caba_sweep::run_cell_stored`], the per-cell path `Sweep::run`
 //! hands its misses to: store probe by [`CellSpec::content_hash`], else
-//! simulate with panic isolation and one retry, then persist. The CLI and
+//! simulate once with panic isolation, then persist. The CLI and
 //! the server therefore warm-start each other and emit the same bytes by
 //! construction. What this crate adds:
 //!
@@ -57,7 +57,8 @@ use caba_stats::json::{self, fmt_f64 as json_f64};
 use caba_store::{write_file_atomic, Store};
 use caba_sweep::{
     decode_result_payload, parse_positive, probe_store, push_figure_table_line, run_cell_stored,
-    stream_cells, CellOutcome, CellResult, CellSpec, DesignId, Figure, StreamedCell, SweepConfig,
+    stream_cells, CellOutcome, CellResult, CellSpec, DesignId, Figure, ResolveError, StreamedCell,
+    SweepConfig,
 };
 use http::{ChunkedWriter, Deadline, Request};
 use std::collections::HashMap;
@@ -502,9 +503,6 @@ fn stats_endpoint(state: &State, out: &mut TcpStream) -> io::Result<()> {
     http::respond(out, 200, "application/json", body.as_bytes())
 }
 
-/// Extra attempts after a caught panic, per served cell.
-const RETRIES: u32 = 1;
-
 /// One cell: a stored one straight from the store probe, any other under
 /// single-flight discipline, where the leader runs the sweep library's
 /// whole per-cell path (probing again, in case another leader's put
@@ -539,7 +537,7 @@ fn serve_miss(state: &State, spec: &CellSpec, key: u64) -> (CellOutcome, bool) {
 /// allocator puts back on its free list when the thread ends, for the next
 /// cold cell to reuse: a parked handler never holds a simulation's heap.
 fn run_cold(state: &State, spec: &CellSpec, key: u64) -> CellOutcome {
-    let cell = || run_cell_stored(spec, key, RETRIES, state.store.as_ref());
+    let cell = || run_cell_stored(spec, key, state.store.as_ref());
     std::thread::scope(|s| {
         let cold = std::thread::Builder::new()
             .name("caba-serve-cell".into())
@@ -703,8 +701,12 @@ fn cell_endpoint(
         Ok(sc) => sc,
         Err(msg) => return http::respond_error(out, 400, "bad_request", &msg),
     };
-    let Some(spec) = CellSpec::resolve(app, design, bw_scale, sc.scale, sc.cfg) else {
-        return http::respond_error(out, 404, "not_found", &format!("unknown app {app:?}"));
+    let spec = match CellSpec::resolve(app, design, bw_scale, sc.scale, sc.cfg) {
+        Ok(spec) => spec,
+        Err(e @ ResolveError::UnknownApp(_)) => {
+            return http::respond_error(out, 404, "not_found", &e.to_string())
+        }
+        Err(e) => return http::respond_error(out, 400, "bad_request", &e.to_string()),
     };
     let key = spec.content_hash_in(sweep_hash);
     let (outcome, cached) = serve_cell(state, &spec, key);
@@ -1066,7 +1068,10 @@ mod tests {
             let design = DesignId::ALL[rng.range_u64(DesignId::ALL.len() as u64) as usize];
             let bw = [0.5, 1.0, 2.0, rng.next_f64() * 4.0][rng.range_u64(4) as usize];
             let scale = [0.05, 1.0, rng.next_f64()][rng.range_u64(3) as usize];
-            let spec = CellSpec::resolve(app, design, bw, scale, sc.cfg).expect("a registered app");
+            let spec = CellSpec {
+                bw_scale: bw,
+                ..CellSpec::resolve(app, design, 1.0, scale, sc.cfg).expect("a registered app")
+            };
             let (key, cached) = (rng.next_u64(), rng.chance(0.5));
             let wall_s =
                 [rng.next_f64() * 100.0, f64::from_bits(rng.next_u64())][rng.range_u64(2) as usize];

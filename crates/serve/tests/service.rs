@@ -178,10 +178,14 @@ fn malformed_requests_get_typed_errors_without_poisoning_the_store() {
     expect("/cell/CONS/Bogus/1.0", 400, "bad_request");
     expect("/cell/CONS/Base/zoom", 400, "bad_request");
     // A bandwidth scale the machine model cannot take is the client's
-    // error, not a simulation to attempt (and retry) or a key to persist.
-    for bw in ["0", "-1", "nan", "inf"] {
+    // error, not a simulation to attempt or a key to persist. That includes
+    // one the DRAM bus would round to a whole cycle per burst: 3 would run
+    // the 2x machine, 1.2 the 1x and 0.45 the 0.5x, each under its own key.
+    for bw in ["0", "-1", "nan", "inf", "3", "1.2", "0.45"] {
         expect(&format!("/cell/CONS/Base/{bw}"), 400, "bad_request");
     }
+    let body = get(&server, "/cell/CONS/Base/3").text();
+    assert!(body.contains("bw must be 2/k for a whole k >= 1"), "{body}");
     expect("/result/not-hex", 400, "bad_request");
     expect("/result/0000000000000000", 404, "not_found");
     expect("/no/such/route", 404, "not_found");

@@ -282,7 +282,7 @@ mod tests {
         for i in 0..32u32 {
             line_bytes.extend_from_slice(&(0x1000 + i).to_le_bytes());
         }
-        let c = Algorithm::Bdi.compressor().compress(&line_bytes).unwrap();
+        let c = Algorithm::Bdi.compress_line(&line_bytes).unwrap();
         let mut inj = injector(FaultConfig::silent(1, 1.0));
         for trial in 0..32 {
             let mut victim = c.clone();
@@ -342,7 +342,7 @@ mod tests {
     fn corrupt_line_handles_empty_payload() {
         // An all-zero line compresses to a zero-byte payload under BDI.
         let zeros = vec![0u8; 128];
-        let c = Algorithm::Bdi.compressor().compress(&zeros).unwrap();
+        let c = Algorithm::Bdi.compress_line(&zeros).unwrap();
         assert!(c.payload.is_empty(), "zero line should have empty payload");
         let mut inj = injector(FaultConfig::silent(2, 1.0));
         let mut victim = c.clone();

@@ -5,7 +5,6 @@
 //! * [`Rng64`] — a deterministic SplitMix64 pseudo-random generator, so every
 //!   experiment in the repository is reproducible bit-for-bit without pulling
 //!   in an external RNG crate.
-//! * [`Counter`] — a named saturating event counter.
 //! * [`StallKind`] / [`IssueBreakdown`] — the issue-cycle taxonomy of Figure 1
 //!   of the paper: issued-app / issued-assist slots plus memory-data,
 //!   scoreboard-or-pipeline, synchronization, control-reconvergence and
@@ -51,61 +50,6 @@ pub use snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 pub use table::Table;
 
 use std::fmt;
-
-/// A named, monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use caba_stats::Counter;
-/// let mut issued = Counter::new("instructions_issued");
-/// issued.add(3);
-/// issued.inc();
-/// assert_eq!(issued.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter with the given diagnostic name, starting at zero.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// The diagnostic name supplied at construction.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Adds `n` events (saturating).
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Adds a single event.
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
 
 /// How one scheduler issue slot was spent, in the Figure 1 taxonomy of the
 /// paper.
@@ -321,32 +265,6 @@ pub fn arith_mean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basic() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.inc();
-        c.add(10);
-        assert_eq!(c.value(), 11);
-        assert_eq!(c.name(), "x");
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new("sat");
-        c.add(u64::MAX);
-        c.inc();
-        assert_eq!(c.value(), u64::MAX);
-    }
-
-    #[test]
-    fn counter_display_nonempty() {
-        let c = Counter::new("events");
-        assert_eq!(format!("{c}"), "events = 0");
-    }
 
     #[test]
     fn breakdown_fractions_sum_to_one() {

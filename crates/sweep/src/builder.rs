@@ -1,7 +1,7 @@
-//! The one way to run a sweep: a builder that layers parallelism, retry, a
-//! resume journal and a durable store over the one path from a cell list
-//! to results ([`stream_cells`]) and the one per-cell path
-//! ([`run_cell_stored`]).
+//! The one way to run a sweep: a builder that layers parallelism and a
+//! durable store over the one path from a cell list to results
+//! ([`stream_cells`]) and the one per-cell path ([`run_cell_stored`]). A
+//! killed sweep resumes by running it again over the same store.
 //!
 //! ```no_run
 //! use caba_store::Store;
@@ -12,7 +12,6 @@
 //! let run = Sweep::new(&sc, Figure::Fig07.cells())
 //!     .jobs(4)
 //!     .store(&store)
-//!     .journal("/var/tmp/fig07.journal")
 //!     .run()
 //!     .expect("sweep");
 //! println!("{} cells, {} from the store", run.results.len(), run.store_hits);
@@ -47,27 +46,24 @@ impl SweepRun {
 /// | layer | method | effect |
 /// |---|---|---|
 /// | parallelism | [`jobs`](Sweep::jobs) | worker threads (default: host cores) |
-/// | retry | [`retries`](Sweep::retries) | extra attempts after a caught panic |
-/// | resume | [`journal`](Sweep::journal) | append-only manifest; re-runs only missing cells |
-/// | memoize | [`store`](Sweep::store) | durable result store; only misses simulate |
+/// | memoize, resume | [`store`](Sweep::store) | durable result store; only misses simulate |
+/// | journal | [`journal`](Sweep::journal) | second record of finished cells (the benchmark's) |
 pub struct Sweep<'a> {
     sc: SweepConfig,
     cells: Vec<SweepCell>,
     jobs: usize,
-    retries: u32,
     journal: Option<PathBuf>,
     store: Option<&'a Store>,
 }
 
 impl<'a> Sweep<'a> {
     /// A sweep over `cells` under the shared options `sc`, with default
-    /// layers: host-core parallelism, no retries, no journal, no store.
+    /// layers: host-core parallelism, no store, no journal.
     pub fn new(sc: &SweepConfig, cells: Vec<SweepCell>) -> Self {
         Sweep {
             sc: *sc,
             cells,
             jobs: crate::host_cores(),
-            retries: 0,
             journal: None,
             store: None,
         }
@@ -79,14 +75,9 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Extra attempts after a caught panic (simulator errors never retry).
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Append-only resume journal: cells already journaled are not re-run,
-    /// newly finished cells flush immediately.
+    /// Append-only journal: cells already journaled are not re-run, newly
+    /// finished cells flush immediately. Only the benchmark's
+    /// `persist_churn` calls it; the store resumes every other sweep.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
         self
@@ -113,7 +104,7 @@ impl<'a> Sweep<'a> {
     /// [`SweepError::ManifestMismatch`] before any cell runs if the journal
     /// belongs to a different sweep; [`SweepError::Io`] if it cannot be
     /// opened; [`SweepError::CellsFailed`] after the sweep if any cell
-    /// failed every attempt (completed cells stay journaled and stored).
+    /// failed (completed cells stay journaled and stored).
     pub fn run(self) -> Result<SweepRun, SweepError> {
         let specs: Vec<CellSpec> = self
             .cells
@@ -139,7 +130,7 @@ impl<'a> Sweep<'a> {
             if let Some((stats, wall_s)) = journal.as_ref().and_then(|j| j.get(key)) {
                 return CellOutcome::restored(spec, stats.clone(), *wall_s, false);
             }
-            let outcome = run_cell_stored(spec, key, self.retries, self.store);
+            let outcome = run_cell_stored(spec, key, self.store);
             if let (Ok(r), Some(journal)) = (&outcome.result, &journal) {
                 journal.append(key, &r.stats, r.wall_s);
             }

@@ -58,17 +58,30 @@ impl CellSpec {
 
     /// Resolves user-supplied strings (an HTTP request, a CLI flag) into a
     /// spec. The app name is interned against the workload registry so the
-    /// spec carries the registry's `&'static str`; `None` if the app is
-    /// unknown.
+    /// spec carries the registry's `&'static str`.
+    ///
+    /// # Errors
+    ///
+    /// [`ResolveError::UnknownApp`] if no app has that name, and
+    /// [`ResolveError::Bandwidth`] if `cfg` cannot run `bw_scale` exactly
+    /// (`DramConfig::scales_bandwidth_exactly`): such a cell would run
+    /// another bandwidth than its key and label name.
     pub fn resolve(
         app_name: &str,
         design: DesignId,
         bw_scale: f64,
         scale: f64,
         cfg: GpuConfig,
-    ) -> Option<Self> {
-        Some(CellSpec {
-            app: app(app_name)?.name,
+    ) -> Result<Self, ResolveError> {
+        let app = app(app_name).ok_or_else(|| ResolveError::UnknownApp(app_name.to_string()))?;
+        if !cfg.dram.scales_bandwidth_exactly(bw_scale) {
+            return Err(ResolveError::Bandwidth {
+                bw: bw_scale,
+                burst_cycles: cfg.dram.burst_cycles,
+            });
+        }
+        Ok(CellSpec {
+            app: app.name,
             design,
             bw_scale,
             scale,
@@ -179,8 +192,8 @@ pub fn parse_positive(s: &str) -> Option<f64> {
 ///
 /// Panics if `spec.app` does not resolve. Specs built through
 /// [`CellSpec::resolve`] or from figure cell lists cannot hit this; the
-/// per-cell path additionally pre-checks names so a hand-built bad spec
-/// fails typed instead.
+/// per-cell path catches the panic of a hand-built bad spec and reports
+/// it as [`CellFailure::Panic`](crate::CellFailure::Panic).
 pub fn run_cell(spec: &CellSpec) -> Result<CellResult, RunError> {
     let app_spec = app(spec.app).unwrap_or_else(|| panic!("unknown app {}", spec.app));
     let cfg = spec.cfg.with_bandwidth_scale(spec.bw_scale);
@@ -192,6 +205,43 @@ pub fn run_cell(spec: &CellSpec) -> Result<CellResult, RunError> {
         wall_s: t0.elapsed().as_secs_f64(),
     })
 }
+
+/// Why [`CellSpec::resolve`] refused a cell.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResolveError {
+    /// No registered app has this name.
+    UnknownApp(String),
+    /// The machine cannot run this bandwidth scale: a burst holds the DRAM
+    /// bus a whole number of cycles, `burst_cycles` at 1×.
+    Bandwidth {
+        /// The bandwidth scale asked for.
+        bw: f64,
+        /// Cycles per burst of the unscaled machine.
+        burst_cycles: u64,
+    },
+}
+
+impl fmt::Display for ResolveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResolveError::UnknownApp(name) => write!(f, "unknown app {name:?}"),
+            ResolveError::Bandwidth { bw, burst_cycles } => {
+                let b = *burst_cycles as f64;
+                write!(
+                    f,
+                    "bw {bw} is not representable: a burst holds the DRAM bus a whole \
+                     number of cycles, so bw must be {b}/k for a whole k >= 1 ({}, {}, {}, {}, ...)",
+                    b,
+                    b / 2.0,
+                    b / 3.0,
+                    b / 4.0
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ResolveError {}
 
 /// A design label that did not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,7 +330,51 @@ mod tests {
         let spec = CellSpec::resolve("CONS", DesignId::Base, 1.0, 0.05, GpuConfig::small())
             .expect("CONS resolves");
         assert_eq!(spec.app, "CONS");
-        assert!(CellSpec::resolve("NOPE", DesignId::Base, 1.0, 0.05, GpuConfig::small()).is_none());
+        let err = CellSpec::resolve("NOPE", DesignId::Base, 1.0, 0.05, GpuConfig::small());
+        assert_eq!(err, Err(ResolveError::UnknownApp("NOPE".into())));
+    }
+
+    /// A bandwidth scale either resolves and runs exactly that bandwidth
+    /// (the unscaled burst over the scaled one is the scale, bit for bit),
+    /// or is refused: `with_bandwidth_scale` rounds to a whole cycle, and a
+    /// rounded cell would run another machine than its key names. Every
+    /// 2/k resolves, as the refusal says.
+    #[test]
+    fn resolve_refuses_every_bandwidth_the_bus_would_round() {
+        let cfg = GpuConfig::isca2015_scaled();
+        assert_eq!(cfg.dram.burst_cycles, 2, "Table 1's burst");
+        let exact = |bw: f64| {
+            let spec = CellSpec::resolve("CONS", DesignId::Base, bw, 0.05, cfg);
+            let burst = cfg.with_bandwidth_scale(bw).dram.burst_cycles;
+            match spec {
+                Ok(spec) => {
+                    assert_eq!(2.0 / burst as f64, spec.bw_scale, "bw {bw:e}");
+                    true
+                }
+                Err(e) => {
+                    assert!(matches!(e, ResolveError::Bandwidth { .. }), "{e}");
+                    assert!(e.to_string().contains("2/k for a whole k"), "{e}");
+                    false
+                }
+            }
+        };
+        for bw in [2.0, 1.0, 0.5, 0.4, 0.25] {
+            assert!(exact(bw), "{bw}");
+        }
+        for bw in [3.0, 1.2, 0.45, 4.0, 1e-300] {
+            assert!(!exact(bw), "{bw}");
+        }
+        caba_stats::prop::check(0xB4_D7, 20_000, |rng| {
+            let bits = rng.range_u64(32);
+            let k = 1 + rng.range_u64(1 << bits);
+            assert!(exact(2.0 / k as f64), "2/{k}");
+            exact(f64::from_bits(
+                (2.0 / k as f64).to_bits() + rng.range_u64(5) - 2,
+            ));
+            exact(rng.next_f64() * 4.0);
+            exact((rng.range_u64(4_000) + 1) as f64 / 1_000.0);
+            exact(f64::from_bits(rng.next_u64() % 0x7FF0_0000_0000_0000).max(f64::MIN_POSITIVE));
+        });
     }
 
     #[test]

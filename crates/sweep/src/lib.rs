@@ -14,9 +14,9 @@
 //!   ordered** to a serial sweep regardless of completion order or worker
 //!   count;
 //! - [`run_cell_stored`]: one cell, the body of both callers' `miss` —
-//!   store probe, else simulate with panic isolation and bounded retry,
-//!   then persist;
-//! - [`Sweep`]: the builder that layers a resume journal over the two;
+//!   store probe, else simulate once with panic isolation, then persist;
+//! - [`Sweep`]: the builder over the two; a killed sweep resumes by
+//!   running it again over the same store;
 //! - [`Figure`]: the paper's eleven tables, each naming its cells and
 //!   rendered from the results of cells that ran through [`Sweep`].
 //!
@@ -40,12 +40,12 @@ pub mod paper;
 pub mod resilient;
 
 pub use builder::{Sweep, SweepRun};
-pub use cell::{parse_positive, run_cell, CellSpec, ParseDesignError};
+pub use cell::{parse_positive, run_cell, CellSpec, ParseDesignError, ResolveError};
 pub use paper::{Figure, ParseFigureError};
 pub use resilient::{
     decode_result_payload, encode_result_payload, figure_table, figure_table_line, probe_store,
-    push_figure_table_line, run_cell_stored, stream_cells, CellFailure, CellOutcome, FailureClass,
-    StreamedCell, SweepError,
+    push_figure_table_line, run_cell_stored, stream_cells, CellFailure, CellOutcome, StreamedCell,
+    SweepError,
 };
 
 use caba_compress::Algorithm;

@@ -9,13 +9,13 @@
 //!
 //! `caba-sweep paper NAME` prints one of the paper's eleven tables (or
 //! `all` of them) from cells that run through the same sweep path, so
-//! `--jobs`, `--retries`, `--scale` and `--store-dir` apply to it too.
+//! `--jobs`, `--scale` and `--store-dir` apply to it too.
 //!
-//! `--resume PATH` makes the sweep crash-resilient: every finished cell is
-//! journaled to PATH, and re-running the same invocation re-runs only the
-//! cells the journal is missing. Because each cell is bit-deterministic,
-//! the resumed sweep's figure table is byte-identical to an uninterrupted
-//! run's.
+//! `--store-dir DIR` makes a sweep resumable: every finished cell is
+//! persisted at once, and re-running the same invocation over the same
+//! store simulates only the cells it does not hold. Because each cell is
+//! bit-deterministic, the resumed sweep's figure table is byte-identical
+//! to an uninterrupted run's. `caba-sweep store gc` collects the store.
 
 use caba_store::{write_file_atomic, FaultFlags, Store};
 use caba_sweep::paper::cache_configs;
@@ -32,11 +32,8 @@ struct Args {
     selftest: bool,
     scale: Option<f64>,
     table: Option<String>,
-    resume: Option<PathBuf>,
     checkpoint_every: u64,
-    retries: u32,
     store_dir: Option<PathBuf>,
-    store_cap: Option<u64>,
     faults: FaultFlags,
     figures: Option<Vec<Figure>>,
     apps: Option<Vec<&'static str>>,
@@ -44,12 +41,11 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--resume PATH] [--table PATH]\n\
-         \x20                 [--checkpoint-every N] [--retries N] [--figures LIST] [--apps LIST]\n\
-         \x20                 [--store-dir DIR] [--store-cap BYTES]\n\
-         \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
+        "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--table PATH]\n\
+         \x20                 [--checkpoint-every N] [--figures LIST] [--apps LIST]\n\
+         \x20                 [--store-dir DIR] [--store-fault-seed N] [--store-fault-rate F]\n\
          \x20      caba-sweep paper (fig01|fig02|fig05|fig07|fig08|fig09|fig10|fig11|fig12|fig13|tab_md|all)\n\
-         \x20                 [--jobs N] [--scale F] [--retries N] [--store-dir DIR] [--table PATH]\n\
+         \x20                 [--jobs N] [--scale F] [--store-dir DIR] [--table PATH]\n\
          \x20      caba-sweep store (scrub|gc|stats) --store-dir DIR [--store-cap BYTES] [--out PATH]\n\
          \n\
          --jobs N       cells simulated at once, one thread each (default:\n\
@@ -57,24 +53,19 @@ fn usage() -> ! {
                         for any value.\n\
          --scale F      workload scale, finite and > 0 (default 0.5;\n\
                         selftest: 0.05)\n\
-         --resume PATH  journal finished cells to PATH and, if PATH already\n\
-                        holds a journal for this sweep, re-run only missing\n\
-                        cells (crash-resilient resume)\n\
          --checkpoint-every N\n\
                         take a periodic in-memory machine snapshot every N\n\
                         cycles; enables time-travel hang forensics.\n\
                         N must be > 0 (omit the flag to disable)\n\
-         --retries N    extra attempts per panicking cell, in every sweep:\n\
-                        panics are isolated per cell and retried (default 1;\n\
-                        deterministic failures stop early)\n\
          --store-dir DIR\n\
                         durable content-addressed store: finished cells are\n\
                         persisted and looked up by content key, so a fresh\n\
                         process warm-starts bit-identically from an earlier\n\
-                        (even killed) run's work\n\
-         --store-cap BYTES\n\
-                        after the sweep, garbage-collect the store down to\n\
-                        BYTES via LRU eviction (needs --store-dir)\n\
+                        (even killed) run's work: a killed sweep resumes by\n\
+                        running again with the same --store-dir, and only\n\
+                        the cells it had not stored simulate. A cell that\n\
+                        fails (simulator error or caught panic) fails once:\n\
+                        it is deterministic, so nothing retries it\n\
          --store-fault-seed N / --store-fault-rate F\n\
                         inject deterministic seeded I/O faults (torn writes,\n\
                         short reads, ENOSPC, failed renames/cleanups) under\n\
@@ -98,11 +89,12 @@ fn usage() -> ! {
                         cells run through the same sweep path; with\n\
                         --store-dir, tables that share runs (fig07, fig08,\n\
                         fig09, tab_md) simulate them once across invocations.\n\
-                        Takes no --figures, --apps, --resume or --selftest\n\
+                        Takes no --figures, --apps or --selftest\n\
          store scrub    verify every store entry's checksum; quarantine (never\n\
                         delete) corrupt entries and stale temps; write a JSON\n\
                         report to --out if given; exit 1 if anything was found\n\
-         store gc       LRU-evict entries until the store fits --store-cap\n\
+         store gc       LRU-evict entries until the store fits --store-cap;\n\
+                        the one way a store is collected\n\
          store stats    print store inventory as JSON"
     );
     std::process::exit(2);
@@ -207,11 +199,8 @@ fn parse_args(argv: &[String]) -> Args {
         selftest: false,
         scale: None,
         table: None,
-        resume: None,
         checkpoint_every: 0,
-        retries: 1,
         store_dir: None,
-        store_cap: None,
         faults: FaultFlags::default(),
         figures: None,
         apps: None,
@@ -222,11 +211,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--jobs" => args.jobs = parse_flag(&a, it.next()),
             "--scale" => args.scale = Some(positive_or_usage(&a, it.next())),
             "--table" => args.table = Some(it.next().unwrap_or_else(|| missing_value("--table"))),
-            "--resume" => {
-                args.resume = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| missing_value("--resume")),
-                ));
-            }
             "--checkpoint-every" => {
                 args.checkpoint_every = parse_flag(&a, it.next());
                 if args.checkpoint_every == 0 {
@@ -239,13 +223,11 @@ fn parse_args(argv: &[String]) -> Args {
                     usage();
                 }
             }
-            "--retries" => args.retries = parse_flag(&a, it.next()),
             "--store-dir" => {
                 args.store_dir = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| missing_value("--store-dir")),
                 ));
             }
-            "--store-cap" => args.store_cap = Some(parse_flag(&a, it.next())),
             "--store-fault-seed" | "--store-fault-rate" => {
                 if let Err(msg) = args.faults.take(&a, it.next().as_deref()) {
                     eprintln!("caba-sweep: {msg}\n");
@@ -273,19 +255,13 @@ fn parse_args(argv: &[String]) -> Args {
         usage();
     }
     // A store option with no store to apply to would be dropped silently.
-    let has_store_dir = args.store_dir.is_some();
-    let no_store = if args.store_cap.is_some() && !has_store_dir {
-        Err("--store-cap needs --store-dir".to_string())
-    } else {
-        args.faults.check_store_dir(has_store_dir)
-    };
-    if let Err(msg) = no_store {
+    if let Err(msg) = args.faults.check_store_dir(args.store_dir.is_some()) {
         eprintln!("caba-sweep: {msg}\n");
         usage();
     }
-    if args.selftest && (args.store_dir.is_some() || args.resume.is_some()) {
-        // Either would answer for a cell the proof has to compute twice.
-        eprintln!("caba-sweep: --selftest takes no --store-dir or --resume\n");
+    if args.selftest && args.store_dir.is_some() {
+        // A store would answer for a cell the proof has to compute twice.
+        eprintln!("caba-sweep: --selftest takes no --store-dir\n");
         usage();
     }
     let cores = host_cores();
@@ -373,14 +349,9 @@ fn main() -> ExitCode {
         Some("paper") => {
             let tables = tables_or_usage(argv.get(1));
             let args = parse_args(argv.get(2..).unwrap_or_default());
-            // A table is defined over its own apps and cells, and its runs
-            // can span more machine configurations than one journal holds.
-            if args.figures.is_some()
-                || args.apps.is_some()
-                || args.resume.is_some()
-                || args.selftest
-            {
-                eprintln!("caba-sweep paper: takes no --figures, --apps, --resume or --selftest\n");
+            // A table is defined over its own apps and cells.
+            if args.figures.is_some() || args.apps.is_some() || args.selftest {
+                eprintln!("caba-sweep paper: takes no --figures, --apps or --selftest\n");
                 usage();
             }
             let text = paper(&args, &tables);
@@ -441,24 +412,13 @@ fn open_store(args: &Args) -> Result<Option<Store>, Box<dyn Error>> {
     Ok(Some(store))
 }
 
-/// What the store answered and missed, then the `--store-cap` collection.
-fn close_store(args: &Args, store: &Store) {
+/// What the store answered and missed.
+fn close_store(store: &Store) {
     eprintln!(
         "  store: {} hits, {} misses",
         store.hit_count(),
         store.miss_count()
     );
-    if let Some(cap) = args.store_cap {
-        match store.gc(cap) {
-            Ok(gc) => eprintln!(
-                "  store gc: {} -> {} bytes ({} evicted)",
-                gc.before_bytes,
-                gc.after_bytes,
-                gc.evicted.len()
-            ),
-            Err(e) => eprintln!("  store gc failed: {e}"),
-        }
-    }
 }
 
 /// The selected figures, and their cells deduplicated and app-filtered.
@@ -477,12 +437,6 @@ fn selected_cells(args: &Args) -> (String, Vec<SweepCell>) {
     (names.join("+"), cells)
 }
 
-/// Every sweep this binary runs — selftest, paper table or the real thing
-/// — starts here, so `--retries` applies to all of them.
-fn plan<'a>(args: &Args, sc: &SweepConfig, cells: Vec<SweepCell>, jobs: usize) -> Sweep<'a> {
-    Sweep::new(sc, cells).jobs(jobs).retries(args.retries)
-}
-
 /// The figure sweep, after the `--selftest` determinism proof if asked for;
 /// returns the figure table.
 fn sweep(args: &Args) -> Result<String, Box<dyn Error>> {
@@ -496,22 +450,18 @@ fn sweep(args: &Args) -> Result<String, Box<dyn Error>> {
         args.jobs
     );
     let serial = if args.selftest {
-        Some(plan(args, &sc, cells.clone(), 1).run()?.results)
+        Some(Sweep::new(&sc, cells.clone()).jobs(1).run()?.results)
     } else {
         None
     };
     let store = open_store(args)?;
-    let mut sweep = plan(args, &sc, cells, args.jobs);
-    if let Some(manifest) = &args.resume {
-        eprintln!("  journaling to {} (resume-capable)", manifest.display());
-        sweep = sweep.journal(manifest);
-    }
+    let mut sweep = Sweep::new(&sc, cells).jobs(args.jobs);
     if let Some(store) = &store {
         sweep = sweep.store(store);
     }
     let results = sweep.run()?.results;
     if let Some(store) = &store {
-        close_store(args, store);
+        close_store(store);
     }
     if let Some(serial) = serial {
         let differ = serial
@@ -555,7 +505,7 @@ fn paper(args: &Args, tables: &[Figure]) -> Result<String, Box<dyn Error>> {
             sc.scale,
             args.jobs
         );
-        let mut sweep = plan(args, &SweepConfig { cfg, ..sc }, cells, args.jobs);
+        let mut sweep = Sweep::new(&SweepConfig { cfg, ..sc }, cells).jobs(args.jobs);
         if let Some(store) = &store {
             sweep = sweep.store(store);
         }
@@ -564,7 +514,7 @@ fn paper(args: &Args, tables: &[Figure]) -> Result<String, Box<dyn Error>> {
         }
     }
     if let Some(store) = &store {
-        close_store(args, store);
+        close_store(store);
     }
     let mut out = String::new();
     for t in tables {

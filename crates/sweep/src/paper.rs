@@ -4,7 +4,7 @@
 //!
 //! A renderer is a pure function of `&[CellResult]` and never simulates:
 //! `caba-sweep paper NAME` runs the cells through [`Sweep`](crate::Sweep)
-//! like any other sweep, so `--jobs`, `--retries` and `--store-dir` apply.
+//! like any other sweep, so `--jobs`, `--scale` and `--store-dir` apply.
 //! Absolute numbers are not expected to match the paper (the substrate is
 //! a from-scratch simulator over synthetic stand-in workloads, see
 //! DESIGN.md); the *shapes* are the reproduction target, and EXPERIMENTS.md

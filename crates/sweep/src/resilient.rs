@@ -2,37 +2,39 @@
 //! read for the list, the misses fanned out), the one per-cell path it
 //! hands the misses to, and the resume journal. A cell is looked up in
 //! the durable store by [`CellSpec::content_hash`], otherwise simulated
-//! with panic isolation and bounded retry, then persisted
-//! ([`run_cell_stored`]). `Sweep::run` and `caba-serve`'s `/figure` reach
-//! their cells through `stream_cells`, and a miss of either, like a
-//! `/cell` miss, through `run_cell_stored`; `/cell` answers a stored cell
-//! from the probe half ([`probe_store`]) alone.
+//! under panic isolation, then persisted ([`run_cell_stored`]).
+//! `Sweep::run` and `caba-serve`'s `/figure` reach their cells through
+//! `stream_cells`, and a miss of either, like a `/cell` miss, through
+//! `run_cell_stored`; `/cell` answers a stored cell from the probe half
+//! ([`probe_store`]) alone.
 //!
 //! # Failure model
 //!
-//! A sweep cell can fail two ways. A **simulator error** ([`RunError`]:
-//! timeout, hang, audit failure) is deterministic by construction — the
-//! simulator is bit-reproducible, so retrying is pointless and the error is
-//! reported immediately. A **panic** escaping the cell (a harness bug, or a
-//! transient host fault) is caught and retried up to a bounded count; a
-//! cell that succeeds on retry is *transient*, one that repeats the
-//! identical panic is classified *deterministic*, and exhausted retries
-//! with varying messages stay *undetermined*.
+//! A cell is a pure function of its key: the simulator is
+//! bit-reproducible, so whatever a cell does, it does again. It can fail
+//! two ways, and neither is retried, because a retry would repeat it bit
+//! for bit. A **simulator error** ([`RunError`]: timeout, hang, audit
+//! failure) is reported as [`CellFailure::SimError`]. A **panic** escaping
+//! [`run_cell`] (a harness bug, such as a hand-built spec naming no
+//! registered app) is caught once, on the cell's own worker, and reported
+//! as [`CellFailure::Panic`]; the sweep's other cells are unaffected.
 //!
 //! Store faults degrade gracefully: a failed read means the cell
 //! recomputes, a failed write means it will recompute next time — results
-//! are never affected, only speed.
+//! are never affected, only speed. The store is what a killed sweep
+//! resumes from: every put is atomic, so re-running it over the same store
+//! simulates only the cells that had not finished.
 //!
 //! # Resume journal
 //!
-//! A journaled sweep appends one line per finished cell to a file keyed by
+//! [`Sweep::journal`](crate::Sweep::journal) keeps a second record of
+//! finished cells: one line per cell in a file keyed by
 //! [`CellSpec::sweep_hash`] (the canonicalized [`GpuConfig`] via
 //! [`caba_sim::snapshot::config_hash`], which ignores the observability
-//! and checkpoint knobs, plus the workload scale). Each line carries
-//! its own checksum, so a line torn by a crash mid-write is skipped and
-//! that cell simply re-runs. Restarting the same invocation re-runs *only*
-//! cells absent from the journal; because every cell is bit-deterministic,
-//! the resumed report is identical to an uninterrupted one.
+//! and checkpoint knobs, plus the workload scale). Each line carries its
+//! own checksum, so a line torn by a crash mid-write is skipped and that
+//! cell re-runs. Only the benchmark's `persist_churn` workload still calls
+//! it; the store does the same job for every other caller.
 //!
 //! [`GpuConfig`]: caba_sim::GpuConfig
 //! [`RunError`]: caba_sim::RunError
@@ -45,61 +47,37 @@ use caba_stats::checksum::{seal_line, verify_line};
 use caba_stats::json;
 use caba_stats::snap::{SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_store::{Store, StoreError};
-use caba_workloads::app;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Why a cell could not produce statistics.
+/// Why a cell could not produce statistics, with the one message its one
+/// attempt left.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureClass {
-    /// A simulator error ([`RunError`](caba_sim::RunError)): deterministic
-    /// by construction, never retried.
-    SimError,
-    /// The same panic repeated on retry: a deterministic harness bug.
-    DeterministicPanic,
-    /// Retries exhausted with differing messages: cause undetermined
-    /// (possibly a transient host fault that kept moving).
-    Undetermined,
-}
-
-impl fmt::Display for FailureClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailureClass::SimError => write!(f, "simulator error (deterministic)"),
-            FailureClass::DeterministicPanic => write!(f, "repeated panic (deterministic)"),
-            FailureClass::Undetermined => write!(f, "retries exhausted (undetermined)"),
-        }
-    }
-}
-
-/// A cell that failed every attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellFailure {
-    /// Classification of the failure.
-    pub class: FailureClass,
-    /// One message per attempt, oldest first.
-    pub errors: Vec<String>,
+pub enum CellFailure {
+    /// A simulator error ([`RunError`](caba_sim::RunError)).
+    SimError(String),
+    /// A panic caught escaping [`run_cell`].
+    Panic(String),
 }
 
 impl fmt::Display for CellFailure {
-    /// The classification and the last attempt's message.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let last = self.errors.last().map_or("?", String::as_str);
-        write!(f, "{}: {last}", self.class)
+        match self {
+            CellFailure::SimError(msg) => write!(f, "simulator error: {msg}"),
+            CellFailure::Panic(msg) => write!(f, "panic: {msg}"),
+        }
     }
 }
 
 /// What the per-cell path ([`run_cell_stored`]) reports for one cell.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// The cell's result, or its classified failure.
+    /// The cell's result, or why it failed.
     pub result: Result<CellResult, CellFailure>,
-    /// Simulation attempts consumed: 0 when the store answered, 1 when the
-    /// first try succeeded, more when a caught panic was retried.
-    pub attempts: u32,
     /// Whether the result was restored from the durable store.
     pub from_store: bool,
 }
@@ -118,32 +96,31 @@ impl CellOutcome {
                 stats,
                 wall_s,
             }),
-            attempts: 0,
             from_store,
         }
     }
 }
 
-/// Errors from journaled sweep execution.
+/// Errors from sweep execution.
 #[derive(Debug)]
 pub enum SweepError {
-    /// Reading or writing the manifest failed.
+    /// Reading or writing the journal failed.
     Io {
-        /// The manifest path involved.
+        /// The journal path involved.
         path: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// The manifest belongs to a different sweep (configuration or scale
+    /// The journal belongs to a different sweep (configuration or scale
     /// changed since it was written).
     ManifestMismatch {
-        /// Key recorded in the manifest header.
+        /// Key recorded in the journal header.
         found: u64,
         /// Key of the requested sweep.
         expected: u64,
     },
-    /// One or more cells failed every attempt. The journal retains every
-    /// completed cell, so a later `--resume` re-runs only these.
+    /// One or more cells failed. Every completed cell is stored, so a
+    /// re-run over the same store simulates only these.
     CellsFailed(Vec<(SweepCell, CellFailure)>),
 }
 
@@ -151,15 +128,15 @@ impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SweepError::Io { path, source } => {
-                write!(f, "manifest {}: {source}", path.display())
+                write!(f, "journal {}: {source}", path.display())
             }
             SweepError::ManifestMismatch { found, expected } => write!(
                 f,
-                "manifest belongs to a different sweep (key {found:016x}, this sweep is \
-                 {expected:016x}); delete it or point --resume elsewhere"
+                "journal belongs to a different sweep (key {found:016x}, this sweep is \
+                 {expected:016x}); delete it or journal this sweep to another path"
             ),
             SweepError::CellsFailed(cells) => {
-                writeln!(f, "{} cell(s) failed every attempt:", cells.len())?;
+                writeln!(f, "{} cell(s) failed:", cells.len())?;
                 for (cell, failure) in cells {
                     writeln!(
                         f,
@@ -178,25 +155,23 @@ impl fmt::Display for SweepError {
 impl std::error::Error for SweepError {}
 
 /// The one per-cell path: probe `store` by [`CellSpec::content_hash`];
-/// on a miss simulate [`run_cell`] with panic isolation and up to
-/// `retries` extra attempts (see the module docs for the classification
-/// rules); persist a fresh result before returning, so a cell is durable
-/// the moment it finishes, whatever its place in the output order.
+/// on a miss run [`run_cell`] once, with a panic caught and reported as
+/// [`CellFailure::Panic`]; persist a fresh result before returning, so a
+/// cell is durable the moment it finishes, whatever its place in the
+/// output order.
 ///
 /// `key` is `spec.content_hash()`. Both callers need it before the call
 /// (the journal lookup, the single-flight key) and it is the costliest
 /// step of a warm cell, so it is passed in rather than derived twice.
-pub fn run_cell_stored(
-    spec: &CellSpec,
-    key: u64,
-    retries: u32,
-    store: Option<&Store>,
-) -> CellOutcome {
+pub fn run_cell_stored(spec: &CellSpec, key: u64, store: Option<&Store>) -> CellOutcome {
     debug_assert_eq!(key, spec.content_hash(), "key must be the spec's own");
     if let Some(hit) = store.and_then(|store| probe_store(spec, key, store)) {
         return hit;
     }
-    let (result, attempts) = simulate_with_retry(spec, retries);
+    let result = match catch_unwind(AssertUnwindSafe(|| run_cell(spec))) {
+        Ok(run) => run.map_err(|e| CellFailure::SimError(e.to_string())),
+        Err(payload) => Err(CellFailure::Panic(panic_message(payload))),
+    };
     if let (Ok(r), Some(store)) = (&result, store) {
         let payload = encode_result_payload(&r.stats, r.wall_s);
         if let Err(e) = store.put_result(key, &spec.label(), &payload) {
@@ -205,7 +180,6 @@ pub fn run_cell_stored(
     }
     CellOutcome {
         result,
-        attempts,
         from_store: false,
     }
 }
@@ -307,48 +281,14 @@ fn logged_read(spec: &CellSpec, read: Result<Option<Vec<u8>>, StoreError>) -> Op
     })
 }
 
-/// [`run_cell`] under panic isolation; returns the result and the attempts
-/// consumed.
-fn simulate_with_retry(spec: &CellSpec, retries: u32) -> (Result<CellResult, CellFailure>, u32) {
-    let fail = |class, errors| Err(CellFailure { class, errors });
-    // Unknown app names repeat forever; fail immediately and typed
-    // instead of letting `run_cell`'s panic burn the retry budget.
-    if app(spec.app).is_none() {
-        let errors = vec![format!("unknown app {}", spec.app)];
-        return (fail(FailureClass::DeterministicPanic, errors), 1);
-    }
-    let mut errors: Vec<String> = Vec::new();
-    for attempt in 1..=retries.saturating_add(1) {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(spec))) {
-            Ok(Ok(result)) => return (Ok(result), attempt),
-            Ok(Err(run_err)) => {
-                // The simulator is bit-deterministic: a RunError will
-                // repeat identically, so there is nothing to retry.
-                errors.push(run_err.to_string());
-                return (fail(FailureClass::SimError, errors), attempt);
-            }
-            Err(payload) => {
-                let msg = panic_message(&payload);
-                let repeated = errors.last().is_some_and(|prev| *prev == msg);
-                errors.push(msg);
-                if repeated {
-                    // The identical panic twice in a row: deterministic.
-                    return (fail(FailureClass::DeterministicPanic, errors), attempt);
-                }
-            }
-        }
-    }
-    let attempts = errors.len() as u32;
-    (fail(FailureClass::Undetermined, errors), attempts)
-}
-
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The text a caught panic carried.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |s| s)
+            .to_string(),
     }
 }
 
@@ -867,15 +807,41 @@ mod tests {
         assert!(parse_journal_line(&line[..line.len() / 2]).is_none());
     }
 
+    /// A cell whose `run_cell` panics is caught once and reported typed,
+    /// and the sweep's other cells run and are stored as in a sweep
+    /// without it.
     #[test]
-    fn unknown_app_is_deterministic_and_never_retried() {
-        let mut spec = CellSpec::new(&tiny_sc(), tiny_cells()[0]);
+    fn a_panicking_cell_fails_typed_and_leaves_the_other_rows_alone() {
+        let sc = tiny_sc();
+        let mut spec = CellSpec::new(&sc, tiny_cells()[0]);
         spec.app = "NOPE";
-        let out = run_cell_stored(&spec, spec.content_hash(), 5, None);
-        let failure = out.result.expect_err("unknown app fails");
-        assert_eq!(failure.class, FailureClass::DeterministicPanic);
-        assert_eq!(out.attempts, 1, "deterministic failures are not retried");
+        let unknown = CellFailure::Panic("unknown app NOPE".into());
+        let out = run_cell_stored(&spec, spec.content_hash(), None);
+        assert_eq!(out.result.expect_err("unknown app fails"), unknown);
         assert!(!out.from_store);
+
+        let clean = Sweep::new(&sc, tiny_cells()).jobs(2).run().expect("clean");
+        let mut cells = tiny_cells();
+        cells.insert(1, spec.cell());
+        let dir = caba_store::fsio::scratch_dir("resilient-panic");
+        let store = Store::open(&dir).expect("store opens");
+        let err = Sweep::new(&sc, cells)
+            .jobs(2)
+            .store(&store)
+            .run()
+            .expect_err("one cell panics");
+        let SweepError::CellsFailed(failed) = err else {
+            panic!("{err}")
+        };
+        assert_eq!(failed, vec![(spec.cell(), unknown)]);
+        let warm = Sweep::new(&sc, tiny_cells())
+            .jobs(2)
+            .store(&store)
+            .run()
+            .expect("the other cells were stored");
+        assert_eq!(warm.store_hits, 3);
+        assert_eq!(warm.table(), clean.table());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

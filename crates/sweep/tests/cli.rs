@@ -41,18 +41,24 @@ fn bad_scales_and_the_removed_flags_are_usage_errors() {
             assert!(stderr.contains(&format!("{scale:?}")), "{mode}: {stderr}");
         }
     }
+    // Each removed flag, and what the usage text says to do instead.
+    let resume = "running again with the same --store-dir";
     let removed = [
-        "--intra-jobs 2",
-        "--baseline",
-        "--ref-wall 1.5",
-        "--max-wall 600",
-        "--out report.json",
+        ("--intra-jobs 2", ""),
+        ("--baseline", ""),
+        ("--ref-wall 1.5", ""),
+        ("--max-wall 600", ""),
+        ("--out report.json", ""),
+        ("--retries 1", resume),
+        ("--resume x", resume),
+        ("--store-cap 0", "store gc       LRU-evict"),
     ];
-    for flag in removed {
+    for (flag, instead) in removed {
         let (code, stderr) = run(&format!("{flag} {out}"), &[]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");
         let name = flag.split(' ').next().expect("a flag");
         assert!(stderr.contains(&format!("unknown flag {name}")), "{stderr}");
+        assert!(stderr.contains(instead), "{flag}: {stderr}");
     }
     assert!(!table.exists(), "a usage error still wrote a table");
     let _ = std::fs::remove_dir_all(&dir);
@@ -89,10 +95,6 @@ fn a_sweep_that_would_run_other_cells_than_asked_is_a_usage_error() {
         ),
         // A store option with no store to apply to.
         (
-            format!("{cons} --store-cap 0"),
-            "--store-cap needs --store-dir",
-        ),
-        (
             format!("{cons} --store-fault-seed 7"),
             "--store-fault-seed needs --store-dir",
         ),
@@ -103,7 +105,7 @@ fn a_sweep_that_would_run_other_cells_than_asked_is_a_usage_error() {
         // A store would answer for cells the proof must compute twice.
         (
             format!("{cons} {store} --selftest"),
-            "--selftest takes no --store-dir or --resume",
+            "--selftest takes no --store-dir",
         ),
         // A paper table is defined over its own cells.
         (
@@ -125,7 +127,7 @@ fn a_sweep_that_would_run_other_cells_than_asked_is_a_usage_error() {
     }
     assert!(!table.exists(), "a usage error still wrote a table");
     // Well-formed, the same flags run the five cells asked for.
-    let flags = format!("{store} --store-fault-seed 7 --store-fault-rate 1 --store-cap 0");
+    let flags = format!("{store} --store-fault-seed 7 --store-fault-rate 1");
     let (code, stderr) = run(&format!("{cons} {flags} {tail}"), &[]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("sweep fig07: 5 cells"), "{stderr}");
