@@ -562,6 +562,131 @@ fn cold_cells_in_a_warm_figure_count_two_store_misses_each() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A payload a dishonest writer could have sealed: [`stand_in_stats`]
+/// encoded, then bytes flipped, counters set near `u64::MAX`, or the wall
+/// time made NaN or infinite. Every field is a little-endian `u64` and the
+/// length is kept, so it decodes. Each summed counter's partner is
+/// nonzero, so one near-`u64::MAX` counter overflows an unsaturated sum.
+fn mutated_payload(rng: &mut caba_stats::Rng64, i: usize) -> Vec<u8> {
+    let mut stats = stand_in_stats(i);
+    stats.assist_instructions = 1;
+    stats.l1_misses = 1;
+    let mut bytes = encode_result_payload(&stats, 0.5);
+    let slots = (bytes.len() - 8) / 8;
+    match rng.range_u64(3) {
+        0 => {
+            for _ in 0..1 + rng.range_u64(4) {
+                let at = rng.range_u64(bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << rng.range_u64(8);
+            }
+        }
+        1 => {
+            for _ in 0..1 + rng.range_u64(8) {
+                let at = 8 + 8 * rng.range_u64(slots as u64) as usize;
+                let near_max = u64::MAX - rng.range_u64(4);
+                bytes[at..at + 8].copy_from_slice(&near_max.to_le_bytes());
+            }
+        }
+        _ => {
+            let walls = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::MAX];
+            let wall_s = walls[rng.range_u64(walls.len() as u64) as usize];
+            bytes = encode_result_payload(&stats, wall_s);
+        }
+    }
+    bytes
+}
+
+/// A sealed payload decodes to whatever counters it holds, and the figure
+/// row, `/result`, `/cell` and `/figure` render those or recompute the
+/// cell; none panics. One row per round is cut short so that it does not
+/// decode: `/result` calls it `payload_skew`, and `/figure` and `/cell`
+/// recompute it.
+#[test]
+fn mutated_sealed_payloads_render_or_recompute_and_never_panic() {
+    let cell = cells()[0];
+    caba_stats::prop::check(0xBAD_5EA1, 4_000, |rng| {
+        let i = rng.range_u64(100) as usize;
+        let (stats, _) = decode_result_payload(&mutated_payload(rng, i)).expect("decodes");
+        let line = figure_table_line(&cell, &stats);
+        let summary = line.trim_end().rsplit('\t').next().expect("a summary");
+        caba_stats::json::validate(summary).unwrap_or_else(|e| panic!("{e}: {line}"));
+    });
+
+    let specs: Vec<CellSpec> = cells().iter().map(|c| CellSpec::new(&sc(), *c)).collect();
+    caba_stats::prop::check(0x5EA1_0F16, 3, |rng| {
+        let dir = caba_store::fsio::scratch_dir("serve-mutated");
+        let store = Store::open(&dir).expect("store opens");
+        let skewed = rng.range_u64(specs.len() as u64) as usize;
+        let decoded: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let mut payload = mutated_payload(rng, i);
+                if i == skewed {
+                    payload.pop();
+                }
+                store
+                    .put_result(spec.content_hash(), &spec.label(), &payload)
+                    .expect("put");
+                decode_result_payload(&payload)
+            })
+            .collect();
+        let server = start(Some(store));
+        for (spec, decoded) in specs.iter().zip(&decoded) {
+            let resp = get(&server, &format!("/result/{:016x}", spec.content_hash()));
+            let body = resp.text();
+            caba_stats::json::validate(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+            match decoded {
+                Some(_) => assert_eq!(resp.status, 200, "{body}"),
+                None => assert!(
+                    resp.status == 500 && body.contains("payload_skew"),
+                    "{body}"
+                ),
+            }
+        }
+        let figure = get(&server, FIG_TARGET);
+        assert_eq!(figure.status, 200);
+        let cell_bodies: Vec<String> = specs
+            .iter()
+            .map(|spec| {
+                let target = format!(
+                    "/cell/{}/{}/{}",
+                    spec.app,
+                    spec.design.label(),
+                    spec.bw_scale
+                );
+                let resp = get(&server, &target);
+                assert_eq!(resp.status, 200, "{target}: {}", resp.text());
+                resp.text()
+            })
+            .collect();
+        stop(server);
+
+        // Stored rows render as decoded; the skewed row is recomputed and
+        // rewritten, and renders as its rewrite.
+        let store = Store::open(&dir).expect("store reopens");
+        let mut want = String::new();
+        for (spec, decoded) in specs.iter().zip(&decoded) {
+            let stats = match decoded {
+                Some((stats, _)) => stats.clone(),
+                None => {
+                    let payload = store.get_result(spec.content_hash()).unwrap();
+                    decode_result_payload(&payload.expect("rewritten"))
+                        .expect("decodes")
+                        .0
+                }
+            };
+            want.push_str(&figure_table_line(&spec.cell(), &stats));
+        }
+        assert_eq!(figure.text(), want);
+        for body in &cell_bodies {
+            caba_stats::json::validate(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+            assert!(body.contains("\"cached\": true"), "{body}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
 /// A handler that has answered parks, and the next connection goes to it:
 /// fifty requests one after another need a thread or two, not fifty.
 #[test]

@@ -97,7 +97,9 @@ fn ratio(num: u64, den: u64) -> f64 {
 impl RunStats {
     /// Computes every derived rate in one place. All reports (sweep JSON,
     /// diagnostics, figure emitters) must go through this — never hand-roll
-    /// an IPC or hit-rate division elsewhere.
+    /// an IPC or hit-rate division elsewhere. Denominators saturate: a
+    /// stored payload decodes to whatever counters it holds, and no counter
+    /// pair may panic or wrap the rendering.
     pub fn summary(&self) -> StatsSummary {
         let mut issue_fractions = [0.0; StallKind::ALL.len()];
         for (f, k) in issue_fractions.iter_mut().zip(StallKind::ALL) {
@@ -110,10 +112,11 @@ impl RunStats {
             ipc: ratio(self.app_instructions, self.cycles),
             assist_fraction: ratio(
                 self.assist_instructions,
-                self.app_instructions + self.assist_instructions,
+                self.app_instructions
+                    .saturating_add(self.assist_instructions),
             ),
-            l1_hit_rate: ratio(self.l1_hits, self.l1_hits + self.l1_misses),
-            l2_hit_rate: ratio(self.l2_hits, self.l2_hits + self.l2_misses),
+            l1_hit_rate: ratio(self.l1_hits, self.l1_hits.saturating_add(self.l1_misses)),
+            l2_hit_rate: ratio(self.l2_hits, self.l2_hits.saturating_add(self.l2_misses)),
             md_hit_rate: if self.md_lookups == 0 {
                 0.0
             } else {

@@ -4,12 +4,13 @@
 //! Every durable byte container in the repository — the `CABASNAP` machine
 //! snapshot (`caba_sim::snapshot`), the on-disk store entries of
 //! `caba-store`, and the lines of the store's touch log and the sweep
-//! resume journal ([`seal_line`] / [`verify_line`]) — seals its bytes with
-//! the same trailing checksum and verifies it **before any field is
-//! decoded**. Centralizing the hash and the framing
-//! here keeps the corruption-rejection behaviour identical everywhere: a
-//! torn, truncated, or bit-flipped container is rejected as a unit, and
-//! corrupt bytes never reach a decoder.
+//! journal ([`seal_line`]) — seals its bytes with the same trailing
+//! checksum. Every container that is read back verifies it **before any
+//! field is decoded**; of the sealed lines, only the touch log's are read
+//! ([`verify_line`]), since nothing reads the journal. Centralizing the
+//! hash and the framing here keeps the corruption-rejection behaviour
+//! identical everywhere: a torn, truncated, or bit-flipped container is
+//! rejected as a unit, and corrupt bytes never reach a decoder.
 //!
 //! # Examples
 //!
@@ -143,7 +144,7 @@ const LINE_SUM: &str = " sum=";
 
 /// Seals one line of a text log: appends `" sum="`, the body's checksum as
 /// 16 hex digits and a newline — the framing of the store's touch log and
-/// the sweep resume journal. The inverse of [`verify_line`].
+/// the sweep journal. The inverse of [`verify_line`].
 ///
 /// ```
 /// use caba_stats::checksum::{seal_line, verify_line};

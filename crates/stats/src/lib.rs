@@ -172,9 +172,10 @@ impl IssueBreakdown {
         self.counts[Self::index(kind)]
     }
 
-    /// Total recorded slots.
+    /// Total recorded slots, saturating at `u64::MAX` (a breakdown decoded
+    /// from stored bytes can hold any counts).
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().fold(0, |sum, &n| sum.saturating_add(n))
     }
 
     /// Slots in which any instruction issued (app or assist).

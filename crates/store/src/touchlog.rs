@@ -56,9 +56,9 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    /// Replays `log`, skipping torn, corrupt and foreign lines (the journal
-    /// idiom: each line carries its own checksum, which is verified before
-    /// any field is parsed).
+    /// Replays `log`, skipping torn, corrupt and foreign lines (each line
+    /// carries its own checksum, which is verified before any field is
+    /// parsed).
     pub(crate) fn of(log: &[u8]) -> Replay {
         let mut replay = Replay::default();
         for raw in log.split_inclusive(|&b| b == b'\n') {

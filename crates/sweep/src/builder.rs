@@ -47,7 +47,7 @@ impl SweepRun {
 /// |---|---|---|
 /// | parallelism | [`jobs`](Sweep::jobs) | worker threads (default: host cores) |
 /// | memoize, resume | [`store`](Sweep::store) | durable result store; only misses simulate |
-/// | journal | [`journal`](Sweep::journal) | second record of finished cells (the benchmark's) |
+/// | journal | [`journal`](Sweep::journal) | write-only record of every cell's result (the benchmark's) |
 pub struct Sweep<'a> {
     sc: SweepConfig,
     cells: Vec<SweepCell>,
@@ -75,9 +75,10 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Append-only journal: cells already journaled are not re-run, newly
-    /// finished cells flush immediately. Only the benchmark's
-    /// `persist_churn` calls it; the store resumes every other sweep.
+    /// Write-only journal: [`run`](Sweep::run) creates the file at `path`,
+    /// replacing any file there, and appends one sealed line per cell,
+    /// simulated or restored from the store. Nothing reads it back; only
+    /// the benchmark's `persist_churn` calls it.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
         self
@@ -93,18 +94,15 @@ impl<'a> Sweep<'a> {
 
     /// Executes the sweep; results return in **input order** for any
     /// `jobs`. Every cell goes through [`stream_cells`]: one store read for
-    /// the whole list, then each cell the store did not answer is restored
-    /// from the journal if it is there, else run through
-    /// [`run_cell_stored`] and journaled as it finishes. A stored cell is
-    /// journaled as it is delivered, unless the journal holds it already,
-    /// so the journal alone is a complete record of what is done.
+    /// the whole list, then each cell the store did not answer is run
+    /// through [`run_cell_stored`]. With a journal, a simulated cell's line
+    /// is appended as it finishes and a stored cell's as it is delivered.
     ///
     /// # Errors
     ///
-    /// [`SweepError::ManifestMismatch`] before any cell runs if the journal
-    /// belongs to a different sweep; [`SweepError::Io`] if it cannot be
-    /// opened; [`SweepError::CellsFailed`] after the sweep if any cell
-    /// failed (completed cells stay journaled and stored).
+    /// [`SweepError::Io`] before any cell runs if the journal cannot be
+    /// created; [`SweepError::CellsFailed`] after the sweep if any cell
+    /// failed (completed cells stay stored).
     pub fn run(self) -> Result<SweepRun, SweepError> {
         let specs: Vec<CellSpec> = self
             .cells
@@ -117,7 +115,7 @@ impl<'a> Sweep<'a> {
             .map(|s| s.content_hash_in(sweep_hash))
             .collect();
         let journal = match &self.journal {
-            Some(path) => Some(Journal::open(path, sweep_hash)?),
+            Some(path) => Some(Journal::create(path, sweep_hash)?),
             None => None,
         };
         let mut run = SweepRun {
@@ -126,13 +124,9 @@ impl<'a> Sweep<'a> {
         };
         let mut failed = Vec::new();
         let miss = |i: usize| -> CellOutcome {
-            let (spec, key) = (&specs[i], keys[i]);
-            if let Some((stats, wall_s)) = journal.as_ref().and_then(|j| j.get(key)) {
-                return CellOutcome::restored(spec, stats.clone(), *wall_s, false);
-            }
-            let outcome = run_cell_stored(spec, key, self.store);
+            let outcome = run_cell_stored(&specs[i], keys[i], self.store);
             if let (Ok(r), Some(journal)) = (&outcome.result, &journal) {
-                journal.append(key, &r.stats, r.wall_s);
+                journal.append(keys[i], &r.stats, r.wall_s);
             }
             outcome
         };
@@ -141,9 +135,7 @@ impl<'a> Sweep<'a> {
                 let out = match row {
                     StreamedCell::Stored(out) => {
                         if let (Ok(r), Some(journal)) = (&out.result, &journal) {
-                            if journal.get(keys[i]).is_none() {
-                                journal.append(keys[i], &r.stats, r.wall_s);
-                            }
+                            journal.append(keys[i], &r.stats, r.wall_s);
                         }
                         out
                     }
@@ -170,6 +162,7 @@ mod tests {
     use super::*;
     use crate::{encode_result_payload, DesignId};
     use caba_sim::GpuConfig;
+    use caba_stats::checksum::verify_line;
     use caba_store::{RealFs, StoreFs};
     use std::io;
     use std::path::Path;
@@ -279,7 +272,9 @@ mod tests {
     /// Stored, cold and undecodable rows in one list: the stored ones are
     /// restored, the rest simulate (a cold row reads the store twice, the
     /// list's read and the per-cell path's re-probe), and every cell is
-    /// journaled once, whatever the job count.
+    /// journaled once, whatever the job count: a header carrying the sweep
+    /// hash, then one sealed line per cell, simulated or backfilled. A
+    /// re-run replaces the journal, and so does a run over another sweep's.
     #[test]
     fn stored_cold_and_undecodable_rows_give_the_storeless_results() {
         let sc = tiny_sc();
@@ -293,6 +288,12 @@ mod tests {
         let storeless = Sweep::new(&sc, cells.clone()).jobs(1).run().expect("run");
         let (stored, junk) = ([0, 2], 3);
         let key = |i: usize| CellSpec::new(&sc, cells[i]).content_hash();
+        let header =
+            |sc: &SweepConfig| format!("caba-sweep-manifest-v1 key={:016x}", sc.sweep_hash());
+        let mut line_starts: Vec<String> = (0..cells.len())
+            .map(|i| format!("cell {:016x} ", key(i)))
+            .collect();
+        line_starts.sort();
         for jobs in [1, 2] {
             let dir = caba_store::fsio::scratch_dir(&format!("sweep-mixed-{jobs}"));
             let store = Store::open(&dir).expect("store");
@@ -324,16 +325,34 @@ mod tests {
             let rewritten = store.get_result(key(junk)).expect("read").expect("stored");
             let (stats, _) = crate::decode_result_payload(&rewritten).expect("decodes");
             assert_eq!(stats, storeless.results[junk].stats, "jobs {jobs}");
-            let lines = || {
-                std::fs::read_to_string(&journal)
-                    .expect("journal")
-                    .lines()
-                    .count()
+            // The cell lines' bodies, sorted, once the header and every
+            // seal check.
+            let sealed_lines = || {
+                let text = std::fs::read_to_string(&journal).expect("journal");
+                let mut lines = text.lines();
+                assert_eq!(lines.next(), Some(header(&sc).as_str()), "jobs {jobs}");
+                let mut bodies: Vec<String> = lines
+                    .map(|l| verify_line(l).expect("sealed").to_string())
+                    .collect();
+                bodies.sort();
+                assert_eq!(bodies.len(), cells.len(), "jobs {jobs}");
+                for (body, start) in bodies.iter().zip(&line_starts) {
+                    assert!(body.starts_with(start), "jobs {jobs}: {body}");
+                }
+                bodies
             };
-            assert_eq!(lines(), 1 + cells.len(), "jobs {jobs}");
-            // Now all stored and all journaled: nothing is added twice.
+            let first = sealed_lines();
+            // Now all stored: a re-run replaces the journal.
             assert_eq!(run().store_hits, cells.len());
-            assert_eq!(lines(), 1 + cells.len(), "jobs {jobs}");
+            assert_eq!(sealed_lines(), first, "jobs {jobs}");
+            // So does a run over another sweep's journal.
+            let mut other = sc;
+            other.scale = 0.1;
+            let text = std::fs::read_to_string(&journal).expect("journal");
+            let (_, tail) = text.split_once('\n').expect("a header line");
+            std::fs::write(&journal, format!("{}\n{tail}", header(&other))).expect("rewrite");
+            run();
+            assert_eq!(sealed_lines(), first, "jobs {jobs}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

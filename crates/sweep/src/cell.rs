@@ -5,10 +5,10 @@
 //! A cell is fully determined by `(app, design, bw_scale, workload scale,
 //! machine config)` — the fault-injection seed lives inside [`GpuConfig`],
 //! so it is covered by the canonical config hash. Everything downstream
-//! (the resume journal, the durable result store, and the `caba-serve`
-//! HTTP service) keys work by [`CellSpec::content_hash`], so all three
-//! provably agree on what "the same cell" means: the agreement is pinned
-//! by `keys_agree_across_journal_store_and_server` in `resilient.rs`.
+//! (the durable result store and the `caba-serve` HTTP service) keys work
+//! by [`CellSpec::content_hash`], so both provably agree on what "the
+//! same cell" means: the agreement is pinned by
+//! `keys_agree_across_journal_store_and_server` in `resilient.rs`.
 //!
 //! [`GpuConfig`]: caba_sim::GpuConfig
 
@@ -99,8 +99,8 @@ impl CellSpec {
     }
 
     /// Content hash of the sweep this cell belongs to: the canonicalized
-    /// machine configuration plus the workload scale. A resume journal is
-    /// keyed by this value and refuses to resume a different sweep.
+    /// machine configuration plus the workload scale. A sweep journal's
+    /// header carries this value.
     pub fn sweep_hash(&self) -> u64 {
         sweep_hash(&self.cfg, self.scale)
     }
@@ -108,9 +108,9 @@ impl CellSpec {
     /// Content hash identifying this cell: [`sweep_hash`] folded with the
     /// app, design label, and bandwidth scale, via [`caba_stats::checksum`].
     ///
-    /// This is **the** cell key. The resume journal, the durable result
-    /// store, and the `caba-serve` service all derive their keys here, so
-    /// a result persisted by any one of them warm-starts the others.
+    /// This is **the** cell key. The durable result store and the
+    /// `caba-serve` service both derive their keys here, so a result
+    /// persisted by either warm-starts the other.
     ///
     /// [`sweep_hash`]: CellSpec::sweep_hash
     pub fn content_hash(&self) -> u64 {

@@ -1,6 +1,6 @@
 //! The one path from a cell list to results ([`stream_cells`]: one store
 //! read for the list, the misses fanned out), the one per-cell path it
-//! hands the misses to, and the resume journal. A cell is looked up in
+//! hands the misses to, and the sweep journal. A cell is looked up in
 //! the durable store by [`CellSpec::content_hash`], otherwise simulated
 //! under panic isolation, then persisted ([`run_cell_stored`]).
 //! `Sweep::run` and `caba-serve`'s `/figure` reach their cells through
@@ -25,29 +25,25 @@
 //! resumes from: every put is atomic, so re-running it over the same store
 //! simulates only the cells that had not finished.
 //!
-//! # Resume journal
+//! # Sweep journal
 //!
-//! [`Sweep::journal`](crate::Sweep::journal) keeps a second record of
-//! finished cells: one line per cell in a file keyed by
-//! [`CellSpec::sweep_hash`] (the canonicalized [`GpuConfig`] via
-//! [`caba_sim::snapshot::config_hash`], which ignores the observability
-//! and checkpoint knobs, plus the workload scale). Each line carries its
-//! own checksum, so a line torn by a crash mid-write is skipped and that
-//! cell re-runs. Only the benchmark's `persist_churn` workload still calls
-//! it; the store does the same job for every other caller.
+//! [`Sweep::journal`](crate::Sweep::journal) writes a record of the
+//! sweep's results that nothing reads back: the file is created afresh,
+//! with a header carrying [`CellSpec::sweep_hash`], and one sealed line is
+//! appended per cell, simulated or restored from the store. Only the
+//! benchmark's `persist_churn` workload calls it; a sweep resumes from the
+//! store alone.
 //!
-//! [`GpuConfig`]: caba_sim::GpuConfig
 //! [`RunError`]: caba_sim::RunError
 
 use crate::cell::{run_cell, CellSpec};
 use crate::fanout::fan_out;
 use crate::{CellResult, SweepCell};
 use caba_sim::RunStats;
-use caba_stats::checksum::{seal_line, verify_line};
+use caba_stats::checksum::seal_line;
 use caba_stats::json;
 use caba_stats::snap::{SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_store::{Store, StoreError};
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,20 +79,15 @@ pub struct CellOutcome {
 }
 
 impl CellOutcome {
-    /// A result read back (from the store or the journal), not simulated.
-    pub(crate) fn restored(
-        spec: &CellSpec,
-        stats: RunStats,
-        wall_s: f64,
-        from_store: bool,
-    ) -> Self {
+    /// A result read back from the store, not simulated.
+    pub(crate) fn restored(spec: &CellSpec, stats: RunStats, wall_s: f64) -> Self {
         CellOutcome {
             result: Ok(CellResult {
                 cell: spec.cell(),
                 stats,
                 wall_s,
             }),
-            from_store,
+            from_store: true,
         }
     }
 }
@@ -104,20 +95,12 @@ impl CellOutcome {
 /// Errors from sweep execution.
 #[derive(Debug)]
 pub enum SweepError {
-    /// Reading or writing the journal failed.
+    /// The journal could not be created.
     Io {
         /// The journal path involved.
         path: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
-    },
-    /// The journal belongs to a different sweep (configuration or scale
-    /// changed since it was written).
-    ManifestMismatch {
-        /// Key recorded in the journal header.
-        found: u64,
-        /// Key of the requested sweep.
-        expected: u64,
     },
     /// One or more cells failed. Every completed cell is stored, so a
     /// re-run over the same store simulates only these.
@@ -130,11 +113,6 @@ impl fmt::Display for SweepError {
             SweepError::Io { path, source } => {
                 write!(f, "journal {}: {source}", path.display())
             }
-            SweepError::ManifestMismatch { found, expected } => write!(
-                f,
-                "journal belongs to a different sweep (key {found:016x}, this sweep is \
-                 {expected:016x}); delete it or journal this sweep to another path"
-            ),
             SweepError::CellsFailed(cells) => {
                 writeln!(f, "{} cell(s) failed:", cells.len())?;
                 for (cell, failure) in cells {
@@ -160,9 +138,10 @@ impl std::error::Error for SweepError {}
 /// cell is durable the moment it finishes, whatever its place in the
 /// output order.
 ///
-/// `key` is `spec.content_hash()`. Both callers need it before the call
-/// (the journal lookup, the single-flight key) and it is the costliest
-/// step of a warm cell, so it is passed in rather than derived twice.
+/// `key` is `spec.content_hash()`. Both callers hold it before the call
+/// (the sweep keyed its list for one store read, the server its
+/// single-flight) and it is the costliest step of a warm cell, so it is
+/// passed in rather than derived twice.
 pub fn run_cell_stored(spec: &CellSpec, key: u64, store: Option<&Store>) -> CellOutcome {
     debug_assert_eq!(key, spec.content_hash(), "key must be the spec's own");
     if let Some(hit) = store.and_then(|store| probe_store(spec, key, store)) {
@@ -193,7 +172,7 @@ pub fn run_cell_stored(spec: &CellSpec, key: u64, store: Option<&Store>) -> Cell
 pub fn probe_store(spec: &CellSpec, key: u64, store: &Store) -> Option<CellOutcome> {
     let payload = logged_read(spec, store.get_result(key))?;
     let (stats, wall_s) = decode_result_payload(&payload)?;
-    Some(CellOutcome::restored(spec, stats, wall_s, true))
+    Some(CellOutcome::restored(spec, stats, wall_s))
 }
 
 /// A row as [`stream_cells`] hands it to its sink.
@@ -251,7 +230,7 @@ pub fn stream_cells<T: Send, E>(
             let payload = stored[i].take().expect("a row that is not cold is stored");
             let row = match decode_result_payload(&payload) {
                 Some((stats, wall_s)) => {
-                    StreamedCell::Stored(CellOutcome::restored(&specs[i], stats, wall_s, true))
+                    StreamedCell::Stored(CellOutcome::restored(&specs[i], stats, wall_s))
                 }
                 None => StreamedCell::Missed(miss(i)),
             };
@@ -292,7 +271,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-// ----- resume manifest -----------------------------------------------------
+// ----- journal -------------------------------------------------------------
 
 const MANIFEST_HEADER: &str = "caba-sweep-manifest-v1";
 
@@ -304,17 +283,8 @@ fn encode_hex(bytes: &[u8]) -> String {
     s
 }
 
-fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok())
-        .collect()
-}
-
-/// Renders one journal line for a finished cell. The trailing checksum
-/// covers the rest of the line, so a torn write is detected and skipped.
+/// Renders one journal line for a finished cell, sealed by a trailing
+/// checksum over the rest of the line.
 fn journal_line(key: u64, stats: &RunStats, wall_s: f64) -> String {
     let mut w = SnapshotWriter::new();
     stats.save(&mut w);
@@ -325,107 +295,40 @@ fn journal_line(key: u64, stats: &RunStats, wall_s: f64) -> String {
     ))
 }
 
-/// Parses one journal line; `None` for anything malformed (including a
-/// line torn by a crash mid-write).
-fn parse_journal_line(line: &str) -> Option<(u64, RunStats, f64)> {
-    // The journal has always let whitespace trail the checksum digits.
-    let body = verify_line(line.trim_end())?;
-    let rest = body.strip_prefix("cell ")?;
-    let (key_s, rest) = rest.split_once(' ')?;
-    let key = u64::from_str_radix(key_s, 16).ok()?;
-    let rest = rest.strip_prefix("wall=")?;
-    let (wall_s, rest) = rest.split_once(' ')?;
-    let wall = f64::from_bits(u64::from_str_radix(wall_s, 16).ok()?);
-    let stats_hex = rest.strip_prefix("stats=")?;
-    let bytes = decode_hex(stats_hex)?;
-    let mut r = SnapshotReader::new(&bytes);
-    let stats = RunStats::load(&mut r).ok()?;
-    r.finish().ok()?;
-    Some((key, stats, wall))
-}
-
-/// An open resume journal: what earlier runs finished, and the file that
-/// every newly finished cell is appended to.
+/// A write-only journal: the file every cell's result is appended to.
 pub(crate) struct Journal {
-    done: HashMap<u64, (RunStats, f64)>,
     file: Mutex<std::fs::File>,
 }
 
 impl Journal {
-    /// Opens the journal at `path` for the sweep keyed `sweep_hash`. An
-    /// intact journal is appended to; a missing or empty file, or one whose
-    /// header does not parse (torn by a crash), is truncated and started
-    /// over with a fresh header.
+    /// Creates the journal at `path` for the sweep keyed `sweep_hash`,
+    /// replacing any file there: a header naming the key, then nothing
+    /// until the first [`append`](Journal::append).
     ///
     /// # Errors
     ///
-    /// [`SweepError::ManifestMismatch`] if the journal belongs to a
-    /// different sweep; [`SweepError::Io`] on I/O failures.
-    pub(crate) fn open(path: &Path, sweep_hash: u64) -> Result<Journal, SweepError> {
+    /// [`SweepError::Io`] if the file cannot be created or written.
+    pub(crate) fn create(path: &Path, sweep_hash: u64) -> Result<Journal, SweepError> {
         let io_err = |source| SweepError::Io {
             path: path.to_path_buf(),
             source,
         };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(io_err(e)),
-        };
-        let mut lines = text.lines();
-        let header_key = lines.next().and_then(|header| {
-            header
-                .strip_prefix(MANIFEST_HEADER)
-                .and_then(|r| r.trim().strip_prefix("key="))
-                .filter(|k| k.len() == 16)
-                .and_then(|k| u64::from_str_radix(k, 16).ok())
-        });
-        let mut open = std::fs::OpenOptions::new();
-        let (done, prefix) = match header_key {
-            Some(found) if found != sweep_hash => {
-                return Err(SweepError::ManifestMismatch {
-                    found,
-                    expected: sweep_hash,
-                })
-            }
-            Some(_) => {
-                open.append(true);
-                // Malformed lines (torn by a crash) are skipped: the cell
-                // re-runs. A torn tail is closed off so the next line
-                // does not land on it.
-                let done = lines
-                    .filter_map(parse_journal_line)
-                    .map(|(key, stats, wall)| (key, (stats, wall)))
-                    .collect();
-                let prefix = if text.ends_with('\n') { "" } else { "\n" };
-                (done, prefix.to_string())
-            }
-            None => {
-                open.write(true).create(true).truncate(true);
-                (
-                    HashMap::new(),
-                    format!("{MANIFEST_HEADER} key={sweep_hash:016x}\n"),
-                )
-            }
-        };
-        let mut file = open.open(path).map_err(io_err)?;
-        file.write_all(prefix.as_bytes()).map_err(io_err)?;
+        let mut file = std::fs::File::create(path).map_err(io_err)?;
+        file.write_all(format!("{MANIFEST_HEADER} key={sweep_hash:016x}\n").as_bytes())
+            .map_err(io_err)?;
         Ok(Journal {
-            done,
             file: Mutex::new(file),
         })
     }
 
-    /// The journaled result for cell `key`, if an earlier run finished it.
-    pub(crate) fn get(&self, key: u64) -> Option<&(RunStats, f64)> {
-        self.done.get(&key)
-    }
-
-    /// Appends a finished cell. One write per line; a crash tears at most
-    /// the final line, which resume skips.
+    /// Appends a cell's sealed line in one write.
     pub(crate) fn append(&self, key: u64, stats: &RunStats, wall_s: f64) {
         let line = journal_line(key, stats, wall_s);
-        let mut f = self.file.lock().expect("journal lock");
-        let _ = f.write_all(line.as_bytes()).and_then(|()| f.flush());
+        let _ = self
+            .file
+            .lock()
+            .expect("journal lock")
+            .write_all(line.as_bytes());
     }
 }
 
@@ -494,9 +397,9 @@ fn push_display_f64(out: &mut String, x: f64) {
 
 /// The deterministic figure table derived from sweep results: one line per
 /// cell ([`figure_table_line`]), and no wall times. Two sweeps over the
-/// same cells produce byte-identical tables — including a journaled sweep
-/// resumed after a kill, a store-warm-started fresh process, or the table
-/// served over HTTP by `caba-serve`.
+/// same cells produce byte-identical tables — including a sweep resumed
+/// from its store after a kill, a store-warm-started fresh process, or the
+/// table served over HTTP by `caba-serve`.
 pub fn figure_table(results: &[CellResult]) -> String {
     let mut s = String::with_capacity(TABLE_LINE_BYTES * results.len());
     for r in results {
@@ -535,22 +438,6 @@ mod tests {
         .collect()
     }
 
-    /// A fresh journal path unique to `tag`.
-    fn scratch_journal(tag: &str) -> PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("caba-test-{tag}-{:x}.txt", tiny_sc().sweep_hash()));
-        let _ = std::fs::remove_file(&path);
-        path
-    }
-
-    fn journaled(sc: &SweepConfig, manifest: &Path) -> Result<String, SweepError> {
-        let run = Sweep::new(sc, tiny_cells())
-            .jobs(2)
-            .journal(manifest)
-            .run()?;
-        Ok(run.table())
-    }
-
     #[test]
     fn keys_are_stable_and_config_sensitive() {
         let sc = tiny_sc();
@@ -569,10 +456,11 @@ mod tests {
         assert_eq!(sc.sweep_hash(), tolerated.sweep_hash());
     }
 
-    /// Satellite pin: the resume journal, the durable store, and the
-    /// `caba-serve` service all key cells by [`CellSpec::content_hash`] —
-    /// one derivation, provably shared, and byte-compatible with the
-    /// pre-refactor formula so stores written by earlier builds stay warm.
+    /// The durable store and the `caba-serve` service key cells by
+    /// [`CellSpec::content_hash`] — one derivation, provably shared, and
+    /// byte-compatible with the pre-refactor formula so stores written by
+    /// earlier builds stay warm. The journal keys no lookup; only its
+    /// header carries [`CellSpec::sweep_hash`].
     /// The key streams its fields into the hasher; the formula `format!`s
     /// them. Checked on the tiny sweep and on random apps, designs, scales
     /// (any positive finite bits) and machines.
@@ -784,17 +672,19 @@ mod tests {
     }
 
     #[test]
-    fn journal_lines_round_trip_and_reject_corruption() {
+    fn journal_lines_are_sealed_and_reject_corruption() {
+        use caba_stats::checksum::verify_line;
         let stats = RunStats {
             cycles: 12345,
             l2_hits: 17,
             ..Default::default()
         };
         let line = journal_line(0xABCD, &stats, 1.5);
-        let (key, back, wall) = parse_journal_line(line.trim_end()).expect("line parses");
-        assert_eq!(key, 0xABCD);
-        assert_eq!(back, stats);
-        assert_eq!(wall, 1.5);
+        let body = verify_line(line.trim_end()).expect("line is sealed");
+        assert!(
+            body.starts_with("cell 000000000000abcd wall=3ff8000000000000 stats="),
+            "{body}"
+        );
         // Any flipped character is rejected.
         let mut bad = line.trim_end().to_string();
         let mid = bad.len() / 2;
@@ -802,9 +692,9 @@ mod tests {
             mid..mid + 1,
             if &bad[mid..mid + 1] == "0" { "1" } else { "0" },
         );
-        assert!(parse_journal_line(&bad).is_none());
+        assert!(verify_line(&bad).is_none());
         // A torn (truncated) line is rejected.
-        assert!(parse_journal_line(&line[..line.len() / 2]).is_none());
+        assert!(verify_line(&line[..line.len() / 2]).is_none());
     }
 
     /// A cell whose `run_cell` panics is caught once and reported typed,
@@ -845,46 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn journaled_sweep_resumes_without_rerunning() {
-        let sc = tiny_sc();
-        let cells = tiny_cells();
-        let manifest = scratch_journal("manifest");
-
-        // Full run from scratch.
-        let full_table = journaled(&sc, &manifest).expect("sweep runs");
-
-        // Kill simulation: drop the last journal line (plus a torn tail)
-        // and resume. Only the dropped cell re-runs; the table is
-        // byte-identical.
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        let mut lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines.len(),
-            1 + cells.len(),
-            "header plus one line per cell"
-        );
-        lines.pop();
-        let mut truncated = lines.join("\n");
-        truncated.push_str("\ncell 0123torn");
-        std::fs::write(&manifest, truncated).expect("truncate manifest");
-
-        let resumed = journaled(&sc, &manifest).expect("resume runs");
-        assert_eq!(resumed, full_table, "resumed table is byte-identical");
-        // The re-run cell's line starts on a line of its own, not glued to
-        // the torn tail: the journal is complete again.
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        let intact = text.lines().filter_map(parse_journal_line).count();
-        assert_eq!(intact, cells.len(), "{text}");
-
-        // A different sweep refuses the manifest.
-        let mut other = sc;
-        other.scale = 0.1;
-        let err = journaled(&other, &manifest).unwrap_err();
-        assert!(matches!(err, SweepError::ManifestMismatch { .. }));
-        let _ = std::fs::remove_file(&manifest);
-    }
-
-    #[test]
     fn result_payload_round_trips_and_rejects_trailing_bytes() {
         let stats = RunStats {
             cycles: 777,
@@ -921,9 +771,9 @@ mod tests {
         let table = full.table();
         drop(store);
 
-        // A fresh Store over the same directory models a fresh process
-        // with no journal: every cell restores from disk, and the journal
-        // is backfilled into a complete standalone record.
+        // A fresh Store over the same directory models a fresh process:
+        // every cell restores from disk, and the journal is backfilled
+        // with one line per restored cell.
         let store = Store::open(&dir).expect("store reopens");
         let manifest = dir.join("resume.journal");
         let restored = Sweep::new(&sc, cells.clone())
@@ -941,100 +791,7 @@ mod tests {
             1 + cells.len(),
             "header plus one backfilled line per restored cell"
         );
-
-        // The backfilled journal alone (store detached) also resumes.
-        assert_eq!(journaled(&sc, &manifest).expect("journal-only"), table);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn faultfs_torn_journal_line_is_tolerated_on_resume() {
-        use caba_store::{FaultFs, FaultRates, StoreFs};
-        let sc = tiny_sc();
-        let manifest = scratch_journal("torn-journal");
-        let table = journaled(&sc, &manifest).expect("sweep runs");
-
-        // Re-append the final journal line through a FaultFs whose torn
-        // write is certain: the crash artifact is produced by the real
-        // injection path, not hand truncation.
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        let mut lines: Vec<&str> = text.lines().collect();
-        let last = lines.pop().expect("at least one cell line").to_string();
-        std::fs::write(&manifest, format!("{}\n", lines.join("\n"))).expect("rewrite");
-        let ffs = FaultFs::new(
-            11,
-            FaultRates {
-                torn_write: 1.0,
-                ..FaultRates::none()
-            },
-        );
-        let err = ffs
-            .append_sync(&manifest, format!("{last}\n").as_bytes())
-            .expect_err("the tear is certain");
-        assert!(err.to_string().contains("torn write"));
-
-        // Resume over the torn journal: the torn tail is skipped (or, if
-        // the kept prefix happened to be the whole line, restored) and the
-        // table is byte-identical either way.
-        assert_eq!(journaled(&sc, &manifest).expect("resume runs"), table);
-        let _ = std::fs::remove_file(&manifest);
-    }
-
-    #[test]
-    fn faultfs_torn_manifest_header_resets_instead_of_mismatching() {
-        use caba_store::{FaultFs, FaultRates, StoreFs};
-        let sc = tiny_sc();
-        let cells = tiny_cells();
-        let manifest = scratch_journal("torn-header");
-        let table = journaled(&sc, &manifest).expect("sweep runs");
-        let header = std::fs::read_to_string(&manifest)
-            .expect("manifest exists")
-            .lines()
-            .next()
-            .expect("header line")
-            .to_string();
-
-        // An intact header for this sweep still mismatches another sweep.
-        let mut other = sc;
-        other.scale = 0.1;
-        let err = journaled(&other, &manifest).unwrap_err();
-        assert!(matches!(err, SweepError::ManifestMismatch { .. }));
-
-        // Tear the header with real injection, picking the first seed
-        // whose kept prefix ends inside the magic string so no key can
-        // parse at all. That journal must read as empty — a fresh start,
-        // not a mismatch and not a crash.
-        std::fs::remove_file(&manifest).expect("clear manifest");
-        for seed in 0.. {
-            let ffs = FaultFs::new(
-                seed,
-                FaultRates {
-                    torn_write: 1.0,
-                    ..FaultRates::none()
-                },
-            );
-            let _ = ffs.write_sync(&manifest, format!("{header}\n").as_bytes());
-            let kept = std::fs::metadata(&manifest).map(|m| m.len()).unwrap_or(0);
-            if kept > 0 && kept < MANIFEST_HEADER.len() as u64 {
-                break;
-            }
-        }
-        let rerun = journaled(&sc, &manifest).expect("torn header reads as an empty journal");
-        assert_eq!(rerun, table);
-
-        // The rewrite replaced the torn prefix instead of appending to it,
-        // so a third run resumes from a journal that is whole again:
-        // header, one line per cell, nothing re-run and nothing re-added.
-        assert_eq!(journaled(&sc, &manifest).expect("third run"), table);
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert_eq!(text.lines().next(), Some(header.as_str()), "{text}");
-        assert_eq!(text.lines().count(), 1 + cells.len(), "{text}");
-
-        // A tear inside the key leaves a shorter hex number, which must
-        // read as torn too, not as some other sweep's journal.
-        std::fs::write(&manifest, &header[..header.len() - 3]).expect("tear the key");
-        assert_eq!(journaled(&sc, &manifest).expect("torn key"), table);
-        let _ = std::fs::remove_file(&manifest);
     }
 
     #[test]
