@@ -593,6 +593,10 @@ fn figure_endpoint(
             }
         }
         cells.retain(|c| filter.contains(&c.app));
+        if cells.is_empty() {
+            let msg = format!("figure {fig} simulates none of the apps {apps:?}");
+            return http::respond_error(out, 400, "bad_request", &msg);
+        }
     }
 
     let specs: Vec<CellSpec> = cells.iter().map(|c| CellSpec::new(&sc, *c)).collect();

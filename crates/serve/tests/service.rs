@@ -174,6 +174,10 @@ fn malformed_requests_get_typed_errors_without_poisoning_the_store() {
     expect("/figure/fig07?scale=banana", 400, "bad_request");
     expect("/figure/fig07?scale=-1", 400, "bad_request");
     expect("/figure/fig07?apps=NOPE", 400, "bad_request");
+    // A known app that none of fig07's cells runs leaves no rows.
+    expect("/figure/fig07?apps=bp", 400, "bad_request");
+    let body = get(&server, "/figure/fig07?apps=bp").text();
+    assert!(body.contains("figure fig07 simulates none"), "{body}");
     expect("/cell/NOPE/Base/1.0", 404, "not_found");
     expect("/cell/CONS/Bogus/1.0", 400, "bad_request");
     expect("/cell/CONS/Base/zoom", 400, "bad_request");

@@ -1,14 +1,12 @@
-//! Crash-safe content-addressed store for CABA snapshots and results.
+//! Crash-safe content-addressed store for finished CABA cell results.
 //!
-//! Simulation campaigns produce two kinds of expensive artifacts: machine
-//! snapshots (a warm `Gpu` mid-kernel, megabytes) and finished cell
-//! results (a `StatsSummary`, bytes). Both are pure functions of their
-//! key, so a store keyed by content hash lets a killed sweep — or an
-//! entirely fresh process — pick up exactly where a previous one left
-//! off, bit-identically. That only holds if the store itself can never
-//! lie: a torn write, short read, or stale temp file must surface as a
-//! *miss* (recompute) or a typed error, never as corrupt bytes decoded
-//! into a live machine.
+//! A sweep cell's result (a `StatsSummary` plus wall time, a few hundred
+//! bytes) is a pure function of its key, so a store keyed by content hash
+//! lets a killed sweep — or an entirely fresh process — pick up exactly
+//! where a previous one left off, bit-identically. That only holds if the
+//! store itself can never lie: a torn write, short read, or stale temp
+//! file must surface as a *miss* (recompute) or a typed error, never as
+//! corrupt bytes decoded into a result.
 //!
 //! # Entry container (format version 1)
 //!
@@ -19,7 +17,7 @@
 //! |----------|--------------------------|------------------------------|
 //! | magic    | 8 raw bytes `"CABASTOR"` | file-type identification     |
 //! | version  | `u32`                    | format evolution gate        |
-//! | kind     | `u8` ([`EntryKind`])     | snapshot vs result           |
+//! | kind     | `u8`, always 1           | the one entry kind there is  |
 //! | key      | `u64`                    | content hash, = the filename |
 //! | label    | length-prefixed string   | human-readable provenance    |
 //! | payload  | length-prefixed bytes    | caller bytes, opaque         |
@@ -34,12 +32,16 @@
 //!
 //! ```text
 //! <root>/
-//!   objects/sn/<key:016x>.entry   machine snapshots
 //!   objects/rs/<key:016x>.entry   cell results
 //!   tmp/                          in-flight writes (pre-rename)
 //!   quarantine/                   corrupt entries, moved — never deleted
 //!   lru.log                       self-checksummed touch log, compacted in place
 //! ```
+//!
+//! A store written when it also kept machine snapshots has an `sn`
+//! directory beside `rs` and `touch sn` lines in its log. The store never
+//! lists, reads, scrubs, evicts or deletes that directory, and the next
+//! compaction or evicting GC rewrites the log without those lines.
 //!
 //! # Write discipline
 //!
@@ -72,7 +74,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use touchlog::{push_touch_line, EntryId, Replay};
+use touchlog::{push_touch_line, Replay};
 
 /// First bytes of every store entry.
 pub const MAGIC: &[u8; 8] = b"CABASTOR";
@@ -80,44 +82,17 @@ pub const MAGIC: &[u8; 8] = b"CABASTOR";
 /// Current entry format version. Bump on any layout change.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// What an entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EntryKind {
-    /// A sealed `Gpu` snapshot container (itself `CABASNAP`-framed).
-    Snapshot = 0,
-    /// A finished sweep-cell result (`StatsSummary` + wall time).
-    Result = 1,
-}
-
-impl EntryKind {
-    /// The objects subdirectory holding this kind.
-    fn dir_name(self) -> &'static str {
-        match self {
-            EntryKind::Snapshot => "sn",
-            EntryKind::Result => "rs",
-        }
-    }
-
-    fn from_dir_name(dir: &str) -> Option<Self> {
-        match dir {
-            "sn" => Some(EntryKind::Snapshot),
-            "rs" => Some(EntryKind::Result),
-            _ => None,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(EntryKind::Snapshot),
-            1 => Some(EntryKind::Result),
-            _ => None,
-        }
-    }
-}
+/// The kind byte every entry's header carries: 1, the tag result entries
+/// were written with when the store also kept machine snapshots (0).
+const RESULT_KIND: u8 = 1;
 
 /// The identity of a machine snapshot: which machine, which program,
 /// which design point, and how far it had run. Two snapshots with equal
 /// keys are interchangeable bytes.
+///
+/// It, [`Store::put_snapshot`] and [`Store::get_snapshot`] exist only
+/// because the benchmark in `benchmark/` calls them; once it stops
+/// (ROADMAP items 6(b) and 11) all three go.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapKey {
     /// Canonical configuration hash (`caba_sim::snapshot::config_hash`).
@@ -199,7 +174,7 @@ fn ioerr(op: &'static str, path: &Path, source: io::Error) -> StoreError {
 /// One quarantined file in a [`ScrubReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantined {
-    /// Path relative to the store root (e.g. `objects/sn/....entry`).
+    /// Path relative to the store root (e.g. `objects/rs/....entry`).
     pub rel_path: String,
     /// Why it was quarantined.
     pub reason: String,
@@ -289,11 +264,9 @@ impl GcReport {
 /// A point-in-time inventory of the store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Snapshot entries on disk.
-    pub snapshots: u64,
     /// Result entries on disk.
     pub results: u64,
-    /// Total entry bytes (both kinds).
+    /// Total entry bytes.
     pub entry_bytes: u64,
     /// Files sitting in `quarantine/`.
     pub quarantined: u64,
@@ -310,8 +283,7 @@ impl StoreStats {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         for (key, n) in [
-            ("{\n  \"snapshots\": ", self.snapshots),
-            (",\n  \"results\": ", self.results),
+            ("{\n  \"results\": ", self.results),
             (",\n  \"entry_bytes\": ", self.entry_bytes),
             (",\n  \"quarantined\": ", self.quarantined),
             (",\n  \"stale_temps\": ", self.stale_temps),
@@ -339,8 +311,7 @@ struct TouchLog {
     /// Lines in the log: counted at open and whenever this handle rewrites
     /// the log, plus this handle's appends.
     lines: u64,
-    /// Keys of the entries the log names. A snapshot and a result sharing
-    /// a key would count once, which only moves the trigger by a line.
+    /// Keys of the entries the log names.
     live: FxHashSet<u64>,
     /// No compaction below this many lines: [`COMPACT_MIN_LINES`], raised
     /// past the current length after a failed attempt.
@@ -352,9 +323,9 @@ struct TouchLog {
 
 impl TouchLog {
     /// The log was just read, or written, as `lines` lines naming `entries`.
-    fn reset(&mut self, lines: u64, entries: impl Iterator<Item = EntryId>) {
+    fn reset(&mut self, lines: u64, entries: impl Iterator<Item = u64>) {
         self.lines = lines;
-        self.live = entries.map(|(_, key)| key).collect();
+        self.live = entries.collect();
     }
 }
 
@@ -364,9 +335,8 @@ impl TouchLog {
 /// Every directory and the log's path are joined once, at open, so a `get`
 /// builds one path (its entry's) and a touch none.
 pub struct Store {
-    root: PathBuf,
-    /// `objects/sn` and `objects/rs`, indexed by `EntryKind as usize`.
-    objects: [PathBuf; 2],
+    /// `objects/rs`, where every entry lives.
+    objects: PathBuf,
     tmp: PathBuf,
     quarantine: PathBuf,
     lru_log: PathBuf,
@@ -452,16 +422,14 @@ impl Store {
         fs: Box<dyn StoreFs>,
     ) -> Result<Self, StoreError> {
         let root = root.into();
-        let objects = [EntryKind::Snapshot, EntryKind::Result]
-            .map(|kind| root.join("objects").join(kind.dir_name()));
+        let objects = root.join("objects").join("rs");
         let (tmp, quarantine) = (root.join("tmp"), root.join("quarantine"));
-        for dir in objects.iter().chain([&tmp, &quarantine]) {
+        for dir in [&objects, &tmp, &quarantine] {
             fs.create_dir_all(dir)
                 .map_err(|e| ioerr("create dir", dir, e))?;
         }
         let mut store = Store {
             lru_log: root.join(LRU_LOG),
-            root,
             objects,
             tmp,
             quarantine,
@@ -488,11 +456,6 @@ impl Store {
         Ok(store)
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Cache hits served by this handle (process-local, for tests and
     /// sweep summaries).
     pub fn hit_count(&self) -> u64 {
@@ -504,13 +467,9 @@ impl Store {
         self.counters.lock().expect("store counters").misses
     }
 
-    fn objects_dir(&self, kind: EntryKind) -> &Path {
-        &self.objects[kind as usize]
-    }
-
-    /// `objects/<kind>/<key:016x>.entry`, in one allocation.
-    fn entry_path(&self, kind: EntryKind, key: u64) -> PathBuf {
-        let dir = self.objects_dir(kind);
+    /// `objects/rs/<key:016x>.entry`, in one allocation.
+    fn entry_path(&self, key: u64) -> PathBuf {
+        let dir = &self.objects;
         let name = entry_file_name(key);
         let mut path = PathBuf::with_capacity(dir.as_os_str().len() + 1 + name.len());
         path.push(dir);
@@ -527,13 +486,13 @@ impl Store {
 
     // ---- entry encode/decode -------------------------------------------
 
-    fn encode_entry(kind: EntryKind, key: u64, label: &str, payload: &[u8]) -> Vec<u8> {
+    fn encode_entry(key: u64, label: &str, payload: &[u8]) -> Vec<u8> {
         // Header, two length prefixes, and the checksum `seal` appends.
         let fixed = MAGIC.len() + 4 + 1 + 8 + 8 + 8 + 8;
         let mut w = SnapshotWriter::with_capacity(fixed + label.len() + payload.len());
         w.raw(MAGIC);
         w.u32(FORMAT_VERSION);
-        w.u8(kind as u8);
+        w.u8(RESULT_KIND);
         w.u64(key);
         w.str(label);
         w.bytes(payload);
@@ -544,22 +503,14 @@ impl Store {
     /// version, kind, and key. Returns `(label, payload)`, borrowed from
     /// `bytes`; the payload is the last field, so it ends where the
     /// checksum starts.
-    fn decode_entry(
-        bytes: &[u8],
-        want_kind: EntryKind,
-        want_key: u64,
-    ) -> Result<(&str, &[u8]), String> {
+    fn decode_entry(bytes: &[u8], want_key: u64) -> Result<(&str, &[u8]), String> {
         let body = checksum::verify_sealed(bytes).ok_or("checksum mismatch")?;
-        Self::decode_body(body, want_kind, want_key)
+        Self::decode_body(body, want_key)
     }
 
     /// [`decode_entry`](Self::decode_entry) of a body whose checksum has
     /// verified: magic, version, kind and key, then `(label, payload)`.
-    fn decode_body(
-        body: &[u8],
-        want_kind: EntryKind,
-        want_key: u64,
-    ) -> Result<(&str, &[u8]), String> {
+    fn decode_body(body: &[u8], want_key: u64) -> Result<(&str, &[u8]), String> {
         let mut r = SnapshotReader::new(body);
         let magic = r.raw(MAGIC.len()).map_err(|e| e.to_string())?;
         if magic != MAGIC {
@@ -569,11 +520,9 @@ impl Store {
         if version != FORMAT_VERSION {
             return Err(format!("unsupported format version {version}"));
         }
-        let kind_tag = r.u8().map_err(|e| e.to_string())?;
-        let kind =
-            EntryKind::from_tag(kind_tag).ok_or_else(|| format!("bad kind tag {kind_tag}"))?;
-        if kind != want_kind {
-            return Err(format!("entry kind {kind:?} filed under {want_kind:?}"));
+        let kind = r.u8().map_err(|e| e.to_string())?;
+        if kind != RESULT_KIND {
+            return Err(format!("bad kind tag {kind}"));
         }
         let key = r.u64().map_err(|e| e.to_string())?;
         if key != want_key {
@@ -592,61 +541,28 @@ impl Store {
 
     // ---- put / get -----------------------------------------------------
 
-    /// Stores a machine snapshot under its content key. Overwrites an
-    /// existing entry atomically (same bytes by construction).
+    /// [`put_result`](Store::put_result) of a machine snapshot, under
+    /// `key`'s hash and label. Kept only because `benchmark/` calls it,
+    /// as it calls `Sweep::journal`; ROADMAP items 6(b) and 11 delete it.
     pub fn put_snapshot(&self, key: &SnapKey, snapshot_bytes: &[u8]) -> Result<(), StoreError> {
-        self.put(
-            EntryKind::Snapshot,
-            key.hash(),
-            &key.label(),
-            snapshot_bytes,
-        )
+        self.put_result(key.hash(), &key.label(), snapshot_bytes)
     }
 
-    /// Fetches a machine snapshot. `Ok(None)` means miss — absent, or
-    /// corrupt-and-quarantined.
+    /// [`get_result`](Store::get_result) of `key`'s hash. Kept only because
+    /// `benchmark/` calls it; ROADMAP items 6(b) and 11 delete it.
     pub fn get_snapshot(&self, key: &SnapKey) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(EntryKind::Snapshot, key.hash())
+        self.get_result(key.hash())
     }
 
     /// Stores a cell result under the caller's content key (the sweep
-    /// cell key).
+    /// cell key). Overwrites an existing entry atomically (same bytes by
+    /// construction).
     pub fn put_result(&self, key: u64, label: &str, payload: &[u8]) -> Result<(), StoreError> {
-        self.put(EntryKind::Result, key, label, payload)
-    }
-
-    /// Fetches a cell result. `Ok(None)` means miss.
-    pub fn get_result(&self, key: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(EntryKind::Result, key)
-    }
-
-    /// Fetches many cell results in one call: element `i` is what
-    /// [`get_result`](Store::get_result)`(keys[i])` would return, with the
-    /// same hit and miss counts and the same repairs. The call verifies the
-    /// entries' checksums four at a time, updates the counters once and
-    /// appends every hit's touch line to `lru.log` in one `append_sync`;
-    /// unless it quarantines an entry, those lines are the ones the
-    /// one-key calls would have appended.
-    pub fn get_results(&self, keys: &[u64]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
-        let mut reads: Vec<Read> = keys.iter().map(|_| Read::Miss).collect();
-        self.get_many(EntryKind::Result, keys, &mut reads);
-        reads.into_iter().map(Read::into_result).collect()
-    }
-
-    fn put(
-        &self,
-        kind: EntryKind,
-        key: u64,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(), StoreError> {
-        let sealed = Self::encode_entry(kind, key, label, payload);
-        let final_path = self.entry_path(kind, key);
-        let tmp_path = self.tmp.join(format!(
-            "{}-{key:016x}-{:08x}.tmp",
-            kind.dir_name(),
-            self.bump_seq()
-        ));
+        let sealed = Self::encode_entry(key, label, payload);
+        let final_path = self.entry_path(key);
+        let tmp_path = self
+            .tmp
+            .join(format!("rs-{key:016x}-{:08x}.tmp", self.bump_seq()));
 
         if let Err(e) = self.fs.write_sync(&tmp_path, &sealed) {
             // The temp may hold a torn prefix; try to clean it up. A
@@ -658,20 +574,34 @@ impl Store {
             let _ = self.fs.remove_file(&tmp_path);
             return Err(ioerr("rename", &final_path, e));
         }
-        let dir = self.objects_dir(kind);
         self.fs
-            .sync_dir(dir)
-            .map_err(|e| ioerr("sync dir", dir, e))?;
-        self.touch(kind, self.bump_seq(), [key].into_iter());
+            .sync_dir(&self.objects)
+            .map_err(|e| ioerr("sync dir", &self.objects, e))?;
+        self.touch(self.bump_seq(), [key].into_iter());
         Ok(())
     }
 
-    /// The one-key read: [`get_many`](Store::get_many) of `key` alone.
-    fn get(&self, kind: EntryKind, key: u64) -> Result<Option<Vec<u8>>, StoreError> {
+    /// Fetches a cell result. `Ok(None)` means miss — absent, or
+    /// corrupt-and-quarantined. The one-key case of
+    /// [`get_results`](Store::get_results).
+    pub fn get_result(&self, key: u64) -> Result<Option<Vec<u8>>, StoreError> {
         let mut read = [Read::Miss];
-        self.get_many(kind, &[key], &mut read);
+        self.get_many(&[key], &mut read);
         let [read] = read;
         read.into_result()
+    }
+
+    /// Fetches many cell results in one call: element `i` is what
+    /// [`get_result`](Store::get_result)`(keys[i])` would return, with the
+    /// same hit and miss counts and the same repairs. The call verifies the
+    /// entries' checksums four at a time, updates the counters once and
+    /// appends every hit's touch line to `lru.log` in one `append_sync`;
+    /// unless it quarantines an entry, those lines are the ones the
+    /// one-key calls would have appended.
+    pub fn get_results(&self, keys: &[u64]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+        let mut reads: Vec<Read> = keys.iter().map(|_| Read::Miss).collect();
+        self.get_many(keys, &mut reads);
+        reads.into_iter().map(Read::into_result).collect()
     }
 
     /// The store's one read path, for 1..n keys: `reads[i]` becomes what the
@@ -681,10 +611,10 @@ impl Store {
     /// been short, and quarantined if it fails again. The counters move
     /// once, and the hits' touch lines, their sequences reserved in key
     /// order, go to `lru.log` in one append.
-    fn get_many(&self, kind: EntryKind, keys: &[u64], reads: &mut [Read]) {
+    fn get_many(&self, keys: &[u64], reads: &mut [Read]) {
         debug_assert_eq!(keys.len(), reads.len());
         for (read, &key) in reads.iter_mut().zip(keys) {
-            *read = self.read_entry(kind, key);
+            *read = self.read_entry(key);
         }
         // Indices of read entries not yet verified: a group of four takes
         // four interleaved checksum chains, a remainder one chain each.
@@ -700,14 +630,14 @@ impl Store {
                 let sums_ok = checksum::verify_sealed_x4(group.map(|i| reads[i].entry_bytes()))
                     .map(|body| body.is_some());
                 for (&i, sum_ok) in group.iter().zip(sums_ok) {
-                    self.settle(kind, keys[i], &mut reads[i], sum_ok);
+                    self.settle(keys[i], &mut reads[i], sum_ok);
                 }
                 grouped = 0;
             }
         }
         for &i in &group[..grouped] {
             let sum_ok = checksum::verify_sealed(reads[i].entry_bytes()).is_some();
-            self.settle(kind, keys[i], &mut reads[i], sum_ok);
+            self.settle(keys[i], &mut reads[i], sum_ok);
         }
 
         let hits = reads.iter().filter(|r| matches!(r, Read::Hit(_))).count() as u64;
@@ -723,14 +653,14 @@ impl Store {
             let hit_keys = keys.iter().zip(&*reads);
             let hit_keys =
                 hit_keys.filter_map(|(&key, r)| matches!(r, Read::Hit(_)).then_some(key));
-            self.touch(kind, first_seq, hit_keys);
+            self.touch(first_seq, hit_keys);
         }
     }
 
     /// One read of `key`'s entry file: its bytes, unverified, or a miss
     /// when there is no such file.
-    fn read_entry(&self, kind: EntryKind, key: u64) -> Read {
-        let path = self.entry_path(kind, key);
+    fn read_entry(&self, key: u64) -> Read {
+        let path = self.entry_path(key);
         match self.fs.read(&path) {
             Ok(bytes) => Read::Entry(bytes),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Read::Miss,
@@ -744,13 +674,13 @@ impl Store {
     /// is read once more and decoded whole; two failures in a row mean the
     /// bytes on disk are corrupt, and the entry is quarantined (its bytes
     /// preserved) and reads as a miss.
-    fn settle(&self, kind: EntryKind, key: u64, read: &mut Read, sum_ok: bool) {
+    fn settle(&self, key: u64, read: &mut Read, sum_ok: bool) {
         let Read::Entry(bytes) = std::mem::replace(read, Read::Miss) else {
             unreachable!("only a read entry is settled");
         };
         let body = &bytes[..bytes.len().saturating_sub(8)];
         let first = match sum_ok {
-            true => Self::decode_body(body, kind, key).ok(),
+            true => Self::decode_body(body, key).ok(),
             false => None,
         };
         if let Some((_, payload)) = first {
@@ -758,14 +688,14 @@ impl Store {
             *read = Read::Hit(into_payload(bytes, payload_len));
             return;
         }
-        *read = match self.read_entry(kind, key) {
-            Read::Entry(bytes) => match Self::decode_entry(&bytes, kind, key) {
+        *read = match self.read_entry(key) {
+            Read::Entry(bytes) => match Self::decode_entry(&bytes, key) {
                 Ok((_, payload)) => {
                     let payload_len = payload.len();
                     Read::Hit(into_payload(bytes, payload_len))
                 }
-                Err(reason) => {
-                    self.quarantine_file(&self.entry_path(kind, key), &format!("get: {reason}"));
+                Err(_) => {
+                    self.quarantine_file(&self.entry_path(key));
                     Read::Miss
                 }
             },
@@ -777,7 +707,7 @@ impl Store {
 
     /// Moves `path` into `quarantine/`, never deleting. Best-effort: a
     /// failed move leaves the file where it is for the next scrub.
-    fn quarantine_file(&self, path: &Path, _reason: &str) -> bool {
+    fn quarantine_file(&self, path: &Path) -> bool {
         let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
@@ -792,8 +722,7 @@ impl Store {
 
     // ---- LRU touch log -------------------------------------------------
 
-    /// Records a use of each of `keys`, entries of `kind`, in the touch
-    /// log: one line per key, with sequences from `first_seq` up, all in
+    /// Records a use of each of `keys` in the touch log: one line per key, with sequences from `first_seq` up, all in
     /// one append. Best-effort: the log is advisory (it only orders GC
     /// eviction), so an injected append fault must not fail the
     /// surrounding put/get, and costs only these touches.
@@ -806,12 +735,12 @@ impl Store {
     /// drops its own touches; a touch *another* handle appends between the
     /// compaction's replay and its rename is lost, which costs that entry
     /// some GC seniority and nothing else.
-    fn touch(&self, kind: EntryKind, first_seq: u64, keys: impl Iterator<Item = u64>) {
+    fn touch(&self, first_seq: u64, keys: impl Iterator<Item = u64>) {
         let mut log = self.touch_log.lock().expect("touch log");
         let log = &mut *log;
         log.pending.clear();
         for (seq, key) in (first_seq..).zip(keys) {
-            push_touch_line(&mut log.pending, (kind, key), seq);
+            push_touch_line(&mut log.pending, key, seq);
             log.lines += 1;
             log.live.insert(key);
         }
@@ -844,7 +773,7 @@ impl Store {
     /// the old log, the new log, or the old log plus a stale temp for
     /// [`scrub`](Store::scrub) — each replayable. Any failure leaves the old
     /// log, and `log`, as they were.
-    fn rewrite_touches(&self, log: &mut TouchLog, entries: &[(EntryId, u64)]) -> bool {
+    fn rewrite_touches(&self, log: &mut TouchLog, entries: &[(u64, u64)]) -> bool {
         let tmp_path = self.tmp.join(format!("lru-{:08x}.tmp", self.bump_seq()));
         // `append_sync` onto a fresh name, not `write_sync`: that call is
         // the store's object write, and a read-only workload makes none.
@@ -856,10 +785,7 @@ impl Store {
             .and_then(|()| self.fs.rename(&tmp_path, &self.lru_log));
         match swapped {
             Ok(()) => {
-                log.reset(
-                    entries.len() as u64,
-                    entries.iter().map(|(entry, _)| *entry),
-                );
+                log.reset(entries.len() as u64, entries.iter().map(|(key, _)| *key));
                 log.compact_above = COMPACT_MIN_LINES;
             }
             Err(_) => {
@@ -876,6 +802,12 @@ impl Store {
         Replay::of(&self.fs.read(&self.lru_log).unwrap_or_default())
     }
 
+    /// The file names in `objects/rs/`.
+    fn list_objects(&self) -> Result<Vec<String>, StoreError> {
+        let dir = &self.objects;
+        self.fs.list(dir).map_err(|e| ioerr("list objects", dir, e))
+    }
+
     // ---- scrub ---------------------------------------------------------
 
     /// Verifies every entry (checksum before decode, then header and
@@ -883,64 +815,36 @@ impl Store {
     /// all stale temp files. Never deletes.
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport::default();
-        for kind in [EntryKind::Snapshot, EntryKind::Result] {
-            let dir = self.objects_dir(kind);
-            let names = self
-                .fs
-                .list(dir)
-                .map_err(|e| ioerr("list objects", dir, e))?;
-            for name in names {
-                let rel = format!("objects/{}/{name}", kind.dir_name());
-                let path = dir.join(&name);
-                let Some(key) = entry_key(&name) else {
-                    if self.quarantine_file(&path, "unrecognized file name") {
-                        report.quarantined.push(Quarantined {
-                            rel_path: rel,
-                            reason: "unrecognized file name".to_string(),
-                        });
-                    } else {
-                        report.skipped.push(Quarantined {
-                            rel_path: rel,
-                            reason: "unrecognized file name (quarantine move failed)".to_string(),
-                        });
-                    }
-                    continue;
-                };
-                // Read twice on decode failure, like `get`, so a
-                // transient short read does not quarantine a good entry.
-                let mut verdict: Result<(), String> = Err("unreadable".to_string());
-                for _attempt in 0..2 {
-                    match self.fs.read(&path) {
-                        Ok(bytes) => match Self::decode_entry(&bytes, kind, key) {
-                            Ok(_) => {
-                                verdict = Ok(());
-                                break;
-                            }
-                            Err(reason) => verdict = Err(reason),
-                        },
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                            verdict = Ok(()); // raced away; nothing to scrub
+        let names = self.list_objects()?;
+        for name in names {
+            let rel = format!("objects/rs/{name}");
+            let path = self.objects.join(&name);
+            let Some(key) = entry_key(&name) else {
+                self.scrub_out(&mut report, &path, rel, "unrecognized file name".into());
+                continue;
+            };
+            // Read twice on decode failure, like `get`, so a
+            // transient short read does not quarantine a good entry.
+            let mut verdict: Result<(), String> = Err("unreadable".to_string());
+            for _attempt in 0..2 {
+                match self.fs.read(&path) {
+                    Ok(bytes) => match Self::decode_entry(&bytes, key) {
+                        Ok(_) => {
+                            verdict = Ok(());
                             break;
                         }
-                        Err(e) => verdict = Err(format!("read failed: {e}")),
+                        Err(reason) => verdict = Err(reason),
+                    },
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                        verdict = Ok(()); // raced away; nothing to scrub
+                        break;
                     }
+                    Err(e) => verdict = Err(format!("read failed: {e}")),
                 }
-                match verdict {
-                    Ok(()) => report.ok += 1,
-                    Err(reason) => {
-                        if self.quarantine_file(&path, &reason) {
-                            report.quarantined.push(Quarantined {
-                                rel_path: rel,
-                                reason,
-                            });
-                        } else {
-                            report.skipped.push(Quarantined {
-                                rel_path: rel,
-                                reason: format!("{reason} (quarantine move failed)"),
-                            });
-                        }
-                    }
-                }
+            }
+            match verdict {
+                Ok(()) => report.ok += 1,
+                Err(reason) => self.scrub_out(&mut report, &path, rel, reason),
             }
         }
         // Anything still in tmp/ is an in-flight write that never
@@ -950,20 +854,21 @@ impl Store {
             .list(&self.tmp)
             .map_err(|e| ioerr("list tmp", &self.tmp, e))?;
         for name in temps {
-            let rel = format!("tmp/{name}");
-            if self.quarantine_file(&self.tmp.join(&name), "stale temp file") {
-                report.quarantined.push(Quarantined {
-                    rel_path: rel,
-                    reason: "stale temp file".to_string(),
-                });
-            } else {
-                report.skipped.push(Quarantined {
-                    rel_path: rel,
-                    reason: "stale temp file (quarantine move failed)".to_string(),
-                });
-            }
+            let (path, rel) = (self.tmp.join(&name), format!("tmp/{name}"));
+            self.scrub_out(&mut report, &path, rel, "stale temp file".into());
         }
         Ok(report)
+    }
+
+    /// Moves `path` into `quarantine/` and records it in `report` as
+    /// `rel_path`: quarantined, or skipped if the move failed.
+    fn scrub_out(&self, report: &mut ScrubReport, path: &Path, rel_path: String, reason: String) {
+        if self.quarantine_file(path) {
+            report.quarantined.push(Quarantined { rel_path, reason });
+        } else {
+            let reason = format!("{reason} (quarantine move failed)");
+            report.skipped.push(Quarantined { rel_path, reason });
+        }
     }
 
     // ---- gc ------------------------------------------------------------
@@ -986,37 +891,29 @@ impl Store {
         struct Candidate {
             /// Last-touch sequence; 0 (oldest possible) if never touched.
             seq: u64,
-            kind: EntryKind,
             name: String,
             /// `None` for a name `scrub` would quarantine.
             key: Option<u64>,
             path: PathBuf,
             len: u64,
         }
-        let mut entries: Vec<Candidate> = Vec::new();
-        for kind in [EntryKind::Snapshot, EntryKind::Result] {
-            let dir = self.objects_dir(kind);
-            let names = self
-                .fs
-                .list(dir)
-                .map_err(|e| ioerr("list objects", dir, e))?;
-            for name in names {
-                let path = dir.join(&name);
-                let len = match self.fs.file_len(&path) {
-                    Ok(Some(len)) => len,
-                    Ok(None) => continue,
-                    Err(e) => return Err(ioerr("stat", &path, e)),
-                };
-                let key = entry_key(&name);
-                entries.push(Candidate {
-                    seq: key.and_then(|key| replay.seq_of((kind, key))).unwrap_or(0),
-                    kind,
-                    name,
-                    key,
-                    path,
-                    len,
-                });
-            }
+        let names = self.list_objects()?;
+        let mut entries: Vec<Candidate> = Vec::with_capacity(names.len());
+        for name in names {
+            let path = self.objects.join(&name);
+            let len = match self.fs.file_len(&path) {
+                Ok(Some(len)) => len,
+                Ok(None) => continue,
+                Err(e) => return Err(ioerr("stat", &path, e)),
+            };
+            let key = entry_key(&name);
+            entries.push(Candidate {
+                seq: key.and_then(|key| replay.seq_of(key)).unwrap_or(0),
+                name,
+                key,
+                path,
+                len,
+            });
         }
 
         let mut report = GcReport {
@@ -1025,27 +922,22 @@ impl Store {
         };
         report.after_bytes = report.before_bytes;
 
-        // Oldest first; `<dir>/<name>` breaks ties so the order is
-        // deterministic (both directory names are two bytes long).
-        entries.sort_by(|a, b| {
-            (a.seq, a.kind.dir_name(), &a.name).cmp(&(b.seq, b.kind.dir_name(), &b.name))
-        });
+        // Oldest first; the name breaks ties so the order is deterministic.
+        entries.sort_by(|a, b| (a.seq, &a.name).cmp(&(b.seq, &b.name)));
 
         // The newest entry survives unconditionally.
         let protect = entries.len().saturating_sub(1);
-        let mut survivors: Vec<(EntryId, u64)> = Vec::new();
+        let mut survivors: Vec<(u64, u64)> = Vec::new();
         for (i, e) in entries.iter().enumerate() {
             if report.after_bytes > cap_bytes && i < protect {
                 if self.fs.remove_file(&e.path).is_ok() {
                     report.after_bytes -= e.len;
-                    report
-                        .evicted
-                        .push(format!("{}/{}", e.kind.dir_name(), e.name));
+                    report.evicted.push(format!("rs/{}", e.name));
                     continue;
                 }
                 report.failed += 1;
             }
-            survivors.extend(e.key.map(|key| ((e.kind, key), e.seq)));
+            survivors.extend(e.key.map(|key| (key, e.seq)));
         }
         if !report.evicted.is_empty() {
             self.rewrite_touches(&mut log, &survivors);
@@ -1059,22 +951,13 @@ impl Store {
     /// backlog, plus this handle's hit/miss counters.
     pub fn stats(&self) -> Result<StoreStats, StoreError> {
         let mut s = StoreStats::default();
-        for kind in [EntryKind::Snapshot, EntryKind::Result] {
-            let dir = self.objects_dir(kind);
-            let names = self
-                .fs
-                .list(dir)
-                .map_err(|e| ioerr("list objects", dir, e))?;
-            for name in &names {
-                if let Ok(Some(len)) = self.fs.file_len(&dir.join(name)) {
-                    s.entry_bytes += len;
-                }
-            }
-            match kind {
-                EntryKind::Snapshot => s.snapshots = names.len() as u64,
-                EntryKind::Result => s.results = names.len() as u64,
+        let names = self.list_objects()?;
+        for name in &names {
+            if let Ok(Some(len)) = self.fs.file_len(&self.objects.join(name)) {
+                s.entry_bytes += len;
             }
         }
+        s.results = names.len() as u64;
         s.quarantined = self
             .fs
             .list(&self.quarantine)
@@ -1147,7 +1030,7 @@ mod tests {
         let report = ScrubReport {
             ok: 41,
             quarantined: vec![
-                quarantined("objects/sn/00000000000000aa.entry", "checksum mismatch"),
+                quarantined("objects/rs/00000000000000aa.entry", "checksum mismatch"),
                 quarantined("tmp/x\"y.tmp", "stale temp\tfile"),
             ],
             skipped: vec![quarantined(
@@ -1158,7 +1041,7 @@ mod tests {
         assert_eq!(
             report.to_json(),
             "{\n  \"ok\": 41,\n  \"clean\": false,\n  \"quarantined\": [\n    \
-             {\"path\": \"objects/sn/00000000000000aa.entry\", \"reason\": \"checksum mismatch\"},\n    \
+             {\"path\": \"objects/rs/00000000000000aa.entry\", \"reason\": \"checksum mismatch\"},\n    \
              {\"path\": \"tmp/x\\\"y.tmp\", \"reason\": \"stale temp\\tfile\"}\n  ],\n  \
              \"skipped\": [\n    {\"path\": \"objects/rs/bad\", \
              \"reason\": \"read: Permission denied (os error 13)\"}\n  ]\n}\n"
@@ -1178,13 +1061,13 @@ mod tests {
         let report = GcReport {
             before_bytes: 123_456,
             after_bytes: 65_536,
-            evicted: vec!["sn/00000000000000aa.entry".into(), "rs/\"q\".entry".into()],
+            evicted: vec!["rs/00000000000000aa.entry".into(), "rs/\"q\".entry".into()],
             failed: 2,
         };
         assert_eq!(
             report.to_json(),
             "{\n  \"before_bytes\": 123456,\n  \"after_bytes\": 65536,\n  \
-             \"evicted\": [\"sn/00000000000000aa.entry\", \"rs/\\\"q\\\".entry\"],\n  \
+             \"evicted\": [\"rs/00000000000000aa.entry\", \"rs/\\\"q\\\".entry\"],\n  \
              \"failed\": 2\n}\n"
         );
         assert_eq!(
@@ -1196,7 +1079,6 @@ mod tests {
     #[test]
     fn store_stats_keep_their_json_bytes() {
         let stats = StoreStats {
-            snapshots: 3,
             results: 100,
             entry_bytes: 657_012,
             quarantined: 1,
@@ -1206,7 +1088,7 @@ mod tests {
         };
         assert_eq!(
             stats.to_json(),
-            "{\n  \"snapshots\": 3,\n  \"results\": 100,\n  \"entry_bytes\": 657012,\n  \
+            "{\n  \"results\": 100,\n  \"entry_bytes\": 657012,\n  \
              \"quarantined\": 1,\n  \"stale_temps\": 0,\n  \"hits\": 18446744073709551615,\n  \
              \"misses\": 10\n}\n"
         );
@@ -1219,20 +1101,6 @@ mod tests {
             design: "C.E.MC".to_string(),
             cycle,
         }
-    }
-
-    #[test]
-    fn snapshot_round_trip() {
-        let dir = scratch_dir("rt");
-        let store = Store::open(&dir).unwrap();
-        let key = snap_key(10_000);
-        let payload = vec![0x5A; 4096];
-        assert_eq!(store.get_snapshot(&key).unwrap(), None);
-        store.put_snapshot(&key, &payload).unwrap();
-        assert_eq!(store.get_snapshot(&key).unwrap(), Some(payload));
-        assert_eq!(store.hit_count(), 1);
-        assert_eq!(store.miss_count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1273,7 +1141,7 @@ mod tests {
         // Flip one byte in the middle of the entry file.
         let path = dir
             .join("objects")
-            .join("sn")
+            .join("rs")
             .join(format!("{:016x}.entry", key.hash()));
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -1294,9 +1162,9 @@ mod tests {
         let key = snap_key(1);
         store.put_snapshot(&key, b"payload").unwrap();
         // A valid entry, filed under a different key's name.
-        let src = store.entry_path(EntryKind::Snapshot, key.hash());
+        let src = store.entry_path(key.hash());
         let other = snap_key(2);
-        let dst = store.entry_path(EntryKind::Snapshot, other.hash());
+        let dst = store.entry_path(other.hash());
         std::fs::rename(&src, &dst).unwrap();
         assert_eq!(store.get_snapshot(&other).unwrap(), None);
         assert_eq!(store.stats().unwrap().quarantined, 1);
@@ -1314,10 +1182,10 @@ mod tests {
         store.put_result(7, "cell", b"result payload").unwrap();
 
         // Tear the bad entry (truncate) and plant a stale temp.
-        let bad_path = store.entry_path(EntryKind::Snapshot, bad.hash());
+        let bad_path = store.entry_path(bad.hash());
         let full = std::fs::read(&bad_path).unwrap();
         std::fs::write(&bad_path, &full[..full.len() / 2]).unwrap();
-        std::fs::write(dir.join("tmp").join("sn-dead.tmp"), b"partial").unwrap();
+        std::fs::write(dir.join("tmp").join("rs-dead.tmp"), b"partial").unwrap();
 
         let report = store.scrub().unwrap();
         assert_eq!(report.ok, 2, "good snapshot + result verify");
@@ -1364,7 +1232,7 @@ mod tests {
         // Touch key 0 again: it becomes the most recent.
         assert!(store.get_snapshot(&keys[0]).unwrap().is_some());
 
-        let entry_len = std::fs::metadata(store.entry_path(EntryKind::Snapshot, keys[0].hash()))
+        let entry_len = std::fs::metadata(store.entry_path(keys[0].hash()))
             .unwrap()
             .len();
 
@@ -1400,7 +1268,7 @@ mod tests {
         }
         // Fresh handle must see the same LRU order from the touch log.
         let store = Store::open(&dir).unwrap();
-        let entry_len = std::fs::metadata(store.entry_path(EntryKind::Snapshot, keys[0].hash()))
+        let entry_len = std::fs::metadata(store.entry_path(keys[0].hash()))
             .unwrap()
             .len();
         let report = store.gc(2 * entry_len).unwrap();
@@ -1422,7 +1290,7 @@ mod tests {
         // Append garbage and a torn prefix of a valid-looking line.
         let log = dir.join(LRU_LOG);
         let mut bytes = std::fs::read(&log).unwrap();
-        bytes.extend_from_slice(b"touch sn 00000000000000ff 00000000000000");
+        bytes.extend_from_slice(b"touch rs 00000000000000ff 00000000000000");
         std::fs::write(&log, &bytes).unwrap();
         // Reopen replays the log without error; the valid touch survives.
         let store = Store::open(&dir).unwrap();
@@ -1479,17 +1347,26 @@ mod tests {
 
     /// Files in memory, so that tens of thousands of touches cost no
     /// fsyncs. Clones share the files: a second handle, or a `FaultFs`
-    /// over it, sees what the first one wrote. The second field counts the
-    /// appends to `lru.log` that reached it.
+    /// over it, sees what the first one wrote. The second field logs every
+    /// call that reached it, with its path and the bytes it wrote.
     #[derive(Clone, Default)]
     struct MemFs(
         std::sync::Arc<Mutex<std::collections::BTreeMap<PathBuf, Vec<u8>>>>,
-        std::sync::Arc<std::sync::atomic::AtomicU64>,
+        std::sync::Arc<Mutex<Vec<String>>>,
     );
 
     impl MemFs {
         fn files(&self) -> std::sync::MutexGuard<'_, std::collections::BTreeMap<PathBuf, Vec<u8>>> {
             self.0.lock().unwrap()
+        }
+
+        fn log_call(&self, call: &str, path: &Path, bytes: impl fmt::Display) {
+            let line = format!("{call} {} {bytes}", path.display());
+            self.1.lock().unwrap().push(line);
+        }
+
+        fn calls(&self) -> Vec<String> {
+            self.1.lock().unwrap().clone()
         }
 
         fn open(&self) -> Store {
@@ -1508,33 +1385,37 @@ mod tests {
 
     impl StoreFs for MemFs {
         fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.log_call("read", path, 0);
             self.files().get(path).cloned().ok_or_else(not_found)
         }
         fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.log_call("write_sync", path, bytes.len());
             self.files().insert(path.to_path_buf(), bytes.to_vec());
             Ok(())
         }
         fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            if path.ends_with(LRU_LOG) {
-                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
+            self.log_call("append_sync", path, bytes.len());
             let mut files = self.files();
             files.entry(path.to_path_buf()).or_default().extend(bytes);
             Ok(())
         }
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.log_call("rename", from, to.display());
             let mut files = self.files();
             let bytes = files.remove(from).ok_or_else(not_found)?;
             files.insert(to.to_path_buf(), bytes);
             Ok(())
         }
-        fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.log_call("sync_dir", dir, 0);
             Ok(())
         }
-        fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.log_call("create_dir_all", dir, 0);
             Ok(())
         }
         fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.log_call("list", dir, 0);
             let files = self.files();
             let names = files.keys().filter(|p| p.parent() == Some(dir));
             Ok(names
@@ -1542,11 +1423,53 @@ mod tests {
                 .collect())
         }
         fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.log_call("remove_file", path, 0);
             self.files().remove(path).map(drop).ok_or_else(not_found)
         }
         fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
+            self.log_call("file_len", path, 0);
             Ok(self.files().get(path).map(|b| b.len() as u64))
         }
+    }
+
+    /// A snapshot round-trips as a result entry. The two names make the
+    /// calls of `put_result` and `get_result` on the same entry, path for
+    /// path and byte for byte (the benchmark's exact `store.*` rows count
+    /// them), and file it under its key's hash, with its key's label,
+    /// touched as `rs`.
+    #[test]
+    fn snapshot_round_trip() {
+        let key = snap_key(10_000);
+        let (hash, label) = (key.hash(), key.label());
+        let payload = vec![0x5A; 4096];
+        let run = |as_snapshot: bool| {
+            let fs = MemFs::default();
+            let store = fs.open();
+            let opened = fs.calls().len();
+            if as_snapshot {
+                assert_eq!(store.get_snapshot(&key).unwrap(), None);
+                store.put_snapshot(&key, &payload).unwrap();
+                assert_eq!(store.get_snapshot(&key).unwrap(), Some(payload.clone()));
+            } else {
+                assert_eq!(store.get_result(hash).unwrap(), None);
+                store.put_result(hash, &label, &payload).unwrap();
+                assert_eq!(store.get_result(hash).unwrap(), Some(payload.clone()));
+            }
+            assert_eq!((store.hit_count(), store.miss_count()), (1, 1));
+            let files = fs.files().clone();
+            (fs.calls().split_off(opened), files)
+        };
+        let (calls, files) = run(true);
+        assert_eq!(run(false), (calls.clone(), files.clone()));
+        // The miss reads; the put writes, renames, syncs the directory and
+        // touches; the hit reads and touches.
+        assert_eq!(calls.len(), 7, "{calls:?}");
+        let entry = &files[Path::new(&format!("/mem/objects/rs/{hash:016x}.entry"))];
+        let decoded = Store::decode_entry(entry, hash);
+        assert_eq!(decoded, Ok((label.as_str(), &payload[..])));
+        let log = String::from_utf8(files[Path::new("/mem/lru.log")].clone()).unwrap();
+        let touch = format!("touch rs {hash:016x} ");
+        assert_eq!(log.lines().filter(|l| l.starts_with(&touch)).count(), 2);
     }
 
     const ENTRIES: u64 = 10;
@@ -1613,7 +1536,7 @@ mod tests {
         let max_before = reopened.replay_touches().max_seq.unwrap();
         assert!(max_before >= 2_000, "the highest sequence survived");
         assert!(reopened.get_result(7).unwrap().is_some());
-        let seq_of_7 = reopened.replay_touches().seq_of((EntryKind::Result, 7));
+        let seq_of_7 = reopened.replay_touches().seq_of(7);
         assert_eq!(seq_of_7, Some(max_before + 1));
     }
 
@@ -1664,7 +1587,8 @@ mod tests {
     // ---- one read call for many keys ----------------------------------
 
     fn log_appends(fs: &MemFs) -> u64 {
-        fs.1.load(std::sync::atomic::Ordering::Relaxed)
+        let appends = |c: &&String| c.starts_with("append_sync /mem/lru.log ");
+        fs.calls().iter().filter(appends).count() as u64
     }
 
     fn log_bytes(fs: &MemFs) -> Vec<u8> {
@@ -1821,7 +1745,7 @@ mod tests {
             torn_mid_line += usize::from(torn && (1..9).contains(&whole));
             let first_seq = put_lines.iter().map(|(_, seq)| seq).max().unwrap() + 1;
             for (entry, put_seq) in put_lines {
-                let at = keys.iter().position(|&k| result_id(k) == entry).unwrap();
+                let at = keys.iter().position(|&k| k == entry).unwrap();
                 let want = if at < whole {
                     first_seq + at as u64
                 } else {
@@ -1841,10 +1765,6 @@ mod tests {
         log.iter().filter(|&&b| b == b'\n').count()
     }
 
-    fn result_id(key: u64) -> EntryId {
-        (EntryKind::Result, key)
-    }
-
     #[test]
     fn gc_makes_the_touch_log_forget_what_it_evicted() {
         let fs = MemFs::default();
@@ -1862,7 +1782,7 @@ mod tests {
         let on_disk = fs.list(Path::new("/mem/objects/rs")).unwrap();
         assert_eq!(on_disk, [format!("{:016x}.entry", 2_999)]);
         let replay = store.replay_touches();
-        assert_eq!(replay.entries(), [result_id(2_999)]);
+        assert_eq!(replay.entries(), [2_999]);
         assert_eq!(replay.lines, 1);
         // So re-reading it compacts at 1 024 lines, not at 8 x 3 000; a
         // reopened handle agrees.
@@ -1973,11 +1893,9 @@ mod tests {
             // Some of the entries the log may name exist, with any length;
             // so may files that no log line can name.
             let mut files: Vec<(String, u64)> = Vec::new();
-            for kind in [EntryKind::Snapshot, EntryKind::Result] {
-                for &key in &keys {
-                    if rng.chance(0.6) {
-                        files.push((oracle_name((kind, key)), 1 + rng.range_u64(300)));
-                    }
+            for &key in &keys {
+                if rng.chance(0.6) {
+                    files.push((oracle_name(key), 1 + rng.range_u64(300)));
                 }
             }
             if rng.chance(0.2) {
@@ -2032,7 +1950,7 @@ mod tests {
         let mut log = String::new();
         for round in 0..TOUCHES_EACH {
             for i in 0..ENTRIES {
-                push_touch_line(&mut log, result_id(key(i)), round * ENTRIES + i);
+                push_touch_line(&mut log, key(i), round * ENTRIES + i);
             }
         }
         {
@@ -2069,7 +1987,7 @@ mod tests {
         let fs = MemFs::default();
         let (user, sweeper) = (fs.open(), fs.open());
         let payload = |key: u64| vec![key as u8; 200];
-        let entry_len = Store::encode_entry(EntryKind::Result, 0, "cell", &payload(0)).len() as u64;
+        let entry_len = Store::encode_entry(0, "cell", &payload(0)).len() as u64;
         let start = std::sync::Barrier::new(2);
         let done = AtomicBool::new(false);
 
@@ -2116,7 +2034,7 @@ mod tests {
             )
         });
 
-        let name = |key: u64| touchlog::tests::oracle_name(result_id(key));
+        let name = touchlog::tests::oracle_name;
         for key in misses {
             assert!(evicted.contains(&name(key)), "{key} missed, never evicted");
         }
@@ -2135,7 +2053,7 @@ mod tests {
         assert_eq!(user.get_result(newest).unwrap(), Some(payload(newest)));
         assert!(sweeper.scrub().unwrap().is_clean());
         let fresh = fs.open().replay_touches();
-        assert_eq!(fresh.entries(), [result_id(newest)]);
+        assert_eq!(fresh.entries(), [newest]);
         assert_eq!(fresh.lines as usize, log_lines(&fs));
     }
 }

@@ -1,8 +1,10 @@
 //! The touch log's text format and its one replay.
 //!
 //! `lru.log` is a sequence of sealed lines
-//! (`touch <sn|rs> <key:016x> <seq:016x> sum=<fnv:016x>`, see
+//! (`touch rs <key:016x> <seq:016x> sum=<fnv:016x>`, see
 //! [`caba_stats::checksum::seal_line`]), one per `put` and per `get` hit.
+//! A `touch sn` line, left by a store that also kept machine snapshots,
+//! is skipped like any other foreign line.
 //! Everything that reads it — opening a store, GC, compaction — wants the
 //! same four facts: the highest sequence per entry, the order the log first
 //! names the entries in, how many lines it holds, and the highest sequence
@@ -10,34 +12,28 @@
 //! time, no allocation per line, one hash-map slot and one order slot per
 //! distinct entry.
 
-use crate::EntryKind;
 use caba_stats::checksum;
 use caba_stats::fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
-
-/// An entry as the log names it: its kind and its key.
-pub(crate) type EntryId = (EntryKind, u64);
 
 /// Bytes in one line: 42 of body, 21 of checksum field, a newline.
 pub(crate) const LINE_BYTES: usize = 64;
 
 /// One touch-log line, the body and its own checksum, appended to `out`.
-pub(crate) fn push_touch_line(out: &mut String, (kind, key): EntryId, seq: u64) {
+pub(crate) fn push_touch_line(out: &mut String, key: u64, seq: u64) {
     let start = out.len();
-    out.push_str("touch ");
-    out.push_str(kind.dir_name());
-    out.push(' ');
+    out.push_str("touch rs ");
     checksum::write_hex16(out, key);
     out.push(' ');
     checksum::write_hex16(out, seq);
     checksum::seal_line_in(out, start);
 }
 
-/// One line per entry, each carrying that entry's sequence: a whole log.
-pub(crate) fn render(entries: &[(EntryId, u64)]) -> String {
+/// One line per entry key, each carrying that entry's sequence: a whole log.
+pub(crate) fn render(entries: &[(u64, u64)]) -> String {
     let mut log = String::with_capacity(LINE_BYTES * entries.len());
-    for &(entry, seq) in entries {
-        push_touch_line(&mut log, entry, seq);
+    for &(key, seq) in entries {
+        push_touch_line(&mut log, key, seq);
     }
     log
 }
@@ -45,10 +41,10 @@ pub(crate) fn render(entries: &[(EntryId, u64)]) -> String {
 /// What one pass over the touch log's bytes yields.
 #[derive(Default)]
 pub(crate) struct Replay {
-    /// Highest sequence per entry the log names.
-    latest: FxHashMap<EntryId, u64>,
-    /// Those entries, in the order the log first names them.
-    order: Vec<EntryId>,
+    /// Highest sequence per entry key the log names.
+    latest: FxHashMap<u64, u64>,
+    /// Those keys, in the order the log first names them.
+    order: Vec<u64>,
     /// Lines in the log, torn and foreign ones included.
     pub(crate) lines: u64,
     /// Highest sequence on any line that verified.
@@ -63,44 +59,44 @@ impl Replay {
         let mut replay = Replay::default();
         for raw in log.split_inclusive(|&b| b == b'\n') {
             replay.lines += 1;
-            let Some((entry, seq)) = parse_line(raw) else {
+            let Some((key, seq)) = parse_line(raw) else {
                 continue; // torn or corrupt line: skip, keep replaying
             };
             replay.max_seq = replay.max_seq.max(Some(seq));
-            match replay.latest.entry(entry) {
+            match replay.latest.entry(key) {
                 Entry::Occupied(mut slot) => *slot.get_mut() = seq.max(*slot.get()),
                 Entry::Vacant(slot) => {
                     slot.insert(seq);
-                    replay.order.push(entry);
+                    replay.order.push(key);
                 }
             }
         }
         replay
     }
 
-    /// The highest sequence the log holds for `entry`, if it names it.
-    pub(crate) fn seq_of(&self, entry: EntryId) -> Option<u64> {
-        self.latest.get(&entry).copied()
+    /// The highest sequence the log holds for `key`, if it names it.
+    pub(crate) fn seq_of(&self, key: u64) -> Option<u64> {
+        self.latest.get(&key).copied()
     }
 
-    /// The entries the log names, in the order it first names them.
-    pub(crate) fn entries(&self) -> &[EntryId] {
+    /// The keys the log names, in the order it first names them.
+    pub(crate) fn entries(&self) -> &[u64] {
         &self.order
     }
 
-    /// Every entry the log names with its highest sequence, first-seen order.
-    pub(crate) fn latest_in_order(&self) -> Vec<(EntryId, u64)> {
+    /// Every key the log names with its highest sequence, first-seen order.
+    pub(crate) fn latest_in_order(&self) -> Vec<(u64, u64)> {
         self.order
             .iter()
-            .map(|entry| (*entry, self.latest[entry]))
+            .map(|key| (*key, self.latest[key]))
             .collect()
     }
 }
 
 /// Parses one line with its terminator, as `str::lines` would hand it over
 /// (`\n` or `\r\n` stripped). Checksum first, then exactly four fields —
-/// `touch`, a directory the store has, key and sequence — then hex.
-fn parse_line(raw: &[u8]) -> Option<(EntryId, u64)> {
+/// `touch`, `rs`, key and sequence — then hex.
+fn parse_line(raw: &[u8]) -> Option<(u64, u64)> {
     let line = match raw.strip_suffix(b"\n") {
         Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
         None => raw,
@@ -109,7 +105,7 @@ fn parse_line(raw: &[u8]) -> Option<(EntryId, u64)> {
     // checksum, or the damage sits in a field that must be hex.
     let body = checksum::verify_line(std::str::from_utf8(line).ok()?)?;
     let mut fields = body.split(' ');
-    let (Some("touch"), Some(dir), Some(key), Some(seq), None) = (
+    let (Some("touch"), Some("rs"), Some(key), Some(seq), None) = (
         fields.next(),
         fields.next(),
         fields.next(),
@@ -121,7 +117,7 @@ fn parse_line(raw: &[u8]) -> Option<(EntryId, u64)> {
     let (Ok(key), Ok(seq)) = (u64::from_str_radix(key, 16), u64::from_str_radix(seq, 16)) else {
         return None;
     };
-    Some(((EntryKind::from_dir_name(dir)?, key), seq))
+    Some((key, seq))
 }
 
 /// The replay this module replaced, kept as the reference the differential
@@ -171,14 +167,16 @@ pub(crate) mod tests {
     use super::*;
     use caba_stats::{prop, Rng64};
 
-    /// The name the reference replay files `entry` under.
-    pub(crate) fn oracle_name((kind, key): EntryId) -> String {
-        format!("{}/{key:016x}.entry", kind.dir_name())
+    /// The name the reference replay files `key` under.
+    pub(crate) fn oracle_name(key: u64) -> String {
+        format!("rs/{key:016x}.entry")
     }
 
-    /// What the reference makes of `log`, in the new replay's terms.
+    /// What the reference makes of `log`, in the new replay's terms: the
+    /// reference names legacy `sn` entries, which the replay skips.
     fn oracle(log: &[u8]) -> (Vec<(String, u64)>, u64, Option<u64>) {
-        let (latest, lines) = read_touches(log);
+        let (mut latest, lines) = read_touches(log);
+        latest.retain(|(name, _)| !name.starts_with("sn/"));
         let max_seq = latest.iter().map(|(_, seq)| *seq).max();
         (latest, lines, max_seq)
     }
@@ -187,7 +185,7 @@ pub(crate) mod tests {
         let latest = replay.latest_in_order();
         latest
             .iter()
-            .map(|&(entry, seq)| (oracle_name(entry), seq))
+            .map(|&(key, seq)| (oracle_name(key), seq))
             .collect()
     }
 
@@ -203,17 +201,16 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// A log over `keys` as crashes, bit rot and other programs leave it:
-    /// mostly lines the store writes, both directories under one key,
-    /// duplicates out of sequence order, torn and flipped lines, foreign
-    /// text, and sometimes a tail cut mid-line.
+    /// A log over `keys` as crashes, bit rot, older stores and other
+    /// programs leave it: mostly lines the store writes, duplicates out of
+    /// sequence order, torn and flipped lines, legacy snapshot lines under
+    /// the same keys, foreign text, and sometimes a tail cut mid-line.
     pub(crate) fn random_log(rng: &mut Rng64, keys: &[u64]) -> Vec<u8> {
         let mut log = Vec::new();
         for _ in 0..rng.range_u64(60) {
-            let kind = [EntryKind::Snapshot, EntryKind::Result][rng.range_u64(2) as usize];
             let key = keys[rng.range_u64(keys.len() as u64) as usize];
             let mut line = String::new();
-            push_touch_line(&mut line, (kind, key), rng.range_u64(500));
+            push_touch_line(&mut line, key, rng.range_u64(500));
             let mut line = line.into_bytes();
             match rng.range_u64(12) {
                 0 => line.truncate(rng.range_u64(line.len() as u64) as usize),
@@ -234,6 +231,11 @@ pub(crate) mod tests {
                 3 => {
                     line.pop();
                     line.extend_from_slice(b"\r\n");
+                }
+                4 => {
+                    let seq = rng.range_u64(500);
+                    let legacy = format!("touch sn {key:016x} {seq:016x}");
+                    line = checksum::seal_line(legacy).into_bytes();
                 }
                 _ => {}
             }
@@ -284,8 +286,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_literal_log_compacts_to_pinned_bytes() {
-        // Out of sequence order, both directories under one key, and a tail
-        // a crash cut short.
+        // Out of sequence order, a legacy snapshot line under a result's
+        // key, which compaction drops, and a tail a crash cut short.
         let log = "\
 touch rs 00000000000000aa 0000000000000001 sum=03f8fa8457ef65ca
 touch sn 00000000000000aa 0000000000000002 sum=8fe82faab77cd549
@@ -299,15 +301,14 @@ touch rs 00000000000000cc 0000000000000004 sum=36d5dad5";
             render(&replay.latest_in_order()),
             "\
 touch rs 00000000000000aa 0000000000000007 sum=03f8f48457ef5b98
-touch sn 00000000000000aa 0000000000000002 sum=8fe82faab77cd549
 touch rs 00000000000000bb 0000000000000005 sum=f1b02173d61c0728
 "
         );
     }
 
-    /// The two places the replay parts from the reference, both on lines no
-    /// store writes: a directory the store does not have is malformed, and
-    /// keys compare by value.
+    /// The places the replay parts from the reference: any directory but
+    /// `rs` is malformed, the legacy `sn` that older stores wrote included,
+    /// and keys compare by value.
     #[test]
     fn foreign_directories_are_skipped_and_keys_compare_by_value() {
         let line = |body: &str| checksum::seal_line(body.to_string());
@@ -315,14 +316,14 @@ touch rs 00000000000000bb 0000000000000005 sum=f1b02173d61c0728
             line("touch rs ff 01"),
             line("touch rs 00FF 02"),
             line("touch xx ff 09"),
+            line("touch sn 00000000000000ff 0a"),
             line("touch rs 00000000000000ff 03"),
         ]
         .concat();
         let replay = Replay::of(log.as_bytes());
-        let rs_ff = (EntryKind::Result, 0xff);
-        assert_eq!(replay.latest_in_order(), [(rs_ff, 3)]);
-        assert_eq!((replay.lines, replay.max_seq), (4, Some(3)));
+        assert_eq!(replay.latest_in_order(), [(0xff, 3)]);
+        assert_eq!((replay.lines, replay.max_seq), (5, Some(3)));
         let (reference, _) = read_touches(log.as_bytes());
-        assert_eq!(reference.len(), 4, "four spellings, four names");
+        assert_eq!(reference.len(), 5, "five spellings, five names");
     }
 }

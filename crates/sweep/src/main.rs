@@ -100,8 +100,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The `caba-sweep store (scrub|gc|stats)` maintenance subcommand.
+/// The `caba-sweep store (scrub|gc|stats)` maintenance subcommand. The
+/// verb and flags are checked before anything touches the disk, and it
+/// maintains only a store that exists: it never creates one.
 fn store_command(verb: &str, rest: &[String]) -> ExitCode {
+    if !matches!(verb, "scrub" | "gc" | "stats") {
+        eprintln!("caba-sweep store: unknown verb {verb:?} (scrub|gc|stats)\n");
+        usage();
+    }
     let mut store_dir: Option<PathBuf> = None;
     let mut store_cap: Option<u64> = None;
     let mut out: Option<String> = None;
@@ -124,62 +130,44 @@ fn store_command(verb: &str, rest: &[String]) -> ExitCode {
         eprintln!("caba-sweep store {verb}: --store-dir is required\n");
         usage();
     };
-    let store = match Store::open(&dir) {
-        Ok(s) => s,
+    if verb == "gc" && store_cap.is_none() {
+        eprintln!("caba-sweep store gc: --store-cap is required\n");
+        usage();
+    }
+    if !dir.is_dir() {
+        eprintln!("caba-sweep store {verb}: no store at {}", dir.display());
+        return ExitCode::FAILURE;
+    }
+    let done = Store::open(&dir).and_then(|store| match verb {
+        "scrub" => store.scrub().map(|report| {
+            eprintln!(
+                "scrub: {} ok, {} quarantined, {} skipped",
+                report.ok,
+                report.quarantined.len(),
+                report.skipped.len()
+            );
+            (report.to_json(), report.is_clean())
+        }),
+        "gc" => store
+            .gc(store_cap.expect("gc's cap was checked first"))
+            .map(|report| {
+                eprintln!(
+                    "gc: {} -> {} bytes, {} evicted, {} failed",
+                    report.before_bytes,
+                    report.after_bytes,
+                    report.evicted.len(),
+                    report.failed
+                );
+                (report.to_json(), report.failed == 0)
+            }),
+        "stats" => store.stats().map(|stats| (stats.to_json(), true)),
+        _ => unreachable!("the verb was checked first"),
+    });
+    let (json, ok) = match done {
+        Ok(done) => done,
         Err(e) => {
             eprintln!("caba-sweep store {verb}: {e}");
             return ExitCode::FAILURE;
-        }
-    };
-    let (json, ok) = match verb {
-        "scrub" => match store.scrub() {
-            Ok(report) => {
-                eprintln!(
-                    "scrub: {} ok, {} quarantined, {} skipped",
-                    report.ok,
-                    report.quarantined.len(),
-                    report.skipped.len()
-                );
-                let clean = report.is_clean();
-                (report.to_json(), clean)
-            }
-            Err(e) => {
-                eprintln!("caba-sweep store scrub: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "gc" => {
-            let Some(cap) = store_cap else {
-                eprintln!("caba-sweep store gc: --store-cap is required\n");
-                usage();
-            };
-            match store.gc(cap) {
-                Ok(report) => {
-                    eprintln!(
-                        "gc: {} -> {} bytes, {} evicted, {} failed",
-                        report.before_bytes,
-                        report.after_bytes,
-                        report.evicted.len(),
-                        report.failed
-                    );
-                    (report.to_json(), report.failed == 0)
-                }
-                Err(e) => {
-                    eprintln!("caba-sweep store gc: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "stats" => match store.stats() {
-            Ok(stats) => (stats.to_json(), true),
-            Err(e) => {
-                eprintln!("caba-sweep store stats: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => {
-            eprintln!("caba-sweep store: unknown verb {verb:?} (scrub|gc|stats)\n");
-            usage();
         }
     };
     if let Err(e) = emit(out.as_deref(), &json) {

@@ -2,9 +2,10 @@
 //! machine model cannot take, the removed flags, a bad or missing value under
 //! `caba-sweep store`, an app nobody registered, a filter that selects
 //! nothing and a store option with no store are usage errors (exit 2) before
-//! any work; the removed environment variables are not read; `--selftest`
-//! honours `--figures`; `--figures fig08` prints fig07's rows; and `paper`
-//! tables, named in any case, share their runs through the store.
+//! any work; `caba-sweep store` maintains only a store that exists; the
+//! removed environment variables are not read; `--selftest` honours
+//! `--figures`; `--figures fig08` prints fig07's rows; and `paper` tables,
+//! named in any case, share their runs through the store.
 
 use std::process::{Command, Output};
 
@@ -220,8 +221,25 @@ fn the_store_subcommand_names_a_bad_or_missing_flag_value() {
             "{stderr}"
         );
     }
+    // So are a misspelt verb and a `gc` without a cap.
+    for (args, says) in [
+        ("store scrbu", "unknown verb \"scrbu\""),
+        ("store gc", "--store-cap is required"),
+    ] {
+        let (code, stderr) = run(&format!("{args} --store-dir {root}"), &[]);
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(says), "{stderr}");
+    }
     assert!(!dir.exists(), "a usage error still opened a store");
+    // Maintenance of a store that is not there fails, and creates none.
+    for verb in ["scrub", "gc --store-cap 0", "stats"] {
+        let (code, stderr) = run(&format!("store {verb} --store-dir {root}"), &[]);
+        assert_eq!(code, Some(1), "{verb}: {stderr}");
+        assert!(stderr.contains(&format!("no store at {root}")), "{stderr}");
+    }
+    assert!(!dir.exists(), "maintenance created a store");
     // The flags still work when they are well formed.
+    std::fs::create_dir_all(&dir).expect("scratch dir");
     let (code, stderr) = run(&format!("store gc --store-dir {root} --store-cap 0"), &[]);
     assert_eq!(code, Some(0), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
