@@ -81,12 +81,6 @@ pub struct GpuConfig {
     /// (compressed designs). Disabling it models the naive design whose
     /// every DRAM access pays a second metadata access.
     pub md_cache_enabled: bool,
-    /// Inert: nothing in the simulator reads it, and the content hash
-    /// ([`crate::snapshot::config_hash`]) canonicalizes it away, so a debug
-    /// and a release build key a cell alike. The assist-warp result checks
-    /// are the controller's own (`CabaController::with_paranoid` in
-    /// `caba-core`).
-    pub paranoid_assist_checks: bool,
     /// Forward-progress watchdog window in cycles: if no progress counter
     /// moves for this many consecutive cycles, `Gpu::run` aborts with
     /// [`crate::RunError::Hang`] carrying a
@@ -111,12 +105,6 @@ pub struct GpuConfig {
     /// every stored result, journal and snapshot — and because the repo's
     /// benchmark still assigns it.
     pub intra_jobs: usize,
-    /// Take a rolling in-memory machine snapshot every N cycles during
-    /// `Gpu::run` (0 disables). Record-only — snapshots never change timing
-    /// — and the basis for time-travel hang forensics: on a watchdog abort
-    /// the last periodic snapshot is replayed with full tracing (see
-    /// DESIGN.md "Checkpoint/restore and crash recovery").
-    pub checkpoint_interval: u64,
     /// The next-event engine: `Gpu::run` cycles an SM or partition only
     /// once its next event has come, credits the cycles it slept through
     /// in bulk (Fig. 1 stall buckets included), and jumps the clock when
@@ -157,13 +145,11 @@ impl GpuConfig {
             l1_compressed: false,
             l1_hit_decompress_penalty: 10,
             md_cache_enabled: true,
-            paranoid_assist_checks: cfg!(debug_assertions),
             watchdog_window: 100_000,
             audit_interval: 0,
             fault: FaultConfig::disabled(),
             observability: ObservabilityConfig::default(),
             intra_jobs: 1,
-            checkpoint_interval: 0,
             time_skip: true,
         }
     }

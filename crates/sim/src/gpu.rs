@@ -15,7 +15,7 @@ use crate::trace::{ActivityTrace, Sample, TraceEvent, TraceEventKind, Tracer};
 use caba_isa::{Kernel, Program};
 use caba_mem::{CompressionMap, Crossbar, FuncMem, MemDelta, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
-use caba_stats::{FxHashMap, MetricsLevel, MetricsSnapshot, StallKind};
+use caba_stats::{FxHashMap, MetricsSnapshot, StallKind};
 use std::fmt;
 use std::sync::Arc;
 
@@ -155,10 +155,6 @@ pub struct Gpu {
     /// `now`; [`Gpu::resume`] continues the epoch, so cycle budgets,
     /// watchdog strides, and audit schedules count from the original start.
     run_start: u64,
-    /// Most recent periodic machine snapshot, `(cycle, container bytes)`,
-    /// taken every [`GpuConfig::checkpoint_interval`] cycles. Feeds
-    /// time-travel hang forensics.
-    last_checkpoint: Option<(u64, Vec<u8>)>,
 }
 
 impl Gpu {
@@ -208,7 +204,6 @@ impl Gpu {
             skip_events: 0,
             next_cta: 0,
             run_start: 0,
-            last_checkpoint: None,
         })
     }
 
@@ -449,8 +444,8 @@ impl Gpu {
     /// Accounts for every cycle before `now` that an SM or partition slept
     /// through ([`Sm::settle`], [`Partition::settle`]), so that each reads
     /// as if it had been cycled every cycle. Owed before anything reads
-    /// them: audits, trace samples, the watchdog, checkpoints, and every
-    /// return from the run loop, so the machine is settled whenever
+    /// them: audits, trace samples, the watchdog, and every return from
+    /// the run loop, so the machine is settled whenever
     /// [`Gpu::snapshot`] or [`Gpu::run`]'s caller can see it.
     fn settle_all(&mut self) {
         let now = self.now;
@@ -486,37 +481,43 @@ impl Gpu {
         }
     }
 
-    /// Time-travel hang forensics: re-execute the window from the most
-    /// recent periodic checkpoint to the hang in a fresh replay GPU with
-    /// full tracing enabled, and write the Chrome-trace JSON to the system
-    /// temp directory. Returns the written path, or `None` when no
-    /// checkpoint exists or any replay step fails — forensics must never
-    /// turn a hang into a panic.
-    fn hang_forensics(&self, kernel: &Kernel) -> Option<String> {
-        let (_, bytes) = self.last_checkpoint.as_ref()?;
-        let hang_cycle = self.now;
+    /// Hang forensics by replay: re-executes the last watchdog window
+    /// before this machine's hang on a fresh machine with full tracing,
+    /// and writes the Chrome-trace JSON to the system temp directory. Call
+    /// it after [`Gpu::run`] returned [`RunError::Hang`] at cycle `H` with
+    /// window `W`. `load` gives the fresh machine the inputs this one had
+    /// when its run started. A run is a pure function of the machine, the
+    /// configuration and the kernel, so the fresh machine runs untraced to
+    /// `H − W` in this one's footsteps, and is traced over `(H − W, H]`
+    /// only, one sample every `max(1, W / 1024)` cycles. Returns the
+    /// written path, or `None` when this run did not start at cycle 0 or
+    /// any replay step fails — forensics must never turn a hang into a
+    /// panic.
+    pub fn replay_hang(&self, kernel: &Kernel, load: impl FnOnce(&mut Gpu)) -> Option<String> {
+        if self.run_start != 0 {
+            return None;
+        }
+        let (hang, window) = (self.now, self.cfg.watchdog_window);
         let mut cfg = self.cfg;
-        cfg.observability = ObservabilityConfig {
-            trace: Some(TraceConfig::full(1)),
-            metrics: MetricsLevel::Off,
-        };
-        // Replay without taking further checkpoints. The knob (like
-        // observability) is outside the config hash and record-only: the
-        // replayed window is bit-identical to the original run, which is
-        // exactly what makes the trace evidence.
-        cfg.checkpoint_interval = 0;
+        cfg.observability = ObservabilityConfig::default();
         let mut replay = Gpu::try_new(cfg, self.design.fork()).ok()?;
-        replay.restore(kernel, bytes).ok()?;
-        // The budget lands the replay timeout exactly on the hang cycle;
-        // the replay's own watchdog (baseline reset at resume) can fire no
-        // earlier, and a re-hang at the same cycle is equally final.
-        match replay.resume(kernel, hang_cycle - replay.run_start) {
+        load(&mut replay);
+        // The timeout leaves the machine intact at the window's start.
+        let Err(RunError::Timeout { .. }) = replay.run(kernel, hang.checked_sub(window)?) else {
+            return None;
+        };
+        replay.start_trace(TraceConfig::full((window / 1024).max(1)));
+        // The budget lands the replay's timeout on the hang cycle; its own
+        // watchdog, whose baseline restarts at resume, can fire no earlier,
+        // and a re-hang at the same cycle is equally final.
+        match replay.resume(kernel, hang) {
             Err(RunError::Timeout { .. } | RunError::Hang { .. }) => {}
             _ => return None,
         }
         let trace = replay.take_trace()?;
         let path = std::env::temp_dir().join(format!(
-            "caba-hang-{}-c{hang_cycle}.trace.json",
+            "caba-hang-{}-{}-c{hang}.trace.json",
+            kernel.name(),
             self.design.label().to_lowercase()
         ));
         std::fs::write(&path, trace.to_chrome_json()).ok()?;
@@ -538,7 +539,6 @@ impl Gpu {
     pub fn run(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
         self.next_cta = 0;
         self.run_start = self.now;
-        self.last_checkpoint = None;
         self.cycles_skipped = 0;
         self.skip_events = 0;
         self.run_loop(kernel, max_cycles)
@@ -570,7 +570,6 @@ impl Gpu {
         let grid = kernel.dims().grid_dim;
         let mut next_cta: u32 = self.next_cta;
         let start = self.run_start;
-        let ckpt = self.cfg.checkpoint_interval;
         let mut last_sig = self.progress_signature();
         // Watchdog baselines restart at every run/resume entry (`self.now`,
         // not the epoch start): the watchdog never mutates machine state, so
@@ -600,18 +599,6 @@ impl Gpu {
                     cycles: max_cycles,
                     report: Box::new(self.hang_report(kernel, next_cta, grid)),
                 });
-            }
-
-            // Periodic rolling checkpoint (record-only; the snapshot is a
-            // pure read of the settled cycle-boundary state).
-            if ckpt != 0
-                && now != start
-                && (now - start).is_multiple_of(ckpt)
-                && self.last_checkpoint.as_ref().is_none_or(|(c, _)| *c != now)
-            {
-                self.next_cta = next_cta;
-                self.settle_all();
-                self.last_checkpoint = Some((now, self.snapshot(kernel)));
             }
 
             // 1. CTA dispatch (round-robin over SMs). A launch
@@ -762,12 +749,10 @@ impl Gpu {
                     last_progress = self.now;
                 } else if self.now - last_progress >= wd_window {
                     self.next_cta = next_cta;
-                    let mut report = Box::new(self.hang_report(kernel, next_cta, grid));
-                    report.trace_path = self.hang_forensics(kernel);
                     return Err(RunError::Hang {
                         cycles: self.now - start,
                         window: wd_window,
-                        report,
+                        report: Box::new(self.hang_report(kernel, next_cta, grid)),
                     });
                 }
             }
@@ -807,8 +792,8 @@ impl Gpu {
             //    the earliest component wake time: jump the clock there.
             //    Sleeping components are settled when next touched (see
             //    DESIGN.md "Next-event clock"). The jump is capped so every
-            //    checkpoint top, audit / watchdog / trace-sample bottom, and
-            //    the timeout boundary still execute at their exact cycles —
+            //    audit / watchdog / trace-sample bottom and the timeout
+            //    boundary still execute at their exact cycles —
             //    the jump is observable only as wall-clock. If no component
             //    has a wake time at all the machine is wedged; fall through
             //    to per-cycle ticking so the watchdog can prove it.
@@ -821,21 +806,6 @@ impl Gpu {
                 let parts = self.parts.iter().filter_map(Partition::wake);
                 if let Some(mut t) = sms.chain(parts).min() {
                     t = t.min(start.saturating_add(max_cycles));
-                    if ckpt != 0 {
-                        // Checkpoints fire at the top of the iteration that
-                        // executes a boundary cycle: landing exactly on the
-                        // boundary still takes it.
-                        let r = (self.now - start) % ckpt;
-                        let mut c0 = if r == 0 {
-                            self.now
-                        } else {
-                            self.now + (ckpt - r)
-                        };
-                        if c0 == start {
-                            c0 = start + ckpt;
-                        }
-                        t = t.min(c0);
-                    }
                     if self.cfg.audit_interval > 0 {
                         // Audits fire at the bottom, after the increment:
                         // the bottom for boundary `b` belongs to executed
@@ -1062,15 +1032,6 @@ impl Gpu {
         self.sms.iter().map(|sm| sm.list_rebuilds()).collect()
     }
 
-    /// The most recent periodic checkpoint taken during a run with
-    /// [`GpuConfig::checkpoint_interval`] > 0, as `(cycle, container
-    /// bytes)`.
-    pub fn last_checkpoint(&self) -> Option<(u64, &[u8])> {
-        self.last_checkpoint
-            .as_ref()
-            .map(|(c, b)| (*c, b.as_slice()))
-    }
-
     /// Serializes the complete machine state — functional memory, every SM
     /// (warps, scoreboards, L1, MSHRs, store buffer, assist runtime), every
     /// partition (L2, MSHRs, MD cache, DRAM channel and retry/delay
@@ -1081,8 +1042,7 @@ impl Gpu {
     ///
     /// Must be called at a cycle boundary: between `run`/`resume` calls, or
     /// after [`RunError::Timeout`] (which leaves the machine intact at the
-    /// boundary). The run loop's own periodic checkpoints satisfy this by
-    /// construction.
+    /// boundary).
     pub fn snapshot(&self, kernel: &Kernel) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.raw(snapshot::MAGIC);
@@ -1136,8 +1096,8 @@ impl Gpu {
     /// Serializes everything [`Gpu::restore`] needs to continue the run.
     /// Deliberately absent: the compression map (a pure memoization,
     /// rebuilt empty), the tracer and event buffers (record-only), the
-    /// memory and line-store deltas (empty at every cycle boundary), and
-    /// the rolling checkpoint itself.
+    /// and the memory and line-store deltas (empty at every cycle
+    /// boundary).
     fn payload_save(&self, w: &mut SnapshotWriter) {
         w.u64(self.now);
         w.u64(self.run_start);
@@ -1251,31 +1211,40 @@ impl Gpu {
 
         // Non-serialized runtime state: rebuild, drain, or re-baseline.
         self.cmap = Self::build_cmap(&self.design);
-        self.last_checkpoint = None;
-        self.tracer = self
-            .cfg
-            .observability
-            .trace
-            .map(|t| Tracer::new(t, self.cfg.num_sms));
-        if let Some(tr) = self.tracer.as_mut() {
-            // Prime the delta baselines so the first sample covers only
-            // post-restore activity instead of the whole history.
-            for (i, sm) in self.sms.iter().enumerate() {
-                tr.last_app[i] = sm.app_instructions();
-                tr.last_assist[i] = sm.assist_instructions();
-                tr.last_stalls[i] = *sm.breakdown();
-            }
-            let (mut busy, mut total) = (0u64, 0u64);
-            for p in &self.parts {
-                let d = p.dram_stats();
-                busy += d.bus_busy_cycles;
-                total += d.total_cycles;
-            }
-            tr.last_dram_busy = busy;
-            tr.last_dram_total = total;
-            tr.last_cycle = self.now;
+        self.tracer = None;
+        if let Some(trace) = self.cfg.observability.trace {
+            self.start_trace(trace);
         }
         Ok(())
+    }
+
+    /// Starts a new activity trace at the current cycle, in place of any
+    /// trace in progress. The per-SM and DRAM delta baselines are primed
+    /// here, so the first sample covers only what runs after this call, not
+    /// the whole history. Tracing is record-only: the run goes on exactly
+    /// as it would untraced. Call it at a cycle boundary, as
+    /// [`Gpu::snapshot`].
+    pub fn start_trace(&mut self, trace: TraceConfig) {
+        self.cfg.observability.trace = Some(trace);
+        for sm in &mut self.sms {
+            sm.record_events(trace.events);
+        }
+        for p in &mut self.parts {
+            p.record_events(trace.events);
+        }
+        let mut tr = Tracer::new(trace, self.sms.len());
+        for (i, sm) in self.sms.iter().enumerate() {
+            tr.last_app[i] = sm.app_instructions();
+            tr.last_assist[i] = sm.assist_instructions();
+            tr.last_stalls[i] = *sm.breakdown();
+        }
+        for p in &self.parts {
+            let d = p.dram_stats();
+            tr.last_dram_busy += d.bus_busy_cycles;
+            tr.last_dram_total += d.total_cycles;
+        }
+        tr.last_cycle = self.now;
+        self.tracer = Some(tr);
     }
 
     /// Assist-subroutine programs reachable on this design, keyed by

@@ -199,10 +199,11 @@ pub struct HangReport {
     pub xbar_rsp_in_flight: usize,
     /// Oldest in-flight read: (age in cycles, issuing SM, line address).
     pub oldest_request: Option<(u64, usize, u64)>,
-    /// Path of the time-travel forensics trace, when the run kept periodic
-    /// checkpoints ([`crate::GpuConfig::checkpoint_interval`] > 0): the
-    /// window from the most recent checkpoint to the hang is re-executed
-    /// with full tracing and the Chrome-trace JSON written here.
+    /// Path of the forensics trace of a hang: the last watchdog window,
+    /// re-executed with full tracing on a fresh machine
+    /// ([`crate::Gpu::replay_hang`]). The run loop never sets it, so a
+    /// report from [`crate::Gpu::run`] has none; `caba_workloads::run_app`
+    /// replays every hang, never a timeout, and attaches it there.
     pub trace_path: Option<String>,
 }
 

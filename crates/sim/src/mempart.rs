@@ -512,6 +512,13 @@ impl Partition {
         out.append(&mut self.events);
     }
 
+    /// Records instant events from now on, or stops, dropping any still
+    /// buffered (a new trace starts: [`crate::Gpu::start_trace`]).
+    pub(crate) fn record_events(&mut self, on: bool) {
+        self.events_on = on;
+        self.events.clear();
+    }
+
     /// True when this partition currently carries an in-flight read for
     /// `(sm, line)` — in the incoming queue, an MSHR entry with that SM as a
     /// waiter, a latency-pending L2 hit, or the response queue. Used by the

@@ -2104,6 +2104,13 @@ impl Sm {
         out.append(&mut self.events);
     }
 
+    /// Records instant events from now on, or stops, dropping any still
+    /// buffered (a new trace starts: [`crate::Gpu::start_trace`]).
+    pub(crate) fn record_events(&mut self, on: bool) {
+        self.events_on = on;
+        self.events.clear();
+    }
+
     // ----- integrity layer --------------------------------------------------
 
     /// A value that strictly increases whenever this SM makes forward

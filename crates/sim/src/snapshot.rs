@@ -3,7 +3,7 @@
 //! [`Gpu::snapshot`](crate::Gpu::snapshot) and consumed by
 //! [`Gpu::restore`](crate::Gpu::restore).
 //!
-//! # Container layout (format version 1)
+//! # Container layout (format version 2)
 //!
 //! | field        | encoding                 | purpose                      |
 //! |--------------|--------------------------|------------------------------|
@@ -25,16 +25,9 @@
 //! state or its evolution. These knobs are deliberately excluded, so
 //! a snapshot can be restored under a *different* setting of each:
 //!
-//! * `observability` — tracing and metrics are record-only; time-travel
-//!   forensics restores a quiet run's snapshot into a fully-traced replay.
-//! * `checkpoint_interval` — itself record-only.
-//! * `intra_jobs` — an inert field nothing reads ([`GpuConfig::intra_jobs`]);
-//!   it stays canonicalized so that stores and snapshots written while it
-//!   meant something keep their keys.
-//! * `paranoid_assist_checks` — inert too
-//!   ([`GpuConfig::paranoid_assist_checks`]); its default follows the build
-//!   profile, so hashing it would key every cell of a debug build apart
-//!   from a release build's.
+//! * `observability` — tracing and metrics are record-only, so a quiet
+//!   run's snapshot restores into a traced machine.
+//! * `intra_jobs` — an inert field nothing reads ([`GpuConfig::intra_jobs`]).
 //! * `watchdog_window` — detection-only; it never mutates machine state.
 //! * `time_skip` — the next-event and the naive engine give identical runs.
 
@@ -65,7 +58,8 @@ pub enum RestoreError {
     /// bytes were corrupted (or truncated) after the snapshot was taken.
     ChecksumMismatch,
     /// The restoring GPU's configuration hash differs from the snapshot's
-    /// (ignoring the tolerated observability/checkpoint/worker knobs).
+    /// (ignoring observability, `intra_jobs`, `watchdog_window` and
+    /// `time_skip`).
     ConfigHashMismatch,
     /// The restoring GPU models a different design point.
     DesignMismatch {
@@ -119,9 +113,7 @@ impl From<SnapError> for RestoreError {
 pub fn config_hash(cfg: &GpuConfig) -> u64 {
     let mut canon = *cfg;
     canon.observability = ObservabilityConfig::default();
-    canon.checkpoint_interval = 0;
     canon.intra_jobs = 1;
-    canon.paranoid_assist_checks = false;
     canon.watchdog_window = 0;
     canon.time_skip = true;
     checksum64(format!("{canon:?}").as_bytes())
@@ -194,7 +186,6 @@ mod tests {
         let mut traced = base;
         traced.observability.trace = Some(TraceConfig::full(1));
         traced.intra_jobs = 4;
-        traced.checkpoint_interval = 1000;
         traced.watchdog_window = 0;
         traced.time_skip = !base.time_skip;
         assert_eq!(

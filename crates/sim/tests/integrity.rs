@@ -36,14 +36,13 @@ fn barrier_divergent_kernel(in_base: u64) -> Kernel {
     Kernel::new("barrier-hang", b.build(), LaunchDims::new(1, 64)).with_params(vec![in_base])
 }
 
-/// A silently dropped request plus a block barrier wedges the machine; the
-/// watchdog must declare a hang long before the cycle budget and attach a
-/// report that names both the stranded barrier warp and the lost read.
-#[test]
-fn watchdog_reports_barrier_hang_with_lost_request() {
+/// The machine that wedges [`barrier_divergent_kernel`]: every crossbar
+/// packet silently dropped, a 2 000-cycle watchdog, no audits (the
+/// watchdog path alone).
+fn wedging_config() -> GpuConfig {
     let mut cfg = GpuConfig::small();
     cfg.watchdog_window = 2_000;
-    cfg.audit_interval = 0; // exercise the watchdog path alone
+    cfg.audit_interval = 0;
     cfg.fault = FaultConfig {
         enabled: true,
         seed: 9,
@@ -51,7 +50,15 @@ fn watchdog_reports_barrier_hang_with_lost_request() {
         drop_flit_rate: 1.0,
         ..FaultConfig::disabled()
     };
-    let mut gpu = Gpu::new(cfg, Design::Base);
+    cfg
+}
+
+/// A silently dropped request plus a block barrier wedges the machine; the
+/// watchdog must declare a hang long before the cycle budget and attach a
+/// report that names both the stranded barrier warp and the lost read.
+#[test]
+fn watchdog_reports_barrier_hang_with_lost_request() {
+    let mut gpu = Gpu::new(wedging_config(), Design::Base);
     load_input(&mut gpu, 64, 0x1_0000);
     let err = gpu
         .run(&barrier_divergent_kernel(0x1_0000), 1_000_000)
@@ -94,6 +101,94 @@ fn watchdog_reports_barrier_hang_with_lost_request() {
         "forensics name the barrier: {text}"
     );
     assert!(text.contains("oldest in-flight read"), "{text}");
+}
+
+/// A hang's replay traces its last watchdog window on a fresh machine as
+/// a run traced from cycle 0 traces it. At `W = 2 000` the derived sample
+/// interval is 1, and the replay's file holds exactly the full trace's
+/// samples over `(H − W, H]` and its events from cycle `H − W` on (a
+/// sample is stamped with the cycle after the one it covers, an event
+/// with the cycle it happened in). The drops are retransmitted here, so
+/// the wedged window is full of drop events, not silent.
+#[test]
+fn hang_replay_traces_the_last_window_as_a_run_traced_from_cycle_0() {
+    use caba_sim::TraceConfig;
+
+    let mut cfg = wedging_config();
+    cfg.fault.mode = FaultMode::Recover;
+    let kernel = barrier_divergent_kernel(0x1_0000);
+    let load = |gpu: &mut Gpu| load_input(gpu, 64, 0x1_0000);
+    let mut gpu = Gpu::new(cfg, Design::Base);
+    load(&mut gpu);
+    let err = gpu.run(&kernel, 1_000_000).unwrap_err();
+    let RunError::Hang { ref report, .. } = err else {
+        panic!("expected a hang, got: {err}");
+    };
+    assert_eq!(report.trace_path, None, "the run loop replays nothing");
+    let hang = report.cycle;
+    let path = gpu
+        .replay_hang(&kernel, load)
+        .expect("the replay writes a trace");
+
+    let mut traced = Gpu::new(cfg.with_trace(TraceConfig::full(1)), Design::Base);
+    load(&mut traced);
+    let err = traced.run(&kernel, 1_000_000).unwrap_err();
+    assert_eq!(err.report().map(|r| r.cycle), Some(hang), "{err}");
+    let mut want = traced.take_trace().expect("tracing was on");
+    let from = hang - cfg.watchdog_window;
+    want.samples.retain(|s| s.cycle > from);
+    want.events.retain(|e| e.cycle >= from);
+    assert_eq!(want.samples.len() as u64, cfg.watchdog_window);
+    assert!(!want.events.is_empty(), "the dropped packets are events");
+    let got = std::fs::read_to_string(&path).expect("the trace file exists");
+    std::fs::remove_file(&path).ok();
+    assert!(got == want.to_chrome_json(), "the replay's trace differs");
+}
+
+/// `Gpu::start_trace` at a cycle boundary records from there on exactly
+/// what a run traced from cycle 0 records, SM and partition events
+/// included (fill corruptions and DRAM delays are buffered there), and the
+/// run itself does not change.
+#[test]
+fn a_trace_started_mid_run_is_the_tail_of_a_trace_from_cycle_0() {
+    use caba_sim::{TraceConfig, TraceEventKind};
+
+    let n = 2048;
+    let mut cfg = GpuConfig::small();
+    cfg.fault = FaultConfig {
+        corrupt_line_rate: 0.25,
+        dram_delay_rate: 0.2,
+        ..FaultConfig::recover(0xFA11, 0.05)
+    };
+    let kernel = scale_kernel(n, 0x1_0000, 0x8_0000);
+    let gpu = |cfg: GpuConfig| {
+        let design = Design::HwFull {
+            alg: Algorithm::Bdi,
+            ideal: false,
+        };
+        let mut gpu = Gpu::new(cfg, design);
+        load_input(&mut gpu, n, 0x1_0000);
+        gpu
+    };
+    let mut traced = gpu(cfg.with_trace(TraceConfig::full(1)));
+    let full = traced.run(&kernel, 4_000_000).expect("completes");
+    let mut want = traced.take_trace().expect("tracing was on");
+
+    let cut = 40;
+    let mut late = gpu(cfg);
+    assert!(matches!(
+        late.run(&kernel, cut),
+        Err(RunError::Timeout { .. })
+    ));
+    late.start_trace(TraceConfig::full(1));
+    assert_eq!(late.resume(&kernel, 4_000_000), Ok(full));
+    let got = late.take_trace().expect("tracing was started");
+    want.samples.retain(|s| s.cycle > cut);
+    want.events.retain(|e| e.cycle >= cut);
+    let has = |f: fn(&TraceEventKind) -> bool| got.events.iter().any(|e| f(&e.kind));
+    assert!(has(|k| matches!(k, TraceEventKind::FillCorrupt { .. })));
+    assert!(has(|k| matches!(k, TraceEventKind::DramDelay { .. })));
+    assert!(got == want, "the late trace is not the full one's tail");
 }
 
 /// With injection disabled, turning audits on must not change simulated

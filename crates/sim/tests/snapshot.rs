@@ -6,11 +6,9 @@
 mod kernels;
 
 use caba_compress::Algorithm;
-use caba_isa::{
-    AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, Space, Special, Src, Width,
-};
+use caba_isa::{Kernel, LaunchDims, ProgramBuilder, Reg};
 use caba_sim::fault::corrupt_snapshot;
-use caba_sim::{Design, FaultConfig, FaultMode, Gpu, GpuConfig, RestoreError, RunError, RunStats};
+use caba_sim::{Design, FaultConfig, Gpu, GpuConfig, RestoreError, RunError, RunStats};
 use caba_stats::checksum64;
 use kernels::{check_output, load_input, scale_kernel};
 
@@ -122,24 +120,6 @@ fn restore_resume_is_exact_under_fault_injection() {
 }
 
 #[test]
-fn periodic_checkpoint_restores_to_identical_completion() {
-    let mut cfg = GpuConfig::small();
-    cfg.checkpoint_interval = 64;
-    let kernel = scale_kernel(N, IN, OUT);
-    let (full, gpu) = unbroken(cfg, Design::Base, &kernel);
-    let (at, bytes) = gpu.last_checkpoint().expect("periodic checkpoints taken");
-    assert!(at > 0 && at.is_multiple_of(64));
-    let bytes = bytes.to_vec();
-    let mut g2 = Gpu::new(cfg, Design::Base);
-    g2.restore(&kernel, &bytes)
-        .expect("periodic snapshot restores");
-    assert_eq!(g2.cycle(), at);
-    let resumed = g2.resume(&kernel, MAX).expect("resumed run completes");
-    assert_eq!(resumed, full);
-    check_output(&g2, N, OUT);
-}
-
-#[test]
 fn corrupted_snapshot_is_rejected_never_loaded() {
     let cfg = GpuConfig::small();
     let kernel = scale_kernel(N, IN, OUT);
@@ -201,11 +181,10 @@ fn header_mismatches_are_typed() {
         Err(RestoreError::ConfigHashMismatch)
     );
 
-    // Tolerated knobs (observability, checkpointing, the inert
-    // `intra_jobs`) do NOT reject.
+    // Tolerated knobs (observability, the inert `intra_jobs`) do NOT
+    // reject.
     let mut tolerant_cfg = cfg;
     tolerant_cfg.intra_jobs = 4;
-    tolerant_cfg.checkpoint_interval = 123;
     tolerant_cfg.observability = caba_sim::ObservabilityConfig {
         trace: Some(caba_sim::TraceConfig::full(1)),
         metrics: caba_sim::MetricsLevel::Counters,
@@ -249,82 +228,6 @@ fn header_mismatches_are_typed() {
         g.restore(&kernel, &vbytes),
         Err(RestoreError::VersionMismatch { found: 99 })
     );
-}
-
-/// One 64-thread block, two warps: warp 1 consumes a load before the block
-/// barrier, warp 0 goes straight to it. With every crossbar packet silently
-/// dropped, the machine wedges at the barrier.
-fn barrier_hang_kernel(in_base: u64) -> Kernel {
-    let mut b = ProgramBuilder::new();
-    let (gid, addr, v) = (Reg(0), Reg(1), Reg(2));
-    b.global_thread_id(gid);
-    b.setp(Pred(0), CmpOp::GeU, Src::Reg(gid), Src::Imm(32));
-    b.if_then(Pred(0), true, |b| {
-        b.alu(AluOp::Shl, addr, Src::Reg(gid), Src::Imm(2));
-        b.alu(AluOp::Add, addr, Src::Reg(addr), Src::Sp(Special::Param(0)));
-        b.ld(Space::Global, Width::B4, v, Src::Reg(addr), 0);
-        b.alu(AluOp::Add, v, Src::Reg(v), Src::Imm(1));
-    });
-    b.bar();
-    b.exit();
-    Kernel::new("barrier-hang", b.build(), LaunchDims::new(1, 64)).with_params(vec![in_base])
-}
-
-#[test]
-fn hang_forensics_attaches_replay_trace() {
-    let mut cfg = GpuConfig::small();
-    cfg.watchdog_window = 2_000;
-    cfg.audit_interval = 0;
-    cfg.checkpoint_interval = 500;
-    cfg.fault = FaultConfig {
-        enabled: true,
-        seed: 9,
-        mode: FaultMode::Silent,
-        drop_flit_rate: 1.0,
-        ..FaultConfig::disabled()
-    };
-    let mut gpu = Gpu::new(cfg, Design::Base);
-    load_input(&mut gpu, 64, IN);
-    let err = gpu.run(&barrier_hang_kernel(IN), 1_000_000).unwrap_err();
-    let RunError::Hang { ref report, .. } = err else {
-        panic!("expected a hang, got: {err}");
-    };
-    let path = report
-        .trace_path
-        .as_ref()
-        .expect("periodic checkpoints enable time-travel forensics");
-    let trace = std::fs::read_to_string(path).expect("forensics trace file exists");
-    assert!(
-        trace.trim_start().starts_with('['),
-        "forensics trace is Chrome-trace JSON"
-    );
-    assert!(!trace.trim().is_empty());
-    assert!(
-        err.to_string().contains("forensics trace:"),
-        "the hang report names the trace file"
-    );
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
-fn hang_without_checkpoints_has_no_trace() {
-    let mut cfg = GpuConfig::small();
-    cfg.watchdog_window = 2_000;
-    cfg.audit_interval = 0;
-    cfg.fault = FaultConfig {
-        enabled: true,
-        seed: 9,
-        mode: FaultMode::Silent,
-        drop_flit_rate: 1.0,
-        ..FaultConfig::disabled()
-    };
-    let mut gpu = Gpu::new(cfg, Design::Base);
-    load_input(&mut gpu, 64, IN);
-    let err = gpu.run(&barrier_hang_kernel(IN), 1_000_000).unwrap_err();
-    let RunError::Hang { ref report, .. } = err else {
-        panic!("expected a hang, got: {err}");
-    };
-    assert_eq!(report.trace_path, None);
 }
 
 /// Serialize → restore → re-serialize must be byte-identical: restoring a

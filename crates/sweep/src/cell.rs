@@ -314,14 +314,11 @@ mod tests {
         other.cfg.fault.seed = other.cfg.fault.seed.wrapping_add(1);
         assert_ne!(base, other.content_hash(), "fault seed is identity");
 
-        // Record-only knobs and the inert `intra_jobs` and
-        // `paranoid_assist_checks` are canonicalized away: the same cell
-        // computed with different tracing or checkpointing, or by a debug
-        // build, is still the same cell.
+        // Record-only knobs and the inert `intra_jobs` are canonicalized
+        // away: the same cell computed with tracing on is the same cell.
         let mut tolerated = spec;
         tolerated.cfg.intra_jobs = 4;
-        tolerated.cfg.paranoid_assist_checks = !spec.cfg.paranoid_assist_checks;
-        tolerated.cfg.checkpoint_interval = 500;
+        tolerated.cfg = tolerated.cfg.with_trace(caba_sim::TraceConfig::full(1));
         assert_eq!(base, tolerated.content_hash());
     }
 

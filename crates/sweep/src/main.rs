@@ -32,7 +32,6 @@ struct Args {
     selftest: bool,
     scale: Option<f64>,
     table: Option<String>,
-    checkpoint_every: u64,
     store_dir: Option<PathBuf>,
     faults: FaultFlags,
     figures: Option<Vec<Figure>>,
@@ -42,8 +41,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--table PATH]\n\
-         \x20                 [--checkpoint-every N] [--figures LIST] [--apps LIST]\n\
-         \x20                 [--store-dir DIR] [--store-fault-seed N] [--store-fault-rate F]\n\
+         \x20                 [--figures LIST] [--apps LIST] [--store-dir DIR]\n\
+         \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
          \x20      caba-sweep paper (fig01|fig02|fig05|fig07|fig08|fig09|fig10|fig11|fig12|fig13|tab_md|all)\n\
          \x20                 [--jobs N] [--scale F] [--store-dir DIR] [--table PATH]\n\
          \x20      caba-sweep store (scrub|gc|stats) --store-dir DIR [--store-cap BYTES] [--out PATH]\n\
@@ -53,10 +52,6 @@ fn usage() -> ! {
                         for any value.\n\
          --scale F      workload scale, finite and > 0 (default 0.5;\n\
                         selftest: 0.05)\n\
-         --checkpoint-every N\n\
-                        take a periodic in-memory machine snapshot every N\n\
-                        cycles; enables time-travel hang forensics.\n\
-                        N must be > 0 (omit the flag to disable)\n\
          --store-dir DIR\n\
                         durable content-addressed store: finished cells are\n\
                         persisted and looked up by content key, so a fresh\n\
@@ -187,7 +182,6 @@ fn parse_args(argv: &[String]) -> Args {
         selftest: false,
         scale: None,
         table: None,
-        checkpoint_every: 0,
         store_dir: None,
         faults: FaultFlags::default(),
         figures: None,
@@ -199,18 +193,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--jobs" => args.jobs = parse_flag(&a, it.next()),
             "--scale" => args.scale = Some(positive_or_usage(&a, it.next())),
             "--table" => args.table = Some(it.next().unwrap_or_else(|| missing_value("--table"))),
-            "--checkpoint-every" => {
-                args.checkpoint_every = parse_flag(&a, it.next());
-                if args.checkpoint_every == 0 {
-                    // An explicit 0 would silently never checkpoint —
-                    // reject it rather than guess the intent.
-                    eprintln!(
-                        "caba-sweep: --checkpoint-every 0 would never take a checkpoint; \
-                         omit the flag to disable checkpointing\n"
-                    );
-                    usage();
-                }
-            }
             "--store-dir" => {
                 args.store_dir = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| missing_value("--store-dir")),
@@ -375,12 +357,10 @@ fn emit(path: Option<&str>, text: &str) -> Result<(), String> {
 }
 
 fn base_config(args: &Args, default_scale: f64) -> SweepConfig {
-    let mut sc = SweepConfig {
+    SweepConfig {
         scale: args.scale.unwrap_or(default_scale),
         ..SweepConfig::default()
-    };
-    sc.cfg.checkpoint_interval = args.checkpoint_every;
-    sc
+    }
 }
 
 /// Opens the durable store per the CLI flags: plain, or under fault

@@ -452,7 +452,6 @@ mod tests {
         // away.
         let mut tolerated = sc;
         tolerated.cfg.intra_jobs = 4;
-        tolerated.cfg.checkpoint_interval = 500;
         assert_eq!(sc.sweep_hash(), tolerated.sweep_hash());
     }
 

@@ -53,6 +53,7 @@ fn bad_scales_and_the_removed_flags_are_usage_errors() {
         ("--retries 1", resume),
         ("--resume x", resume),
         ("--store-cap 0", "store gc       LRU-evict"),
+        ("--checkpoint-every 5", ""),
     ];
     for (flag, instead) in removed {
         let (code, stderr) = run(&format!("{flag} {out}"), &[]);

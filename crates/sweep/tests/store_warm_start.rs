@@ -20,9 +20,7 @@ fn cells() -> Vec<SweepCell> {
     cells
 }
 
-/// The CLI's sweep configuration for `--scale 0.05` (the checkpoint knob
-/// is canonicalized out of the content keys, so the defaults here key
-/// identically to any CLI invocation).
+/// The CLI's sweep configuration for `--scale 0.05`.
 fn sc() -> SweepConfig {
     SweepConfig {
         scale: SCALE.parse().unwrap(),

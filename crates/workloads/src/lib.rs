@@ -56,7 +56,10 @@ pub fn prepare_app(app: &AppSpec, cfg: GpuConfig, design: Design, scale: f64) ->
 ///
 /// # Errors
 ///
-/// Propagates [`RunError::Timeout`] from the simulator.
+/// Propagates the simulator's [`RunError`]. A hang's report carries the
+/// trace of its last watchdog window ([`Gpu::replay_hang`], which reloads
+/// the inputs into a fresh machine); a run that does not hang pays
+/// nothing for it.
 pub fn run_app(
     app: &AppSpec,
     cfg: GpuConfig,
@@ -64,7 +67,11 @@ pub fn run_app(
     scale: f64,
 ) -> Result<RunStats, RunError> {
     let (mut gpu, kernel) = prepare_app(app, cfg, design, scale);
-    gpu.run(&kernel, DEFAULT_MAX_CYCLES)
+    let mut result = gpu.run(&kernel, DEFAULT_MAX_CYCLES);
+    if let Err(RunError::Hang { report, .. }) = &mut result {
+        report.trace_path = gpu.replay_hang(&kernel, |g| app.load_inputs(g, scale));
+    }
+    result
 }
 
 #[cfg(test)]
@@ -151,6 +158,38 @@ mod tests {
 
     fn caba_core_stub() -> Design {
         Design::Caba(Box::new(caba_core::CabaController::bdi()))
+    }
+
+    /// With every crossbar packet silently dropped the machine wedges:
+    /// the hang's report names its replay trace with no setting asked, and
+    /// a timeout's report names none.
+    #[test]
+    fn a_hang_carries_its_replay_trace_and_a_timeout_none() {
+        use caba_sim::{FaultConfig, FaultMode};
+        let a = app("CONS").unwrap();
+        let mut cfg = GpuConfig::small();
+        cfg.watchdog_window = 2_000;
+        cfg.fault = FaultConfig {
+            enabled: true,
+            mode: FaultMode::Silent,
+            drop_flit_rate: 1.0,
+            ..FaultConfig::disabled()
+        };
+        let err = run_app(&a, cfg, Design::Base, 0.05).unwrap_err();
+        let RunError::Hang { report, .. } = &err else {
+            panic!("expected a hang, got: {err}");
+        };
+        let path = report.trace_path.as_ref().expect("a hang is replayed");
+        let trace = std::fs::read_to_string(path).expect("the trace file exists");
+        std::fs::remove_file(path).ok();
+        assert!(caba_stats::json::validate(&trace).is_ok());
+        assert!(err
+            .to_string()
+            .contains(&format!("forensics trace: {path}")));
+
+        let (mut gpu, kernel) = prepare_app(&a, cfg, Design::Base, 0.05);
+        let err = gpu.run(&kernel, 1_000).unwrap_err();
+        assert!(matches!(&err, RunError::Timeout { report, .. } if report.trace_path.is_none()));
     }
 
     #[test]
