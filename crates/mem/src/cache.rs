@@ -166,11 +166,6 @@ impl Cache {
         }
     }
 
-    /// The geometry this cache was built with.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geo
-    }
-
     /// The set `addr` maps to and its tag within that set.
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;

@@ -127,8 +127,6 @@ pub struct Crossbar<T> {
     delivered: Vec<VecDeque<T>>,
     queue_capacity: usize,
     total_flits: u64,
-    total_packets: u64,
-    busy_cycles: u64,
     /// Packets currently in output queues (not yet delivered), maintained
     /// so [`Crossbar::cycle`] can skip the all-ports scan when empty.
     queued_pkts: usize,
@@ -148,21 +146,9 @@ impl<T> Crossbar<T> {
             delivered: (0..n_out).map(|_| VecDeque::new()).collect(),
             queue_capacity: 16,
             total_flits: 0,
-            total_packets: 0,
-            busy_cycles: 0,
             queued_pkts: 0,
             delivered_pkts: 0,
         }
-    }
-
-    /// Number of input ports.
-    pub fn inputs(&self) -> usize {
-        self.n_in
-    }
-
-    /// Number of output ports.
-    pub fn outputs(&self) -> usize {
-        self.queues.len()
     }
 
     /// Enqueues a packet of `flits` flits from `src` to `dst`.
@@ -217,7 +203,6 @@ impl<T> Crossbar<T> {
             min_deliver_at: self.now + self.latency,
         });
         self.total_flits += flits as u64;
-        self.total_packets += 1;
         self.queued_pkts += 1;
         Ok(())
     }
@@ -239,12 +224,10 @@ impl<T> Crossbar<T> {
             return;
         }
         let now = self.now;
-        let mut any_busy = false;
         for (q, d) in self.queues.iter_mut().zip(self.delivered.iter_mut()) {
             if let Some(head) = q.front_mut() {
                 if head.flits_left > 0 {
                     head.flits_left -= 1;
-                    any_busy = true;
                 }
                 if head.flits_left == 0 && head.min_deliver_at <= now {
                     if let Some(pkt) = q.pop_front() {
@@ -254,9 +237,6 @@ impl<T> Crossbar<T> {
                     }
                 }
             }
-        }
-        if any_busy {
-            self.busy_cycles += 1;
         }
     }
 
@@ -300,16 +280,6 @@ impl<T> Crossbar<T> {
         self.total_flits
     }
 
-    /// Total packets pushed since construction.
-    pub fn total_packets(&self) -> u64 {
-        self.total_packets
-    }
-
-    /// Cycles during which at least one output port was transferring.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
     /// Every payload currently inside the crossbar (queued or delivered but
     /// not yet popped), for conservation audits.
     pub fn in_flight(&self) -> impl Iterator<Item = &T> {
@@ -349,8 +319,6 @@ impl<T: SnapshotState> Crossbar<T> {
             d.save(w);
         }
         w.u64(self.total_flits);
-        w.u64(self.total_packets);
-        w.u64(self.busy_cycles);
     }
 
     /// Restores crossbar state in place into a crossbar with the same shape.
@@ -388,8 +356,6 @@ impl<T: SnapshotState> Crossbar<T> {
             *d = VecDeque::<T>::load(r)?;
         }
         self.total_flits = r.u64()?;
-        self.total_packets = r.u64()?;
-        self.busy_cycles = r.u64()?;
         self.queued_pkts = self.queues.iter().map(|q| q.len()).sum();
         self.delivered_pkts = self.delivered.iter().map(|d| d.len()).sum();
         Ok(())
@@ -461,8 +427,6 @@ mod tests {
         }
         assert_eq!(order, vec![1, 2]);
         assert_eq!(x.total_flits(), 4);
-        assert_eq!(x.total_packets(), 2);
-        assert_eq!(x.busy_cycles(), 4);
     }
 
     #[test]

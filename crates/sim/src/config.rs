@@ -8,18 +8,6 @@ use caba_mem::{CacheGeometry, DramConfig, LINE_SIZE};
 use caba_stats::MetricsLevel;
 use std::fmt;
 
-/// Warp scheduling policy (Table 1 uses GTO, Rogers et al. \[68\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Greedy-then-oldest: keep issuing from the last warp until it stalls,
-    /// then fall back to the oldest ready warp.
-    Gto,
-    /// Loose round-robin: rotate the start position every cycle.
-    RoundRobin,
-    /// Strict oldest-first.
-    OldestFirst,
-}
-
 /// Full GPU configuration. [`GpuConfig::isca2015`] reproduces Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
@@ -33,10 +21,10 @@ pub struct GpuConfig {
     pub regfile_per_sm: u32,
     /// Shared memory per SM in bytes (32 KB).
     pub shared_per_sm: u32,
-    /// Warp schedulers per SM (2, GTO).
+    /// Warp schedulers per SM (2). Each is greedy-then-oldest (GTO, Rogers
+    /// et al. \[68\]): it keeps issuing from its last warp until that
+    /// stalls, then falls back to the oldest ready warp.
     pub schedulers_per_sm: usize,
-    /// Warp scheduling policy.
-    pub scheduler: SchedulerPolicy,
     /// SP (ALU) pipeline latency in cycles.
     pub sp_latency: u64,
     /// SFU latency in cycles (tens of cycles; source of `dmr`'s data-dep
@@ -125,7 +113,6 @@ impl GpuConfig {
             regfile_per_sm: 32768,
             shared_per_sm: 32 * 1024,
             schedulers_per_sm: 2,
-            scheduler: SchedulerPolicy::Gto,
             sp_latency: 4,
             sfu_latency: 20,
             sfu_interval: 8,

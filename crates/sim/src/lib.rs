@@ -72,7 +72,7 @@ pub use assist::{
     AssistController, AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo,
     SmServices, StoreAction, StoreInfo,
 };
-pub use config::{ConfigError, Design, GpuConfig, SchedulerPolicy};
+pub use config::{ConfigError, Design, GpuConfig};
 pub use fault::{FaultConfig, FaultInjector, FaultMode};
 pub use gpu::{Gpu, RunError};
 pub use integrity::{

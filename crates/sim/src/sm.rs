@@ -6,7 +6,7 @@ use crate::assist::{
     AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SharedLineStore, SmServices,
     StoreAction, StoreInfo,
 };
-use crate::config::{Design, GpuConfig, SchedulerPolicy};
+use crate::config::{Design, GpuConfig};
 use crate::exec::{execute_into, ExecOutcome, ThreadCtx};
 use crate::fault::{stream, FaultInjector, FaultMode};
 use crate::integrity::{Component, SmSnapshot, Violation, WarpSnapshot, WarpState};
@@ -196,10 +196,10 @@ pub(crate) fn fold_verdict(cur: Option<StallVerdict>, new: StallVerdict) -> Opti
 /// Per-candidate consideration memo: what the last full evaluation of this
 /// warp/assist slot proved, valid until an invalidation point. A frozen SM
 /// sleeps instead of re-scanning (DESIGN.md "Next-event clock"), but one
-/// that is not frozen — a warp issuing while its neighbours wait, a
-/// round-robin SM — re-visits every blocked candidate every cycle; the
-/// memo collapses each revisit to a tag check ([`Sm::memo_blocks`])
-/// instead of an instruction fetch plus scoreboard scan.
+/// that is not frozen — a warp issuing while its neighbours wait —
+/// re-visits every blocked candidate every cycle; the memo collapses each
+/// revisit to a tag check ([`Sm::memo_blocks`]) instead of an instruction
+/// fetch plus scoreboard scan.
 ///
 /// Soundness rests on two facts. First, a non-issuing warp's pending
 /// register set only *shrinks* (writebacks clear bits; only the warp's own
@@ -270,7 +270,6 @@ pub struct Sm {
     out_reqs: VecDeque<OutReq>,
     sfu_ready_at: u64,
     greedy: Vec<Option<WarpRef>>,
-    rr_cursor: Vec<u64>,
     used_regs: u32,
     used_shared: u32,
     age_seq: u64,
@@ -421,7 +420,6 @@ impl Sm {
             out_reqs: VecDeque::new(),
             sfu_ready_at: 0,
             greedy: vec![None; cfg.schedulers_per_sm],
-            rr_cursor: vec![0; cfg.schedulers_per_sm],
             used_regs: 0,
             used_shared: 0,
             age_seq: 0,
@@ -1711,31 +1709,23 @@ impl Sm {
         }
     }
 
-    /// Offers one candidate list the issue slot in issue-priority order
-    /// (rotated by `start` for round-robin), skipping `skip_slot` (the GTO
-    /// greedy warp, offered separately). Returns whether a candidate
-    /// issued; every candidate passed over folds its stall reason into
-    /// `verdict`, in scan order.
+    /// Offers one candidate list the issue slot in issue-priority order,
+    /// skipping `skip_slot` (the greedy warp, offered separately). Returns
+    /// whether a candidate issued; every candidate passed over folds its
+    /// stall reason into `verdict`, in scan order.
     #[allow(clippy::too_many_arguments)]
     fn scan_list(
         &mut self,
         now: u64,
         sched: usize,
         which: ListKind,
-        start: usize,
         skip_slot: Option<usize>,
         kernel: &Kernel,
         shared: &mut SharedState<'_>,
         lsu_used: &mut bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        let len = self.list(sched, which).len();
-        for k in 0..len {
-            let pos = if start + k < len {
-                start + k
-            } else {
-                start + k - len
-            };
+        for pos in 0..self.list(sched, which).len() {
             let slot = self.list(sched, which)[pos];
             if skip_slot == Some(slot) {
                 continue;
@@ -1772,7 +1762,6 @@ impl Sm {
                 now,
                 sched,
                 ListKind::HiAssist,
-                0,
                 None,
                 kernel,
                 shared,
@@ -1783,73 +1772,35 @@ impl Sm {
             // Fig. 13/14 "stolen" issue slot.
             let issued_hi = issued;
 
-            // ...then parent warps in policy order.
+            // ...then parent warps greedy-then-oldest (GTO, Table 1): the
+            // greedy warp first, then the rest oldest-first.
             if !issued {
-                match self.cfg.scheduler {
-                    SchedulerPolicy::Gto => {
-                        // The greedy warp first, then oldest-first.
-                        let greedy = self.greedy[sched];
-                        let mut skip = None;
-                        if let Some(WarpRef::App(g)) = greedy {
-                            skip = Some(g);
-                            if self.warps[g].is_some() && g % self.cfg.schedulers_per_sm == sched {
-                                issued = self.consider(
-                                    now,
-                                    sched,
-                                    WarpRef::App(g),
-                                    kernel,
-                                    shared,
-                                    lsu_used,
-                                    &mut verdict,
-                                );
-                            }
-                        }
-                        if !issued {
-                            issued = self.scan_list(
-                                now,
-                                sched,
-                                ListKind::Parents,
-                                0,
-                                skip,
-                                kernel,
-                                shared,
-                                lsu_used,
-                                &mut verdict,
-                            );
-                        }
-                    }
-                    SchedulerPolicy::OldestFirst => {
-                        issued = self.scan_list(
+                let mut skip = None;
+                if let Some(WarpRef::App(g)) = self.greedy[sched] {
+                    skip = Some(g);
+                    if self.warps[g].is_some() && g % self.cfg.schedulers_per_sm == sched {
+                        issued = self.consider(
                             now,
                             sched,
-                            ListKind::Parents,
-                            0,
-                            None,
+                            WarpRef::App(g),
                             kernel,
                             shared,
                             lsu_used,
                             &mut verdict,
                         );
                     }
-                    SchedulerPolicy::RoundRobin => {
-                        let len = self.cand_parents[sched].len();
-                        let start = if len > 0 {
-                            (self.rr_cursor[sched] as usize) % len
-                        } else {
-                            0
-                        };
-                        issued = self.scan_list(
-                            now,
-                            sched,
-                            ListKind::Parents,
-                            start,
-                            None,
-                            kernel,
-                            shared,
-                            lsu_used,
-                            &mut verdict,
-                        );
-                    }
+                }
+                if !issued {
+                    issued = self.scan_list(
+                        now,
+                        sched,
+                        ListKind::Parents,
+                        skip,
+                        kernel,
+                        shared,
+                        lsu_used,
+                        &mut verdict,
+                    );
                 }
             }
 
@@ -1863,7 +1814,6 @@ impl Sm {
                     now,
                     sched,
                     ListKind::LowAssist,
-                    0,
                     None,
                     kernel,
                     shared,
@@ -1887,7 +1837,6 @@ impl Sm {
             };
             self.breakdown.record(slot);
             self.last_slots[sched] = slot;
-            self.rr_cursor[sched] = self.rr_cursor[sched].wrapping_add(1);
         }
     }
 
@@ -1959,13 +1908,7 @@ impl Sm {
         // `bcmp` call.
         let changed = pre.iter().zip(&post).fold(0, |d, (a, b)| d | (a ^ b));
         let misses = self.l1.misses() - pre_misses;
-        // RoundRobin rotates its scan start every cycle, so even a frozen
-        // machine state can fold a different stall verdict each cycle;
-        // with parent candidates present the recorded buckets are not
-        // constant and the span cannot be credited in bulk.
-        let rotating = self.cfg.scheduler == SchedulerPolicy::RoundRobin
-            && self.cand_parents.iter().any(|c| !c.is_empty());
-        if changed != 0 || misses > 1 || rotating {
+        if changed != 0 || misses > 1 {
             return self.wake_up();
         }
         self.dormant = true;
@@ -2005,11 +1948,10 @@ impl Sm {
 
     /// Accounts for every cycle before `upto` that was not executed: each
     /// scheduler re-records the bucket its slot resolved to in the last
-    /// executed cycle (`Idle` on an empty SM) and advances its round-robin
-    /// cursor, and a re-probing LSU head takes one L1 miss per cycle —
-    /// exactly what executing them would have done. Owed before the SM is
-    /// cycled, filled or launched into, and before anything reads it; a
-    /// no-op when nothing is owed.
+    /// executed cycle (`Idle` on an empty SM), and a re-probing LSU head
+    /// takes one L1 miss per cycle — exactly what executing them would have
+    /// done. Owed before the SM is cycled, filled or launched into, and
+    /// before anything reads it; a no-op when nothing is owed.
     pub fn settle(&mut self, upto: u64) {
         if upto <= self.settled {
             return;
@@ -2025,7 +1967,6 @@ impl Sm {
                 StallKind::Idle
             };
             self.breakdown.record_n(slot, span);
-            self.rr_cursor[sched] = self.rr_cursor[sched].wrapping_add(span);
         }
         if frozen && self.reprobe {
             self.l1.credit_misses(span);
@@ -2380,11 +2321,14 @@ impl Sm {
         self.store_buffer.save(w);
         self.out_reqs.save(w);
         w.u64(self.sfu_ready_at);
-        w.bool(self.cand_dirty || self.assist_dirty);
+        // Both flags are set only ahead of the same cycle's `schedule`,
+        // which clears them, so neither survives to the cycle boundary a
+        // snapshot is taken at (DESIGN.md "Which event re-derives which
+        // list").
+        debug_assert!(!self.cand_dirty && !self.assist_dirty);
         save_slot_memo(&self.memo_app, w);
         save_slot_memo(&self.memo_assist, w);
         self.greedy.save(w);
-        self.rr_cursor.save(w);
         w.u32(self.used_regs);
         w.u32(self.used_shared);
         w.u64(self.age_seq);
@@ -2545,20 +2489,15 @@ impl Sm {
         self.store_buffer = VecDeque::<u64>::load(r)?;
         self.out_reqs = VecDeque::<OutReq>::load(r)?;
         self.sfu_ready_at = r.u64()?;
-        let cand_dirty = r.bool()?;
         let memo_app = load_slot_memo(r, self.cfg.warps_per_sm)?;
         let memo_assist = load_slot_memo(r, self.cfg.max_assist_warps)?;
         let greedy = Vec::<Option<WarpRef>>::load(r)?;
-        let rr_cursor = Vec::<u64>::load(r)?;
-        if greedy.len() != self.cfg.schedulers_per_sm
-            || rr_cursor.len() != self.cfg.schedulers_per_sm
-        {
+        if greedy.len() != self.cfg.schedulers_per_sm {
             return Err(SnapError::Invariant {
                 what: "scheduler count mismatch",
             });
         }
         self.greedy = greedy;
-        self.rr_cursor = rr_cursor;
         self.used_regs = r.u32()?;
         self.used_shared = r.u32()?;
         self.age_seq = r.u64()?;
@@ -2611,10 +2550,8 @@ impl Sm {
         // computed from (a fill drops `outstanding_loads` before the
         // writeback clears the pending bit and the memo), so recomputing
         // them can flip a Fig. 1 bucket for one cycle — they restore from
-        // the wire, as does the rebuild-pending flag: one bool, "either
-        // side stale", restored into the full rebuild.
+        // the wire. The rebuild leaves both dirty flags clear.
         self.rebuild_candidates();
-        self.cand_dirty = cand_dirty;
         self.memo_app = memo_app;
         self.memo_assist = memo_assist;
         // The dormancy cache is recomputed, never restored: the next real

@@ -4,16 +4,16 @@
 //! and partition is cycled every cycle, nothing sleeps, nothing is settled
 //! and the clock never jumps. Every test here demands that the next-event
 //! engine produce the same [`RunStats`], counter for counter, on fixed and
-//! random kernels, random machine shapes and every scheduler policy. A
-//! stand-in assist controller deploys and retires assist warps on every
-//! compressed fill and every store, so assist residency, the memo wipe it
-//! triggers and the assist-side list updates are under the same comparison.
+//! random kernels and random machine shapes. A stand-in assist controller
+//! deploys and retires assist warps on every compressed fill and every
+//! store, so assist residency, the memo wipe it triggers and the
+//! assist-side list updates are under the same comparison.
 
 use crate::assist::{
     AssistController, AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo,
     SmServices, StoreAction, StoreInfo,
 };
-use crate::{Design, Gpu, GpuConfig, RunStats, SchedulerPolicy};
+use crate::{Design, Gpu, GpuConfig, RunStats};
 use caba_compress::Algorithm;
 use caba_isa::{
     AluOp, CmpOp, Kernel, LaunchDims, Pred, Program, ProgramBuilder, Reg, SfuOp, Space, Special,
@@ -142,22 +142,9 @@ fn run(cfg: GpuConfig, design: Design, kernel: &Kernel, noise: bool) -> RunStats
 fn assert_engines_agree(cfg: GpuConfig, design: &Design, kernel: &Kernel, noise: bool) -> RunStats {
     let [event, naive] = [true, false]
         .map(|time_skip| run(GpuConfig { time_skip, ..cfg }, design.fork(), kernel, noise));
-    assert_eq!(
-        event,
-        naive,
-        "{} on {} under {:?}",
-        kernel.name(),
-        design.label(),
-        cfg.scheduler
-    );
+    assert_eq!(event, naive, "{} on {}", kernel.name(), design.label());
     event
 }
-
-const POLICIES: [SchedulerPolicy; 3] = [
-    SchedulerPolicy::Gto,
-    SchedulerPolicy::OldestFirst,
-    SchedulerPolicy::RoundRobin,
-];
 
 #[test]
 fn the_test_kernels_run_the_same_on_both_engines() {
@@ -170,13 +157,8 @@ fn the_test_kernels_run_the_same_on_both_engines() {
     let mut assists = 0;
     for kernel in &kernels {
         for design in designs() {
-            for scheduler in POLICIES {
-                let cfg = GpuConfig {
-                    scheduler,
-                    ..GpuConfig::small()
-                };
-                assists += assert_engines_agree(cfg, &design, kernel, false).assist_launches;
-            }
+            assists +=
+                assert_engines_agree(GpuConfig::small(), &design, kernel, false).assist_launches;
         }
     }
     assert!(assists > 100, "the stand-in controller deployed {assists}");
@@ -299,7 +281,7 @@ fn random_kernels_run_the_same_on_both_engines() {
     prop::check(0xCABA_0023, 320, |rng| {
         let kernel = random_kernel(rng);
         let mut cfg = GpuConfig::small();
-        cfg.scheduler = pick(rng, &POLICIES);
+        cfg.schedulers_per_sm = pick(rng, &[1, 2]);
         cfg.num_sms = pick(rng, &[1, 2, 5]);
         cfg.max_assist_warps = pick(rng, &[2, 5, 48]);
         cfg.mshrs = pick(rng, &[2, 32]);

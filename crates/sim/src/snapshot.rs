@@ -3,7 +3,7 @@
 //! [`Gpu::snapshot`](crate::Gpu::snapshot) and consumed by
 //! [`Gpu::restore`](crate::Gpu::restore).
 //!
-//! # Container layout (format version 2)
+//! # Container layout (format version 3)
 //!
 //! | field        | encoding                 | purpose                      |
 //! |--------------|--------------------------|------------------------------|
@@ -41,7 +41,7 @@ use std::fmt;
 pub const MAGIC: &[u8; 8] = b"CABASNAP";
 
 /// Current container format version. Bump on any payload layout change.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot container was rejected by
 /// [`Gpu::restore`](crate::Gpu::restore).

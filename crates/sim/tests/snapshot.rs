@@ -216,18 +216,20 @@ fn header_mismatches_are_typed() {
         Err(RestoreError::KernelMismatch)
     );
 
-    // Unknown format version (re-sealed so the checksum passes, proving
-    // the version gate itself) → VersionMismatch.
-    let mut vbytes = bytes.clone();
-    let body_len = vbytes.len() - 8;
-    vbytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let sum = checksum64(&vbytes[..body_len]);
-    vbytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-    let mut g = Gpu::new(cfg, Design::Base);
-    assert_eq!(
-        g.restore(&kernel, &vbytes),
-        Err(RestoreError::VersionMismatch { found: 99 })
-    );
+    // An unknown format version and the previous one, 2 (re-sealed so the
+    // checksum passes, proving the version gate itself) → VersionMismatch.
+    for found in [99u32, 2] {
+        let mut vbytes = bytes.clone();
+        let body_len = vbytes.len() - 8;
+        vbytes[8..12].copy_from_slice(&found.to_le_bytes());
+        let sum = checksum64(&vbytes[..body_len]);
+        vbytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let mut g = Gpu::new(cfg, Design::Base);
+        assert_eq!(
+            g.restore(&kernel, &vbytes),
+            Err(RestoreError::VersionMismatch { found })
+        );
+    }
 }
 
 /// Serialize → restore → re-serialize must be byte-identical: restoring a

@@ -9,7 +9,7 @@
 
 use caba_compress::Algorithm;
 use caba_core::CabaController;
-use caba_sim::{Design, Gpu, GpuConfig, RunError, RunStats, SchedulerPolicy};
+use caba_sim::{Design, Gpu, GpuConfig, RunError, RunStats};
 use caba_stats::StallKind;
 use caba_workloads::{app, prepare_app};
 
@@ -168,14 +168,13 @@ struct Cell {
 /// The four regimes the engines diverge on most easily: Base at half
 /// bandwidth, where loads stall on full MSHR files in the SMs and the L2
 /// slices (the re-probe sleep); dedicated-logic compression; assist warps;
-/// and a round-robin scheduler, whose rotating scan keeps SMs from
-/// freezing. Audits run every 61 cycles, so the Fig. 1 conservation check
-/// reads every SM, sleeping or not, mid-run.
+/// and Base on `hs`, a compute-bound stencil, whose SMs mostly issue
+/// beside stalled neighbours rather than sleep. Audits run every 61
+/// cycles, so the Fig. 1 conservation check reads every SM, sleeping or
+/// not, mid-run.
 fn cells() -> [Cell; 4] {
     let mut cfg = GpuConfig::small();
     cfg.audit_interval = 61;
-    let mut rr = cfg;
-    rr.scheduler = SchedulerPolicy::RoundRobin;
     [
         Cell {
             app: "CONS",
@@ -195,7 +194,7 @@ fn cells() -> [Cell; 4] {
         Cell {
             app: "hs",
             design: base,
-            cfg: rr,
+            cfg,
         },
     ]
 }

@@ -6,14 +6,13 @@
 //! 3. Store-buffer capacity (§4.2.2 Î) and its overflow behaviour.
 //! 4. The metadata cache (§4.3.2) vs. paying a metadata access per DRAM
 //!    access.
-//! 5. Warp scheduler policy (Table 1 uses GTO).
 //!
 //! Run with `cargo run --release --example ablations -- [SCALE]` (default
 //! scale 0.5). The apps used are a small representative trio (streaming /
 //! gather / stencil).
 
 use caba::core::CabaController;
-use caba::sim::{Design, GpuConfig, SchedulerPolicy};
+use caba::sim::{Design, GpuConfig};
 use caba::stats::Table;
 use caba::workloads::{app, run_app};
 
@@ -125,32 +124,11 @@ fn ablate_md_cache() {
     section("metadata cache (§4.3.2: avoids doubling DRAM accesses)", t);
 }
 
-fn ablate_scheduler() {
-    let mut t = Table::with_columns(&["App", "GTO (paper)", "RoundRobin", "OldestFirst"]);
-    for name in APPS {
-        let mut row = vec![name.to_string()];
-        let base = cycles(GpuConfig::isca2015_scaled(), Design::Base, name);
-        for pol in [
-            SchedulerPolicy::Gto,
-            SchedulerPolicy::RoundRobin,
-            SchedulerPolicy::OldestFirst,
-        ] {
-            let mut cfg = GpuConfig::isca2015_scaled();
-            cfg.scheduler = pol;
-            let c = cycles(cfg, Design::Base, name);
-            row.push(format!("{:.2}x", base as f64 / c as f64));
-        }
-        t.row(row);
-    }
-    section("warp scheduler policy (Table 1: GTO [68])", t);
-}
-
 fn main() {
     eprintln!("ablation harness: scale={} ", scale());
     ablate_decompression_priority();
     ablate_awb_entries();
     ablate_store_buffer();
     ablate_md_cache();
-    ablate_scheduler();
     eprintln!("ablation harness complete");
 }
