@@ -54,7 +54,7 @@ pub mod http;
 use caba_sim::RunStats;
 use caba_stats::checksum::write_hex16;
 use caba_stats::json::{self, fmt_f64 as json_f64};
-use caba_store::{write_file_atomic, Store};
+use caba_store::Store;
 use caba_sweep::{
     decode_result_payload, parse_positive, probe_store, push_figure_table_line, run_cell_stored,
     stream_cells, CellOutcome, CellResult, CellSpec, DesignId, Figure, ResolveError, StreamedCell,
@@ -141,18 +141,10 @@ pub struct ServeOptions {
     /// Durable result store; `None` serves compute-only (every request
     /// cold).
     pub store: Option<Store>,
-    /// Where to persist `BENCH_serve.json` after each figure request.
+    /// Inert: the server ignores it. It stays only because the repo's
+    /// benchmark still names it in its options literal; ROADMAP 2(e) and
+    /// 6(a) delete it.
     pub bench_out: Option<PathBuf>,
-}
-
-/// One completed figure request, recorded for `BENCH_serve.json`.
-#[derive(Debug, Clone)]
-struct BenchSample {
-    fig: Figure,
-    scale: f64,
-    cells: usize,
-    cached_cells: usize,
-    wall_s: f64,
 }
 
 struct State {
@@ -178,8 +170,6 @@ struct State {
     handler_threads: AtomicU64,
     /// Handler threads alive now, parked or serving.
     handlers_live: AtomicU64,
-    bench_out: Option<PathBuf>,
-    bench: Mutex<Vec<BenchSample>>,
 }
 
 /// A parked handler's mailbox: the accept thread leaves its next
@@ -223,8 +213,6 @@ impl State {
             coalesced_waits: AtomicU64::new(0),
             handler_threads: AtomicU64::new(0),
             handlers_live: AtomicU64::new(0),
-            bench_out: opts.bench_out,
-            bench: Mutex::new(Vec::new()),
         }
     }
 
@@ -608,11 +596,9 @@ fn figure_endpoint(
     // From here on the 200 header is committed; a mid-stream cell failure
     // aborts the chunked stream without its terminal chunk, which clients
     // observe as truncation (http::fetch turns it into an error).
-    let t0 = Instant::now();
     let mut table = TableStream {
         writer: ChunkedWriter::begin(&mut *out, "text/tab-separated-values")?,
         line: String::with_capacity(1024),
-        cached_cells: 0,
     };
     // One store read for every row; the misses go to the single-flight on
     // `jobs` workers.
@@ -630,20 +616,7 @@ fn figure_endpoint(
             StreamedCell::Missed(served) => table.outcome(&specs[i], served),
         },
     )?;
-    let cached_cells = table.cached_cells;
-    table.writer.finish()?;
-
-    record_bench(
-        state,
-        BenchSample {
-            fig,
-            scale: sc.scale,
-            cells: specs.len(),
-            cached_cells,
-            wall_s: t0.elapsed().as_secs_f64(),
-        },
-    );
-    Ok(())
+    table.writer.finish()
 }
 
 /// A figure table on its way out: the chunked writer and the one line
@@ -651,7 +624,6 @@ fn figure_endpoint(
 struct TableStream<W: Write> {
     writer: ChunkedWriter<W>,
     line: String,
-    cached_cells: usize,
 }
 
 impl<W: Write> TableStream<W> {
@@ -679,7 +651,6 @@ impl<W: Write> TableStream<W> {
             eprintln!("caba-serve: {} failed mid-stream: {msg}", spec.label());
             io::Error::other(msg)
         })?;
-        self.cached_cells += cached as usize;
         self.line.clear();
         push_figure_table_line(&mut self.line, &r.cell, &r.stats);
         self.send(cached)
@@ -803,71 +774,6 @@ fn push_wall_and_summary(body: &mut String, wall_s: f64, stats: &RunStats) {
     body.push_str("\n}\n");
 }
 
-// ----- bench recording ------------------------------------------------------
-
-/// Adds `sample` to `BENCH_serve.json`. A server with nowhere to write
-/// the file keeps no samples: it may run for months.
-fn record_bench(state: &State, sample: BenchSample) {
-    let Some(path) = &state.bench_out else {
-        return;
-    };
-    let mut bench = state.bench.lock().expect("bench lock");
-    bench.push(sample);
-    let json = bench_json(&bench);
-    drop(bench);
-    if let Err(e) = write_file_atomic(path, json.as_bytes()) {
-        eprintln!("caba-serve: writing {}: {e}", path.display());
-    }
-}
-
-/// Renders `BENCH_serve.json`: every figure request, plus cold-vs-warm
-/// pairs per `(figure, scale)` with the warm speedup the acceptance gate
-/// reads.
-fn bench_json(samples: &[BenchSample]) -> String {
-    let mut s = String::from("{\n  \"schema\": \"caba-serve-bench-v1\",\n  \"requests\": [\n");
-    for (i, b) in samples.iter().enumerate() {
-        let sep = if i + 1 == samples.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"fig\": \"{}\", \"scale\": {}, \"cells\": {}, \"cached_cells\": {}, \
-             \"wall_s\": {}}}{sep}\n",
-            b.fig,
-            json_f64(b.scale),
-            b.cells,
-            b.cached_cells,
-            json_f64(b.wall_s)
-        ));
-    }
-    s.push_str("  ],\n  \"pairs\": [\n");
-    let mut seen: Vec<(Figure, u64)> = Vec::new();
-    let mut pairs: Vec<String> = Vec::new();
-    for b in samples {
-        let id = (b.fig, b.scale.to_bits());
-        if seen.contains(&id) {
-            continue;
-        }
-        seen.push(id);
-        let mut matching = samples.iter().filter(|x| (x.fig, x.scale.to_bits()) == id);
-        let cold = matching.next().expect("seen via samples");
-        if let Some(warm) = matching.next_back() {
-            pairs.push(format!(
-                "    {{\"fig\": \"{}\", \"scale\": {}, \"cold_wall_s\": {}, \"warm_wall_s\": {}, \
-                 \"warm_speedup\": {}}}",
-                cold.fig,
-                json_f64(cold.scale),
-                json_f64(cold.wall_s),
-                json_f64(warm.wall_s),
-                json_f64(cold.wall_s / warm.wall_s.max(1e-9))
-            ));
-        }
-    }
-    s.push_str(&pairs.join(",\n"));
-    if !pairs.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,7 +834,6 @@ mod tests {
             let mut table = TableStream {
                 writer: ChunkedWriter::begin(&mut sock, "text/plain").unwrap(),
                 line: String::new(),
-                cached_cells: 0,
             };
             for (line, cached) in [("a\n", true), ("b\n", true), ("c\n", false), ("d\n", true)] {
                 table.line = line.to_string();
@@ -1165,72 +1070,5 @@ mod tests {
         let report = Store::open(&dir).unwrap().scrub().unwrap();
         assert!(report.is_clean(), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_samples_are_kept_only_when_there_is_a_file_to_write() {
-        let sample = BenchSample {
-            fig: Figure::Fig07,
-            scale: 0.25,
-            cells: 100,
-            cached_cells: 100,
-            wall_s: 0.5,
-        };
-        let state = |bench_out| {
-            let opts = ServeOptions {
-                sc: SweepConfig::default(),
-                jobs: 1,
-                store: None,
-                bench_out,
-            };
-            State::new(opts, "127.0.0.1:1".parse().unwrap())
-        };
-        let quiet = state(None);
-        for _ in 0..3 {
-            record_bench(&quiet, sample.clone());
-        }
-        assert!(quiet.bench.lock().unwrap().is_empty());
-
-        let path = caba_store::fsio::scratch_dir("serve-bench").join("BENCH_serve.json");
-        let recording = state(Some(path.clone()));
-        for _ in 0..3 {
-            record_bench(&recording, sample.clone());
-        }
-        assert_eq!(recording.bench.lock().unwrap().len(), 3);
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(json.matches("\"cached_cells\": 100").count(), 3, "{json}");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn bench_json_pairs_cold_with_latest_warm() {
-        let samples = vec![
-            BenchSample {
-                fig: Figure::Fig07,
-                scale: 0.25,
-                cells: 100,
-                cached_cells: 0,
-                wall_s: 20.0,
-            },
-            BenchSample {
-                fig: Figure::Fig10,
-                scale: 0.25,
-                cells: 100,
-                cached_cells: 0,
-                wall_s: 9.0,
-            },
-            BenchSample {
-                fig: Figure::Fig07,
-                scale: 0.25,
-                cells: 100,
-                cached_cells: 100,
-                wall_s: 0.5,
-            },
-        ];
-        let j = bench_json(&samples);
-        caba_stats::json::validate(&j).expect("bench JSON parses");
-        assert!(j.contains("\"warm_speedup\": 40"), "{j}");
-        // fig10 has one sample: no pair emitted for it.
-        assert_eq!(j.matches("\"cold_wall_s\"").count(), 1, "{j}");
     }
 }

@@ -11,14 +11,12 @@ struct Args {
     store_dir: Option<PathBuf>,
     jobs: usize,
     scale: f64,
-    bench_out: Option<PathBuf>,
     faults: FaultFlags,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: caba-serve [--addr HOST:PORT] [--store-dir DIR] [--jobs N] [--scale F]\n\
-         \x20                 [--bench-out PATH]\n\
          \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
          \n\
          Serve sweep/figure/cell simulations over HTTP. Cells are keyed by content\n\
@@ -33,7 +31,6 @@ fn usage() -> ! {
          --jobs N           cells simulated at once per figure request\n\
          --scale F          default workload scale when a request omits ?scale=\n\
          \x20                  (finite and > 0; default 0.25)\n\
-         --bench-out PATH   rewrite BENCH_serve.json after each figure request\n\
          --store-fault-seed N / --store-fault-rate F\n\
          \x20                  wrap the store in the deterministic fault injector\n\
          \x20                  (testing). Either flag turns it on (defaults: seed 0,\n\
@@ -58,7 +55,6 @@ fn parse_args() -> Args {
         store_dir: None,
         jobs: host_cores(),
         scale: 0.25,
-        bench_out: None,
         faults: FaultFlags::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -74,7 +70,6 @@ fn parse_args() -> Args {
                     usage()
                 });
             }
-            "--bench-out" => args.bench_out = Some(parse_flag(&a, it.next())),
             "--store-fault-seed" | "--store-fault-rate" => {
                 if let Err(msg) = args.faults.take(&a, it.next().as_deref()) {
                     eprintln!("caba-serve: {msg}\n");
@@ -120,7 +115,7 @@ fn main() {
             sc,
             jobs: args.jobs,
             store,
-            bench_out: args.bench_out,
+            bench_out: None,
         },
     )
     .unwrap_or_else(|e| {

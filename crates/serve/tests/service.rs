@@ -874,8 +874,9 @@ fn serve_binary_prints_usage_and_rejects_bad_flags() {
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(usage.contains("--store-dir"), "{usage}");
 
-    // `--addr :0` so that a flag this test expects to be refused, but which
-    // a regression accepts, binds no fixed port.
+    // An address no local interface has (TEST-NET-1), so that a flag this
+    // test expects to be refused, but which a regression accepts, fails to
+    // bind and exits 1 instead of serving.
     for bad in [
         ["--jobs", "0"],
         ["--scale", "nan"],
@@ -883,9 +884,10 @@ fn serve_binary_prints_usage_and_rejects_bad_flags() {
         ["--scale", "-1"],
         ["--scale", "inf"],
         ["--intra-jobs", "2"],
+        ["--bench-out", "x.json"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_caba-serve"))
-            .args(["--addr", "127.0.0.1:0"])
+            .args(["--addr", "192.0.2.1:0"])
             .args(bad)
             .output()
             .expect("caba-serve binary runs");

@@ -563,7 +563,7 @@ mod tests {
                 events: true
             })
         );
-        assert!(c.observability.metrics.per_event());
+        assert!(c.observability.metrics.enabled());
         assert_eq!(c.validate(), Ok(()));
 
         let bad = GpuConfig::small().with_trace(TraceConfig::sampled(0));

@@ -238,22 +238,17 @@ impl Gpu {
 
     /// Assembles the metric snapshot for this run, or `None` when
     /// [`MetricsLevel::Off`](caba_stats::MetricsLevel) (the default — no
-    /// registry exists and nothing was recorded). At `Counters` the snapshot
-    /// holds only export-time entries derived from `stats`; at `Full` it
-    /// additionally carries the per-event shard values (assist spawn/retire
-    /// counts, occupancy high-water marks) merged across SMs in index order.
+    /// registry exists and nothing was recorded). At `Full` the snapshot
+    /// carries the per-event shard values (assist spawn/retire counts,
+    /// occupancy high-water marks) merged across SMs in index order, then
+    /// export-time entries derived from `stats`.
     pub fn metrics_snapshot(&self, stats: &RunStats) -> Option<MetricsSnapshot> {
-        let level = self.cfg.observability.metrics;
-        if !level.enabled() {
+        if !self.cfg.observability.metrics.enabled() {
             return None;
         }
-        let mut snap = if level.per_event() {
-            let (reg, _) = sim_metrics_schema();
-            let merged = reg.merge_shards(self.sms.iter().filter_map(|s| s.metric_shard()));
-            reg.snapshot(&merged)
-        } else {
-            MetricsSnapshot::default()
-        };
+        let (reg, _) = sim_metrics_schema();
+        let merged = reg.merge_shards(self.sms.iter().filter_map(|s| s.metric_shard()));
+        let mut snap = reg.snapshot(&merged);
         snap.push("run.cycles", stats.cycles);
         for k in StallKind::ALL {
             snap.push(k.slug(), stats.breakdown.count(k));

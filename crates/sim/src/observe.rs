@@ -11,7 +11,7 @@
 //!
 //! let cfg = GpuConfig::small()
 //!     .with_trace(TraceConfig::full(64))
-//!     .with_metrics(MetricsLevel::Counters);
+//!     .with_metrics(MetricsLevel::Full);
 //! assert_eq!(cfg.observability.trace.unwrap().interval, 64);
 //! ```
 

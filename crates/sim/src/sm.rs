@@ -453,7 +453,7 @@ impl Sm {
             injector: FaultInjector::for_stream(cfg.fault, stream::SM_BASE + id as u64),
             events: Vec::new(),
             events_on: cfg.observability.trace.is_some_and(|t| t.events),
-            metrics: cfg.observability.metrics.per_event().then(|| {
+            metrics: cfg.observability.metrics.enabled().then(|| {
                 let (reg, ids) = sim_metrics_schema();
                 (ids, reg.shard())
             }),

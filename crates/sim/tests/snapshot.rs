@@ -187,7 +187,7 @@ fn header_mismatches_are_typed() {
     tolerant_cfg.intra_jobs = 4;
     tolerant_cfg.observability = caba_sim::ObservabilityConfig {
         trace: Some(caba_sim::TraceConfig::full(1)),
-        metrics: caba_sim::MetricsLevel::Counters,
+        metrics: caba_sim::MetricsLevel::Full,
     };
     let mut g = Gpu::new(tolerant_cfg, Design::Base);
     g.restore(&kernel, &bytes)

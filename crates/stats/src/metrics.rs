@@ -40,22 +40,15 @@ pub enum MetricsLevel {
     /// No registry, no shards, no snapshot — the zero-cost default.
     #[default]
     Off,
-    /// Export-time metrics only: the snapshot is assembled from counters
-    /// the simulator maintains anyway; nothing extra runs per cycle.
-    Counters,
-    /// Counters plus per-event shard recording (assist spawn/retire,
-    /// occupancy peaks) inside the cycle loop.
+    /// Per-event shard recording (assist spawn/retire, occupancy peaks)
+    /// inside the cycle loop, plus export-time entries assembled from
+    /// counters the simulator maintains anyway.
     Full,
 }
 
 impl MetricsLevel {
-    /// True unless the level is [`MetricsLevel::Off`].
+    /// True for [`MetricsLevel::Full`].
     pub fn enabled(self) -> bool {
-        !matches!(self, MetricsLevel::Off)
-    }
-
-    /// True only for [`MetricsLevel::Full`] (per-event recording).
-    pub fn per_event(self) -> bool {
         matches!(self, MetricsLevel::Full)
     }
 }
@@ -374,9 +367,7 @@ mod tests {
     #[test]
     fn levels_gate_correctly() {
         assert!(!MetricsLevel::Off.enabled());
-        assert!(MetricsLevel::Counters.enabled());
-        assert!(!MetricsLevel::Counters.per_event());
-        assert!(MetricsLevel::Full.per_event());
+        assert!(MetricsLevel::Full.enabled());
         assert_eq!(MetricsLevel::default(), MetricsLevel::Off);
     }
 }
