@@ -15,29 +15,15 @@
 //! # Examples
 //!
 //! ```
-//! use caba_energy::{energy, DesignKind};
-//! use caba_sim::RunStats;
+//! use caba_energy::energy;
+//! use caba_sim::{Design, RunStats};
 //!
 //! let stats = RunStats { cycles: 1000, app_instructions: 2000, ..Default::default() };
-//! let e = energy(&stats, DesignKind::Base);
+//! let e = energy(&stats, Design::Base);
 //! assert!(e.total_nj() > 0.0);
 //! ```
 
-use caba_sim::RunStats;
-
-/// How compression work is implemented, for overhead accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DesignKind {
-    /// No compression machinery at all.
-    Base,
-    /// Dedicated compression/decompression logic (HW-BDI, HW-BDI-Mem).
-    DedicatedLogic,
-    /// Assist warps on the cores (CABA-*). Instruction energy is already
-    /// charged via `assist_instructions`.
-    Caba,
-    /// Ideal: compression with zero energy overhead.
-    Ideal,
-}
+use caba_sim::{Design, RunStats};
 
 /// Per-event energy constants in nanojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,12 +126,15 @@ impl EnergyBreakdown {
 }
 
 /// Computes the energy of one run with default parameters.
-pub fn energy(stats: &RunStats, kind: DesignKind) -> EnergyBreakdown {
-    energy_with(stats, kind, &EnergyParams::default())
+pub fn energy(stats: &RunStats, design: Design) -> EnergyBreakdown {
+    energy_with(stats, design, &EnergyParams::default())
 }
 
-/// Computes the energy of one run with explicit parameters.
-pub fn energy_with(stats: &RunStats, kind: DesignKind, p: &EnergyParams) -> EnergyBreakdown {
+/// Computes the energy of one run with explicit parameters. The design
+/// decides the compression overhead: none for Base and the Ideal designs,
+/// codec lines for dedicated logic, and for CABA only the MD cache (its
+/// assist instructions are already in the instruction count).
+pub fn energy_with(stats: &RunStats, design: Design, p: &EnergyParams) -> EnergyBreakdown {
     let instructions = (stats.app_instructions + stats.assist_instructions) as f64;
     let core_dynamic = instructions * p.per_instruction;
     let caches = (stats.l1_hits + stats.l1_misses) as f64 * p.per_l1_access
@@ -156,15 +145,13 @@ pub fn energy_with(stats: &RunStats, kind: DesignKind, p: &EnergyParams) -> Ener
         stats.dram_bursts as f64 * p.per_dram_burst + stats.dram_activates as f64 * p.per_activate;
     let dram_static = stats.cycles as f64 * p.num_channels * p.dram_static_per_channel_cycle;
     let core_static = stats.cycles as f64 * p.num_sms * p.core_static_per_sm_cycle;
-    let compression_overhead = match kind {
-        DesignKind::Base | DesignKind::Ideal => 0.0,
-        DesignKind::DedicatedLogic => {
+    let compression_overhead = match design {
+        Design::Base | Design::HwFull { ideal: true, .. } => 0.0,
+        Design::HwMemOnly { .. } | Design::HwFull { ideal: false, .. } => {
             stats.md_lookups as f64 * p.per_md_lookup
                 + (stats.lines_compressed + stats.lines_decompressed) as f64 * p.per_hw_codec_line
         }
-        // CABA's codec energy is the assist instructions (already charged in
-        // core_dynamic); only the MD cache remains.
-        DesignKind::Caba => stats.md_lookups as f64 * p.per_md_lookup,
+        Design::Caba(_) => stats.md_lookups as f64 * p.per_md_lookup,
     };
     EnergyBreakdown {
         core_dynamic,
@@ -180,6 +167,17 @@ pub fn energy_with(stats: &RunStats, kind: DesignKind, p: &EnergyParams) -> Ener
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caba_sim::{Algorithm, CabaMode, CabaPolicy};
+
+    const HW: Design = Design::HwFull {
+        alg: Algorithm::Bdi,
+        ideal: false,
+    };
+    const IDEAL: Design = Design::HwFull {
+        alg: Algorithm::Bdi,
+        ideal: true,
+    };
+    const CABA: Design = Design::Caba(CabaPolicy::new(CabaMode::Bdi));
 
     fn base_stats() -> RunStats {
         RunStats {
@@ -199,7 +197,7 @@ mod tests {
 
     #[test]
     fn totals_are_positive_and_additive() {
-        let e = energy(&base_stats(), DesignKind::Base);
+        let e = energy(&base_stats(), Design::Base);
         let sum = e.core_dynamic
             + e.caches
             + e.icnt
@@ -215,12 +213,12 @@ mod tests {
 
     #[test]
     fn fewer_bursts_and_cycles_save_energy() {
-        let base = energy(&base_stats(), DesignKind::Base);
+        let base = energy(&base_stats(), Design::Base);
         let mut improved = base_stats();
         improved.dram_bursts /= 2;
         improved.cycles = 7_000;
         improved.icnt_flits /= 2;
-        let better = energy(&improved, DesignKind::Base);
+        let better = energy(&improved, Design::Base);
         assert!(better.total_nj() < base.total_nj());
         assert!(better.dram_nj() < base.dram_nj());
     }
@@ -232,12 +230,12 @@ mod tests {
         s.lines_compressed = 1_000;
         s.lines_decompressed = 2_000;
         s.md_lookups = 5_000;
-        let caba = energy(&s, DesignKind::Caba);
-        let hw = energy(&s, DesignKind::DedicatedLogic);
+        let caba = energy(&s, CABA);
+        let hw = energy(&s, HW);
         // Same stats: CABA pays instruction energy; HW pays codec energy.
         assert!(caba.core_dynamic == hw.core_dynamic);
         assert!(hw.compression_overhead > caba.compression_overhead);
-        let ideal = energy(&s, DesignKind::Ideal);
+        let ideal = energy(&s, IDEAL);
         assert_eq!(ideal.compression_overhead, 0.0);
     }
 
@@ -245,8 +243,8 @@ mod tests {
     fn static_energy_scales_with_time() {
         let mut slow = base_stats();
         slow.cycles *= 2;
-        let e_fast = energy(&base_stats(), DesignKind::Base);
-        let e_slow = energy(&slow, DesignKind::Base);
+        let e_fast = energy(&base_stats(), Design::Base);
+        let e_slow = energy(&slow, Design::Base);
         assert!((e_slow.core_static - 2.0 * e_fast.core_static).abs() < 1e-9);
         assert!((e_slow.dram_static - 2.0 * e_fast.dram_static).abs() < 1e-9);
     }
@@ -258,7 +256,7 @@ mod tests {
             core_static_per_sm_cycle: 0.0,
             ..Default::default()
         };
-        let e = energy_with(&base_stats(), DesignKind::Base, &p);
+        let e = energy_with(&base_stats(), Design::Base, &p);
         assert_eq!(e.core_dynamic, 0.0);
         assert_eq!(e.core_static, 0.0);
         assert!(e.dram_dynamic > 0.0);

@@ -1,15 +1,16 @@
-//! The assist-warp mechanism (§3.3): launch descriptors, the controller
-//! policy interface implemented by `caba-core`, and the per-line stored-form
+//! The assist-warp mechanism (§3.3): launch descriptors, the events the SM
+//! and its Assist Warp Controller exchange, and the per-line stored-form
 //! tracking that ties assist-warp compression results to the memory system.
 //!
 //! The split of responsibilities mirrors the paper's hardware/software
 //! co-design: the *mechanism* (deploying assist warps, tracking them in the
 //! Assist Warp Table, staging instructions through the Assist Warp Buffer,
-//! priority scheduling, killing) lives in the simulator ([`crate::Sm`]);
-//! the *policy* (which subroutine to run for which trigger, live-in values,
-//! what to do on completion) lives behind [`AssistController`].
+//! priority scheduling, killing) lives in the SM ([`crate::Sm`]); which
+//! subroutine runs for which trigger, with which live-in values, and what
+//! its completion means is the controller's
+//! ([`crate::caba::CabaController`]).
 
-use caba_compress::{Algorithm, CompressedLine};
+use caba_compress::CompressedLine;
 use caba_isa::{Program, Reg};
 use caba_mem::{line_base, CompressionMap, FuncMem, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
@@ -89,7 +90,7 @@ pub enum StoreAction {
     /// Send uncompressed immediately.
     PassThrough,
     /// Buffer the line and run a (low-priority) compression assist warp;
-    /// the line is released when [`AssistController::on_assist_complete`]
+    /// the line is released when [`crate::caba::CabaController::on_assist_complete`]
     /// returns [`AssistOutcome::StoreRelease`].
     Assist(AssistLaunch),
 }
@@ -130,60 +131,6 @@ pub struct SmServices<'a, 'm> {
     pub staging_base: u64,
     /// The SM id.
     pub sm_id: usize,
-}
-
-/// The assist-warp policy interface, implemented by `caba-core`.
-pub trait AssistController {
-    /// The (single) compression algorithm this controller implements, or
-    /// `None` for multi-algorithm controllers (CABA-BestOfAll).
-    fn algorithm(&self) -> Option<Algorithm>;
-
-    /// Selector used to build the reference [`CompressionMap`].
-    fn selector(&self) -> caba_mem::func::LineCompressor;
-
-    /// A fill response reached the L1 boundary.
-    fn on_fill(&mut self, info: &FillInfo, svc: &mut SmServices<'_, '_>) -> FillAction;
-
-    /// A dirty line is ready to leave the core.
-    fn on_store(&mut self, info: &StoreInfo, svc: &mut SmServices<'_, '_>) -> StoreAction;
-
-    /// An assist warp with `tag` ran to completion.
-    fn on_assist_complete(&mut self, tag: u64, svc: &mut SmServices<'_, '_>) -> AssistOutcome;
-
-    /// A fresh controller with the same policy but no per-run state: every
-    /// SM gets its own instance, since tags and slot addresses are per-SM
-    /// namespaces.
-    fn fork(&self) -> Box<dyn AssistController + Send>;
-
-    /// Registers each enabled helper routine adds to the per-block
-    /// requirement (§3.2.2). Charged per thread at CTA launch.
-    fn extra_regs_per_thread(&self) -> u32 {
-        8
-    }
-
-    /// Serializes controller-internal per-run state (in-flight operations,
-    /// slot free lists, tag counters). Stateless controllers keep the no-op
-    /// default; stateful ones (the CABA controller in `caba-core`) override
-    /// both this and [`AssistController::snap_load`] as an exact pair.
-    fn snap_save(&self, _w: &mut SnapshotWriter) {}
-
-    /// Restores state written by [`AssistController::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed bytes; the default (stateless) impl never fails.
-    fn snap_load(&mut self, _r: &mut SnapshotReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
-
-    /// Every subroutine program this controller can launch. Snapshots store
-    /// in-flight assist programs by content hash
-    /// ([`Program::content_hash`]); restore resolves the hashes against this
-    /// enumeration, so a controller that launches assist warps must list its
-    /// full (finite) subroutine set here.
-    fn subroutine_programs(&self) -> Vec<Arc<Program>> {
-        Vec::new()
-    }
 }
 
 /// How a line is currently stored in L2/DRAM.
@@ -464,6 +411,7 @@ impl SharedLineStore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caba_compress::Algorithm;
     use caba_mem::LineCompressor;
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulated-system configuration (Table 1) and the evaluated design points.
 
-use crate::assist::AssistController;
+use crate::caba::CabaPolicy;
 use crate::fault::FaultConfig;
 use crate::observe::{ObservabilityConfig, TraceConfig};
 use caba_compress::Algorithm;
@@ -376,7 +376,9 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Where (and whether) data compression happens — the five design points of
-/// §6 plus the CABA variants.
+/// §6 plus the CABA variants. Plain data: the machine state a design needs
+/// (the per-SM CABA controllers) is built by [`crate::Gpu::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// No compression anywhere.
     Base,
@@ -395,23 +397,12 @@ pub enum Design {
         /// (`Ideal-BDI`).
         ideal: bool,
     },
-    /// CABA: compression and decompression run as assist warps; the policy
-    /// object (from `caba-core`) decides subroutines, priorities, and
-    /// throttling.
-    Caba(Box<dyn AssistController + Send>),
+    /// CABA: compression and decompression run as assist warps, which one
+    /// [`crate::caba::CabaController`] per SM triggers under this policy.
+    Caba(CabaPolicy),
 }
 
 impl Design {
-    /// The compression algorithm in use, if any.
-    pub fn algorithm(&self) -> Option<Algorithm> {
-        match self {
-            Design::Base => None,
-            Design::HwMemOnly { alg } => Some(*alg),
-            Design::HwFull { alg, .. } => Some(*alg),
-            Design::Caba(c) => c.algorithm(),
-        }
-    }
-
     /// True when lines travel compressed across the interconnect (affects
     /// flit counts; `HW-BDI-Mem` decompresses at the MC so its interconnect
     /// traffic is uncompressed).
@@ -429,39 +420,26 @@ impl Design {
         matches!(self, Design::Caba(_))
     }
 
-    /// A per-SM copy of this design point. Non-CABA designs are stateless
-    /// value types; CABA forks a fresh controller with the same policy
-    /// (tags and staging slots are per-SM namespaces, so forked controllers
-    /// behave identically to one shared instance).
-    pub fn fork(&self) -> Design {
-        match self {
-            Design::Base => Design::Base,
-            Design::HwMemOnly { alg } => Design::HwMemOnly { alg: *alg },
-            Design::HwFull { alg, ideal } => Design::HwFull {
-                alg: *alg,
-                ideal: *ideal,
+    /// Short name for reports, snapshot headers and hang-trace files.
+    pub fn label(&self) -> &'static str {
+        use Algorithm::{Bdi, CPack, Fpc};
+        match *self {
+            Design::Base => "Base",
+            Design::HwMemOnly { alg } => match alg {
+                Bdi => "HW-BDI-Mem",
+                Fpc => "HW-FPC-Mem",
+                CPack => "HW-CPack-Mem",
             },
-            Design::Caba(c) => Design::Caba(c.fork()),
+            Design::HwFull { alg, ideal } => match (alg, ideal) {
+                (Bdi, false) => "HW-BDI",
+                (Fpc, false) => "HW-FPC",
+                (CPack, false) => "HW-CPack",
+                (Bdi, true) => "Ideal-BDI",
+                (Fpc, true) => "Ideal-FPC",
+                (CPack, true) => "Ideal-CPack",
+            },
+            Design::Caba(p) => p.mode.label(),
         }
-    }
-
-    /// Short name for reports.
-    pub fn label(&self) -> String {
-        match self {
-            Design::Base => "Base".to_string(),
-            Design::HwMemOnly { alg } => format!("HW-{}-Mem", alg.name()),
-            Design::HwFull { alg, ideal: false } => format!("HW-{}", alg.name()),
-            Design::HwFull { alg, ideal: true } => format!("Ideal-{}", alg.name()),
-            Design::Caba(c) => {
-                format!("CABA-{}", c.algorithm().map(|a| a.name()).unwrap_or("None"))
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Design {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Design({})", self.label())
     }
 }
 
@@ -607,7 +585,16 @@ mod tests {
         assert_eq!(mem.label(), "HW-FPC-Mem");
         assert!(!mem.icnt_compressed());
         assert!(mem.mem_compressed());
-        assert_eq!(mem.algorithm(), Some(Algorithm::Fpc));
         assert!(format!("{:?}", Design::Base).contains("Base"));
+        let caba = Design::Caba(CabaPolicy::new(crate::CabaMode::CPack));
+        assert_eq!(caba.label(), "CABA-CPack");
+        assert!(caba.is_caba() && caba.icnt_compressed());
+    }
+
+    /// A `Design` is plain data; this stops compiling if it stops being.
+    #[test]
+    fn designs_are_plain_data() {
+        fn plain<T: Copy + Eq + std::hash::Hash + Send + Sync>() {}
+        plain::<Design>();
     }
 }

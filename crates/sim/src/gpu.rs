@@ -3,6 +3,7 @@
 //! watchdog, structural invariant audits, hang forensics).
 
 use crate::assist::{LineStore, LineStoreDelta, SharedLineStore};
+use crate::caba::CabaController;
 use crate::config::{ConfigError, Design, GpuConfig};
 use crate::fault::{stream, FaultInjector, FaultMode};
 use crate::integrity::{Component, HangReport, Violation};
@@ -13,7 +14,7 @@ use crate::snapshot::{self, RestoreError};
 use crate::stats::RunStats;
 use crate::trace::{ActivityTrace, Sample, TraceEvent, TraceEventKind, Tracer};
 use caba_isa::{Kernel, Program};
-use caba_mem::{CompressionMap, Crossbar, FuncMem, MemDelta, SharedMem, LINE_SIZE};
+use caba_mem::{CompressionMap, Crossbar, FuncMem, LineCompressor, MemDelta, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{FxHashMap, MetricsSnapshot, StallKind};
 use std::fmt;
@@ -120,9 +121,9 @@ pub struct Gpu {
     cmap: Option<CompressionMap>,
     line_store: LineStore,
     sms: Vec<Sm>,
-    /// Per-SM design forks: CABA controllers are per-SM state machines
+    /// One Assist Warp Controller per SM on a CABA design, none otherwise
     /// (assist tags and staging slots are per-SM namespaces).
-    sm_designs: Vec<Design>,
+    controllers: Vec<CabaController>,
     /// The SM phase's writes to `mem` and `line_store`, held back until the
     /// end-of-cycle commit. Empty at every cycle boundary.
     mem_delta: MemDelta,
@@ -176,15 +177,21 @@ impl Gpu {
     /// [`GpuConfig::validate`].
     pub fn try_new(cfg: GpuConfig, design: Design) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let cmap = Self::build_cmap(&design);
+        let cmap = Self::build_cmap(design);
         let with_md = design.mem_compressed();
+        let controllers = match design {
+            Design::Caba(policy) => (0..cfg.num_sms)
+                .map(|_| CabaController::new(policy))
+                .collect(),
+            _ => Vec::new(),
+        };
         Ok(Gpu {
             cfg,
             mem: FuncMem::new(),
             cmap,
             line_store: LineStore::new(),
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg)).collect(),
-            sm_designs: (0..cfg.num_sms).map(|_| design.fork()).collect(),
+            controllers,
             mem_delta: MemDelta::new(),
             ls_delta: LineStoreDelta::new(),
             parts: (0..cfg.num_channels)
@@ -210,13 +217,13 @@ impl Gpu {
     /// The reference compression map for one design point — a pure
     /// memoization of per-line compressed forms, rebuilt from scratch by
     /// [`Gpu::restore`] rather than serialized.
-    fn build_cmap(design: &Design) -> Option<CompressionMap> {
-        design.mem_compressed().then(|| match design {
-            Design::Caba(c) => CompressionMap::new(c.selector()),
-            d => CompressionMap::new(caba_mem::func::LineCompressor::Fixed(
-                d.algorithm().expect("compressed design has an algorithm"),
-            )),
-        })
+    fn build_cmap(design: Design) -> Option<CompressionMap> {
+        let selector = match design {
+            Design::Base => return None,
+            Design::HwMemOnly { alg } | Design::HwFull { alg, .. } => LineCompressor::Fixed(alg),
+            Design::Caba(policy) => policy.mode.selector(),
+        };
+        Some(CompressionMap::new(selector))
     }
 
     /// Takes the recorded trace, if tracing was enabled
@@ -326,8 +333,8 @@ impl Gpu {
     }
 
     /// The design point.
-    pub fn design(&self) -> &Design {
-        &self.design
+    pub fn design(&self) -> Design {
+        self.design
     }
 
     /// A value that changes whenever any part of the machine makes forward
@@ -495,7 +502,7 @@ impl Gpu {
         let (hang, window) = (self.now, self.cfg.watchdog_window);
         let mut cfg = self.cfg;
         cfg.observability = ObservabilityConfig::default();
-        let mut replay = Gpu::try_new(cfg, self.design.fork()).ok()?;
+        let mut replay = Gpu::try_new(cfg, self.design).ok()?;
         load(&mut replay);
         // The timeout leaves the machine intact at the window's start.
         let Err(RunError::Timeout { .. }) = replay.run(kernel, hang.checked_sub(window)?) else {
@@ -558,8 +565,8 @@ impl Gpu {
     /// when nothing is due; without, it is the naive reference and cycles
     /// every component every cycle (DESIGN.md "Next-event clock").
     fn run_loop(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
-        let extra_regs = match &self.design {
-            Design::Caba(c) => c.extra_regs_per_thread(),
+        let extra_regs = match self.design {
+            Design::Caba(policy) => policy.mode.extra_regs_per_thread(),
             _ => 0,
         };
         let grid = kernel.dims().grid_dim;
@@ -638,7 +645,7 @@ impl Gpu {
             //    a simulation artifact no real crossbar exhibits.) An SM
             //    that is not due sleeps; it is settled when next touched.
             cycled.clear();
-            for (i, (sm, design)) in self.sms.iter_mut().zip(&mut self.sm_designs).enumerate() {
+            for (i, sm) in self.sms.iter_mut().enumerate() {
                 if time_skip && !sm.due(now) {
                     continue;
                 }
@@ -653,7 +660,8 @@ impl Gpu {
                         base: &self.line_store,
                         delta: &mut self.ls_delta,
                     },
-                    design,
+                    design: self.design,
+                    caba: self.controllers.get_mut(i),
                 };
                 sm.cycle(now, kernel, &mut shared);
                 self.mem_delta.end_turn();
@@ -712,8 +720,8 @@ impl Gpu {
             self.merge_responses();
 
             // 7. Response crossbar → SM fills — direct views, each SM's own
-            //    design fork (fills may launch assist warps whose slots/tags
-            //    live in that SM's controller).
+            //    controller (fills may launch assist warps whose slots/tags
+            //    live in it).
             self.xbar_rsp.cycle();
             if self.xbar_rsp.delivered_pending() > 0 {
                 for i in 0..self.sms.len() {
@@ -723,7 +731,8 @@ impl Gpu {
                             mem: SharedMem::Direct(&mut self.mem),
                             cmap: self.cmap.as_mut(),
                             line_store: SharedLineStore::Direct(&mut self.line_store),
-                            design: &mut self.sm_designs[i],
+                            design: self.design,
+                            caba: self.controllers.get_mut(i),
                         };
                         self.sms[i].handle_fill(now, resp.addr, &mut shared);
                     }
@@ -1043,7 +1052,7 @@ impl Gpu {
         w.raw(snapshot::MAGIC);
         w.u32(snapshot::FORMAT_VERSION);
         w.u64(snapshot::config_hash(&self.cfg));
-        w.str(&self.design.label());
+        w.str(self.design.label());
         w.u64(kernel.program().content_hash());
         self.payload_save(&mut w);
         snapshot::seal(w)
@@ -1103,10 +1112,8 @@ impl Gpu {
         for sm in &self.sms {
             sm.snap_save(w);
         }
-        for d in &self.sm_designs {
-            if let Design::Caba(c) = d {
-                c.snap_save(w);
-            }
+        for c in &self.controllers {
+            c.snap_save(w);
         }
         w.usize(self.parts.len());
         for p in &self.parts {
@@ -1162,10 +1169,8 @@ impl Gpu {
         for sm in &mut self.sms {
             sm.snap_load(r, &programs, self.now)?;
         }
-        for d in &mut self.sm_designs {
-            if let Design::Caba(c) = d {
-                c.snap_load(r)?;
-            }
+        for c in &mut self.controllers {
+            c.snap_load(r)?;
         }
         if r.seq_len("partitions", 1)? != self.parts.len() {
             return Err(SnapError::Invariant {
@@ -1205,7 +1210,7 @@ impl Gpu {
         self.skip_events = r.u64()?;
 
         // Non-serialized runtime state: rebuild, drain, or re-baseline.
-        self.cmap = Self::build_cmap(&self.design);
+        self.cmap = Self::build_cmap(self.design);
         self.tracer = None;
         if let Some(trace) = self.cfg.observability.trace {
             self.start_trace(trace);
@@ -1247,8 +1252,8 @@ impl Gpu {
     /// program references against on load.
     fn program_table(&self) -> FxHashMap<u64, Arc<Program>> {
         let mut table = FxHashMap::default();
-        if let Design::Caba(c) = &self.design {
-            for p in c.subroutine_programs() {
+        if self.design.is_caba() {
+            for p in CabaController::subroutine_programs() {
                 table.insert(p.content_hash(), p);
             }
         }

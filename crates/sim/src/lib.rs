@@ -10,12 +10,14 @@
 //!   reconvergence stacks, scoreboards, two greedy-then-oldest schedulers,
 //!   SP/SFU pipelines, a load-store unit with coalescing, an L1 with MSHRs,
 //!   a store buffer, and the assist-warp runtime (AWT/AWB mechanics of §3.3,
-//!   driven by a policy object from `caba-core`).
+//!   driven by the SM's [`CabaController`]).
 //! * [`Gpu`] — SMs + two crossbars + memory partitions (L2 slice + MD cache
 //!   plus GDDR5 channel each) + the CTA dispatcher; runs a [`Kernel`] to
 //!   completion and reports [`RunStats`].
 //! * [`Design`] — the evaluated design points of §6: `Base`, `HW-BDI-Mem`,
-//!   `HW-BDI`, `CABA-*` (via an [`AssistController`]), `Ideal-*`.
+//!   `HW-BDI`, `CABA-*` (a [`CabaPolicy`]), `Ideal-*`; plain `Copy` data.
+//! * [`caba`] — the CABA framework itself: the Assist Warp Controller and
+//!   the Assist Warp Store of subroutines.
 //! * [`integrity`]/[`fault`] — the simulation integrity layer: a
 //!   forward-progress watchdog and structural invariant audits turn wedges
 //!   and lost requests into typed [`RunError`]s with a [`HangReport`], and
@@ -53,6 +55,7 @@
 //! ```
 
 pub mod assist;
+pub mod caba;
 pub mod config;
 pub mod exec;
 pub mod fault;
@@ -69,9 +72,10 @@ pub mod trace;
 pub mod warp;
 
 pub use assist::{
-    AssistController, AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo,
-    SmServices, StoreAction, StoreInfo,
+    AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SmServices, StoreAction,
+    StoreInfo,
 };
+pub use caba::{CabaController, CabaMode, CabaPolicy};
 pub use config::{ConfigError, Design, GpuConfig};
 pub use fault::{FaultConfig, FaultInjector, FaultMode};
 pub use gpu::{Gpu, RunError};
@@ -86,5 +90,6 @@ pub use stats::{RunStats, StatsSummary};
 pub use trace::{ActivityTrace, Sample, TraceEvent, TraceEventKind};
 pub use warp::{SimtEntry, Warp};
 
+pub use caba_compress::Algorithm;
 pub use caba_isa::Kernel;
 pub use caba_stats::{MetricsLevel, MetricsSnapshot, StallKind};

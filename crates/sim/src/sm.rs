@@ -6,6 +6,7 @@ use crate::assist::{
     AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SharedLineStore, SmServices,
     StoreAction, StoreInfo,
 };
+use crate::caba::CabaController;
 use crate::config::{Design, GpuConfig};
 use crate::exec::{execute_into, ExecOutcome, ThreadCtx};
 use crate::fault::{stream, FaultInjector, FaultMode};
@@ -43,8 +44,10 @@ pub struct SharedState<'a> {
     pub cmap: Option<&'a mut CompressionMap>,
     /// Per-line stored forms.
     pub line_store: SharedLineStore<'a>,
-    /// The evaluated design point (owns the CABA controller, if any).
-    pub design: &'a mut Design,
+    /// The evaluated design point.
+    pub design: Design,
+    /// This SM's Assist Warp Controller: present exactly on a CABA design.
+    pub caba: Option<&'a mut CabaController>,
 }
 
 impl SharedState<'_> {
@@ -52,6 +55,31 @@ impl SharedState<'_> {
     fn stored_compressed(&mut self, addr: u64) -> bool {
         let cmap = self.cmap.as_deref_mut();
         self.line_store.is_stored_compressed(&self.mem, cmap, addr)
+    }
+
+    /// Calls SM `sm_id`'s controller with its services: the views and the
+    /// SM's staging region.
+    ///
+    /// # Panics
+    ///
+    /// On a design without a controller; callers are on the CABA path.
+    fn with_caba<R>(
+        &mut self,
+        sm_id: usize,
+        f: impl FnOnce(&mut CabaController, &mut SmServices<'_, '_>) -> R,
+    ) -> R {
+        let ctrl = self
+            .caba
+            .as_deref_mut()
+            .expect("a CABA design has a controller");
+        let mut svc = SmServices {
+            mem: &mut self.mem,
+            cmap: self.cmap.as_deref_mut(),
+            line_store: &mut self.line_store,
+            staging_base: STAGING_BASE + sm_id as u64 * STAGING_SIZE,
+            sm_id,
+        };
+        f(ctrl, &mut svc)
     }
 }
 
@@ -805,19 +833,8 @@ impl Sm {
             if let Some((ids, shard)) = &mut self.metrics {
                 shard.inc(ids.assist_retired);
             }
-            let outcome = match shared.design {
-                Design::Caba(ctrl) => {
-                    let mut svc = SmServices {
-                        mem: &mut shared.mem,
-                        cmap: shared.cmap.as_deref_mut(),
-                        line_store: &mut shared.line_store,
-                        staging_base: STAGING_BASE + self.id as u64 * STAGING_SIZE,
-                        sm_id: self.id,
-                    };
-                    ctrl.on_assist_complete(a.tag, &mut svc)
-                }
-                _ => AssistOutcome::Nothing,
-            };
+            // Only a controller launches assist warps.
+            let outcome = shared.with_caba(self.id, |c, svc| c.on_assist_complete(a.tag, svc));
             match outcome {
                 AssistOutcome::FillComplete { addr } => {
                     self.lines_decompressed += 1;
@@ -906,7 +923,7 @@ impl Sm {
             Complete(u64),
             Caba,
         }
-        let act = match *shared.design {
+        let act = match shared.design {
             Design::Base | Design::HwMemOnly { .. } => Action::Complete(0),
             Design::HwFull { alg, ideal } => {
                 let compressed = shared.stored_compressed(addr);
@@ -946,19 +963,7 @@ impl Sm {
                     parent_warp,
                     addr,
                 };
-                let action = match shared.design {
-                    Design::Caba(ctrl) => {
-                        let mut svc = SmServices {
-                            mem: &mut shared.mem,
-                            cmap: shared.cmap.as_deref_mut(),
-                            line_store: &mut shared.line_store,
-                            staging_base: STAGING_BASE + self.id as u64 * STAGING_SIZE,
-                            sm_id: self.id,
-                        };
-                        ctrl.on_fill(&info, &mut svc)
-                    }
-                    _ => unreachable!("CABA path"),
-                };
+                let action = shared.with_caba(self.id, |c, svc| c.on_fill(&info, svc));
                 match action {
                     FillAction::Complete { extra_latency } => {
                         self.lines_decompressed += 1;
@@ -1110,19 +1115,7 @@ impl Sm {
                     parent_warp,
                     addr,
                 };
-                let action = match shared.design {
-                    Design::Caba(ctrl) => {
-                        let mut svc = SmServices {
-                            mem: &mut shared.mem,
-                            cmap: shared.cmap.as_deref_mut(),
-                            line_store: &mut shared.line_store,
-                            staging_base: STAGING_BASE + self.id as u64 * STAGING_SIZE,
-                            sm_id: self.id,
-                        };
-                        ctrl.on_store(&info, &mut svc)
-                    }
-                    _ => unreachable!("CABA path"),
-                };
+                let action = shared.with_caba(self.id, |c, svc| c.on_store(&info, svc));
                 self.lsu.pop();
                 match action {
                     StoreAction::PassThrough => {
@@ -2861,12 +2854,12 @@ mod tests {
     /// its loads.
     fn step(sm: &mut Sm, now: u64, k: &Kernel, mem: &mut caba_mem::FuncMem) {
         let mut store = crate::assist::LineStore::new();
-        let mut design = Design::Base;
         let mut shared = SharedState {
             mem: SharedMem::Direct(mem),
             cmap: None,
             line_store: SharedLineStore::Direct(&mut store),
-            design: &mut design,
+            design: Design::Base,
+            caba: None,
         };
         sm.cycle(now, k, &mut shared);
         while sm.pop_request().is_some() {}

@@ -4,25 +4,18 @@
 //! and partition is cycled every cycle, nothing sleeps, nothing is settled
 //! and the clock never jumps. Every test here demands that the next-event
 //! engine produce the same [`RunStats`], counter for counter, on fixed and
-//! random kernels and random machine shapes. A stand-in assist controller
-//! deploys and retires assist warps on every compressed fill and every
-//! store, so assist residency, the memo wipe it triggers and the
-//! assist-side list updates are under the same comparison.
+//! random kernels and random machine shapes. The CABA controllers and a
+//! stand-in that deploys and retires an assist warp on every compressed
+//! fill and every store put assist residency, the memo wipe it triggers
+//! and the assist-side list updates under the same comparison.
 
-use crate::assist::{
-    AssistController, AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo,
-    SmServices, StoreAction, StoreInfo,
-};
-use crate::{Design, Gpu, GpuConfig, RunStats};
+use crate::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig, RunStats};
 use caba_compress::Algorithm;
 use caba_isa::{
-    AluOp, CmpOp, Kernel, LaunchDims, Pred, Program, ProgramBuilder, Reg, SfuOp, Space, Special,
-    Src, Width,
+    AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, SfuOp, Space, Special, Src, Width,
 };
-use caba_mem::LineCompressor;
 use caba_stats::prop;
 use caba_stats::rng::Rng64;
-use std::sync::Arc;
 
 #[path = "../../tests/kernels/mod.rs"]
 mod kernels;
@@ -33,92 +26,31 @@ const OUT: u64 = 0x10_0000;
 const WORDS: u64 = 4096;
 const MAX: u64 = 2_000_000;
 
-/// Deploys a high- (or, `low_fills`, low-) priority assist warp for every
-/// compressed fill and a low-priority one for every store line. Stateless:
-/// the tag is the line address, bit 0 set for a store.
-struct StubAssist {
-    program: Arc<Program>,
-    low_fills: bool,
-}
-
-impl StubAssist {
-    fn design(low_fills: bool) -> Design {
-        // A load, an SFU op, both consumed, a predicate and a store: every
-        // memo class a real subroutine meets. The SFU op before the exit
-        // keeps the exited warp listed, memoized `Done`, until it lands.
-        let mut b = ProgramBuilder::new();
-        b.alu(AluOp::Add, Reg(2), Src::Reg(Reg(0)), Src::Imm(64));
-        b.ld_packed(4, Reg(3), Src::Reg(Reg(1)));
-        b.sfu(SfuOp::Rcp, Reg(4), Src::Reg(Reg(2)));
-        b.alu(AluOp::Add, Reg(5), Src::Reg(Reg(3)), Src::Reg(Reg(4)));
-        b.setp(Pred(0), CmpOp::LtU, Src::Reg(Reg(5)), Src::Imm(7));
-        b.st_packed(4, Src::Reg(Reg(5)), Src::Reg(Reg(0)));
-        b.sfu(SfuOp::Ex2, Reg(4), Src::Reg(Reg(5)));
-        b.exit();
-        Design::Caba(Box::new(StubAssist {
-            program: Arc::new(b.build()),
-            low_fills,
-        }))
-    }
-
-    fn launch(&self, parent_warp: usize, low: bool, staging: u64, tag: u64) -> AssistLaunch {
-        AssistLaunch {
-            program: self.program.clone(),
-            parent_warp,
-            priority: if low {
-                AssistPriority::Low
-            } else {
-                AssistPriority::High
-            },
-            live_in: [(Reg(0), staging), (Reg(1), tag & !1)],
-            active_mask: u32::MAX,
-            tag,
-        }
-    }
-}
-
-impl AssistController for StubAssist {
-    fn algorithm(&self) -> Option<Algorithm> {
-        Some(Algorithm::Bdi)
-    }
-    fn selector(&self) -> LineCompressor {
-        LineCompressor::Fixed(Algorithm::Bdi)
-    }
-    fn on_fill(&mut self, info: &FillInfo, svc: &mut SmServices<'_, '_>) -> FillAction {
-        FillAction::Assist(self.launch(
-            info.parent_warp,
-            self.low_fills,
-            svc.staging_base,
-            info.addr,
-        ))
-    }
-    fn on_store(&mut self, info: &StoreInfo, svc: &mut SmServices<'_, '_>) -> StoreAction {
-        StoreAction::Assist(self.launch(info.parent_warp, true, svc.staging_base, info.addr | 1))
-    }
-    fn on_assist_complete(&mut self, tag: u64, _: &mut SmServices<'_, '_>) -> AssistOutcome {
-        if tag & 1 == 1 {
-            AssistOutcome::StoreRelease { addr: tag & !1 }
-        } else {
-            AssistOutcome::FillComplete { addr: tag }
-        }
-    }
-    fn fork(&self) -> Box<dyn AssistController + Send> {
-        Box::new(StubAssist {
-            program: self.program.clone(),
-            low_fills: self.low_fills,
-        })
-    }
+/// The stand-in controller ([`CabaMode::StandIn`]): an assist warp for
+/// every compressed fill, at high (or, `low_fills`, low) priority, and a
+/// low-priority one for every store line.
+fn stand_in(low_fills: bool) -> Design {
+    Design::Caba(CabaPolicy::new(CabaMode::StandIn { low_fills }))
 }
 
 fn designs() -> Vec<Design> {
     let alg = Algorithm::Bdi;
+    let caba = |mode| Design::Caba(CabaPolicy::new(mode));
     vec![
         Design::Base,
         Design::HwMemOnly { alg },
         Design::HwFull { alg, ideal: false },
         Design::HwFull { alg, ideal: true },
-        StubAssist::design(false),
-        StubAssist::design(true),
+        stand_in(false),
+        stand_in(true),
+        caba(CabaMode::Bdi),
+        caba(CabaMode::Fpc),
+        caba(CabaMode::CPack),
+        caba(CabaMode::BestOfAll),
+        Design::Caba(CabaPolicy {
+            low_priority_decompression: true,
+            ..CabaPolicy::new(CabaMode::Bdi)
+        }),
     ]
 }
 
@@ -139,9 +71,9 @@ fn run(cfg: GpuConfig, design: Design, kernel: &Kernel, noise: bool) -> RunStats
 
 /// Runs `kernel` on the next-event engine and on the naive one, and
 /// returns the next-event engine's stats once the two agree.
-fn assert_engines_agree(cfg: GpuConfig, design: &Design, kernel: &Kernel, noise: bool) -> RunStats {
-    let [event, naive] = [true, false]
-        .map(|time_skip| run(GpuConfig { time_skip, ..cfg }, design.fork(), kernel, noise));
+fn assert_engines_agree(cfg: GpuConfig, design: Design, kernel: &Kernel, noise: bool) -> RunStats {
+    let [event, naive] =
+        [true, false].map(|time_skip| run(GpuConfig { time_skip, ..cfg }, design, kernel, noise));
     assert_eq!(event, naive, "{} on {}", kernel.name(), design.label());
     event
 }
@@ -154,14 +86,25 @@ fn the_test_kernels_run_the_same_on_both_engines() {
         kernels::divergent_kernel(OUT),
         kernels::barrier_kernel(OUT),
     ];
-    let mut assists = 0;
+    let (mut stand_in_assists, mut caba_assists) = (0, 0);
     for kernel in &kernels {
         for design in designs() {
-            assists +=
-                assert_engines_agree(GpuConfig::small(), &design, kernel, false).assist_launches;
+            let assists =
+                assert_engines_agree(GpuConfig::small(), design, kernel, false).assist_launches;
+            match design {
+                Design::Caba(CabaPolicy {
+                    mode: CabaMode::StandIn { .. },
+                    ..
+                }) => stand_in_assists += assists,
+                _ => caba_assists += assists,
+            }
         }
     }
-    assert!(assists > 100, "the stand-in controller deployed {assists}");
+    assert!(
+        stand_in_assists > 100,
+        "the stand-in controller deployed {stand_in_assists}"
+    );
+    assert!(caba_assists > 0, "the CABA controllers deployed none");
 }
 
 fn pick<T: Copy>(rng: &mut Rng64, items: &[T]) -> T {
@@ -287,7 +230,7 @@ fn random_kernels_run_the_same_on_both_engines() {
         cfg.mshrs = pick(rng, &[2, 32]);
         cfg.lsu_queue = pick(rng, &[4, 64]);
         cfg.store_buffer = pick(rng, &[1, 16]);
-        let design = &designs[rng.range_u64(designs.len() as u64) as usize];
+        let design = designs[rng.range_u64(designs.len() as u64) as usize];
         assert_engines_agree(cfg, design, &kernel, rng.chance(0.25));
     });
 }
@@ -307,7 +250,7 @@ fn an_oversize_configuration_runs_the_same_on_both_engines() {
         Kernel::new("oversize", k.program().clone(), LaunchDims::new(80, 512))
             .with_params(vec![IN, OUT])
     };
-    let stats = assert_engines_agree(cfg, &StubAssist::design(false), &kernel, false);
+    let stats = assert_engines_agree(cfg, stand_in(false), &kernel, false);
     assert_eq!(stats.threads_retired, 80 * 512);
     assert!(stats.assist_launches > 0);
 }

@@ -34,7 +34,7 @@ fn split_and_resume(
     kernel: &Kernel,
     split: u64,
 ) -> (RunStats, Gpu) {
-    let resumed_design = design.fork();
+    let resumed_design = design;
     let mut g1 = Gpu::new(cfg, design);
     load_input(&mut g1, N, IN);
     let err = g1.run(kernel, split).unwrap_err();
@@ -75,7 +75,7 @@ fn restore_resume_matches_unbroken_run_across_designs() {
     let kernel = scale_kernel(N, IN, OUT);
     for design in designs() {
         let label = design.label();
-        let (full, _) = unbroken(cfg, design.fork(), &kernel);
+        let (full, _) = unbroken(cfg, design, &kernel);
         let split = full.cycles / 2;
         let (resumed, g2) = split_and_resume(cfg, cfg, design, &kernel, split);
         assert_eq!(
@@ -243,7 +243,7 @@ fn restore_resnapshot_is_byte_identical() {
     let kernel = scale_kernel(N, IN, OUT);
     for design in designs() {
         let label = design.label();
-        let restored_design = design.fork();
+        let restored_design = design;
         let mut g1 = Gpu::new(cfg, design);
         load_input(&mut g1, N, IN);
         g1.run(&kernel, 100).unwrap_err();

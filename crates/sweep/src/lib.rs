@@ -49,12 +49,10 @@ pub use resilient::{
 };
 
 use caba_compress::Algorithm;
-use caba_core::CabaController;
-use caba_energy::DesignKind;
-use caba_sim::{Design, GpuConfig, RunStats};
+use caba_sim::{CabaMode, CabaPolicy, Design, GpuConfig, RunStats};
 
-/// Identifies a design point in the run matrix (a cloneable stand-in for
-/// [`Design`], which owns a controller and therefore is not `Clone`).
+/// Names a design point of the run matrix: the eight [`Design`]s the
+/// figures, the CLI and the server's URLs choose from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignId {
     /// Uncompressed baseline.
@@ -110,49 +108,24 @@ impl DesignId {
         DesignId::CabaBest,
     ];
 
-    /// Display label matching the paper.
+    /// The design's label ([`Design::label`]), which cell keys hash.
     pub fn label(self) -> &'static str {
-        match self {
-            DesignId::Base => "Base",
-            DesignId::HwBdiMem => "HW-BDI-Mem",
-            DesignId::HwBdi => "HW-BDI",
-            DesignId::CabaBdi => "CABA-BDI",
-            DesignId::IdealBdi => "Ideal-BDI",
-            DesignId::CabaFpc => "CABA-FPC",
-            DesignId::CabaCPack => "CABA-CPack",
-            DesignId::CabaBest => "CABA-BestOfAll",
-        }
+        self.make().label()
     }
 
-    /// Instantiates the design.
+    /// The design point.
     pub fn make(self) -> Design {
+        let alg = Algorithm::Bdi;
+        let caba = |mode| Design::Caba(CabaPolicy::new(mode));
         match self {
             DesignId::Base => Design::Base,
-            DesignId::HwBdiMem => Design::HwMemOnly {
-                alg: Algorithm::Bdi,
-            },
-            DesignId::HwBdi => Design::HwFull {
-                alg: Algorithm::Bdi,
-                ideal: false,
-            },
-            DesignId::IdealBdi => Design::HwFull {
-                alg: Algorithm::Bdi,
-                ideal: true,
-            },
-            DesignId::CabaBdi => Design::Caba(Box::new(CabaController::bdi())),
-            DesignId::CabaFpc => Design::Caba(Box::new(CabaController::fpc())),
-            DesignId::CabaCPack => Design::Caba(Box::new(CabaController::cpack())),
-            DesignId::CabaBest => Design::Caba(Box::new(CabaController::best_of_all())),
-        }
-    }
-
-    /// The energy-accounting kind.
-    pub fn energy_kind(self) -> DesignKind {
-        match self {
-            DesignId::Base => DesignKind::Base,
-            DesignId::HwBdiMem | DesignId::HwBdi => DesignKind::DedicatedLogic,
-            DesignId::IdealBdi => DesignKind::Ideal,
-            _ => DesignKind::Caba,
+            DesignId::HwBdiMem => Design::HwMemOnly { alg },
+            DesignId::HwBdi => Design::HwFull { alg, ideal: false },
+            DesignId::IdealBdi => Design::HwFull { alg, ideal: true },
+            DesignId::CabaBdi => caba(CabaMode::Bdi),
+            DesignId::CabaFpc => caba(CabaMode::Fpc),
+            DesignId::CabaCPack => caba(CabaMode::CPack),
+            DesignId::CabaBest => caba(CabaMode::BestOfAll),
         }
     }
 }
@@ -255,5 +228,27 @@ mod tests {
         // fig10 overlaps fig07 in Base and CABA-BDI; fig12 overlaps at 1x.
         let total: usize = groups.iter().map(Vec::len).sum();
         assert!(union.len() < total);
+    }
+
+    /// Cell keys hash these strings: a label that moved would re-key every
+    /// stored result of its design.
+    #[test]
+    fn each_design_id_is_labelled_by_its_design() {
+        for d in DesignId::ALL {
+            assert_eq!(d.make().label(), d.label());
+        }
+        assert_eq!(
+            DesignId::ALL.map(DesignId::label),
+            [
+                "Base",
+                "HW-BDI-Mem",
+                "HW-BDI",
+                "CABA-BDI",
+                "Ideal-BDI",
+                "CABA-FPC",
+                "CABA-CPack",
+                "CABA-BestOfAll",
+            ]
+        );
     }
 }

@@ -14,7 +14,7 @@ use crate::{CellResult, DesignId, SweepCell, SweepConfig};
 use caba_compress::{average_best_ratio, average_burst_ratio, Algorithm, Bdi, Compressor};
 use caba_energy::energy;
 use caba_sim::occupancy::occupancy;
-use caba_sim::GpuConfig;
+use caba_sim::{Design, GpuConfig};
 use caba_stats::table::{pct, speedup};
 use caba_stats::{StallKind, Table};
 use caba_workloads::{all_apps, app, eval_apps, AppClass};
@@ -413,11 +413,11 @@ pub fn fig09(results: &[CellResult]) -> Table {
     cols.extend(["CABA DRAM-E", "CABA Power"]);
     let rows = per_app(results, 5).map(|c| {
         let base = &c[0].stats;
-        let base_e = energy(base, DesignId::Base.energy_kind());
+        let base_e = energy(base, Design::Base);
         let mut values = Vec::with_capacity(7);
         let mut caba = [0.0; 2];
         for r in c {
-            let (s, e) = (&r.stats, energy(&r.stats, r.cell.design.energy_kind()));
+            let (s, e) = (&r.stats, energy(&r.stats, r.cell.design.make()));
             values.push(e.total_nj() / base_e.total_nj());
             if r.cell.design == DesignId::CabaBdi {
                 let dram_power =

@@ -77,6 +77,7 @@ pub fn run_app(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caba_sim::{CabaMode, CabaPolicy};
 
     #[test]
     fn representative_apps_run_on_small_config() {
@@ -148,16 +149,12 @@ mod tests {
             assert!(checked > 0, "{name}");
             // CABA-BDI must produce identical outputs (assist warps are
             // functionally transparent).
-            let ctrl = caba_core_stub();
-            let mut gpu = Gpu::new(GpuConfig::small(), ctrl);
+            let caba = Design::Caba(CabaPolicy::new(CabaMode::Bdi));
+            let mut gpu = Gpu::new(GpuConfig::small(), caba);
             a.load_inputs(&mut gpu, scale);
             gpu.run(&a.kernel(scale), DEFAULT_MAX_CYCLES).unwrap();
             a.verify_output(&gpu, scale).expect("verifiable template");
         }
-    }
-
-    fn caba_core_stub() -> Design {
-        Design::Caba(Box::new(caba_core::CabaController::bdi()))
     }
 
     /// With every crossbar packet silently dropped the machine wedges:

@@ -8,36 +8,24 @@
 //! the engine's own skip counters.
 
 use caba_compress::Algorithm;
-use caba_core::CabaController;
-use caba_sim::{Design, Gpu, GpuConfig, RunError, RunStats};
+use caba_sim::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig, RunError, RunStats};
 use caba_stats::StallKind;
 use caba_workloads::{app, prepare_app};
 
 const SCALE: f64 = 0.05;
 const MAX: u64 = 50_000_000;
 
-fn base() -> Design {
-    Design::Base
-}
-
-fn hw_bdi() -> Design {
-    Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: false,
-    }
-}
-
-fn caba_bdi() -> Design {
-    Design::Caba(Box::new(CabaController::bdi()))
-}
-
-/// A named design constructor (designs are rebuilt per run, not cloned).
-type DesignCell = (&'static str, fn() -> Design);
+const BASE: Design = Design::Base;
+const HW_BDI: Design = Design::HwFull {
+    alg: Algorithm::Bdi,
+    ideal: false,
+};
+const CABA_BDI: Design = Design::Caba(CabaPolicy::new(CabaMode::Bdi));
 
 /// The three designs the engines treat differently: no compression
 /// machinery at all, dedicated-logic compression (partition-side horizon
 /// work), and assist warps (SM-side dormancy with live assist slots).
-const DESIGNS: [DesignCell; 3] = [("Base", base), ("HW-BDI", hw_bdi), ("CABA-BDI", caba_bdi)];
+const DESIGNS: [Design; 3] = [BASE, HW_BDI, CABA_BDI];
 
 /// Runs `app_name` to completion; returns its statistics and
 /// `Gpu::skip_stats`.
@@ -65,9 +53,10 @@ fn time_skip_is_bit_invisible_across_apps_and_designs() {
     let slots_per_cycle = (cfg.num_sms * cfg.schedulers_per_sm) as u64;
     let mut total_skipped = 0;
     for app_name in ["CONS", "bfs", "MUM"] {
-        for (dname, make) in DESIGNS {
-            let (on, skipped, events) = run(app_name, cfg, make(), true);
-            let (off, off_skipped, _) = run(app_name, cfg, make(), false);
+        for design in DESIGNS {
+            let dname = design.label();
+            let (on, skipped, events) = run(app_name, cfg, design, true);
+            let (off, off_skipped, _) = run(app_name, cfg, design, false);
             assert_eq!(
                 on, off,
                 "{app_name}/{dname}: RunStats must not depend on time_skip"
@@ -161,7 +150,7 @@ fn mid_skip_snapshot_resumes_bit_identically() {
 /// One differential cell: an app, a design, and the machine it runs on.
 struct Cell {
     app: &'static str,
-    design: fn() -> Design,
+    design: Design,
     cfg: GpuConfig,
 }
 
@@ -178,22 +167,22 @@ fn cells() -> [Cell; 4] {
     [
         Cell {
             app: "CONS",
-            design: base,
+            design: BASE,
             cfg: cfg.with_bandwidth_scale(0.5),
         },
         Cell {
             app: "bfs",
-            design: hw_bdi,
+            design: HW_BDI,
             cfg,
         },
         Cell {
             app: "MUM",
-            design: caba_bdi,
+            design: CABA_BDI,
             cfg,
         },
         Cell {
             app: "hs",
-            design: base,
+            design: BASE,
             cfg,
         },
     ]
@@ -211,7 +200,7 @@ fn stepped(cell: &Cell, time_skip: bool, cuts: &[u64]) -> (Vec<Vec<u8>>, RunStat
     let spec = app(cell.app).expect(cell.app);
     let mut cfg = cell.cfg;
     cfg.time_skip = time_skip;
-    let (mut gpu, kernel) = prepare_app(&spec, cfg, (cell.design)(), SCALE);
+    let (mut gpu, kernel) = prepare_app(&spec, cfg, cell.design, SCALE);
     let mut snaps = Vec::new();
     for (i, &cut) in cuts.iter().enumerate() {
         let outcome = if i == 0 {
@@ -239,8 +228,8 @@ fn stepped(cell: &Cell, time_skip: bool, cuts: &[u64]) -> (Vec<Vec<u8>>, RunStat
 #[test]
 fn naive_and_next_event_engines_agree_on_stats_and_snapshots() {
     for cell in cells() {
-        let (naive, _, _) = run(cell.app, cell.cfg, (cell.design)(), false);
-        let (event, _, _) = run(cell.app, cell.cfg, (cell.design)(), true);
+        let (naive, _, _) = run(cell.app, cell.cfg, cell.design, false);
+        let (event, _, _) = run(cell.app, cell.cfg, cell.design, true);
         assert_eq!(
             naive, event,
             "{}: RunStats must not depend on the engine",
@@ -273,7 +262,7 @@ fn naive_and_next_event_engines_agree_on_stats_and_snapshots() {
         let mut cfg = cell.cfg;
         cfg.time_skip = true;
         let spec = app(cell.app).expect(cell.app);
-        let (mut gpu, kernel) = prepare_app(&spec, cfg, (cell.design)(), SCALE);
+        let (mut gpu, kernel) = prepare_app(&spec, cfg, cell.design, SCALE);
         gpu.restore(&kernel, &naive_snaps[naive_snaps.len() / 2])
             .expect("a naive snapshot restores on the next-event engine");
         let resumed = gpu.resume(&kernel, MAX).expect("resumed run completes");

@@ -11,8 +11,7 @@
 //! scale 0.5). The apps used are a small representative trio (streaming /
 //! gather / stencil).
 
-use caba::core::CabaController;
-use caba::sim::{Design, GpuConfig};
+use caba::sim::{CabaMode, CabaPolicy, Design, GpuConfig};
 use caba::stats::Table;
 use caba::workloads::{app, run_app};
 
@@ -26,7 +25,7 @@ fn scale() -> f64 {
 }
 
 fn caba() -> Design {
-    Design::Caba(Box::new(CabaController::bdi()))
+    Design::Caba(CabaPolicy::new(CabaMode::Bdi))
 }
 
 fn cycles(cfg: GpuConfig, design: Design, name: &str) -> u64 {
@@ -49,9 +48,10 @@ fn ablate_decompression_priority() {
         let hi = cycles(GpuConfig::isca2015_scaled(), caba(), name);
         let lo = cycles(
             GpuConfig::isca2015_scaled(),
-            Design::Caba(Box::new(
-                CabaController::bdi().with_low_priority_decompression(),
-            )),
+            Design::Caba(CabaPolicy {
+                low_priority_decompression: true,
+                ..CabaPolicy::new(CabaMode::Bdi)
+            }),
             name,
         );
         t.row(vec![

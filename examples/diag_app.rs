@@ -8,8 +8,7 @@
 //! optional scale factor (default 0.5).
 
 use caba::compress::Algorithm;
-use caba::core::CabaController;
-use caba::sim::{Design, GpuConfig};
+use caba::sim::{CabaMode, CabaPolicy, Design, GpuConfig};
 use caba::stats::StallKind;
 use caba::workloads::{all_apps, app, run_app};
 
@@ -33,7 +32,7 @@ fn main() {
     };
     for (label, design) in [
         ("Base", Design::Base),
-        ("CABA-BDI", Design::Caba(Box::new(CabaController::bdi()))),
+        ("CABA-BDI", Design::Caba(CabaPolicy::new(CabaMode::Bdi))),
         ("HW-BDI", hw_bdi),
     ] {
         let s = run_app(&a, GpuConfig::isca2015_scaled(), design, scale)

@@ -8,7 +8,7 @@ use caba::core::CabaController;
 use caba::isa::{
     AluOp, CmpOp, FAluOp, Instr, Op, PBoolOp, Pred, Program, Reg, SfuOp, Space, Special, Src, Width,
 };
-use caba::sim::{AssistController, Warp};
+use caba::sim::Warp;
 use caba::stats::prop;
 use caba::stats::rng::Rng64;
 use caba::workloads::all_apps;
@@ -84,7 +84,7 @@ fn every_shipped_program_decodes_to_its_instructions() {
             instrs += kernel.program().len();
         }
     }
-    let subroutines = CabaController::best_of_all().subroutine_programs();
+    let subroutines = CabaController::subroutine_programs();
     assert_eq!(subroutines.len(), 19);
     for program in &subroutines {
         check_program(program, &mut rng, 8);

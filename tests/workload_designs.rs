@@ -3,9 +3,8 @@
 //! the small test machine.
 
 use caba::compress::Algorithm;
-use caba::core::CabaController;
 use caba::sim::occupancy::occupancy;
-use caba::sim::{Design, GpuConfig};
+use caba::sim::{CabaMode, CabaPolicy, Design, GpuConfig};
 use caba::workloads::{all_apps, app, eval_apps, run_app, AppClass};
 
 #[test]
@@ -35,7 +34,7 @@ fn compressed_designs_beat_base_on_compressible_memory_bound_app() {
         0.25,
     )
     .unwrap();
-    let caba = run_app(&a, cfg, Design::Caba(Box::new(CabaController::bdi())), 0.25).unwrap();
+    let caba = run_app(&a, cfg, Design::Caba(CabaPolicy::new(CabaMode::Bdi)), 0.25).unwrap();
     assert!(
         hw.cycles < base.cycles,
         "HW {} vs Base {}",
