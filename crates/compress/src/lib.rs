@@ -115,17 +115,6 @@ impl Algorithm {
             Algorithm::CPack => CPack::new().scan_size(line),
         }
     }
-
-    /// Decompression latency in cycles for a *dedicated hardware*
-    /// implementation (the paper models 1 cycle for BDI, §5; FPC and C-Pack
-    /// are serial and slower, §6.3).
-    pub fn hw_decompress_latency(self) -> u64 {
-        match self {
-            Algorithm::Bdi => 1,
-            Algorithm::Fpc => 5,
-            Algorithm::CPack => 8,
-        }
-    }
 }
 
 impl fmt::Display for Algorithm {
@@ -415,8 +404,6 @@ mod tests {
     #[test]
     fn algorithm_metadata() {
         assert_eq!(Algorithm::Bdi.name(), "BDI");
-        assert_eq!(Algorithm::Bdi.hw_decompress_latency(), 1);
-        assert!(Algorithm::CPack.hw_decompress_latency() > Algorithm::Bdi.hw_decompress_latency());
         assert_eq!(format!("{}", Algorithm::CPack), "C-Pack");
     }
 

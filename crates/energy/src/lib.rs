@@ -146,8 +146,8 @@ pub fn energy_with(stats: &RunStats, design: Design, p: &EnergyParams) -> Energy
     let dram_static = stats.cycles as f64 * p.num_channels * p.dram_static_per_channel_cycle;
     let core_static = stats.cycles as f64 * p.num_sms * p.core_static_per_sm_cycle;
     let compression_overhead = match design {
-        Design::Base | Design::HwFull { ideal: true, .. } => 0.0,
-        Design::HwMemOnly { .. } | Design::HwFull { ideal: false, .. } => {
+        Design::Base | Design::HwFull { ideal: true } => 0.0,
+        Design::HwMemOnly | Design::HwFull { ideal: false } => {
             stats.md_lookups as f64 * p.per_md_lookup
                 + (stats.lines_compressed + stats.lines_decompressed) as f64 * p.per_hw_codec_line
         }
@@ -167,17 +167,11 @@ pub fn energy_with(stats: &RunStats, design: Design, p: &EnergyParams) -> Energy
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caba_sim::{Algorithm, CabaMode, CabaPolicy};
+    use caba_sim::CabaMode;
 
-    const HW: Design = Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: false,
-    };
-    const IDEAL: Design = Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: true,
-    };
-    const CABA: Design = Design::Caba(CabaPolicy::new(CabaMode::Bdi));
+    const HW: Design = Design::HwFull { ideal: false };
+    const IDEAL: Design = Design::HwFull { ideal: true };
+    const CABA: Design = Design::Caba(CabaMode::Bdi);
 
     fn base_stats() -> RunStats {
         RunStats {

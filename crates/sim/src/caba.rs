@@ -21,9 +21,9 @@
 //! * [`CabaController`] — the Assist Warp Controller: triggers
 //!   decompression on compressed fills (high priority, §4.2.1), compression
 //!   on store-buffer drains (low priority, §4.2.2), staging-slot management,
-//!   and completion handling with optional paranoid verification. It is one
-//!   fixed piece of hardware per SM; a design point picks its
-//!   [`CabaPolicy`] (the algorithm and two switches), and
+//!   and completion handling with paranoid verification in debug builds
+//!   ([`crate::Gpu::set_paranoid`]). It is one fixed piece of hardware per
+//!   SM; a design point picks its [`CabaMode`] (the algorithm), and
 //!   [`crate::Gpu`] builds the controllers.
 //!
 //! Compression is the only assist-warp use reproduced. The paper's §7 other
@@ -35,7 +35,7 @@
 //! Run a bandwidth-bound kernel under CABA-BDI:
 //!
 //! ```
-//! use caba_sim::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig};
+//! use caba_sim::{CabaMode, Design, Gpu, GpuConfig};
 //! use caba_isa::{Kernel, LaunchDims, ProgramBuilder, Reg, Src, Special, AluOp, Width, Space};
 //!
 //! let mut b = ProgramBuilder::new();
@@ -48,7 +48,7 @@
 //! let kernel = Kernel::new("read", b.build(), LaunchDims::new(4, 64))
 //!     .with_params(vec![0x10000]);
 //!
-//! let mut gpu = Gpu::new(GpuConfig::small(), Design::Caba(CabaPolicy::new(CabaMode::Bdi)));
+//! let mut gpu = Gpu::new(GpuConfig::small(), Design::Caba(CabaMode::Bdi));
 //! for i in 0..256u64 {
 //!     gpu.mem_mut().write_u32(0x10000 + i * 4, 0x400 + i as u32);
 //! }
@@ -59,5 +59,5 @@
 pub mod controller;
 pub mod subroutines;
 
-pub use controller::{CabaController, CabaMode, CabaPolicy};
+pub use controller::{CabaController, CabaMode};
 pub use subroutines::AssistWarpStore;

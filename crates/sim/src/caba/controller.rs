@@ -7,7 +7,7 @@
 //! ("stalls the progress of its parent warp until it completes", §4.2.1);
 //! compression assist warps run at low priority through the AWB partition
 //! ("off the critical path", §4.2.2). What varies between design points is
-//! the [`CabaPolicy`], plain data inside [`crate::Design::Caba`].
+//! the [`CabaMode`], plain data inside [`crate::Design::Caba`].
 
 use super::subroutines::{
     active_mask_for, lanes_for, AssistWarpStore, SubroutineKey, CABA_COMPRESS_ENCODINGS, HDR_OFF,
@@ -94,33 +94,6 @@ impl CabaMode {
     }
 }
 
-/// A CABA design point: the algorithm and the controller's two switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CabaPolicy {
-    /// The algorithm(s) the assist warps implement.
-    pub mode: CabaMode,
-    /// Ablation knob: schedule decompression assist warps at LOW priority
-    /// instead of the paper's high priority (§3.2.3 argues decompression is
-    /// required for forward progress and must take precedence — this knob
-    /// quantifies that choice).
-    pub low_priority_decompression: bool,
-    /// Check every BDI assist-warp result against the reference compressor
-    /// (panicking on a mismatch).
-    pub paranoid: bool,
-}
-
-impl CabaPolicy {
-    /// The paper's controller for `mode`: high-priority decompression, and
-    /// paranoid verification in debug builds only.
-    pub const fn new(mode: CabaMode) -> Self {
-        CabaPolicy {
-            mode,
-            low_priority_decompression: false,
-            paranoid: cfg!(debug_assertions),
-        }
-    }
-}
-
 /// Counters the controller keeps. Snapshots carry them; no report reads
 /// them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,11 +143,15 @@ const SLOTS_PER_SM: u64 = 128;
 const SLOTS_BASE_OFF: u64 = 4096;
 
 /// One SM's Assist Warp Controller. [`crate::Gpu`] builds one per SM from
-/// the design's [`CabaPolicy`]: tags and staging slots are per-SM
+/// the design's [`CabaMode`]: tags and staging slots are per-SM
 /// namespaces.
 #[derive(Debug)]
 pub struct CabaController {
-    policy: CabaPolicy,
+    mode: CabaMode,
+    /// Check every BDI assist-warp result against the reference compressor
+    /// (panicking on a mismatch). On in debug builds; `Gpu::set_paranoid`
+    /// switches it.
+    pub(crate) paranoid: bool,
     aws: AssistWarpStore,
     inflight: HashMap<u64, Inflight>,
     free_slots: HashMap<usize, Vec<u64>>,
@@ -183,10 +160,11 @@ pub struct CabaController {
 }
 
 impl CabaController {
-    /// A controller with no per-run state.
-    pub fn new(policy: CabaPolicy) -> Self {
+    /// A controller with no per-run state, paranoid in debug builds.
+    pub fn new(mode: CabaMode) -> Self {
         CabaController {
-            policy,
+            mode,
+            paranoid: cfg!(debug_assertions),
             aws: AssistWarpStore::new(),
             inflight: HashMap::new(),
             free_slots: HashMap::new(),
@@ -256,7 +234,7 @@ impl CabaController {
     /// A compressed fill reached the L1 boundary.
     pub fn on_fill(&mut self, info: &FillInfo, svc: &mut SmServices<'_, '_>) -> FillAction {
         #[cfg(test)]
-        if let CabaMode::StandIn { low_fills } = self.policy.mode {
+        if let CabaMode::StandIn { low_fills } = self.mode {
             let launch =
                 self.stand_in_launch(info.parent_warp, low_fills, svc.staging_base, info.addr);
             return FillAction::Assist(launch);
@@ -314,11 +292,7 @@ impl CabaController {
         FillAction::Assist(AssistLaunch {
             program,
             parent_warp: info.parent_warp,
-            priority: if self.policy.low_priority_decompression {
-                AssistPriority::Low
-            } else {
-                AssistPriority::High
-            },
+            priority: AssistPriority::High,
             live_in: [(Reg(0), payload_addr), (Reg(1), info.addr)],
             active_mask,
             tag,
@@ -328,7 +302,7 @@ impl CabaController {
     /// A dirty line is ready to leave the core.
     pub fn on_store(&mut self, info: &StoreInfo, svc: &mut SmServices<'_, '_>) -> StoreAction {
         #[cfg(test)]
-        if let CabaMode::StandIn { .. } = self.policy.mode {
+        if let CabaMode::StandIn { .. } = self.mode {
             let launch =
                 self.stand_in_launch(info.parent_warp, true, svc.staging_base, info.addr | 1);
             return StoreAction::Assist(launch);
@@ -341,7 +315,7 @@ impl CabaController {
         let tag = self.take_tag();
         // BestOfAll drives the subroutine of the best algorithm for this
         // line.
-        let alg = match self.policy.mode.algorithm() {
+        let alg = match self.mode.algorithm() {
             Some(alg) => Some(alg),
             None => BestOfAll::new().compress(&line).map(|c| c.algorithm),
         };
@@ -385,7 +359,7 @@ impl CabaController {
     /// An assist warp with `tag` ran to completion.
     pub fn on_assist_complete(&mut self, tag: u64, svc: &mut SmServices<'_, '_>) -> AssistOutcome {
         #[cfg(test)]
-        if let CabaMode::StandIn { .. } = self.policy.mode {
+        if let CabaMode::StandIn { .. } = self.mode {
             return if tag & 1 == 1 {
                 AssistOutcome::StoreRelease { addr: tag & !1 }
             } else {
@@ -395,14 +369,13 @@ impl CabaController {
         let Some(entry) = self.inflight.remove(&tag) else {
             return AssistOutcome::Nothing;
         };
-        let paranoid = self.policy.paranoid;
         match entry {
             Inflight::BdiDecompress {
                 addr,
                 slot,
                 expected,
             } => {
-                if paranoid {
+                if self.paranoid {
                     let got = svc.mem.read_line(addr);
                     assert_eq!(
                         got, expected,
@@ -443,7 +416,7 @@ impl CabaController {
                             payload,
                             original_len: LINE_SIZE,
                         };
-                        if paranoid {
+                        if self.paranoid {
                             let reference = Bdi::new()
                                 .compress_with(&snapshot, enc)
                                 .expect("subroutine succeeded, reference must too");
@@ -488,7 +461,7 @@ impl CabaController {
     /// Serializes the per-run state (in-flight operations, slot free
     /// lists, the tag counter, the counters) for [`crate::Gpu::snapshot`].
     pub fn snap_save(&self, w: &mut SnapshotWriter) {
-        // The policy comes from the design the restoring GPU was built
+        // The mode comes from the design the restoring GPU was built
         // with, and the assist-warp store is a pure program memoization —
         // only per-run state is serialized, with both maps in sorted key
         // order for byte-stable output.
@@ -690,7 +663,7 @@ mod tests {
     use super::*;
 
     fn bdi() -> CabaController {
-        CabaController::new(CabaPolicy::new(CabaMode::Bdi))
+        CabaController::new(CabaMode::Bdi)
     }
 
     #[test]
@@ -706,7 +679,6 @@ mod tests {
             CabaMode::BestOfAll.selector(),
             LineCompressor::BestOfAll
         ));
-        assert!(!CabaPolicy::new(CabaMode::Fpc).low_priority_decompression);
         assert!(CabaMode::Bdi.extra_regs_per_thread() > 0);
     }
 

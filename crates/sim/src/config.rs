@@ -1,9 +1,8 @@
 //! Simulated-system configuration (Table 1) and the evaluated design points.
 
-use crate::caba::CabaPolicy;
+use crate::caba::CabaMode;
 use crate::fault::FaultConfig;
 use crate::observe::{ObservabilityConfig, TraceConfig};
-use caba_compress::Algorithm;
 use caba_mem::{CacheGeometry, DramConfig, LINE_SIZE};
 use caba_stats::MetricsLevel;
 use std::fmt;
@@ -375,31 +374,27 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Where (and whether) data compression happens — the five design points of
-/// §6 plus the CABA variants. Plain data: the machine state a design needs
-/// (the per-SM CABA controllers) is built by [`crate::Gpu::new`].
+/// Where (and whether) data compression happens: the eight design points
+/// of §6. The hardware designs implement BDI. Plain data: the machine state
+/// a design needs (the per-SM CABA controllers) is built by
+/// [`crate::Gpu::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// No compression anywhere.
     Base,
-    /// `HW-BDI-Mem` style: dedicated logic at the memory controller; DRAM
+    /// `HW-BDI-Mem`: dedicated logic at the memory controller; DRAM
     /// transfers are compressed, the interconnect and L2 are not.
-    HwMemOnly {
-        /// Compression algorithm implemented in the MC logic.
-        alg: Algorithm,
-    },
-    /// `HW-BDI` / `Ideal-BDI` style: dedicated logic at the cores; L2, the
+    HwMemOnly,
+    /// `HW-BDI` / `Ideal-BDI`: dedicated logic at the cores; L2, the
     /// interconnect and DRAM all carry compressed lines.
     HwFull {
-        /// Compression algorithm implemented in core-side logic.
-        alg: Algorithm,
         /// When true, compression/decompression latencies are zero
         /// (`Ideal-BDI`).
         ideal: bool,
     },
     /// CABA: compression and decompression run as assist warps, which one
-    /// [`crate::caba::CabaController`] per SM triggers under this policy.
-    Caba(CabaPolicy),
+    /// [`crate::caba::CabaController`] per SM triggers for this mode.
+    Caba(CabaMode),
 }
 
 impl Design {
@@ -422,23 +417,12 @@ impl Design {
 
     /// Short name for reports, snapshot headers and hang-trace files.
     pub fn label(&self) -> &'static str {
-        use Algorithm::{Bdi, CPack, Fpc};
         match *self {
             Design::Base => "Base",
-            Design::HwMemOnly { alg } => match alg {
-                Bdi => "HW-BDI-Mem",
-                Fpc => "HW-FPC-Mem",
-                CPack => "HW-CPack-Mem",
-            },
-            Design::HwFull { alg, ideal } => match (alg, ideal) {
-                (Bdi, false) => "HW-BDI",
-                (Fpc, false) => "HW-FPC",
-                (CPack, false) => "HW-CPack",
-                (Bdi, true) => "Ideal-BDI",
-                (Fpc, true) => "Ideal-FPC",
-                (CPack, true) => "Ideal-CPack",
-            },
-            Design::Caba(p) => p.mode.label(),
+            Design::HwMemOnly => "HW-BDI-Mem",
+            Design::HwFull { ideal: false } => "HW-BDI",
+            Design::HwFull { ideal: true } => "Ideal-BDI",
+            Design::Caba(mode) => mode.label(),
         }
     }
 }
@@ -561,34 +545,65 @@ mod tests {
         assert_eq!(twice.dram.burst_cycles, 1);
     }
 
+    /// Where in the paper's eight designs `d` sits. Exhaustive: a new
+    /// variant, field or CABA mode stops this compiling.
+    fn paper_slot(d: Design) -> usize {
+        match d {
+            Design::Base => 0,
+            Design::HwMemOnly => 1,
+            Design::HwFull { ideal } => 2 + usize::from(ideal),
+            Design::Caba(CabaMode::Bdi) => 4,
+            Design::Caba(CabaMode::Fpc) => 5,
+            Design::Caba(CabaMode::CPack) => 6,
+            Design::Caba(CabaMode::BestOfAll) => 7,
+            Design::Caba(CabaMode::StandIn { .. }) => unreachable!("test-only"),
+        }
+    }
+
     #[test]
     fn design_properties() {
-        assert_eq!(Design::Base.label(), "Base");
-        assert!(!Design::Base.mem_compressed());
-        assert!(!Design::Base.icnt_compressed());
-        let hw = Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        };
-        assert_eq!(hw.label(), "HW-BDI");
-        assert!(hw.icnt_compressed());
-        assert!(hw.mem_compressed());
-        assert!(!hw.is_caba());
-        let ideal = Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: true,
-        };
-        assert_eq!(ideal.label(), "Ideal-BDI");
-        let mem = Design::HwMemOnly {
-            alg: Algorithm::Fpc,
-        };
-        assert_eq!(mem.label(), "HW-FPC-Mem");
-        assert!(!mem.icnt_compressed());
-        assert!(mem.mem_compressed());
-        assert!(format!("{:?}", Design::Base).contains("Base"));
-        let caba = Design::Caba(CabaPolicy::new(crate::CabaMode::CPack));
-        assert_eq!(caba.label(), "CABA-CPack");
-        assert!(caba.is_caba() && caba.icnt_compressed());
+        let all = [
+            Design::Base,
+            Design::HwMemOnly,
+            Design::HwFull { ideal: false },
+            Design::HwFull { ideal: true },
+            Design::Caba(CabaMode::Bdi),
+            Design::Caba(CabaMode::Fpc),
+            Design::Caba(CabaMode::CPack),
+            Design::Caba(CabaMode::BestOfAll),
+        ];
+        // Every non-test value, once each, with its label and its `Debug`
+        // text (the same in debug and release builds).
+        assert_eq!(all.map(paper_slot), [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(
+            all.map(|d| (d.label(), format!("{d:?}"))),
+            [
+                ("Base", "Base"),
+                ("HW-BDI-Mem", "HwMemOnly"),
+                ("HW-BDI", "HwFull { ideal: false }"),
+                ("Ideal-BDI", "HwFull { ideal: true }"),
+                ("CABA-BDI", "Caba(Bdi)"),
+                ("CABA-FPC", "Caba(Fpc)"),
+                ("CABA-CPack", "Caba(CPack)"),
+                ("CABA-BestOfAll", "Caba(BestOfAll)"),
+            ]
+            .map(|(label, debug)| (label, debug.to_string()))
+        );
+        let labels: std::collections::HashSet<_> = all.map(|d| d.label()).into();
+        assert_eq!(labels.len(), all.len(), "labels are pairwise distinct");
+        assert_eq!(
+            all.map(|d| (d.mem_compressed(), d.icnt_compressed(), d.is_caba())),
+            [
+                (false, false, false),
+                (true, false, false),
+                (true, true, false),
+                (true, true, false),
+                (true, true, true),
+                (true, true, true),
+                (true, true, true),
+                (true, true, true),
+            ]
+        );
     }
 
     /// A `Design` is plain data; this stops compiling if it stops being.

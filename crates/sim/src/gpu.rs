@@ -13,6 +13,7 @@ use crate::sm::{SharedState, Sm};
 use crate::snapshot::{self, RestoreError};
 use crate::stats::RunStats;
 use crate::trace::{ActivityTrace, Sample, TraceEvent, TraceEventKind, Tracer};
+use caba_compress::Algorithm;
 use caba_isa::{Kernel, Program};
 use caba_mem::{CompressionMap, Crossbar, FuncMem, LineCompressor, MemDelta, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
@@ -180,8 +181,8 @@ impl Gpu {
         let cmap = Self::build_cmap(design);
         let with_md = design.mem_compressed();
         let controllers = match design {
-            Design::Caba(policy) => (0..cfg.num_sms)
-                .map(|_| CabaController::new(policy))
+            Design::Caba(mode) => (0..cfg.num_sms)
+                .map(|_| CabaController::new(mode))
                 .collect(),
             _ => Vec::new(),
         };
@@ -220,8 +221,8 @@ impl Gpu {
     fn build_cmap(design: Design) -> Option<CompressionMap> {
         let selector = match design {
             Design::Base => return None,
-            Design::HwMemOnly { alg } | Design::HwFull { alg, .. } => LineCompressor::Fixed(alg),
-            Design::Caba(policy) => policy.mode.selector(),
+            Design::HwMemOnly | Design::HwFull { .. } => LineCompressor::Fixed(Algorithm::Bdi),
+            Design::Caba(mode) => mode.selector(),
         };
         Some(CompressionMap::new(selector))
     }
@@ -335,6 +336,15 @@ impl Gpu {
     /// The design point.
     pub fn design(&self) -> Design {
         self.design
+    }
+
+    /// Makes the CABA controllers check every BDI assist warp's result
+    /// against the reference compressor, panicking on a mismatch. On by
+    /// default in debug builds only; it changes no timing and no result.
+    pub fn set_paranoid(&mut self, on: bool) {
+        for c in &mut self.controllers {
+            c.paranoid = on;
+        }
     }
 
     /// A value that changes whenever any part of the machine makes forward
@@ -566,7 +576,7 @@ impl Gpu {
     /// every component every cycle (DESIGN.md "Next-event clock").
     fn run_loop(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<RunStats, RunError> {
         let extra_regs = match self.design {
-            Design::Caba(policy) => policy.mode.extra_regs_per_thread(),
+            Design::Caba(mode) => mode.extra_regs_per_thread(),
             _ => 0,
         };
         let grid = kernel.dims().grid_dim;

@@ -14,8 +14,9 @@
 //! * [`Gpu`] — SMs + two crossbars + memory partitions (L2 slice + MD cache
 //!   plus GDDR5 channel each) + the CTA dispatcher; runs a [`Kernel`] to
 //!   completion and reports [`RunStats`].
-//! * [`Design`] — the evaluated design points of §6: `Base`, `HW-BDI-Mem`,
-//!   `HW-BDI`, `CABA-*` (a [`CabaPolicy`]), `Ideal-*`; plain `Copy` data.
+//! * [`Design`] — the eight evaluated design points of §6: `Base`,
+//!   `HW-BDI-Mem`, `HW-BDI`, `Ideal-BDI` and `CABA-*` (a [`CabaMode`]);
+//!   plain `Copy` data.
 //! * [`caba`] — the CABA framework itself: the Assist Warp Controller and
 //!   the Assist Warp Store of subroutines.
 //! * [`integrity`]/[`fault`] — the simulation integrity layer: a
@@ -75,7 +76,7 @@ pub use assist::{
     AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SmServices, StoreAction,
     StoreInfo,
 };
-pub use caba::{CabaController, CabaMode, CabaPolicy};
+pub use caba::{CabaController, CabaMode};
 pub use config::{ConfigError, Design, GpuConfig};
 pub use fault::{FaultConfig, FaultInjector, FaultMode};
 pub use gpu::{Gpu, RunError};

@@ -924,16 +924,13 @@ impl Sm {
             Caba,
         }
         let act = match shared.design {
-            Design::Base | Design::HwMemOnly { .. } => Action::Complete(0),
-            Design::HwFull { alg, ideal } => {
+            Design::Base | Design::HwMemOnly => Action::Complete(0),
+            Design::HwFull { ideal } => {
                 let compressed = shared.stored_compressed(addr);
                 if compressed {
                     self.lines_decompressed += 1;
-                    Action::Complete(if ideal {
-                        0
-                    } else {
-                        alg.hw_decompress_latency()
-                    })
+                    // Dedicated BDI logic decompresses in one cycle (§5).
+                    Action::Complete(u64::from(!ideal))
                 } else {
                     Action::Complete(0)
                 }
@@ -1074,13 +1071,9 @@ impl Sm {
             WarpRef::Assist(_) => 0,
         };
         match shared.design {
-            Design::Base => {
-                self.lsu.pop();
-                self.emit_write(addr, LINE_SIZE);
-            }
-            Design::HwMemOnly { .. } => {
-                // Compression happens at the MC; the interconnect carries the
-                // full line.
+            Design::Base | Design::HwMemOnly => {
+                // HW-BDI-Mem compresses at the MC; the interconnect carries
+                // the full line.
                 self.lsu.pop();
                 self.emit_write(addr, LINE_SIZE);
             }

@@ -9,8 +9,7 @@
 //! fill and every store put assist residency, the memo wipe it triggers
 //! and the assist-side list updates under the same comparison.
 
-use crate::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig, RunStats};
-use caba_compress::Algorithm;
+use crate::{CabaMode, Design, Gpu, GpuConfig, RunStats};
 use caba_isa::{
     AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, SfuOp, Space, Special, Src, Width,
 };
@@ -30,27 +29,21 @@ const MAX: u64 = 2_000_000;
 /// every compressed fill, at high (or, `low_fills`, low) priority, and a
 /// low-priority one for every store line.
 fn stand_in(low_fills: bool) -> Design {
-    Design::Caba(CabaPolicy::new(CabaMode::StandIn { low_fills }))
+    Design::Caba(CabaMode::StandIn { low_fills })
 }
 
 fn designs() -> Vec<Design> {
-    let alg = Algorithm::Bdi;
-    let caba = |mode| Design::Caba(CabaPolicy::new(mode));
     vec![
         Design::Base,
-        Design::HwMemOnly { alg },
-        Design::HwFull { alg, ideal: false },
-        Design::HwFull { alg, ideal: true },
+        Design::HwMemOnly,
+        Design::HwFull { ideal: false },
+        Design::HwFull { ideal: true },
         stand_in(false),
         stand_in(true),
-        caba(CabaMode::Bdi),
-        caba(CabaMode::Fpc),
-        caba(CabaMode::CPack),
-        caba(CabaMode::BestOfAll),
-        Design::Caba(CabaPolicy {
-            low_priority_decompression: true,
-            ..CabaPolicy::new(CabaMode::Bdi)
-        }),
+        Design::Caba(CabaMode::Bdi),
+        Design::Caba(CabaMode::Fpc),
+        Design::Caba(CabaMode::CPack),
+        Design::Caba(CabaMode::BestOfAll),
     ]
 }
 
@@ -92,10 +85,7 @@ fn the_test_kernels_run_the_same_on_both_engines() {
             let assists =
                 assert_engines_agree(GpuConfig::small(), design, kernel, false).assist_launches;
             match design {
-                Design::Caba(CabaPolicy {
-                    mode: CabaMode::StandIn { .. },
-                    ..
-                }) => stand_in_assists += assists,
+                Design::Caba(CabaMode::StandIn { .. }) => stand_in_assists += assists,
                 _ => caba_assists += assists,
             }
         }

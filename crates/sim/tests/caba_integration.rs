@@ -1,9 +1,8 @@
 //! End-to-end CABA tests: assist warps really run, really transform bytes,
 //! and the design points order as the paper reports.
 
-use caba_compress::Algorithm;
 use caba_isa::{AluOp, Kernel, LaunchDims, ProgramBuilder, Reg, Space, Special, Src, Width};
-use caba_sim::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig, RunError};
+use caba_sim::{CabaMode, Design, Gpu, GpuConfig, RunError};
 
 /// Bandwidth-bound streaming reduction: each thread sums four strided
 /// elements and stores one result. Load-dominated, coalesced, and with a
@@ -30,17 +29,12 @@ fn copy_kernel(n: u32, in_base: u64, out_base: u64) -> Kernel {
         .with_params(vec![in_base, out_base])
 }
 
-fn caba(mode: CabaMode) -> Design {
-    Design::Caba(CabaPolicy::new(mode))
-}
-
 /// CABA-BDI checking every assist-warp result against the reference
 /// compressor, in release builds too.
-fn paranoid_bdi() -> Design {
-    Design::Caba(CabaPolicy {
-        paranoid: true,
-        ..CabaPolicy::new(CabaMode::Bdi)
-    })
+fn paranoid_bdi(cfg: GpuConfig) -> Gpu {
+    let mut gpu = Gpu::new(cfg, Design::Caba(CabaMode::Bdi));
+    gpu.set_paranoid(true);
+    gpu
 }
 
 /// CPU reference for [`copy_kernel`].
@@ -76,7 +70,7 @@ fn check_copied(gpu: &Gpu, n: u32, base: u64) {
 #[test]
 fn caba_bdi_runs_assist_warps_and_stays_correct() {
     let n = 16384;
-    let mut gpu = Gpu::new(GpuConfig::small(), paranoid_bdi());
+    let mut gpu = paranoid_bdi(GpuConfig::small());
     load_compressible(&mut gpu, n, 0x1_0000);
     let stats = gpu
         .run(&copy_kernel(n, 0x1_0000, 0x40_0000), 8_000_000)
@@ -102,7 +96,7 @@ fn caba_bdi_saves_bandwidth_vs_base() {
         .run(&copy_kernel(n, 0x1_0000, 0x40_0000), 8_000_000)
         .unwrap();
 
-    let mut caba = Gpu::new(GpuConfig::small(), caba(CabaMode::Bdi));
+    let mut caba = Gpu::new(GpuConfig::small(), Design::Caba(CabaMode::Bdi));
     load_compressible(&mut caba, n, 0x1_0000);
     let sc = caba
         .run(&copy_kernel(n, 0x1_0000, 0x40_0000), 8_000_000)
@@ -134,15 +128,9 @@ fn design_point_ordering_matches_paper() {
         s
     };
     let base = run(Design::Base);
-    let caba = run(caba(CabaMode::Bdi));
-    let hw = run(Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: false,
-    });
-    let ideal = run(Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: true,
-    });
+    let caba = run(Design::Caba(CabaMode::Bdi));
+    let hw = run(Design::HwFull { ideal: false });
+    let ideal = run(Design::HwFull { ideal: true });
 
     let sp = |s: &caba_sim::RunStats| base.cycles as f64 / s.cycles as f64;
     let (sp_caba, sp_hw, sp_ideal) = (sp(&caba), sp(&hw), sp(&ideal));
@@ -166,7 +154,7 @@ fn design_point_ordering_matches_paper() {
 #[test]
 fn caba_on_incompressible_data_is_functionally_safe() {
     let n = 8192;
-    let mut gpu = Gpu::new(GpuConfig::small(), paranoid_bdi());
+    let mut gpu = paranoid_bdi(GpuConfig::small());
     let mut x = 17u64;
     for i in 0..n {
         x = x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(0x33);
@@ -191,7 +179,7 @@ fn caba_fpc_and_cpack_run_correctly() {
     for mode in [CabaMode::Fpc, CabaMode::CPack, CabaMode::BestOfAll] {
         let name = mode.label();
         let n = 8192;
-        let mut gpu = Gpu::new(GpuConfig::small(), caba(mode));
+        let mut gpu = Gpu::new(GpuConfig::small(), Design::Caba(mode));
         load_compressible(&mut gpu, n, 0x1_0000);
         let stats = gpu
             .run(&copy_kernel(n, 0x1_0000, 0x40_0000), 4_000_000)
@@ -209,7 +197,7 @@ fn store_buffer_overflow_path() {
     let mut cfg = GpuConfig::small();
     cfg.store_buffer = 1;
     cfg.awb_low_priority_entries = 1;
-    let mut gpu = Gpu::new(cfg, paranoid_bdi());
+    let mut gpu = paranoid_bdi(cfg);
     load_compressible(&mut gpu, n, 0x1_0000);
     let stats = gpu
         .run(&copy_kernel(n, 0x1_0000, 0x40_0000), 40_000_000)
@@ -236,7 +224,7 @@ fn cut_every_7th_cycle(mode: CabaMode) {
     let n = 4096u32;
     let cfg = GpuConfig::small();
     let kernel = copy_kernel(n, 0x1_0000, 0x40_0000);
-    let fresh = || Gpu::new(cfg, caba(mode));
+    let fresh = || Gpu::new(cfg, Design::Caba(mode));
 
     let mut whole = fresh();
     load_compressible(&mut whole, n, 0x1_0000);

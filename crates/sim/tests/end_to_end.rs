@@ -3,7 +3,6 @@
 
 mod kernels;
 
-use caba_compress::Algorithm;
 use caba_sim::{Design, Gpu, GpuConfig, RunError};
 use kernels::{
     barrier_kernel, check_output, divergent_kernel, load_input, loop_kernel, scale_kernel,
@@ -29,17 +28,9 @@ fn scale_kernel_correct_on_base() {
 #[test]
 fn scale_kernel_correct_on_hw_designs() {
     for design in [
-        Design::HwMemOnly {
-            alg: Algorithm::Bdi,
-        },
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: true,
-        },
+        Design::HwMemOnly,
+        Design::HwFull { ideal: false },
+        Design::HwFull { ideal: true },
     ] {
         let n = 512;
         let label = design.label();
@@ -63,13 +54,7 @@ fn compressed_design_moves_fewer_bursts() {
         .run(&scale_kernel(n, 0x1_0000, 0x8_0000), 1_000_000)
         .unwrap();
 
-    let mut hw_gpu = Gpu::new(
-        GpuConfig::small(),
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-    );
+    let mut hw_gpu = Gpu::new(GpuConfig::small(), Design::HwFull { ideal: false });
     load_input(&mut hw_gpu, n, 0x1_0000);
     let hw = hw_gpu
         .run(&scale_kernel(n, 0x1_0000, 0x8_0000), 1_000_000)

@@ -4,7 +4,6 @@
 
 mod kernels;
 
-use caba_compress::Algorithm;
 use caba_isa::{
     AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, Space, Special, Src, Width,
 };
@@ -162,10 +161,7 @@ fn a_trace_started_mid_run_is_the_tail_of_a_trace_from_cycle_0() {
     };
     let kernel = scale_kernel(n, 0x1_0000, 0x8_0000);
     let gpu = |cfg: GpuConfig| {
-        let design = Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        };
+        let design = Design::HwFull { ideal: false };
         let mut gpu = Gpu::new(cfg, design);
         load_input(&mut gpu, n, 0x1_0000);
         gpu
@@ -199,13 +195,7 @@ fn audits_are_invisible_on_a_healthy_run() {
     let run = |audit_interval: u64| {
         let mut cfg = GpuConfig::small();
         cfg.audit_interval = audit_interval;
-        let mut gpu = Gpu::new(
-            cfg,
-            Design::HwFull {
-                alg: Algorithm::Bdi,
-                ideal: false,
-            },
-        );
+        let mut gpu = Gpu::new(cfg, Design::HwFull { ideal: false });
         load_input(&mut gpu, n, 0x1_0000);
         let stats = gpu
             .run(&scale_kernel(n, 0x1_0000, 0x8_0000), 1_000_000)
@@ -255,13 +245,7 @@ fn recover_mode_completes_correctly_and_counts_every_fault_class() {
         dram_delay_rate: 0.2,
         ..FaultConfig::recover(0xFA11, 0.05)
     };
-    let mut gpu = Gpu::new(
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-    );
+    let mut gpu = Gpu::new(cfg, Design::HwFull { ideal: false });
     load_input(&mut gpu, n, 0x1_0000);
     let stats = gpu
         .run(&scale_kernel(n, 0x1_0000, 0x8_0000), 4_000_000)
@@ -336,13 +320,7 @@ fn silent_corruption_is_caught_naming_the_compression_map() {
         corrupt_line_rate: 1.0,
         ..FaultConfig::disabled()
     };
-    let mut gpu = Gpu::new(
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-    );
+    let mut gpu = Gpu::new(cfg, Design::HwFull { ideal: false });
     load_input(&mut gpu, 1024, 0x1_0000);
     let err = gpu
         .run(&scale_kernel(1024, 0x1_0000, 0x8_0000), 1_000_000)
@@ -383,13 +361,7 @@ fn fault_schedules_are_deterministic_per_seed() {
             let mut cfg = GpuConfig::small();
             cfg.audit_interval = 128;
             cfg.fault = FaultConfig::recover(seed, 0.05);
-            let mut gpu = Gpu::new(
-                cfg,
-                Design::HwFull {
-                    alg: Algorithm::Bdi,
-                    ideal: false,
-                },
-            );
+            let mut gpu = Gpu::new(cfg, Design::HwFull { ideal: false });
             load_input(&mut gpu, 512, 0x1_0000);
             let stats = gpu
                 .run(&scale_kernel(512, 0x1_0000, 0x8_0000), 2_000_000)
@@ -439,13 +411,7 @@ fn observability_is_record_only_and_audits_conserve_slots() {
         ..FaultConfig::recover(0xFA11, 0.05)
     };
     let run = |cfg: GpuConfig| {
-        let mut gpu = Gpu::new(
-            cfg,
-            Design::HwFull {
-                alg: Algorithm::Bdi,
-                ideal: false,
-            },
-        );
+        let mut gpu = Gpu::new(cfg, Design::HwFull { ideal: false });
         load_input(&mut gpu, n, 0x1_0000);
         let stats = gpu
             .run(&scale_kernel(n, 0x1_0000, 0x8_0000), 4_000_000)

@@ -5,7 +5,6 @@
 
 mod kernels;
 
-use caba_compress::Algorithm;
 use caba_isa::{Kernel, LaunchDims, ProgramBuilder, Reg};
 use caba_sim::fault::corrupt_snapshot;
 use caba_sim::{Design, FaultConfig, Gpu, GpuConfig, RestoreError, RunError, RunStats};
@@ -55,17 +54,9 @@ fn split_and_resume(
 fn designs() -> Vec<Design> {
     vec![
         Design::Base,
-        Design::HwMemOnly {
-            alg: Algorithm::Bdi,
-        },
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: true,
-        },
+        Design::HwMemOnly,
+        Design::HwFull { ideal: false },
+        Design::HwFull { ideal: true },
     ]
 }
 
@@ -194,12 +185,7 @@ fn header_mismatches_are_typed() {
         .expect("tolerated knobs must not reject a restore");
 
     // Different design point → DesignMismatch.
-    let mut g = Gpu::new(
-        cfg,
-        Design::HwMemOnly {
-            alg: Algorithm::Bdi,
-        },
-    );
+    let mut g = Gpu::new(cfg, Design::HwMemOnly);
     assert!(matches!(
         g.restore(&kernel, &bytes),
         Err(RestoreError::DesignMismatch { .. })

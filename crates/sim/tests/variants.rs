@@ -2,7 +2,6 @@
 //! (Fig. 13), interconnect traffic differences between HW-BDI-Mem and
 //! HW-BDI, and degenerate configurations that stress the throttling paths.
 
-use caba_compress::Algorithm;
 use caba_isa::{AluOp, Kernel, LaunchDims, ProgramBuilder, Reg, Space, Special, Src, Width};
 use caba_sim::{Design, Gpu, GpuConfig};
 
@@ -48,21 +47,8 @@ const N: u32 = 96 * 1024; // 384 KB of 4-byte words
 #[test]
 fn hw_mem_only_moves_full_lines_on_the_interconnect() {
     let cfg = GpuConfig::small();
-    let mem_only = run(
-        cfg,
-        Design::HwMemOnly {
-            alg: Algorithm::Bdi,
-        },
-        N,
-    );
-    let full = run(
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-        N,
-    );
+    let mem_only = run(cfg, Design::HwMemOnly, N);
+    let full = run(cfg, Design::HwFull { ideal: false }, N);
     // Same DRAM compression...
     let burst_ratio = mem_only.dram_bursts as f64 / full.dram_bursts as f64;
     assert!(
@@ -85,12 +71,9 @@ fn compressed_l2_with_extra_tags_raises_hit_rate() {
     let base_cfg = GpuConfig::small();
     let mut big_cfg = base_cfg;
     big_cfg.l2 = big_cfg.l2.with_tag_factor(4);
-    let design = || Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: false,
-    };
-    let plain = run(base_cfg, design(), N);
-    let tagged = run(big_cfg, design(), N);
+    let design = Design::HwFull { ideal: false };
+    let plain = run(base_cfg, design, N);
+    let tagged = run(big_cfg, design, N);
     assert!(
         tagged.l2_hit_rate() >= plain.l2_hit_rate(),
         "tagged {} vs plain {}",
@@ -132,14 +115,11 @@ fn compressed_l1_pays_decompression_on_hits() {
     cfg_comp.l1_compressed = true;
     cfg_comp.l1_hit_decompress_penalty = 20;
 
-    let design = || Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: false,
-    };
-    let mut g1 = Gpu::new(cfg_plain, design());
+    let design = Design::HwFull { ideal: false };
+    let mut g1 = Gpu::new(cfg_plain, design);
     load_compressible(&mut g1, 1024);
     let plain = g1.run(&kernel, 50_000_000).unwrap();
-    let mut g2 = Gpu::new(cfg_comp, design());
+    let mut g2 = Gpu::new(cfg_comp, design);
     load_compressible(&mut g2, 1024);
     let comp = g2.run(&kernel, 50_000_000).unwrap();
     assert!(plain.l1_hit_rate() > 0.5, "kernel must be hit-heavy");
@@ -177,14 +157,7 @@ fn single_sm_single_channel_machine_works() {
     let mut cfg = GpuConfig::small();
     cfg.num_sms = 1;
     cfg.num_channels = 1;
-    let stats = run(
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-        16 * 1024,
-    );
+    let stats = run(cfg, Design::HwFull { ideal: false }, 16 * 1024);
     assert!(stats.cycles > 0);
     assert!(stats.dram_bursts > 0);
 }

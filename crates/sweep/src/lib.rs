@@ -48,8 +48,7 @@ pub use resilient::{
     SweepError,
 };
 
-use caba_compress::Algorithm;
-use caba_sim::{CabaMode, CabaPolicy, Design, GpuConfig, RunStats};
+use caba_sim::{CabaMode, Design, GpuConfig, RunStats};
 
 /// Names a design point of the run matrix: the eight [`Design`]s the
 /// figures, the CLI and the server's URLs choose from.
@@ -115,17 +114,15 @@ impl DesignId {
 
     /// The design point.
     pub fn make(self) -> Design {
-        let alg = Algorithm::Bdi;
-        let caba = |mode| Design::Caba(CabaPolicy::new(mode));
         match self {
             DesignId::Base => Design::Base,
-            DesignId::HwBdiMem => Design::HwMemOnly { alg },
-            DesignId::HwBdi => Design::HwFull { alg, ideal: false },
-            DesignId::IdealBdi => Design::HwFull { alg, ideal: true },
-            DesignId::CabaBdi => caba(CabaMode::Bdi),
-            DesignId::CabaFpc => caba(CabaMode::Fpc),
-            DesignId::CabaCPack => caba(CabaMode::CPack),
-            DesignId::CabaBest => caba(CabaMode::BestOfAll),
+            DesignId::HwBdiMem => Design::HwMemOnly,
+            DesignId::HwBdi => Design::HwFull { ideal: false },
+            DesignId::IdealBdi => Design::HwFull { ideal: true },
+            DesignId::CabaBdi => Design::Caba(CabaMode::Bdi),
+            DesignId::CabaFpc => Design::Caba(CabaMode::Fpc),
+            DesignId::CabaCPack => Design::Caba(CabaMode::CPack),
+            DesignId::CabaBest => Design::Caba(CabaMode::BestOfAll),
         }
     }
 }
@@ -231,12 +228,42 @@ mod tests {
     }
 
     /// Cell keys hash these strings: a label that moved would re-key every
-    /// stored result of its design.
+    /// stored result of its design. `make` is one value, `Debug` text
+    /// included, in debug and release builds.
     #[test]
     fn each_design_id_is_labelled_by_its_design() {
+        // Numbers every `Design` value; exhaustive, so a new variant, field
+        // or CABA mode stops this compiling.
+        let slot = |d: Design| match d {
+            Design::Base => 0,
+            Design::HwMemOnly => 1,
+            Design::HwFull { ideal } => 2 + usize::from(ideal),
+            Design::Caba(CabaMode::Bdi) => 4,
+            Design::Caba(CabaMode::Fpc) => 5,
+            Design::Caba(CabaMode::CPack) => 6,
+            Design::Caba(CabaMode::BestOfAll) => 7,
+        };
+        let mut slots = DesignId::ALL.map(|d| slot(d.make()));
+        slots.sort_unstable();
+        assert_eq!(slots, [0, 1, 2, 3, 4, 5, 6, 7], "every Design, once each");
+        let labels: std::collections::HashSet<_> = DesignId::ALL.map(DesignId::label).into();
+        assert_eq!(labels.len(), DesignId::ALL.len(), "labels are distinct");
         for d in DesignId::ALL {
             assert_eq!(d.make().label(), d.label());
         }
+        assert_eq!(
+            DesignId::ALL.map(|d| format!("{:?}", d.make())),
+            [
+                "Base",
+                "HwMemOnly",
+                "HwFull { ideal: false }",
+                "Caba(Bdi)",
+                "HwFull { ideal: true }",
+                "Caba(Fpc)",
+                "Caba(CPack)",
+                "Caba(BestOfAll)",
+            ]
+        );
         assert_eq!(
             DesignId::ALL.map(DesignId::label),
             [

@@ -48,48 +48,48 @@ fn usage() -> ! {
          \x20      caba-sweep store (scrub|gc|stats) --store-dir DIR [--store-cap BYTES] [--out PATH]\n\
          \n\
          --jobs N       cells simulated at once, one thread each (default:\n\
-                        available parallelism). Results are bit-identical\n\
-                        for any value.\n\
+         \x20              available parallelism). Results are bit-identical\n\
+         \x20              for any value.\n\
          --scale F      workload scale, finite and > 0 (default 0.5;\n\
-                        selftest: 0.05)\n\
+         \x20              selftest: 0.05)\n\
          --store-dir DIR\n\
-                        durable content-addressed store: finished cells are\n\
-                        persisted and looked up by content key, so a fresh\n\
-                        process warm-starts bit-identically from an earlier\n\
-                        (even killed) run's work: a killed sweep resumes by\n\
-                        running again with the same --store-dir, and only\n\
-                        the cells it had not stored simulate. A cell that\n\
-                        fails (simulator error or caught panic) fails once:\n\
-                        it is deterministic, so nothing retries it\n\
+         \x20              durable content-addressed store: finished cells are\n\
+         \x20              persisted and looked up by content key, so a fresh\n\
+         \x20              process warm-starts bit-identically from an earlier\n\
+         \x20              (even killed) run's work: a killed sweep resumes by\n\
+         \x20              running again with the same --store-dir, and only\n\
+         \x20              the cells it had not stored simulate. A cell that\n\
+         \x20              fails (simulator error or caught panic) fails once:\n\
+         \x20              it is deterministic, so nothing retries it\n\
          --store-fault-seed N / --store-fault-rate F\n\
-                        inject deterministic seeded I/O faults (torn writes,\n\
-                        short reads, ENOSPC, failed renames/cleanups) under\n\
-                        the store at per-op rate F — chaos testing; the\n\
-                        sweep's results must be unaffected. Either flag\n\
-                        turns injection on (defaults: seed 0, rate 0.05);\n\
-                        F lies in 0..=1; both need --store-dir\n\
+         \x20              inject deterministic seeded I/O faults (torn writes,\n\
+         \x20              short reads, ENOSPC, failed renames/cleanups) under\n\
+         \x20              the store at per-op rate F — chaos testing; the\n\
+         \x20              sweep's results must be unaffected. Either flag\n\
+         \x20              turns injection on (defaults: seed 0, rate 0.05);\n\
+         \x20              F lies in 0..=1; both need --store-dir\n\
          --figures LIST comma-separated figures, by the names paper takes\n\
-                        (default: fig07,fig10,fig12); the table is their\n\
-                        cells' raw rows on the stock machine, so fig08 and\n\
-                        fig09 give fig07's, fig13 and tab_md the CABA-BDI\n\
-                        cells, and fig02, fig05 and fig11 have none\n\
+         \x20              (default: fig07,fig10,fig12); the table is their\n\
+         \x20              cells' raw rows on the stock machine, so fig08 and\n\
+         \x20              fig09 give fig07's, fig13 and tab_md the CABA-BDI\n\
+         \x20              cells, and fig02, fig05 and fig11 have none\n\
          --apps LIST    comma-separated app-name filter applied to the cells\n\
          --selftest     first verify that the cells' RunStats are bit-identical\n\
-                        one at a time and --jobs at once\n\
+         \x20              one at a time and --jobs at once\n\
          --table PATH   write the deterministic figure table (the exact bytes\n\
-                        caba-serve streams for the same cells) to PATH\n\
-                        instead of stdout\n\
+         \x20              caba-serve streams for the same cells) to PATH\n\
+         \x20              instead of stdout\n\
          \n\
          paper NAME     print one of the paper's tables, or all eleven, from\n\
-                        cells run through the same sweep path; with\n\
-                        --store-dir, tables that share runs (fig07, fig08,\n\
-                        fig09, tab_md) simulate them once across invocations.\n\
-                        Takes no --figures, --apps or --selftest\n\
+         \x20              cells run through the same sweep path; with\n\
+         \x20              --store-dir, tables that share runs (fig07, fig08,\n\
+         \x20              fig09, tab_md) simulate them once across invocations.\n\
+         \x20              Takes no --figures, --apps or --selftest\n\
          store scrub    verify every store entry's checksum; quarantine (never\n\
-                        delete) corrupt entries and stale temps; write a JSON\n\
-                        report to --out if given; exit 1 if anything was found\n\
+         \x20              delete) corrupt entries and stale temps; write a JSON\n\
+         \x20              report to --out if given; exit 1 if anything was found\n\
          store gc       LRU-evict entries until the store fits --store-cap;\n\
-                        the one way a store is collected\n\
+         \x20              the one way a store is collected\n\
          store stats    print store inventory as JSON"
     );
     std::process::exit(2);

@@ -66,6 +66,37 @@ fn bad_scales_and_the_removed_flags_are_usage_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--help` prints the usage text (exit 2): every flag description keeps
+/// its hanging indent, as `caba-serve --help` does.
+#[test]
+fn help_prints_the_usage_text_with_its_hanging_indent() {
+    let (code, stderr) = run("--help", &[]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with(
+        "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--table PATH]\n\
+         \x20                 [--figures LIST] [--apps LIST] [--store-dir DIR]\n"
+    ));
+    assert!(stderr.contains(
+        "--jobs N       cells simulated at once, one thread each (default:\n\
+         \x20              available parallelism). Results are bit-identical\n\
+         \x20              for any value.\n\
+         --scale F      workload scale, finite and > 0 (default 0.5;\n"
+    ));
+    let (_, flags) = stderr
+        .split_once("\n\n")
+        .expect("a blank line before the flags");
+    for line in flags.lines().filter(|l| !l.is_empty()) {
+        let indent = line.len() - line.trim_start().len();
+        assert!(
+            indent == 15
+                || ["--", "paper ", "store "]
+                    .iter()
+                    .any(|p| line.starts_with(p)),
+            "{line:?}"
+        );
+    }
+}
+
 #[test]
 fn a_sweep_that_would_run_other_cells_than_asked_is_a_usage_error() {
     let dir = caba_store::fsio::scratch_dir("cli-gate");

@@ -77,7 +77,7 @@ pub fn run_app(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caba_sim::{CabaMode, CabaPolicy};
+    use caba_sim::CabaMode;
 
     #[test]
     fn representative_apps_run_on_small_config() {
@@ -149,7 +149,7 @@ mod tests {
             assert!(checked > 0, "{name}");
             // CABA-BDI must produce identical outputs (assist warps are
             // functionally transparent).
-            let caba = Design::Caba(CabaPolicy::new(CabaMode::Bdi));
+            let caba = Design::Caba(CabaMode::Bdi);
             let mut gpu = Gpu::new(GpuConfig::small(), caba);
             a.load_inputs(&mut gpu, scale);
             gpu.run(&a.kernel(scale), DEFAULT_MAX_CYCLES).unwrap();

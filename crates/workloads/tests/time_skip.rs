@@ -7,8 +7,7 @@
 //! issue-slot buckets — and byte-equal snapshots at any cycle, apart from
 //! the engine's own skip counters.
 
-use caba_compress::Algorithm;
-use caba_sim::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig, RunError, RunStats};
+use caba_sim::{CabaMode, Design, Gpu, GpuConfig, RunError, RunStats};
 use caba_stats::StallKind;
 use caba_workloads::{app, prepare_app};
 
@@ -16,11 +15,8 @@ const SCALE: f64 = 0.05;
 const MAX: u64 = 50_000_000;
 
 const BASE: Design = Design::Base;
-const HW_BDI: Design = Design::HwFull {
-    alg: Algorithm::Bdi,
-    ideal: false,
-};
-const CABA_BDI: Design = Design::Caba(CabaPolicy::new(CabaMode::Bdi));
+const HW_BDI: Design = Design::HwFull { ideal: false };
+const CABA_BDI: Design = Design::Caba(CabaMode::Bdi);
 
 /// The three designs the engines treat differently: no compression
 /// machinery at all, dedicated-logic compression (partition-side horizon

@@ -1,17 +1,15 @@
 //! Ablation studies for the design choices DESIGN.md calls out:
 //!
-//! 1. Decompression priority (high, per §3.2.3, vs. low) — quantifies why
-//!    correctness-critical assist warps must take precedence.
-//! 2. AWB low-priority partition size (the paper provisions 2 entries).
-//! 3. Store-buffer capacity (§4.2.2 Î) and its overflow behaviour.
-//! 4. The metadata cache (§4.3.2) vs. paying a metadata access per DRAM
+//! 1. AWB low-priority partition size (the paper provisions 2 entries).
+//! 2. Store-buffer capacity (§4.2.2 Î) and its overflow behaviour.
+//! 3. The metadata cache (§4.3.2) vs. paying a metadata access per DRAM
 //!    access.
 //!
 //! Run with `cargo run --release --example ablations -- [SCALE]` (default
 //! scale 0.5). The apps used are a small representative trio (streaming /
 //! gather / stencil).
 
-use caba::sim::{CabaMode, CabaPolicy, Design, GpuConfig};
+use caba::sim::{CabaMode, Design, GpuConfig};
 use caba::stats::Table;
 use caba::workloads::{app, run_app};
 
@@ -25,7 +23,7 @@ fn scale() -> f64 {
 }
 
 fn caba() -> Design {
-    Design::Caba(CabaPolicy::new(CabaMode::Bdi))
+    Design::Caba(CabaMode::Bdi)
 }
 
 fn cycles(cfg: GpuConfig, design: Design, name: &str) -> u64 {
@@ -40,30 +38,6 @@ fn section(title: &str, t: Table) {
     println!("Ablation: {title}");
     println!("================================================================");
     print!("{t}");
-}
-
-fn ablate_decompression_priority() {
-    let mut t = Table::with_columns(&["App", "High (paper)", "Low (ablated)"]);
-    for name in APPS {
-        let hi = cycles(GpuConfig::isca2015_scaled(), caba(), name);
-        let lo = cycles(
-            GpuConfig::isca2015_scaled(),
-            Design::Caba(CabaPolicy {
-                low_priority_decompression: true,
-                ..CabaPolicy::new(CabaMode::Bdi)
-            }),
-            name,
-        );
-        t.row(vec![
-            name.into(),
-            format!("{hi} cy (1.00x)"),
-            format!("{lo} cy ({:.2}x)", hi as f64 / lo as f64),
-        ]);
-    }
-    section(
-        "decompression priority (§3.2.3: blocking warps must run first)",
-        t,
-    );
 }
 
 fn ablate_awb_entries() {
@@ -126,7 +100,6 @@ fn ablate_md_cache() {
 
 fn main() {
     eprintln!("ablation harness: scale={} ", scale());
-    ablate_decompression_priority();
     ablate_awb_entries();
     ablate_store_buffer();
     ablate_md_cache();

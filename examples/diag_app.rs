@@ -7,8 +7,7 @@
 //! Arguments: application name (see `caba_workloads::all_apps`) and an
 //! optional scale factor (default 0.5).
 
-use caba::compress::Algorithm;
-use caba::sim::{CabaMode, CabaPolicy, Design, GpuConfig};
+use caba::sim::{CabaMode, Design, GpuConfig};
 use caba::stats::StallKind;
 use caba::workloads::{all_apps, app, run_app};
 
@@ -26,13 +25,10 @@ fn main() {
         std::process::exit(1);
     };
     println!("{name} @ scale {scale} on the scaled Table 1 machine\n");
-    let hw_bdi = Design::HwFull {
-        alg: Algorithm::Bdi,
-        ideal: false,
-    };
+    let hw_bdi = Design::HwFull { ideal: false };
     for (label, design) in [
         ("Base", Design::Base),
-        ("CABA-BDI", Design::Caba(CabaPolicy::new(CabaMode::Bdi))),
+        ("CABA-BDI", Design::Caba(CabaMode::Bdi)),
         ("HW-BDI", hw_bdi),
     ] {
         let s = run_app(&a, GpuConfig::isca2015_scaled(), design, scale)

@@ -6,7 +6,6 @@
 //! cargo run --release --example integrity
 //! ```
 
-use caba::compress::Algorithm;
 use caba::isa::{
     AluOp, CmpOp, Kernel, LaunchDims, Pred, ProgramBuilder, Reg, Space, Special, Src, Width,
 };
@@ -51,13 +50,7 @@ fn barrier_kernel() -> Kernel {
 }
 
 fn gpu_with(cfg: GpuConfig) -> Gpu {
-    let mut gpu = Gpu::new(
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-    );
+    let mut gpu = Gpu::new(cfg, Design::HwFull { ideal: false });
     for i in 0..N {
         gpu.mem_mut().write_u32(IN + i as u64 * 4, 0x100 + i);
     }

@@ -6,7 +6,7 @@
 //! ```
 
 use caba::isa::{AluOp, Kernel, LaunchDims, ProgramBuilder, Reg, Space, Special, Src, Width};
-use caba::sim::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig};
+use caba::sim::{CabaMode, Design, Gpu, GpuConfig};
 
 /// A bandwidth-bound kernel: each thread sums four grid-strided 8-byte
 /// elements and stores a small result.
@@ -46,7 +46,7 @@ fn main() {
 
     for (name, design) in [
         ("Base     ", Design::Base),
-        ("CABA-BDI ", Design::Caba(CabaPolicy::new(CabaMode::Bdi))),
+        ("CABA-BDI ", Design::Caba(CabaMode::Bdi)),
     ] {
         let mut gpu = Gpu::new(GpuConfig::isca2015_scaled(), design);
         // Compressible input: low-dynamic-range 32-bit values.

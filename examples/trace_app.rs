@@ -8,7 +8,7 @@
 //! per-SM issue activity (app vs. assist instructions) and DRAM bandwidth
 //! utilization over time.
 
-use caba::sim::{CabaMode, CabaPolicy, Design, Gpu, GpuConfig, TraceConfig};
+use caba::sim::{CabaMode, Design, Gpu, GpuConfig, TraceConfig};
 use caba::workloads::app;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.25);
     let design = match args.next().as_deref() {
         Some("base") => Design::Base,
-        _ => Design::Caba(CabaPolicy::new(CabaMode::Bdi)),
+        _ => Design::Caba(CabaMode::Bdi),
     };
     let path = args.next().unwrap_or_else(|| "trace.json".into());
 

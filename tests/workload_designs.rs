@@ -2,9 +2,8 @@
 //! evaluated design points, checking the paper's qualitative claims hold on
 //! the small test machine.
 
-use caba::compress::Algorithm;
 use caba::sim::occupancy::occupancy;
-use caba::sim::{CabaMode, CabaPolicy, Design, GpuConfig};
+use caba::sim::{CabaMode, Design, GpuConfig};
 use caba::workloads::{all_apps, app, eval_apps, run_app, AppClass};
 
 #[test]
@@ -24,17 +23,8 @@ fn compressed_designs_beat_base_on_compressible_memory_bound_app() {
     let a = app("PVC").expect("known app");
     let cfg = GpuConfig::small();
     let base = run_app(&a, cfg, Design::Base, 0.25).unwrap();
-    let hw = run_app(
-        &a,
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-        0.25,
-    )
-    .unwrap();
-    let caba = run_app(&a, cfg, Design::Caba(CabaPolicy::new(CabaMode::Bdi)), 0.25).unwrap();
+    let hw = run_app(&a, cfg, Design::HwFull { ideal: false }, 0.25).unwrap();
+    let caba = run_app(&a, cfg, Design::Caba(CabaMode::Bdi), 0.25).unwrap();
     assert!(
         hw.cycles < base.cycles,
         "HW {} vs Base {}",
@@ -58,16 +48,7 @@ fn incompressible_app_is_not_hurt_by_hw_compression() {
     let a = app("SCP").expect("known app");
     let cfg = GpuConfig::small();
     let base = run_app(&a, cfg, Design::Base, 0.2).unwrap();
-    let hw = run_app(
-        &a,
-        cfg,
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
-        0.2,
-    )
-    .unwrap();
+    let hw = run_app(&a, cfg, Design::HwFull { ideal: false }, 0.2).unwrap();
     let ratio = hw.cycles as f64 / base.cycles as f64;
     assert!(ratio < 1.1, "HW-BDI degraded SCP by {ratio}");
 }
@@ -97,10 +78,7 @@ fn md_cache_hit_rate_is_high_for_streaming_app() {
     let s = run_app(
         &a,
         GpuConfig::small(),
-        Design::HwFull {
-            alg: Algorithm::Bdi,
-            ideal: false,
-        },
+        Design::HwFull { ideal: false },
         0.25,
     )
     .unwrap();
