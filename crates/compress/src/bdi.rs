@@ -23,7 +23,7 @@
 //! reproduced in the tests below.
 
 use crate::bits::{fits_signed, sign_extend};
-use crate::{Algorithm, CompressedLine, Compressor, DecompressError};
+use crate::{Algorithm, CompressedLine, DecompressError};
 
 /// One BDI encoding: the value size / delta size pair (plus the two special
 /// cases), as stored in the out-of-band metadata.
@@ -117,116 +117,103 @@ impl BdiEncoding {
     }
 }
 
-/// The Base-Delta-Immediate compressor.
-#[derive(Debug, Default)]
-pub struct Bdi {
-    _private: (),
+/// Decides the winning encoding for `line` without building a payload.
+///
+/// Candidate encodings are ranked by their data-independent
+/// [`BdiEncoding::compressed_size`] (ties broken by [`BdiEncoding::ALL`]
+/// order), and the first whose chunked fit-scan passes is returned —
+/// exactly the encoding [`compress`] would pick, at a
+/// fraction of the cost: the scan reads the line as `u64` lanes and
+/// touches no heap.
+pub fn scan(line: &[u8]) -> Option<BdiEncoding> {
+    debug_assert!(line.len() >= 8 && line.len().is_multiple_of(8));
+    if all_zero(line) {
+        return Some(BdiEncoding::Zeros);
+    }
+    // (size, ALL-index) pairs for every encoding that could beat the
+    // uncompressed line. Rep8 carries no benefit guard, mirroring
+    // `compress_with`.
+    let mut ranked = [(0usize, 0usize); 7];
+    let mut n = 0;
+    for (idx, &enc) in BdiEncoding::ALL.iter().enumerate().skip(1) {
+        let size = enc.compressed_size(line.len());
+        if enc == BdiEncoding::Rep8 || size < line.len() {
+            ranked[n] = (size, idx);
+            n += 1;
+        }
+    }
+    let ranked = &mut ranked[..n];
+    ranked.sort_unstable();
+    ranked
+        .iter()
+        .map(|&(_, idx)| BdiEncoding::ALL[idx])
+        .find(|&enc| applies(line, enc))
 }
 
-impl Bdi {
-    /// Creates a BDI compressor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Decides the winning encoding for `line` without building a payload.
-    ///
-    /// Candidate encodings are ranked by their data-independent
-    /// [`BdiEncoding::compressed_size`] (ties broken by [`BdiEncoding::ALL`]
-    /// order), and the first whose chunked fit-scan passes is returned —
-    /// exactly the encoding [`Compressor::compress`] would pick, at a
-    /// fraction of the cost: the scan reads the line as `u64` lanes and
-    /// touches no heap.
-    pub fn scan(&self, line: &[u8]) -> Option<BdiEncoding> {
-        debug_assert!(line.len() >= 8 && line.len().is_multiple_of(8));
-        if all_zero(line) {
-            return Some(BdiEncoding::Zeros);
+/// Whether [`compress_with`]`(line, enc)` would return a line —
+/// the same answer for any `line`, without building the payload.
+pub fn fits(line: &[u8], enc: BdiEncoding) -> bool {
+    let shaped = match enc.sizes() {
+        // `compress_with`'s "no benefit" rule.
+        Some((vs, _)) => {
+            line.len().is_multiple_of(vs) && enc.compressed_size(line.len()) < line.len()
         }
-        // (size, ALL-index) pairs for every encoding that could beat the
-        // uncompressed line. Rep8 carries no benefit guard, mirroring
-        // `compress_with`.
-        let mut ranked = [(0usize, 0usize); 7];
-        let mut n = 0;
-        for (idx, &enc) in BdiEncoding::ALL.iter().enumerate().skip(1) {
-            let size = enc.compressed_size(line.len());
-            if enc == BdiEncoding::Rep8 || size < line.len() {
-                ranked[n] = (size, idx);
-                n += 1;
+        None => enc == BdiEncoding::Zeros || line.len().is_multiple_of(8),
+    };
+    shaped && applies(line, enc)
+}
+
+/// Exact compressed size [`compress`] would produce for
+/// `line`, or `None` when incompressible. Never allocates.
+pub fn scan_size(line: &[u8]) -> Option<usize> {
+    assert!(
+        line.len() >= 8 && line.len().is_multiple_of(8),
+        "BDI requires a line size that is a multiple of 8 bytes"
+    );
+    scan(line).map(|e| e.compressed_size(line.len()))
+}
+
+/// Attempts to compress `line` with one specific encoding.
+///
+/// Used by the CABA compression subroutine tests to cross-check a single
+/// encoding, and by applications with homogeneous data that "use the
+/// same encoding for most of their cache lines" (§4.1.2).
+pub fn compress_with(line: &[u8], enc: BdiEncoding) -> Option<CompressedLine> {
+    let payload = match enc {
+        BdiEncoding::Zeros => {
+            if line.iter().any(|&b| b != 0) {
+                return None;
             }
+            Vec::new()
         }
-        let ranked = &mut ranked[..n];
-        ranked.sort_unstable();
-        ranked
-            .iter()
-            .map(|&(_, idx)| BdiEncoding::ALL[idx])
-            .find(|&enc| applies(line, enc))
-    }
-
-    /// Whether [`Bdi::compress_with`]`(line, enc)` would return a line —
-    /// the same answer for any `line`, without building the payload.
-    pub fn fits(&self, line: &[u8], enc: BdiEncoding) -> bool {
-        let shaped = match enc.sizes() {
-            // `compress_with`'s "no benefit" rule.
-            Some((vs, _)) => {
-                line.len().is_multiple_of(vs) && enc.compressed_size(line.len()) < line.len()
+        BdiEncoding::Rep8 => {
+            if line.len() < 8 || !line.len().is_multiple_of(8) {
+                return None;
             }
-            None => enc == BdiEncoding::Zeros || line.len().is_multiple_of(8),
-        };
-        shaped && applies(line, enc)
-    }
-
-    /// Exact compressed size [`Compressor::compress`] would produce for
-    /// `line`, or `None` when incompressible. Never allocates.
-    pub fn scan_size(&self, line: &[u8]) -> Option<usize> {
-        assert!(
-            line.len() >= 8 && line.len().is_multiple_of(8),
-            "BDI requires a line size that is a multiple of 8 bytes"
-        );
-        self.scan(line).map(|e| e.compressed_size(line.len()))
-    }
-
-    /// Attempts to compress `line` with one specific encoding.
-    ///
-    /// Used by the CABA compression subroutine tests to cross-check a single
-    /// encoding, and by applications with homogeneous data that "use the
-    /// same encoding for most of their cache lines" (§4.1.2).
-    pub fn compress_with(&self, line: &[u8], enc: BdiEncoding) -> Option<CompressedLine> {
-        let payload = match enc {
-            BdiEncoding::Zeros => {
-                if line.iter().any(|&b| b != 0) {
-                    return None;
-                }
-                Vec::new()
+            let first = &line[..8];
+            if !line.chunks_exact(8).all(|c| c == first) {
+                return None;
             }
-            BdiEncoding::Rep8 => {
-                if line.len() < 8 || !line.len().is_multiple_of(8) {
-                    return None;
-                }
-                let first = &line[..8];
-                if !line.chunks_exact(8).all(|c| c == first) {
-                    return None;
-                }
-                first.to_vec()
+            first.to_vec()
+        }
+        _ => {
+            let (vs, ds) = enc.sizes().expect("base-delta encoding");
+            if !line.len().is_multiple_of(vs) {
+                return None;
             }
-            _ => {
-                let (vs, ds) = enc.sizes().expect("base-delta encoding");
-                if !line.len().is_multiple_of(vs) {
-                    return None;
-                }
-                compress_base_delta(line, vs, ds)?
-            }
-        };
-        Some(CompressedLine {
-            algorithm: Algorithm::Bdi,
-            encoding: enc.id(),
-            payload,
-            original_len: line.len(),
-        })
-    }
+            compress_base_delta(line, vs, ds)?
+        }
+    };
+    Some(CompressedLine {
+        algorithm: Algorithm::Bdi,
+        encoding: enc.id(),
+        payload,
+        original_len: line.len(),
+    })
 }
 
 /// Whether `line`'s values fit `enc`: the data-dependent half of the
-/// decision, shared by [`Bdi::scan`] and [`Bdi::fits`].
+/// decision, shared by [`scan`] and [`fits`].
 #[inline]
 fn applies(line: &[u8], enc: BdiEncoding) -> bool {
     match enc {
@@ -381,91 +368,85 @@ fn compress_base_delta(line: &[u8], vs: usize, ds: usize) -> Option<Vec<u8>> {
     Some(payload)
 }
 
-impl Compressor for Bdi {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Bdi
-    }
+/// Compresses `line` with BDI, or `None` when the payload would not be
+/// smaller; see [`Algorithm::compress_line`].
+pub fn compress(line: &[u8]) -> Option<CompressedLine> {
+    assert!(
+        line.len() >= 8 && line.len().is_multiple_of(8),
+        "BDI requires a line size that is a multiple of 8 bytes"
+    );
+    // The size-only scan picks the same winner the exhaustive
+    // `filter_map(..).min_by_key(..)` over ALL encodings would (sizes
+    // are data-independent, ties break in ALL order), so only the
+    // winning payload is ever materialized.
+    let enc = scan(line)?;
+    let c = compress_with(line, enc);
+    debug_assert!(c.is_some(), "scan accepted {enc:?}");
+    c
+}
 
-    fn compress(&self, line: &[u8]) -> Option<CompressedLine> {
-        assert!(
-            line.len() >= 8 && line.len().is_multiple_of(8),
-            "BDI requires a line size that is a multiple of 8 bytes"
-        );
-        // The size-only scan picks the same winner the exhaustive
-        // `filter_map(..).min_by_key(..)` over ALL encodings would (sizes
-        // are data-independent, ties break in ALL order), so only the
-        // winning payload is ever materialized.
-        let enc = self.scan(line)?;
-        let c = self.compress_with(line, enc);
-        debug_assert!(c.is_some(), "scan accepted {enc:?}");
-        c
+/// Decompresses a BDI `line` into `out`, returning the number of bytes
+/// written; see [`Algorithm::decompress_into`].
+pub fn decompress_into(line: &CompressedLine, out: &mut [u8]) -> Result<usize, DecompressError> {
+    if line.algorithm != Algorithm::Bdi {
+        return Err(DecompressError::WrongAlgorithm {
+            expected: Algorithm::Bdi,
+            found: line.algorithm,
+        });
     }
-
-    fn decompress_into(
-        &self,
-        line: &CompressedLine,
-        out: &mut [u8],
-    ) -> Result<usize, DecompressError> {
-        if line.algorithm != Algorithm::Bdi {
-            return Err(DecompressError::WrongAlgorithm {
-                expected: Algorithm::Bdi,
-                found: line.algorithm,
-            });
+    let enc =
+        BdiEncoding::from_id(line.encoding).ok_or(DecompressError::BadEncoding(line.encoding))?;
+    let len = line.original_len;
+    if out.len() < len {
+        return Err(DecompressError::Malformed("output buffer too small"));
+    }
+    let out = &mut out[..len];
+    match enc {
+        BdiEncoding::Zeros => {
+            out.fill(0);
+            Ok(len)
         }
-        let enc = BdiEncoding::from_id(line.encoding)
-            .ok_or(DecompressError::BadEncoding(line.encoding))?;
-        let len = line.original_len;
-        if out.len() < len {
-            return Err(DecompressError::Malformed("output buffer too small"));
+        BdiEncoding::Rep8 => {
+            if line.payload.len() != 8 {
+                return Err(DecompressError::Malformed("Rep8 payload must be 8 bytes"));
+            }
+            for chunk in out.chunks_mut(8) {
+                chunk.copy_from_slice(&line.payload[..chunk.len()]);
+            }
+            Ok(len)
         }
-        let out = &mut out[..len];
-        match enc {
-            BdiEncoding::Zeros => {
-                out.fill(0);
-                Ok(len)
+        _ => {
+            let (vs, ds) = enc.sizes().expect("base-delta encoding");
+            let n = len / vs;
+            let mask_len = n.div_ceil(8);
+            let expect = mask_len + vs + n * ds;
+            if line.payload.len() != expect {
+                return Err(DecompressError::Malformed("base-delta payload length"));
             }
-            BdiEncoding::Rep8 => {
-                if line.payload.len() != 8 {
-                    return Err(DecompressError::Malformed("Rep8 payload must be 8 bytes"));
-                }
-                for chunk in out.chunks_mut(8) {
-                    chunk.copy_from_slice(&line.payload[..chunk.len()]);
-                }
-                Ok(len)
+            let vbits = vs * 8;
+            let vmask = if vs == 8 {
+                u64::MAX
+            } else {
+                (1u64 << vbits) - 1
+            };
+            let mask = &line.payload[..mask_len];
+            let mut base = 0u64;
+            for b in 0..vs {
+                base |= (line.payload[mask_len + b] as u64) << (8 * b);
             }
-            _ => {
-                let (vs, ds) = enc.sizes().expect("base-delta encoding");
-                let n = len / vs;
-                let mask_len = n.div_ceil(8);
-                let expect = mask_len + vs + n * ds;
-                if line.payload.len() != expect {
-                    return Err(DecompressError::Malformed("base-delta payload length"));
+            let deltas = &line.payload[mask_len + vs..];
+            out.fill(0);
+            for i in 0..n {
+                let mut d = 0u64;
+                for b in 0..ds {
+                    d |= (deltas[i * ds + b] as u64) << (8 * b);
                 }
-                let vbits = vs * 8;
-                let vmask = if vs == 8 {
-                    u64::MAX
-                } else {
-                    (1u64 << vbits) - 1
-                };
-                let mask = &line.payload[..mask_len];
-                let mut base = 0u64;
-                for b in 0..vs {
-                    base |= (line.payload[mask_len + b] as u64) << (8 * b);
-                }
-                let deltas = &line.payload[mask_len + vs..];
-                out.fill(0);
-                for i in 0..n {
-                    let mut d = 0u64;
-                    for b in 0..ds {
-                        d |= (deltas[i * ds + b] as u64) << (8 * b);
-                    }
-                    let d = sign_extend(d, ds * 8) as u64;
-                    let zero_base = mask[i / 8] >> (i % 8) & 1 == 1;
-                    let v = if zero_base { d } else { base.wrapping_add(d) } & vmask;
-                    write_value(out, i, vs, v);
-                }
-                Ok(len)
+                let d = sign_extend(d, ds * 8) as u64;
+                let zero_base = mask[i / 8] >> (i % 8) & 1 == 1;
+                let v = if zero_base { d } else { base.wrapping_add(d) } & vmask;
+                write_value(out, i, vs, v);
             }
+            Ok(len)
         }
     }
 }
@@ -496,8 +477,7 @@ mod tests {
     #[test]
     fn paper_figure5_example_compresses_to_17_bytes() {
         let line = figure5_line();
-        let bdi = Bdi::new();
-        let c = bdi.compress(&line).expect("figure 5 line is compressible");
+        let c = compress(&line).expect("figure 5 line is compressible");
         assert_eq!(
             BdiEncoding::from_id(c.encoding),
             Some(BdiEncoding::B8D1),
@@ -518,60 +498,55 @@ mod tests {
             &c.payload[9..],
             &[0x00, 0x00, 0x10, 0x08, 0x20, 0x10, 0x30, 0x18]
         );
-        assert_eq!(bdi.decompress(&c).unwrap(), line);
+        assert_eq!(c.decompress().unwrap(), line);
     }
 
     #[test]
     fn zeros_line() {
-        let bdi = Bdi::new();
         let line = vec![0u8; 128];
-        let c = bdi.compress(&line).unwrap();
+        let c = compress(&line).unwrap();
         assert_eq!(BdiEncoding::from_id(c.encoding), Some(BdiEncoding::Zeros));
         assert_eq!(c.size_bytes(), 0);
         assert_eq!(c.bursts(), 1);
-        assert_eq!(bdi.decompress(&c).unwrap(), line);
+        assert_eq!(c.decompress().unwrap(), line);
     }
 
     #[test]
     fn repeated_value_line() {
-        let bdi = Bdi::new();
         let mut line = Vec::new();
         for _ in 0..16 {
             line.extend_from_slice(&0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes());
         }
-        let c = bdi.compress(&line).unwrap();
+        let c = compress(&line).unwrap();
         assert_eq!(BdiEncoding::from_id(c.encoding), Some(BdiEncoding::Rep8));
         assert_eq!(c.size_bytes(), 8);
-        assert_eq!(bdi.decompress(&c).unwrap(), line);
+        assert_eq!(c.decompress().unwrap(), line);
     }
 
     #[test]
     fn four_byte_values_with_small_range() {
-        let bdi = Bdi::new();
         let mut line = Vec::new();
         for i in 0..32u32 {
             line.extend_from_slice(&(0x0BAD_0000u32 + i * 3).to_le_bytes());
         }
-        let c = bdi.compress(&line).unwrap();
-        assert_eq!(bdi.decompress(&c).unwrap(), line);
+        let c = compress(&line).unwrap();
+        assert_eq!(c.decompress().unwrap(), line);
         assert!(c.size_bytes() < line.len() / 2);
     }
 
     #[test]
     fn negative_deltas_round_trip() {
-        let bdi = Bdi::new();
         let mut line = Vec::new();
         for i in 0..16u64 {
             let v = 0x7000_0000_0000_0000u64.wrapping_sub(i * 7);
             line.extend_from_slice(&v.to_le_bytes());
         }
-        let c = bdi.compress(&line).unwrap();
-        assert_eq!(bdi.decompress(&c).unwrap(), line);
+        let c = compress(&line).unwrap();
+        assert_eq!(c.decompress().unwrap(), line);
     }
 
     #[test]
     fn incompressible_returns_none() {
-        let bdi = Bdi::new();
         let mut line = Vec::with_capacity(128);
         let mut x: u64 = 1;
         while line.len() < 128 {
@@ -580,7 +555,7 @@ mod tests {
                 .wrapping_add(0x14057B7EF767814F);
             line.extend_from_slice(&x.to_le_bytes());
         }
-        assert!(bdi.compress(&line).is_none());
+        assert!(compress(&line).is_none());
     }
 
     #[test]
@@ -595,7 +570,7 @@ mod tests {
                     v[0] = 5;
                     line.extend_from_slice(&v);
                 }
-                let c = Bdi::new().compress_with(&line, enc).unwrap();
+                let c = compress_with(&line, enc).unwrap();
                 assert_eq!(c.size_bytes(), enc.compressed_size(128), "{enc:?}");
             }
         }
@@ -618,7 +593,7 @@ mod tests {
             original_len: 128,
         };
         assert!(matches!(
-            Bdi::new().decompress(&c),
+            decompress_into(&c, &mut [0u8; 128]),
             Err(DecompressError::WrongAlgorithm { .. })
         ));
     }
@@ -631,10 +606,7 @@ mod tests {
             payload: vec![0u8; 3],
             original_len: 64,
         };
-        assert!(matches!(
-            Bdi::new().decompress(&c),
-            Err(DecompressError::Malformed(_))
-        ));
+        assert!(matches!(c.decompress(), Err(DecompressError::Malformed(_))));
         let c = CompressedLine {
             algorithm: Algorithm::Bdi,
             encoding: 99,
@@ -642,7 +614,7 @@ mod tests {
             original_len: 64,
         };
         assert!(matches!(
-            Bdi::new().decompress(&c),
+            c.decompress(),
             Err(DecompressError::BadEncoding(99))
         ));
     }
@@ -650,7 +622,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of 8")]
     fn odd_line_size_panics() {
-        let _ = Bdi::new().compress(&[0u8; 7]);
+        let _ = compress(&[0u8; 7]);
     }
 
     #[test]
@@ -660,9 +632,8 @@ mod tests {
         for i in 0..64u16 {
             line.extend_from_slice(&(0x4000u16 + i).to_le_bytes());
         }
-        let bdi = Bdi::new();
-        let c = bdi.compress_with(&line, BdiEncoding::B2D1).unwrap();
-        assert_eq!(bdi.decompress(&c).unwrap(), line);
+        let c = compress_with(&line, BdiEncoding::B2D1).unwrap();
+        assert_eq!(c.decompress().unwrap(), line);
         // mask 8B + base 2B + 64 deltas = 74
         assert_eq!(c.size_bytes(), 74);
     }

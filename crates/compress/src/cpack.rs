@@ -15,7 +15,7 @@
 //! ```
 
 use crate::bits::{BitReader, BitWriter};
-use crate::{Algorithm, CompressedLine, Compressor, DecompressError};
+use crate::{Algorithm, CompressedLine, DecompressError};
 
 const DICT_SIZE: usize = 16;
 
@@ -24,43 +24,30 @@ const C_FULL: u64 = 0b01;
 const C_PARTIAL: u64 = 0b10;
 const C_RAW: u64 = 0b11;
 
-/// The C-Pack compressor.
-#[derive(Debug, Default)]
-pub struct CPack {
-    _private: (),
-}
-
-impl CPack {
-    /// Creates a C-Pack compressor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Exact compressed size [`Compressor::compress`] would produce for
-    /// `line`, or `None` when incompressible. Builds the same FIFO
-    /// dictionary on the stack and counts code bits without emitting them.
-    pub fn scan_size(&self, line: &[u8]) -> Option<usize> {
-        assert!(
-            !line.is_empty() && line.len().is_multiple_of(4),
-            "C-Pack requires a line size that is a multiple of 4 bytes"
-        );
-        let (dict, nd) = build_dict(line);
-        let dict = &dict[..nd];
-        let mut bits = 0usize;
-        for_each_word(line, |w| {
-            bits += if w == 0 {
-                2
-            } else if dict.contains(&w) {
-                2 + 4
-            } else if dict.iter().any(|&d| d >> 8 == w >> 8) {
-                2 + 4 + 8
-            } else {
-                2 + 32
-            };
-        });
-        let size = 1 + nd * 4 + bits.div_ceil(8);
-        (size < line.len()).then_some(size)
-    }
+/// Exact compressed size [`compress`] would produce for
+/// `line`, or `None` when incompressible. Builds the same FIFO
+/// dictionary on the stack and counts code bits without emitting them.
+pub fn scan_size(line: &[u8]) -> Option<usize> {
+    assert!(
+        !line.is_empty() && line.len().is_multiple_of(4),
+        "C-Pack requires a line size that is a multiple of 4 bytes"
+    );
+    let (dict, nd) = build_dict(line);
+    let dict = &dict[..nd];
+    let mut bits = 0usize;
+    for_each_word(line, |w| {
+        bits += if w == 0 {
+            2
+        } else if dict.contains(&w) {
+            2 + 4
+        } else if dict.iter().any(|&d| d >> 8 == w >> 8) {
+            2 + 4 + 8
+        } else {
+            2 + 32
+        };
+    });
+    let size = 1 + nd * 4 + bits.div_ceil(8);
+    (size < line.len()).then_some(size)
 }
 
 /// Streams the line's 32-bit words out of `u64` lane loads (see
@@ -98,118 +85,112 @@ fn build_dict(line: &[u8]) -> ([u32; DICT_SIZE], usize) {
     (dict, nd)
 }
 
-impl Compressor for CPack {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::CPack
+/// Compresses `line` with C-Pack, or `None` when the payload would not be
+/// smaller; see [`Algorithm::compress_line`].
+pub fn compress(line: &[u8]) -> Option<CompressedLine> {
+    assert!(
+        !line.is_empty() && line.len().is_multiple_of(4),
+        "C-Pack requires a line size that is a multiple of 4 bytes"
+    );
+    let (dict, nd) = build_dict(line);
+    let dict = &dict[..nd];
+
+    // Second pass: emit codes against the (now frozen) dictionary.
+    let mut bw = BitWriter::with_capacity(line.len());
+    for_each_word(line, |w| {
+        if w == 0 {
+            bw.write(C_ZERO, 2);
+        } else if let Some(idx) = dict.iter().position(|&d| d == w) {
+            bw.write(C_FULL, 2);
+            bw.write(idx as u64, 4);
+        } else if let Some(idx) = dict.iter().position(|&d| d >> 8 == w >> 8) {
+            bw.write(C_PARTIAL, 2);
+            bw.write(idx as u64, 4);
+            bw.write((w & 0xFF) as u64, 8);
+        } else {
+            bw.write(C_RAW, 2);
+            bw.write(w as u64, 32);
+        }
+    });
+
+    let size = 1 + dict.len() * 4 + bw.byte_len();
+    if size >= line.len() {
+        return None;
     }
+    let mut payload = Vec::with_capacity(size);
+    payload.push(dict.len() as u8);
+    for d in dict {
+        payload.extend_from_slice(&d.to_le_bytes());
+    }
+    let (codes, _) = bw.finish();
+    payload.extend_from_slice(&codes);
+    Some(CompressedLine {
+        algorithm: Algorithm::CPack,
+        encoding: 0,
+        payload,
+        original_len: line.len(),
+    })
+}
 
-    fn compress(&self, line: &[u8]) -> Option<CompressedLine> {
-        assert!(
-            !line.is_empty() && line.len().is_multiple_of(4),
-            "C-Pack requires a line size that is a multiple of 4 bytes"
-        );
-        let (dict, nd) = build_dict(line);
-        let dict = &dict[..nd];
-
-        // Second pass: emit codes against the (now frozen) dictionary.
-        let mut bw = BitWriter::with_capacity(line.len());
-        for_each_word(line, |w| {
-            if w == 0 {
-                bw.write(C_ZERO, 2);
-            } else if let Some(idx) = dict.iter().position(|&d| d == w) {
-                bw.write(C_FULL, 2);
-                bw.write(idx as u64, 4);
-            } else if let Some(idx) = dict.iter().position(|&d| d >> 8 == w >> 8) {
-                bw.write(C_PARTIAL, 2);
-                bw.write(idx as u64, 4);
-                bw.write((w & 0xFF) as u64, 8);
-            } else {
-                bw.write(C_RAW, 2);
-                bw.write(w as u64, 32);
-            }
+/// Decompresses a C-Pack `line` into `out`, returning the number of bytes
+/// written; see [`Algorithm::decompress_into`].
+pub fn decompress_into(line: &CompressedLine, out: &mut [u8]) -> Result<usize, DecompressError> {
+    if line.algorithm != Algorithm::CPack {
+        return Err(DecompressError::WrongAlgorithm {
+            expected: Algorithm::CPack,
+            found: line.algorithm,
         });
-
-        let size = 1 + dict.len() * 4 + bw.byte_len();
-        if size >= line.len() {
-            return None;
-        }
-        let mut payload = Vec::with_capacity(size);
-        payload.push(dict.len() as u8);
-        for d in dict {
-            payload.extend_from_slice(&d.to_le_bytes());
-        }
-        let (codes, _) = bw.finish();
-        payload.extend_from_slice(&codes);
-        Some(CompressedLine {
-            algorithm: Algorithm::CPack,
-            encoding: 0,
-            payload,
-            original_len: line.len(),
-        })
     }
-
-    fn decompress_into(
-        &self,
-        line: &CompressedLine,
-        out: &mut [u8],
-    ) -> Result<usize, DecompressError> {
-        if line.algorithm != Algorithm::CPack {
-            return Err(DecompressError::WrongAlgorithm {
-                expected: Algorithm::CPack,
-                found: line.algorithm,
-            });
-        }
-        if line.encoding != 0 {
-            return Err(DecompressError::BadEncoding(line.encoding));
-        }
-        let payload = &line.payload;
-        if payload.is_empty() {
-            return Err(DecompressError::Malformed("empty payload"));
-        }
-        let n_dict = payload[0] as usize;
-        if n_dict > DICT_SIZE {
-            return Err(DecompressError::Malformed("dictionary too large"));
-        }
-        if payload.len() < 1 + n_dict * 4 {
-            return Err(DecompressError::Malformed("truncated dictionary"));
-        }
-        let mut dict = [0u32; DICT_SIZE];
-        for (i, d) in dict.iter_mut().enumerate().take(n_dict) {
-            let off = 1 + i * 4;
-            *d = u32::from_le_bytes(payload[off..off + 4].try_into().expect("4 bytes"));
-        }
-        let dict = &dict[..n_dict];
-        let n_words = line.original_len / 4;
-        if out.len() < n_words * 4 {
-            return Err(DecompressError::Malformed("output buffer too small"));
-        }
-        let mut r = BitReader::new(&payload[1 + n_dict * 4..]);
-        let trunc = DecompressError::Malformed("truncated code stream");
-        for wi in 0..n_words {
-            let code = r.read(2).ok_or_else(|| trunc.clone())?;
-            let w = match code {
-                C_ZERO => 0u32,
-                C_FULL => {
-                    let idx = r.read(4).ok_or_else(|| trunc.clone())? as usize;
-                    *dict
-                        .get(idx)
-                        .ok_or(DecompressError::Malformed("dictionary index"))?
-                }
-                C_PARTIAL => {
-                    let idx = r.read(4).ok_or_else(|| trunc.clone())? as usize;
-                    let b = r.read(8).ok_or_else(|| trunc.clone())? as u32;
-                    let d = dict
-                        .get(idx)
-                        .ok_or(DecompressError::Malformed("dictionary index"))?;
-                    (d & 0xFFFF_FF00) | b
-                }
-                C_RAW => r.read(32).ok_or_else(|| trunc.clone())? as u32,
-                _ => unreachable!("2-bit code"),
-            };
-            out[wi * 4..wi * 4 + 4].copy_from_slice(&w.to_le_bytes());
-        }
-        Ok(n_words * 4)
+    if line.encoding != 0 {
+        return Err(DecompressError::BadEncoding(line.encoding));
     }
+    let payload = &line.payload;
+    if payload.is_empty() {
+        return Err(DecompressError::Malformed("empty payload"));
+    }
+    let n_dict = payload[0] as usize;
+    if n_dict > DICT_SIZE {
+        return Err(DecompressError::Malformed("dictionary too large"));
+    }
+    if payload.len() < 1 + n_dict * 4 {
+        return Err(DecompressError::Malformed("truncated dictionary"));
+    }
+    let mut dict = [0u32; DICT_SIZE];
+    for (i, d) in dict.iter_mut().enumerate().take(n_dict) {
+        let off = 1 + i * 4;
+        *d = u32::from_le_bytes(payload[off..off + 4].try_into().expect("4 bytes"));
+    }
+    let dict = &dict[..n_dict];
+    let n_words = line.original_len / 4;
+    if out.len() < n_words * 4 {
+        return Err(DecompressError::Malformed("output buffer too small"));
+    }
+    let mut r = BitReader::new(&payload[1 + n_dict * 4..]);
+    let trunc = DecompressError::Malformed("truncated code stream");
+    for wi in 0..n_words {
+        let code = r.read(2).ok_or_else(|| trunc.clone())?;
+        let w = match code {
+            C_ZERO => 0u32,
+            C_FULL => {
+                let idx = r.read(4).ok_or_else(|| trunc.clone())? as usize;
+                *dict
+                    .get(idx)
+                    .ok_or(DecompressError::Malformed("dictionary index"))?
+            }
+            C_PARTIAL => {
+                let idx = r.read(4).ok_or_else(|| trunc.clone())? as usize;
+                let b = r.read(8).ok_or_else(|| trunc.clone())? as u32;
+                let d = dict
+                    .get(idx)
+                    .ok_or(DecompressError::Malformed("dictionary index"))?;
+                (d & 0xFFFF_FF00) | b
+            }
+            C_RAW => r.read(32).ok_or_else(|| trunc.clone())? as u32,
+            _ => unreachable!("2-bit code"),
+        };
+        out[wi * 4..wi * 4 + 4].copy_from_slice(&w.to_le_bytes());
+    }
+    Ok(n_words * 4)
 }
 
 #[cfg(test)]
@@ -217,9 +198,8 @@ mod tests {
     use super::*;
 
     fn round_trip(line: &[u8]) -> Option<usize> {
-        let cp = CPack::new();
-        let c = cp.compress(line)?;
-        assert_eq!(cp.decompress(&c).unwrap(), line, "round trip");
+        let c = compress(line)?;
+        assert_eq!(c.decompress().unwrap(), line, "round trip");
         Some(c.size_bytes())
     }
 
@@ -250,9 +230,8 @@ mod tests {
         for i in 0..32u32 {
             line.extend_from_slice(&(0xAABB_CC00 | i).to_le_bytes());
         }
-        let cp = CPack::new();
-        let c = cp.compress(&line).unwrap();
-        assert_eq!(cp.decompress(&c).unwrap(), line);
+        let c = compress(&line).unwrap();
+        assert_eq!(c.decompress().unwrap(), line);
         // One dict entry; first word full-matches, rest partial.
         assert_eq!(c.payload[0], 1);
     }
@@ -267,7 +246,7 @@ mod tests {
             x = x.wrapping_mul(0x9E37_79B9).wrapping_add(1);
             line.extend_from_slice(&x.to_le_bytes());
         }
-        assert!(CPack::new().compress(&line).is_none());
+        assert!(compress(&line).is_none());
     }
 
     #[test]
@@ -286,15 +265,13 @@ mod tests {
         for i in 0..32 {
             line.extend_from_slice(&words[i % 8].to_le_bytes());
         }
-        let cp = CPack::new();
-        if let Some(c) = cp.compress(&line) {
-            assert_eq!(cp.decompress(&c).unwrap(), line);
+        if let Some(c) = compress(&line) {
+            assert_eq!(c.decompress().unwrap(), line);
         }
     }
 
     #[test]
     fn malformed_payloads_rejected() {
-        let cp = CPack::new();
         for payload in [vec![], vec![17u8], vec![2u8, 0, 0, 0, 0]] {
             let c = CompressedLine {
                 algorithm: Algorithm::CPack,
@@ -302,10 +279,7 @@ mod tests {
                 payload,
                 original_len: 128,
             };
-            assert!(matches!(
-                cp.decompress(&c),
-                Err(DecompressError::Malformed(_))
-            ));
+            assert!(matches!(c.decompress(), Err(DecompressError::Malformed(_))));
         }
     }
 
@@ -318,29 +292,25 @@ mod tests {
             original_len: 128,
         };
         assert!(matches!(
-            CPack::new().decompress(&c),
+            decompress_into(&c, &mut [0u8; 128]),
             Err(DecompressError::WrongAlgorithm { .. })
         ));
     }
 
     #[test]
     fn truncated_code_stream_rejected() {
-        let cp = CPack::new();
         let mut line = Vec::new();
         for i in 0..32u32 {
             line.extend_from_slice(&(0xAABB_CC00 | i).to_le_bytes());
         }
-        let mut c = cp.compress(&line).unwrap();
+        let mut c = compress(&line).unwrap();
         c.payload.truncate(c.payload.len() - 2);
-        assert!(matches!(
-            cp.decompress(&c),
-            Err(DecompressError::Malformed(_))
-        ));
+        assert!(matches!(c.decompress(), Err(DecompressError::Malformed(_))));
     }
 
     #[test]
     #[should_panic(expected = "multiple of 4")]
     fn bad_line_size_panics() {
-        let _ = CPack::new().compress(&[0u8; 6]);
+        let _ = compress(&[0u8; 6]);
     }
 }

@@ -7,7 +7,7 @@
 //! sufficient to drive decompression (§4.1.3).
 
 use crate::bits::{fits_signed, sign_extend, BitReader, BitWriter};
-use crate::{Algorithm, CompressedLine, Compressor, DecompressError};
+use crate::{Algorithm, CompressedLine, DecompressError};
 
 const PREFIX_BITS: usize = 3;
 
@@ -23,53 +23,40 @@ const P_RAW: u64 = 0b111;
 /// Maximum zero-run length representable by the 4-bit run field.
 const MAX_RUN: u64 = 16;
 
-/// The Frequent Pattern Compression compressor.
-#[derive(Debug, Default)]
-pub struct Fpc {
-    _private: (),
-}
-
-impl Fpc {
-    /// Creates an FPC compressor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Exact compressed size [`Compressor::compress`] would produce for
-    /// `line`, or `None` when incompressible.
-    ///
-    /// A pure counting pass: the line is walked as `u64` lanes split into
-    /// two words each, every word classified once (no `BitWriter`, no
-    /// heap), accumulating the bit budget the emitting pass would write.
-    pub fn scan_size(&self, line: &[u8]) -> Option<usize> {
-        assert!(
-            !line.is_empty() && line.len().is_multiple_of(4),
-            "FPC requires a line size that is a multiple of 4 bytes"
-        );
-        let mut bits = 0usize;
-        let mut run = 0u64;
-        let run_bits = PREFIX_BITS + 4;
-        let flush_run = |run: &mut u64, bits: &mut usize| {
-            if *run > 0 {
-                *bits += run_bits;
-                *run = 0;
-            }
-        };
-        for_each_word(line, |w| {
-            if w == 0 {
-                run += 1;
-                if run == MAX_RUN {
-                    flush_run(&mut run, &mut bits);
-                }
-            } else {
+/// Exact compressed size [`compress`] would produce for
+/// `line`, or `None` when incompressible.
+///
+/// A pure counting pass: the line is walked as `u64` lanes split into
+/// two words each, every word classified once (no `BitWriter`, no
+/// heap), accumulating the bit budget the emitting pass would write.
+pub fn scan_size(line: &[u8]) -> Option<usize> {
+    assert!(
+        !line.is_empty() && line.len().is_multiple_of(4),
+        "FPC requires a line size that is a multiple of 4 bytes"
+    );
+    let mut bits = 0usize;
+    let mut run = 0u64;
+    let run_bits = PREFIX_BITS + 4;
+    let flush_run = |run: &mut u64, bits: &mut usize| {
+        if *run > 0 {
+            *bits += run_bits;
+            *run = 0;
+        }
+    };
+    for_each_word(line, |w| {
+        if w == 0 {
+            run += 1;
+            if run == MAX_RUN {
                 flush_run(&mut run, &mut bits);
-                bits += PREFIX_BITS + payload_bits(w);
             }
-        });
-        flush_run(&mut run, &mut bits);
-        let size = bits.div_ceil(8);
-        (size < line.len()).then_some(size)
-    }
+        } else {
+            flush_run(&mut run, &mut bits);
+            bits += PREFIX_BITS + payload_bits(w);
+        }
+    });
+    flush_run(&mut run, &mut bits);
+    let size = bits.div_ceil(8);
+    (size < line.len()).then_some(size)
 }
 
 /// Streams the line's 32-bit words out of `u64` lane loads, so the scan
@@ -141,124 +128,118 @@ fn encode_word(w: u32, out: &mut BitWriter) {
     }
 }
 
-impl Compressor for Fpc {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Fpc
-    }
-
-    fn compress(&self, line: &[u8]) -> Option<CompressedLine> {
-        assert!(
-            !line.is_empty() && line.len().is_multiple_of(4),
-            "FPC requires a line size that is a multiple of 4 bytes"
-        );
-        let mut w = BitWriter::with_capacity(line.len());
-        let mut run = 0u64;
-        let flush_run = |run: &mut u64, w: &mut BitWriter| {
-            if *run > 0 {
-                w.write(P_ZERO_RUN, PREFIX_BITS);
-                w.write(*run - 1, 4);
-                *run = 0;
-            }
-        };
-        for_each_word(line, |word| {
-            if word == 0 {
-                run += 1;
-                if run == MAX_RUN {
-                    flush_run(&mut run, &mut w);
-                }
-            } else {
+/// Compresses `line` with FPC, or `None` when the payload would not be
+/// smaller; see [`Algorithm::compress_line`].
+pub fn compress(line: &[u8]) -> Option<CompressedLine> {
+    assert!(
+        !line.is_empty() && line.len().is_multiple_of(4),
+        "FPC requires a line size that is a multiple of 4 bytes"
+    );
+    let mut w = BitWriter::with_capacity(line.len());
+    let mut run = 0u64;
+    let flush_run = |run: &mut u64, w: &mut BitWriter| {
+        if *run > 0 {
+            w.write(P_ZERO_RUN, PREFIX_BITS);
+            w.write(*run - 1, 4);
+            *run = 0;
+        }
+    };
+    for_each_word(line, |word| {
+        if word == 0 {
+            run += 1;
+            if run == MAX_RUN {
                 flush_run(&mut run, &mut w);
-                encode_word(word, &mut w);
             }
-        });
-        flush_run(&mut run, &mut w);
-        let size = w.byte_len();
-        if size >= line.len() {
-            return None;
+        } else {
+            flush_run(&mut run, &mut w);
+            encode_word(word, &mut w);
         }
-        let (payload, _) = w.finish();
-        Some(CompressedLine {
-            algorithm: Algorithm::Fpc,
-            encoding: 0,
-            payload,
-            original_len: line.len(),
-        })
+    });
+    flush_run(&mut run, &mut w);
+    let size = w.byte_len();
+    if size >= line.len() {
+        return None;
     }
+    let (payload, _) = w.finish();
+    Some(CompressedLine {
+        algorithm: Algorithm::Fpc,
+        encoding: 0,
+        payload,
+        original_len: line.len(),
+    })
+}
 
-    fn decompress_into(
-        &self,
-        line: &CompressedLine,
-        out: &mut [u8],
-    ) -> Result<usize, DecompressError> {
-        if line.algorithm != Algorithm::Fpc {
-            return Err(DecompressError::WrongAlgorithm {
-                expected: Algorithm::Fpc,
-                found: line.algorithm,
-            });
-        }
-        if line.encoding != 0 {
-            return Err(DecompressError::BadEncoding(line.encoding));
-        }
-        let n_words = line.original_len / 4;
-        if out.len() < n_words * 4 {
-            return Err(DecompressError::Malformed("output buffer too small"));
-        }
-        let mut filled = 0usize;
-        let mut words = WordSink {
-            out,
-            n: &mut filled,
-        };
-        let mut r = BitReader::new(&line.payload);
-        while words.len() < n_words {
-            let prefix = r
-                .read(PREFIX_BITS)
-                .ok_or(DecompressError::Malformed("truncated prefix"))?;
-            let trunc = || DecompressError::Malformed("truncated field");
-            match prefix {
-                P_ZERO_RUN => {
-                    let run = r.read(4).ok_or_else(trunc)? + 1;
-                    for _ in 0..run {
-                        if words.len() < n_words {
-                            words.push(0u32);
-                        }
+/// Decompresses an FPC `line` into `out`, returning the number of bytes
+/// written; see [`Algorithm::decompress_into`].
+pub fn decompress_into(line: &CompressedLine, out: &mut [u8]) -> Result<usize, DecompressError> {
+    if line.algorithm != Algorithm::Fpc {
+        return Err(DecompressError::WrongAlgorithm {
+            expected: Algorithm::Fpc,
+            found: line.algorithm,
+        });
+    }
+    if line.encoding != 0 {
+        return Err(DecompressError::BadEncoding(line.encoding));
+    }
+    let n_words = line.original_len / 4;
+    if out.len() < n_words * 4 {
+        return Err(DecompressError::Malformed("output buffer too small"));
+    }
+    let mut filled = 0usize;
+    let mut words = WordSink {
+        out,
+        n: &mut filled,
+    };
+    let mut r = BitReader::new(&line.payload);
+    while words.len() < n_words {
+        let prefix = r
+            .read(PREFIX_BITS)
+            .ok_or(DecompressError::Malformed("truncated prefix"))?;
+        let trunc = || DecompressError::Malformed("truncated field");
+        match prefix {
+            P_ZERO_RUN => {
+                let run = r.read(4).ok_or_else(trunc)? + 1;
+                for _ in 0..run {
+                    if words.len() < n_words {
+                        words.push(0u32);
                     }
                 }
-                P_SE4 => {
-                    let v = r.read(4).ok_or_else(trunc)?;
-                    words.push(sign_extend(v, 4) as u32);
-                }
-                P_SE8 => {
-                    let v = r.read(8).ok_or_else(trunc)?;
-                    words.push(sign_extend(v, 8) as u32);
-                }
-                P_SE16 => {
-                    let v = r.read(16).ok_or_else(trunc)?;
-                    words.push(sign_extend(v, 16) as u32);
-                }
-                P_HALF_PAD => {
-                    let v = r.read(16).ok_or_else(trunc)?;
-                    words.push((v as u32) << 16);
-                }
-                P_TWO_SE8 => {
-                    let lo = r.read(8).ok_or_else(trunc)?;
-                    let hi = r.read(8).ok_or_else(trunc)?;
-                    let lo = (sign_extend(lo, 8) as u32) & 0xFFFF;
-                    let hi = (sign_extend(hi, 8) as u32) & 0xFFFF;
-                    words.push(lo | (hi << 16));
-                }
-                P_REP_BYTE => {
-                    let b = r.read(8).ok_or_else(trunc)? as u32;
-                    words.push(b * 0x0101_0101);
-                }
-                P_RAW => {
-                    let v = r.read(32).ok_or_else(trunc)?;
-                    words.push(v as u32);
-                }
-                _ => unreachable!("3-bit prefix"),
             }
+            P_SE4 => {
+                let v = r.read(4).ok_or_else(trunc)?;
+                words.push(sign_extend(v, 4) as u32);
+            }
+            P_SE8 => {
+                let v = r.read(8).ok_or_else(trunc)?;
+                words.push(sign_extend(v, 8) as u32);
+            }
+            P_SE16 => {
+                let v = r.read(16).ok_or_else(trunc)?;
+                words.push(sign_extend(v, 16) as u32);
+            }
+            P_HALF_PAD => {
+                let v = r.read(16).ok_or_else(trunc)?;
+                words.push((v as u32) << 16);
+            }
+            P_TWO_SE8 => {
+                let lo = r.read(8).ok_or_else(trunc)?;
+                let hi = r.read(8).ok_or_else(trunc)?;
+                let lo = (sign_extend(lo, 8) as u32) & 0xFFFF;
+                let hi = (sign_extend(hi, 8) as u32) & 0xFFFF;
+                words.push(lo | (hi << 16));
+            }
+            P_REP_BYTE => {
+                let b = r.read(8).ok_or_else(trunc)? as u32;
+                words.push(b * 0x0101_0101);
+            }
+            P_RAW => {
+                let v = r.read(32).ok_or_else(trunc)?;
+                words.push(v as u32);
+            }
+            _ => unreachable!("3-bit prefix"),
         }
-        Ok(filled * 4)
     }
+    Ok(filled * 4)
 }
 
 /// Writes decoded 32-bit words directly into the caller's byte buffer, so
@@ -285,9 +266,8 @@ mod tests {
     use super::*;
 
     fn round_trip(line: &[u8]) -> Option<usize> {
-        let fpc = Fpc::new();
-        let c = fpc.compress(line)?;
-        assert_eq!(fpc.decompress(&c).unwrap(), line, "round trip");
+        let c = compress(line)?;
+        assert_eq!(c.decompress().unwrap(), line, "round trip");
         Some(c.size_bytes())
     }
 
@@ -327,15 +307,13 @@ mod tests {
         }
         // Raw words make it big, but the round trip must still hold
         // whenever compression succeeds.
-        let fpc = Fpc::new();
-        if let Some(c) = fpc.compress(&line) {
-            assert_eq!(fpc.decompress(&c).unwrap(), line);
+        if let Some(c) = compress(&line) {
+            assert_eq!(c.decompress().unwrap(), line);
         }
     }
 
     #[test]
     fn each_pattern_individually() {
-        let fpc = Fpc::new();
         for w in [
             0u32,
             1,
@@ -350,8 +328,8 @@ mod tests {
             for _ in 0..32 {
                 line.extend_from_slice(&w.to_le_bytes());
             }
-            let c = fpc.compress(&line).unwrap_or_else(|| panic!("{w:#x}"));
-            assert_eq!(fpc.decompress(&c).unwrap(), line, "{w:#x}");
+            let c = compress(&line).unwrap_or_else(|| panic!("{w:#x}"));
+            assert_eq!(c.decompress().unwrap(), line, "{w:#x}");
         }
     }
 
@@ -366,7 +344,7 @@ mod tests {
             line.extend_from_slice(&v.to_le_bytes());
         }
         // 3 + 32 bits per word * 32 words = 140 bytes > 128.
-        assert!(Fpc::new().compress(&line).is_none());
+        assert!(compress(&line).is_none());
     }
 
     #[test]
@@ -380,29 +358,23 @@ mod tests {
         for _ in 0..14 {
             line.extend_from_slice(&0u32.to_le_bytes());
         }
-        let fpc = Fpc::new();
-        let c = fpc.compress(&line).unwrap();
-        assert_eq!(fpc.decompress(&c).unwrap(), line);
+        let c = compress(&line).unwrap();
+        assert_eq!(c.decompress().unwrap(), line);
     }
 
     #[test]
     fn truncated_payload_is_error() {
-        let fpc = Fpc::new();
         let mut line = Vec::new();
         for i in 0..32u32 {
             line.extend_from_slice(&(i * 1000).to_le_bytes());
         }
-        let mut c = fpc.compress(&line).unwrap();
+        let mut c = compress(&line).unwrap();
         c.payload.truncate(1);
-        assert!(matches!(
-            fpc.decompress(&c),
-            Err(DecompressError::Malformed(_))
-        ));
+        assert!(matches!(c.decompress(), Err(DecompressError::Malformed(_))));
     }
 
     #[test]
     fn wrong_algorithm_and_encoding_rejected() {
-        let fpc = Fpc::new();
         let c = CompressedLine {
             algorithm: Algorithm::Bdi,
             encoding: 0,
@@ -410,7 +382,7 @@ mod tests {
             original_len: 128,
         };
         assert!(matches!(
-            fpc.decompress(&c),
+            decompress_into(&c, &mut [0u8; 128]),
             Err(DecompressError::WrongAlgorithm { .. })
         ));
         let c = CompressedLine {
@@ -420,7 +392,7 @@ mod tests {
             original_len: 128,
         };
         assert!(matches!(
-            fpc.decompress(&c),
+            decompress_into(&c, &mut [0u8; 128]),
             Err(DecompressError::BadEncoding(3))
         ));
     }
@@ -428,6 +400,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of 4")]
     fn bad_line_size_panics() {
-        let _ = Fpc::new().compress(&[0u8; 5]);
+        let _ = compress(&[0u8; 5]);
     }
 }

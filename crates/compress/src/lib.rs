@@ -6,7 +6,12 @@
 //! **C-Pack** (Chen et al., TVLSI 2010). This crate provides the reference
 //! (software) implementations used by the dedicated-hardware design points
 //! (`HW-BDI`, `HW-BDI-Mem`) and as the correctness oracle for the
-//! assist-warp ISA subroutines in `caba-core`.
+//! assist-warp ISA subroutines in `caba_sim::caba`.
+//!
+//! An [`Algorithm`] is the one handle on a codec: its methods dispatch to
+//! the module functions [`bdi`], [`fpc`] and [`cpack`]. A
+//! [`LineCompressor`] is the one selector: a fixed algorithm, or the
+//! per-line best of all three (CABA-BestOfAll, §6.3).
 //!
 //! Layout conventions follow §4.1.3 of the paper: all metadata needed to
 //! decompress (the encoding, base-select masks, dictionary entries) is placed
@@ -18,17 +23,19 @@
 //! # Examples
 //!
 //! ```
-//! use caba_compress::{Bdi, Compressor};
+//! use caba_compress::{Algorithm, LineCompressor};
 //!
 //! // A low-dynamic-range line compresses well with BDI.
 //! let mut line = Vec::new();
 //! for i in 0..16u32 {
 //!     line.extend_from_slice(&(0x1000u32 + i).to_le_bytes());
 //! }
-//! let bdi = Bdi::new();
-//! let c = bdi.compress(&line).expect("compressible");
+//! let c = Algorithm::Bdi.compress_line(&line).expect("compressible");
 //! assert!(c.size_bytes() < line.len());
-//! assert_eq!(bdi.decompress(&c).unwrap(), line);
+//! assert_eq!(Algorithm::Bdi.scan_line_size(&line), Some(c.size_bytes()));
+//! assert_eq!(c.decompress().unwrap(), line);
+//! // Best-of-all picks its winner from the scans alone.
+//! assert!(LineCompressor::BestOfAll.winner(&line).is_some());
 //! ```
 
 pub mod bdi;
@@ -36,9 +43,7 @@ pub mod bits;
 pub mod cpack;
 pub mod fpc;
 
-pub use bdi::{Bdi, BdiEncoding};
-pub use cpack::CPack;
-pub use fpc::Fpc;
+pub use bdi::BdiEncoding;
 
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use std::fmt;
@@ -75,44 +80,52 @@ impl Algorithm {
         }
     }
 
-    /// Compresses `line` with this algorithm via static dispatch.
+    /// Compresses `line` with this algorithm, or `None` when the payload
+    /// would not be smaller than the line. Lossless: decompressing the
+    /// result gives `line` back.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `line.len()` is a nonzero multiple of 8 (BDI) or 4
+    /// (FPC, C-Pack).
     pub fn compress_line(self, line: &[u8]) -> Option<CompressedLine> {
         match self {
-            Algorithm::Bdi => Bdi::new().compress(line),
-            Algorithm::Fpc => Fpc::new().compress(line),
-            Algorithm::CPack => CPack::new().compress(line),
+            Algorithm::Bdi => bdi::compress(line),
+            Algorithm::Fpc => fpc::compress(line),
+            Algorithm::CPack => cpack::compress(line),
         }
     }
 
-    /// Decompresses `line` into a caller-provided scratch buffer via static
-    /// dispatch. Returns the number of bytes written.
+    /// Decompresses `line` into a caller-provided scratch buffer (typically
+    /// a stack `[u8; LINE_SIZE]`). Returns the number of bytes written.
     ///
     /// # Errors
     ///
-    /// Returns [`DecompressError`] when the payload is malformed or was
-    /// produced by a different algorithm.
+    /// Returns [`DecompressError`] when the payload is malformed, was
+    /// produced by a different algorithm, or `out` is shorter than the
+    /// decompressed line.
     pub fn decompress_into(
         self,
         line: &CompressedLine,
         out: &mut [u8],
     ) -> Result<usize, DecompressError> {
         match self {
-            Algorithm::Bdi => Bdi::new().decompress_into(line, out),
-            Algorithm::Fpc => Fpc::new().decompress_into(line, out),
-            Algorithm::CPack => CPack::new().decompress_into(line, out),
+            Algorithm::Bdi => bdi::decompress_into(line, out),
+            Algorithm::Fpc => fpc::decompress_into(line, out),
+            Algorithm::CPack => cpack::decompress_into(line, out),
         }
     }
 
     /// Exact compressed size [`Algorithm::compress_line`] would produce for
     /// `line`, or `None` when incompressible — without building a payload.
     ///
-    /// Selectors like [`BestOfAll`] use this to pick a winner first and run
-    /// the (allocating) payload build once, on the winner only.
+    /// [`LineCompressor::winner`] uses this to pick a winner first, so the
+    /// (allocating) payload build runs once, on the winner only.
     pub fn scan_line_size(self, line: &[u8]) -> Option<usize> {
         match self {
-            Algorithm::Bdi => Bdi::new().scan_size(line),
-            Algorithm::Fpc => Fpc::new().scan_size(line),
-            Algorithm::CPack => CPack::new().scan_size(line),
+            Algorithm::Bdi => bdi::scan_size(line),
+            Algorithm::Fpc => fpc::scan_size(line),
+            Algorithm::CPack => cpack::scan_size(line),
         }
     }
 }
@@ -189,6 +202,18 @@ impl CompressedLine {
         uncompressed as f64 / self.bursts() as f64
     }
 
+    /// Decompresses this line into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecompressError`] when the payload is malformed.
+    pub fn decompress(&self) -> Result<Vec<u8>, DecompressError> {
+        let mut out = vec![0u8; self.original_len];
+        let n = self.algorithm.decompress_into(self, &mut out)?;
+        out.truncate(n);
+        Ok(out)
+    }
+
     /// True when decompressing this line reproduces `expected` exactly.
     ///
     /// A decompression error (malformed payload, bad encoding) counts as a
@@ -234,50 +259,49 @@ pub fn bursts_for_size(size: usize, original_len: usize) -> usize {
     size.div_ceil(BURST_BYTES).clamp(1, max)
 }
 
-/// A cache-line compressor.
-///
-/// Implementations must be lossless: `decompress(compress(x)) == x` whenever
-/// `compress` succeeds. `compress` returns `None` when the line does not
-/// benefit (compressed size would be at least the original size) — the
-/// caller then stores/transfers the line uncompressed.
-pub trait Compressor {
-    /// The algorithm identity.
-    fn algorithm(&self) -> Algorithm;
+/// Which algorithm compresses each line: one fixed [`Algorithm`], or the
+/// per-line best of all three with no selection overhead (the idealized
+/// CABA-BestOfAll of §6.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineCompressor {
+    /// A single fixed algorithm.
+    Fixed(Algorithm),
+    /// The idealized best-of-all selector (§6.3).
+    BestOfAll,
+}
 
-    /// Attempts to compress `line`. Returns `None` for incompressible data.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `line.len()` is not a multiple of 8.
-    fn compress(&self, line: &[u8]) -> Option<CompressedLine>;
+impl LineCompressor {
+    /// The algorithm whose payload this selector stores for `line`, decided
+    /// from scans alone: `Fixed(a)` is `a`; `BestOfAll` is the first
+    /// algorithm in [`Algorithm::ALL`] order with the smallest
+    /// [`Algorithm::scan_line_size`], or `None` when none compresses `line`.
+    pub fn winner(self, line: &[u8]) -> Option<Algorithm> {
+        if let LineCompressor::Fixed(a) = self {
+            return Some(a);
+        }
+        let mut best: Option<(Algorithm, usize)> = None;
+        for a in Algorithm::ALL {
+            if let Some(size) = a.scan_line_size(line) {
+                // Strict `<`: the first minimal algorithm wins.
+                if best.is_none_or(|(_, s)| size < s) {
+                    best = Some((a, size));
+                }
+            }
+        }
+        best.map(|(a, _)| a)
+    }
 
-    /// Decompresses `line` into a caller-provided scratch buffer (typically
-    /// a stack `[u8; LINE_SIZE]`), returning the number of bytes written.
-    /// This is the allocation-free primitive; [`Compressor::decompress`] is
-    /// a convenience wrapper over it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecompressError`] when the payload is malformed, was
-    /// produced by a different algorithm, or `out` is shorter than the
-    /// decompressed line.
-    fn decompress_into(
-        &self,
-        line: &CompressedLine,
-        out: &mut [u8],
-    ) -> Result<usize, DecompressError>;
-
-    /// Decompresses a line produced by this compressor into a fresh vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecompressError`] when the payload is malformed or was
-    /// produced by a different algorithm.
-    fn decompress(&self, line: &CompressedLine) -> Result<Vec<u8>, DecompressError> {
-        let mut out = vec![0u8; line.original_len];
-        let n = self.decompress_into(line, &mut out)?;
-        out.truncate(n);
-        Ok(out)
+    /// Compresses `line` with [`LineCompressor::winner`]'s algorithm, or
+    /// `None` when the line is incompressible.
+    pub fn compress_line(self, line: &[u8]) -> Option<CompressedLine> {
+        let alg = self.winner(line)?;
+        let c = alg.compress_line(line);
+        debug_assert!(
+            matches!(self, LineCompressor::Fixed(_))
+                || c.as_ref().map(CompressedLine::size_bytes) == alg.scan_line_size(line),
+            "{alg} scan size disagrees with compress"
+        );
+        c
     }
 }
 
@@ -311,49 +335,10 @@ impl fmt::Display for DecompressError {
 
 impl std::error::Error for DecompressError {}
 
-/// Compresses with every algorithm and keeps the smallest result — the
-/// idealized `CABA-BestOfAll` selector of §6.3 (no selection overhead).
-#[derive(Debug, Default)]
-pub struct BestOfAll {
-    _private: (),
-}
-
-impl BestOfAll {
-    /// Creates the selector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Best compression across all algorithms, or `None` if nothing helps.
-    ///
-    /// Sizes each candidate with the allocation-free scan path and builds a
-    /// payload only for the winner. Strict `<` keeps the historical
-    /// `min_by_key` tie-break: the first minimal algorithm in
-    /// [`Algorithm::ALL`] order wins.
-    pub fn compress(&self, line: &[u8]) -> Option<CompressedLine> {
-        let mut best: Option<(Algorithm, usize)> = None;
-        for a in Algorithm::ALL {
-            if let Some(size) = a.scan_line_size(line) {
-                if best.is_none_or(|(_, s)| size < s) {
-                    best = Some((a, size));
-                }
-            }
-        }
-        let (alg, size) = best?;
-        let c = alg.compress_line(line);
-        debug_assert_eq!(
-            c.as_ref().map(|c| c.size_bytes()),
-            Some(size),
-            "{alg} scan size disagrees with compress"
-        );
-        c
-    }
-}
-
-/// Measures the average burst-level compression ratio of `algorithm` over a
+/// The average burst-level compression ratio of `compressor` over a
 /// sequence of lines (Figure 11's per-application metric). Incompressible
 /// lines count with ratio 1.
-pub fn average_burst_ratio(algorithm: Algorithm, lines: &[Vec<u8>]) -> f64 {
+pub fn average_burst_ratio(compressor: LineCompressor, lines: &[Vec<u8>]) -> f64 {
     if lines.is_empty() {
         return 1.0;
     }
@@ -362,26 +347,10 @@ pub fn average_burst_ratio(algorithm: Algorithm, lines: &[Vec<u8>]) -> f64 {
     for line in lines {
         let unc = line.len().div_ceil(BURST_BYTES).max(1);
         total_unc += unc;
-        total_comp += algorithm
+        total_comp += compressor
             .compress_line(line)
             .map(|c| c.bursts())
             .unwrap_or(unc);
-    }
-    total_unc as f64 / total_comp as f64
-}
-
-/// Average burst ratio of the best-of-all selector over `lines`.
-pub fn average_best_ratio(lines: &[Vec<u8>]) -> f64 {
-    if lines.is_empty() {
-        return 1.0;
-    }
-    let best = BestOfAll::new();
-    let mut total_unc = 0usize;
-    let mut total_comp = 0usize;
-    for line in lines {
-        let unc = line.len().div_ceil(BURST_BYTES).max(1);
-        total_unc += unc;
-        total_comp += best.compress(line).map(|c| c.bursts()).unwrap_or(unc);
     }
     total_unc as f64 / total_comp as f64
 }
@@ -412,7 +381,7 @@ mod tests {
         // Zero line: every algorithm nails it; best-of-all must be at least
         // as small as each individual one.
         let line = vec![0u8; LINE_SIZE];
-        let best = BestOfAll::new().compress(&line).unwrap();
+        let best = LineCompressor::BestOfAll.compress_line(&line).unwrap();
         for a in Algorithm::ALL {
             if let Some(c) = a.compress_line(&line) {
                 assert!(best.size_bytes() <= c.size_bytes());
@@ -429,10 +398,11 @@ mod tests {
             x = x.wrapping_mul(0xD1342543DE82EF95).wrapping_add(0xF);
             line.extend_from_slice(&x.to_le_bytes());
         }
-        let r = average_burst_ratio(Algorithm::Bdi, &[line]);
+        let bdi = LineCompressor::Fixed(Algorithm::Bdi);
+        let r = average_burst_ratio(bdi, &[line]);
         assert!((r - 1.0).abs() < 1e-9);
-        assert_eq!(average_burst_ratio(Algorithm::Bdi, &[]), 1.0);
-        assert_eq!(average_best_ratio(&[]), 1.0);
+        assert_eq!(average_burst_ratio(bdi, &[]), 1.0);
+        assert_eq!(average_burst_ratio(LineCompressor::BestOfAll, &[]), 1.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! accepts, across data profiles from all-zero to full-entropy. Driven by
 //! the in-repo deterministic property harness (`caba_stats::prop`).
 
-use caba_compress::bdi::{Bdi, BdiEncoding};
-use caba_compress::{average_best_ratio, average_burst_ratio, Algorithm, BestOfAll, LINE_SIZE};
+use caba_compress::bdi::{self, BdiEncoding};
+use caba_compress::{average_burst_ratio, Algorithm, LineCompressor, LINE_SIZE};
 use caba_stats::prop;
 use caba_stats::Rng64;
 
@@ -50,6 +50,14 @@ fn random_line(rng: &mut Rng64) -> Vec<u8> {
 
 const CASES: u32 = 256;
 
+/// Every selector: each fixed algorithm, then best-of-all.
+fn selectors() -> impl Iterator<Item = LineCompressor> {
+    Algorithm::ALL
+        .map(LineCompressor::Fixed)
+        .into_iter()
+        .chain([LineCompressor::BestOfAll])
+}
+
 /// `line` either does not compress under `a` or comes back whole from a
 /// smaller payload.
 fn round_trips(a: Algorithm, line: &[u8]) {
@@ -86,9 +94,9 @@ fn cpack_round_trip() {
 fn best_of_all_never_worse_than_any() {
     prop::check(0xBE57, CASES, |rng| {
         let line = random_line(rng);
-        let best = BestOfAll::new().compress(&line);
-        for a in Algorithm::ALL {
-            if let Some(z) = a.compress_line(&line) {
+        let best = LineCompressor::BestOfAll.compress_line(&line);
+        for sel in selectors() {
+            if let Some(z) = sel.compress_line(&line) {
                 let b = best.as_ref().expect("best must exist if any succeeds");
                 assert!(b.size_bytes() <= z.size_bytes());
             }
@@ -98,7 +106,9 @@ fn best_of_all_never_worse_than_any() {
 
 /// The allocation-free scan path must agree exactly with the payload-building
 /// compressor — same Some/None verdict, same size — for every algorithm, so
-/// `BestOfAll` can pick a winner from scans without changing behavior.
+/// `LineCompressor::winner` can pick best-of-all's winner from scans
+/// without changing behavior (the CABA controller's store path reads only
+/// that winner).
 #[test]
 fn scan_size_matches_compress() {
     prop::check(0x5CA9, CASES, |rng| {
@@ -116,17 +126,31 @@ fn scan_size_matches_compress() {
             .iter()
             .filter_map(|a| a.compress_line(&line))
             .min_by_key(|c| c.size_bytes());
-        assert_eq!(BestOfAll::new().compress(&line), reference);
+        for sel in selectors() {
+            let winner = sel.winner(&line);
+            let z = sel.compress_line(&line);
+            match sel {
+                LineCompressor::Fixed(a) => {
+                    assert_eq!(winner, Some(a));
+                    assert_eq!(z, a.compress_line(&line));
+                }
+                // The scan-only winner is the algorithm of the best payload,
+                // and `None` exactly when no algorithm compresses the line.
+                LineCompressor::BestOfAll => {
+                    assert_eq!(winner, reference.as_ref().map(|c| c.algorithm));
+                    assert_eq!(z, reference);
+                }
+            }
+        }
     });
 }
 
-/// `Bdi::fits` is `compress_with(..).is_some()` without the payload: for
+/// `bdi::fits` is `compress_with(..).is_some()` without the payload: for
 /// every encoding, on the corpus above, on lines made to fit each
 /// base-delta shape, and on every length down to the empty line (odd ones
 /// included, where `compress_with` answers from its length rules).
 #[test]
 fn bdi_fits_is_compress_with_without_the_payload() {
-    let bdi = Bdi::new();
     let mut fitted = [0u32; 8];
     prop::check(0xF175, CASES, |rng| {
         let mut line = match rng.range_u64(3) {
@@ -157,9 +181,9 @@ fn bdi_fits_is_compress_with_without_the_payload() {
             line.truncate(rng.range_u64(LINE_SIZE as u64 + 1) as usize);
         }
         for enc in BdiEncoding::ALL {
-            let reference = bdi.compress_with(&line, enc).is_some();
+            let reference = bdi::compress_with(&line, enc).is_some();
             assert_eq!(
-                bdi.fits(&line, enc),
+                bdi::fits(&line, enc),
                 reference,
                 "{enc:?} on {} bytes",
                 line.len()
@@ -189,12 +213,12 @@ fn average_ratios_at_least_one() {
     prop::check(0xA7EA, 64, |rng| {
         let n = 1 + rng.range_u64(7) as usize;
         let lines: Vec<Vec<u8>> = (0..n).map(|_| random_line(rng)).collect();
-        for a in Algorithm::ALL {
-            assert!(average_burst_ratio(a, &lines) >= 1.0 - 1e-12);
+        for sel in selectors() {
+            assert!(average_burst_ratio(sel, &lines) >= 1.0 - 1e-12);
         }
-        let best = average_best_ratio(&lines);
+        let best = average_burst_ratio(LineCompressor::BestOfAll, &lines);
         for a in Algorithm::ALL {
-            assert!(best >= average_burst_ratio(a, &lines) - 1e-9);
+            assert!(best >= average_burst_ratio(LineCompressor::Fixed(a), &lines) - 1e-9);
         }
     });
 }

@@ -5,8 +5,8 @@
 //! regular instruction, with an active mask to disable lanes as necessary"
 //! (§3.2.1). To reproduce that faithfully we define a small PTX-like ISA that
 //! both the synthetic application kernels (`caba-workloads`) and the CABA
-//! compression/decompression subroutines (`caba-core`) are written in, and
-//! that the simulator (`caba-sim`) executes functionally and times.
+//! compression/decompression subroutines (`caba_sim::caba`) are written in,
+//! and that the simulator (`caba-sim`) executes functionally and times.
 //!
 //! Highlights relevant to the paper:
 //!

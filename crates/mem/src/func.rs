@@ -1,7 +1,7 @@
 //! Functional backing memory and the per-line compression map.
 
 use crate::{line_base, LINE_SIZE};
-use caba_compress::{Algorithm, BestOfAll, CompressedLine};
+use caba_compress::{CompressedLine, LineCompressor};
 use caba_stats::FxHashMap;
 
 const PAGE_SIZE: usize = 4096;
@@ -265,25 +265,6 @@ impl caba_stats::snap::SnapshotState for FuncMem {
     }
 }
 
-/// Which compressor a [`CompressionMap`] applies per line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineCompressor {
-    /// A single fixed algorithm.
-    Fixed(Algorithm),
-    /// The idealized best-of-all selector (§6.3).
-    BestOfAll,
-}
-
-impl LineCompressor {
-    /// Compresses one line's bytes via static dispatch.
-    pub fn compress_line(self, bytes: &[u8]) -> Option<CompressedLine> {
-        match self {
-            LineCompressor::Fixed(a) => a.compress_line(bytes),
-            LineCompressor::BestOfAll => BestOfAll::new().compress(bytes),
-        }
-    }
-}
-
 /// Caches the compressed representation of each line of a [`FuncMem`].
 ///
 /// The timing model asks this map how many DRAM bursts / interconnect flits
@@ -397,6 +378,7 @@ impl CompressionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caba_compress::Algorithm;
 
     #[test]
     fn zero_filled_by_default() {

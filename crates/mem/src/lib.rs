@@ -33,7 +33,7 @@ pub mod overlay;
 
 pub use cache::{AccessOutcome, Cache, CacheGeometry, Eviction, Mshr};
 pub use dram::{DramChannel, DramConfig, DramRequest, DramStats};
-pub use func::{CompressionMap, FuncMem, LineCompressor};
+pub use func::{CompressionMap, FuncMem};
 pub use icnt::{Crossbar, Flit, PushError, PushErrorKind};
 pub use mdcache::MdCache;
 pub use overlay::{MemDelta, SharedMem};

@@ -349,8 +349,7 @@ impl CompressionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::LineCompressor;
-    use caba_compress::Algorithm;
+    use caba_compress::{Algorithm, LineCompressor};
 
     fn seeded_mem() -> FuncMem {
         let mut m = FuncMem::new();

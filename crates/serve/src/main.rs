@@ -14,9 +14,8 @@ struct Args {
     faults: FaultFlags,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: caba-serve [--addr HOST:PORT] [--store-dir DIR] [--jobs N] [--scale F]\n\
+const USAGE: &str =
+    "usage: caba-serve [--addr HOST:PORT] [--store-dir DIR] [--jobs N] [--scale F]\n\
          \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
          \n\
          Serve sweep/figure/cell simulations over HTTP. Cells are keyed by content\n\
@@ -36,10 +35,19 @@ fn usage() -> ! {
          \x20                  (testing). Either flag turns it on (defaults: seed 0,\n\
          \x20                  rate 0.05); F lies in 0..=1; both need --store-dir\n\
          \n\
-         endpoints: GET /healthz /stats /figure/{{fig}} /cell/{{app}}/{{design}}/{{bw}}\n\
-         \x20          /result/{{key}}   POST /shutdown"
-    );
+         endpoints: GET /healthz /stats /figure/{fig} /cell/{app}/{design}/{bw}\n\
+         \x20          /result/{key}   POST /shutdown";
+
+/// A usage error: the usage text on stderr, exit 2.
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     exit(2);
+}
+
+/// `--help` / `-h`: the usage text on stdout, exit 0.
+fn help() -> ! {
+    println!("{USAGE}");
+    exit(0);
 }
 
 fn parse_flag<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
@@ -76,7 +84,7 @@ fn parse_args() -> Args {
                     usage();
                 }
             }
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => help(),
             other => {
                 eprintln!("caba-serve: unknown flag {other:?}\n");
                 usage()

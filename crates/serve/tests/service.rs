@@ -866,13 +866,18 @@ fn a_cold_figure_in_flight_is_finished_before_join_returns() {
 
 #[test]
 fn serve_binary_prints_usage_and_rejects_bad_flags() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_caba-serve"))
-        .args(["--help"])
-        .output()
-        .expect("caba-serve binary runs");
-    assert_eq!(out.status.code(), Some(2), "--help exits with usage");
-    let usage = String::from_utf8_lossy(&out.stderr);
-    assert!(usage.contains("--store-dir"), "{usage}");
+    // `--help` and `-h` print the usage text on stdout and exit 0.
+    for help in ["--help", "-h"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_caba-serve"))
+            .arg(help)
+            .output()
+            .expect("caba-serve binary runs");
+        assert_eq!(out.status.code(), Some(0), "{help} exits 0");
+        assert!(out.stderr.is_empty(), "{help}");
+        let usage = String::from_utf8_lossy(&out.stdout);
+        assert!(usage.starts_with("usage: caba-serve"), "{usage}");
+        assert!(usage.contains("--store-dir"), "{usage}");
+    }
 
     // An address no local interface has (TEST-NET-1), so that a flag this
     // test expects to be refused, but which a regression accepts, fails to
@@ -893,6 +898,7 @@ fn serve_binary_prints_usage_and_rejects_bad_flags() {
             .expect("caba-serve binary runs");
         assert_eq!(out.status.code(), Some(2), "{bad:?} exits with usage");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: caba-serve"), "{bad:?}: {stderr}");
         assert!(bad[0] != "--scale" || stderr.contains(&format!("{:?}", bad[1])));
     }
 }

@@ -411,8 +411,7 @@ impl SharedLineStore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caba_compress::Algorithm;
-    use caba_mem::LineCompressor;
+    use caba_compress::{Algorithm, LineCompressor};
 
     #[test]
     fn line_store_override_precedence() {

@@ -17,10 +17,9 @@ use crate::assist::{
     AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SmServices, StoreAction,
     StoreInfo,
 };
-use caba_compress::bdi::{Bdi, BdiEncoding};
-use caba_compress::{Algorithm, BestOfAll, CompressedLine, Compressor};
+use caba_compress::bdi::{self, BdiEncoding};
+use caba_compress::{Algorithm, CompressedLine, LineCompressor};
 use caba_isa::{Program, Reg};
-use caba_mem::func::LineCompressor;
 use caba_mem::LINE_SIZE;
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotWriter};
 use std::collections::HashMap;
@@ -52,22 +51,17 @@ pub enum CabaMode {
 }
 
 impl CabaMode {
-    /// The (single) compression algorithm, or `None` for CABA-BestOfAll.
-    pub fn algorithm(self) -> Option<Algorithm> {
-        match self {
-            CabaMode::Bdi => Some(Algorithm::Bdi),
-            CabaMode::Fpc => Some(Algorithm::Fpc),
-            CabaMode::CPack => Some(Algorithm::CPack),
-            CabaMode::BestOfAll => None,
-            #[cfg(test)]
-            CabaMode::StandIn { .. } => Some(Algorithm::Bdi),
-        }
-    }
-
-    /// Selector used to build the reference compression map.
+    /// The compression algorithm(s) this mode drives: the selector of the
+    /// reference compression map and of each store's subroutine.
     pub fn selector(self) -> LineCompressor {
-        self.algorithm()
-            .map_or(LineCompressor::BestOfAll, LineCompressor::Fixed)
+        match self {
+            CabaMode::Bdi => LineCompressor::Fixed(Algorithm::Bdi),
+            CabaMode::Fpc => LineCompressor::Fixed(Algorithm::Fpc),
+            CabaMode::CPack => LineCompressor::Fixed(Algorithm::CPack),
+            CabaMode::BestOfAll => LineCompressor::BestOfAll,
+            #[cfg(test)]
+            CabaMode::StandIn { .. } => LineCompressor::Fixed(Algorithm::Bdi),
+        }
     }
 
     /// Short name for reports, snapshot headers and hang-trace files.
@@ -196,10 +190,9 @@ impl CabaController {
     /// the reference compressor restricted to the single-pass encodings
     /// (§4.1.2: often a single encoding suffices per application).
     fn pick_encoding(line: &[u8]) -> BdiEncoding {
-        let bdi = Bdi::new();
         CABA_COMPRESS_ENCODINGS
             .into_iter()
-            .filter(|&e| bdi.fits(line, e))
+            .filter(|&e| bdi::fits(line, e))
             .min_by_key(|e| e.compressed_size(line.len()))
             // Nothing fits: still run one test (it will report failure and
             // the line is released uncompressed) — the paper's overhead for
@@ -269,9 +262,7 @@ impl CabaController {
             alg => (self.aws.get(SubroutineKey::SerialDecompress(alg)), u32::MAX),
         };
         let expected = match stored.algorithm {
-            Algorithm::Bdi => Bdi::new()
-                .decompress(&stored)
-                .expect("stored BDI lines decompress"),
+            Algorithm::Bdi => stored.decompress().expect("stored BDI lines decompress"),
             _ => svc.mem.read_line(info.addr),
         };
         self.inflight.insert(
@@ -314,11 +305,8 @@ impl CabaController {
         let line = svc.mem.read_line(info.addr);
         let tag = self.take_tag();
         // BestOfAll drives the subroutine of the best algorithm for this
-        // line.
-        let alg = match self.mode.algorithm() {
-            Some(alg) => Some(alg),
-            None => BestOfAll::new().compress(&line).map(|c| c.algorithm),
-        };
+        // line, which its scans decide.
+        let alg = self.mode.selector().winner(&line);
         let (program, active_mask, entry) = match alg {
             Some(Algorithm::Bdi) | None => {
                 let enc = Self::pick_encoding(&line);
@@ -401,7 +389,7 @@ impl CabaController {
                     // coalesced store): discard the stale result and
                     // recompress the current contents.
                     self.stats.stale_recompressions += 1;
-                    match Bdi::new().compress(&current) {
+                    match bdi::compress(&current) {
                         Some(c) => svc.line_store.set_compressed(addr, c),
                         None => svc.line_store.set_raw(addr),
                     }
@@ -417,8 +405,7 @@ impl CabaController {
                             original_len: LINE_SIZE,
                         };
                         if self.paranoid {
-                            let reference = Bdi::new()
-                                .compress_with(&snapshot, enc)
+                            let reference = bdi::compress_with(&snapshot, enc)
                                 .expect("subroutine succeeded, reference must too");
                             assert_eq!(
                                 line, reference,
@@ -668,17 +655,14 @@ mod tests {
 
     #[test]
     fn modes_name_their_algorithms() {
-        assert_eq!(CabaMode::Bdi.algorithm(), Some(Algorithm::Bdi));
-        assert_eq!(CabaMode::CPack.algorithm(), Some(Algorithm::CPack));
-        assert_eq!(CabaMode::BestOfAll.algorithm(), None);
-        assert!(matches!(
-            CabaMode::Fpc.selector(),
-            LineCompressor::Fixed(Algorithm::Fpc)
-        ));
-        assert!(matches!(
-            CabaMode::BestOfAll.selector(),
-            LineCompressor::BestOfAll
-        ));
+        for (mode, selector) in [
+            (CabaMode::Bdi, LineCompressor::Fixed(Algorithm::Bdi)),
+            (CabaMode::Fpc, LineCompressor::Fixed(Algorithm::Fpc)),
+            (CabaMode::CPack, LineCompressor::Fixed(Algorithm::CPack)),
+            (CabaMode::BestOfAll, LineCompressor::BestOfAll),
+        ] {
+            assert_eq!(mode.selector(), selector, "{mode:?}");
+        }
         assert!(CabaMode::Bdi.extra_regs_per_thread() > 0);
     }
 
@@ -693,10 +677,9 @@ mod tests {
             line.extend_from_slice(&(0x40 + i).to_le_bytes());
         }
         let enc = CabaController::pick_encoding(&line);
-        let bdi = Bdi::new();
-        let chosen = bdi.compress_with(&line, enc).unwrap().size_bytes();
+        let chosen = bdi::compress_with(&line, enc).unwrap().size_bytes();
         for e in CABA_COMPRESS_ENCODINGS {
-            if let Some(c) = bdi.compress_with(&line, e) {
+            if let Some(c) = bdi::compress_with(&line, e) {
                 assert!(chosen <= c.size_bytes());
             }
         }

@@ -13,9 +13,9 @@ use crate::sm::{SharedState, Sm};
 use crate::snapshot::{self, RestoreError};
 use crate::stats::RunStats;
 use crate::trace::{ActivityTrace, Sample, TraceEvent, TraceEventKind, Tracer};
-use caba_compress::Algorithm;
+use caba_compress::{Algorithm, LineCompressor};
 use caba_isa::{Kernel, Program};
-use caba_mem::{CompressionMap, Crossbar, FuncMem, LineCompressor, MemDelta, SharedMem, LINE_SIZE};
+use caba_mem::{CompressionMap, Crossbar, FuncMem, MemDelta, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::{FxHashMap, MetricsSnapshot, StallKind};
 use std::fmt;

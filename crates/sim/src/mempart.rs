@@ -681,8 +681,7 @@ impl SnapshotState for PartResp {
 mod tests {
     use super::*;
     use crate::assist::LineStore;
-    use caba_compress::Algorithm;
-    use caba_mem::func::LineCompressor;
+    use caba_compress::{Algorithm, LineCompressor};
     use caba_mem::{CompressionMap, FuncMem};
 
     fn oracle_parts() -> (FuncMem, CompressionMap, LineStore) {

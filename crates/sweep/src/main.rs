@@ -38,9 +38,7 @@ struct Args {
     apps: Option<Vec<&'static str>>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--table PATH]\n\
+const USAGE: &str = "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--table PATH]\n\
          \x20                 [--figures LIST] [--apps LIST] [--store-dir DIR]\n\
          \x20                 [--store-fault-seed N] [--store-fault-rate F]\n\
          \x20      caba-sweep paper (fig01|fig02|fig05|fig07|fig08|fig09|fig10|fig11|fig12|fig13|tab_md|all)\n\
@@ -90,15 +88,27 @@ fn usage() -> ! {
          \x20              report to --out if given; exit 1 if anything was found\n\
          store gc       LRU-evict entries until the store fits --store-cap;\n\
          \x20              the one way a store is collected\n\
-         store stats    print store inventory as JSON"
-    );
+         store stats    print store inventory as JSON";
+
+/// A usage error: the usage text on stderr, exit 2.
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// `--help` / `-h`: the usage text on stdout, exit 0.
+fn help() -> ! {
+    println!("{USAGE}");
+    std::process::exit(0);
 }
 
 /// The `caba-sweep store (scrub|gc|stats)` maintenance subcommand. The
 /// verb and flags are checked before anything touches the disk, and it
 /// maintains only a store that exists: it never creates one.
 fn store_command(verb: &str, rest: &[String]) -> ExitCode {
+    if matches!(verb, "--help" | "-h") {
+        help();
+    }
     if !matches!(verb, "scrub" | "gc" | "stats") {
         eprintln!("caba-sweep store: unknown verb {verb:?} (scrub|gc|stats)\n");
         usage();
@@ -114,7 +124,7 @@ fn store_command(verb: &str, rest: &[String]) -> ExitCode {
             }
             "--store-cap" => store_cap = Some(parse_flag(a, it.next().cloned())),
             "--out" => out = Some(it.next().cloned().unwrap_or_else(|| missing_value(a))),
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => help(),
             _ => {
                 eprintln!("caba-sweep store: unknown flag {a}\n");
                 usage();
@@ -213,7 +223,7 @@ fn parse_args(argv: &[String]) -> Args {
                 args.apps = Some(list.split(',').map(|s| app_or_usage(s.trim())).collect());
             }
             "--selftest" => args.selftest = true,
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => help(),
             _ => {
                 eprintln!("caba-sweep: unknown flag {a}\n");
                 usage();
@@ -289,6 +299,7 @@ fn app_or_usage(name: &str) -> &'static str {
 fn tables_or_usage(name: Option<&String>) -> Vec<Figure> {
     match name.map(String::as_str) {
         Some("all") => Figure::ALL.to_vec(),
+        Some("--help" | "-h") => help(),
         Some(name) if !name.starts_with('-') => vec![figure_or_usage(name)],
         _ => {
             eprintln!("caba-sweep paper: missing table name\n");

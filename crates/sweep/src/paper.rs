@@ -11,7 +11,7 @@
 //! records paper-vs-measured for every table.
 
 use crate::{CellResult, DesignId, SweepCell, SweepConfig};
-use caba_compress::{average_best_ratio, average_burst_ratio, Algorithm, Bdi, Compressor};
+use caba_compress::{average_burst_ratio, bdi, Algorithm, LineCompressor};
 use caba_energy::energy;
 use caba_sim::occupancy::occupancy;
 use caba_sim::{Design, GpuConfig};
@@ -369,9 +369,7 @@ pub fn fig05() -> Table {
         0x8_0001_d018,
     ];
     let line: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let c = Bdi::new()
-        .compress(&line)
-        .expect("figure 5 line compresses");
+    let c = bdi::compress(&line).expect("figure 5 line compresses");
     let base = u64::from_le_bytes(c.payload[1..9].try_into().expect("8 bytes"));
     let mut t = Table::with_columns(&["Field", "Value"]);
     for (field, value) in [
@@ -453,12 +451,12 @@ pub fn fig11(scale: f64) -> Table {
     let apps = eval_apps();
     let rows = apps.iter().map(|app| {
         let lines = app.input_lines(scale);
-        let ratio = |alg| average_burst_ratio(alg, &lines);
+        let ratio = |alg| average_burst_ratio(LineCompressor::Fixed(alg), &lines);
         let values = vec![
             ratio(Algorithm::Bdi),
             ratio(Algorithm::Fpc),
             ratio(Algorithm::CPack),
-            average_best_ratio(&lines),
+            average_burst_ratio(LineCompressor::BestOfAll, &lines),
         ];
         (app.name, values)
     });

@@ -66,23 +66,41 @@ fn bad_scales_and_the_removed_flags_are_usage_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--help` prints the usage text (exit 2): every flag description keeps
-/// its hanging indent, as `caba-serve --help` does.
+/// `--help` and `-h` print the usage text on stdout and exit 0, at the top
+/// level and under `paper` and `store`: every flag description keeps its
+/// hanging indent, as `caba-serve --help` does. A usage error prints the
+/// same text on stderr and exits 2.
 #[test]
 fn help_prints_the_usage_text_with_its_hanging_indent() {
-    let (code, stderr) = run("--help", &[]);
+    let out = output("--help", &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(out.stderr.is_empty());
+    for args in [
+        "-h",
+        "paper --help",
+        "paper fig07 -h",
+        "store --help",
+        "store gc -h",
+    ] {
+        let o = output(args, &[]);
+        assert_eq!(o.status.code(), Some(0), "{args}");
+        assert_eq!(String::from_utf8_lossy(&o.stdout), stdout, "{args}");
+    }
+    let (code, stderr) = run("store --nope", &[]);
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.starts_with(
+    assert!(stderr.ends_with(&stdout), "{stderr}");
+    assert!(stdout.starts_with(
         "usage: caba-sweep [--jobs N] [--scale F] [--selftest] [--table PATH]\n\
          \x20                 [--figures LIST] [--apps LIST] [--store-dir DIR]\n"
     ));
-    assert!(stderr.contains(
+    assert!(stdout.contains(
         "--jobs N       cells simulated at once, one thread each (default:\n\
          \x20              available parallelism). Results are bit-identical\n\
          \x20              for any value.\n\
          --scale F      workload scale, finite and > 0 (default 0.5;\n"
     ));
-    let (_, flags) = stderr
+    let (_, flags) = stdout
         .split_once("\n\n")
         .expect("a blank line before the flags");
     for line in flags.lines().filter(|l| !l.is_empty()) {

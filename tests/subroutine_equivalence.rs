@@ -1,5 +1,5 @@
 //! Cross-crate property tests: the CABA assist-warp subroutines (ISA
-//! programs from `caba-core`) must be *bit-equivalent* to the reference
+//! programs from `caba_sim::caba`) must be *bit-equivalent* to the reference
 //! compressor (`caba-compress`) when executed under the functional ISA
 //! semantics (`caba-sim`) — for every BDI encoding, on arbitrary data.
 //!
@@ -7,14 +7,14 @@
 //! the bandwidth savings measured in the figures come from payloads the
 //! assist warps themselves produced and consumed.
 
-use caba::compress::bdi::{Bdi, BdiEncoding};
-use caba::compress::{CompressedLine, Compressor, LINE_SIZE};
-use caba::core::subroutines::{
+use caba::compress::bdi::{self, BdiEncoding};
+use caba::compress::{CompressedLine, LINE_SIZE};
+use caba::isa::{Program, Reg};
+use caba::mem::{FuncMem, SharedMem};
+use caba::sim::caba::subroutines::{
     active_mask_for, bdi_compress, bdi_decompress, lanes_for, CABA_COMPRESS_ENCODINGS, HDR_OFF,
     PAYLOAD_OFF,
 };
-use caba::isa::{Program, Reg};
-use caba::mem::{FuncMem, SharedMem};
 use caba::sim::exec::{execute, ThreadCtx};
 use caba::sim::Warp;
 use caba::stats::{prop, Rng64};
@@ -134,9 +134,8 @@ fn random_compressible_line(rng: &mut Rng64) -> Vec<u8> {
 fn compression_subroutine_matches_reference() {
     prop::check(0xC0395, 64, |rng| {
         let line = random_compressible_line(rng);
-        let bdi = Bdi::new();
         for enc in CABA_COMPRESS_ENCODINGS {
-            let reference = bdi.compress_with(&line, enc);
+            let reference = bdi::compress_with(&line, enc);
             let assist = compress_via_assist(&line, enc);
             match (reference, assist) {
                 (Some(r), Some(a)) => assert_eq!(r.payload, a, "{enc:?}"),
@@ -158,7 +157,7 @@ fn compression_subroutine_matches_reference() {
 fn decompression_subroutine_reconstructs_line() {
     prop::check(0xDEC0395, 64, |rng| {
         let line = random_compressible_line(rng);
-        if let Some(c) = Bdi::new().compress(&line) {
+        if let Some(c) = bdi::compress(&line) {
             let out = decompress_via_assist(&c);
             assert_eq!(out, line);
         }
@@ -188,9 +187,7 @@ fn figure5_line_round_trips_through_assist_warps() {
         }
     }
     let payload = compress_via_assist(&line, BdiEncoding::B8D1).expect("compresses");
-    let reference = Bdi::new()
-        .compress_with(&line, BdiEncoding::B8D1)
-        .expect("reference compresses");
+    let reference = bdi::compress_with(&line, BdiEncoding::B8D1).expect("reference compresses");
     assert_eq!(payload, reference.payload);
     let out = decompress_via_assist(&reference);
     assert_eq!(out, line);
@@ -201,7 +198,6 @@ fn figure5_line_round_trips_through_assist_warps() {
 #[test]
 fn thousand_line_sweep() {
     let mut rng = Rng64::new(0xCABA);
-    let bdi = Bdi::new();
     let mut compressed = 0;
     for _ in 0..1000 {
         let base = rng.next_u32();
@@ -210,7 +206,7 @@ fn thousand_line_sweep() {
         for _ in 0..LINE_SIZE / 4 {
             line.extend_from_slice(&base.wrapping_add(rng.range_u64(range) as u32).to_le_bytes());
         }
-        if let Some(c) = bdi.compress(&line) {
+        if let Some(c) = bdi::compress(&line) {
             compressed += 1;
             assert_eq!(decompress_via_assist(&c), line);
         }
