@@ -1,6 +1,7 @@
-//! The assist-warp mechanism (§3.3): launch descriptors, the events the SM
-//! and its Assist Warp Controller exchange, and the per-line stored-form
-//! tracking that ties assist-warp compression results to the memory system.
+//! The assist-warp mechanism (§3.3): launch descriptors, the actions the
+//! SM's Assist Warp Controller answers its three hooks with, and the
+//! per-line stored-form tracking that ties assist-warp compression results
+//! to the memory system.
 //!
 //! The split of responsibilities mirrors the paper's hardware/software
 //! co-design: the *mechanism* (deploying assist warps, tracking them in the
@@ -8,7 +9,8 @@
 //! priority scheduling, killing) lives in the SM ([`crate::Sm`]); which
 //! subroutine runs for which trigger, with which live-in values, and what
 //! its completion means is the controller's
-//! ([`crate::caba::CabaController`]).
+//! ([`crate::caba::CabaController`]), which the SM owns and calls directly
+//! with the state the SMs share ([`crate::sm::SharedState`]).
 
 use caba_compress::CompressedLine;
 use caba_isa::{Program, Reg};
@@ -49,17 +51,6 @@ pub struct AssistLaunch {
     pub tag: u64,
 }
 
-/// Context for a fill (load response) arriving at the core boundary.
-#[derive(Debug, Clone, Copy)]
-pub struct FillInfo {
-    /// SM receiving the fill.
-    pub sm: usize,
-    /// A parent warp waiting on the line (the trigger's warp ID).
-    pub parent_warp: usize,
-    /// Line base address.
-    pub addr: u64,
-}
-
 /// What to do with an arriving fill.
 #[derive(Debug, Clone)]
 pub enum FillAction {
@@ -71,17 +62,6 @@ pub enum FillAction {
     },
     /// Run an assist warp; waiters complete when it exits.
     Assist(AssistLaunch),
-}
-
-/// Context for a store line leaving the core toward L2/memory.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreInfo {
-    /// SM issuing the store.
-    pub sm: usize,
-    /// The storing warp.
-    pub parent_warp: usize,
-    /// Line base address.
-    pub addr: u64,
 }
 
 /// What to do with an outgoing store line.
@@ -110,27 +90,6 @@ pub enum AssistOutcome {
         /// Line base address to release from the store buffer.
         addr: u64,
     },
-    /// Nothing for the core to do.
-    Nothing,
-}
-
-/// Mutable services the SM exposes to the controller during callbacks.
-///
-/// Memory and the line store are reached through phase-aware views
-/// ([`SharedMem`], [`SharedLineStore`]): overlays during the SM phase
-/// (start-of-cycle state plus this SM's own writes), direct during the fill
-/// phase. Controller code is identical either way.
-pub struct SmServices<'a, 'm> {
-    /// Functional global memory (staging regions live here too).
-    pub mem: &'a mut SharedMem<'m>,
-    /// The reference compression map (present on compressed designs).
-    pub cmap: Option<&'a mut CompressionMap>,
-    /// Per-line stored forms.
-    pub line_store: &'a mut SharedLineStore<'m>,
-    /// Base address of this SM's staging region (assist-warp scratch).
-    pub staging_base: u64,
-    /// The SM id.
-    pub sm_id: usize,
 }
 
 /// How a line is currently stored in L2/DRAM.

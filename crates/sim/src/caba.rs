@@ -23,8 +23,9 @@
 //!   on store-buffer drains (low priority, §4.2.2), staging-slot management,
 //!   and completion handling with paranoid verification in debug builds
 //!   ([`crate::Gpu::set_paranoid`]). It is one fixed piece of hardware per
-//!   SM; a design point picks its [`CabaMode`] (the algorithm), and
-//!   [`crate::Gpu`] builds the controllers.
+//!   SM: a design point picks its [`CabaMode`] (the algorithm), each SM
+//!   builds and owns its controller, and calls its three hooks directly
+//!   with the state the SMs share ([`crate::sm::SharedState`]).
 //!
 //! Compression is the only assist-warp use reproduced. The paper's §7 other
 //! uses (memoization, prefetching) have no evaluation figure to check a

@@ -1,9 +1,9 @@
 //! The CABA Assist Warp Controller (§3.3–3.4, §4.2).
 //!
-//! One [`CabaController`] per SM decides which subroutine to trigger for
-//! each fill/store event, manages staging slots (the compressed line
-//! resident at the core plus live-in/live-out registers), and interprets
-//! assist-warp completions. Decompression assist warps run at high priority
+//! Each SM owns one [`CabaController`], which decides which subroutine to
+//! trigger for each fill/store event, manages the SM's staging slots (the
+//! compressed line resident at the core plus live-in/live-out registers),
+//! and interprets assist-warp completions. Decompression assist warps run at high priority
 //! ("stalls the progress of its parent warp until it completes", §4.2.1);
 //! compression assist warps run at low priority through the AWB partition
 //! ("off the critical path", §4.2.2). What varies between design points is
@@ -13,10 +13,8 @@ use super::subroutines::{
     active_mask_for, lanes_for, AssistWarpStore, SubroutineKey, CABA_COMPRESS_ENCODINGS, HDR_OFF,
     PAYLOAD_OFF, SLOT_SIZE,
 };
-use crate::assist::{
-    AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SmServices, StoreAction,
-    StoreInfo,
-};
+use crate::assist::{AssistLaunch, AssistOutcome, AssistPriority, FillAction, StoreAction};
+use crate::sm::SharedState;
 use caba_compress::bdi::{self, BdiEncoding};
 use caba_compress::{Algorithm, CompressedLine, LineCompressor};
 use caba_isa::{Program, Reg};
@@ -88,24 +86,6 @@ impl CabaMode {
     }
 }
 
-/// Counters the controller keeps. Snapshots carry them; no report reads
-/// them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CabaStats {
-    /// Decompression assist warps launched.
-    decompressions: u64,
-    /// Compression assist warps launched.
-    compressions: u64,
-    /// Compression subroutines that reported "encoding does not fit".
-    compression_failures: u64,
-    /// Events handled without an assist warp because no staging slot was
-    /// free (throttling fallback).
-    slot_fallbacks: u64,
-    /// Compression results discarded because the line changed underneath
-    /// the assist warp (recompressed from current contents).
-    stale_recompressions: u64,
-}
-
 #[derive(Debug)]
 enum Inflight {
     BdiDecompress {
@@ -127,7 +107,6 @@ enum Inflight {
         addr: u64,
         slot: u64,
         alg: Algorithm,
-        snapshot: Vec<u8>,
     },
 }
 
@@ -136,9 +115,8 @@ const SLOTS_PER_SM: u64 = 128;
 /// Offset of the first slot inside an SM's staging region.
 const SLOTS_BASE_OFF: u64 = 4096;
 
-/// One SM's Assist Warp Controller. [`crate::Gpu`] builds one per SM from
-/// the design's [`CabaMode`]: tags and staging slots are per-SM
-/// namespaces.
+/// One SM's Assist Warp Controller, owned by its [`crate::Sm`] on a CABA
+/// design: tags and staging slots are per-SM namespaces.
 #[derive(Debug)]
 pub struct CabaController {
     mode: CabaMode,
@@ -146,38 +124,40 @@ pub struct CabaController {
     /// (panicking on a mismatch). On in debug builds; `Gpu::set_paranoid`
     /// switches it.
     pub(crate) paranoid: bool,
+    /// The SM's staging region, which the stand-in's program writes.
+    #[cfg(test)]
+    staging_base: u64,
     aws: AssistWarpStore,
     inflight: HashMap<u64, Inflight>,
-    free_slots: HashMap<usize, Vec<u64>>,
+    /// Free staging slots; the next one is popped from the end.
+    free_slots: Vec<u64>,
     next_tag: u64,
-    stats: CabaStats,
 }
 
 impl CabaController {
-    /// A controller with no per-run state, paranoid in debug builds.
-    pub fn new(mode: CabaMode) -> Self {
+    /// A controller with no per-run state for the SM whose staging region
+    /// starts at `staging_base`, paranoid in debug builds.
+    pub fn new(mode: CabaMode, staging_base: u64) -> Self {
         CabaController {
             mode,
             paranoid: cfg!(debug_assertions),
+            #[cfg(test)]
+            staging_base,
             aws: AssistWarpStore::new(),
             inflight: HashMap::new(),
-            free_slots: HashMap::new(),
+            free_slots: (0..SLOTS_PER_SM)
+                .map(|i| staging_base + SLOTS_BASE_OFF + i * SLOT_SIZE)
+                .collect(),
             next_tag: 0,
-            stats: CabaStats::default(),
         }
     }
 
-    fn alloc_slot(&mut self, sm: usize, staging_base: u64) -> Option<u64> {
-        let slots = self.free_slots.entry(sm).or_insert_with(|| {
-            (0..SLOTS_PER_SM)
-                .map(|i| staging_base + SLOTS_BASE_OFF + i * SLOT_SIZE)
-                .collect()
-        });
-        slots.pop()
+    fn alloc_slot(&mut self) -> Option<u64> {
+        self.free_slots.pop()
     }
 
-    fn free_slot(&mut self, sm: usize, slot: u64) {
-        self.free_slots.entry(sm).or_default().push(slot);
+    fn free_slot(&mut self, slot: u64) {
+        self.free_slots.push(slot);
     }
 
     fn take_tag(&mut self) -> u64 {
@@ -203,13 +183,7 @@ impl CabaController {
     /// The stand-in's launch: its one program, the staging base and the
     /// line address live in.
     #[cfg(test)]
-    fn stand_in_launch(
-        &mut self,
-        parent_warp: usize,
-        low: bool,
-        staging: u64,
-        tag: u64,
-    ) -> AssistLaunch {
+    fn stand_in_launch(&mut self, parent_warp: usize, low: bool, tag: u64) -> AssistLaunch {
         AssistLaunch {
             program: self.aws.get(SubroutineKey::StandIn),
             parent_warp,
@@ -218,36 +192,34 @@ impl CabaController {
             } else {
                 AssistPriority::High
             },
-            live_in: [(Reg(0), staging), (Reg(1), tag & !1)],
+            live_in: [(Reg(0), self.staging_base), (Reg(1), tag & !1)],
             active_mask: u32::MAX,
             tag,
         }
     }
 
-    /// A compressed fill reached the L1 boundary.
-    pub fn on_fill(&mut self, info: &FillInfo, svc: &mut SmServices<'_, '_>) -> FillAction {
+    /// The line at `addr`, stored compressed as `stored`, reached the L1
+    /// boundary; `parent_warp` waits on it.
+    pub fn on_fill(
+        &mut self,
+        parent_warp: usize,
+        addr: u64,
+        stored: CompressedLine,
+        shared: &mut SharedState<'_>,
+    ) -> FillAction {
         #[cfg(test)]
         if let CabaMode::StandIn { low_fills } = self.mode {
-            let launch =
-                self.stand_in_launch(info.parent_warp, low_fills, svc.staging_base, info.addr);
-            return FillAction::Assist(launch);
+            return FillAction::Assist(self.stand_in_launch(parent_warp, low_fills, addr));
         }
-        let Some(stored) =
-            svc.line_store
-                .stored_compressed(svc.mem, svc.cmap.as_deref_mut(), info.addr)
-        else {
-            return FillAction::Complete { extra_latency: 0 };
-        };
-        let Some(slot) = self.alloc_slot(info.sm, svc.staging_base) else {
+        let Some(slot) = self.alloc_slot() else {
             // Staging exhausted: throttle by falling back to a serialized
             // fixed-latency path.
-            self.stats.slot_fallbacks += 1;
             return FillAction::Complete { extra_latency: 16 };
         };
         // Materialize the compressed payload at the core ("the compressed
         // cache line is inserted into the L1 cache", §4.2.1).
         let payload_addr = (slot as i64 + PAYLOAD_OFF) as u64;
-        svc.mem.load_image(payload_addr, &stored.payload);
+        shared.mem.load_image(payload_addr, &stored.payload);
 
         let tag = self.take_tag();
         let (program, active_mask) = match stored.algorithm {
@@ -261,48 +233,41 @@ impl CabaController {
             }
             alg => (self.aws.get(SubroutineKey::SerialDecompress(alg)), u32::MAX),
         };
-        let expected = match stored.algorithm {
-            Algorithm::Bdi => stored.decompress().expect("stored BDI lines decompress"),
-            _ => svc.mem.read_line(info.addr),
-        };
-        self.inflight.insert(
-            tag,
-            match stored.algorithm {
-                Algorithm::Bdi => Inflight::BdiDecompress {
-                    addr: info.addr,
-                    slot,
-                    expected,
-                },
-                _ => Inflight::SerialDecompress {
-                    addr: info.addr,
-                    slot,
-                },
+        let entry = match stored.algorithm {
+            Algorithm::Bdi => Inflight::BdiDecompress {
+                addr,
+                slot,
+                expected: stored.decompress().expect("stored BDI lines decompress"),
             },
-        );
-        self.stats.decompressions += 1;
+            _ => Inflight::SerialDecompress { addr, slot },
+        };
+        self.inflight.insert(tag, entry);
         FillAction::Assist(AssistLaunch {
             program,
-            parent_warp: info.parent_warp,
+            parent_warp,
             priority: AssistPriority::High,
-            live_in: [(Reg(0), payload_addr), (Reg(1), info.addr)],
+            live_in: [(Reg(0), payload_addr), (Reg(1), addr)],
             active_mask,
             tag,
         })
     }
 
-    /// A dirty line is ready to leave the core.
-    pub fn on_store(&mut self, info: &StoreInfo, svc: &mut SmServices<'_, '_>) -> StoreAction {
+    /// The dirty line at `addr`, stored by `parent_warp`, is ready to leave
+    /// the core.
+    pub fn on_store(
+        &mut self,
+        parent_warp: usize,
+        addr: u64,
+        shared: &mut SharedState<'_>,
+    ) -> StoreAction {
         #[cfg(test)]
         if let CabaMode::StandIn { .. } = self.mode {
-            let launch =
-                self.stand_in_launch(info.parent_warp, true, svc.staging_base, info.addr | 1);
-            return StoreAction::Assist(launch);
+            return StoreAction::Assist(self.stand_in_launch(parent_warp, true, addr | 1));
         }
-        let Some(slot) = self.alloc_slot(info.sm, svc.staging_base) else {
-            self.stats.slot_fallbacks += 1;
+        let Some(slot) = self.alloc_slot() else {
             return StoreAction::PassThrough;
         };
-        let line = svc.mem.read_line(info.addr);
+        let line = shared.mem.read_line(addr);
         let tag = self.take_tag();
         // BestOfAll drives the subroutine of the best algorithm for this
         // line, which its scans decide.
@@ -314,7 +279,7 @@ impl CabaController {
                     self.aws.get(SubroutineKey::BdiCompress(enc)),
                     active_mask_for(lanes_for(enc)),
                     Inflight::BdiCompress {
-                        addr: info.addr,
+                        addr,
                         slot,
                         enc,
                         snapshot: line,
@@ -324,28 +289,26 @@ impl CabaController {
             Some(alg) => (
                 self.aws.get(SubroutineKey::SerialCompress(alg)),
                 u32::MAX,
-                Inflight::SerialCompress {
-                    addr: info.addr,
-                    slot,
-                    alg,
-                    snapshot: line,
-                },
+                Inflight::SerialCompress { addr, slot, alg },
             ),
         };
         self.inflight.insert(tag, entry);
-        self.stats.compressions += 1;
         StoreAction::Assist(AssistLaunch {
             program,
-            parent_warp: info.parent_warp,
+            parent_warp,
             priority: AssistPriority::Low,
-            live_in: [(Reg(0), info.addr), (Reg(1), slot)],
+            live_in: [(Reg(0), addr), (Reg(1), slot)],
             active_mask,
             tag,
         })
     }
 
     /// An assist warp with `tag` ran to completion.
-    pub fn on_assist_complete(&mut self, tag: u64, svc: &mut SmServices<'_, '_>) -> AssistOutcome {
+    ///
+    /// # Panics
+    ///
+    /// On a tag this controller did not launch.
+    pub fn on_assist_complete(&mut self, tag: u64, shared: &mut SharedState<'_>) -> AssistOutcome {
         #[cfg(test)]
         if let CabaMode::StandIn { .. } = self.mode {
             return if tag & 1 == 1 {
@@ -354,9 +317,10 @@ impl CabaController {
                 AssistOutcome::FillComplete { addr: tag }
             };
         }
-        let Some(entry) = self.inflight.remove(&tag) else {
-            return AssistOutcome::Nothing;
-        };
+        let entry = self
+            .inflight
+            .remove(&tag)
+            .expect("every launched assist warp is in flight");
         match entry {
             Inflight::BdiDecompress {
                 addr,
@@ -364,17 +328,17 @@ impl CabaController {
                 expected,
             } => {
                 if self.paranoid {
-                    let got = svc.mem.read_line(addr);
+                    let got = shared.mem.read_line(addr);
                     assert_eq!(
                         got, expected,
                         "BDI decompression assist warp produced wrong bytes at {addr:#x}"
                     );
                 }
-                self.free_slot(svc.sm_id, slot);
+                self.free_slot(slot);
                 AssistOutcome::FillComplete { addr }
             }
             Inflight::SerialDecompress { addr, slot } => {
-                self.free_slot(svc.sm_id, slot);
+                self.free_slot(slot);
                 AssistOutcome::FillComplete { addr }
             }
             Inflight::BdiCompress {
@@ -383,21 +347,22 @@ impl CabaController {
                 enc,
                 snapshot,
             } => {
-                let current = svc.mem.read_line(addr);
+                let current = shared.mem.read_line(addr);
                 if current != snapshot {
                     // The line changed while the assist warp ran (a newer
                     // coalesced store): discard the stale result and
                     // recompress the current contents.
-                    self.stats.stale_recompressions += 1;
                     match bdi::compress(&current) {
-                        Some(c) => svc.line_store.set_compressed(addr, c),
-                        None => svc.line_store.set_raw(addr),
+                        Some(c) => shared.line_store.set_compressed(addr, c),
+                        None => shared.line_store.set_raw(addr),
                     }
                 } else {
-                    let header = svc.mem.read_u32((slot as i64 + HDR_OFF) as u64);
+                    let header = shared.mem.read_u32((slot as i64 + HDR_OFF) as u64);
                     if header == 1 {
                         let len = enc.compressed_size(LINE_SIZE);
-                        let payload = svc.mem.read_bytes((slot as i64 + PAYLOAD_OFF) as u64, len);
+                        let payload = shared
+                            .mem
+                            .read_bytes((slot as i64 + PAYLOAD_OFF) as u64, len);
                         let line = CompressedLine {
                             algorithm: Algorithm::Bdi,
                             encoding: enc.id(),
@@ -413,45 +378,36 @@ impl CabaController {
                                  the reference at {addr:#x} ({enc:?})"
                             );
                         }
-                        svc.line_store.set_compressed(addr, line);
+                        shared.line_store.set_compressed(addr, line);
                     } else {
-                        self.stats.compression_failures += 1;
-                        svc.line_store.set_raw(addr);
+                        shared.line_store.set_raw(addr);
                     }
                 }
-                self.free_slot(svc.sm_id, slot);
+                self.free_slot(slot);
                 AssistOutcome::StoreRelease { addr }
             }
-            Inflight::SerialCompress {
-                addr,
-                slot,
-                alg,
-                snapshot,
-            } => {
-                let current = svc.mem.read_line(addr);
-                if current != snapshot {
-                    self.stats.stale_recompressions += 1;
-                }
+            Inflight::SerialCompress { addr, slot, alg } => {
+                // The functional result is the reference compressor's over
+                // the line as it is now, newer coalesced stores included.
+                let current = shared.mem.read_line(addr);
                 match alg.compress_line(&current) {
-                    Some(c) => svc.line_store.set_compressed(addr, c),
-                    None => {
-                        self.stats.compression_failures += 1;
-                        svc.line_store.set_raw(addr);
-                    }
+                    Some(c) => shared.line_store.set_compressed(addr, c),
+                    None => shared.line_store.set_raw(addr),
                 }
-                self.free_slot(svc.sm_id, slot);
+                self.free_slot(slot);
                 AssistOutcome::StoreRelease { addr }
             }
         }
     }
 
-    /// Serializes the per-run state (in-flight operations, slot free
-    /// lists, the tag counter, the counters) for [`crate::Gpu::snapshot`].
+    /// Serializes the per-run state (in-flight operations, the free slot
+    /// pool, the tag counter) for [`crate::Gpu::snapshot`].
     pub fn snap_save(&self, w: &mut SnapshotWriter) {
         // The mode comes from the design the restoring GPU was built
-        // with, and the assist-warp store is a pure program memoization —
-        // only per-run state is serialized, with both maps in sorted key
-        // order for byte-stable output.
+        // with, the staging region from the SM, and the assist-warp store
+        // is a pure program memoization — only per-run state is
+        // serialized, the in-flight map in sorted tag order for byte-stable
+        // output.
         let mut tags: Vec<u64> = self.inflight.keys().copied().collect();
         tags.sort_unstable();
         w.usize(tags.len());
@@ -459,26 +415,12 @@ impl CabaController {
             w.u64(tag);
             save_inflight(&self.inflight[&tag], w);
         }
-        // A pool absent from `free_slots` is *not* an empty pool: the lazy
-        // `alloc_slot` initializer refills an absent entry, so presence is
-        // state. Vec order is preserved (slots are popped from the end).
-        let mut sms: Vec<usize> = self.free_slots.keys().copied().collect();
-        sms.sort_unstable();
-        w.usize(sms.len());
-        for sm in sms {
-            let pool = &self.free_slots[&sm];
-            w.usize(sm);
-            w.usize(pool.len());
-            for &slot in pool {
-                w.u64(slot);
-            }
+        // Pool order is state: slots are popped from the end.
+        w.usize(self.free_slots.len());
+        for &slot in &self.free_slots {
+            w.u64(slot);
         }
         w.u64(self.next_tag);
-        w.u64(self.stats.decompressions);
-        w.u64(self.stats.compressions);
-        w.u64(self.stats.compression_failures);
-        w.u64(self.stats.slot_fallbacks);
-        w.u64(self.stats.stale_recompressions);
     }
 
     /// Restores state written by [`CabaController::snap_save`].
@@ -493,30 +435,17 @@ impl CabaController {
             let tag = r.u64()?;
             self.inflight.insert(tag, load_inflight(r)?);
         }
+        let len = r.seq_len("CABA slot pool", 8)?;
+        if len > SLOTS_PER_SM as usize {
+            return Err(SnapError::Invariant {
+                what: "slot pool exceeds SLOTS_PER_SM",
+            });
+        }
         self.free_slots.clear();
-        let pools = r.seq_len("CABA slot pools", 16)?;
-        for _ in 0..pools {
-            let sm = r.usize()?;
-            let len = r.seq_len("CABA slot pool", 8)?;
-            if len > SLOTS_PER_SM as usize {
-                return Err(SnapError::Invariant {
-                    what: "slot pool exceeds SLOTS_PER_SM",
-                });
-            }
-            let mut pool = Vec::with_capacity(len);
-            for _ in 0..len {
-                pool.push(r.u64()?);
-            }
-            self.free_slots.insert(sm, pool);
+        for _ in 0..len {
+            self.free_slots.push(r.u64()?);
         }
         self.next_tag = r.u64()?;
-        self.stats = CabaStats {
-            decompressions: r.u64()?,
-            compressions: r.u64()?,
-            compression_failures: r.u64()?,
-            slot_fallbacks: r.u64()?,
-            stale_recompressions: r.u64()?,
-        };
         Ok(())
     }
 
@@ -592,17 +521,11 @@ fn save_inflight(e: &Inflight, w: &mut SnapshotWriter) {
             w.u8(enc.id());
             w.bytes(snapshot);
         }
-        Inflight::SerialCompress {
-            addr,
-            slot,
-            alg,
-            snapshot,
-        } => {
+        Inflight::SerialCompress { addr, slot, alg } => {
             w.u8(3);
             w.u64(*addr);
             w.u64(*slot);
             w.u8(alg_tag(*alg));
-            w.bytes(snapshot);
         }
     }
 }
@@ -634,7 +557,6 @@ fn load_inflight(r: &mut SnapshotReader<'_>) -> Result<Inflight, SnapError> {
             addr: r.u64()?,
             slot: r.u64()?,
             alg: alg_from_tag(r.u8()?)?,
-            snapshot: r.bytes()?.to_vec(),
         },
         tag => {
             return Err(SnapError::BadTag {
@@ -648,9 +570,13 @@ fn load_inflight(r: &mut SnapshotReader<'_>) -> Result<Inflight, SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assist::{LineStore, SharedLineStore};
+    use crate::sm::{STAGING_BASE, STAGING_SIZE};
+    use crate::GpuConfig;
+    use caba_mem::{FuncMem, SharedMem};
 
     fn bdi() -> CabaController {
-        CabaController::new(CabaMode::Bdi)
+        CabaController::new(CabaMode::Bdi, STAGING_BASE)
     }
 
     #[test]
@@ -695,28 +621,84 @@ mod tests {
 
     #[test]
     fn slot_allocation_is_per_sm() {
-        let mut c = bdi();
-        let a = c.alloc_slot(0, 0x1000).unwrap();
-        let b = c.alloc_slot(1, 0x2000).unwrap();
-        assert_ne!(a, b);
-        c.free_slot(0, a);
-        // Exhausting SM 0's slots succeeds exactly SLOTS_PER_SM times.
-        let mut n = 0;
-        while c.alloc_slot(0, 0x1000).is_some() {
-            n += 1;
-            if n > 1000 {
-                break;
+        let sms = GpuConfig::isca2015().num_sms as u64;
+        let mut seen = std::collections::HashSet::new();
+        for sm in 0..sms {
+            let base = STAGING_BASE + sm * STAGING_SIZE;
+            let mut c = CabaController::new(CabaMode::Bdi, base);
+            let mut n = 0;
+            while let Some(slot) = c.alloc_slot() {
+                n += 1;
+                assert!(slot >= base + SLOTS_BASE_OFF, "SM {sm}: {slot:#x}");
+                assert!(
+                    slot + SLOT_SIZE <= base + STAGING_SIZE,
+                    "SM {sm}: {slot:#x}"
+                );
+                assert!(seen.insert(slot), "SM {sm} shares slot {slot:#x}");
             }
+            assert_eq!(n, SLOTS_PER_SM, "SM {sm}");
         }
-        assert_eq!(n, SLOTS_PER_SM);
+    }
+
+    /// A controller whose every staging slot holds an in-flight compression
+    /// assist, and the memory those assists read.
+    fn exhausted() -> (CabaController, FuncMem) {
+        let mut c = bdi();
+        let mut mem = FuncMem::new();
+        let mut store = LineStore::new();
+        let mut shared = SharedState {
+            mem: SharedMem::Direct(&mut mem),
+            cmap: None,
+            line_store: SharedLineStore::Direct(&mut store),
+        };
+        for i in 0..SLOTS_PER_SM {
+            let act = c.on_store(0, 0x1_0000 + i * LINE_SIZE as u64, &mut shared);
+            assert!(matches!(act, StoreAction::Assist(_)), "slot {i}");
+        }
+        assert!(c.free_slots.is_empty());
+        (c, mem)
+    }
+
+    #[test]
+    fn a_fill_without_a_free_slot_takes_the_fixed_latency_path() {
+        let (mut c, mut mem) = exhausted();
+        let mut store = LineStore::new();
+        let mut shared = SharedState {
+            mem: SharedMem::Direct(&mut mem),
+            cmap: None,
+            line_store: SharedLineStore::Direct(&mut store),
+        };
+        let stored = bdi::compress(&[0u8; LINE_SIZE]).expect("zeros compress");
+        let act = c.on_fill(0, 0x8_0000, stored.clone(), &mut shared);
+        assert!(matches!(act, FillAction::Complete { extra_latency: 16 }));
+        // One retired assist frees a slot, and the next fill deploys.
+        let tag = *c.inflight.keys().min().expect("in flight");
+        c.on_assist_complete(tag, &mut shared);
+        let act = c.on_fill(0, 0x8_0000, stored, &mut shared);
+        assert!(matches!(act, FillAction::Assist(_)));
+    }
+
+    #[test]
+    fn a_store_without_a_free_slot_passes_through() {
+        let (mut c, mut mem) = exhausted();
+        let mut store = LineStore::new();
+        let mut shared = SharedState {
+            mem: SharedMem::Direct(&mut mem),
+            cmap: None,
+            line_store: SharedLineStore::Direct(&mut store),
+        };
+        let tags = c.next_tag;
+        let act = c.on_store(0, 0x8_0000, &mut shared);
+        assert!(matches!(act, StoreAction::PassThrough));
+        assert_eq!(c.next_tag, tags, "a pass-through launches nothing");
     }
 
     #[test]
     fn controller_snapshot_round_trips_byte_identically() {
         let mut c = bdi();
         // Drive real allocator/tag state plus one of each in-flight shape.
-        let s0 = c.alloc_slot(0, 0x1000).unwrap();
-        let s1 = c.alloc_slot(2, 0x3000).unwrap();
+        let s0 = c.alloc_slot().unwrap();
+        let s1 = c.alloc_slot().unwrap();
         let t0 = c.take_tag();
         let t1 = c.take_tag();
         c.inflight.insert(
@@ -743,7 +725,6 @@ mod tests {
                 addr: 0x8080,
                 slot: 0x42,
                 alg: Algorithm::CPack,
-                snapshot: vec![9u8; LINE_SIZE],
             },
         );
         let t3 = c.take_tag();
@@ -754,8 +735,6 @@ mod tests {
                 slot: 0x43,
             },
         );
-        c.stats.compressions = 11;
-        c.stats.slot_fallbacks = 2;
 
         let mut w = SnapshotWriter::new();
         c.snap_save(&mut w);
@@ -766,7 +745,6 @@ mod tests {
         fresh.snap_load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(fresh.next_tag, c.next_tag);
-        assert_eq!(fresh.stats, c.stats);
         assert_eq!(fresh.free_slots, c.free_slots);
 
         let mut w2 = SnapshotWriter::new();

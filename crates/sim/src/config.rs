@@ -518,17 +518,11 @@ mod tests {
         let c = GpuConfig::small()
             .with_trace(TraceConfig::full(128))
             .with_metrics(MetricsLevel::Full);
-        assert_eq!(
-            c.observability.trace,
-            Some(TraceConfig {
-                interval: 128,
-                events: true
-            })
-        );
+        assert_eq!(c.observability.trace, Some(TraceConfig { interval: 128 }));
         assert!(c.observability.metrics.enabled());
         assert_eq!(c.validate(), Ok(()));
 
-        let bad = GpuConfig::small().with_trace(TraceConfig::sampled(0));
+        let bad = GpuConfig::small().with_trace(TraceConfig::full(0));
         assert_eq!(
             bad.validate(),
             Err(ConfigError::Zero {

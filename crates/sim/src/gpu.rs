@@ -122,9 +122,6 @@ pub struct Gpu {
     cmap: Option<CompressionMap>,
     line_store: LineStore,
     sms: Vec<Sm>,
-    /// One Assist Warp Controller per SM on a CABA design, none otherwise
-    /// (assist tags and staging slots are per-SM namespaces).
-    controllers: Vec<CabaController>,
     /// The SM phase's writes to `mem` and `line_store`, held back until the
     /// end-of-cycle commit. Empty at every cycle boundary.
     mem_delta: MemDelta,
@@ -180,19 +177,12 @@ impl Gpu {
         cfg.validate()?;
         let cmap = Self::build_cmap(design);
         let with_md = design.mem_compressed();
-        let controllers = match design {
-            Design::Caba(mode) => (0..cfg.num_sms)
-                .map(|_| CabaController::new(mode))
-                .collect(),
-            _ => Vec::new(),
-        };
         Ok(Gpu {
             cfg,
             mem: FuncMem::new(),
             cmap,
             line_store: LineStore::new(),
-            sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg)).collect(),
-            controllers,
+            sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg, design)).collect(),
             mem_delta: MemDelta::new(),
             ls_delta: LineStoreDelta::new(),
             parts: (0..cfg.num_channels)
@@ -233,13 +223,11 @@ impl Gpu {
     /// first, so the trace is complete even when the run ends mid-interval.
     pub fn take_trace(&mut self) -> Option<ActivityTrace> {
         let mut tracer = self.tracer.take()?;
-        if tracer.events_on {
-            for sm in &mut self.sms {
-                sm.drain_events(&mut tracer.trace.events);
-            }
-            for p in &mut self.parts {
-                p.drain_events(&mut tracer.trace.events);
-            }
+        for sm in &mut self.sms {
+            sm.drain_events(&mut tracer.trace.events);
+        }
+        for p in &mut self.parts {
+            p.drain_events(&mut tracer.trace.events);
         }
         Some(tracer.trace)
     }
@@ -285,18 +273,14 @@ impl Gpu {
             tr.last_app[i] = sm.app_instructions();
             tr.last_assist[i] = sm.assist_instructions();
             tr.last_stalls[i] = *sm.breakdown();
-            if tr.events_on {
-                sm.drain_events(&mut tr.trace.events);
-            }
+            sm.drain_events(&mut tr.trace.events);
         }
         let (mut busy, mut total) = (0u64, 0u64);
         for p in &mut self.parts {
             let d = p.dram_stats();
             busy += d.bus_busy_cycles;
             total += d.total_cycles;
-            if tr.events_on {
-                p.drain_events(&mut tr.trace.events);
-            }
+            p.drain_events(&mut tr.trace.events);
         }
         tr.trace.samples.push(Sample {
             cycle: self.now,
@@ -342,8 +326,8 @@ impl Gpu {
     /// against the reference compressor, panicking on a mismatch. On by
     /// default in debug builds only; it changes no timing and no result.
     pub fn set_paranoid(&mut self, on: bool) {
-        for c in &mut self.controllers {
-            c.paranoid = on;
+        for sm in &mut self.sms {
+            sm.set_paranoid(on);
         }
     }
 
@@ -670,8 +654,6 @@ impl Gpu {
                         base: &self.line_store,
                         delta: &mut self.ls_delta,
                     },
-                    design: self.design,
-                    caba: self.controllers.get_mut(i),
                 };
                 sm.cycle(now, kernel, &mut shared);
                 self.mem_delta.end_turn();
@@ -741,8 +723,6 @@ impl Gpu {
                             mem: SharedMem::Direct(&mut self.mem),
                             cmap: self.cmap.as_mut(),
                             line_store: SharedLineStore::Direct(&mut self.line_store),
-                            design: self.design,
-                            caba: self.controllers.get_mut(i),
                         };
                         self.sms[i].handle_fill(now, resp.addr, &mut shared);
                     }
@@ -891,7 +871,7 @@ impl Gpu {
             if self.xbar_injector.drop_packet() {
                 self.flits_dropped += 1;
                 let retransmitted = self.xbar_injector.mode() == FaultMode::Recover;
-                if let Some(tr) = self.tracer.as_mut().filter(|t| t.events_on) {
+                if let Some(tr) = self.tracer.as_mut() {
                     tr.trace.events.push(TraceEvent {
                         cycle: now,
                         kind: TraceEventKind::XbarDrop { retransmitted },
@@ -961,7 +941,7 @@ impl Gpu {
             if self.xbar_injector.drop_packet() {
                 self.flits_dropped += 1;
                 let retransmitted = self.xbar_injector.mode() == FaultMode::Recover;
-                if let Some(tr) = self.tracer.as_mut().filter(|t| t.events_on) {
+                if let Some(tr) = self.tracer.as_mut() {
                     tr.trace.events.push(TraceEvent {
                         cycle: self.now,
                         kind: TraceEventKind::XbarDrop { retransmitted },
@@ -1109,9 +1089,9 @@ impl Gpu {
 
     /// Serializes everything [`Gpu::restore`] needs to continue the run.
     /// Deliberately absent: the compression map (a pure memoization,
-    /// rebuilt empty), the tracer and event buffers (record-only), the
-    /// and the memory and line-store deltas (empty at every cycle
-    /// boundary).
+    /// rebuilt empty), the tracer and event buffers (record-only), and the
+    /// memory and line-store deltas (empty at every cycle boundary). Each
+    /// SM carries its own controller.
     fn payload_save(&self, w: &mut SnapshotWriter) {
         w.u64(self.now);
         w.u64(self.run_start);
@@ -1121,9 +1101,6 @@ impl Gpu {
         w.usize(self.sms.len());
         for sm in &self.sms {
             sm.snap_save(w);
-        }
-        for c in &self.controllers {
-            c.snap_save(w);
         }
         w.usize(self.parts.len());
         for p in &self.parts {
@@ -1178,9 +1155,6 @@ impl Gpu {
         }
         for sm in &mut self.sms {
             sm.snap_load(r, &programs, self.now)?;
-        }
-        for c in &mut self.controllers {
-            c.snap_load(r)?;
         }
         if r.seq_len("partitions", 1)? != self.parts.len() {
             return Err(SnapError::Invariant {
@@ -1237,10 +1211,10 @@ impl Gpu {
     pub fn start_trace(&mut self, trace: TraceConfig) {
         self.cfg.observability.trace = Some(trace);
         for sm in &mut self.sms {
-            sm.record_events(trace.events);
+            sm.record_events();
         }
         for p in &mut self.parts {
-            p.record_events(trace.events);
+            p.record_events();
         }
         let mut tr = Tracer::new(trace, self.sms.len());
         for (i, sm) in self.sms.iter().enumerate() {

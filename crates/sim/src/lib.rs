@@ -72,10 +72,7 @@ pub mod stats;
 pub mod trace;
 pub mod warp;
 
-pub use assist::{
-    AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SmServices, StoreAction,
-    StoreInfo,
-};
+pub use assist::{AssistLaunch, AssistOutcome, AssistPriority, FillAction, StoreAction};
 pub use caba::{CabaController, CabaMode};
 pub use config::{ConfigError, Design, GpuConfig};
 pub use fault::{FaultConfig, FaultInjector, FaultMode};

@@ -161,7 +161,7 @@ impl Partition {
             delay_faults: 0,
             md_stall_cycles: 0,
             events: Vec::new(),
-            events_on: cfg.observability.trace.is_some_and(|t| t.events),
+            events_on: cfg.observability.trace.is_some(),
         }
     }
 
@@ -512,10 +512,10 @@ impl Partition {
         out.append(&mut self.events);
     }
 
-    /// Records instant events from now on, or stops, dropping any still
-    /// buffered (a new trace starts: [`crate::Gpu::start_trace`]).
-    pub(crate) fn record_events(&mut self, on: bool) {
-        self.events_on = on;
+    /// Records instant events from now on, dropping any still buffered (a
+    /// new trace starts: [`crate::Gpu::start_trace`]).
+    pub(crate) fn record_events(&mut self) {
+        self.events_on = true;
         self.events.clear();
     }
 

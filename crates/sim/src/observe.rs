@@ -17,33 +17,21 @@
 
 use caba_stats::{CounterId, GaugeId, MetricRegistry, MetricsLevel};
 
-/// Activity-trace configuration (periodic sampling plus optional instant
-/// events), consumed by [`crate::Gpu`] at construction.
+/// Activity-trace configuration, consumed by [`crate::Gpu`] at
+/// construction. A trace samples per-interval activity and records the
+/// instant events: assist-warp spawn/retire, detected fill corruptions,
+/// crossbar packet drops, and DRAM delay faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Sampling interval in cycles. Must be at least 1
     /// ([`GpuConfig::validate`](crate::GpuConfig::validate) rejects 0).
     pub interval: u64,
-    /// Also record instant events: assist-warp spawn/retire, detected fill
-    /// corruptions, crossbar packet drops, and DRAM delay faults.
-    pub events: bool,
 }
 
 impl TraceConfig {
-    /// Periodic sampling only, no instant events.
-    pub fn sampled(interval: u64) -> Self {
-        TraceConfig {
-            interval,
-            events: false,
-        }
-    }
-
-    /// Periodic sampling plus instant events.
+    /// Samples every `interval` cycles and records every instant event.
     pub fn full(interval: u64) -> Self {
-        TraceConfig {
-            interval,
-            events: true,
-        }
+        TraceConfig { interval }
     }
 }
 
@@ -101,14 +89,7 @@ mod tests {
 
     #[test]
     fn trace_constructors() {
-        assert_eq!(
-            TraceConfig::sampled(32),
-            TraceConfig {
-                interval: 32,
-                events: false
-            }
-        );
-        assert!(TraceConfig::full(32).events);
+        assert_eq!(TraceConfig::full(32), TraceConfig { interval: 32 });
     }
 
     #[test]

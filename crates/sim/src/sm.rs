@@ -3,8 +3,7 @@
 //! runtime (the AWC/AWT/AWB mechanics of §3.3–3.4).
 
 use crate::assist::{
-    AssistLaunch, AssistOutcome, AssistPriority, FillAction, FillInfo, SharedLineStore, SmServices,
-    StoreAction, StoreInfo,
+    AssistLaunch, AssistOutcome, AssistPriority, FillAction, SharedLineStore, StoreAction,
 };
 use crate::caba::CabaController;
 use crate::config::{Design, GpuConfig};
@@ -33,21 +32,18 @@ pub const STAGING_BASE: u64 = 0x5000_0000_0000;
 /// Bytes of staging per SM.
 pub const STAGING_SIZE: u64 = 0x10_0000;
 
-/// Shared mutable state the SM needs from the GPU each cycle. Memory and
-/// the line store sit behind phase-aware views: overlay (start-of-cycle
-/// state plus this SM's own writes) during the SM phase, direct during the
-/// fill phase. SM code is identical either way.
+/// The state the SMs share, lent by the GPU for one SM's turn; the SM hands
+/// it on to its controller's hooks. Memory and the line store sit behind
+/// phase-aware views: overlay (start-of-cycle state plus this SM's own
+/// writes) during the SM phase, direct during the fill phase. SM and
+/// controller code is identical either way.
 pub struct SharedState<'a> {
-    /// Functional memory.
+    /// Functional memory (staging regions live here too).
     pub mem: SharedMem<'a>,
     /// Reference compression map (compressed designs only).
     pub cmap: Option<&'a mut CompressionMap>,
     /// Per-line stored forms.
     pub line_store: SharedLineStore<'a>,
-    /// The evaluated design point.
-    pub design: Design,
-    /// This SM's Assist Warp Controller: present exactly on a CABA design.
-    pub caba: Option<&'a mut CabaController>,
 }
 
 impl SharedState<'_> {
@@ -55,31 +51,6 @@ impl SharedState<'_> {
     fn stored_compressed(&mut self, addr: u64) -> bool {
         let cmap = self.cmap.as_deref_mut();
         self.line_store.is_stored_compressed(&self.mem, cmap, addr)
-    }
-
-    /// Calls SM `sm_id`'s controller with its services: the views and the
-    /// SM's staging region.
-    ///
-    /// # Panics
-    ///
-    /// On a design without a controller; callers are on the CABA path.
-    fn with_caba<R>(
-        &mut self,
-        sm_id: usize,
-        f: impl FnOnce(&mut CabaController, &mut SmServices<'_, '_>) -> R,
-    ) -> R {
-        let ctrl = self
-            .caba
-            .as_deref_mut()
-            .expect("a CABA design has a controller");
-        let mut svc = SmServices {
-            mem: &mut self.mem,
-            cmap: self.cmap.as_deref_mut(),
-            line_store: &mut self.line_store,
-            staging_base: STAGING_BASE + sm_id as u64 * STAGING_SIZE,
-            sm_id,
-        };
-        f(ctrl, &mut svc)
     }
 }
 
@@ -279,6 +250,9 @@ enum ListKind {
 pub struct Sm {
     id: usize,
     cfg: GpuConfig,
+    design: Design,
+    /// This SM's Assist Warp Controller: present exactly on a CABA design.
+    caba: Option<CabaController>,
     blocks: Vec<Option<Block>>,
     warps: Vec<Option<SmWarp>>,
     assists: Vec<Option<AssistRt>>,
@@ -389,7 +363,7 @@ pub struct Sm {
     exec_out: ExecOutcome,
     injector: FaultInjector,
     /// Instant-event buffer, drained by the GPU tracer in SM index order.
-    /// Empty unless `events_on` (set from `TraceConfig::events`).
+    /// Empty unless `events_on` (set while a trace records).
     events: Vec<TraceEvent>,
     events_on: bool,
     /// Per-SM metric shard (`MetricsLevel::Full` only): typed ids plus
@@ -427,11 +401,20 @@ impl std::fmt::Debug for Sm {
 }
 
 impl Sm {
-    /// Creates an idle SM.
-    pub fn new(id: usize, cfg: GpuConfig) -> Self {
+    /// Creates an idle SM running `design`, with its own controller on a
+    /// CABA design.
+    pub fn new(id: usize, cfg: GpuConfig, design: Design) -> Self {
         Sm {
             id,
             cfg,
+            design,
+            caba: match design {
+                Design::Caba(mode) => Some(CabaController::new(
+                    mode,
+                    STAGING_BASE + id as u64 * STAGING_SIZE,
+                )),
+                _ => None,
+            },
             blocks: (0..cfg.max_blocks_per_sm).map(|_| None).collect(),
             warps: (0..cfg.warps_per_sm).map(|_| None).collect(),
             assists: (0..cfg.max_assist_warps).map(|_| None).collect(),
@@ -480,7 +463,7 @@ impl Sm {
             exec_out: ExecOutcome::default(),
             injector: FaultInjector::for_stream(cfg.fault, stream::SM_BASE + id as u64),
             events: Vec::new(),
-            events_on: cfg.observability.trace.is_some_and(|t| t.events),
+            events_on: cfg.observability.trace.is_some(),
             metrics: cfg.observability.metrics.enabled().then(|| {
                 let (reg, ids) = sim_metrics_schema();
                 (ids, reg.shard())
@@ -510,6 +493,23 @@ impl Sm {
     /// Base address of this SM's staging region.
     pub fn staging_base(&self) -> u64 {
         STAGING_BASE + self.id as u64 * STAGING_SIZE
+    }
+
+    /// This SM's controller.
+    ///
+    /// # Panics
+    ///
+    /// Off a CABA design; only the CABA paths call it.
+    fn controller(&mut self) -> &mut CabaController {
+        self.caba.as_mut().expect("a CABA design has a controller")
+    }
+
+    /// Makes the controller, if any, check every BDI assist warp's result
+    /// ([`crate::Gpu::set_paranoid`]).
+    pub(crate) fn set_paranoid(&mut self, on: bool) {
+        if let Some(c) = &mut self.caba {
+            c.paranoid = on;
+        }
     }
 
     /// Resident warps.
@@ -834,8 +834,7 @@ impl Sm {
                 shard.inc(ids.assist_retired);
             }
             // Only a controller launches assist warps.
-            let outcome = shared.with_caba(self.id, |c, svc| c.on_assist_complete(a.tag, svc));
-            match outcome {
+            match self.controller().on_assist_complete(a.tag, shared) {
                 AssistOutcome::FillComplete { addr } => {
                     self.lines_decompressed += 1;
                     self.complete_fill_waiters(now, addr, 1);
@@ -852,7 +851,6 @@ impl Sm {
                     );
                     self.emit_write(addr, size);
                 }
-                AssistOutcome::Nothing => {}
             }
         }
     }
@@ -919,32 +917,22 @@ impl Sm {
                 }
             }
         }
-        enum Action {
-            Complete(u64),
-            Caba,
-        }
-        let act = match shared.design {
-            Design::Base | Design::HwMemOnly => Action::Complete(0),
+        match self.design {
+            Design::Base | Design::HwMemOnly => self.complete_fill_waiters(now, addr, 0),
             Design::HwFull { ideal } => {
                 let compressed = shared.stored_compressed(addr);
-                if compressed {
-                    self.lines_decompressed += 1;
-                    // Dedicated BDI logic decompresses in one cycle (§5).
-                    Action::Complete(u64::from(!ideal))
-                } else {
-                    Action::Complete(0)
-                }
+                // Dedicated BDI logic decompresses in one cycle (§5).
+                self.lines_decompressed += u64::from(compressed);
+                let extra = u64::from(compressed && !ideal);
+                self.complete_fill_waiters(now, addr, extra);
             }
-            Design::Caba(_) => Action::Caba,
-        };
-        match act {
-            Action::Complete(extra) => self.complete_fill_waiters(now, addr, extra),
-            Action::Caba => {
-                let compressed = shared.stored_compressed(addr);
-                if !compressed {
+            Design::Caba(_) => {
+                let cmap = shared.cmap.as_deref_mut();
+                let Some(stored) = shared.line_store.stored_compressed(&shared.mem, cmap, addr)
+                else {
                     self.complete_fill_waiters(now, addr, 0);
                     return;
-                }
+                };
                 // Find a waiting parent warp for the trigger's warp ID.
                 let parent = self.mshr.complete(addr);
                 let parent_warp = parent
@@ -955,13 +943,7 @@ impl Sm {
                         WarpRef::Assist(_) => 0,
                     })
                     .unwrap_or(0);
-                let info = FillInfo {
-                    sm: self.id,
-                    parent_warp,
-                    addr,
-                };
-                let action = shared.with_caba(self.id, |c, svc| c.on_fill(&info, svc));
-                match action {
+                match self.controller().on_fill(parent_warp, addr, stored, shared) {
                     FillAction::Complete { extra_latency } => {
                         self.lines_decompressed += 1;
                         self.l1.fill(addr, false, LINE_SIZE);
@@ -1070,7 +1052,7 @@ impl Sm {
             WarpRef::App(s) => s,
             WarpRef::Assist(_) => 0,
         };
-        match shared.design {
+        match self.design {
             Design::Base | Design::HwMemOnly => {
                 // HW-BDI-Mem compresses at the MC; the interconnect carries
                 // the full line.
@@ -1103,12 +1085,7 @@ impl Sm {
                     self.emit_write(addr, LINE_SIZE);
                     return;
                 }
-                let info = StoreInfo {
-                    sm: self.id,
-                    parent_warp,
-                    addr,
-                };
-                let action = shared.with_caba(self.id, |c, svc| c.on_store(&info, svc));
+                let action = self.controller().on_store(parent_warp, addr, shared);
                 self.lsu.pop();
                 match action {
                     StoreAction::PassThrough => {
@@ -2031,10 +2008,10 @@ impl Sm {
         out.append(&mut self.events);
     }
 
-    /// Records instant events from now on, or stops, dropping any still
-    /// buffered (a new trace starts: [`crate::Gpu::start_trace`]).
-    pub(crate) fn record_events(&mut self, on: bool) {
-        self.events_on = on;
+    /// Records instant events from now on, dropping any still buffered (a
+    /// new trace starts: [`crate::Gpu::start_trace`]).
+    pub(crate) fn record_events(&mut self) {
+        self.events_on = true;
         self.events.clear();
     }
 
@@ -2344,6 +2321,10 @@ impl Sm {
         w.u64(self.corruption_refetches);
         w.u64(self.assist_slots_stolen);
         w.u64(self.assist_slots_reclaimed);
+        // The design decides whether a controller follows.
+        if let Some(c) = &self.caba {
+            c.snap_save(w);
+        }
     }
 
     /// Restores the SM in place from bytes written by [`Sm::snap_save`]
@@ -2508,6 +2489,9 @@ impl Sm {
         self.corruption_refetches = r.u64()?;
         self.assist_slots_stolen = r.u64()?;
         self.assist_slots_reclaimed = r.u64()?;
+        if let Some(c) = &mut self.caba {
+            c.snap_load(r)?;
+        }
         // Derived state: recomputed, never trusted from the wire.
         self.resident_block_count = self.blocks.iter().filter(|b| b.is_some()).count();
         self.active_assist_count = self.assists.iter().filter(|a| a.is_some()).count();
@@ -2714,7 +2698,7 @@ mod tests {
     #[test]
     fn launch_respects_block_limit() {
         let cfg = GpuConfig::isca2015();
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, Design::Base);
         let k = kernel(8, 32, 100, 0);
         let mut launched = 0;
         while sm.try_launch_block(launched, &k, 0) {
@@ -2728,7 +2712,7 @@ mod tests {
     #[test]
     fn launch_respects_warp_slots() {
         let cfg = GpuConfig::isca2015();
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, Design::Base);
         // 512-thread blocks = 16 warps: only 3 fit in 48 slots.
         let k = kernel(8, 512, 100, 0);
         let mut launched = 0;
@@ -2742,7 +2726,7 @@ mod tests {
     #[test]
     fn launch_respects_register_budget() {
         let cfg = GpuConfig::isca2015();
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, Design::Base);
         // 63 regs x 256 threads = 16128/block: two fit in 32768.
         let k = kernel(63, 256, 100, 0);
         let mut launched = 0;
@@ -2751,7 +2735,7 @@ mod tests {
         }
         assert_eq!(launched, 2);
         // Assist-warp extra registers shrink occupancy further (§3.2.2).
-        let mut sm2 = Sm::new(1, cfg);
+        let mut sm2 = Sm::new(1, cfg, Design::Base);
         let mut launched2 = 0;
         while sm2.try_launch_block(launched2, &k, 64) {
             launched2 += 1;
@@ -2762,7 +2746,7 @@ mod tests {
     #[test]
     fn launch_respects_shared_memory() {
         let cfg = GpuConfig::isca2015();
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, Design::Base);
         let k = kernel(8, 64, 100, 16 * 1024);
         let mut launched = 0;
         while sm.try_launch_block(launched, &k, 0) {
@@ -2773,7 +2757,7 @@ mod tests {
 
     #[test]
     fn fresh_sm_is_quiesced_and_empty() {
-        let sm = Sm::new(3, GpuConfig::small());
+        let sm = Sm::new(3, GpuConfig::small(), Design::Base);
         assert!(sm.quiesced());
         assert_eq!(sm.id(), 3);
         assert_eq!(sm.resident_warps(), 0);
@@ -2851,8 +2835,6 @@ mod tests {
             mem: SharedMem::Direct(mem),
             cmap: None,
             line_store: SharedLineStore::Direct(&mut store),
-            design: Design::Base,
-            caba: None,
         };
         sm.cycle(now, k, &mut shared);
         while sm.pop_request().is_some() {}
@@ -2861,9 +2843,9 @@ mod tests {
     #[test]
     fn an_empty_sm_settles_to_idle_cycles() {
         let cfg = GpuConfig::small();
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, Design::Base);
         assert_eq!(sm.next_event(), None, "an empty SM has no horizon");
-        let mut cycled = Sm::new(0, cfg);
+        let mut cycled = Sm::new(0, cfg, Design::Base);
         let k = kernel(8, 32, 1, 0);
         let mut mem = caba_mem::FuncMem::new();
         for now in 0..5 {
@@ -2895,7 +2877,8 @@ mod tests {
         b.exit();
         let k = Kernel::new("stall", b.build(), caba_isa::LaunchDims::new(1, 32))
             .with_regs_per_thread(8);
-        let (mut slept, mut cycled) = (Sm::new(0, cfg), Sm::new(0, cfg));
+        let (mut slept, mut cycled) =
+            (Sm::new(0, cfg, Design::Base), Sm::new(0, cfg, Design::Base));
         let mut mem = caba_mem::FuncMem::new();
         for sm in [&mut slept, &mut cycled] {
             assert!(sm.try_launch_block(0, &k, 0));
@@ -2928,7 +2911,7 @@ mod tests {
     #[test]
     fn partial_warp_gets_partial_mask() {
         let cfg = GpuConfig::isca2015();
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, Design::Base);
         // 40-thread block: warp 0 full, warp 1 has 8 lanes.
         let k = kernel(8, 40, 1, 0);
         assert!(sm.try_launch_block(0, &k, 0));

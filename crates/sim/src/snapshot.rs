@@ -3,7 +3,7 @@
 //! [`Gpu::snapshot`](crate::Gpu::snapshot) and consumed by
 //! [`Gpu::restore`](crate::Gpu::restore).
 //!
-//! # Container layout (format version 3)
+//! # Container layout (format version 4)
 //!
 //! | field        | encoding                 | purpose                      |
 //! |--------------|--------------------------|------------------------------|
@@ -14,6 +14,9 @@
 //! | kernel hash  | `u64`                    | program compatibility        |
 //! | payload      | machine state            | see `Gpu::payload_save`      |
 //! | checksum     | trailing `u64` (LE)      | FNV-1a over everything above |
+//!
+//! Each SM's record in the payload ends with its CABA controller's state
+//! on a CABA design, and with nothing on the others.
 //!
 //! The checksum is verified **before** any field is decoded, so corrupt
 //! bytes are rejected with [`RestoreError::ChecksumMismatch`] and never
@@ -41,7 +44,7 @@ use std::fmt;
 pub const MAGIC: &[u8; 8] = b"CABASNAP";
 
 /// Current container format version. Bump on any payload layout change.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot container was rejected by
 /// [`Gpu::restore`](crate::Gpu::restore).

@@ -40,8 +40,7 @@ impl Sample {
     }
 }
 
-/// An instant event recorded while tracing with
-/// [`TraceConfig::events`](crate::TraceConfig) enabled.
+/// An instant event recorded while tracing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Cycle the event occurred.
@@ -122,10 +121,9 @@ pub struct ActivityTrace {
     pub interval: u64,
     /// Samples in cycle order.
     pub samples: Vec<Sample>,
-    /// Instant events (empty unless `TraceConfig::events` was set). SM and
-    /// partition buffers are drained in index order at each sample tick, so
-    /// the sequence is deterministic; it is not globally cycle-sorted
-    /// (trace viewers sort by timestamp).
+    /// Instant events. SM and partition buffers are drained in index order
+    /// at each sample tick, so the sequence is deterministic; it is not
+    /// globally cycle-sorted (trace viewers sort by timestamp).
     pub events: Vec<TraceEvent>,
 }
 
@@ -218,7 +216,6 @@ impl ActivityTrace {
 #[derive(Debug)]
 pub(crate) struct Tracer {
     pub(crate) interval: u64,
-    pub(crate) events_on: bool,
     pub(crate) trace: ActivityTrace,
     pub(crate) last_cycle: u64,
     pub(crate) last_app: Vec<u64>,
@@ -233,7 +230,6 @@ impl Tracer {
         let interval = cfg.interval.max(1);
         Tracer {
             interval,
-            events_on: cfg.events,
             trace: ActivityTrace {
                 interval,
                 samples: Vec::new(),

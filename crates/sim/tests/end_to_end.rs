@@ -197,7 +197,7 @@ fn stall_breakdown_covers_all_cycles() {
 #[test]
 fn tracing_records_samples() {
     let n = 1024;
-    let cfg = GpuConfig::small().with_trace(caba_sim::TraceConfig::sampled(32));
+    let cfg = GpuConfig::small().with_trace(caba_sim::TraceConfig::full(32));
     let mut gpu = Gpu::new(cfg, Design::Base);
     load_input(&mut gpu, n, 0x1_0000);
     let stats = gpu

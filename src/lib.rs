@@ -1,6 +1,5 @@
 //! Umbrella crate re-exporting the CABA stack.
 pub use caba_compress as compress;
-pub use caba_core as core;
 pub use caba_energy as energy;
 pub use caba_isa as isa;
 pub use caba_mem as mem;

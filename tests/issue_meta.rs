@@ -4,11 +4,10 @@
 //! assist-warp subroutine — and for random instructions over registers on
 //! both sides of the 64-register word the scoreboard fast path covers.
 
-use caba::core::CabaController;
 use caba::isa::{
     AluOp, CmpOp, FAluOp, Instr, Op, PBoolOp, Pred, Program, Reg, SfuOp, Space, Special, Src, Width,
 };
-use caba::sim::Warp;
+use caba::sim::{CabaController, Warp};
 use caba::stats::prop;
 use caba::stats::rng::Rng64;
 use caba::workloads::all_apps;
