@@ -18,7 +18,6 @@ use caba_mem::{line_base, CompressionMap, FuncMem, SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotState, SnapshotWriter};
 use caba_stats::FxHashMap;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Scheduling priority of an assist warp (§3.2.3): high-priority warps are
@@ -117,7 +116,9 @@ impl StoredForm {
 /// §4.3.1; CABA writebacks override with whatever the assist warp produced).
 #[derive(Debug, Default)]
 pub struct LineStore {
-    overrides: HashMap<u64, StoredForm>,
+    // FxHash: probed on every fill, store and write-back; snapshots sort
+    // the keys.
+    overrides: FxHashMap<u64, StoredForm>,
 }
 
 impl LineStore {
@@ -350,19 +351,18 @@ impl SharedLineStore<'_> {
     }
 
     /// The compressed form of `addr`'s line as stored, or `None` when raw /
-    /// incompressible.
-    pub fn stored_compressed(
-        &self,
+    /// incompressible: borrowed from the override or the map unless the
+    /// line is in this view's own shadow.
+    pub fn stored_compressed<'s>(
+        &'s self,
         mem: &SharedMem<'_>,
-        cmap: Option<&mut CompressionMap>,
+        cmap: Option<&'s mut CompressionMap>,
         addr: u64,
-    ) -> Option<CompressedLine> {
+    ) -> Option<Cow<'s, CompressedLine>> {
         match self.override_for(addr) {
             Some(StoredForm::Raw) => None,
-            Some(StoredForm::Compressed(c)) => Some(c.clone()),
-            None => cmap
-                .and_then(|map| map.compressed_in(mem, addr))
-                .map(Cow::into_owned),
+            Some(StoredForm::Compressed(c)) => Some(Cow::Borrowed(c)),
+            None => cmap.and_then(|map| map.compressed_in(mem, addr)),
         }
     }
 }
@@ -410,8 +410,9 @@ mod tests {
         view.set_compressed(0, c.clone());
         assert_eq!(view.stored_size(&mem_view, Some(&mut cmap), 0), 40);
         assert_eq!(
-            view.stored_compressed(&mem_view, Some(&mut cmap), 0),
-            Some(c)
+            view.stored_compressed(&mem_view, Some(&mut cmap), 0)
+                .as_deref(),
+            Some(&c)
         );
         assert_flag_agrees(&view, &mem_view, &mut cmap, 0);
         // A line nothing has touched: all zeros, not yet in the map.

@@ -18,9 +18,9 @@ use crate::sm::SharedState;
 use caba_compress::bdi::{self, BdiEncoding};
 use caba_compress::{Algorithm, CompressedLine, LineCompressor};
 use caba_isa::{Program, Reg};
-use caba_mem::LINE_SIZE;
+use caba_mem::{SharedMem, LINE_SIZE};
 use caba_stats::snap::{SnapError, SnapshotReader, SnapshotWriter};
-use std::collections::HashMap;
+use caba_stats::FxHashMap;
 use std::sync::Arc;
 
 /// Which compression algorithm(s) the controller drives.
@@ -86,12 +86,16 @@ impl CabaMode {
     }
 }
 
+/// One uncompressed line, held inline.
+type Line = [u8; LINE_SIZE];
+
 #[derive(Debug)]
 enum Inflight {
     BdiDecompress {
         addr: u64,
         slot: u64,
-        expected: Vec<u8>,
+        /// The reference decompression, kept only while paranoid.
+        expected: Option<Line>,
     },
     SerialDecompress {
         addr: u64,
@@ -101,7 +105,7 @@ enum Inflight {
         addr: u64,
         slot: u64,
         enc: BdiEncoding,
-        snapshot: Vec<u8>,
+        snapshot: Line,
     },
     SerialCompress {
         addr: u64,
@@ -128,7 +132,8 @@ pub struct CabaController {
     #[cfg(test)]
     staging_base: u64,
     aws: AssistWarpStore,
-    inflight: HashMap<u64, Inflight>,
+    // FxHash: probed at every launch and retire; snapshots sort the tags.
+    inflight: FxHashMap<u64, Inflight>,
     /// Free staging slots; the next one is popped from the end.
     free_slots: Vec<u64>,
     next_tag: u64,
@@ -144,7 +149,7 @@ impl CabaController {
             #[cfg(test)]
             staging_base,
             aws: AssistWarpStore::new(),
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             free_slots: (0..SLOTS_PER_SM)
                 .map(|i| staging_base + SLOTS_BASE_OFF + i * SLOT_SIZE)
                 .collect(),
@@ -204,8 +209,8 @@ impl CabaController {
         &mut self,
         parent_warp: usize,
         addr: u64,
-        stored: CompressedLine,
-        shared: &mut SharedState<'_>,
+        stored: &CompressedLine,
+        mem: &mut SharedMem<'_>,
     ) -> FillAction {
         #[cfg(test)]
         if let CabaMode::StandIn { low_fills } = self.mode {
@@ -219,7 +224,7 @@ impl CabaController {
         // Materialize the compressed payload at the core ("the compressed
         // cache line is inserted into the L1 cache", §4.2.1).
         let payload_addr = (slot as i64 + PAYLOAD_OFF) as u64;
-        shared.mem.load_image(payload_addr, &stored.payload);
+        mem.load_image(payload_addr, &stored.payload);
 
         let tag = self.take_tag();
         let (program, active_mask) = match stored.algorithm {
@@ -237,7 +242,11 @@ impl CabaController {
             Algorithm::Bdi => Inflight::BdiDecompress {
                 addr,
                 slot,
-                expected: stored.decompress().expect("stored BDI lines decompress"),
+                expected: self.paranoid.then(|| {
+                    let line = stored.decompress().expect("stored BDI lines decompress");
+                    line.try_into()
+                        .expect("a BDI line decompresses to LINE_SIZE")
+                }),
             },
             _ => Inflight::SerialDecompress { addr, slot },
         };
@@ -267,7 +276,8 @@ impl CabaController {
         let Some(slot) = self.alloc_slot() else {
             return StoreAction::PassThrough;
         };
-        let line = shared.mem.read_line(addr);
+        let mut line = [0; LINE_SIZE];
+        shared.mem.read_line_into(addr, &mut line);
         let tag = self.take_tag();
         // BestOfAll drives the subroutine of the best algorithm for this
         // line, which its scans decide.
@@ -327,8 +337,10 @@ impl CabaController {
                 slot,
                 expected,
             } => {
-                if self.paranoid {
-                    let got = shared.mem.read_line(addr);
+                // A fill launched while paranoid was off has no reference.
+                if let Some(expected) = expected.filter(|_| self.paranoid) {
+                    let mut got = [0; LINE_SIZE];
+                    shared.mem.read_line_into(addr, &mut got);
                     assert_eq!(
                         got, expected,
                         "BDI decompression assist warp produced wrong bytes at {addr:#x}"
@@ -347,7 +359,8 @@ impl CabaController {
                 enc,
                 snapshot,
             } => {
-                let current = shared.mem.read_line(addr);
+                let mut current = [0; LINE_SIZE];
+                shared.mem.read_line_into(addr, &mut current);
                 if current != snapshot {
                     // The line changed while the assist warp ran (a newer
                     // coalesced store): discard the stale result and
@@ -389,7 +402,8 @@ impl CabaController {
             Inflight::SerialCompress { addr, slot, alg } => {
                 // The functional result is the reference compressor's over
                 // the line as it is now, newer coalesced stores included.
-                let current = shared.mem.read_line(addr);
+                let mut current = [0; LINE_SIZE];
+                shared.mem.read_line_into(addr, &mut current);
                 match alg.compress_line(&current) {
                     Some(c) => shared.line_store.set_compressed(addr, c),
                     None => shared.line_store.set_raw(addr),
@@ -492,6 +506,12 @@ fn alg_from_tag(tag: u8) -> Result<Algorithm, SnapError> {
     }
 }
 
+fn line_of(bytes: &[u8]) -> Result<Line, SnapError> {
+    bytes.try_into().map_err(|_| SnapError::Invariant {
+        what: "an in-flight line is not LINE_SIZE bytes",
+    })
+}
+
 fn save_inflight(e: &Inflight, w: &mut SnapshotWriter) {
     match e {
         Inflight::BdiDecompress {
@@ -502,7 +522,8 @@ fn save_inflight(e: &Inflight, w: &mut SnapshotWriter) {
             w.u8(0);
             w.u64(*addr);
             w.u64(*slot);
-            w.bytes(expected);
+            // No reference (paranoid off) is an empty byte string.
+            w.bytes(expected.as_ref().map_or(&[], |l| &l[..]));
         }
         Inflight::SerialDecompress { addr, slot } => {
             w.u8(1);
@@ -535,7 +556,10 @@ fn load_inflight(r: &mut SnapshotReader<'_>) -> Result<Inflight, SnapError> {
         0 => Inflight::BdiDecompress {
             addr: r.u64()?,
             slot: r.u64()?,
-            expected: r.bytes()?.to_vec(),
+            expected: match r.bytes()? {
+                [] => None,
+                bytes => Some(line_of(bytes)?),
+            },
         },
         1 => Inflight::SerialDecompress {
             addr: r.u64()?,
@@ -551,7 +575,7 @@ fn load_inflight(r: &mut SnapshotReader<'_>) -> Result<Inflight, SnapError> {
                     tag: id.into(),
                 })?
             },
-            snapshot: r.bytes()?.to_vec(),
+            snapshot: line_of(r.bytes()?)?,
         },
         3 => Inflight::SerialCompress {
             addr: r.u64()?,
@@ -573,7 +597,8 @@ mod tests {
     use crate::assist::{LineStore, SharedLineStore};
     use crate::sm::{STAGING_BASE, STAGING_SIZE};
     use crate::GpuConfig;
-    use caba_mem::{FuncMem, SharedMem};
+    use caba_mem::FuncMem;
+    use std::collections::HashMap;
 
     fn bdi() -> CabaController {
         CabaController::new(CabaMode::Bdi, STAGING_BASE)
@@ -589,7 +614,99 @@ mod tests {
         ] {
             assert_eq!(mode.selector(), selector, "{mode:?}");
         }
-        assert!(CabaMode::Bdi.extra_regs_per_thread() > 0);
+    }
+
+    /// The occupancy charge covers the widest subroutine a controller can
+    /// launch, so a wider program fails here instead of being under-charged.
+    #[test]
+    fn the_register_charge_covers_every_subroutine() {
+        let widest = CabaController::subroutine_programs()
+            .iter()
+            .map(|p| u32::from(p.max_reg()))
+            .max()
+            .expect("subroutines exist");
+        for mode in [
+            CabaMode::Bdi,
+            CabaMode::Fpc,
+            CabaMode::CPack,
+            CabaMode::BestOfAll,
+        ] {
+            assert!(
+                mode.extra_regs_per_thread() >= widest,
+                "{mode:?} charges {} registers, a subroutine uses {widest}",
+                mode.extra_regs_per_thread()
+            );
+        }
+    }
+
+    /// Tests build with debug assertions, so every controller checks its
+    /// assist warps' results against the reference compressor. A profile
+    /// edit that drops them fails here.
+    #[test]
+    // Constant within one build, which is the point: it reads the profile.
+    #[allow(clippy::assertions_on_constants)]
+    fn test_builds_keep_the_paranoid_checks() {
+        assert!(
+            cfg!(debug_assertions),
+            "tests must build with debug assertions"
+        );
+        assert!(bdi().paranoid);
+    }
+
+    /// Low-dynamic-range words: BDI compresses them.
+    fn compressible_line() -> Vec<u8> {
+        (0..32u32).flat_map(|i| (0x400 + i).to_le_bytes()).collect()
+    }
+
+    /// Fills `addr` through a controller that is `paranoid` or not, stands
+    /// in for the decompression subroutine by storing `bytes` at `addr`,
+    /// and retires the assist warp.
+    fn fill_and_retire(paranoid: bool, addr: u64, bytes: &[u8]) -> AssistOutcome {
+        let stored = bdi::compress(&compressible_line()).expect("compresses");
+        let mut c = bdi();
+        c.paranoid = paranoid;
+        let (mut mem, mut store) = (FuncMem::new(), LineStore::new());
+        let mut shared = SharedState {
+            mem: SharedMem::Direct(&mut mem),
+            cmap: None,
+            line_store: SharedLineStore::Direct(&mut store),
+        };
+        let FillAction::Assist(launch) = c.on_fill(0, addr, &stored, &mut shared.mem) else {
+            panic!("a free slot deploys");
+        };
+        assert!(
+            matches!(
+                c.inflight[&launch.tag],
+                Inflight::BdiDecompress { expected, .. } if expected.is_some() == paranoid
+            ),
+            "the reference is kept only when paranoid ({paranoid})"
+        );
+        shared.mem.load_image(addr, bytes);
+        c.on_assist_complete(launch.tag, &mut shared)
+    }
+
+    #[test]
+    fn only_a_paranoid_controller_checks_decompressions() {
+        let line = compressible_line();
+        let mut wrong = line.clone();
+        wrong[5] ^= 1;
+        for (paranoid, bytes) in [(false, &line), (false, &wrong), (true, &line)] {
+            let out = fill_and_retire(paranoid, 0x8_0000, bytes);
+            assert!(matches!(
+                out,
+                AssistOutcome::FillComplete { addr: 0x8_0000 }
+            ));
+        }
+    }
+
+    /// What `Gpu::set_paranoid(true)` turns on: a decompression assist warp
+    /// that leaves the wrong bytes panics when it retires.
+    #[test]
+    #[should_panic(expected = "BDI decompression assist warp produced wrong bytes")]
+    fn a_wrong_decompression_panics_when_paranoid() {
+        let mut wrong = compressible_line();
+        wrong[5] ^= 1;
+        fill_and_retire(true, 0x8_0000, &wrong);
     }
 
     #[test]
@@ -669,12 +786,12 @@ mod tests {
             line_store: SharedLineStore::Direct(&mut store),
         };
         let stored = bdi::compress(&[0u8; LINE_SIZE]).expect("zeros compress");
-        let act = c.on_fill(0, 0x8_0000, stored.clone(), &mut shared);
+        let act = c.on_fill(0, 0x8_0000, &stored, &mut shared.mem);
         assert!(matches!(act, FillAction::Complete { extra_latency: 16 }));
         // One retired assist frees a slot, and the next fill deploys.
         let tag = *c.inflight.keys().min().expect("in flight");
         c.on_assist_complete(tag, &mut shared);
-        let act = c.on_fill(0, 0x8_0000, stored, &mut shared);
+        let act = c.on_fill(0, 0x8_0000, &stored, &mut shared.mem);
         assert!(matches!(act, FillAction::Assist(_)));
     }
 
@@ -706,7 +823,7 @@ mod tests {
             Inflight::BdiDecompress {
                 addr: 0x8000,
                 slot: s0,
-                expected: vec![7u8; LINE_SIZE],
+                expected: Some([7u8; LINE_SIZE]),
             },
         );
         c.inflight.insert(
@@ -715,7 +832,7 @@ mod tests {
                 addr: 0x8040,
                 slot: s1,
                 enc: BdiEncoding::B8D2,
-                snapshot: vec![3u8; LINE_SIZE],
+                snapshot: [3u8; LINE_SIZE],
             },
         );
         let t2 = c.take_tag();
@@ -733,6 +850,16 @@ mod tests {
             Inflight::SerialDecompress {
                 addr: 0x80C0,
                 slot: 0x43,
+            },
+        );
+        // A fill launched with paranoid off carries no reference.
+        let t4 = c.take_tag();
+        c.inflight.insert(
+            t4,
+            Inflight::BdiDecompress {
+                addr: 0x8100,
+                slot: 0x44,
+                expected: None,
             },
         );
 

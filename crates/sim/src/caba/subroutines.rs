@@ -22,7 +22,7 @@ use caba_isa::{
     AluOp, CmpOp, PBoolOp, Pred, Program, ProgramBuilder, Reg, Space, Special, Src, Width,
 };
 use caba_mem::LINE_SIZE;
-use std::collections::HashMap;
+use caba_stats::FxHashMap;
 use std::sync::Arc;
 
 /// Byte offset of the header word within a staging slot.
@@ -392,7 +392,8 @@ pub enum SubroutineKey {
 /// typed key instead of a raw SR.ID.
 #[derive(Debug, Default)]
 pub struct AssistWarpStore {
-    programs: HashMap<SubroutineKey, Arc<Program>>,
+    // FxHash: probed at every launch.
+    programs: FxHashMap<SubroutineKey, Arc<Program>>,
 }
 
 impl AssistWarpStore {

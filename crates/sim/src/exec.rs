@@ -9,7 +9,7 @@
 use crate::warp::Warp;
 use caba_isa::exec::{alu_row, cmp_mask, falu_row, sfu_row, truncate, Row};
 use caba_isa::{Instr, Op, PBoolOp, Space, Special, Src, WARP_SIZE};
-use caba_mem::{line_base, SharedMem};
+use caba_mem::{line_base, SharedMem, LINE_SIZE};
 
 /// Per-warp launch context for special values.
 #[derive(Debug, Clone)]
@@ -86,6 +86,17 @@ impl LineList {
 
     /// Lists the lines of the `n`-byte accesses at `addrs` in lanes `mask`.
     fn push_lanes(&mut self, mask: u32, addrs: &Row, n: u64) {
+        if mask == 0 {
+            return;
+        }
+        // Coalesced accesses usually keep every lane's bytes inside the
+        // first lane's line, which is then the one line listed.
+        let first = line_base(addrs[mask.trailing_zeros() as usize]);
+        let within = lane_bits(|l| addrs[l].wrapping_sub(first) <= LINE_SIZE as u64 - n);
+        if within & mask == mask {
+            self.push(first);
+            return;
+        }
         for l in lanes(mask) {
             self.push(addrs[l]);
             if n > 1 {
@@ -113,6 +124,11 @@ pub struct ExecOutcome {
 
 fn lanes(mask: u32) -> impl Iterator<Item = usize> {
     (0..WARP_SIZE).filter(move |&l| mask >> l & 1 == 1)
+}
+
+/// The lanes for which `f` holds, as a mask (all 32 evaluated).
+fn lane_bits(f: impl Fn(usize) -> bool) -> u32 {
+    (0..WARP_SIZE).fold(0, |m, l| m | u32::from(f(l)) << l)
 }
 
 fn src_value(warp: &Warp, ctx: &ThreadCtx<'_>, s: Src, lane: usize) -> u64 {
@@ -248,9 +264,15 @@ pub fn execute_into(
         } => {
             let n = width.bytes() as usize;
             let ea = effective_addrs(warp, ctx, space, addr, offset);
-            let mut r = [0; WARP_SIZE];
-            mem.read_lanes(n, exec, &ea, &mut r);
-            warp.write_row(dst, exec, &r);
+            let a0 = ea[exec.trailing_zeros() as usize % WARP_SIZE];
+            if exec != 0 && lane_bits(|l| ea[l] == a0) & exec == exec {
+                // Warp-uniform: one read, broadcast.
+                warp.write_row(dst, exec, &[mem.read_le(a0, n); WARP_SIZE]);
+            } else {
+                let mut r = [0; WARP_SIZE];
+                mem.read_lanes(n, exec, &ea, &mut r);
+                warp.write_row(dst, exec, &r);
+            }
             match space {
                 Space::Global => out.lines_read.push_lanes(exec, &ea, n as u64),
                 Space::Shared => out.shared_access = true,

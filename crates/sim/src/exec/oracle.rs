@@ -261,7 +261,7 @@ mod differential {
     use super::super::{execute as execute_rows, ExecOutcome};
     use super::*;
     use caba_isa::{AluOp, CmpOp, FAluOp, Pred, Reg, SfuOp, Special, Src, Width, NUM_PREGS};
-    use caba_mem::{FuncMem, MemDelta};
+    use caba_mem::{FuncMem, MemDelta, LINE_SIZE};
     use caba_stats::prop;
     use caba_stats::rng::Rng64;
     use caba_stats::snap::{SnapshotState, SnapshotWriter};
@@ -334,7 +334,11 @@ mod differential {
     fn op(rng: &mut Rng64) -> Op {
         let space = pick(rng, &[Space::Global, Space::Shared]);
         let width = pick(rng, &[Width::B1, Width::B2, Width::B4, Width::B8]);
-        let offset = rng.range_u64(4200) as i64 - 16;
+        // Half the accesses keep the register's line placement as built.
+        let offset = match rng.chance(0.5) {
+            true => 0,
+            false => rng.range_u64(4200) as i64 - 16,
+        };
         let k = pick(rng, &[1, 2, 4, 8]);
         let (dst, a, b, addr) = (reg(rng), src(rng), src(rng), addr_src(rng));
         match rng.range_u64(19) {
@@ -481,17 +485,34 @@ mod differential {
     /// A warp with random registers (address-like rows that walk across line
     /// and page boundaries, small integers, float bit patterns, noise),
     /// random predicates and, half the time, a diverged SIMT stack.
+    ///
+    /// Some address rows are built for the load/store fast paths: one
+    /// address on every active lane and noise on the rest (so uniform only
+    /// under the partial mask), at a page's last bytes a third of the time;
+    /// and lanes packed into one line, or across exactly two.
     fn warp(rng: &mut Rng64) -> Warp {
         let active = mask(rng);
         let mut w = Warp::new(NREGS as usize, active);
         for r in 0..NREGS {
             let base = addr_base(rng);
             let stride = pick(rng, &[0, 1, 2, 4, 8, 64, 128, 4096]);
-            let kind = rng.range_u64(4);
+            let uniform = match rng.chance(1.0 / 3.0) {
+                true => NEAR_PAGE_END + 2 - rng.range_u64(8),
+                false => base,
+            };
+            let line = base & !(LINE_SIZE as u64 - 1);
+            let (near, far) = (line + rng.range_u64(16), line + 64 + rng.range_u64(32));
+            let kind = rng.range_u64(7);
             for l in 0..WARP_SIZE {
+                let lane = l as u64;
                 let v = match kind {
-                    0 | 1 => base + l as u64 * stride + rng.range_u64(2) * rng.range_u64(9),
+                    0 | 1 => base + lane * stride + rng.range_u64(2) * rng.range_u64(9),
                     2 => ((l as f32 - 7.5) * 1.25).to_bits() as u64,
+                    3 if active >> l & 1 == 1 => uniform,
+                    // Every lane inside one line's first 86 bytes.
+                    4 => near + lane * rng.range_u64(3),
+                    // From the middle of a line on, mostly into the next.
+                    5 => far + lane * 2 * (1 + rng.range_u64(2)),
                     _ => rng.next_u64(),
                 };
                 w.set_reg(Reg(r), l, v);

@@ -283,11 +283,11 @@ pub struct Sm {
     /// Low-priority entries in `assists`, maintained at deploy/finish so
     /// the AWB partition check in [`Sm::deploy_assist`] needs no scan.
     low_assist_count: usize,
-    /// Conservative "some assist may be retirable" flag: set whenever an
-    /// assist warp's `done` flips or a writeback lands on a done assist,
-    /// cleared after a [`Sm::finish_assists`] sweep finds the slots quiet.
-    /// Spurious `true` only costs a scan, so restore resets it to `true`.
-    assist_done_hint: bool,
+    /// The done set, one bit per assist slot: the slots that may be
+    /// retirable. A slot joins when its warp exits at issue or a writeback
+    /// lands on its exited warp; [`Sm::finish_assists`] empties the set.
+    /// Derived: restore puts every exited assist in it.
+    assist_done: Vec<u64>,
     /// High-priority entries in `assist_pending`, maintained at queue and
     /// deploy, so a queue full of gated low-priority launches costs O(1)
     /// per cycle instead of a scan.
@@ -437,7 +437,7 @@ impl Sm {
             resident_block_count: 0,
             active_assist_count: 0,
             low_assist_count: 0,
-            assist_done_hint: false,
+            assist_done: vec![0; cfg.max_assist_warps.div_ceil(64)],
             high_pending_count: 0,
             blocks_retired_total: 0,
             cand_his: vec![Vec::new(); cfg.schedulers_per_sm],
@@ -704,7 +704,7 @@ impl Sm {
                         if let (Some(a), Some(r)) = (self.assists[slot].as_mut(), wb.reg) {
                             a.warp.clear_pending(r);
                             if a.warp.done {
-                                self.assist_done_hint = true;
+                                self.assist_done[slot / 64] |= 1 << (slot % 64);
                             }
                             if matches!(self.memo_assist[slot], SlotMemo::Hazard(_)) {
                                 self.memo_assist[slot] = SlotMemo::Unknown;
@@ -800,57 +800,58 @@ impl Sm {
         }
     }
 
+    /// Retires the done set's ready slots in ascending slot order. A done
+    /// slot with writebacks pending leaves the set; its last writeback puts
+    /// it back.
     fn finish_assists(&mut self, now: u64, shared: &mut SharedState<'_>) {
-        if self.active_assist_count == 0 || !self.assist_done_hint {
-            return;
+        for word in 0..self.assist_done.len() {
+            while self.assist_done[word] != 0 {
+                let slot = word * 64 + self.assist_done[word].trailing_zeros() as usize;
+                self.assist_done[word] &= self.assist_done[word] - 1;
+                self.retire_assist(now, slot, shared);
+            }
         }
-        // Any slot that is done with pending writebacks will re-raise the
-        // hint when the writeback lands, so one quiet sweep clears it.
-        self.assist_done_hint = false;
-        for slot in 0..self.assists.len() {
-            let ready = matches!(
-                &self.assists[slot],
-                Some(a) if a.warp.done && !a.warp.any_pending()
-            );
-            if !ready {
-                continue;
+    }
+
+    /// Retires the assist warp in `slot` if it has exited with no
+    /// writeback pending.
+    fn retire_assist(&mut self, now: u64, slot: usize, shared: &mut SharedState<'_>) {
+        let Some(a) = self.assists[slot].take_if(|a| a.warp.done && !a.warp.any_pending()) else {
+            return;
+        };
+        self.active_assist_count -= 1;
+        if a.priority == AssistPriority::Low {
+            self.low_assist_count -= 1;
+        }
+        self.spare_warps.push(a.warp);
+        self.assist_list(a.priority, a.parent)
+            .retain(|&s| s != slot);
+        self.assist_dirty = true;
+        if self.events_on {
+            self.events.push(TraceEvent {
+                cycle: now,
+                kind: TraceEventKind::AssistRetire { sm: self.id },
+            });
+        }
+        if let Some((ids, shard)) = &mut self.metrics {
+            shard.inc(ids.assist_retired);
+        }
+        // Only a controller launches assist warps.
+        match self.controller().on_assist_complete(a.tag, shared) {
+            AssistOutcome::FillComplete { addr } => {
+                self.lines_decompressed += 1;
+                self.complete_fill_waiters(now, addr, 1);
             }
-            let a = self.assists[slot].take().expect("checked above");
-            self.active_assist_count -= 1;
-            if a.priority == AssistPriority::Low {
-                self.low_assist_count -= 1;
-            }
-            self.spare_warps.push(a.warp);
-            self.assist_list(a.priority, a.parent)
-                .retain(|&s| s != slot);
-            self.assist_dirty = true;
-            if self.events_on {
-                self.events.push(TraceEvent {
-                    cycle: now,
-                    kind: TraceEventKind::AssistRetire { sm: self.id },
-                });
-            }
-            if let Some((ids, shard)) = &mut self.metrics {
-                shard.inc(ids.assist_retired);
-            }
-            // Only a controller launches assist warps.
-            match self.controller().on_assist_complete(a.tag, shared) {
-                AssistOutcome::FillComplete { addr } => {
-                    self.lines_decompressed += 1;
-                    self.complete_fill_waiters(now, addr, 1);
+            AssistOutcome::StoreRelease { addr } => {
+                self.lines_compressed += 1;
+                if let Some(pos) = self.store_buffer.iter().position(|&x| x == addr) {
+                    self.store_buffer.remove(pos);
                 }
-                AssistOutcome::StoreRelease { addr } => {
-                    self.lines_compressed += 1;
-                    if let Some(pos) = self.store_buffer.iter().position(|&x| x == addr) {
-                        self.store_buffer.remove(pos);
-                    }
-                    let size = shared.line_store.stored_size(
-                        &shared.mem,
-                        shared.cmap.as_deref_mut(),
-                        addr,
-                    );
-                    self.emit_write(addr, size);
-                }
+                let size =
+                    shared
+                        .line_store
+                        .stored_size(&shared.mem, shared.cmap.as_deref_mut(), addr);
+                self.emit_write(addr, size);
             }
         }
     }
@@ -943,7 +944,10 @@ impl Sm {
                         WarpRef::Assist(_) => 0,
                     })
                     .unwrap_or(0);
-                match self.controller().on_fill(parent_warp, addr, stored, shared) {
+                match self
+                    .controller()
+                    .on_fill(parent_warp, addr, &stored, &mut shared.mem)
+                {
                     FillAction::Complete { extra_latency } => {
                         self.lines_decompressed += 1;
                         self.l1.fill(addr, false, LINE_SIZE);
@@ -1225,7 +1229,7 @@ impl Sm {
                 let out = &mut self.exec_out;
                 execute_into(&mut a.warp, &instr, &ctx, &mut shared.mem, out);
                 if a.warp.done {
-                    self.assist_done_hint = true;
+                    self.assist_done[s / 64] |= 1 << (s % 64);
                 }
             }
         };
@@ -2501,8 +2505,13 @@ impl Sm {
             .flatten()
             .filter(|a| a.priority == AssistPriority::Low)
             .count();
-        // Conservative: a spurious sweep is free, a missed retire is not.
-        self.assist_done_hint = true;
+        // Conservative: a spurious member is free, a missed retire is not.
+        self.assist_done.fill(0);
+        for (slot, a) in self.assists.iter().enumerate() {
+            if a.as_ref().is_some_and(|a| a.warp.done) {
+                self.assist_done[slot / 64] |= 1 << (slot % 64);
+            }
+        }
         self.high_pending_count = self
             .assist_pending
             .iter()

@@ -291,3 +291,40 @@ fn snapshots_cut_through_caba_bdi_assist_bursts() {
 fn snapshots_cut_through_caba_fpc_assist_bursts() {
     cut_every_7th_cycle(CabaMode::Fpc);
 }
+
+/// A snapshot taken with paranoid off holds no reference decompressions,
+/// so it is shorter than a paranoid one cut at the same cycle while a BDI
+/// fill is in flight. Restored into a paranoid machine, it runs to
+/// completion and ends as the unbroken run does.
+#[test]
+fn a_snapshot_without_references_resumes_paranoid() {
+    let n = 4096u32;
+    let cfg = GpuConfig::small();
+    let kernel = copy_kernel(n, 0x1_0000, 0x40_0000);
+    let machine = |paranoid: bool| {
+        let mut gpu = Gpu::new(cfg, Design::Caba(CabaMode::Bdi));
+        gpu.set_paranoid(paranoid);
+        load_compressible(&mut gpu, n, 0x1_0000);
+        gpu
+    };
+    let full = machine(true).run(&kernel, 1_000_000).unwrap();
+    let mut cuts_with_fills = 0;
+    for k in 1..8 {
+        let cut = full.cycles * k / 8;
+        let snapshot = |paranoid: bool| {
+            let mut gpu = machine(paranoid);
+            assert!(gpu.run(&kernel, cut).is_err(), "cut {cut} is mid-run");
+            gpu.snapshot(&kernel)
+        };
+        let (plain, checked) = (snapshot(false), snapshot(true));
+        cuts_with_fills += usize::from(plain.len() < checked.len());
+        let mut restored = paranoid_bdi(cfg);
+        restored
+            .restore(&kernel, &plain)
+            .expect("snapshot restores");
+        let resumed = restored.resume(&kernel, 1_000_000).unwrap();
+        assert_eq!(resumed, full, "resumed from cycle {cut}");
+        check_copied(&restored, n, 0x40_0000);
+    }
+    assert!(cuts_with_fills > 0, "no cut caught a BDI fill in flight");
+}
