@@ -4,9 +4,11 @@
 //! to the memory system.
 //!
 //! The split of responsibilities mirrors the paper's hardware/software
-//! co-design: the *mechanism* (deploying assist warps, tracking them in the
-//! Assist Warp Table, staging instructions through the Assist Warp Buffer,
-//! priority scheduling, killing) lives in the SM ([`crate::Sm`]); which
+//! co-design: the *mechanism* (deploying assist warps into the assist slots
+//! of the SM's one warp table — the Assist Warp Table —, staging
+//! instructions through the Assist Warp Buffer, priority scheduling,
+//! killing) lives in the SM ([`crate::Sm`]), which issues an assist warp
+//! down the same path as an application warp; which
 //! subroutine runs for which trigger, with which live-in values, and what
 //! its completion means is the controller's
 //! ([`crate::caba::CabaController`]), which the SM owns and calls directly

@@ -1,6 +1,16 @@
-//! The streaming multiprocessor model: warp slots, two GTO schedulers,
+//! The streaming multiprocessor model: one warp table, two GTO schedulers,
 //! SP/SFU/LSU pipelines, L1 + MSHRs, the store buffer, and the assist-warp
 //! runtime (the AWC/AWT/AWB mechanics of §3.3–3.4).
+//!
+//! An assist warp is a warp. The SM keeps one table of warp contexts:
+//! application warps in its first `warps_per_sm` slots, assist warps in
+//! the `max_assist_warps` slots after them (the Assist Warp Table), each
+//! slot's role saying which, if either, occupies it. Both kinds share one
+//! consideration memo, one `head`, one issue path and one writeback path;
+//! only the thread context, barrier arrival, the LSU operation kind,
+//! the load count and retirement differ by role. A context stays in its
+//! slot for the SM's lifetime and is re-initialised in place at block
+//! launch and assist deploy.
 
 use crate::assist::{
     AssistLaunch, AssistOutcome, AssistPriority, FillAction, SharedLineStore, StoreAction,
@@ -75,31 +85,40 @@ struct Block {
     shared: u32,
 }
 
+/// One warp context of the SM's warp table. A context lives in its slot
+/// for the SM's lifetime: block launch and assist deploy re-initialise it
+/// in place ([`Warp::reset`]), and `role` says what occupies it.
 #[derive(Debug)]
-struct SmWarp {
+struct Slot {
     warp: Warp,
-    block_slot: usize,
-    ctaid: u32,
-    warp_in_block: u32,
+    /// Launch order, for the oldest-first scan.
     age: u64,
-    /// Counted toward its block's completion (resources are freed at block
-    /// granularity, so the slot stays occupied until the whole CTA retires).
-    retired: bool,
+    role: Role,
 }
 
 #[derive(Debug)]
-struct AssistRt {
-    warp: Warp,
-    program: Arc<Program>,
-    priority: AssistPriority,
-    tag: u64,
-    age: u64,
-    parent: usize,
+enum Role {
+    Free,
+    App {
+        block_slot: usize,
+        ctaid: u32,
+        warp_in_block: u32,
+        /// Counted toward its block's completion (resources are freed at
+        /// block granularity, so the slot stays occupied until the whole
+        /// CTA retires).
+        retired: bool,
+    },
+    Assist {
+        program: Arc<Program>,
+        priority: AssistPriority,
+        tag: u64,
+        parent: usize,
+    },
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Ticket {
-    warp: WarpRef,
+    slot: usize,
     dst: Option<Reg>,
     remaining: u32,
 }
@@ -107,7 +126,7 @@ struct Ticket {
 #[derive(Debug, Clone, Copy)]
 struct Writeback {
     at: u64,
-    warp: WarpRef,
+    slot: usize,
     reg: Option<Reg>,
 }
 
@@ -193,7 +212,7 @@ pub(crate) fn fold_verdict(cur: Option<StallVerdict>, new: StallVerdict) -> Opti
 }
 
 /// Per-candidate consideration memo: what the last full evaluation of this
-/// warp/assist slot proved, valid until an invalidation point. A frozen SM
+/// warp-table slot proved, valid until an invalidation point. A frozen SM
 /// sleeps instead of re-scanning (DESIGN.md "Next-event clock"), but one
 /// that is not frozen — a warp issuing while its neighbours wait —
 /// re-visits every blocked candidate every cycle; the memo collapses each
@@ -238,7 +257,8 @@ enum SlotMemo {
     Barrier,
 }
 
-/// Which of a scheduler's candidate lists [`Sm::scan_list`] walks.
+/// Which of a scheduler's candidate lists [`Sm::scan_list`] walks: an
+/// index into its entry of `Sm::cands`.
 #[derive(Clone, Copy)]
 enum ListKind {
     HiAssist,
@@ -254,8 +274,9 @@ pub struct Sm {
     /// This SM's Assist Warp Controller: present exactly on a CABA design.
     caba: Option<CabaController>,
     blocks: Vec<Option<Block>>,
-    warps: Vec<Option<SmWarp>>,
-    assists: Vec<Option<AssistRt>>,
+    /// The warp table: application warps in `0..warps_per_sm`, assist
+    /// warps in the `max_assist_warps` slots after them (the AWT of §3.4).
+    slots: Vec<Slot>,
     assist_pending: VecDeque<AssistLaunch>,
     writebacks: Vec<Writeback>,
     /// Earliest `at` in `writebacks` (`u64::MAX` when empty): the cycle
@@ -271,22 +292,24 @@ pub struct Sm {
     store_buffer: VecDeque<u64>,
     out_reqs: VecDeque<OutReq>,
     sfu_ready_at: u64,
-    greedy: Vec<Option<WarpRef>>,
+    /// Per scheduler, the slot that issued last (GTO's greedy warp).
+    greedy: Vec<Option<usize>>,
     used_regs: u32,
     used_shared: u32,
     age_seq: u64,
     /// `Some` entries in `blocks`, maintained at launch/retire so
     /// [`Sm::quiesced`] needs no scan.
     resident_block_count: usize,
-    /// `Some` entries in `assists`, maintained at deploy/finish.
+    /// Occupied assist slots, maintained at deploy/finish.
     active_assist_count: usize,
-    /// Low-priority entries in `assists`, maintained at deploy/finish so
+    /// Low-priority assist slots, maintained at deploy/finish so
     /// the AWB partition check in [`Sm::deploy_assist`] needs no scan.
     low_assist_count: usize,
-    /// The done set, one bit per assist slot: the slots that may be
-    /// retirable. A slot joins when its warp exits at issue or a writeback
-    /// lands on its exited warp; [`Sm::finish_assists`] empties the set.
-    /// Derived: restore puts every exited assist in it.
+    /// The done set, one bit per slot, set for assist slots only: the
+    /// slots that may be retirable. A slot joins when its warp exits at
+    /// issue or a writeback lands on its exited warp;
+    /// [`Sm::finish_assists`] empties the set. Derived: restore puts every
+    /// exited assist in it.
     assist_done: Vec<u64>,
     /// High-priority entries in `assist_pending`, maintained at queue and
     /// deploy, so a queue full of gated low-priority launches costs O(1)
@@ -298,26 +321,23 @@ pub struct Sm {
     /// retirement, so a blocked dispatch cannot unblock until this moves.
     /// Not serialized: restore conservatively reopens the gate.
     blocks_retired_total: u64,
-    /// Per-scheduler candidate slots in issue-priority order: high-priority
-    /// assists, occupied app-warp slots by age, low-priority assists.
-    /// Block launch and retire (`cand_dirty`) re-derive all three; assist
+    /// Per scheduler, its three candidate lists of slots, indexed by
+    /// [`ListKind`] in issue-priority order: high-priority assists,
+    /// occupied app-warp slots by age, low-priority assists. Block launch and retire (`cand_dirty`) re-derive all three; assist
     /// deploy and retire (`assist_dirty`) only wipe the memos: they splice
     /// the two assist lists themselves, so the parents' list and its sort
     /// are left alone. Done/at-barrier warps stay listed — `head` skips
     /// them exactly as the per-cycle rebuild used to, so cached scheduling
     /// is bit-identical.
-    cand_his: Vec<Vec<usize>>,
-    cand_parents: Vec<Vec<usize>>,
-    cand_lows: Vec<Vec<usize>>,
+    cands: Vec<[Vec<usize>; 3]>,
     cand_dirty: bool,
     assist_dirty: bool,
-    /// Per-slot consideration memos (see [`SlotMemo`]): what the last full
-    /// evaluation proved about each candidate, so stalled-machine scans
-    /// cost a tag check per candidate instead of a fetch + scoreboard
-    /// scan. Cleared wholesale on any residency change, assist-side ones
-    /// included (`wipe_memos`).
-    memo_app: Vec<SlotMemo>,
-    memo_assist: Vec<SlotMemo>,
+    /// Per-slot consideration memos (see [`SlotMemo`]), indexed like
+    /// `slots`: what the last full evaluation proved about each candidate,
+    /// so stalled-machine scans cost a tag check per candidate instead of
+    /// a fetch + scoreboard scan. Cleared wholesale on any residency
+    /// change, assist-side ones included (`wipe_memos`).
+    memo: Vec<SlotMemo>,
     /// App warps that have fully exited but not yet been reaped; gates the
     /// per-cycle `reap_warps` slot scan.
     done_unreaped: u32,
@@ -350,10 +370,6 @@ pub struct Sm {
     /// Reusable sort scratch for `rebuild_candidates` (age, slot) pairs —
     /// avoids a heap allocation on every residency change.
     cand_scratch: Vec<(u64, usize)>,
-    /// Contexts of retired assist warps, re-initialised in place by the next
-    /// deploy ([`Warp::reset`]). At most `max_assist_warps` exist, live and
-    /// spare together. Not serialized.
-    spare_warps: Vec<Warp>,
     /// Full candidate rebuilds and assist-only list updates so far — host
     /// efficiency counters like `Gpu::skip_stats`, outside `RunStats` and
     /// the snapshot.
@@ -416,8 +432,13 @@ impl Sm {
                 _ => None,
             },
             blocks: (0..cfg.max_blocks_per_sm).map(|_| None).collect(),
-            warps: (0..cfg.warps_per_sm).map(|_| None).collect(),
-            assists: (0..cfg.max_assist_warps).map(|_| None).collect(),
+            slots: (0..cfg.warps_per_sm + cfg.max_assist_warps)
+                .map(|_| Slot {
+                    warp: Warp::default(),
+                    age: 0,
+                    role: Role::Free,
+                })
+                .collect(),
             assist_pending: VecDeque::new(),
             writebacks: Vec::new(),
             wb_due: u64::MAX,
@@ -437,19 +458,16 @@ impl Sm {
             resident_block_count: 0,
             active_assist_count: 0,
             low_assist_count: 0,
-            assist_done: vec![0; cfg.max_assist_warps.div_ceil(64)],
+            assist_done: vec![0; (cfg.warps_per_sm + cfg.max_assist_warps).div_ceil(64)],
             high_pending_count: 0,
             blocks_retired_total: 0,
-            cand_his: vec![Vec::new(); cfg.schedulers_per_sm],
-            cand_parents: vec![Vec::new(); cfg.schedulers_per_sm],
-            cand_lows: vec![Vec::new(); cfg.schedulers_per_sm],
+            cands: vec![Default::default(); cfg.schedulers_per_sm],
             // Empty lists are already what a rebuild of an empty SM makes,
             // so an SM that never holds a block never rebuilds: a cycle on
             // a quiesced SM then changes nothing a settled one does not.
             cand_dirty: false,
             assist_dirty: false,
-            memo_app: vec![SlotMemo::Unknown; cfg.warps_per_sm],
-            memo_assist: vec![SlotMemo::Unknown; cfg.max_assist_warps],
+            memo: vec![SlotMemo::Unknown; cfg.warps_per_sm + cfg.max_assist_warps],
             done_unreaped: 0,
             dormant: false,
             reprobe: false,
@@ -457,7 +475,6 @@ impl Sm {
             wake: u64::MAX,
             last_slots: vec![StallKind::Idle; cfg.schedulers_per_sm],
             cand_scratch: Vec::new(),
-            spare_warps: Vec::new(),
             parent_rebuilds: 0,
             assist_updates: 0,
             exec_out: ExecOutcome::default(),
@@ -514,7 +531,10 @@ impl Sm {
 
     /// Resident warps.
     pub fn resident_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.is_some()).count()
+        self.slots[..self.cfg.warps_per_sm]
+            .iter()
+            .filter(|s| matches!(s.role, Role::App { .. }))
+            .count()
     }
 
     /// Resident blocks.
@@ -540,7 +560,9 @@ impl Sm {
         // All rejection checks run before any allocation or mutation: a
         // blocked dispatch retried every cycle stays heap-quiet, and the
         // next-event clock can rely on failed launches being pure.
-        if self.warps.iter().filter(|w| w.is_none()).count() < warps_needed {
+        let free = |s: &Slot| matches!(s.role, Role::Free);
+        let app_slots = &self.slots[..self.cfg.warps_per_sm];
+        if app_slots.iter().filter(|s| free(s)).count() < warps_needed {
             return false;
         }
         if self.used_regs + regs_needed > self.cfg.regfile_per_sm {
@@ -549,12 +571,8 @@ impl Sm {
         if self.used_shared + shared_needed > self.cfg.shared_per_sm {
             return false;
         }
-        let free_warps: Vec<usize> = self
-            .warps
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.is_none())
-            .map(|(i, _)| i)
+        let free_warps: Vec<usize> = (0..self.cfg.warps_per_sm)
+            .filter(|&i| free(&self.slots[i]))
             .take(warps_needed)
             .collect();
 
@@ -569,14 +587,15 @@ impl Sm {
                 (1u32 << lanes) - 1
             };
             self.age_seq += 1;
-            self.warps[slot] = Some(SmWarp {
-                warp: Warp::new(kernel.regs_per_thread().max(1) as usize, mask),
+            let s = &mut self.slots[slot];
+            s.warp.reset(kernel.regs_per_thread().max(1) as usize, mask);
+            s.age = self.age_seq;
+            s.role = Role::App {
                 block_slot,
                 ctaid,
                 warp_in_block: wib as u32,
-                age: self.age_seq,
                 retired: false,
-            });
+            };
         }
         self.blocks[block_slot] = Some(Block {
             ctaid,
@@ -658,14 +677,12 @@ impl Sm {
             self.free_tickets.push(idx);
             self.push_writeback(Writeback {
                 at,
-                warp: t.warp,
+                slot: t.slot,
                 reg: t.dst,
             });
-            if let WarpRef::App(slot) = t.warp {
-                if let Some(w) = self.warps[slot].as_mut() {
-                    w.warp.outstanding_loads = w.warp.outstanding_loads.saturating_sub(1);
-                }
-            }
+            // An assist warp's count stays 0.
+            let w = &mut self.slots[t.slot].warp;
+            w.outstanding_loads = w.outstanding_loads.saturating_sub(1);
         }
     }
 
@@ -688,29 +705,18 @@ impl Sm {
                 i += 1;
             } else {
                 let wb = self.writebacks.swap_remove(i);
-                match wb.warp {
-                    WarpRef::App(slot) => {
-                        if let (Some(w), Some(r)) = (self.warps[slot].as_mut(), wb.reg) {
-                            w.warp.clear_pending(r);
-                            // Only hazard tags depend on pending bits; the
-                            // blocked-class tags stay hazard-free when bits
-                            // clear and remain valid.
-                            if matches!(self.memo_app[slot], SlotMemo::Hazard(_)) {
-                                self.memo_app[slot] = SlotMemo::Unknown;
-                            }
-                        }
-                    }
-                    WarpRef::Assist(slot) => {
-                        if let (Some(a), Some(r)) = (self.assists[slot].as_mut(), wb.reg) {
-                            a.warp.clear_pending(r);
-                            if a.warp.done {
-                                self.assist_done[slot / 64] |= 1 << (slot % 64);
-                            }
-                            if matches!(self.memo_assist[slot], SlotMemo::Hazard(_)) {
-                                self.memo_assist[slot] = SlotMemo::Unknown;
-                            }
-                        }
-                    }
+                let s = &mut self.slots[wb.slot];
+                let Some(r) = wb.reg.filter(|_| !matches!(s.role, Role::Free)) else {
+                    continue;
+                };
+                s.warp.clear_pending(r);
+                if s.warp.done && matches!(s.role, Role::Assist { .. }) {
+                    self.assist_done[wb.slot / 64] |= 1 << (wb.slot % 64);
+                }
+                // Only hazard tags depend on pending bits; the blocked-class
+                // tags stay hazard-free when bits clear and remain valid.
+                if matches!(self.memo[wb.slot], SlotMemo::Hazard(_)) {
+                    self.memo[wb.slot] = SlotMemo::Unknown;
                 }
             }
         }
@@ -733,7 +739,7 @@ impl Sm {
         if self.assist_pending.is_empty() {
             return;
         }
-        if self.active_assist_count == self.assists.len() {
+        if self.active_assist_count == self.cfg.max_assist_warps {
             return;
         }
         // Low-priority assist warps are staged through the dedicated IB
@@ -744,11 +750,12 @@ impl Sm {
         if !low_ok && self.high_pending_count == 0 {
             return;
         }
-        let slot = self
-            .assists
-            .iter()
-            .position(|a| a.is_none())
-            .expect("free slot exists: active count below capacity");
+        let first = self.cfg.warps_per_sm;
+        let slot = first
+            + self.slots[first..]
+                .iter()
+                .position(|s| matches!(s.role, Role::Free))
+                .expect("free slot exists: active count below capacity");
         let pos = self
             .assist_pending
             .iter()
@@ -758,25 +765,21 @@ impl Sm {
         if launch.priority == AssistPriority::High {
             self.high_pending_count -= 1;
         }
-        let nregs = launch.program.max_reg().max(1) as usize;
-        // A retired assist's context if there is one, sized and cleared
-        // for this launch either way.
-        let spare = self.spare_warps.pop();
-        let mut warp = spare.unwrap_or_else(|| Warp::new(0, 0));
-        warp.reset(nregs, launch.active_mask);
-        for &(reg, val) in &launch.live_in {
-            warp.write_row(reg, FULL_MASK, &[val; WARP_SIZE]);
-        }
         self.age_seq += 1;
-        let high_priority = launch.priority == AssistPriority::High;
-        self.assists[slot] = Some(AssistRt {
-            warp,
+        let s = &mut self.slots[slot];
+        s.warp
+            .reset(launch.program.max_reg().max(1) as usize, launch.active_mask);
+        for &(reg, val) in &launch.live_in {
+            s.warp.write_row(reg, FULL_MASK, &[val; WARP_SIZE]);
+        }
+        s.age = self.age_seq;
+        s.role = Role::Assist {
             program: launch.program,
             priority: launch.priority,
             tag: launch.tag,
-            age: self.age_seq,
             parent: launch.parent_warp,
-        });
+        };
+        let high_priority = launch.priority == AssistPriority::High;
         self.active_assist_count += 1;
         if launch.priority == AssistPriority::Low {
             self.low_assist_count += 1;
@@ -816,16 +819,25 @@ impl Sm {
     /// Retires the assist warp in `slot` if it has exited with no
     /// writeback pending.
     fn retire_assist(&mut self, now: u64, slot: usize, shared: &mut SharedState<'_>) {
-        let Some(a) = self.assists[slot].take_if(|a| a.warp.done && !a.warp.any_pending()) else {
+        let s = &mut self.slots[slot];
+        let Role::Assist {
+            priority,
+            tag,
+            parent,
+            ..
+        } = s.role
+        else {
             return;
         };
+        if !s.warp.done || s.warp.any_pending() {
+            return;
+        }
+        s.role = Role::Free;
         self.active_assist_count -= 1;
-        if a.priority == AssistPriority::Low {
+        if priority == AssistPriority::Low {
             self.low_assist_count -= 1;
         }
-        self.spare_warps.push(a.warp);
-        self.assist_list(a.priority, a.parent)
-            .retain(|&s| s != slot);
+        self.assist_list(priority, parent).retain(|&s| s != slot);
         self.assist_dirty = true;
         if self.events_on {
             self.events.push(TraceEvent {
@@ -837,7 +849,7 @@ impl Sm {
             shard.inc(ids.assist_retired);
         }
         // Only a controller launches assist warps.
-        match self.controller().on_assist_complete(a.tag, shared) {
+        match self.controller().on_assist_complete(tag, shared) {
             AssistOutcome::FillComplete { addr } => {
                 self.lines_decompressed += 1;
                 self.complete_fill_waiters(now, addr, 1);
@@ -934,16 +946,19 @@ impl Sm {
                     self.complete_fill_waiters(now, addr, 0);
                     return;
                 };
-                // Find a waiting parent warp for the trigger's warp ID.
+                // Find a waiting parent warp for the trigger's warp ID. An
+                // assist warp's loads are core-local and never wait here.
                 let parent = self.mshr.complete(addr);
                 let parent_warp = parent
                     .first()
                     .and_then(|&t| self.tickets[t].as_ref())
-                    .map(|t| match t.warp {
-                        WarpRef::App(s) => s,
-                        WarpRef::Assist(_) => 0,
-                    })
-                    .unwrap_or(0);
+                    .map_or(0, |t| {
+                        debug_assert!(
+                            t.slot < self.cfg.warps_per_sm,
+                            "a fill waits for an app warp"
+                        );
+                        t.slot
+                    });
                 match self
                     .controller()
                     .on_fill(parent_warp, addr, &stored, &mut shared.mem)
@@ -1045,17 +1060,21 @@ impl Sm {
                 }
             }
             LineOpKind::Store => {
-                self.handle_store_line(now, op, shared);
+                self.handle_store_line(op, shared);
             }
         }
     }
 
-    fn handle_store_line(&mut self, _now: u64, op: LineOp, shared: &mut SharedState<'_>) {
+    fn handle_store_line(&mut self, op: LineOp, shared: &mut SharedState<'_>) {
         let addr = op.addr;
-        let parent_warp = match op.warp {
-            WarpRef::App(s) => s,
-            WarpRef::Assist(_) => 0,
-        };
+        // An assist warp's stores are core-local and never take this path.
+        debug_assert!(
+            matches!(op.warp, WarpRef::App(_)),
+            "a store from an assist warp"
+        );
+        let parent_warp = self
+            .slot_of(op.warp)
+            .expect("the LSU names this SM's slots");
         match self.design {
             Design::Base | Design::HwMemOnly => {
                 // HW-BDI-Mem compresses at the MC; the interconnect carries
@@ -1107,26 +1126,19 @@ impl Sm {
 
     // ----- issue -----------------------------------------------------------
 
-    /// What `wr` would issue next: the decoded metadata of its head
+    /// What `slot` would issue next: the decoded metadata of its head
     /// instruction, the scoreboard's answer for it, and the instruction
-    /// itself, which the issuing path alone reads. `None` for an empty
-    /// slot, an exited warp, one parked at a barrier, or a PC past the
-    /// program's end.
-    fn head<'a>(&'a self, wr: WarpRef, program: &'a Program) -> Option<Head<'a>> {
-        let (warp, program) = match wr {
-            WarpRef::App(s) => {
-                let w = &self.warps[s].as_ref()?.warp;
-                if w.at_barrier {
-                    return None;
-                }
-                (w, program)
-            }
-            WarpRef::Assist(s) => {
-                let a = self.assists[s].as_ref()?;
-                (&a.warp, &*a.program)
-            }
+    /// itself, which the issuing path alone reads. `None` for a free slot,
+    /// an exited warp, one parked at a barrier (assist programs hold no
+    /// barrier), or a PC past the program's end.
+    fn head<'a>(&'a self, slot: usize, kernel: &'a Program) -> Option<Head<'a>> {
+        let Slot { warp, role, .. } = &self.slots[slot];
+        let program = match role {
+            Role::Free => return None,
+            Role::App { .. } => kernel,
+            Role::Assist { program, .. } => program,
         };
-        if warp.done {
+        if warp.at_barrier || warp.done {
             return None;
         }
         let pc = warp.pc();
@@ -1174,29 +1186,31 @@ impl Sm {
     fn do_issue(
         &mut self,
         now: u64,
-        warp_ref: WarpRef,
+        slot: usize,
         instr: Instr,
         kernel: &Kernel,
         shared: &mut SharedState<'_>,
         lsu_used: &mut bool,
     ) {
         // Build the thread context.
-        let (ctx, is_assist) = match warp_ref {
-            WarpRef::App(s) => {
-                let w = self.warps[s].as_ref().expect("resident");
-                (
-                    ThreadCtx {
-                        block_dim: kernel.dims().block_dim,
-                        grid_dim: kernel.dims().grid_dim,
-                        params: kernel.params(),
-                        ctaid: w.ctaid,
-                        warp_in_block: w.warp_in_block,
-                        shared_base: self.shared_base_for(w.block_slot),
-                    },
-                    false,
-                )
-            }
-            WarpRef::Assist(_) => (
+        let (ctx, is_assist) = match self.slots[slot].role {
+            Role::App {
+                block_slot,
+                ctaid,
+                warp_in_block,
+                ..
+            } => (
+                ThreadCtx {
+                    block_dim: kernel.dims().block_dim,
+                    grid_dim: kernel.dims().grid_dim,
+                    params: kernel.params(),
+                    ctaid,
+                    warp_in_block,
+                    shared_base: self.shared_base_for(block_slot),
+                },
+                false,
+            ),
+            Role::Assist { .. } => (
                 ThreadCtx {
                     block_dim: WARP_SIZE as u32,
                     grid_dim: 1,
@@ -1207,33 +1221,22 @@ impl Sm {
                 },
                 true,
             ),
+            Role::Free => unreachable!("a free slot never issues"),
         };
 
-        match warp_ref {
-            WarpRef::App(s) => {
-                let w = self.warps[s].as_mut().expect("resident");
-                w.warp.issued += 1;
-                w.warp.last_issue = now;
-                let out = &mut self.exec_out;
-                execute_into(&mut w.warp, &instr, &ctx, &mut shared.mem, out);
-                // `head` never offers a done warp, so `done` here means
-                // this issue exited the last lanes.
-                if w.warp.done {
-                    self.done_unreaped += 1;
-                }
+        let warp = &mut self.slots[slot].warp;
+        warp.issued += 1;
+        warp.last_issue = now;
+        execute_into(warp, &instr, &ctx, &mut shared.mem, &mut self.exec_out);
+        // `head` never offers a done warp, so `done` here means this issue
+        // exited the last lanes.
+        if warp.done {
+            if is_assist {
+                self.assist_done[slot / 64] |= 1 << (slot % 64);
+            } else {
+                self.done_unreaped += 1;
             }
-            WarpRef::Assist(s) => {
-                let a = self.assists[s].as_mut().expect("resident");
-                a.warp.issued += 1;
-                a.warp.last_issue = now;
-                let out = &mut self.exec_out;
-                execute_into(&mut a.warp, &instr, &ctx, &mut shared.mem, out);
-                if a.warp.done {
-                    self.assist_done[s / 64] |= 1 << (s % 64);
-                }
-            }
-        };
-
+        }
         if is_assist {
             self.assist_instructions += 1;
         } else {
@@ -1246,36 +1249,35 @@ impl Sm {
             self.shared_accesses += 1;
             *lsu_used = true;
             if let Some(dst) = dst {
-                self.mark_pending_and_schedule(warp_ref, dst, now + self.cfg.shared_latency);
+                self.mark_pending_and_schedule(slot, dst, now + self.cfg.shared_latency);
             }
             return;
         }
 
         // Global memory operations go through the LSU.
+        let warp_ref = self.warp_ref(slot);
         let lines_read = self.exec_out.lines_read.len();
         if lines_read != 0 {
             *lsu_used = true;
             if let Some(d) = dst {
-                self.mark_pending(warp_ref, d);
+                self.slots[slot].warp.mark_pending(d);
             }
             let ticket = self.alloc_ticket(Ticket {
-                warp: warp_ref,
+                slot,
                 dst,
                 remaining: lines_read as u32,
             });
-            if let WarpRef::App(s) = warp_ref {
-                if let Some(w) = self.warps[s].as_mut() {
-                    w.warp.outstanding_loads += 1;
+            // An assist warp's loads are core-local: it never waits on
+            // memory, so its count stays 0.
+            let kind = if is_assist {
+                LineOpKind::AssistLocal {
+                    ticket: Some(ticket),
                 }
-            }
+            } else {
+                self.slots[slot].warp.outstanding_loads += 1;
+                LineOpKind::Load { ticket }
+            };
             for &addr in self.exec_out.lines_read.iter() {
-                let kind = if is_assist {
-                    LineOpKind::AssistLocal {
-                        ticket: Some(ticket),
-                    }
-                } else {
-                    LineOpKind::Load { ticket }
-                };
                 self.lsu.push(LineOp {
                     warp: warp_ref,
                     addr,
@@ -1291,11 +1293,16 @@ impl Sm {
                 }
                 _ => self.cfg.sp_latency,
             };
-            self.mark_pending_and_schedule(warp_ref, dst, now + lat);
+            self.mark_pending_and_schedule(slot, dst, now + lat);
         }
 
         if !self.exec_out.lines_written.is_empty() {
             *lsu_used = true;
+            let kind = if is_assist {
+                LineOpKind::AssistLocal { ticket: None }
+            } else {
+                LineOpKind::Store
+            };
             for &addr in self.exec_out.lines_written.iter() {
                 if !is_assist {
                     // Application stores change line contents: the stored
@@ -1309,11 +1316,6 @@ impl Sm {
                     );
                     shared.line_store.clear(addr);
                 }
-                let kind = if is_assist {
-                    LineOpKind::AssistLocal { ticket: None }
-                } else {
-                    LineOpKind::Store
-                };
                 self.lsu.push(LineOp {
                     warp: warp_ref,
                     addr,
@@ -1324,9 +1326,8 @@ impl Sm {
 
         // Control effects.
         if self.exec_out.at_barrier {
-            if let WarpRef::App(s) = warp_ref {
-                let bs = self.warps[s].as_ref().expect("resident").block_slot;
-                self.barrier_arrive(bs);
+            if let Role::App { block_slot, .. } = self.slots[slot].role {
+                self.barrier_arrive(block_slot);
             }
         }
         // Exit shows as `warp.done`; such warps are reaped in `reap_warps`
@@ -1334,28 +1335,35 @@ impl Sm {
         // touch a reused slot.
     }
 
-    fn mark_pending(&mut self, warp: WarpRef, reg: Reg) {
-        match warp {
-            WarpRef::App(s) => self.warps[s]
-                .as_mut()
-                .expect("resident")
-                .warp
-                .mark_pending(reg),
-            WarpRef::Assist(s) => self.assists[s]
-                .as_mut()
-                .expect("resident")
-                .warp
-                .mark_pending(reg),
+    fn mark_pending_and_schedule(&mut self, slot: usize, reg: Reg, at: u64) {
+        self.slots[slot].warp.mark_pending(reg);
+        self.push_writeback(Writeback {
+            at,
+            slot,
+            reg: Some(reg),
+        });
+    }
+
+    /// The name of `slot` in the LSU queue and on the snapshot wire.
+    fn warp_ref(&self, slot: usize) -> WarpRef {
+        let apps = self.cfg.warps_per_sm;
+        if slot < apps {
+            WarpRef::App(slot)
+        } else {
+            WarpRef::Assist(slot - apps)
         }
     }
 
-    fn mark_pending_and_schedule(&mut self, warp: WarpRef, reg: Reg, at: u64) {
-        self.mark_pending(warp, reg);
-        self.push_writeback(Writeback {
-            at,
-            warp,
-            reg: Some(reg),
-        });
+    /// The slot `wr` names; an error for one outside this SM's table.
+    fn slot_of(&self, wr: WarpRef) -> Result<usize, SnapError> {
+        let apps = self.cfg.warps_per_sm;
+        match wr {
+            WarpRef::App(i) if i < apps => Ok(i),
+            WarpRef::Assist(i) if i < self.cfg.max_assist_warps => Ok(apps + i),
+            _ => Err(SnapError::Invariant {
+                what: "warp slot out of range",
+            }),
+        }
     }
 
     fn barrier_arrive(&mut self, block_slot: usize) {
@@ -1396,8 +1404,8 @@ impl Sm {
             self.resident_block_count -= 1;
             self.blocks_retired_total += 1;
             self.cand_dirty = true;
-            for s in &b.warp_slots {
-                self.warps[*s] = None;
+            for &s in &b.warp_slots {
+                self.slots[s].role = Role::Free;
             }
             self.used_regs -= b.regs;
             self.used_shared -= b.shared;
@@ -1411,11 +1419,9 @@ impl Sm {
             .warp_slots
             .clone();
         for s in slots {
-            if let Some(w) = self.warps[s].as_mut() {
-                w.warp.at_barrier = false;
-                if matches!(self.memo_app[s], SlotMemo::Barrier) {
-                    self.memo_app[s] = SlotMemo::Unknown;
-                }
+            self.slots[s].warp.at_barrier = false;
+            if matches!(self.memo[s], SlotMemo::Barrier) {
+                self.memo[s] = SlotMemo::Unknown;
             }
         }
         if let Some(b) = self.blocks[block_slot].as_mut() {
@@ -1431,39 +1437,29 @@ impl Sm {
     fn rebuild_candidates(&mut self) {
         self.wipe_memos();
         let nsched = self.cfg.schedulers_per_sm;
-        for v in &mut self.cand_his {
+        for v in self.cands.iter_mut().flatten() {
             v.clear();
         }
-        for v in &mut self.cand_parents {
-            v.clear();
-        }
-        for v in &mut self.cand_lows {
-            v.clear();
-        }
+        // One pass by age: each list takes one role, so it sees its own
+        // slots in age order.
         let mut tmp = std::mem::take(&mut self.cand_scratch);
         tmp.clear();
         tmp.extend(
-            self.warps
+            self.slots
                 .iter()
                 .enumerate()
-                .filter_map(|(i, w)| w.as_ref().map(|w| (w.age, i))),
+                .filter(|(_, s)| !matches!(s.role, Role::Free))
+                .map(|(i, s)| (s.age, i)),
         );
         tmp.sort_unstable();
         for &(_, i) in &tmp {
-            self.cand_parents[i % nsched].push(i);
-        }
-        tmp.clear();
-        tmp.extend(
-            self.assists
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| a.as_ref().map(|a| (a.age, i))),
-        );
-        tmp.sort_unstable();
-        for &(_, i) in &tmp {
-            let a = self.assists[i].as_ref().expect("resident");
-            let (priority, parent) = (a.priority, a.parent);
-            self.assist_list(priority, parent).push(i);
+            match self.slots[i].role {
+                Role::App { .. } => self.cands[i % nsched][ListKind::Parents as usize].push(i),
+                Role::Assist {
+                    priority, parent, ..
+                } => self.assist_list(priority, parent).push(i),
+                Role::Free => unreachable!("filtered out"),
+            }
         }
         self.cand_scratch = tmp;
         (self.cand_dirty, self.assist_dirty) = (false, false);
@@ -1479,19 +1475,18 @@ impl Sm {
     /// writeback lands (the window `snap_load` documents), so skipping it
     /// moves Fig. 1 buckets.
     fn wipe_memos(&mut self) {
-        self.memo_app.fill(SlotMemo::Unknown);
-        self.memo_assist.fill(SlotMemo::Unknown);
+        self.memo.fill(SlotMemo::Unknown);
     }
 
     /// The list an assist warp of `priority` coupled to `parent` is offered
     /// from. Deploy appends to it (a new assist is the youngest) and retire
     /// removes from it, so the two assist lists are current at all times.
     fn assist_list(&mut self, priority: AssistPriority, parent: usize) -> &mut Vec<usize> {
-        let sched = parent % self.cfg.schedulers_per_sm;
-        match priority {
-            AssistPriority::High => &mut self.cand_his[sched],
-            AssistPriority::Low => &mut self.cand_lows[sched],
-        }
+        let which = match priority {
+            AssistPriority::High => ListKind::HiAssist,
+            AssistPriority::Low => ListKind::LowAssist,
+        };
+        &mut self.cands[parent % self.cfg.schedulers_per_sm][which as usize]
     }
 
     /// An assist deployed or retired and no block did: deploy and retire
@@ -1503,7 +1498,7 @@ impl Sm {
         self.assist_updates += 1;
     }
 
-    /// Classifies a scoreboard hazard for `wr` blocked on an instruction
+    /// Classifies a scoreboard hazard for `slot` blocked on an instruction
     /// into its [`StallVerdict`]: waiting on memory data when the warp has
     /// loads in flight, control-reconvergence when the blocked instruction
     /// `steers` control flow, otherwise a plain in-pipeline dependency.
@@ -1512,18 +1507,8 @@ impl Sm {
     /// tickets resolve straight to writebacks), so their hazards classify
     /// as pipeline/control stalls — a small, documented approximation
     /// (DESIGN.md "Observability").
-    fn classify_hazard(&self, wr: WarpRef, steers: bool) -> StallVerdict {
-        let outstanding = match wr {
-            WarpRef::App(s) => {
-                self.warps[s]
-                    .as_ref()
-                    .expect("resident")
-                    .warp
-                    .outstanding_loads
-            }
-            WarpRef::Assist(_) => 0,
-        };
-        if outstanding > 0 {
+    fn classify_hazard(&self, slot: usize, steers: bool) -> StallVerdict {
+        if self.slots[slot].warp.outstanding_loads > 0 {
             StallVerdict::HazardMem
         } else if steers {
             StallVerdict::HazardCtrl
@@ -1532,7 +1517,7 @@ impl Sm {
         }
     }
 
-    /// Offers `wr` the issue slot. Returns whether it issued; on a block,
+    /// Offers `slot` the issue slot. Returns whether it issued; on a block,
     /// folds the stall reason into `verdict` via [`fold_verdict`] (first
     /// blocked candidate in priority order wins within an evidence tier).
     /// The memo tag check is inlined into every scan step, so a memoized
@@ -1543,17 +1528,17 @@ impl Sm {
         &mut self,
         now: u64,
         sched: usize,
-        wr: WarpRef,
+        slot: usize,
         kernel: &Kernel,
         shared: &mut SharedState<'_>,
         lsu_used: &mut bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        !self.memo_blocks(now, wr, *lsu_used, verdict)
-            && self.evaluate(now, sched, wr, kernel, shared, lsu_used, verdict)
+        !self.memo_blocks(now, slot, *lsu_used, verdict)
+            && self.evaluate(now, sched, slot, kernel, shared, lsu_used, verdict)
     }
 
-    /// Whether `wr`'s memo alone proves it cannot issue this cycle; if so
+    /// Whether `slot`'s memo alone proves it cannot issue this cycle; if so
     /// its stall reason is folded into `verdict` exactly as
     /// [`Sm::evaluate`] would fold it (see [`SlotMemo`] for the
     /// invariants). `Hazard`, `Done` and `Barrier` always decide;
@@ -1564,15 +1549,11 @@ impl Sm {
     fn memo_blocks(
         &self,
         now: u64,
-        wr: WarpRef,
+        slot: usize,
         lsu_used: bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        let memo = match wr {
-            WarpRef::App(s) => self.memo_app[s],
-            WarpRef::Assist(s) => self.memo_assist[s],
-        };
-        let v = match memo {
+        let v = match self.memo[slot] {
             SlotMemo::Unknown => return false,
             SlotMemo::Done => return true,
             // The memo stores the classified verdict, so this folds
@@ -1604,24 +1585,22 @@ impl Sm {
         &mut self,
         now: u64,
         sched: usize,
-        wr: WarpRef,
+        slot: usize,
         kernel: &Kernel,
         shared: &mut SharedState<'_>,
         lsu_used: &mut bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        let Some(head) = self.head(wr, kernel.program()) else {
+        let Some(head) = self.head(slot, kernel.program()) else {
             // `head` skips done and barrier-parked warps. A live warp
             // parked at a barrier is the paper's synchronization stall.
-            let mut tag = SlotMemo::Done;
-            if let WarpRef::App(s) = wr {
-                let w = &self.warps[s].as_ref().expect("resident").warp;
-                if w.at_barrier && !w.done {
-                    *verdict = fold_verdict(*verdict, StallVerdict::Barrier);
-                    tag = SlotMemo::Barrier;
-                }
-            }
-            self.set_memo(wr, tag);
+            let w = &self.slots[slot].warp;
+            self.memo[slot] = if w.at_barrier && !w.done {
+                *verdict = fold_verdict(*verdict, StallVerdict::Barrier);
+                SlotMemo::Barrier
+            } else {
+                SlotMemo::Done
+            };
             return false;
         };
         let meta = head.meta;
@@ -1630,49 +1609,29 @@ impl Sm {
                 let instr = *head.instr;
                 // The slot's state (PC, pending bits) is about to change:
                 // whatever was memoized is void.
-                self.set_memo(wr, SlotMemo::Unknown);
-                self.do_issue(now, wr, instr, kernel, shared, lsu_used);
-                self.greedy[sched] = Some(wr);
+                self.memo[slot] = SlotMemo::Unknown;
+                self.do_issue(now, slot, instr, kernel, shared, lsu_used);
+                self.greedy[sched] = Some(slot);
                 true
             }
             Err(block) => {
-                let v = match block {
+                let (memo, v) = match block {
                     IssueBlock::Hazard => {
-                        let h = self.classify_hazard(wr, meta.steers);
-                        self.set_memo(wr, SlotMemo::Hazard(h));
-                        h
+                        let h = self.classify_hazard(slot, meta.steers);
+                        (SlotMemo::Hazard(h), h)
                     }
                     IssueBlock::MemStructural => {
                         let shared = meta.shared_space;
-                        self.set_memo(wr, SlotMemo::MemBlocked { shared });
-                        StallVerdict::MemStructural
+                        (SlotMemo::MemBlocked { shared }, StallVerdict::MemStructural)
                     }
                     IssueBlock::ComputeStructural => {
-                        self.set_memo(wr, SlotMemo::SfuBlocked);
-                        StallVerdict::ComputeStructural
+                        (SlotMemo::SfuBlocked, StallVerdict::ComputeStructural)
                     }
                 };
+                self.memo[slot] = memo;
                 *verdict = fold_verdict(*verdict, v);
                 false
             }
-        }
-    }
-
-    #[inline]
-    fn set_memo(&mut self, wr: WarpRef, memo: SlotMemo) {
-        match wr {
-            WarpRef::App(s) => self.memo_app[s] = memo,
-            WarpRef::Assist(s) => self.memo_assist[s] = memo,
-        }
-    }
-
-    /// One of scheduler `sched`'s candidate lists.
-    #[inline]
-    fn list(&self, sched: usize, which: ListKind) -> &[usize] {
-        match which {
-            ListKind::Parents => &self.cand_parents[sched],
-            ListKind::HiAssist => &self.cand_his[sched],
-            ListKind::LowAssist => &self.cand_lows[sched],
         }
     }
 
@@ -1692,16 +1651,13 @@ impl Sm {
         lsu_used: &mut bool,
         verdict: &mut Option<StallVerdict>,
     ) -> bool {
-        for pos in 0..self.list(sched, which).len() {
-            let slot = self.list(sched, which)[pos];
+        let list = which as usize;
+        for pos in 0..self.cands[sched][list].len() {
+            let slot = self.cands[sched][list][pos];
             if skip_slot == Some(slot) {
                 continue;
             }
-            let wr = match which {
-                ListKind::Parents => WarpRef::App(slot),
-                ListKind::HiAssist | ListKind::LowAssist => WarpRef::Assist(slot),
-            };
-            if self.consider(now, sched, wr, kernel, shared, lsu_used, verdict) {
+            if self.consider(now, sched, slot, kernel, shared, lsu_used, verdict) {
                 return true;
             }
         }
@@ -1742,19 +1698,13 @@ impl Sm {
             // ...then parent warps greedy-then-oldest (GTO, Table 1): the
             // greedy warp first, then the rest oldest-first.
             if !issued {
-                let mut skip = None;
-                if let Some(WarpRef::App(g)) = self.greedy[sched] {
-                    skip = Some(g);
-                    if self.warps[g].is_some() && g % self.cfg.schedulers_per_sm == sched {
-                        issued = self.consider(
-                            now,
-                            sched,
-                            WarpRef::App(g),
-                            kernel,
-                            shared,
-                            lsu_used,
-                            &mut verdict,
-                        );
+                // The greedy warp is an app warp's slot, or none.
+                let skip = self.greedy[sched].filter(|&g| g < self.cfg.warps_per_sm);
+                if let Some(g) = skip {
+                    let resident = matches!(self.slots[g].role, Role::App { .. });
+                    if resident && g % self.cfg.schedulers_per_sm == sched {
+                        issued =
+                            self.consider(now, sched, g, kernel, shared, lsu_used, &mut verdict);
                     }
                 }
                 if !issued {
@@ -1948,23 +1898,23 @@ impl Sm {
         if self.done_unreaped == 0 {
             return;
         }
-        for slot in 0..self.warps.len() {
-            let ready = matches!(
-                &self.warps[slot],
-                Some(w) if !w.retired
-                    && w.warp.done
-                    && !w.warp.any_pending()
-                    && w.warp.outstanding_loads == 0
-            );
-            if ready {
-                let bs = {
-                    let w = self.warps[slot].as_mut().expect("checked");
-                    w.retired = true;
-                    w.block_slot
-                };
-                self.done_unreaped -= 1;
-                self.retire_warp(bs);
+        for slot in 0..self.cfg.warps_per_sm {
+            let Slot { warp, role, .. } = &mut self.slots[slot];
+            let Role::App {
+                block_slot,
+                retired,
+                ..
+            } = role
+            else {
+                continue;
+            };
+            if *retired || !warp.done || warp.any_pending() || warp.outstanding_loads != 0 {
+                continue;
             }
+            *retired = true;
+            let bs = *block_slot;
+            self.done_unreaped -= 1;
+            self.retire_warp(bs);
         }
     }
 
@@ -2041,20 +1991,20 @@ impl Sm {
     }
 
     fn classify_warp(&self, now: u64, slot: usize, program: &Program) -> WarpState {
-        let w = self.warps[slot].as_ref().expect("resident");
-        if w.warp.done {
+        let w = &self.slots[slot].warp;
+        if w.done {
             return WarpState::Done;
         }
-        if w.warp.at_barrier {
+        if w.at_barrier {
             return WarpState::AtBarrier;
         }
-        let Some(head) = self.head(WarpRef::App(slot), program) else {
+        let Some(head) = self.head(slot, program) else {
             return WarpState::Ready;
         };
         match self.check_issue(now, head.meta, head.hazard, true) {
             Ok(()) => WarpState::Ready,
             Err(IssueBlock::Hazard) => WarpState::DataDependence {
-                outstanding_loads: w.warp.outstanding_loads,
+                outstanding_loads: w.outstanding_loads,
             },
             Err(IssueBlock::MemStructural) => WarpState::MemoryStructural,
             Err(IssueBlock::ComputeStructural) => WarpState::ComputeStructural,
@@ -2063,18 +2013,22 @@ impl Sm {
 
     /// Captures this SM's occupancy and per-warp state for a hang report.
     pub fn snapshot(&self, now: u64, kernel: &Kernel) -> SmSnapshot {
-        let warps = self
-            .warps
+        let warps = self.slots[..self.cfg.warps_per_sm]
             .iter()
             .enumerate()
-            .filter_map(|(i, w)| w.as_ref().map(|sw| (i, sw)))
-            .filter(|(_, sw)| !sw.retired)
-            .map(|(i, sw)| WarpSnapshot {
-                slot: i,
-                ctaid: sw.ctaid,
-                pc: sw.warp.pc(),
-                active_mask: sw.warp.active_mask(),
-                state: self.classify_warp(now, i, kernel.program()),
+            .filter_map(|(i, s)| match s.role {
+                Role::App {
+                    ctaid,
+                    retired: false,
+                    ..
+                } => Some(WarpSnapshot {
+                    slot: i,
+                    ctaid,
+                    pc: s.warp.pc(),
+                    active_mask: s.warp.active_mask(),
+                    state: self.classify_warp(now, i, kernel.program()),
+                }),
+                _ => None,
             })
             .collect();
         SmSnapshot {
@@ -2085,7 +2039,7 @@ impl Sm {
             lsu_pending: self.lsu.pending(),
             store_buffer: self.store_buffer.len(),
             out_reqs: self.out_reqs.len(),
-            assists_active: self.assists.iter().filter(|a| a.is_some()).count(),
+            assists_active: self.active_assist_count,
             pending_decomp: self.pending_decomp.len(),
         }
     }
@@ -2136,46 +2090,43 @@ impl Sm {
         // Live load tickets per application warp slot.
         let mut ticket_loads: FxHashMap<usize, u32> = FxHashMap::default();
         for t in self.tickets.iter().flatten() {
-            if let WarpRef::App(s) = t.warp {
-                *ticket_loads.entry(s).or_default() += 1;
-            }
+            *ticket_loads.entry(t.slot).or_default() += 1;
         }
-        for (slot, sw) in self
-            .warps
+        for (slot, s) in self.slots[..self.cfg.warps_per_sm]
             .iter()
             .enumerate()
-            .filter_map(|(i, w)| w.as_ref().map(|sw| (i, sw)))
+            .filter(|(_, s)| matches!(s.role, Role::App { .. }))
         {
+            let warp = &s.warp;
             let tickets = ticket_loads.get(&slot).copied().unwrap_or(0);
-            if sw.warp.outstanding_loads != tickets {
+            if warp.outstanding_loads != tickets {
                 flag(format!(
                     "warp {slot} scoreboard counts {} outstanding loads but {} load tickets are live",
-                    sw.warp.outstanding_loads, tickets
+                    warp.outstanding_loads, tickets
                 ));
             }
-            if sw.warp.done && sw.warp.active_mask() != 0 {
+            if warp.done && warp.active_mask() != 0 {
                 flag(format!(
                     "warp {slot} is done but still has active mask {:#010x}",
-                    sw.warp.active_mask()
+                    warp.active_mask()
                 ));
             }
-            if sw.warp.simt_depth() > 64 {
+            if warp.simt_depth() > 64 {
                 flag(format!(
                     "warp {slot} SIMT stack depth {} exceeds sanity bound 64",
-                    sw.warp.simt_depth()
+                    warp.simt_depth()
                 ));
             }
-            for r in sw.warp.pending_regs() {
-                let wr = WarpRef::App(slot);
+            for r in warp.pending_regs() {
                 let has_producer = self
                     .writebacks
                     .iter()
-                    .any(|wb| wb.warp == wr && wb.reg == Some(r))
+                    .any(|wb| wb.slot == slot && wb.reg == Some(r))
                     || self
                         .tickets
                         .iter()
                         .flatten()
-                        .any(|t| t.warp == wr && t.dst == Some(r));
+                        .any(|t| t.slot == slot && t.dst == Some(r));
                 if !has_producer {
                     flag(format!(
                         "warp {slot} register r{} is pending with no producer in flight",
@@ -2222,33 +2173,41 @@ impl Sm {
                 }
             }
         }
-        w.usize(self.warps.len());
-        for sw in &self.warps {
-            match sw {
-                None => w.bool(false),
-                Some(sw) => {
-                    w.bool(true);
-                    sw.warp.save(w);
-                    w.usize(sw.block_slot);
-                    w.u32(sw.ctaid);
-                    w.u32(sw.warp_in_block);
-                    w.u64(sw.age);
-                    w.bool(sw.retired);
-                }
-            }
-        }
-        w.usize(self.assists.len());
-        for a in &self.assists {
-            match a {
-                None => w.bool(false),
-                Some(a) => {
-                    w.bool(true);
-                    a.warp.save(w);
-                    w.u64(a.program.content_hash());
-                    a.priority.save(w);
-                    w.u64(a.tag);
-                    w.u64(a.age);
-                    w.usize(a.parent);
+        // The app range, then the assist range, each length-prefixed; a
+        // free slot is one `false`.
+        let (apps, assists) = self.slots.split_at(self.cfg.warps_per_sm);
+        for range in [apps, assists] {
+            w.usize(range.len());
+            for s in range {
+                w.bool(!matches!(s.role, Role::Free));
+                match &s.role {
+                    Role::Free => {}
+                    Role::App {
+                        block_slot,
+                        ctaid,
+                        warp_in_block,
+                        retired,
+                    } => {
+                        s.warp.save(w);
+                        w.usize(*block_slot);
+                        w.u32(*ctaid);
+                        w.u32(*warp_in_block);
+                        w.u64(s.age);
+                        w.bool(*retired);
+                    }
+                    Role::Assist {
+                        program,
+                        priority,
+                        tag,
+                        parent,
+                    } => {
+                        s.warp.save(w);
+                        w.u64(program.content_hash());
+                        priority.save(w);
+                        w.u64(*tag);
+                        w.u64(s.age);
+                        w.usize(*parent);
+                    }
                 }
             }
         }
@@ -2259,7 +2218,7 @@ impl Sm {
         w.usize(self.writebacks.len());
         for wb in &self.writebacks {
             w.u64(wb.at);
-            wb.warp.save(w);
+            self.warp_ref(wb.slot).save(w);
             wb.reg.save(w);
         }
         w.usize(self.tickets.len());
@@ -2268,7 +2227,7 @@ impl Sm {
                 None => w.bool(false),
                 Some(t) => {
                     w.bool(true);
-                    t.warp.save(w);
+                    self.warp_ref(t.slot).save(w);
                     t.dst.save(w);
                     w.u32(t.remaining);
                 }
@@ -2293,9 +2252,12 @@ impl Sm {
         // snapshot is taken at (DESIGN.md "Which event re-derives which
         // list").
         debug_assert!(!self.cand_dirty && !self.assist_dirty);
-        save_slot_memo(&self.memo_app, w);
-        save_slot_memo(&self.memo_assist, w);
-        self.greedy.save(w);
+        save_slot_memo(&self.memo[..apps.len()], w);
+        save_slot_memo(&self.memo[apps.len()..], w);
+        w.usize(self.greedy.len());
+        for g in &self.greedy {
+            g.map(|s| self.warp_ref(s)).save(w);
+        }
         w.u32(self.used_regs);
         w.u32(self.used_shared);
         w.u64(self.age_seq);
@@ -2371,48 +2333,49 @@ impl Sm {
                 None
             };
         }
-        if r.usize()? != self.warps.len() {
+        let apps = self.cfg.warps_per_sm;
+        if r.usize()? != apps {
             return Err(SnapError::Invariant {
                 what: "sm warp slot count mismatch",
             });
         }
-        for slot in self.warps.iter_mut() {
-            *slot = if r.bool()? {
-                Some(SmWarp {
-                    warp: Warp::load(r)?,
-                    block_slot: r.usize()?,
-                    ctaid: r.u32()?,
-                    warp_in_block: r.u32()?,
-                    age: r.u64()?,
+        for i in 0..self.slots.len() {
+            if i == apps && r.usize()? != self.cfg.max_assist_warps {
+                return Err(SnapError::Invariant {
+                    what: "sm assist slot count mismatch",
+                });
+            }
+            let s = &mut self.slots[i];
+            if !r.bool()? {
+                s.role = Role::Free;
+                continue;
+            }
+            s.warp = Warp::load(r)?;
+            if i < apps {
+                let (block_slot, ctaid, warp_in_block) = (r.usize()?, r.u32()?, r.u32()?);
+                s.age = r.u64()?;
+                s.role = Role::App {
+                    block_slot,
+                    ctaid,
+                    warp_in_block,
                     retired: r.bool()?,
-                })
+                };
             } else {
-                None
-            };
-        }
-        if r.usize()? != self.assists.len() {
-            return Err(SnapError::Invariant {
-                what: "sm assist slot count mismatch",
-            });
-        }
-        for slot in self.assists.iter_mut() {
-            *slot = if r.bool()? {
-                let warp = Warp::load(r)?;
-                let hash = r.u64()?;
-                let program = programs.get(&hash).cloned().ok_or(SnapError::Invariant {
-                    what: "assist program hash not resolvable",
-                })?;
-                Some(AssistRt {
-                    warp,
+                let program = programs
+                    .get(&r.u64()?)
+                    .cloned()
+                    .ok_or(SnapError::Invariant {
+                        what: "assist program hash not resolvable",
+                    })?;
+                let (priority, tag) = (AssistPriority::load(r)?, r.u64()?);
+                s.age = r.u64()?;
+                s.role = Role::Assist {
                     program,
-                    priority: AssistPriority::load(r)?,
-                    tag: r.u64()?,
-                    age: r.u64()?,
+                    priority,
+                    tag,
                     parent: r.usize()?,
-                })
-            } else {
-                None
-            };
+                };
+            }
         }
         let n = r.seq_len("assist_pending", 2)?;
         self.assist_pending.clear();
@@ -2424,7 +2387,7 @@ impl Sm {
         for _ in 0..n {
             self.writebacks.push(Writeback {
                 at: r.u64()?,
-                warp: WarpRef::load(r)?,
+                slot: self.slot_of(WarpRef::load(r)?)?,
                 reg: Option::<Reg>::load(r)?,
             });
         }
@@ -2433,7 +2396,7 @@ impl Sm {
         for _ in 0..n {
             self.tickets.push(if r.bool()? {
                 Some(Ticket {
-                    warp: WarpRef::load(r)?,
+                    slot: self.slot_of(WarpRef::load(r)?)?,
                     dst: Option::<Reg>::load(r)?,
                     remaining: r.u32()?,
                 })
@@ -2460,15 +2423,18 @@ impl Sm {
         self.store_buffer = VecDeque::<u64>::load(r)?;
         self.out_reqs = VecDeque::<OutReq>::load(r)?;
         self.sfu_ready_at = r.u64()?;
-        let memo_app = load_slot_memo(r, self.cfg.warps_per_sm)?;
-        let memo_assist = load_slot_memo(r, self.cfg.max_assist_warps)?;
+        let mut memo = load_slot_memo(r, self.cfg.warps_per_sm)?;
+        memo.extend(load_slot_memo(r, self.cfg.max_assist_warps)?);
         let greedy = Vec::<Option<WarpRef>>::load(r)?;
         if greedy.len() != self.cfg.schedulers_per_sm {
             return Err(SnapError::Invariant {
                 what: "scheduler count mismatch",
             });
         }
-        self.greedy = greedy;
+        self.greedy = greedy
+            .into_iter()
+            .map(|g| g.map(|wr| self.slot_of(wr)).transpose())
+            .collect::<Result<_, _>>()?;
         self.used_regs = r.u32()?;
         self.used_shared = r.u32()?;
         self.age_seq = r.u64()?;
@@ -2498,17 +2464,17 @@ impl Sm {
         }
         // Derived state: recomputed, never trusted from the wire.
         self.resident_block_count = self.blocks.iter().filter(|b| b.is_some()).count();
-        self.active_assist_count = self.assists.iter().filter(|a| a.is_some()).count();
-        self.low_assist_count = self
-            .assists
-            .iter()
-            .flatten()
-            .filter(|a| a.priority == AssistPriority::Low)
-            .count();
+        (self.active_assist_count, self.low_assist_count) = (0, 0);
         // Conservative: a spurious member is free, a missed retire is not.
         self.assist_done.fill(0);
-        for (slot, a) in self.assists.iter().enumerate() {
-            if a.as_ref().is_some_and(|a| a.warp.done) {
+        for slot in apps..self.slots.len() {
+            let s = &self.slots[slot];
+            let Role::Assist { priority, .. } = s.role else {
+                continue;
+            };
+            self.active_assist_count += 1;
+            self.low_assist_count += usize::from(priority == AssistPriority::Low);
+            if s.warp.done {
                 self.assist_done[slot / 64] |= 1 << (slot % 64);
             }
         }
@@ -2517,11 +2483,9 @@ impl Sm {
             .iter()
             .filter(|l| l.priority == AssistPriority::High)
             .count();
-        self.done_unreaped = self
-            .warps
+        self.done_unreaped = self.slots[..apps]
             .iter()
-            .flatten()
-            .filter(|w| !w.retired && w.warp.done)
+            .filter(|s| matches!(s.role, Role::App { retired: false, .. }) && s.warp.done)
             .count() as u32;
         // Candidate lists are a pure function of residency and slot ages,
         // so they rebuild rather than travel. The hazard memos are NOT
@@ -2531,8 +2495,7 @@ impl Sm {
         // them can flip a Fig. 1 bucket for one cycle — they restore from
         // the wire. The rebuild leaves both dirty flags clear.
         self.rebuild_candidates();
-        self.memo_app = memo_app;
-        self.memo_assist = memo_assist;
+        self.memo = memo;
         // The dormancy cache is recomputed, never restored: the next real
         // cycle is bit-identical to the skipped one it replaces, so losing
         // the cache costs one executed cycle and changes nothing else.
@@ -2917,6 +2880,25 @@ mod tests {
         assert_eq!(slept.breakdown(), cycled.breakdown());
     }
 
+    /// A slot's wire name maps back to it, and a name outside the table —
+    /// which only a crafted snapshot can hold — is a typed error, not an
+    /// index into the other range.
+    #[test]
+    fn warp_refs_name_the_table_slots_one_to_one() {
+        let cfg = GpuConfig::isca2015();
+        let sm = Sm::new(0, cfg, Design::Base);
+        for slot in 0..cfg.warps_per_sm + cfg.max_assist_warps {
+            assert_eq!(sm.slot_of(sm.warp_ref(slot)), Ok(slot));
+        }
+        assert_eq!(sm.warp_ref(cfg.warps_per_sm), WarpRef::Assist(0));
+        for wr in [
+            WarpRef::App(cfg.warps_per_sm),
+            WarpRef::Assist(cfg.max_assist_warps),
+        ] {
+            assert!(sm.slot_of(wr).is_err(), "{wr:?} names no slot");
+        }
+    }
+
     #[test]
     fn partial_warp_gets_partial_mask() {
         let cfg = GpuConfig::isca2015();
@@ -2925,7 +2907,7 @@ mod tests {
         let k = kernel(8, 40, 1, 0);
         assert!(sm.try_launch_block(0, &k, 0));
         assert_eq!(sm.resident_warps(), 2);
-        let w1 = sm.warps[1].as_ref().expect("second warp resident");
-        assert_eq!(w1.warp.active_mask().count_ones(), 8);
+        let w1 = &sm.slots[1].warp;
+        assert_eq!(w1.active_mask().count_ones(), 8);
     }
 }

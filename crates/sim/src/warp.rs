@@ -25,8 +25,11 @@ pub struct SimtEntry {
 /// assist warps "share the same context as the regular warp" (§1); here the
 /// shared context is modelled by allocating the assist warp's registers out
 /// of the same SM register budget (accounted in
-/// [`crate::occupancy`]) while keeping the storage separate.
-#[derive(Debug, Clone)]
+/// [`crate::occupancy`]) while keeping the storage separate. An SM holds
+/// one per slot of its warp table and re-initialises it in place
+/// ([`Warp::reset`]) for each warp it launches there; a slot that has
+/// launched nothing holds the [`Default`] context, which allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct Warp {
     simt: Vec<SimtEntry>,
     regs: Vec<[u64; WARP_SIZE]>,
@@ -48,26 +51,14 @@ impl Warp {
     /// Creates a warp with `nregs` registers, starting at PC 0 with lanes
     /// `mask` active.
     pub fn new(nregs: usize, mask: u32) -> Self {
-        Warp {
-            simt: vec![SimtEntry {
-                pc: 0,
-                mask,
-                reconv: usize::MAX,
-            }],
-            regs: vec![[0u64; WARP_SIZE]; nregs],
-            preds: [0u32; NUM_PREGS],
-            pending: vec![0u64; nregs.div_ceil(64)],
-            outstanding_loads: 0,
-            at_barrier: false,
-            done: false,
-            last_issue: 0,
-            issued: 0,
-        }
+        let mut w = Warp::default();
+        w.reset(nregs, mask);
+        w
     }
 
     /// Returns the warp to exactly the state [`Warp::new`]`(nregs, mask)`
-    /// builds, keeping its allocations: a retired assist warp's context is
-    /// redeployed this way.
+    /// builds, keeping its allocations: an SM launches every warp, app or
+    /// assist, into its slot's context this way.
     pub fn reset(&mut self, nregs: usize, mask: u32) {
         self.simt.clear();
         self.simt.push(SimtEntry {

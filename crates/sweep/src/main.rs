@@ -18,11 +18,9 @@
 //! to an uninterrupted run's. `caba-sweep store gc` collects the store.
 
 use caba_store::{write_file_atomic, FaultFlags, Store};
-use caba_sweep::paper::cache_configs;
 use caba_sweep::{
     dedup_cells, figure_table, host_cores, parse_positive, Figure, Sweep, SweepCell, SweepConfig,
 };
-use std::collections::HashMap;
 use std::error::Error;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -463,51 +461,14 @@ fn sweep(args: &Args) -> Result<String, Box<dyn Error>> {
     Ok(figure_table(&results))
 }
 
-/// The paper tables `tables`: every cell they need runs once, in one sweep
-/// per machine configuration over the union of the tables' cells, and each
-/// table is rendered from its own cells' results. With more than one table
-/// each goes under its title.
+/// The paper tables `tables` ([`caba_sweep::paper::text`]), through the
+/// store if `--store-dir` names one.
 fn paper(args: &Args, tables: &[Figure]) -> Result<String, Box<dyn Error>> {
     let sc = base_config(args, 0.5);
     let store = open_store(args)?;
-    let mut done = HashMap::new();
-    for (v, cfg) in cache_configs(sc.cfg).into_iter().enumerate() {
-        let needed = tables.iter().filter(|t| v < t.configs());
-        let groups: Vec<_> = needed.map(|t| t.cells()).collect();
-        let cells = dedup_cells(&groups);
-        if cells.is_empty() {
-            continue;
-        }
-        eprintln!(
-            "paper: {} cells at scale {} with {} jobs (machine configuration {v})",
-            cells.len(),
-            sc.scale,
-            args.jobs
-        );
-        let mut sweep = Sweep::new(&SweepConfig { cfg, ..sc }, cells).jobs(args.jobs);
-        if let Some(store) = &store {
-            sweep = sweep.store(store);
-        }
-        for r in sweep.run()?.results {
-            done.insert((v, r.cell.key()), r);
-        }
-    }
+    let text = caba_sweep::paper::text(&sc, tables, args.jobs, store.as_ref());
     if let Some(store) = &store {
         close_store(store);
     }
-    let mut out = String::new();
-    for t in tables {
-        let cells = t.cells();
-        let results: Vec<_> = (0..t.configs())
-            .flat_map(|v| cells.iter().map(move |c| (v, c)))
-            .map(|(v, c)| done[&(v, c.key())].clone())
-            .collect();
-        let table = t.render(&sc, &results)?;
-        if tables.len() > 1 {
-            let rule = "=".repeat(64);
-            out.push_str(&format!("\n{rule}\n{}\n{rule}\n", t.title()));
-        }
-        out.push_str(&table.to_string());
-    }
-    Ok(out)
+    text
 }

@@ -3,21 +3,24 @@
 //! machine configurations, and renders it from their results.
 //!
 //! A renderer is a pure function of `&[CellResult]` and never simulates:
-//! `caba-sweep paper NAME` runs the cells through [`Sweep`](crate::Sweep)
-//! like any other sweep, so `--jobs`, `--scale` and `--store-dir` apply.
+//! `caba-sweep paper NAME` runs the cells through [`Sweep`] like any other
+//! sweep ([`text`]), so `--jobs`, `--scale` and `--store-dir` apply.
 //! Absolute numbers are not expected to match the paper (the substrate is
 //! a from-scratch simulator over synthetic stand-in workloads, see
 //! DESIGN.md); the *shapes* are the reproduction target, and EXPERIMENTS.md
 //! records paper-vs-measured for every table.
 
-use crate::{CellResult, DesignId, SweepCell, SweepConfig};
+use crate::{dedup_cells, CellResult, DesignId, Sweep, SweepCell, SweepConfig};
 use caba_compress::{average_burst_ratio, bdi, Algorithm, LineCompressor};
 use caba_energy::energy;
 use caba_sim::occupancy::occupancy;
 use caba_sim::{Design, GpuConfig};
 use caba_stats::table::{pct, speedup};
 use caba_stats::{StallKind, Table};
+use caba_store::Store;
 use caba_workloads::{all_apps, app, eval_apps, AppClass};
+use std::collections::HashMap;
+use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
@@ -223,6 +226,60 @@ pub fn cache_configs(cfg: GpuConfig) -> [GpuConfig; 5] {
         ..cfg
     };
     [cfg, l1(2), l1(4), l2(2), l2(4)]
+}
+
+/// The text `caba-sweep paper` prints for `tables`: every cell they need
+/// runs once, in one sweep per machine configuration over the union of the
+/// tables' cells (through `store` when given), and each table is rendered
+/// from its own cells' results. With more than one table each goes under
+/// its title.
+///
+/// # Errors
+///
+/// A sweep that failed, or a Fig. 1 cell that lost an issue slot.
+pub fn text(
+    sc: &SweepConfig,
+    tables: &[Figure],
+    jobs: usize,
+    store: Option<&Store>,
+) -> Result<String, Box<dyn Error>> {
+    let mut done = HashMap::new();
+    for (v, cfg) in cache_configs(sc.cfg).into_iter().enumerate() {
+        let needed = tables.iter().filter(|t| v < t.configs());
+        let groups: Vec<_> = needed.map(|t| t.cells()).collect();
+        let cells = dedup_cells(&groups);
+        if cells.is_empty() {
+            continue;
+        }
+        eprintln!(
+            "paper: {} cells at scale {} with {} jobs (machine configuration {v})",
+            cells.len(),
+            sc.scale,
+            jobs
+        );
+        let mut sweep = Sweep::new(&SweepConfig { cfg, ..*sc }, cells).jobs(jobs);
+        if let Some(store) = store {
+            sweep = sweep.store(store);
+        }
+        for r in sweep.run()?.results {
+            done.insert((v, r.cell.key()), r);
+        }
+    }
+    let mut out = String::new();
+    for t in tables {
+        let cells = t.cells();
+        let results: Vec<_> = (0..t.configs())
+            .flat_map(|v| cells.iter().map(move |c| (v, c)))
+            .map(|(v, c)| done[&(v, c.key())].clone())
+            .collect();
+        let table = t.render(sc, &results)?;
+        if tables.len() > 1 {
+            let rule = "=".repeat(64);
+            out.push_str(&format!("\n{rule}\n{}\n{rule}\n", t.title()));
+        }
+        out.push_str(&table.to_string());
+    }
+    Ok(out)
 }
 
 /// A Fig. 1 cell whose taxonomy buckets do not sum to the issue slots that
